@@ -201,58 +201,41 @@ func BenchmarkConvForward_Naive(b *testing.B) {
 
 func BenchmarkConvForward_Im2col(b *testing.B) {
 	c, x := convBenchWorkload(b)
+	batch, err := tensor.Pack([]*tensor.Tensor{x})
+	if err != nil {
+		b.Fatal(err)
+	}
 	ctx := nn.NewContext()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Forward(ctx, x); err != nil {
+		if _, err := c.ForwardBatch(ctx, batch); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // Batch-native forward — ForwardBatch (one GEMM per layer per micro-batch)
-// against the per-sample fan-out (N separate Forward calls through one
-// context), swept over batch size. The batch effect is weight-traffic
-// amortisation: a batched GEMM streams the layer's weights once for all N
-// samples, so layers whose weights dwarf the cache (the deep convolutions,
-// and above all the fully connected layers) speed up with batch size, while
-// conv1 — tiny weights, huge activations — is roughly neutral. Recorded in
-// BENCH_compute.json.
+// swept over batch size, N=1 included; samples/s across the sweep is the
+// batch effect. That effect is weight-traffic amortisation: a batched GEMM
+// streams the layer's weights once for all N samples, so layers whose
+// weights dwarf the cache (above all the fully connected layers) speed up
+// with batch size, while conv1 — tiny weights, huge activations — does not.
+// The recorded numbers are the benchmark's: nn.conv1_ms … nn.fc8_ms at N=8
+// and nn.alexnet_n1_ms in bench/README.md.
 
-func benchForwardBatchLayer(b *testing.B, layer nn.Layer, c, size int) {
+func benchForwardBatchLayer(b *testing.B, layer nn.Layer, inShape ...int) {
 	rng := rand.New(rand.NewSource(30))
 	for _, batch := range []int{1, 4, 8, 16, 32} {
-		xs := make([]*tensor.Tensor, batch)
-		for i := range xs {
-			x := tensor.MustNew(c, size, size)
-			x.FillUniform(rng, 0, 1)
-			xs[i] = x
-		}
-		packed, err := tensor.Stack(xs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("n=%d/mode=batched", batch), func(b *testing.B) {
+		packed := tensor.MustNew(append([]int{batch}, inShape...)...)
+		packed.FillUniform(rng, 0, 1)
+		b.Run(fmt.Sprintf("n=%d", batch), func(b *testing.B) {
 			ctx := nn.NewContext()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := layer.ForwardBatch(ctx, packed); err != nil {
 					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "samples/s")
-		})
-		b.Run(fmt.Sprintf("n=%d/mode=persample", batch), func(b *testing.B) {
-			ctx := nn.NewContext()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, x := range xs {
-					if _, err := layer.Forward(ctx, x); err != nil {
-						b.Fatal(err)
-					}
 				}
 			}
 			b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "samples/s")
@@ -268,7 +251,7 @@ func BenchmarkForwardBatch_AlexNetConv1(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchForwardBatchLayer(b, conv, 3, nn.AlexNetInputSize)
+	benchForwardBatchLayer(b, conv, 3, nn.AlexNetInputSize, nn.AlexNetInputSize)
 }
 
 // AlexNet conv2: 256 5×5×96 filters over 27×27 — 2.4 MB of weights, the
@@ -279,7 +262,7 @@ func BenchmarkForwardBatch_AlexNetConv2(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchForwardBatchLayer(b, conv, 96, 27)
+	benchForwardBatchLayer(b, conv, 96, 27, 27)
 }
 
 // AlexNet conv3: 384 3×3×256 filters over 13×13 — 3.5 MB of weights against
@@ -291,52 +274,18 @@ func BenchmarkForwardBatch_AlexNetConv3(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchForwardBatchLayer(b, conv, 256, 13)
+	benchForwardBatchLayer(b, conv, 256, 13, 13)
 }
 
-// AlexNet fc6: 4096×9216 — 151 MB of weights, pure weight streaming; the
-// batched path pays it once per batch instead of once per sample.
+// AlexNet fc6: 4096×9216 — 151 MB of weights, pure weight streaming; a
+// batch pays it once instead of once per sample.
 func BenchmarkForwardBatch_AlexNetFC6(b *testing.B) {
 	rng := rand.New(rand.NewSource(33))
 	fc, err := nn.NewDense("fc6", 256*6*6, 4096, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rngIn := rand.New(rand.NewSource(34))
-	for _, batch := range []int{1, 4, 8, 16, 32} {
-		xs := make([]*tensor.Tensor, batch)
-		for i := range xs {
-			x := tensor.MustNew(256 * 6 * 6)
-			x.FillUniform(rngIn, 0, 1)
-			xs[i] = x
-		}
-		packed, err := tensor.Stack(xs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("n=%d/mode=batched", batch), func(b *testing.B) {
-			ctx := nn.NewContext()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := fc.ForwardBatch(ctx, packed); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "samples/s")
-		})
-		b.Run(fmt.Sprintf("n=%d/mode=persample", batch), func(b *testing.B) {
-			ctx := nn.NewContext()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, x := range xs {
-					if _, err := fc.Forward(ctx, x); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "samples/s")
-		})
-	}
+	benchForwardBatchLayer(b, fc, 256*6*6)
 }
 
 // Whole-network batched forward on the AlexNet-shaped micro net — the
@@ -350,40 +299,26 @@ func BenchmarkForwardBatch_MicroNet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchForwardBatchLayer(b, net, 3, 32) // Sequential implements Layer
+	benchForwardBatchLayer(b, net, 3, 32, 32) // Sequential implements Layer
 }
 
 // Batch-native backward — one training step (forward + backward, since the
 // backward pass consumes the forward's cached activations) through
-// BackwardBatch against the per-sample Forward/Backward fan-out, swept over
-// batch size. The batched path computes dW and dX with one GemmTB/GemmTA
-// per layer over the whole batch, so the weight matrices stream once per
-// batch in each direction instead of once per sample; the effect mirrors
-// the forward benches but roughly doubled, because backward touches the
-// weights twice (dW and dX). Recorded in BENCH_compute.json.
+// ForwardBatch/BackwardBatch, swept over batch size, N=1 included. dW and
+// dX are one GemmTB/GemmTA per layer over the whole batch, so the weight
+// matrices stream once per batch in each direction; the effect mirrors the
+// forward benches but roughly doubled, because backward touches the weights
+// twice (dW and dX). Training is research tooling and stays on
+// `go test -bench` (bench/README.md, "Who uses this system").
 
 func benchBackwardBatchLayer(b *testing.B, layer nn.Layer, inShape, outShape []int) {
 	rng := rand.New(rand.NewSource(40))
 	for _, batch := range []int{1, 4, 8, 16} {
-		xs := make([]*tensor.Tensor, batch)
-		gs := make([]*tensor.Tensor, batch)
-		for i := range xs {
-			x := tensor.MustNew(inShape...)
-			x.FillUniform(rng, 0, 1)
-			xs[i] = x
-			g := tensor.MustNew(outShape...)
-			g.FillUniform(rng, -1, 1)
-			gs[i] = g
-		}
-		packedX, err := tensor.Stack(xs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		packedG, err := tensor.Stack(gs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("n=%d/mode=batched", batch), func(b *testing.B) {
+		packedX := tensor.MustNew(append([]int{batch}, inShape...)...)
+		packedX.FillUniform(rng, 0, 1)
+		packedG := tensor.MustNew(append([]int{batch}, outShape...)...)
+		packedG.FillUniform(rng, -1, 1)
+		b.Run(fmt.Sprintf("n=%d", batch), func(b *testing.B) {
 			ctx := nn.NewContext()
 			ctx.SetTraining(true)
 			b.ReportAllocs()
@@ -394,23 +329,6 @@ func benchBackwardBatchLayer(b *testing.B, layer nn.Layer, inShape, outShape []i
 				}
 				if _, err := layer.BackwardBatch(ctx, packedG); err != nil {
 					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "samples/s")
-		})
-		b.Run(fmt.Sprintf("n=%d/mode=persample", batch), func(b *testing.B) {
-			ctx := nn.NewContext()
-			ctx.SetTraining(true)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j, x := range xs {
-					if _, err := layer.Forward(ctx, x); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := layer.Backward(ctx, gs[j]); err != nil {
-						b.Fatal(err)
-					}
 				}
 			}
 			b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "samples/s")
@@ -443,10 +361,10 @@ func BenchmarkBackwardBatch_AlexNetFC6(b *testing.B) {
 // End-to-end training throughput — Trainer.Fit over one epoch of synthetic
 // GTSRB on an fc-heavy micro-AlexNet (small convs, 4096-wide hidden layer:
 // the 9 MB fc1 weight matrix dominates, the regime where AlexNet spends
-// its parameters), batched shards (SubBatch 0, the default) against the
-// legacy per-sample path (SubBatch 1). Mini-batch 16, so the batched path
-// runs whole 16-sample GEMM sweeps per layer per direction. Same seeds,
-// same update rule; only the execution strategy differs.
+// its parameters), whole-shard batches (SubBatch 0, the default) against
+// batches of one (SubBatch 1). Mini-batch 16, so the default runs whole
+// 16-sample GEMM sweeps per layer per direction. Same seeds, same update
+// rule, same code path; only the batch size differs.
 func BenchmarkTrainerFit(b *testing.B) {
 	cfg := nn.MicroConfig{
 		InputSize: 32, Conv1Filters: 8, Conv1Kernel: 5,
@@ -457,11 +375,8 @@ func BenchmarkTrainerFit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name     string
-		subBatch int
-	}{{"batched", 0}, {"persample", 1}} {
-		b.Run("mode="+mode.name, func(b *testing.B) {
+	for _, subBatch := range []int{0, 1} {
+		b.Run(fmt.Sprintf("subbatch=%d", subBatch), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -475,7 +390,7 @@ func BenchmarkTrainerFit(b *testing.B) {
 				}
 				tr := &train.Trainer{
 					Net: net, Opt: opt, BatchSize: 16, Epochs: 1,
-					SubBatch: mode.subBatch, Rng: rand.New(rand.NewSource(52)),
+					SubBatch: subBatch, Rng: rand.New(rand.NewSource(52)),
 				}
 				b.StartTimer()
 				if _, err := tr.Fit(ds); err != nil {
@@ -558,7 +473,7 @@ func BenchmarkBatchEngine_Throughput(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Predict(xs); err != nil {
+				if _, err := e.PredictBatched(xs); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -56,6 +56,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/obs/logx"
 	"repro/internal/serve"
@@ -166,7 +167,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: router.Mux()}
+	httpSrv := cli.NewHTTPServer(router.Mux())
 	logger.Info("listening", "addr", ln.Addr().String(), "shards", router.Shards(),
 		"probe", *healthInterval, "breaker", *breaker)
 	if *debugAddr != "" {

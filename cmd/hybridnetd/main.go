@@ -34,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"image/png"
 	"math/rand"
 	"net"
 	"net/http"
@@ -138,7 +139,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.mux()}
+	httpSrv := cli.NewHTTPServer(srv.mux())
 	logger.Info("listening",
 		"addr", ln.Addr().String(), "workers", bc.Workers(), "subbatch", bc.SubBatch(),
 		"max_batch", *maxBatch, "max_delay", *maxDelay, "queue", *queueSize,
@@ -473,16 +474,22 @@ func (s *server) decodeImage(req classifyRequest) (*tensor.Tensor, error) {
 		if err != nil {
 			return nil, fmt.Errorf("image_png is not valid base64: %v", err)
 		}
-		img, err := gtsrb.ReadPNG(bytes.NewReader(raw))
-		if err != nil {
-			return nil, fmt.Errorf("image_png: %v", err)
-		}
 		// Reject wrong-sized images at admission: a bad image inside a
 		// micro-batch would otherwise fail every request riding the same
 		// batch with a 500 instead of failing its own sender with a 400.
-		if img.Rank() != 3 || img.Dim(1) != s.size || img.Dim(2) != s.size {
+		// The check reads the header only — ReadPNG allocates the whole
+		// image, and a few bytes of IHDR can claim gigapixels.
+		hdr, err := png.DecodeConfig(bytes.NewReader(raw))
+		if err != nil {
+			return nil, fmt.Errorf("image_png: %v", err)
+		}
+		if hdr.Width != s.size || hdr.Height != s.size {
 			return nil, fmt.Errorf("image_png must decode to %dx%d, got %dx%d (serve with matching -size)",
-				s.size, s.size, img.Dim(1), img.Dim(2))
+				s.size, s.size, hdr.Width, hdr.Height)
+		}
+		img, err := gtsrb.ReadPNG(bytes.NewReader(raw))
+		if err != nil {
+			return nil, fmt.Errorf("image_png: %v", err)
 		}
 		return img, nil
 	case req.Sign != "":

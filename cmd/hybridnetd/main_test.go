@@ -2,13 +2,17 @@ package main
 
 import (
 	"bytes"
+	"compress/zlib"
 	"context"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -125,6 +129,63 @@ func TestClassifyPNGRoundTrip(t *testing.T) {
 	}
 }
 
+// pngBomb returns a few dozen bytes of well-formed PNG whose IHDR claims a
+// w×h 8-bit RGB image and whose IDAT holds no pixel data. A full decode
+// allocates w·h·4 bytes on reaching the IDAT, before it notices the data is
+// missing.
+func pngBomb(w, h uint32) []byte {
+	chunk := func(kind string, data []byte) []byte {
+		out := binary.BigEndian.AppendUint32(nil, uint32(len(data)))
+		body := append([]byte(kind), data...)
+		out = append(out, body...)
+		return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	}
+	ihdr := binary.BigEndian.AppendUint32(nil, w)
+	ihdr = binary.BigEndian.AppendUint32(ihdr, h)
+	ihdr = append(ihdr, 8, 2, 0, 0, 0) // bit depth, colour type RGB, deflate, filter, no interlace
+	var idat bytes.Buffer
+	zw := zlib.NewWriter(&idat)
+	zw.Close()
+	out := []byte("\x89PNG\r\n\x1a\n")
+	out = append(out, chunk("IHDR", ihdr)...)
+	out = append(out, chunk("IDAT", idat.Bytes())...)
+	return append(out, chunk("IEND", nil)...)
+}
+
+// TestDecodeImageRefusesPNGBomb: a tiny PNG whose header claims 20000×20000
+// is refused on its header, without the 1.6 GB image a full decode would
+// allocate first; a frame of the configured size still decodes.
+func TestDecodeImageRefusesPNGBomb(t *testing.T) {
+	s := newServer(nil, time.Second, 32)
+	bomb := classifyRequest{ImagePNG: base64.StdEncoding.EncodeToString(pngBomb(20000, 20000))}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := s.decodeImage(bomb)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "20000x20000") {
+		t.Fatalf("bomb: err = %v, want a size rejection naming 20000x20000", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing the bomb allocated %d bytes; the image was decoded before the size check", grew)
+	}
+
+	frame, err := gtsrb.AngledStopSign(32, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var png bytes.Buffer
+	if err := gtsrb.WritePNG(frame, &png); err != nil {
+		t.Fatal(err)
+	}
+	img, err := s.decodeImage(classifyRequest{ImagePNG: base64.StdEncoding.EncodeToString(png.Bytes())})
+	if err != nil {
+		t.Fatalf("valid frame refused: %v", err)
+	}
+	if img.Dim(0) != 3 || img.Dim(1) != 32 || img.Dim(2) != 32 {
+		t.Fatalf("valid frame decoded to %v", img.Shape())
+	}
+}
+
 func TestClassifyBadRequests(t *testing.T) {
 	srv, _ := newTestServer(t)
 	// A well-formed PNG of the wrong size must be rejected at admission —
@@ -144,6 +205,7 @@ func TestClassifyBadRequests(t *testing.T) {
 		`{"sign":"stop","image_png":"AAAA"}`,
 		`{"image_png":"!!!"}`,
 		fmt.Sprintf(`{"image_png":%q}`, base64.StdEncoding.EncodeToString(png.Bytes())),
+		fmt.Sprintf(`{"image_png":%q}`, base64.StdEncoding.EncodeToString(pngBomb(20000, 20000))),
 	}
 	for _, body := range cases {
 		resp, _, fail := postClassify(t, srv.URL, body)

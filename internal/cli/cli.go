@@ -3,7 +3,8 @@
 // binaries cannot drift apart on how a hybrid network is assembled — plus
 // the worker-mode address-report protocol (WriteAddrReport /
 // ParseAddrReport) the hybridnet-router supervisor uses to learn a spawned
-// worker's kernel-assigned port from its stdout.
+// worker's kernel-assigned port from its stdout, and the http.Server both
+// daemons serve from (NewHTTPServer).
 //
 // # Concurrency contract
 //

@@ -177,8 +177,8 @@ func TestBatchClassifierReuse(t *testing.T) {
 // TestClassifyBatchSubBatchEquivalence: the batched CNN stage — one NCHW
 // micro-batch per worker sub-batch — must reproduce per-call Classify
 // bit-for-bit in classes, probabilities, decisions, qualifier verdicts and
-// per-inference reliable counters, for every sub-batch size (1 degenerates
-// to per-sample; sizes ragged against the batch exercise the tail chunks).
+// per-inference reliable counters, for every sub-batch size (1 is batches
+// of one; sizes ragged against the batch exercise the tail chunks).
 // Run with -race this is the golden-equivalence gate of the serving path.
 func TestClassifyBatchSubBatchEquivalence(t *testing.T) {
 	net := trainedMicroNet(t)
@@ -229,7 +229,7 @@ func TestClassifyBatchSubBatchEquivalence(t *testing.T) {
 		for _, ccfg := range []ClassifierConfig{
 			{Workers: 1},              // whole batch in one sub-batch
 			{Workers: 3},              // default ceil(11/3)=4 → ragged tail of 3
-			{Workers: 2, SubBatch: 1}, // per-sample degenerate
+			{Workers: 2, SubBatch: 1}, // batches of one
 			{Workers: 2, SubBatch: 4}, // explicit cap, ragged
 		} {
 			c, err := h.NewBatchClassifierConfig(ccfg)

@@ -55,18 +55,11 @@ func TestExecutePrefixMatchesPlainForward(t *testing.T) {
 				t.Fatalf("lrn=%v depth %d: %v", useLRN, depth, err)
 			}
 			// Plain reference: forward the first depth layers.
-			nctx := nn.NewContext()
-			want := x
-			for i := 0; i < depth; i++ {
-				layer, err := net.Layer(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err = layer.Forward(nctx, want)
-				if err != nil {
-					t.Fatal(err)
-				}
+			plain, err := net.ForwardSamples(nn.NewContext(), 0, depth, []*tensor.Tensor{x})
+			if err != nil {
+				t.Fatal(err)
 			}
+			want := plain[0]
 			if !want.AllClose(got, 2e-5) {
 				d, _ := want.MaxAbsDiff(got)
 				t.Fatalf("lrn=%v depth %d: reliable prefix diverges by %v", useLRN, depth, d)

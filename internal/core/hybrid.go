@@ -268,7 +268,8 @@ func (h *HybridNetwork) newEngine() (*reliable.Engine, error) {
 }
 
 // Classify runs the hybrid pipeline on a full-resolution CHW image with a
-// fresh context and reliable engine. It is safe to call concurrently on a
+// fresh context and reliable engine: a chunk of one through the same
+// pipelined path every batch takes. It is safe to call concurrently on a
 // shared HybridNetwork; for batches prefer ClassifyBatch, which shares
 // each worker's context and engine across the images of that batch.
 func (h *HybridNetwork) Classify(img *tensor.Tensor) (Result, error) {
@@ -276,49 +277,37 @@ func (h *HybridNetwork) Classify(img *tensor.Tensor) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return h.classify(nn.NewContext(), engine, img)
-}
-
-func (h *HybridNetwork) classify(ctx *nn.Context, engine *reliable.Engine, img *tensor.Tensor) (Result, error) {
 	results := make([]Result, 1)
-	if err := h.classifyChunk(ctx, engine, []*tensor.Tensor{img}, results, nil); err != nil {
+	if err := h.classifyChunkPipelined(nn.NewContext(), engine, []*tensor.Tensor{img}, nil, results, nil); err != nil {
 		return Result{}, err
 	}
 	return results[0], nil
 }
 
-// classifyChunk classifies a sub-batch of images through one worker's
-// context and reliable engine, writing one Result per image. The pipeline
-// splits into two stages:
+// classifyChunkPipelined classifies a sub-batch of images through one
+// worker's context and reliable engine, writing one Result per image. The
+// pipeline splits into two stages:
 //
 //  1. Per sample: the reliable stage (edge convolution or the DCNN prefix,
 //     whose overloaded MAC protocol is inherently per-image) and the shape
 //     qualifier, with the leaky bucket reset before every image and the
-//     work counters reported as per-image deltas — the per-execution
-//     semantics of Classify.
+//     work counters reported as per-image deltas.
 //  2. Batched: the non-reliable CNN portion of every image that survived
-//     stage 1 runs as ONE NCHW micro-batch through ForwardBatchFrom — one
-//     blocked GEMM per layer for the whole sub-batch instead of one per
-//     image.
+//     stage 1 runs as ONE NCHW micro-batch — one blocked GEMM per layer for
+//     the whole sub-batch instead of one per image (a chunk of one is a
+//     batch of one through the same layers).
 //
-// A single-image chunk skips the pack and runs the per-sample CNN path;
-// both paths compute identical logits.
+// pipes selects the pipeline per image: pipes[i] == PipelineCNN skips
+// stage 1 (no reliable execution, no qualifier) for image i and routes it
+// straight into the batched CNN. Fast images run the non-reliable prefix
+// (the layers the reliable stage would have computed) as one micro-batch,
+// then every surviving image — full and fast alike — coalesces into the
+// SAME batched CNN continuation, so a mixed chunk still costs one GEMM per
+// layer. nil pipes means PipelineFull for every image.
 //
 // When st is non-nil the chunk's per-stage wall time is accumulated into
 // it (reliable stage, qualifier, batched CNN) — one goroutine owns a chunk
 // end to end, so plain additions suffice.
-func (h *HybridNetwork) classifyChunk(ctx *nn.Context, engine *reliable.Engine, imgs []*tensor.Tensor, results []Result, st *StageTimes) error {
-	return h.classifyChunkPipelined(ctx, engine, imgs, nil, results, st)
-}
-
-// classifyChunkPipelined is classifyChunk with a per-image pipeline
-// selection: pipes[i] == PipelineCNN skips stage 1 (no reliable execution,
-// no qualifier) for image i and routes it straight into the batched CNN.
-// Fast images run the non-reliable prefix (the layers the reliable stage
-// would have computed) as one micro-batch, then every surviving image —
-// full and fast alike — coalesces into the SAME batched CNN continuation,
-// so a mixed chunk still costs one GEMM per layer. nil pipes means
-// PipelineFull for every image.
 func (h *HybridNetwork) classifyChunkPipelined(ctx *nn.Context, engine *reliable.Engine, imgs []*tensor.Tensor, pipes []Pipeline, results []Result, st *StageTimes) error {
 	if h.cfg.Wiring != WiringParallel && h.cfg.Wiring != WiringBifurcated {
 		return fmt.Errorf("core: unknown wiring %d", int(h.cfg.Wiring))
@@ -336,10 +325,11 @@ func (h *HybridNetwork) classifyChunkPipelined(ctx *nn.Context, engine *reliable
 	// images only.
 	cnnIns := make([]*tensor.Tensor, 0, len(imgs))
 	idxs := make([]int, 0, len(imgs))
-	fastIdxs := make([]int, 0)
+	var fastImgs []*tensor.Tensor
+	var fastIdxs []int
 	for i, img := range imgs {
 		if pipes != nil && pipes[i] == PipelineCNN {
-			fastIdxs = append(fastIdxs, i)
+			fastImgs, fastIdxs = append(fastImgs, img), append(fastIdxs, i)
 			continue
 		}
 		engine.Bucket().Reset()
@@ -366,74 +356,39 @@ func (h *HybridNetwork) classifyChunkPipelined(ctx *nn.Context, engine *reliable
 	// as the reliably computed feature maps; the prefix is CNN work and is
 	// booked as such.
 	cnnStart := time.Now()
-	err := h.fastEntries(ctx, imgs, fastIdxs, &cnnIns, &idxs)
+	fast, err := h.fastEntries(ctx, fastImgs)
 	if err == nil {
-		err = h.cnnStage(ctx, cnnIns, idxs, results)
+		err = h.cnnStage(ctx, append(cnnIns, fast...), append(idxs, fastIdxs...), results)
 	}
 	st.CNN += time.Since(cnnStart)
 	return err
 }
 
 // fastEntries computes the CNN-stage entry tensor for every fast-pipeline
-// image and appends them (with their result indices) to cnnIns/idxs.
-// Parallel wiring: the (possibly downsampled) image itself — the CNN
+// image. Parallel wiring: the (possibly downsampled) image itself — the CNN
 // consumes the raw input. Bifurcated wiring: the image is run through the
 // non-reliable batched prefix [0, DCNNDepth) so it arrives at the same
 // layer as the reliable stage's output; same-shaped fast images share one
 // batched prefix pass.
-func (h *HybridNetwork) fastEntries(ctx *nn.Context, imgs []*tensor.Tensor, fastIdxs []int, cnnIns *[]*tensor.Tensor, idxs *[]int) error {
-	if len(fastIdxs) == 0 {
-		return nil
-	}
-	if h.cfg.Wiring == WiringParallel {
-		for _, i := range fastIdxs {
-			in := imgs[i]
-			if h.cfg.DownsampleFactor > 1 {
-				var err error
-				in, err = BoxDownsample(in, h.cfg.DownsampleFactor)
-				if err != nil {
-					return err
-				}
-			}
-			*cnnIns = append(*cnnIns, in)
-			*idxs = append(*idxs, i)
-		}
-		return nil
-	}
-	// Bifurcated: batch the prefix across same-shaped fast images; ragged
-	// shapes each run a batch of one.
-	rest := fastIdxs
-	for len(rest) > 0 {
-		group := []*tensor.Tensor{imgs[rest[0]]}
-		groupIdxs := []int{rest[0]}
-		pending := make([]int, 0, len(rest))
-		for _, i := range rest[1:] {
-			if imgs[i].SameShape(imgs[rest[0]]) {
-				group = append(group, imgs[i])
-				groupIdxs = append(groupIdxs, i)
-			} else {
-				pending = append(pending, i)
-			}
-		}
-		batch, err := tensor.Stack(group)
+func (h *HybridNetwork) fastEntries(ctx *nn.Context, imgs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	if h.cfg.Wiring == WiringBifurcated {
+		entries, err := h.net.ForwardSamples(ctx, 0, h.cfg.DCNNDepth, imgs)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("core: fast prefix: %w", err)
 		}
-		out, err := h.net.ForwardBatchRange(ctx, 0, h.cfg.DCNNDepth, batch)
-		if err != nil {
-			return fmt.Errorf("core: fast prefix: %w", err)
-		}
-		for j, i := range groupIdxs {
-			fm, err := out.Sample(j)
-			if err != nil {
-				return err
-			}
-			*cnnIns = append(*cnnIns, fm)
-			*idxs = append(*idxs, i)
-		}
-		rest = pending
+		return entries, nil
 	}
-	return nil
+	if h.cfg.DownsampleFactor <= 1 {
+		return imgs, nil
+	}
+	entries := make([]*tensor.Tensor, len(imgs))
+	for j, img := range imgs {
+		var err error
+		if entries[j], err = BoxDownsample(img, h.cfg.DownsampleFactor); err != nil {
+			return nil, err
+		}
+	}
+	return entries, nil
 }
 
 // reliableStage runs everything except the non-reliable CNN for one image:
@@ -550,51 +505,20 @@ func (h *HybridNetwork) reliableStage(engine *reliable.Engine, img *tensor.Tenso
 
 // cnnStage runs the non-reliable CNN portion over the surviving images of a
 // chunk — idxs[j] is the position of cnnIns[j] in results — filling
-// class/confidence/probs and the Reliable Result decision. Multi-image
-// chunks with one common shape pack into a single NCHW micro-batch (one
-// GEMM per layer); single images and ragged shapes take the per-sample
-// path, which computes identical logits.
+// class/confidence/probs and the Reliable Result decision. Images of one
+// common shape pack into a single NCHW micro-batch (one GEMM per layer);
+// ragged shapes run one batch per shape.
 func (h *HybridNetwork) cnnStage(ctx *nn.Context, cnnIns []*tensor.Tensor, idxs []int, results []Result) error {
-	if len(cnnIns) == 0 {
-		return nil
-	}
 	from := 0
 	if h.cfg.Wiring == WiringBifurcated {
 		from = h.cfg.DCNNDepth
 	}
-	sameShape := true
-	for _, in := range cnnIns[1:] {
-		if !in.SameShape(cnnIns[0]) {
-			sameShape = false
-			break
-		}
-	}
-	if len(cnnIns) > 1 && sameShape {
-		batch, err := tensor.Stack(cnnIns)
-		if err != nil {
-			return err
-		}
-		blogits, err := h.net.ForwardBatchFrom(ctx, from, batch)
-		if err != nil {
-			return fmt.Errorf("core: CNN path: %w", err)
-		}
-		for j, i := range idxs {
-			logits, err := blogits.Sample(j)
-			if err != nil {
-				return err
-			}
-			if err := h.finishResult(logits, &results[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+	logits, err := h.net.ForwardSamples(ctx, from, h.net.Len(), cnnIns)
+	if err != nil {
+		return fmt.Errorf("core: CNN path: %w", err)
 	}
 	for j, i := range idxs {
-		logits, err := h.net.ForwardFrom(ctx, from, cnnIns[j])
-		if err != nil {
-			return fmt.Errorf("core: CNN path: %w", err)
-		}
-		if err := h.finishResult(logits, &results[i]); err != nil {
+		if err := h.finishResult(logits[j], &results[i]); err != nil {
 			return err
 		}
 	}

@@ -93,9 +93,9 @@ func TestClassifyBatchPipelinedEquivalence(t *testing.T) {
 		}
 
 		// Independent fast reference: a whole-net forward of the (possibly
-		// downsampled) image — the bifurcated prefix+continuation and the
-		// parallel raw-input entry both reduce to exactly this. Probabilities
-		// compare within the batched-vs-per-sample kernel tolerance.
+		// downsampled) image as a batch of one — the bifurcated
+		// prefix+continuation and the parallel raw-input entry both reduce
+		// to exactly this, bit for bit.
 		ctx := nn.NewContext()
 		for i, img := range imgs {
 			in := img
@@ -117,11 +117,7 @@ func TestClassifyBatchPipelinedEquivalence(t *testing.T) {
 				t.Errorf("wiring=%v img %d: fast class %d != whole-net forward %d", wiring, i, fr.Class, class)
 			}
 			for k := range probs {
-				d := float64(probs[k] - fr.Probs[k])
-				if d < 0 {
-					d = -d
-				}
-				if d > 1e-5 {
+				if probs[k] != fr.Probs[k] {
 					t.Errorf("wiring=%v img %d: fast prob[%d]=%g vs forward %g", wiring, i, k, fr.Probs[k], probs[k])
 				}
 			}
@@ -183,6 +179,111 @@ func TestClassifyBatchPipelinedEquivalence(t *testing.T) {
 					if got[i].Probs[k] != want.Probs[k] {
 						t.Errorf("wiring=%v workers=%d img %d (%s rider): prob[%d] %g != unmixed %g — mixing the batch moved a probability",
 							wiring, workers, i, kind, k, got[i].Probs[k], want.Probs[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestClassifyBatchRaggedShapes: a batch whose images disagree in shape
+// cannot share one GEMM, so each chunk runs one CNN batch per shape — and
+// every image, full or fast rider, must still get exactly the result it
+// gets alone as a chunk of one (Classify for full riders), for any worker
+// count and sub-batch size. The network is convolution-only so that every
+// size is a legal input.
+func TestClassifyBatchRaggedShapes(t *testing.T) {
+	for _, wiring := range []Wiring{WiringParallel, WiringBifurcated} {
+		rng := rand.New(rand.NewSource(29))
+		conv1, err := nn.NewConv2D("conv1", 3, 4, 3, 1, 1, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := nn.NewMaxPool2D("pool", 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := nn.NewSequential("convnet", conv1, nn.NewReLU("relu"), pool, nn.NewFlatten("flatten"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Wiring: wiring, Mode: ModeTemporalDMR, SafetyClasses: defaultSafety()}
+		if wiring == WiringBifurcated {
+			if cfg.Pair, err = InstallSobelPair(conv1, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h, err := NewHybridNetwork(cfg, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		sizes := []int{32, 24, 32, 16, 24, 32, 16}
+		imgs := make([]*tensor.Tensor, len(sizes))
+		pipes := make([]Pipeline, len(sizes))
+		for i, size := range sizes {
+			gcfg, err := gtsrb.Config{Size: size}.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := gtsrb.StandardClasses()[i%len(gtsrb.StandardClasses())]
+			if imgs[i], err = gtsrb.Render(gtsrb.RandomParams(gcfg, spec, rng), rng); err != nil {
+				t.Fatal(err)
+			}
+			if i%3 == 2 {
+				pipes[i] = PipelineCNN
+			}
+		}
+
+		// Reference: every image alone, a chunk of one.
+		one, err := h.NewBatchClassifier(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]Result, len(imgs))
+		for i, img := range imgs {
+			res, _, err := one.ClassifyBatchPipelined([]*tensor.Tensor{img}, pipes[i:i+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = res[0]
+			if pipes[i] == PipelineFull {
+				single, err := h.Classify(img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if single.Class != res[0].Class || single.Confidence != res[0].Confidence ||
+					single.Decision != res[0].Decision || single.Stats != res[0].Stats {
+					t.Errorf("wiring=%v img %d: Classify (%d,%g,%v,%+v) != chunk of one (%d,%g,%v,%+v)", wiring, i,
+						single.Class, single.Confidence, single.Decision, single.Stats,
+						res[0].Class, res[0].Confidence, res[0].Decision, res[0].Stats)
+				}
+			}
+		}
+
+		for _, ccfg := range []ClassifierConfig{{Workers: 1}, {Workers: 2}, {Workers: 2, SubBatch: 3}, {Workers: 3, SubBatch: 1}} {
+			c, err := h.NewBatchClassifierConfig(ccfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := c.ClassifyBatchPipelined(imgs, pipes)
+			if err != nil {
+				t.Fatalf("wiring=%v cfg=%+v: ragged batch: %v", wiring, ccfg, err)
+			}
+			for i := range got {
+				if got[i].Class != want[i].Class || got[i].Decision != want[i].Decision ||
+					got[i].Confidence != want[i].Confidence ||
+					got[i].Qualifier.Class != want[i].Qualifier.Class ||
+					got[i].Stats != want[i].Stats || len(got[i].Probs) != len(want[i].Probs) {
+					t.Fatalf("wiring=%v cfg=%+v img %d (%v): (%d,%v,%g,%v,%+v) != alone (%d,%v,%g,%v,%+v)",
+						wiring, ccfg, i, pipes[i],
+						got[i].Class, got[i].Decision, got[i].Confidence, got[i].Qualifier.Class, got[i].Stats,
+						want[i].Class, want[i].Decision, want[i].Confidence, want[i].Qualifier.Class, want[i].Stats)
+				}
+				for k := range want[i].Probs {
+					if got[i].Probs[k] != want[i].Probs[k] {
+						t.Fatalf("wiring=%v cfg=%+v img %d: prob[%d] %g != alone %g",
+							wiring, ccfg, i, k, got[i].Probs[k], want[i].Probs[k])
 					}
 				}
 			}

@@ -7,24 +7,26 @@
 // scratch) and, when configured, one reliable.Engine for the reliably
 // executed portion.
 //
-// Execution is sub-batch native: a batch of N images is split into
-// contiguous NCHW sub-batches (Config.SubBatch images each, default
-// ⌈N/workers⌉) and each worker drives its sub-batches through
-// nn.Sequential.ForwardBatch — ONE blocked GEMM per layer per sub-batch
-// instead of one per image, so convolution and dense layers stream their
-// weights once per sub-batch. This is a real algorithmic batch effect:
-// throughput rises with batch size (weight-traffic amortisation) on top of
-// rising with workers (parallelism), until the GEMM memory bandwidth
-// saturates. Sub-batches are claimed through internal/pool work stealing,
-// so ragged tails (N not divisible by workers×SubBatch) still balance.
+// There is one execution path: a batch of N images is split into contiguous
+// sub-batches (Config.SubBatch images each, default ⌈N/workers⌉) and each
+// worker drives its sub-batches through nn.Sequential.ForwardSamples — ONE
+// blocked GEMM per layer per sub-batch instead of one per image, so
+// convolution and dense layers stream their weights once per sub-batch.
+// SubBatch is a pure size: 1 means batches of one through the same layers,
+// and a sub-batch whose images disagree in shape splits into one batch per
+// shape. This is a real algorithmic batch effect: throughput rises with
+// batch size (weight-traffic amortisation) on top of rising with workers
+// (parallelism), until the GEMM memory bandwidth saturates. Sub-batches are
+// claimed through internal/pool work stealing, so ragged tails (N not
+// divisible by workers×SubBatch) still balance.
 //
 // # Concurrency contract
 //
 // A BatchEngine runs ONE batch at a time: an overlapping Run (or anything
-// built on it — Forward, Predict, RunSub, PredictBatched) fails fast with
+// built on it — RunSub, ForwardBatched, PredictBatched) fails fast with
 // ErrBusy, because the per-worker contexts it would reuse are not
 // re-entrant. Callers that issue batches from several goroutines serialize
-// through RunExclusive/RunSubExclusive, the mutex-guarded entry points
+// through RunSubExclusive, the mutex-guarded entry point
 // (core.BatchClassifier does). Within a batch, work items are claimed
 // lock-free through internal/pool work stealing; each worker touches only
 // its own nn.Context and reliable.Engine, so no state is shared between
@@ -44,9 +46,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// ErrBusy is returned by Run (and everything built on it: Forward, Predict)
-// when another batch is already in flight on the same BatchEngine. Callers
-// that want to wait instead of fail should use RunExclusive.
+// ErrBusy is returned by Run (and everything built on it) when another batch
+// is already in flight on the same BatchEngine. Callers that want to wait
+// instead of fail should use RunSubExclusive.
 var ErrBusy = errors.New("infer: engine already running a batch")
 
 // Worker is the per-goroutine execution state handed to Run callbacks.
@@ -68,7 +70,7 @@ type Config struct {
 	// (one GEMM per layer per sub-batch). 0 defaults to ⌈batch/workers⌉ —
 	// the whole batch in one GEMM sweep per worker. Smaller values trade
 	// GEMM size for steal granularity (better balance when per-image cost
-	// varies); 1 degenerates to per-sample execution.
+	// varies), down to 1: batches of one.
 	SubBatch int
 	// EngineFactory, when non-nil, builds one reliable.Engine per worker
 	// (hybrid classification and fault campaigns need one; plain CNN
@@ -82,15 +84,15 @@ type Config struct {
 // and their scratch buffers persist, which is where the allocation win of
 // batching lives — but a single BatchEngine cannot run two batches
 // concurrently: an in-flight guard makes an overlapping Run fail fast with
-// ErrBusy, and RunExclusive is the serialized entry point for callers that
-// issue batches from multiple goroutines.
+// ErrBusy, and RunSubExclusive is the serialized entry point for callers
+// that issue batches from multiple goroutines.
 type BatchEngine struct {
 	net      *nn.Sequential
 	workers  []*Worker
 	subBatch int
 
 	// inflight enforces the one-batch-at-a-time contract; mu serializes
-	// RunExclusive callers in front of it.
+	// RunSubExclusive callers in front of it.
 	inflight atomic.Bool
 	mu       sync.Mutex
 }
@@ -150,16 +152,6 @@ func (e *BatchEngine) Run(n int, fn func(w *Worker, i int) error) error {
 	return nil
 }
 
-// RunExclusive is Run behind a lock: overlapping calls from different
-// goroutines queue up and execute one batch at a time instead of failing
-// with ErrBusy. This is the entry point for serving layers that flush
-// batches from concurrent paths onto one shared engine.
-func (e *BatchEngine) RunExclusive(n int, fn func(w *Worker, i int) error) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.Run(n, fn)
-}
-
 // SubBatch returns the configured sub-batch cap (0 = ⌈batch/workers⌉).
 func (e *BatchEngine) SubBatch() int { return e.subBatch }
 
@@ -200,8 +192,10 @@ func (e *BatchEngine) RunSub(n int, fn func(w *Worker, lo, hi int) error) error 
 	})
 }
 
-// RunSubExclusive is RunSub behind the RunExclusive lock: overlapping
-// batches from different goroutines queue instead of failing with ErrBusy.
+// RunSubExclusive is RunSub behind a lock: overlapping batches from
+// different goroutines queue up and execute one at a time instead of
+// failing with ErrBusy. This is the entry point for serving layers that
+// flush batches from concurrent paths onto one shared engine.
 func (e *BatchEngine) RunSubExclusive(n int, fn func(w *Worker, lo, hi int) error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -220,98 +214,28 @@ func (e *BatchEngine) Stats() reliable.Stats {
 	return s
 }
 
-// Prediction is one classification result from Predict.
+// Prediction is one classification result from PredictBatched.
 type Prediction struct {
 	Class int
 	Probs []float32
 }
 
-// Forward runs the shared network over every input and returns the outputs
-// in input order.
-func (e *BatchEngine) Forward(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if e.net == nil {
-		return nil, fmt.Errorf("infer: engine has no network")
-	}
-	outs := make([]*tensor.Tensor, len(xs))
-	err := e.Run(len(xs), func(w *Worker, i int) error {
-		out, err := e.net.Forward(w.Ctx, xs[i])
-		if err != nil {
-			return err
-		}
-		outs[i] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// Predict classifies every input through the shared network one sample at a
-// time and returns softmax probabilities and argmax classes in input order.
-// It is the per-sample fan-out path, kept as the reference the batched path
-// is benchmarked and equivalence-tested against; serving callers should
-// prefer PredictBatched.
-func (e *BatchEngine) Predict(xs []*tensor.Tensor) ([]Prediction, error) {
-	if e.net == nil {
-		return nil, fmt.Errorf("infer: engine has no network")
-	}
-	preds := make([]Prediction, len(xs))
-	err := e.Run(len(xs), func(w *Worker, i int) error {
-		probs, class, err := nn.PredictCtx(w.Ctx, e.net, xs[i])
-		if err != nil {
-			return err
-		}
-		preds[i] = Prediction{Class: class, Probs: probs}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return preds, nil
-}
-
-// uniformShape reports whether every tensor shares xs[0]'s shape (vacuously
-// true for empty or single-element input).
-func uniformShape(xs []*tensor.Tensor) bool {
-	for _, x := range xs[1:] {
-		if !xs[0].SameShape(x) {
-			return false
-		}
-	}
-	return true
-}
-
-// ForwardBatched runs the shared network over every input through the
-// batch-native path — each worker packs its sub-batch into one NCHW tensor
-// and issues one ForwardBatch (one GEMM per layer) — and returns per-sample
-// outputs in input order. Mixed-shape inputs cannot pack and fall back to
-// the per-sample Forward path (identical outputs, no batch effect). Unlike
-// Forward, which allocates an independent tensor per sample, the outputs of
-// one sub-batch are views over a single shared backing array: writes stay
-// disjoint per sample, but retaining one output retains the whole
-// sub-batch's output memory (Clone a sample to keep it long-term).
+// ForwardBatched runs the shared network over every input — each worker
+// packs its sub-batch into one NCHW tensor and issues one ForwardBatch (one
+// GEMM per layer; a sub-batch of mixed shapes runs one batch per shape) —
+// and returns per-sample outputs in input order. The outputs of one
+// sub-batch are views over a shared backing array: writes stay disjoint per
+// sample, but retaining one output retains the whole sub-batch's output
+// memory (Clone a sample to keep it long-term).
 func (e *BatchEngine) ForwardBatched(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if e.net == nil {
 		return nil, fmt.Errorf("infer: engine has no network")
 	}
-	if len(xs) > 1 && !uniformShape(xs) {
-		return e.Forward(xs)
-	}
 	outs := make([]*tensor.Tensor, len(xs))
 	err := e.RunSub(len(xs), func(w *Worker, lo, hi int) error {
-		bout, err := e.forwardSub(w, xs[lo:hi])
-		if err != nil {
-			return err
-		}
-		for i := lo; i < hi; i++ {
-			out, err := bout.Sample(i - lo)
-			if err != nil {
-				return err
-			}
-			outs[i] = out
-		}
-		return nil
+		sub, err := e.net.ForwardSamples(w.Ctx, 0, e.net.Len(), xs[lo:hi])
+		copy(outs[lo:hi], sub)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -319,59 +243,22 @@ func (e *BatchEngine) ForwardBatched(xs []*tensor.Tensor) ([]*tensor.Tensor, err
 	return outs, nil
 }
 
-// PredictBatched is Predict through the batch-native path: sub-batches are
-// packed into NCHW tensors and classified with one GEMM per layer per
-// sub-batch, then each logits row is softmaxed individually. Results are
-// identical to Predict for any worker count and sub-batch size; mixed-shape
-// inputs cannot pack and fall back to the per-sample Predict path.
+// PredictBatched classifies every input through ForwardBatched and softmaxes
+// each logits row individually, returning probabilities and argmax classes
+// in input order. Results are identical for any worker count and sub-batch
+// size.
 func (e *BatchEngine) PredictBatched(xs []*tensor.Tensor) ([]Prediction, error) {
-	if e.net == nil {
-		return nil, fmt.Errorf("infer: engine has no network")
-	}
-	if len(xs) > 1 && !uniformShape(xs) {
-		return e.Predict(xs)
+	outs, err := e.ForwardBatched(xs)
+	if err != nil {
+		return nil, err
 	}
 	preds := make([]Prediction, len(xs))
-	err := e.RunSub(len(xs), func(w *Worker, lo, hi int) error {
-		bout, err := e.forwardSub(w, xs[lo:hi])
+	for i, logits := range outs {
+		probs, class, err := nn.SoftmaxArgmax(logits)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("infer: predict sample %d: %w", i, err)
 		}
-		if bout.Rank() != 2 {
-			return fmt.Errorf("infer: batched predict wants (N,classes) logits, got %v", bout.Shape())
-		}
-		for i := lo; i < hi; i++ {
-			logits, err := bout.Sample(i - lo)
-			if err != nil {
-				return err
-			}
-			probs, class, err := nn.SoftmaxArgmax(logits)
-			if err != nil {
-				return err
-			}
-			preds[i] = Prediction{Class: class, Probs: probs}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		preds[i] = Prediction{Class: class, Probs: probs}
 	}
 	return preds, nil
-}
-
-// forwardSub packs one sub-batch and runs the batched forward through the
-// worker's context. A single-image sub-batch skips the pack copy via a
-// reshape view.
-func (e *BatchEngine) forwardSub(w *Worker, chunk []*tensor.Tensor) (*tensor.Tensor, error) {
-	var batch *tensor.Tensor
-	var err error
-	if len(chunk) == 1 {
-		batch, err = chunk[0].Reshape(append([]int{1}, chunk[0].Shape()...)...)
-	} else {
-		batch, err = tensor.Stack(chunk)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return e.net.ForwardBatch(w.Ctx, batch)
 }

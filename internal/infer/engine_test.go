@@ -2,6 +2,8 @@ package infer
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -32,76 +34,6 @@ func randImages(n, size int, seed int64) []*tensor.Tensor {
 		xs[i] = x
 	}
 	return xs
-}
-
-// TestBatchEngineMatchesSerial: the pooled result must be exactly the serial
-// result, in order, for every worker count. Run with -race this is the
-// concurrent shared-weight inference gate of the refactor.
-func TestBatchEngineMatchesSerial(t *testing.T) {
-	net := microNet(t, 1)
-	xs := randImages(17, 16, 2)
-
-	// Serial reference through one context.
-	ctx := nn.NewContext()
-	want := make([]int, len(xs))
-	for i, x := range xs {
-		_, class, err := nn.PredictCtx(ctx, net, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = class
-	}
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		e, err := New(net, Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Two rounds through the same engine: the second reuses warmed
-		// per-worker scratch buffers.
-		for round := 0; round < 2; round++ {
-			preds, err := e.Predict(xs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, p := range preds {
-				if p.Class != want[i] {
-					t.Fatalf("workers=%d round=%d: class[%d] = %d, want %d",
-						workers, round, i, p.Class, want[i])
-				}
-				var sum float64
-				for _, v := range p.Probs {
-					sum += float64(v)
-				}
-				if sum < 0.999 || sum > 1.001 {
-					t.Fatalf("workers=%d: probs[%d] sum %v", workers, i, sum)
-				}
-			}
-		}
-	}
-}
-
-func TestBatchEngineForward(t *testing.T) {
-	net := microNet(t, 3)
-	xs := randImages(5, 16, 4)
-	e, err := New(net, Config{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := e.Forward(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := nn.NewContext()
-	for i, x := range xs {
-		want, err := net.Forward(ctx, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d, _ := outs[i].MaxAbsDiff(want); d > 1e-6 {
-			t.Fatalf("forward[%d] diverges by %v", i, d)
-		}
-	}
 }
 
 func TestBatchEngineRun(t *testing.T) {
@@ -151,7 +83,7 @@ func TestBatchEngineRun(t *testing.T) {
 	if _, err := New(nil, Config{Workers: -2}); err == nil {
 		t.Error("negative workers should fail")
 	}
-	if _, err := e.Predict(nil); err == nil {
+	if _, err := e.PredictBatched(nil); err == nil {
 		t.Error("predict without network should fail")
 	}
 }
@@ -194,10 +126,11 @@ func TestBatchEngineConcurrentRunRejected(t *testing.T) {
 	}
 }
 
-// TestBatchEngineRunExclusive: concurrent RunExclusive callers serialize —
-// every batch executes, none observes ErrBusy, and no two batches overlap.
-func TestBatchEngineRunExclusive(t *testing.T) {
-	e, err := New(nil, Config{Workers: 3})
+// TestBatchEngineRunSubExclusive: concurrent RunSubExclusive callers
+// serialize — every batch executes, none observes ErrBusy, and no two
+// batches overlap.
+func TestBatchEngineRunSubExclusive(t *testing.T) {
+	e, err := New(nil, Config{Workers: 3, SubBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +142,11 @@ func TestBatchEngineRunExclusive(t *testing.T) {
 	for c := 0; c < callers; c++ {
 		go func() {
 			defer wg.Done()
-			errs <- e.RunExclusive(items, func(w *Worker, i int) error {
+			errs <- e.RunSubExclusive(items, func(w *Worker, lo, hi int) error {
 				if a := active.Add(1); a > maxActive.Load() {
 					maxActive.Store(a) // approximate high-water mark; exact check below is batch overlap via Run guard
 				}
-				total.Add(1)
+				total.Add(int64(hi - lo))
 				active.Add(-1)
 				return nil
 			})
@@ -223,7 +156,7 @@ func TestBatchEngineRunExclusive(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		if err != nil {
-			t.Fatalf("RunExclusive: %v", err)
+			t.Fatalf("RunSubExclusive: %v", err)
 		}
 	}
 	if got := total.Load(); got != callers*items {
@@ -243,7 +176,7 @@ func TestRunSubCoversEveryIndex(t *testing.T) {
 		{4, 0, 4},
 		{4, 0, 1},
 		{3, 2, 11}, // explicit cap, ragged tail
-		{2, 1, 5},  // per-sample degenerate
+		{2, 1, 5},  // batches of one
 		{8, 16, 3}, // cap larger than batch
 	} {
 		e, err := New(nil, Config{Workers: tc.workers, SubBatch: tc.subBatch})
@@ -302,12 +235,26 @@ func TestRunSubCoversEveryIndex(t *testing.T) {
 	}
 }
 
-// TestPredictBatchedMatchesPredict: the batch-native path (packed NCHW
-// sub-batches, one GEMM per layer) must classify exactly like the
-// per-sample fan-out, for every worker count and sub-batch size, including
-// N=1 and batches ragged against the pool. Run with -race this is the
-// golden-equivalence gate of the batched execution layer.
-func TestPredictBatchedMatchesPredict(t *testing.T) {
+// requireBitIdentical fails unless got and want agree in every bit.
+func requireBitIdentical(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i, v := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(v) {
+			t.Fatalf("%s: elem %d: %v != %v (must be bit-identical)", what, i, got[i], v)
+		}
+	}
+}
+
+// TestPredictBatchedMatchesBatchOfOne: the pooled result (packed NCHW
+// sub-batches, one GEMM per layer) must be bit for bit what each image gets
+// alone as a batch of one (nn.PredictCtx), in order, for every worker count
+// and sub-batch size, including N=1 and batches ragged against the pool.
+// Run with -race this is the concurrent shared-weight inference gate and
+// the golden-equivalence gate of the execution layer.
+func TestPredictBatchedMatchesBatchOfOne(t *testing.T) {
 	net := microNet(t, 5)
 	for _, n := range []int{1, 2, 7, 17} {
 		xs := randImages(n, 16, int64(n))
@@ -325,13 +272,14 @@ func TestPredictBatchedMatchesPredict(t *testing.T) {
 			want[i] = ref{class, probs}
 		}
 		for _, cfg := range []Config{
-			{Workers: 1}, {Workers: 4}, {Workers: 4, SubBatch: 3}, {Workers: 2, SubBatch: 1},
+			{Workers: 1}, {Workers: 2}, {Workers: 4}, {Workers: 8},
+			{Workers: 4, SubBatch: 3}, {Workers: 2, SubBatch: 1},
 		} {
 			e, err := New(net, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Two rounds: the second reuses the warmed batch scratch.
+			// Two rounds: the second reuses the warmed per-worker scratch.
 			for round := 0; round < 2; round++ {
 				preds, err := e.PredictBatched(xs)
 				if err != nil {
@@ -342,12 +290,13 @@ func TestPredictBatchedMatchesPredict(t *testing.T) {
 						t.Fatalf("n=%d cfg=%+v round=%d: class[%d] = %d, want %d",
 							n, cfg, round, i, p.Class, want[i].class)
 					}
-					for c := range p.Probs {
-						d := float64(p.Probs[c]) - float64(want[i].probs[c])
-						if d > 1e-5 || d < -1e-5 {
-							t.Fatalf("n=%d cfg=%+v: probs[%d][%d] = %v, want %v",
-								n, cfg, i, c, p.Probs[c], want[i].probs[c])
-						}
+					requireBitIdentical(t, fmt.Sprintf("n=%d cfg=%+v probs[%d]", n, cfg, i), p.Probs, want[i].probs)
+					var sum float64
+					for _, v := range p.Probs {
+						sum += float64(v)
+					}
+					if sum < 0.999 || sum > 1.001 {
+						t.Fatalf("n=%d cfg=%+v: probs[%d] sum %v", n, cfg, i, sum)
 					}
 				}
 			}
@@ -355,27 +304,29 @@ func TestPredictBatchedMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestForwardBatchedMatchesForward: per-sample outputs recovered from the
-// packed sub-batches equal the per-sample fan-out outputs.
-func TestForwardBatchedMatchesForward(t *testing.T) {
+// TestForwardBatchedMatchesBatchOfOne: per-sample outputs recovered from the
+// packed sub-batches equal each image's batch-of-one output bit for bit.
+func TestForwardBatchedMatchesBatchOfOne(t *testing.T) {
 	net := microNet(t, 6)
 	xs := randImages(9, 16, 7)
-	e, err := New(net, Config{Workers: 3, SubBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := e.ForwardBatched(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := nn.NewContext()
-	for i, x := range xs {
-		want, err := net.Forward(ctx, x)
+	var e *BatchEngine
+	for _, cfg := range []Config{{Workers: 3}, {Workers: 3, SubBatch: 4}} {
+		var err error
+		e, err = New(net, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d, _ := outs[i].MaxAbsDiff(want); d > 1e-5 {
-			t.Fatalf("batched forward[%d] diverges by %v", i, d)
+		outs, err := e.ForwardBatched(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := nn.NewContext()
+		for i, x := range xs {
+			want, err := net.Forward(ctx, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitIdentical(t, fmt.Sprintf("cfg=%+v forward[%d]", cfg, i), outs[i].Data(), want.Data())
 		}
 	}
 	if _, err := (&BatchEngine{workers: e.workers}).ForwardBatched(xs); err == nil {
@@ -387,8 +338,9 @@ func TestForwardBatchedMatchesForward(t *testing.T) {
 }
 
 // TestForwardBatchedMixedShapes: inputs that cannot pack into one NCHW
-// tensor fall back to the per-sample path instead of erroring — matching
-// what Forward/Predict always accepted.
+// tensor run one batch per shape inside each sub-batch instead of erroring,
+// and every output still equals the image's batch-of-one output, in input
+// order.
 func TestForwardBatchedMixedShapes(t *testing.T) {
 	// A conv-only net tolerates any input size ≥ the kernel.
 	conv, err := nn.NewConv2D("c", 3, 2, 3, 1, 0, rand.New(rand.NewSource(8)))
@@ -399,23 +351,36 @@ func TestForwardBatchedMixedShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := append(randImages(3, 16, 9), randImages(2, 12, 10)...)
-	e, err := New(net, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := e.ForwardBatched(xs)
-	if err != nil {
-		t.Fatalf("mixed-shape batched forward: %v", err)
-	}
-	ctx := nn.NewContext()
-	for i, x := range xs {
-		want, err := net.Forward(ctx, x)
+	big, small := randImages(4, 16, 9), randImages(3, 12, 10)
+	xs := []*tensor.Tensor{big[0], small[0], big[1], small[1], small[2], big[2], big[3]}
+	for _, cfg := range []Config{{Workers: 2}, {Workers: 1}, {Workers: 2, SubBatch: 1}, {Workers: 3, SubBatch: 3}} {
+		e, err := New(net, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d, _ := outs[i].MaxAbsDiff(want); d > 1e-6 {
-			t.Fatalf("mixed-shape forward[%d] diverges by %v", i, d)
+		outs, err := e.ForwardBatched(xs)
+		if err != nil {
+			t.Fatalf("cfg=%+v: mixed-shape batched forward: %v", cfg, err)
+		}
+		preds, err := e.PredictBatched(xs)
+		if err != nil {
+			t.Fatalf("cfg=%+v: mixed-shape batched predict: %v", cfg, err)
+		}
+		ctx := nn.NewContext()
+		for i, x := range xs {
+			want, err := net.Forward(ctx, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitIdentical(t, fmt.Sprintf("cfg=%+v mixed forward[%d]", cfg, i), outs[i].Data(), want.Data())
+			probs, class, err := nn.SoftmaxArgmax(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if preds[i].Class != class {
+				t.Fatalf("cfg=%+v: mixed class[%d] = %d, want %d", cfg, i, preds[i].Class, class)
+			}
+			requireBitIdentical(t, fmt.Sprintf("cfg=%+v mixed probs[%d]", cfg, i), preds[i].Probs, probs)
 		}
 	}
 }

@@ -8,14 +8,16 @@ import (
 	"repro/internal/tensor"
 )
 
-// Golden-equivalence suite for the batch-native backward path: for every
-// layer and for whole networks, BackwardBatch after a training-mode
-// ForwardBatch must match per-sample Forward+Backward — input gradients
-// sample for sample, parameter gradients accumulator for accumulator. The
-// pure-Go reductions (bias gradients, mask/argmax routing) are bit-identical
-// by construction; the GEMM-shaped dW/dX chains regroup float32 additions,
-// so those compare under a scaled 1e-5 tolerance. The whole file runs under
-// -race and -tags noasm in CI.
+// Golden-equivalence suite for the one backward path: for every layer and
+// for whole networks, BackwardBatch over a batch of N (after a training-mode
+// ForwardBatch) must match N passes over batches of one — input gradients
+// row for row, parameter gradients equal to the sum the N passes accumulate.
+// The pure-Go reductions (bias gradients, mask/argmax routing) are
+// bit-identical by construction; the GEMM-shaped dW/dX chains regroup
+// float32 additions with the batch size, so those compare under a scaled
+// 1e-5 tolerance. The finite-difference checks in nn_test.go are the oracle
+// independent of these kernels. The whole file runs under -race and
+// -tags noasm in CI.
 
 // maxAbs returns the largest absolute element of t.
 func maxAbs(t *tensor.Tensor) float32 {
@@ -45,7 +47,7 @@ func closeGrads(t *testing.T, name string, got, want *tensor.Tensor) {
 		scale = 1
 	}
 	if d > batchTol*scale {
-		t.Fatalf("%s: batched gradient differs from per-sample by %g (scale %g)", name, d, scale)
+		t.Fatalf("%s: batch-of-N gradient differs from N batches of one by %g (scale %g)", name, d, scale)
 	}
 }
 
@@ -65,16 +67,16 @@ func snapshotGrads(l Layer) []*tensor.Tensor {
 	return out
 }
 
-// checkBackwardBatchMatches drives one layer through both backward styles
-// with the same inputs and output gradients and compares input gradients
-// sample for sample and parameter gradients accumulator for accumulator.
+// checkBackwardBatchMatches drives one layer through one batch of N and
+// through N batches of one with the same inputs and output gradients, and
+// compares input gradients row for row and parameter gradients accumulator
+// for accumulator.
 func checkBackwardBatchMatches(t *testing.T, layer Layer, xs []*tensor.Tensor, batch *tensor.Tensor) {
 	t.Helper()
 	n := len(xs)
 
-	// Batched pass: training-mode ForwardBatch caches the backward state.
-	bctx := NewContext()
-	bctx.SetTraining(true)
+	// Batch of N: training-mode ForwardBatch caches the backward state.
+	bctx := trainCtx()
 	bout, err := layer.ForwardBatch(bctx, batch)
 	if err != nil {
 		t.Fatalf("%s: batched forward: %v", layer.Name(), err)
@@ -104,33 +106,22 @@ func checkBackwardBatchMatches(t *testing.T, layer Layer, xs []*tensor.Tensor, b
 	}
 	bgrads := snapshotGrads(layer)
 
-	// Per-sample reference over the same inputs and gradients.
+	// N batches of one over the same inputs and gradients.
 	zeroGrads(layer)
-	ctx := NewContext()
-	ctx.SetTraining(true)
+	ctx := trainCtx()
 	for i, x := range xs {
-		if _, err := layer.Forward(ctx, x); err != nil {
-			t.Fatalf("%s: per-sample forward %d: %v", layer.Name(), i, err)
+		if _, err := forward1(ctx, layer, x); err != nil {
+			t.Fatalf("%s: batch-of-one forward %d: %v", layer.Name(), i, err)
 		}
-		// Per-sample Backward wants the per-sample output shape, which can
-		// differ in rank from the batch row (Flatten emits rank-1).
-		want, err := layer.Backward(ctx, gs[i])
+		want, err := backward1(ctx, layer, gs[i])
 		if err != nil {
-			t.Fatalf("%s: per-sample backward %d: %v", layer.Name(), i, err)
+			t.Fatalf("%s: batch-of-one backward %d: %v", layer.Name(), i, err)
 		}
 		got, err := bdx.Sample(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flatGot, err := got.Reshape(got.Len())
-		if err != nil {
-			t.Fatal(err)
-		}
-		flatWant, err := want.Reshape(want.Len())
-		if err != nil {
-			t.Fatal(err)
-		}
-		closeGrads(t, fmt.Sprintf("%s dX sample %d (batch %d)", layer.Name(), i, n), flatGot, flatWant)
+		closeGrads(t, fmt.Sprintf("%s dX sample %d (batch %d)", layer.Name(), i, n), got, want)
 	}
 	for pi, p := range layer.Params() {
 		closeGrads(t, fmt.Sprintf("%s %s (batch %d)", layer.Name(), p.Name, n), bgrads[pi], p.Grad)
@@ -221,7 +212,7 @@ func TestBackwardBatchFlatten(t *testing.T) {
 
 // TestBackwardBatchDropout pins the one stochastic layer. A single dropout
 // layer draws its mask element-ascending over the flattened batch — the
-// same RNG stream N sequential per-sample passes consume — so with matched
+// same RNG stream N sequential batches of one consume — so with matched
 // seeds the masks, outputs and gradients agree exactly.
 func TestBackwardBatchDropout(t *testing.T) {
 	baseRng := rand.New(rand.NewSource(66))
@@ -243,14 +234,13 @@ func TestBackwardBatchDropout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx := NewContext()
-	ctx.SetTraining(true)
+	ctx := trainCtx()
 	ctx.SetRand(rand.New(rand.NewSource(7)))
 	for i, x := range xs {
-		if _, err := d.Forward(ctx, x); err != nil {
+		if _, err := forward1(ctx, d, x); err != nil {
 			t.Fatal(err)
 		}
-		want, err := d.Backward(ctx, gs[i])
+		want, err := backward1(ctx, d, gs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +257,7 @@ func TestBackwardBatchDropout(t *testing.T) {
 		}
 	}
 
-	// Inference contexts: BackwardBatch is the identity, like Backward.
+	// Inference contexts: BackwardBatch is the identity.
 	ictx := NewContext()
 	if _, err := d.ForwardBatch(ictx, batch); err != nil {
 		t.Fatal(err)
@@ -283,9 +273,10 @@ func TestBackwardBatchDropout(t *testing.T) {
 
 // TestBackwardBatchBiasBitIdentical pins the tensor.AddRowSums/AddColSums
 // accumulation-order design: bias gradients never pass through a GEMM, so
-// batched and per-sample dB must agree bit for bit on EVERY build (asm and
-// noasm alike) — each sample's spatial sum is its own float32 chain folded
-// into the accumulator in sample order, exactly as N Backward calls fold.
+// dB from one batch of N and from N batches of one must agree bit for bit
+// on EVERY build (asm and noasm alike) — each sample's spatial sum is its
+// own float32 chain folded into the accumulator in sample order, exactly as
+// N BackwardBatch(1) calls fold.
 func TestBackwardBatchBiasBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	conv, err := NewConv2D("conv", 3, 6, 3, 1, 1, rng)
@@ -342,30 +333,23 @@ func TestBackwardBatchBiasBitIdentical(t *testing.T) {
 		bdb := layer.Params()[biasIdx].Grad.Clone()
 
 		zeroGrads(layer)
-		ctx := NewContext()
-		ctx.SetTraining(true)
+		ctx := trainCtx()
 		for i, x := range xs {
-			if _, err := layer.Forward(ctx, x); err != nil {
+			if _, err := forward1(ctx, layer, x); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := layer.Backward(ctx, gs[i]); err != nil {
+			if _, err := backward1(ctx, layer, gs[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		want := layer.Params()[biasIdx].Grad
-		for i, v := range want.Data() {
-			if bdb.Data()[i] != v {
-				t.Fatalf("%s bias grad elem %d: batched %v != per-sample %v (must be bit-identical)",
-					layer.Name(), i, bdb.Data()[i], v)
-			}
-		}
+		requireBitIdentical(t, layer.Name()+" bias grad", bdb, layer.Params()[biasIdx].Grad)
 	}
 }
 
 // TestBackwardBatchSequentialMicro pins the whole micro-AlexNet training
-// step: batched forward + batched softmax-cross-entropy + batched backward
-// must match the per-sample loop — losses, every parameter gradient, and
-// the input gradient.
+// step: forward + softmax-cross-entropy + backward over one batch of N must
+// match the loop over N batches of one — losses, every parameter gradient,
+// and the input gradient.
 func TestBackwardBatchSequentialMicro(t *testing.T) {
 	rng := rand.New(rand.NewSource(68))
 	net, err := NewMicroAlexNet(DefaultMicroConfig(), rng)
@@ -401,20 +385,23 @@ func TestBackwardBatchSequentialMicro(t *testing.T) {
 		}
 
 		net.ZeroGrads()
-		ctx := NewContext()
-		ctx.SetTraining(true)
+		ctx := trainCtx()
 		var loss float64
 		for i, x := range xs {
-			logits, err := net.Forward(ctx, x)
+			one, err := tensor.Pack([]*tensor.Tensor{x})
 			if err != nil {
 				t.Fatal(err)
 			}
-			l, g, err := CrossEntropyLoss(logits, labels[i])
+			logits, err := net.ForwardBatch(ctx, one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, g, err := CrossEntropyLossBatch(logits, labels[i:i+1])
 			if err != nil {
 				t.Fatal(err)
 			}
 			loss += l
-			dx, err := net.Backward(ctx, g)
+			dx, err := net.BackwardBatch(ctx, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -422,10 +409,14 @@ func TestBackwardBatchSequentialMicro(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			closeGrads(t, fmt.Sprintf("micro dX sample %d (batch %d)", i, n), got, dx)
+			want, err := dx.Sample(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			closeGrads(t, fmt.Sprintf("micro dX sample %d (batch %d)", i, n), got, want)
 		}
 		if d := bloss - loss; d > 1e-6*float64(n) || d < -1e-6*float64(n) {
-			t.Fatalf("batch %d: batched loss %v != per-sample sum %v", n, bloss, loss)
+			t.Fatalf("batch %d: batched loss %v != sum over batches of one %v", n, bloss, loss)
 		}
 		for pi, p := range net.Params() {
 			closeGrads(t, fmt.Sprintf("micro %s (batch %d)", p.Name, n), bgrads[pi], p.Grad)
@@ -433,9 +424,11 @@ func TestBackwardBatchSequentialMicro(t *testing.T) {
 	}
 }
 
-// TestCrossEntropyLossBatchMatchesPerSample pins the batched loss bit for
-// bit: same softmax rows, same clamp, same float64 summation order.
-func TestCrossEntropyLossBatchMatchesPerSample(t *testing.T) {
+// TestCrossEntropyLossBatchRowsIndependent pins the loss bit for bit: row i
+// of an (N, K) batch gets the gradient a (1, K) batch of that row gets, and
+// the batch loss is the row losses added in row order — same softmax rows,
+// same clamp, same float64 summation order.
+func TestCrossEntropyLossBatchRowsIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(69))
 	n, k := 7, 6
 	logits := tensor.MustNew(n, k)
@@ -454,7 +447,11 @@ func TestCrossEntropyLossBatchMatchesPerSample(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, g, err := CrossEntropyLoss(row, labels[i])
+		one, err := tensor.Pack([]*tensor.Tensor{row})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, g, err := CrossEntropyLossBatch(one, labels[i:i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,14 +460,14 @@ func TestCrossEntropyLossBatchMatchesPerSample(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j, v := range g.Data() {
-			if brow.Data()[j] != v {
-				t.Fatalf("grad row %d elem %d: batched %v != per-sample %v", i, j, brow.Data()[j], v)
-			}
+		g0, err := g.Sample(0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		requireBitIdentical(t, fmt.Sprintf("loss grad row %d", i), brow, g0)
 	}
 	if bloss != loss {
-		t.Fatalf("batched loss %v != per-sample sum %v", bloss, loss)
+		t.Fatalf("batch loss %v != sum over rows %v", bloss, loss)
 	}
 
 	// Shape errors name the offending dims.
@@ -505,8 +502,7 @@ func TestBackwardBatchShadowGrads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := NewContext()
-	ctx.SetTraining(true)
+	ctx := trainCtx()
 	ctx.ShadowGrads(true)
 	out, err := d.ForwardBatch(ctx, batch)
 	if err != nil {

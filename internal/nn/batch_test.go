@@ -2,17 +2,21 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/tensor"
 )
 
-// Golden-equivalence suite for the batch-native forward path: for every
-// layer and for whole networks, ForwardBatch over a packed batch must match
-// per-sample Forward to 1e-5, for N=1 and for batch sizes that are ragged
-// against typical worker counts.
+// Golden-equivalence suite for the one forward path: for every layer and
+// for whole networks, each row of ForwardBatch over a packed batch of N must
+// be BIT-IDENTICAL to ForwardBatch over a batch of one holding that sample,
+// for batch sizes that are ragged against typical worker counts — a
+// sample's output never depends on the batch it rides in.
 
+// batchTol bounds the GEMM-shaped gradient comparisons of the backward
+// suite, whose float32 addition chains regroup with the batch size.
 const batchTol = 1e-5
 
 // randBatch builds n random CHW samples plus their NCHW pack.
@@ -31,12 +35,25 @@ func randBatch(t testing.TB, rng *rand.Rand, n, c, h, w int) ([]*tensor.Tensor, 
 	return xs, batch
 }
 
-// checkBatchMatches runs layer.Forward per sample and layer.ForwardBatch on
-// the pack through independent contexts and compares sample for sample.
+// requireBitIdentical fails unless got and want agree in shape and in every
+// bit of every element.
+func requireBitIdentical(t *testing.T, what string, got, want *tensor.Tensor) {
+	t.Helper()
+	if !got.SameShape(want) {
+		t.Fatalf("%s: shape %v != %v", what, got.Shape(), want.Shape())
+	}
+	for i, v := range want.Data() {
+		if g := got.Data()[i]; math.Float32bits(g) != math.Float32bits(v) {
+			t.Fatalf("%s: elem %d: %v != %v (must be bit-identical)", what, i, g, v)
+		}
+	}
+}
+
+// checkBatchMatches runs layer.ForwardBatch on the pack and on a batch of
+// one per sample, through independent contexts, and compares row for row.
 func checkBatchMatches(t *testing.T, layer Layer, xs []*tensor.Tensor, batch *tensor.Tensor) {
 	t.Helper()
-	bctx := NewContext()
-	bout, err := layer.ForwardBatch(bctx, batch)
+	bout, err := layer.ForwardBatch(NewContext(), batch)
 	if err != nil {
 		t.Fatalf("%s: batched forward: %v", layer.Name(), err)
 	}
@@ -45,29 +62,15 @@ func checkBatchMatches(t *testing.T, layer Layer, xs []*tensor.Tensor, batch *te
 	}
 	ctx := NewContext()
 	for i, x := range xs {
-		want, err := layer.Forward(ctx, x)
+		want, err := forward1(ctx, layer, x)
 		if err != nil {
-			t.Fatalf("%s: per-sample forward %d: %v", layer.Name(), i, err)
+			t.Fatalf("%s: batch-of-one forward %d: %v", layer.Name(), i, err)
 		}
 		got, err := bout.Sample(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flatWant, err := want.Reshape(want.Len())
-		if err != nil {
-			t.Fatal(err)
-		}
-		flatGot, err := got.Reshape(got.Len())
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := flatGot.MaxAbsDiff(flatWant)
-		if err != nil {
-			t.Fatalf("%s sample %d: shapes %v vs %v: %v", layer.Name(), i, got.Shape(), want.Shape(), err)
-		}
-		if d > batchTol {
-			t.Fatalf("%s sample %d: batched differs from per-sample by %g", layer.Name(), i, d)
-		}
+		requireBitIdentical(t, fmt.Sprintf("%s batch %d row %d", layer.Name(), len(xs), i), got, want)
 	}
 }
 
@@ -162,7 +165,7 @@ func TestForwardBatchDropoutInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Inference contexts: identity, so batched trivially matches per-sample.
+	// Inference contexts: identity, so any batch trivially matches.
 	xs, batch := randBatch(t, rng, 5, 2, 3, 3)
 	checkBatchMatches(t, d, xs, batch)
 
@@ -191,8 +194,9 @@ func TestForwardBatchDropoutInference(t *testing.T) {
 	}
 }
 
-// TestForwardBatchSequentialMicro pins the whole micro-AlexNet chain:
-// batched pass == per-sample pass through every layer composition.
+// TestForwardBatchSequentialMicro pins the whole micro-AlexNet chain, and
+// with it the per-sample entry point: Sequential.Forward is the N=1 view, so
+// its logits equal the sample's row of any batch bit for bit.
 func TestForwardBatchSequentialMicro(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	net, err := NewMicroAlexNet(DefaultMicroConfig(), rng)
@@ -201,8 +205,7 @@ func TestForwardBatchSequentialMicro(t *testing.T) {
 	}
 	for _, n := range batchSizes {
 		xs, batch := randBatch(t, rng, n, 3, 32, 32)
-		bctx := NewContext()
-		bout, err := net.ForwardBatch(bctx, batch)
+		bout, err := net.ForwardBatch(NewContext(), batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,13 +219,7 @@ func TestForwardBatchSequentialMicro(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := got.MaxAbsDiff(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d > batchTol {
-				t.Fatalf("batch %d sample %d: logits differ by %g", n, i, d)
-			}
+			requireBitIdentical(t, fmt.Sprintf("micro batch %d row %d vs Forward", n, i), got, want)
 		}
 	}
 }
@@ -245,7 +242,7 @@ func TestForwardBatchFromMatchesForwardFrom(t *testing.T) {
 	// Feature maps after conv1, per sample and packed.
 	feats := make([]*tensor.Tensor, n)
 	for i, x := range xs {
-		f, err := conv1.Forward(ctx, x)
+		f, err := forward1(ctx, conv1, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,18 +265,59 @@ func TestForwardBatchFromMatchesForwardFrom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := got.MaxAbsDiff(want)
+		requireBitIdentical(t, fmt.Sprintf("ForwardBatchFrom row %d", i), got, want)
+	}
+}
+
+// TestForwardSamplesRaggedShapes pins the shape grouping: samples of mixed
+// shapes run one batch per shape, outputs come back in input order, and each
+// equals its batch-of-one output bit for bit.
+func TestForwardSamplesRaggedShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	net, err := NewMicroAlexNet(DefaultMicroConfig(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var xs []*tensor.Tensor
+	for _, size := range []int{32, 20, 32, 24, 20, 32} {
+		x := tensor.MustNew(3, size, size)
+		x.FillUniform(rng, -1, 1)
+		xs = append(xs, x)
+	}
+	// Layers [0, 3) are convolutional, so every size fits.
+	const to = 3
+	outs, err := net.ForwardSamples(NewContext(), 0, to, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range xs {
+		batch, err := tensor.Pack([]*tensor.Tensor{x})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d > batchTol {
-			t.Fatalf("sample %d: ForwardBatchFrom differs by %g", i, d)
+		want, err := net.ForwardBatchRange(NewContext(), 0, to, batch)
+		if err != nil {
+			t.Fatal(err)
 		}
+		want0, err := want.Sample(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, fmt.Sprintf("ragged sample %d", i), outs[i], want0)
+	}
+	// The full chain ends in dense layers sized for 32×32: the odd shapes
+	// must surface the layer's error, not panic or be silently dropped.
+	if _, err := net.ForwardSamples(NewContext(), 0, net.Len(), xs); err == nil {
+		t.Fatal("dense layer accepted a mis-sized sample")
+	}
+	if _, err := net.ForwardSamples(NewContext(), 0, to, []*tensor.Tensor{xs[0], nil}); err == nil {
+		t.Fatal("nil sample accepted")
 	}
 }
 
 // TestForwardBatchFullAlexNet runs the paper's full AlexNet (227×227, ~60M
-// params) batched vs per-sample. Expensive: skipped in -short runs.
+// params): each row of a batch of two against its batch of one. Expensive:
+// skipped in -short runs.
 func TestForwardBatchFullAlexNet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full AlexNet forward is expensive")
@@ -289,30 +327,8 @@ func TestForwardBatchFullAlexNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 2
-	xs, batch := randBatch(t, rng, n, 3, AlexNetInputSize, AlexNetInputSize)
-	bout, err := net.ForwardBatch(NewContext(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := NewContext()
-	for i, x := range xs {
-		want, err := net.Forward(ctx, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := bout.Sample(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := got.MaxAbsDiff(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d > batchTol {
-			t.Fatalf("alexnet sample %d: batched logits differ by %g", i, d)
-		}
-	}
+	xs, batch := randBatch(t, rng, 2, 3, AlexNetInputSize, AlexNetInputSize)
+	checkBatchMatches(t, net, xs, batch)
 }
 
 // TestForwardBatchScratchReuse pins the batch-sized context scratch: two

@@ -8,12 +8,11 @@ import (
 )
 
 // Context carries all per-call mutable state of a forward/backward pass:
-// layer activation caches (per-sample from Forward, batch-sized from a
-// training-mode ForwardBatch — the state BackwardBatch consumes), im2col
-// scratch buffers (batch-sized on the ForwardBatch path — they grow to
-// the largest micro-batch seen and are then reused call over call), the
-// training switch, the dropout RNG and
-// (optionally) context-local gradient accumulators. Layers
+// one activation cache per layer (what a training-mode ForwardBatch leaves
+// for BackwardBatch), the im2col and GEMM scratch buffers (they grow to the
+// largest micro-batch seen and are then reused call over call), the
+// training switch, the dropout RNG and (optionally) context-local gradient
+// accumulators. Layers
 // themselves hold only immutable parameters, so any number of goroutines may
 // run the SAME network concurrently as long as each uses its own Context —
 // this is the contract the batched execution layer (internal/infer) and the
@@ -73,7 +72,7 @@ func (c *Context) state(l Layer, mk func() any) any {
 }
 
 // ShadowGrads switches gradient accumulation into context-local buffers.
-// With shadowing off (the default) Backward accumulates directly into each
+// With shadowing off (the default) BackwardBatch accumulates directly into each
 // parameter's canonical Grad tensor — correct for a single context. With
 // shadowing on, each context accumulates privately and the trainer reduces
 // the shadows with FlushGrads after the concurrent section, which is what

@@ -28,26 +28,19 @@ type Conv2D struct {
 	gradB     *tensor.Tensor
 }
 
-// convState is the per-context mutable state of one Conv2D: the forward
-// cache Backward consumes, the reusable lowering buffers, the
-// batch-sized scratch of the batched path, and (in training contexts)
-// the batch forward cache BackwardBatch consumes. Per-sample and batch
-// fields are disjoint so interleaved Forward/ForwardBatch calls never
-// clobber each other's backward state. The buffers grow to the
-// high-water mark of the batches seen through this context and are then
-// recycled call over call.
+// convState is the per-context mutable state of one Conv2D: the reusable
+// lowering and GEMM scratch and, in training contexts, the forward cache
+// BackwardBatch consumes (the input batch plus the im2col matrix already
+// sitting in cols). The buffers grow to the high-water mark of the batches
+// seen through this context and are then recycled call over call.
 type convState struct {
-	lastIn     *tensor.Tensor
-	outH, outW int
-	cols       []float32 // im2col matrix, (inC·k·k) × (outH·outW)
-	dcols      []float32 // column-space gradient scratch for Backward
-	bcols      []float32 // batched im2col matrix, (inC·k·k) × (N·outH·outW)
-	bout       []float32 // batched GEMM output, F-major (outC, N, outH·outW)
+	cols []float32 // im2col matrix, (inC·k·k) × (N·outH·outW)
+	out  []float32 // GEMM output, F-major (outC, N, outH·outW)
 
-	bLastIn      *tensor.Tensor // batch forward cache (training contexts only)
-	boutH, boutW int
-	bgrad        []float32 // NCHW→F-major gradient transpose scratch
-	bdcols       []float32 // batched column-space gradient scratch
+	lastIn     *tensor.Tensor // forward cache (training contexts only)
+	outH, outW int
+	grad       []float32 // NCHW→F-major gradient transpose scratch
+	dcols      []float32 // column-space gradient scratch
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -131,51 +124,17 @@ func (c *Conv2D) checkInput(x *tensor.Tensor) (outH, outW int, err error) {
 	return outH, outW, nil
 }
 
-// Forward implements Layer: lower the input with im2col, multiply with the
-// (outC) × (inC·k·k) weight view in one blocked GEMM, add bias.
-func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx == nil {
-		return nil, fmt.Errorf("nn: conv %q forward needs a context", c.name)
-	}
-	outH, outW, err := c.checkInput(x)
-	if err != nil {
-		return nil, err
-	}
-	st := ctx.state(c, func() any { return &convState{} }).(*convState)
-	inH, inW := x.Dim(1), x.Dim(2)
-	n := outH * outW
-	ckk := c.inC * c.k * c.k
-
-	st.cols = tensor.GrowSlice(st.cols, ckk*n)
-	if err := tensor.Im2col(st.cols, x.Data(), c.inC, inH, inW, c.k, c.stride, c.pad); err != nil {
-		return nil, fmt.Errorf("nn: conv %q: %w", c.name, err)
-	}
-	out := tensor.MustNew(c.outC, outH, outW)
-	od, b := out.Data(), c.bias.Data()
-	for f := 0; f < c.outC; f++ {
-		row := od[f*n : (f+1)*n]
-		bv := b[f]
-		for j := range row {
-			row[j] = bv
-		}
-	}
-	tensor.GemmAcc(od, c.weight.Data(), st.cols, c.outC, ckk, n)
-	st.lastIn, st.outH, st.outW = x, outH, outW
-	return out, nil
-}
-
 // ForwardBatch implements Layer for an NCHW micro-batch: ONE Im2colBatch
-// lowering and ONE blocked GEMM cover all N samples — the weight bank is
-// streamed once per batch instead of once per sample. The GEMM output is
-// F-major (outC, N, outH·outW); a contiguous per-(filter,sample) copy
-// transposes it into the NCHW output. Element-for-element the arithmetic
-// (bias seed + ascending-tap accumulation) is identical to Forward, so the
-// outputs match the per-sample path exactly. In training contexts the
-// input and the batch im2col matrix are kept for BackwardBatch; inference
-// contexts cache no backward state.
+// lowering and ONE blocked GEMM (bias-seeded, ascending-tap accumulation)
+// against the (outC) × (inC·k·k) weight view cover all N samples — the
+// weight bank is streamed once per batch instead of once per sample. The
+// GEMM output is F-major (outC, N, outH·outW); a contiguous
+// per-(filter,sample) copy transposes it into the NCHW output. In training
+// contexts the input and the im2col matrix are kept for BackwardBatch;
+// inference contexts cache no backward state.
 func (c *Conv2D) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
-		return nil, fmt.Errorf("nn: conv %q batched forward needs a context", c.name)
+		return nil, fmt.Errorf("nn: conv %q forward needs a context", c.name)
 	}
 	if x.Rank() != 4 || x.Dim(1) != c.inC {
 		return nil, fmt.Errorf("nn: conv %q wants (N,%d,H,W) batch, got %v", c.name, c.inC, x.Shape())
@@ -191,30 +150,30 @@ func (c *Conv2D) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, e
 	cols := n * hw
 	ckk := c.inC * c.k * c.k
 
-	st.bcols = tensor.GrowSlice(st.bcols, ckk*cols)
-	if err := tensor.Im2colBatch(st.bcols, x.Data(), n, c.inC, inH, inW, c.k, c.stride, c.pad); err != nil {
+	st.cols = tensor.GrowSlice(st.cols, ckk*cols)
+	if err := tensor.Im2colBatch(st.cols, x.Data(), n, c.inC, inH, inW, c.k, c.stride, c.pad); err != nil {
 		return nil, fmt.Errorf("nn: conv %q: %w", c.name, err)
 	}
-	st.bout = tensor.GrowSlice(st.bout, c.outC*cols)
+	st.out = tensor.GrowSlice(st.out, c.outC*cols)
 	b := c.bias.Data()
 	for f := 0; f < c.outC; f++ {
-		row := st.bout[f*cols : (f+1)*cols]
+		row := st.out[f*cols : (f+1)*cols]
 		bv := b[f]
 		for j := range row {
 			row[j] = bv
 		}
 	}
-	tensor.GemmAcc(st.bout, c.weight.Data(), st.bcols, c.outC, ckk, cols)
+	tensor.GemmAcc(st.out, c.weight.Data(), st.cols, c.outC, ckk, cols)
 	if ctx.Training() {
-		st.bLastIn, st.boutH, st.boutW = x, outH, outW
+		st.lastIn, st.outH, st.outW = x, outH, outW
 	} else {
-		st.bLastIn = nil // st.bcols is scratch again; invalidate the batch cache
+		st.lastIn = nil // st.cols is scratch again; invalidate the cache
 	}
 
 	out := tensor.MustNew(n, c.outC, outH, outW)
 	od := out.Data()
 	for f := 0; f < c.outC; f++ {
-		fRow := st.bout[f*cols : (f+1)*cols]
+		fRow := st.out[f*cols : (f+1)*cols]
 		for s := 0; s < n; s++ {
 			copy(od[(s*c.outC+f)*hw:(s*c.outC+f+1)*hw], fRow[s*hw:(s+1)*hw])
 		}
@@ -267,75 +226,30 @@ func (c *Conv2D) ForwardNaive(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// Backward implements Layer in column space: dB is the per-filter row sum of
-// dY, dW += dY · colsᵀ reuses the forward's im2col matrix, and
-// dX = Col2im(Wᵀ · dY).
-func (c *Conv2D) Backward(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
+// BackwardBatch implements Layer over an NCHW gradient batch in column
+// space: the gradient transposes into the F-major (outC) × (N·outH·outW)
+// layout of the forward GEMM, dB is one tensor.AddRowSums reduction (one
+// chain per (filter,sample), folded in sample order), dW += dY·colsᵀ is ONE
+// GemmTB against the forward's im2col matrix, and dX = Col2imBatch(Wᵀ·dY)
+// is ONE GemmTA plus one batch scatter — the weight bank is streamed twice
+// per mini-batch instead of twice per sample.
+func (c *Conv2D) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("nn: conv %q backward needs a context", c.name)
 	}
 	st, ok := ctx.states[c].(*convState)
 	if !ok || st.lastIn == nil {
-		return nil, fmt.Errorf("nn: conv %q backward before forward", c.name)
-	}
-	if grad.Rank() != 3 || grad.Dim(0) != c.outC || grad.Dim(1) != st.outH || grad.Dim(2) != st.outW {
-		return nil, fmt.Errorf("nn: conv %q wants (%d,%d,%d) gradient, got %v",
-			c.name, c.outC, st.outH, st.outW, grad.Shape())
+		return nil, fmt.Errorf("nn: conv %q backward before training-mode forward", c.name)
 	}
 	x := st.lastIn
-	inH, inW := x.Dim(1), x.Dim(2)
-	n := st.outH * st.outW
-	ckk := c.inC * c.k * c.k
-	g := grad.Data()
-	dw := ctx.gradBuf(c.gradW).Data()
-	db := ctx.gradBuf(c.gradB).Data()
-
-	for f := 0; f < c.outC; f++ {
-		var acc float32
-		for _, gv := range g[f*n : (f+1)*n] {
-			acc += gv
-		}
-		db[f] += acc
-	}
-	tensor.GemmTB(dw, g, st.cols, c.outC, n, ckk)
-
-	st.dcols = tensor.GrowSlice(st.dcols, ckk*n)
-	for i := range st.dcols {
-		st.dcols[i] = 0
-	}
-	tensor.GemmTA(st.dcols, c.weight.Data(), g, ckk, c.outC, n)
-	dx := tensor.MustNew(c.inC, inH, inW)
-	if err := tensor.Col2im(dx.Data(), st.dcols, c.inC, inH, inW, c.k, c.stride, c.pad); err != nil {
-		return nil, fmt.Errorf("nn: conv %q: %w", c.name, err)
-	}
-	return dx, nil
-}
-
-// BackwardBatch implements Layer over an NCHW gradient batch with the same
-// column-space algebra as Backward, batch-wide: the gradient transposes into
-// the F-major (outC) × (N·outH·outW) layout of the batched forward, dB is
-// one tensor.AddRowSums reduction (per-(filter,sample) chains, matching the
-// per-sample order), dW += dY·colsᵀ is ONE GemmTB against the forward's
-// batch im2col matrix, and dX = Col2imBatch(Wᵀ·dY) is ONE GemmTA plus one
-// batch scatter — the weight bank is streamed twice per mini-batch instead
-// of twice per sample.
-func (c *Conv2D) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx == nil {
-		return nil, fmt.Errorf("nn: conv %q batched backward needs a context", c.name)
-	}
-	st, ok := ctx.states[c].(*convState)
-	if !ok || st.bLastIn == nil {
-		return nil, fmt.Errorf("nn: conv %q batched backward before training-mode batched forward", c.name)
-	}
-	x := st.bLastIn
 	n := x.Dim(0)
 	if grad.Rank() != 4 || grad.Dim(0) != n || grad.Dim(1) != c.outC ||
-		grad.Dim(2) != st.boutH || grad.Dim(3) != st.boutW {
+		grad.Dim(2) != st.outH || grad.Dim(3) != st.outW {
 		return nil, fmt.Errorf("nn: conv %q wants (%d,%d,%d,%d) gradient, got %v",
-			c.name, n, c.outC, st.boutH, st.boutW, grad.Shape())
+			c.name, n, c.outC, st.outH, st.outW, grad.Shape())
 	}
 	inH, inW := x.Dim(2), x.Dim(3)
-	hw := st.boutH * st.boutW
+	hw := st.outH * st.outW
 	cols := n * hw
 	ckk := c.inC * c.k * c.k
 	g := grad.Data()
@@ -344,25 +258,25 @@ func (c *Conv2D) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tenso
 
 	// NCHW → F-major: one contiguous copy per (filter, sample), the exact
 	// inverse of the forward's output transpose.
-	st.bgrad = tensor.GrowSlice(st.bgrad, c.outC*cols)
+	st.grad = tensor.GrowSlice(st.grad, c.outC*cols)
 	for f := 0; f < c.outC; f++ {
-		fRow := st.bgrad[f*cols : (f+1)*cols]
+		fRow := st.grad[f*cols : (f+1)*cols]
 		for s := 0; s < n; s++ {
 			copy(fRow[s*hw:(s+1)*hw], g[(s*c.outC+f)*hw:(s*c.outC+f+1)*hw])
 		}
 	}
-	if err := tensor.AddRowSums(db, st.bgrad, c.outC, n, hw); err != nil {
+	if err := tensor.AddRowSums(db, st.grad, c.outC, n, hw); err != nil {
 		return nil, fmt.Errorf("nn: conv %q: %w", c.name, err)
 	}
-	tensor.GemmTB(dw, st.bgrad, st.bcols, c.outC, cols, ckk)
+	tensor.GemmTB(dw, st.grad, st.cols, c.outC, cols, ckk)
 
-	st.bdcols = tensor.GrowSlice(st.bdcols, ckk*cols)
-	for i := range st.bdcols {
-		st.bdcols[i] = 0
+	st.dcols = tensor.GrowSlice(st.dcols, ckk*cols)
+	for i := range st.dcols {
+		st.dcols[i] = 0
 	}
-	tensor.GemmTA(st.bdcols, c.weight.Data(), st.bgrad, ckk, c.outC, cols)
+	tensor.GemmTA(st.dcols, c.weight.Data(), st.grad, ckk, c.outC, cols)
 	dx := tensor.MustNew(n, c.inC, inH, inW)
-	if err := tensor.Col2imBatch(dx.Data(), st.bdcols, n, c.inC, inH, inW, c.k, c.stride, c.pad); err != nil {
+	if err := tensor.Col2imBatch(dx.Data(), st.dcols, n, c.inC, inH, inW, c.k, c.stride, c.pad); err != nil {
 		return nil, fmt.Errorf("nn: conv %q: %w", c.name, err)
 	}
 	return dx, nil

@@ -18,12 +18,10 @@ type Dense struct {
 	gradB   *tensor.Tensor
 }
 
-// denseState is the per-context forward cache. Per-sample and batch fields
-// are disjoint so interleaved Forward/ForwardBatch calls never clobber each
-// other's backward state.
+// denseState is the per-context forward cache: the input batch of the last
+// training-mode ForwardBatch.
 type denseState struct {
-	lastIn  *tensor.Tensor
-	bLastIn *tensor.Tensor // batch forward cache (training contexts only)
+	lastIn *tensor.Tensor
 }
 
 var _ Layer = (*Dense)(nil)
@@ -70,31 +68,15 @@ func (d *Dense) Params() []*Param {
 	}
 }
 
-// Forward implements Layer as the N=1 case of the batched tensor.Linear
-// kernel (identical accumulation order: bias seed, then ascending input
-// index).
-func (d *Dense) Forward(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx == nil {
-		return nil, fmt.Errorf("nn: dense %q forward needs a context", d.name)
-	}
-	if x.Rank() != 1 || x.Dim(0) != d.in {
-		return nil, fmt.Errorf("nn: dense %q wants (%d) input, got %v", d.name, d.in, x.Shape())
-	}
-	st := ctx.state(d, func() any { return &denseState{} }).(*denseState)
-	st.lastIn = x
-	out := tensor.MustNew(d.out)
-	tensor.Linear(out.Data(), x.Data(), d.weight.Data(), d.bias.Data(), 1, d.in, d.out)
-	return out, nil
-}
-
 // ForwardBatch implements Layer over an (N, in) batch: one tensor.Linear
-// call computes X·Wᵀ + b for all N rows, streaming the weight matrix — by
-// far the largest tensor in the fully connected layers — once per batch
-// instead of once per sample. In training contexts the input batch is kept
-// for BackwardBatch; inference contexts cache no backward state.
+// call computes X·Wᵀ + b for all N rows (bias seed, then ascending input
+// index), streaming the weight matrix — by far the largest tensor in the
+// fully connected layers — once per batch instead of once per sample. In
+// training contexts the input batch is kept for BackwardBatch; inference
+// contexts cache no backward state.
 func (d *Dense) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
-		return nil, fmt.Errorf("nn: dense %q batched forward needs a context", d.name)
+		return nil, fmt.Errorf("nn: dense %q forward needs a context", d.name)
 	}
 	if x.Rank() != 2 || x.Dim(1) != d.in {
 		return nil, fmt.Errorf("nn: dense %q wants (N,%d) batch, got %v", d.name, d.in, x.Shape())
@@ -102,66 +84,33 @@ func (d *Dense) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, er
 	n := x.Dim(0)
 	st := ctx.state(d, func() any { return &denseState{} }).(*denseState)
 	if ctx.Training() {
-		st.bLastIn = x
+		st.lastIn = x
 	} else {
-		st.bLastIn = nil
+		st.lastIn = nil
 	}
 	out := tensor.MustNew(n, d.out)
 	tensor.Linear(out.Data(), x.Data(), d.weight.Data(), d.bias.Data(), n, d.in, d.out)
 	return out, nil
 }
 
-// Backward implements Layer.
-func (d *Dense) Backward(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
+// BackwardBatch implements Layer over an (N, out) gradient batch with three
+// batch-wide kernels: dB is one tensor.AddColSums reduction (row after row,
+// in sample order), dW += Gᵀ·X is ONE GemmTA, and dX = G·W is ONE Gemm — the
+// weight matrix is streamed twice per mini-batch instead of twice per
+// sample, which is where fc-heavy training gets its batched win.
+func (d *Dense) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("nn: dense %q backward needs a context", d.name)
 	}
 	st, ok := ctx.states[d].(*denseState)
 	if !ok || st.lastIn == nil {
-		return nil, fmt.Errorf("nn: dense %q backward before forward", d.name)
+		return nil, fmt.Errorf("nn: dense %q backward before training-mode forward", d.name)
 	}
-	if grad.Rank() != 1 || grad.Dim(0) != d.out {
-		return nil, fmt.Errorf("nn: dense %q wants (%d) gradient, got %v", d.name, d.out, grad.Shape())
-	}
-	dx := tensor.MustNew(d.in)
-	in, w, g := st.lastIn.Data(), d.weight.Data(), grad.Data()
-	dw := ctx.gradBuf(d.gradW).Data()
-	db := ctx.gradBuf(d.gradB).Data()
-	dxd := dx.Data()
-	for o := 0; o < d.out; o++ {
-		gv := g[o]
-		db[o] += gv
-		row := o * d.in
-		if gv == 0 {
-			continue
-		}
-		for i := 0; i < d.in; i++ {
-			dw[row+i] += gv * in[i]
-			dxd[i] += gv * w[row+i]
-		}
-	}
-	return dx, nil
-}
-
-// BackwardBatch implements Layer over an (N, out) gradient batch with three
-// batch-wide kernels where Backward runs N scalar loops: dB is one
-// tensor.AddColSums reduction (row-after-row, matching the per-sample
-// order), dW += Gᵀ·X is ONE GemmTA, and dX = G·W is ONE Gemm — the weight
-// matrix is streamed twice per mini-batch instead of twice per sample, which
-// is where fc-heavy training gets its batched win.
-func (d *Dense) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx == nil {
-		return nil, fmt.Errorf("nn: dense %q batched backward needs a context", d.name)
-	}
-	st, ok := ctx.states[d].(*denseState)
-	if !ok || st.bLastIn == nil {
-		return nil, fmt.Errorf("nn: dense %q batched backward before training-mode batched forward", d.name)
-	}
-	n := st.bLastIn.Dim(0)
+	n := st.lastIn.Dim(0)
 	if grad.Rank() != 2 || grad.Dim(0) != n || grad.Dim(1) != d.out {
 		return nil, fmt.Errorf("nn: dense %q wants (%d,%d) gradient, got %v", d.name, n, d.out, grad.Shape())
 	}
-	g, x, w := grad.Data(), st.bLastIn.Data(), d.weight.Data()
+	g, x, w := grad.Data(), st.lastIn.Data(), d.weight.Data()
 	dw := ctx.gradBuf(d.gradW).Data()
 	db := ctx.gradBuf(d.gradB).Data()
 	if err := tensor.AddColSums(db, g, n, d.out); err != nil {
@@ -187,11 +136,10 @@ type Dropout struct {
 	rng  *rand.Rand
 }
 
-// dropoutState is the per-context mask cache; mask serves per-sample
-// Backward, bmask the batched pass.
+// dropoutState is the per-context mask cache of the last training-mode
+// ForwardBatch (nil after an inference pass).
 type dropoutState struct {
-	mask  []float32
-	bmask []float32 // batch-wide mask (training contexts only)
+	mask []float32
 }
 
 var _ Layer = (*Dropout)(nil)
@@ -213,8 +161,11 @@ func (d *Dropout) Name() string { return d.name }
 // Params implements Layer.
 func (d *Dropout) Params() []*Param { return nil }
 
-// Forward implements Layer.
-func (d *Dropout) Forward(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
+// ForwardBatch implements Layer. Dropout is element-wise: the identity at
+// inference, a fresh inverted-dropout mask over every element of the batch
+// in training contexts, cached for BackwardBatch. The mask stream is drawn
+// element-ascending over the flattened batch.
+func (d *Dropout) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("nn: dropout %q forward needs a context", d.name)
 	}
@@ -231,60 +182,23 @@ func (d *Dropout) Forward(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error
 	}
 	out := x.Clone()
 	st.mask = make([]float32, out.Len())
-	d.applyMask(rng, out.Data(), st.mask)
-	return out, nil
-}
-
-// applyMask draws one inverted-dropout mask from rng and applies it to data
-// in place — the per-element kernel shared by the per-sample and batched
-// passes, so their keep/scale semantics cannot drift. maskOut, when non-nil,
-// receives each element's multiplier (inv or 0) for Backward.
-func (d *Dropout) applyMask(rng *rand.Rand, data, maskOut []float32) {
 	keep := 1 - d.rate
 	inv := 1 / keep
+	data := out.Data()
 	for i := range data {
 		if rng.Float32() < keep {
-			if maskOut != nil {
-				maskOut[i] = inv
-			}
+			st.mask[i] = inv
 			data[i] *= inv
 		} else {
 			data[i] = 0
 		}
 	}
-}
-
-// ForwardBatch implements Layer. Dropout is element-wise, so the batched
-// pass is the per-sample pass over the flattened batch: the identity at
-// inference, a fresh inverted-dropout mask over every element in training
-// contexts, cached batch-wide for BackwardBatch. The mask stream is drawn
-// element-ascending over the flattened batch — the same draws a per-sample
-// loop over the batch would make against this layer, though a multi-layer
-// net interleaves its layers' draws differently than N per-sample passes
-// would.
-func (d *Dropout) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx == nil {
-		return nil, fmt.Errorf("nn: dropout %q batched forward needs a context", d.name)
-	}
-	st := ctx.state(d, func() any { return &dropoutState{} }).(*dropoutState)
-	if !ctx.Training() || d.rate == 0 {
-		st.bmask = nil
-		return x, nil
-	}
-	rng := ctx.Rand()
-	if rng == nil {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		rng = d.rng
-	}
-	out := x.Clone()
-	st.bmask = make([]float32, out.Len())
-	d.applyMask(rng, out.Data(), st.bmask)
 	return out, nil
 }
 
-// Backward implements Layer.
-func (d *Dropout) Backward(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
+// BackwardBatch implements Layer: the batch gradient scales by the cached
+// mask (identity in inference contexts).
+func (d *Dropout) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("nn: dropout %q backward needs a context", d.name)
 	}
@@ -299,28 +213,6 @@ func (d *Dropout) Backward(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, e
 	dx := grad.Clone()
 	data := dx.Data()
 	for i, m := range st.mask {
-		data[i] *= m
-	}
-	return dx, nil
-}
-
-// BackwardBatch implements Layer: the batch gradient scales by the cached
-// batch-wide mask (identity in inference contexts, mirroring Backward).
-func (d *Dropout) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx == nil {
-		return nil, fmt.Errorf("nn: dropout %q batched backward needs a context", d.name)
-	}
-	st, ok := ctx.states[d].(*dropoutState)
-	if !ok || st.bmask == nil {
-		return grad, nil // inference mode: identity
-	}
-	if grad.Len() != len(st.bmask) {
-		return nil, fmt.Errorf("nn: dropout %q batch gradient length %d != cached %d",
-			d.name, grad.Len(), len(st.bmask))
-	}
-	dx := grad.Clone()
-	data := dx.Data()
-	for i, m := range st.bmask {
 		data[i] *= m
 	}
 	return dx, nil

@@ -20,57 +20,30 @@ func Softmax(logits *tensor.Tensor) ([]float32, error) {
 	return probs, nil
 }
 
-// CrossEntropyLoss computes softmax cross-entropy for one sample and the
-// gradient w.r.t. the logits (p − onehot), the combined form that avoids the
-// numerically fragile separate softmax backward.
-func CrossEntropyLoss(logits *tensor.Tensor, label int) (loss float64, grad *tensor.Tensor, err error) {
-	if logits.Rank() != 1 {
-		return 0, nil, fmt.Errorf("nn: loss wants flat logits, got %v", logits.Shape())
-	}
-	n := logits.Len()
-	if label < 0 || label >= n {
-		return 0, nil, fmt.Errorf("nn: label %d out of range [0,%d)", label, n)
-	}
-	probs := make([]float32, n)
-	if err := mathx.Softmax(probs, logits.Data()); err != nil {
-		return 0, nil, fmt.Errorf("nn: loss softmax: %w", err)
-	}
-	p := float64(probs[label])
-	if p < 1e-30 {
-		p = 1e-30
-	}
-	loss = -math.Log(p)
-	grad = tensor.MustNew(n)
-	g := grad.Data()
-	copy(g, probs)
-	g[label] -= 1
-	return loss, grad, nil
-}
-
 // CrossEntropyLossBatch computes softmax cross-entropy for an (N, K) logits
-// batch and the (N, K) gradient w.r.t. the logits. Row i of the gradient is
-// exactly CrossEntropyLoss(logits[i], labels[i])'s gradient, and the
-// returned loss is the SUM of the per-sample losses (the caller owns the
-// 1/N averaging, matching how the trainer folds per-sample losses today) —
-// so the batched loss is golden-equivalent to N per-sample calls.
+// batch and the (N, K) gradient w.r.t. the logits (p − onehot per row, the
+// combined form that avoids the numerically fragile separate softmax
+// backward). Rows are independent, so row i is bit-identical whatever batch
+// it rides in. The returned loss is the SUM of the per-sample losses, added
+// in row order; the caller owns the 1/N averaging.
 func CrossEntropyLossBatch(logits *tensor.Tensor, labels []int) (loss float64, grad *tensor.Tensor, err error) {
 	if logits.Rank() != 2 {
-		return 0, nil, fmt.Errorf("nn: batch loss wants (N,K) logits, got %v", logits.Shape())
+		return 0, nil, fmt.Errorf("nn: loss wants (N,K) logits, got %v", logits.Shape())
 	}
 	n, k := logits.Dim(0), logits.Dim(1)
 	if len(labels) != n {
-		return 0, nil, fmt.Errorf("nn: batch loss got %d labels for %d logit rows", len(labels), n)
+		return 0, nil, fmt.Errorf("nn: loss got %d labels for %d logit rows", len(labels), n)
 	}
 	ld := logits.Data()
 	grad = tensor.MustNew(n, k)
 	g := grad.Data()
 	for i, label := range labels {
 		if label < 0 || label >= k {
-			return 0, nil, fmt.Errorf("nn: batch loss label %d (row %d) out of range [0,%d)", label, i, k)
+			return 0, nil, fmt.Errorf("nn: loss label %d (row %d) out of range [0,%d)", label, i, k)
 		}
 		row := g[i*k : (i+1)*k]
 		if err := mathx.Softmax(row, ld[i*k:(i+1)*k]); err != nil {
-			return 0, nil, fmt.Errorf("nn: batch loss softmax (row %d): %w", i, err)
+			return 0, nil, fmt.Errorf("nn: loss softmax (row %d): %w", i, err)
 		}
 		p := float64(row[label])
 		if p < 1e-30 {
@@ -84,10 +57,9 @@ func CrossEntropyLossBatch(logits *tensor.Tensor, labels []int) (loss float64, g
 
 // SoftmaxArgmax returns the softmax distribution over a flat logits tensor
 // and its argmax class (ties resolve to the lowest index). It is THE
-// logits-to-verdict tail shared by every prediction path — per-sample
-// (PredictCtx), batched (infer.PredictBatched rows) and hybrid
-// (core's result finishing) — so the batched-equals-per-sample
-// equivalence guarantee cannot drift between copies.
+// logits-to-verdict tail shared by every prediction path — PredictCtx,
+// infer.PredictBatched rows and core's result finishing — so a row's
+// verdict cannot depend on which entry point produced its logits.
 func SoftmaxArgmax(logits *tensor.Tensor) (probs []float32, class int, err error) {
 	probs, err = Softmax(logits)
 	if err != nil {
@@ -101,16 +73,17 @@ func SoftmaxArgmax(logits *tensor.Tensor) (probs []float32, class int, err error
 	return probs, class, nil
 }
 
-// Predict runs an inference forward pass through a fresh context and
-// returns the class probabilities and the argmax class. For repeated or
-// concurrent prediction, allocate a Context per goroutine and use
-// PredictCtx so scratch buffers are reused.
+// Predict runs one sample through a fresh inference context and returns the
+// class probabilities and the argmax class. For repeated or concurrent
+// prediction, allocate a Context per goroutine and use PredictCtx so
+// scratch buffers are reused.
 func Predict(net *Sequential, x *tensor.Tensor) (probs []float32, class int, err error) {
 	return PredictCtx(NewContext(), net, x)
 }
 
-// PredictCtx runs a forward pass through ctx and returns the class
-// probabilities and the argmax class.
+// PredictCtx runs one sample through ctx (Sequential.Forward, the N=1 view
+// of the batched path) and returns the class probabilities and the argmax
+// class.
 func PredictCtx(ctx *Context, net *Sequential, x *tensor.Tensor) (probs []float32, class int, err error) {
 	logits, err := net.Forward(ctx, x)
 	if err != nil {

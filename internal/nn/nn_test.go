@@ -20,14 +20,51 @@ func dotAll(t *testing.T, out, g *tensor.Tensor) float64 {
 	return d
 }
 
-// gradCheck verifies a layer's Backward against central differences, for
-// both the input gradient and every parameter gradient. Checks a sample of
-// indices to stay fast.
-func gradCheck(t *testing.T, layer Layer, x *tensor.Tensor, tol float64) {
+// forward1 runs one sample through layer as a batch of one (the only way a
+// layer runs) and returns row 0 of the output.
+func forward1(ctx *Context, layer Layer, x *tensor.Tensor) (*tensor.Tensor, error) {
+	batch, err := tensor.Pack([]*tensor.Tensor{x})
+	if err != nil {
+		return nil, err
+	}
+	out, err := layer.ForwardBatch(ctx, batch)
+	if err != nil {
+		return nil, err
+	}
+	return out.Sample(0)
+}
+
+// backward1 is forward1's counterpart: one sample's output gradient in, that
+// sample's input gradient out.
+func backward1(ctx *Context, layer Layer, g *tensor.Tensor) (*tensor.Tensor, error) {
+	batch, err := tensor.Pack([]*tensor.Tensor{g})
+	if err != nil {
+		return nil, err
+	}
+	dx, err := layer.BackwardBatch(ctx, batch)
+	if err != nil {
+		return nil, err
+	}
+	return dx.Sample(0)
+}
+
+// trainCtx returns a training-mode context: the only kind whose forward
+// pass arms the backward cache.
+func trainCtx() *Context {
 	ctx := NewContext()
+	ctx.SetTraining(true)
+	return ctx
+}
+
+// gradCheck verifies a layer's BackwardBatch against central differences of
+// ForwardBatch, for both the input gradient and every parameter gradient —
+// the oracle for the backward kernels that is independent of them. x is a
+// batch; callers check N=1 and N=3. Checks a sample of indices to stay fast.
+func gradCheck(t *testing.T, layer Layer, x *tensor.Tensor, tol float64) {
 	t.Helper()
+	ctx := trainCtx()
 	rng := rand.New(rand.NewSource(99))
-	out, err := layer.Forward(ctx, x)
+	out, err := layer.ForwardBatch(ctx, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +74,7 @@ func gradCheck(t *testing.T, layer Layer, x *tensor.Tensor, tol float64) {
 	for _, p := range layer.Params() {
 		p.ZeroGrad()
 	}
-	dx, err := layer.Backward(ctx, upstream)
+	dx, err := layer.BackwardBatch(ctx, upstream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +86,13 @@ func gradCheck(t *testing.T, layer Layer, x *tensor.Tensor, tol float64) {
 		for i := 0; i < n; i += step {
 			orig := value.Data()[i]
 			value.Data()[i] = orig + h
-			o1, err := layer.Forward(ctx, x)
+			o1, err := layer.ForwardBatch(ctx, x)
 			if err != nil {
 				t.Fatal(err)
 			}
 			f1 := dotAll(t, o1, upstream)
 			value.Data()[i] = orig - h
-			o2, err := layer.Forward(ctx, x)
+			o2, err := layer.ForwardBatch(ctx, x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,15 +103,11 @@ func gradCheck(t *testing.T, layer Layer, x *tensor.Tensor, tol float64) {
 			ana := float64(analytic.Data()[i])
 			scale := math.Max(1, math.Max(math.Abs(num), math.Abs(ana)))
 			if math.Abs(num-ana)/scale > tol {
-				t.Errorf("%s grad[%d]: analytic %v vs numeric %v", name, i, ana, num)
+				t.Errorf("%s (batch %d) grad[%d]: analytic %v vs numeric %v", name, x.Dim(0), i, ana, num)
 			}
 		}
 	}
 	checkTensor("input", x, dx)
-	// Restore the forward cache, then check parameters.
-	if _, err := layer.Forward(ctx, x); err != nil {
-		t.Fatal(err)
-	}
 	for _, p := range layer.Params() {
 		checkTensor(p.Name, p.Value, p.Grad)
 	}
@@ -90,7 +123,7 @@ func TestConvForwardIdentityKernel(t *testing.T) {
 	c.Weight().Fill(1) // 1×1 kernel of 1 = identity
 	c.Bias().Fill(0)
 	x := tensor.MustFromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
-	out, err := c.Forward(ctx, x)
+	out, err := forward1(ctx, c, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +147,7 @@ func TestConvForwardKnownValues(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	}, 1, 3, 3)
-	out, err := c.Forward(ctx, x)
+	out, err := forward1(ctx, c, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +168,7 @@ func TestConvStridePad(t *testing.T) {
 	}
 	x := tensor.MustNew(2, 7, 7)
 	x.FillUniform(rng, -1, 1)
-	out, err := c.Forward(ctx, x)
+	out, err := forward1(ctx, c, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +179,7 @@ func TestConvStridePad(t *testing.T) {
 }
 
 func TestConvValidation(t *testing.T) {
-	ctx := NewContext()
+	ctx := trainCtx()
 	rng := rand.New(rand.NewSource(4))
 	if _, err := NewConv2D("c", 0, 1, 3, 1, 0, rng); err == nil {
 		t.Error("zero in-channels should fail")
@@ -164,19 +197,19 @@ func TestConvValidation(t *testing.T) {
 		t.Error("nil rng should fail")
 	}
 	c, _ := NewConv2D("c", 2, 1, 3, 1, 0, rng)
-	if _, err := c.Forward(ctx, tensor.MustNew(3, 5, 5)); err == nil {
+	if _, err := forward1(ctx, c, tensor.MustNew(3, 5, 5)); err == nil {
 		t.Error("channel mismatch should fail")
 	}
-	if _, err := c.Forward(ctx, tensor.MustNew(2, 2, 2)); err == nil {
+	if _, err := forward1(ctx, c, tensor.MustNew(2, 2, 2)); err == nil {
 		t.Error("too-small input should fail")
 	}
-	if _, err := c.Backward(ctx, tensor.MustNew(1, 1, 1)); err == nil {
+	if _, err := backward1(ctx, c, tensor.MustNew(1, 1, 1)); err == nil {
 		t.Error("backward before forward should fail")
 	}
-	if _, err := c.Forward(ctx, tensor.MustNew(2, 5, 5)); err != nil {
+	if _, err := forward1(ctx, c, tensor.MustNew(2, 5, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Backward(ctx, tensor.MustNew(9, 9, 9)); err == nil {
+	if _, err := backward1(ctx, c, tensor.MustNew(9, 9, 9)); err == nil {
 		t.Error("wrong gradient shape should fail")
 	}
 }
@@ -187,9 +220,11 @@ func TestConvGradCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.MustNew(2, 6, 6)
-	x.FillUniform(rng, -1, 1)
-	gradCheck(t, c, x, 5e-2)
+	for _, n := range []int{1, 3} {
+		x := tensor.MustNew(n, 2, 6, 6)
+		x.FillUniform(rng, -1, 1)
+		gradCheck(t, c, x, 5e-2)
+	}
 }
 
 func TestConvAccessors(t *testing.T) {
@@ -204,7 +239,7 @@ func TestConvAccessors(t *testing.T) {
 }
 
 func TestMaxPool(t *testing.T) {
-	ctx := NewContext()
+	ctx := trainCtx()
 	p, err := NewMaxPool2D("p", 2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +250,7 @@ func TestMaxPool(t *testing.T) {
 		-1, -2, 0, 0,
 		-3, -4, 0, 9,
 	}, 1, 4, 4)
-	out, err := p.Forward(ctx, x)
+	out, err := forward1(ctx, p, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +262,7 @@ func TestMaxPool(t *testing.T) {
 	}
 	// Backward routes to argmax.
 	g := tensor.MustFromSlice([]float32{10, 20, 30, 40}, 1, 2, 2)
-	dx, err := p.Backward(ctx, g)
+	dx, err := backward1(ctx, p, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +275,7 @@ func TestMaxPool(t *testing.T) {
 }
 
 func TestMaxPoolValidation(t *testing.T) {
-	ctx := NewContext()
+	ctx := trainCtx()
 	if _, err := NewMaxPool2D("p", 0, 1); err == nil {
 		t.Error("window 0 should fail")
 	}
@@ -248,22 +283,22 @@ func TestMaxPoolValidation(t *testing.T) {
 		t.Error("stride 0 should fail")
 	}
 	p, _ := NewMaxPool2D("p", 3, 2)
-	if _, err := p.Forward(ctx, tensor.MustNew(4)); err == nil {
+	if _, err := forward1(ctx, p, tensor.MustNew(4)); err == nil {
 		t.Error("rank-1 input should fail")
 	}
-	if _, err := p.Forward(ctx, tensor.MustNew(1, 2, 2)); err == nil {
+	if _, err := forward1(ctx, p, tensor.MustNew(1, 2, 2)); err == nil {
 		t.Error("too-small input should fail")
 	}
-	if _, err := p.Backward(ctx, tensor.MustNew(1, 1, 1)); err == nil {
+	if _, err := backward1(ctx, p, tensor.MustNew(1, 1, 1)); err == nil {
 		t.Error("backward before forward should fail")
 	}
 }
 
 func TestReLU(t *testing.T) {
-	ctx := NewContext()
+	ctx := trainCtx()
 	r := NewReLU("r")
 	x := tensor.MustFromSlice([]float32{-1, 0, 2}, 3)
-	out, err := r.Forward(ctx, x)
+	out, err := forward1(ctx, r, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +309,7 @@ func TestReLU(t *testing.T) {
 		t.Error("relu must not mutate its input")
 	}
 	g := tensor.MustFromSlice([]float32{5, 5, 5}, 3)
-	dx, err := r.Backward(ctx, g)
+	dx, err := backward1(ctx, r, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,19 +317,19 @@ func TestReLU(t *testing.T) {
 		t.Errorf("relu backward = %v", dx.Data())
 	}
 	r2 := NewReLU("r2")
-	if _, err := r2.Backward(ctx, g); err == nil {
+	if _, err := backward1(ctx, r2, g); err == nil {
 		t.Error("backward before forward should fail")
 	}
-	if _, err := r.Backward(ctx, tensor.MustNew(5)); err == nil {
+	if _, err := backward1(ctx, r, tensor.MustNew(5)); err == nil {
 		t.Error("wrong gradient length should fail")
 	}
 }
 
 func TestFlatten(t *testing.T) {
-	ctx := NewContext()
+	ctx := trainCtx()
 	f := NewFlatten("f")
 	x := tensor.MustNew(2, 3, 4)
-	out, err := f.Forward(ctx, x)
+	out, err := forward1(ctx, f, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +337,7 @@ func TestFlatten(t *testing.T) {
 		t.Errorf("flatten shape %v", out.Shape())
 	}
 	g := tensor.MustNew(24)
-	dx, err := f.Backward(ctx, g)
+	dx, err := backward1(ctx, f, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +345,7 @@ func TestFlatten(t *testing.T) {
 		t.Errorf("unflatten shape %v", dx.Shape())
 	}
 	f2 := NewFlatten("f2")
-	if _, err := f2.Backward(ctx, g); err == nil {
+	if _, err := backward1(ctx, f2, g); err == nil {
 		t.Error("backward before forward should fail")
 	}
 }
@@ -325,7 +360,7 @@ func TestDenseForwardKnown(t *testing.T) {
 	copy(d.Weight().Data(), []float32{1, 2, 3, 4})
 	copy(d.Bias().Data(), []float32{10, 20})
 	x := tensor.MustFromSlice([]float32{1, 1}, 2)
-	out, err := d.Forward(ctx, x)
+	out, err := forward1(ctx, d, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,13 +375,15 @@ func TestDenseGradCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.MustNew(6)
-	x.FillUniform(rng, -1, 1)
-	gradCheck(t, d, x, 5e-2)
+	for _, n := range []int{1, 3} {
+		x := tensor.MustNew(n, 6)
+		x.FillUniform(rng, -1, 1)
+		gradCheck(t, d, x, 5e-2)
+	}
 }
 
 func TestDenseValidation(t *testing.T) {
-	ctx := NewContext()
+	ctx := trainCtx()
 	rng := rand.New(rand.NewSource(9))
 	if _, err := NewDense("d", 0, 1, rng); err == nil {
 		t.Error("zero input dim should fail")
@@ -355,16 +392,16 @@ func TestDenseValidation(t *testing.T) {
 		t.Error("nil rng should fail")
 	}
 	d, _ := NewDense("d", 3, 2, rng)
-	if _, err := d.Forward(ctx, tensor.MustNew(4)); err == nil {
+	if _, err := forward1(ctx, d, tensor.MustNew(4)); err == nil {
 		t.Error("wrong input length should fail")
 	}
-	if _, err := d.Backward(ctx, tensor.MustNew(2)); err == nil {
+	if _, err := backward1(ctx, d, tensor.MustNew(2)); err == nil {
 		t.Error("backward before forward should fail")
 	}
-	if _, err := d.Forward(ctx, tensor.MustNew(3)); err != nil {
+	if _, err := forward1(ctx, d, tensor.MustNew(3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Backward(ctx, tensor.MustNew(3)); err == nil {
+	if _, err := backward1(ctx, d, tensor.MustNew(3)); err == nil {
 		t.Error("wrong gradient length should fail")
 	}
 }
@@ -378,7 +415,7 @@ func TestLRNForwardKnown(t *testing.T) {
 	// Single pixel, 2 channels, window 3 (half=1), k=1, α=1, β=1, n=3:
 	// denom_0 = 1 + (1/3)(x0²+x1²), y_0 = x0/denom_0.
 	x := tensor.MustFromSlice([]float32{3, 4}, 2, 1, 1)
-	out, err := l.Forward(ctx, x)
+	out, err := forward1(ctx, l, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,13 +431,15 @@ func TestLRNForwardKnown(t *testing.T) {
 func TestLRNGradCheck(t *testing.T) {
 	l := NewAlexNetLRN("l")
 	rng := rand.New(rand.NewSource(10))
-	x := tensor.MustNew(7, 3, 3)
-	x.FillUniform(rng, -2, 2)
-	gradCheck(t, l, x, 5e-2)
+	for _, n := range []int{1, 3} {
+		x := tensor.MustNew(n, 7, 3, 3)
+		x.FillUniform(rng, -2, 2)
+		gradCheck(t, l, x, 5e-2)
+	}
 }
 
 func TestLRNValidation(t *testing.T) {
-	ctx := NewContext()
+	ctx := trainCtx()
 	if _, err := NewLRN("l", 0, 1, 1, 1); err == nil {
 		t.Error("window 0 should fail")
 	}
@@ -411,16 +450,16 @@ func TestLRNValidation(t *testing.T) {
 		t.Error("zero beta should fail")
 	}
 	l := NewAlexNetLRN("l")
-	if _, err := l.Forward(ctx, tensor.MustNew(4)); err == nil {
+	if _, err := forward1(ctx, l, tensor.MustNew(4)); err == nil {
 		t.Error("rank-1 input should fail")
 	}
-	if _, err := l.Backward(ctx, tensor.MustNew(1, 1, 1)); err == nil {
+	if _, err := backward1(ctx, l, tensor.MustNew(1, 1, 1)); err == nil {
 		t.Error("backward before forward should fail")
 	}
-	if _, err := l.Forward(ctx, tensor.MustNew(2, 2, 2)); err != nil {
+	if _, err := forward1(ctx, l, tensor.MustNew(2, 2, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Backward(ctx, tensor.MustNew(3, 2, 2)); err == nil {
+	if _, err := backward1(ctx, l, tensor.MustNew(3, 2, 2)); err == nil {
 		t.Error("wrong gradient shape should fail")
 	}
 }
@@ -435,7 +474,7 @@ func TestDropout(t *testing.T) {
 	x := tensor.MustNew(1000)
 	x.Fill(1)
 	// Inference: identity.
-	out, err := d.Forward(ctx, x)
+	out, err := forward1(ctx, d, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +483,7 @@ func TestDropout(t *testing.T) {
 	}
 	g := tensor.MustNew(1000)
 	g.Fill(1)
-	dg, err := d.Backward(ctx, g)
+	dg, err := backward1(ctx, d, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +492,7 @@ func TestDropout(t *testing.T) {
 	}
 	// Training: ~half dropped, survivors scaled ×2, expectation preserved.
 	ctx.SetTraining(true)
-	out, err = d.Forward(ctx, x)
+	out, err = forward1(ctx, d, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +510,7 @@ func TestDropout(t *testing.T) {
 	if m := out.Mean(); math.Abs(m-1) > 0.15 {
 		t.Errorf("dropout mean = %v, want ~1 (inverted scaling)", m)
 	}
-	dg, err = d.Backward(ctx, g)
+	dg, err = backward1(ctx, d, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,8 +528,8 @@ func TestDropout(t *testing.T) {
 }
 
 func TestCrossEntropyLoss(t *testing.T) {
-	logits := tensor.MustFromSlice([]float32{0, 0, 0}, 3)
-	loss, grad, err := CrossEntropyLoss(logits, 1)
+	logits := tensor.MustFromSlice([]float32{0, 0, 0}, 1, 3)
+	loss, grad, err := CrossEntropyLossBatch(logits, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,11 +551,11 @@ func TestCrossEntropyLoss(t *testing.T) {
 	if math.Abs(sum) > 1e-6 {
 		t.Errorf("gradient sum = %v, want 0", sum)
 	}
-	if _, _, err := CrossEntropyLoss(logits, 5); err == nil {
+	if _, _, err := CrossEntropyLossBatch(logits, []int{5}); err == nil {
 		t.Error("out-of-range label should fail")
 	}
-	if _, _, err := CrossEntropyLoss(tensor.MustNew(2, 2), 0); err == nil {
-		t.Error("rank-2 logits should fail")
+	if _, _, err := CrossEntropyLossBatch(tensor.MustNew(3), []int{0}); err == nil {
+		t.Error("rank-1 logits should fail")
 	}
 }
 
@@ -534,7 +573,7 @@ func TestSoftmaxHelper(t *testing.T) {
 }
 
 func TestSequentialWiring(t *testing.T) {
-	ctx := NewContext()
+	ctx := trainCtx()
 	rng := rand.New(rand.NewSource(12))
 	net, err := NewMicroAlexNet(MicroConfig{
 		InputSize: 16, Conv1Filters: 4, Conv1Kernel: 3, Conv2Filters: 4,
@@ -545,14 +584,18 @@ func TestSequentialWiring(t *testing.T) {
 	}
 	x := tensor.MustNew(3, 16, 16)
 	x.FillUniform(rng, 0, 1)
-	logits, err := net.Forward(ctx, x)
+	logits, err := forward1(ctx, net, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if logits.Rank() != 1 || logits.Len() != 3 {
 		t.Fatalf("logits shape %v", logits.Shape())
 	}
-	loss, grad, err := CrossEntropyLoss(logits, 0)
+	row, err := tensor.Pack([]*tensor.Tensor{logits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss, grad, err := CrossEntropyLossBatch(row, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,12 +603,12 @@ func TestSequentialWiring(t *testing.T) {
 		t.Errorf("loss = %v, want > 0", loss)
 	}
 	net.ZeroGrads()
-	dx, err := net.Backward(ctx, grad)
+	dx, err := net.BackwardBatch(ctx, grad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dx.SameShape(x) {
-		t.Errorf("input gradient shape %v", dx.Shape())
+	if dx0, err := dx.Sample(0); err != nil || dx.Dim(0) != 1 || !dx0.SameShape(x) {
+		t.Errorf("input gradient shape %v (%v)", dx.Shape(), err)
 	}
 	// Some parameter gradient must be nonzero.
 	nonzero := false
@@ -609,7 +652,7 @@ func TestSequentialForwardFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := conv.Forward(ctx, x)
+	mid, err := forward1(ctx, conv, x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// MaxPool2D is a max-pooling layer over CHW inputs. AlexNet uses overlapping
+// MaxPool2D is a max-pooling layer over NCHW batches. AlexNet uses overlapping
 // 3×3/stride-2 pooling; the micro networks use 2×2/stride-2.
 type MaxPool2D struct {
 	name   string
@@ -15,19 +15,13 @@ type MaxPool2D struct {
 	stride int
 }
 
-// poolState is the per-context forward cache; the b-prefixed fields are the
-// batch cache of a training-mode ForwardBatch, disjoint from the per-sample
-// fields so interleaved passes never clobber each other.
+// poolState is the per-context forward cache of the last training-mode
+// ForwardBatch.
 type poolState struct {
 	lastShape  []int
-	argmax     []int // linear input index of each output's max
-	outC       int
+	argmax     []int // linear index into the packed input batch of each output's max
+	n, c       int
 	outH, outW int
-
-	bLastShape   []int
-	bargmax      []int // batch-wide argmax (training contexts only)
-	bN, bC       int
-	boutH, boutW int
 }
 
 var _ Layer = (*MaxPool2D)(nil)
@@ -49,44 +43,47 @@ func (p *MaxPool2D) Name() string { return p.name }
 // Params implements Layer.
 func (p *MaxPool2D) Params() []*Param { return nil }
 
-// Forward implements Layer.
-func (p *MaxPool2D) Forward(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
+// ForwardBatch implements Layer over an NCHW batch. Pooling is independent
+// per (sample, channel) plane, so the pass sweeps all N·C planes of the
+// packed batch. In training contexts each output's argmax (an absolute
+// index into the packed batch) is cached for BackwardBatch; inference
+// contexts cache nothing.
+func (p *MaxPool2D) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("nn: pool %q forward needs a context", p.name)
 	}
-	if x.Rank() != 3 {
-		return nil, fmt.Errorf("nn: pool %q wants CHW input, got %v", p.name, x.Shape())
+	if x.Rank() != 4 {
+		return nil, fmt.Errorf("nn: pool %q wants NCHW batch, got %v", p.name, x.Shape())
 	}
-	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	if h < p.k || w < p.k {
 		return nil, fmt.Errorf("nn: pool %q window %d does not fit input %dx%d", p.name, p.k, h, w)
 	}
 	outH := (h-p.k)/p.stride + 1
 	outW := (w-p.k)/p.stride + 1
-	if outH < 1 || outW < 1 {
-		return nil, fmt.Errorf("nn: pool %q window %d does not fit input %dx%d", p.name, p.k, h, w)
-	}
-	st := ctx.state(p, func() any { return &poolState{} }).(*poolState)
-	st.lastShape = x.Shape()
-	st.outC, st.outH, st.outW = c, outH, outW
-	out := tensor.MustNew(c, outH, outW)
-	if cap(st.argmax) >= c*outH*outW {
-		st.argmax = st.argmax[:c*outH*outW]
-	} else {
-		st.argmax = make([]int, c*outH*outW)
-	}
+	out := tensor.MustNew(n, c, outH, outW)
 	in, od := x.Data(), out.Data()
-	for ch := 0; ch < c; ch++ {
-		p.poolPlane(in, od, st.argmax, ch*h*w, ch*outH*outW, w, outH, outW)
+	st := ctx.state(p, func() any { return &poolState{} }).(*poolState)
+	if ctx.Training() {
+		if cap(st.argmax) >= n*c*outH*outW {
+			st.argmax = st.argmax[:n*c*outH*outW]
+		} else {
+			st.argmax = make([]int, n*c*outH*outW)
+		}
+		st.lastShape = x.Shape()
+		st.n, st.c, st.outH, st.outW = n, c, outH, outW
+	} else {
+		st.argmax = nil
+	}
+	for plane := 0; plane < n*c; plane++ {
+		p.poolPlane(in, od, st.argmax, plane*h*w, plane*outH*outW, w, outH, outW)
 	}
 	return out, nil
 }
 
 // poolPlane sweeps the max window over one (h, w) plane starting at pBase
-// of in, writing outputs from oBase of out — the per-plane kernel shared by
-// the per-sample and batched passes, so their window semantics cannot
-// drift. argmax, when non-nil, receives each output's linear input index
-// (absolute in in) for Backward.
+// of in, writing outputs from oBase of out. argmax, when non-nil, receives
+// each output's linear input index (absolute in in) for BackwardBatch.
 func (p *MaxPool2D) poolPlane(in, out []float32, argmax []int, pBase, oBase, w, outH, outW int) {
 	for oy := 0; oy < outH; oy++ {
 		for ox := 0; ox < outW; ox++ {
@@ -111,85 +108,24 @@ func (p *MaxPool2D) poolPlane(in, out []float32, argmax []int, pBase, oBase, w, 
 	}
 }
 
-// ForwardBatch implements Layer over an NCHW batch. Pooling is independent
-// per (sample, channel) plane, so the batched pass sweeps all N·C planes of
-// the packed batch in one pass. In training contexts the batch-wide argmax
-// (absolute indices into the packed batch) is cached for BackwardBatch;
-// inference contexts cache nothing.
-func (p *MaxPool2D) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx == nil {
-		return nil, fmt.Errorf("nn: pool %q batched forward needs a context", p.name)
-	}
-	if x.Rank() != 4 {
-		return nil, fmt.Errorf("nn: pool %q wants NCHW batch, got %v", p.name, x.Shape())
-	}
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	if h < p.k || w < p.k {
-		return nil, fmt.Errorf("nn: pool %q window %d does not fit input %dx%d", p.name, p.k, h, w)
-	}
-	outH := (h-p.k)/p.stride + 1
-	outW := (w-p.k)/p.stride + 1
-	out := tensor.MustNew(n, c, outH, outW)
-	in, od := x.Data(), out.Data()
-	var bargmax []int
-	st := ctx.state(p, func() any { return &poolState{} }).(*poolState)
-	if ctx.Training() {
-		if cap(st.bargmax) >= n*c*outH*outW {
-			st.bargmax = st.bargmax[:n*c*outH*outW]
-		} else {
-			st.bargmax = make([]int, n*c*outH*outW)
-		}
-		st.bLastShape = x.Shape()
-		st.bN, st.bC, st.boutH, st.boutW = n, c, outH, outW
-		bargmax = st.bargmax
-	} else {
-		st.bargmax = nil
-	}
-	for plane := 0; plane < n*c; plane++ {
-		p.poolPlane(in, od, bargmax, plane*h*w, plane*outH*outW, w, outH, outW)
-	}
-	return out, nil
-}
-
-// Backward implements Layer: the gradient routes to each window's argmax.
-func (p *MaxPool2D) Backward(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
+// BackwardBatch implements Layer: the batch gradient routes to each
+// window's cached argmax, which is already absolute in the packed batch.
+func (p *MaxPool2D) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("nn: pool %q backward needs a context", p.name)
 	}
 	st, ok := ctx.states[p].(*poolState)
 	if !ok || st.argmax == nil {
-		return nil, fmt.Errorf("nn: pool %q backward before forward", p.name)
+		return nil, fmt.Errorf("nn: pool %q backward before training-mode forward", p.name)
 	}
-	if grad.Rank() != 3 || grad.Dim(0) != st.outC || grad.Dim(1) != st.outH || grad.Dim(2) != st.outW {
-		return nil, fmt.Errorf("nn: pool %q wants (%d,%d,%d) gradient, got %v",
-			p.name, st.outC, st.outH, st.outW, grad.Shape())
+	if grad.Rank() != 4 || grad.Dim(0) != st.n || grad.Dim(1) != st.c ||
+		grad.Dim(2) != st.outH || grad.Dim(3) != st.outW {
+		return nil, fmt.Errorf("nn: pool %q wants (%d,%d,%d,%d) gradient, got %v",
+			p.name, st.n, st.c, st.outH, st.outW, grad.Shape())
 	}
 	dx := tensor.MustNew(st.lastShape...)
 	dxd, g := dx.Data(), grad.Data()
 	for i, src := range st.argmax {
-		dxd[src] += g[i]
-	}
-	return dx, nil
-}
-
-// BackwardBatch implements Layer: the batch gradient routes to each
-// window's cached argmax, which is already absolute in the packed batch.
-func (p *MaxPool2D) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx == nil {
-		return nil, fmt.Errorf("nn: pool %q batched backward needs a context", p.name)
-	}
-	st, ok := ctx.states[p].(*poolState)
-	if !ok || st.bargmax == nil {
-		return nil, fmt.Errorf("nn: pool %q batched backward before training-mode batched forward", p.name)
-	}
-	if grad.Rank() != 4 || grad.Dim(0) != st.bN || grad.Dim(1) != st.bC ||
-		grad.Dim(2) != st.boutH || grad.Dim(3) != st.boutW {
-		return nil, fmt.Errorf("nn: pool %q wants (%d,%d,%d,%d) gradient, got %v",
-			p.name, st.bN, st.bC, st.boutH, st.boutW, grad.Shape())
-	}
-	dx := tensor.MustNew(st.bLastShape...)
-	dxd, g := dx.Data(), grad.Data()
-	for i, src := range st.bargmax {
 		dxd[src] += g[i]
 	}
 	return dx, nil
@@ -200,11 +136,10 @@ type ReLU struct {
 	name string
 }
 
-// reluState is the per-context activation mask; mask serves per-sample
-// Backward, bmask the batched pass.
+// reluState is the per-context activation mask of the last training-mode
+// ForwardBatch.
 type reluState struct {
-	mask  []bool
-	bmask []bool // batch-wide mask (training contexts only)
+	mask []bool
 }
 
 var _ Layer = (*ReLU)(nil)
@@ -218,14 +153,26 @@ func (r *ReLU) Name() string { return r.name }
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
 
-// Forward implements Layer.
-func (r *ReLU) Forward(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
+// ForwardBatch implements Layer: ReLU is element-wise, so the pass is one
+// clamp sweep over the packed batch (non-positive AND NaN clamp to 0). In
+// training contexts the activation mask is cached for BackwardBatch;
+// inference contexts cache nothing.
+func (r *ReLU) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("nn: relu %q forward needs a context", r.name)
 	}
 	st := ctx.state(r, func() any { return &reluState{} }).(*reluState)
 	out := x.Clone()
 	d := out.Data()
+	if !ctx.Training() {
+		st.mask = nil
+		for i, v := range d {
+			if !(v > 0) {
+				d[i] = 0
+			}
+		}
+		return out, nil
+	}
 	if cap(st.mask) >= len(d) {
 		st.mask = st.mask[:len(d)]
 	} else {
@@ -242,50 +189,15 @@ func (r *ReLU) Forward(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// ForwardBatch implements Layer: ReLU is element-wise, so the batched pass
-// is one clamp sweep over the packed batch. In training contexts the
-// batch-wide activation mask is cached for BackwardBatch; inference
-// contexts cache nothing.
-func (r *ReLU) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx == nil {
-		return nil, fmt.Errorf("nn: relu %q batched forward needs a context", r.name)
-	}
-	st := ctx.state(r, func() any { return &reluState{} }).(*reluState)
-	out := x.Clone()
-	d := out.Data()
-	if ctx.Training() {
-		if cap(st.bmask) >= len(d) {
-			st.bmask = st.bmask[:len(d)]
-		} else {
-			st.bmask = make([]bool, len(d))
-		}
-		for i, v := range d {
-			if v > 0 {
-				st.bmask[i] = true
-			} else {
-				st.bmask[i] = false
-				d[i] = 0
-			}
-		}
-		return out, nil
-	}
-	st.bmask = nil
-	for i, v := range d {
-		if !(v > 0) { // matches Forward: non-positive AND NaN clamp to 0
-			d[i] = 0
-		}
-	}
-	return out, nil
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
+// BackwardBatch implements Layer: the batch gradient gates on the cached
+// activation mask.
+func (r *ReLU) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("nn: relu %q backward needs a context", r.name)
 	}
 	st, ok := ctx.states[r].(*reluState)
 	if !ok || st.mask == nil {
-		return nil, fmt.Errorf("nn: relu %q backward before forward", r.name)
+		return nil, fmt.Errorf("nn: relu %q backward before training-mode forward", r.name)
 	}
 	if grad.Len() != len(st.mask) {
 		return nil, fmt.Errorf("nn: relu %q gradient length %d != cached %d",
@@ -301,40 +213,15 @@ func (r *ReLU) Backward(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, erro
 	return dx, nil
 }
 
-// BackwardBatch implements Layer: the batch gradient gates on the cached
-// batch-wide activation mask.
-func (r *ReLU) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx == nil {
-		return nil, fmt.Errorf("nn: relu %q batched backward needs a context", r.name)
-	}
-	st, ok := ctx.states[r].(*reluState)
-	if !ok || st.bmask == nil {
-		return nil, fmt.Errorf("nn: relu %q batched backward before training-mode batched forward", r.name)
-	}
-	if grad.Len() != len(st.bmask) {
-		return nil, fmt.Errorf("nn: relu %q batch gradient length %d != cached %d",
-			r.name, grad.Len(), len(st.bmask))
-	}
-	dx := grad.Clone()
-	d := dx.Data()
-	for i, on := range st.bmask {
-		if !on {
-			d[i] = 0
-		}
-	}
-	return dx, nil
-}
-
-// Flatten reshapes a CHW tensor to a flat vector.
+// Flatten reshapes each sample of a batch to a flat vector.
 type Flatten struct {
 	name string
 }
 
-// flattenState is the per-context shape cache; dims serves per-sample
-// Backward, bdims the batched pass.
+// flattenState is the per-context input-shape cache of the last
+// training-mode ForwardBatch.
 type flattenState struct {
-	dims  []int
-	bdims []int // batch input shape (training contexts only)
+	dims []int
 }
 
 var _ Layer = (*Flatten)(nil)
@@ -348,59 +235,37 @@ func (f *Flatten) Name() string { return f.name }
 // Params implements Layer.
 func (f *Flatten) Params() []*Param { return nil }
 
-// Forward implements Layer.
-func (f *Flatten) Forward(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx == nil {
-		return nil, fmt.Errorf("nn: flatten %q forward needs a context", f.name)
-	}
-	st := ctx.state(f, func() any { return &flattenState{} }).(*flattenState)
-	st.dims = x.Shape()
-	return x.Reshape(x.Len())
-}
-
 // ForwardBatch implements Layer: an (N, C, H, W) batch reshapes to
 // (N, C·H·W), one flat row per sample (a view, no copy). In training
 // contexts the input shape is cached so BackwardBatch can reverse it.
 func (f *Flatten) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
-		return nil, fmt.Errorf("nn: flatten %q batched forward needs a context", f.name)
+		return nil, fmt.Errorf("nn: flatten %q forward needs a context", f.name)
 	}
 	if x.Rank() < 2 {
 		return nil, fmt.Errorf("nn: flatten %q wants a batch of rank >= 2, got %v", f.name, x.Shape())
 	}
 	st := ctx.state(f, func() any { return &flattenState{} }).(*flattenState)
 	if ctx.Training() {
-		st.bdims = x.Shape()
+		st.dims = x.Shape()
 	} else {
-		st.bdims = nil
+		st.dims = nil
 	}
 	n := x.Dim(0)
 	return x.Reshape(n, x.Len()/n)
-}
-
-// Backward implements Layer.
-func (f *Flatten) Backward(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx == nil {
-		return nil, fmt.Errorf("nn: flatten %q backward needs a context", f.name)
-	}
-	st, ok := ctx.states[f].(*flattenState)
-	if !ok || st.dims == nil {
-		return nil, fmt.Errorf("nn: flatten %q backward before forward", f.name)
-	}
-	return grad.Reshape(st.dims...)
 }
 
 // BackwardBatch implements Layer: the batch gradient reshapes back to the
 // cached batch input shape (a view, no copy).
 func (f *Flatten) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
-		return nil, fmt.Errorf("nn: flatten %q batched backward needs a context", f.name)
+		return nil, fmt.Errorf("nn: flatten %q backward needs a context", f.name)
 	}
 	st, ok := ctx.states[f].(*flattenState)
-	if !ok || st.bdims == nil {
-		return nil, fmt.Errorf("nn: flatten %q batched backward before training-mode batched forward", f.name)
+	if !ok || st.dims == nil {
+		return nil, fmt.Errorf("nn: flatten %q backward before training-mode forward", f.name)
 	}
-	return grad.Reshape(st.bdims...)
+	return grad.Reshape(st.dims...)
 }
 
 // Kernel returns the pooling window side.

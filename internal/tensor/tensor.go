@@ -274,6 +274,17 @@ func Stack(ts []*Tensor) (*Tensor, error) {
 	return out, nil
 }
 
+// Pack is Stack without the copy when there is nothing to interleave: one
+// tensor becomes a (1, d₀, …) view that SHARES its storage, two or more are
+// Stacked. It is how a single sample enters the batch-native forward path
+// as a batch of one.
+func Pack(ts []*Tensor) (*Tensor, error) {
+	if len(ts) == 1 && ts[0] != nil {
+		return ts[0].Reshape(append([]int{1}, ts[0].shape...)...)
+	}
+	return Stack(ts)
+}
+
 // Sample returns a rank-(r−1) view of sample i of a batched tensor (leading
 // dimension = batch). The view shares storage with t.
 func (t *Tensor) Sample(i int) (*Tensor, error) {

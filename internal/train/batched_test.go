@@ -53,12 +53,12 @@ func batchGrads(t *testing.T, subBatch, workers int) []float64 {
 	return out
 }
 
-// TestBatchedGradientsMatchPerSample: one mini-batch through the batched
-// backward path (whole-shard and capped sub-batches) must accumulate the
-// same canonical gradients as the per-sample path, up to floating-point
-// summation order.
-func TestBatchedGradientsMatchPerSample(t *testing.T) {
-	want := batchGrads(t, 1, 1) // legacy per-sample path
+// TestBatchedGradientsMatchBatchesOfOne: one mini-batch through whole-shard
+// and capped sub-batches must accumulate the same canonical gradients as
+// SubBatch=1 (batches of one through the same ForwardBatch/BackwardBatch),
+// up to floating-point summation order.
+func TestBatchedGradientsMatchBatchesOfOne(t *testing.T) {
+	want := batchGrads(t, 1, 1)
 	for _, subBatch := range []int{0, 2, 3, 8} {
 		got := batchGrads(t, subBatch, 1)
 		if len(got) != len(want) {
@@ -66,7 +66,7 @@ func TestBatchedGradientsMatchPerSample(t *testing.T) {
 		}
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > 1e-4 {
-				t.Fatalf("subbatch=%d: grad[%d] = %v, per-sample %v", subBatch, i, got[i], want[i])
+				t.Fatalf("subbatch=%d: grad[%d] = %v, batches of one %v", subBatch, i, got[i], want[i])
 			}
 		}
 	}
@@ -114,21 +114,21 @@ func fitLosses(t *testing.T, subBatch int) []float64 {
 	return losses
 }
 
-// TestFitLossTrajectoryBatchedVsPerSample: end-to-end Trainer.Fit must walk
-// the same loss trajectory in batched and per-sample mode. The runs share
-// seeds and update rule; only float32 summation order differs, and the
-// divergence compounds through the optimiser, so the tolerance is loose
-// relative to the per-step 1e-5 gradient equivalence.
-func TestFitLossTrajectoryBatchedVsPerSample(t *testing.T) {
+// TestFitLossTrajectoryAcrossSubBatch: end-to-end Trainer.Fit must walk the
+// same loss trajectory with whole-shard batches and with batches of one. The
+// runs share seeds and update rule; only float32 summation order differs,
+// and the divergence compounds through the optimiser, so the tolerance is
+// loose relative to the per-step 1e-5 gradient equivalence.
+func TestFitLossTrajectoryAcrossSubBatch(t *testing.T) {
 	batched := fitLosses(t, 0)
-	perSample := fitLosses(t, 1)
-	if len(batched) != len(perSample) {
-		t.Fatalf("epoch counts differ: %d vs %d", len(batched), len(perSample))
+	ones := fitLosses(t, 1)
+	if len(batched) != len(ones) {
+		t.Fatalf("epoch counts differ: %d vs %d", len(batched), len(ones))
 	}
 	for e := range batched {
-		if d := math.Abs(batched[e] - perSample[e]); d > 1e-2 {
-			t.Fatalf("epoch %d: batched loss %v vs per-sample %v (diff %v)",
-				e, batched[e], perSample[e], d)
+		if d := math.Abs(batched[e] - ones[e]); d > 1e-2 {
+			t.Fatalf("epoch %d: whole-shard loss %v vs batches of one %v (diff %v)",
+				e, batched[e], ones[e], d)
 		}
 	}
 	if last := batched[len(batched)-1]; !(last < batched[0]) {
@@ -136,13 +136,12 @@ func TestFitLossTrajectoryBatchedVsPerSample(t *testing.T) {
 	}
 }
 
-// TestBatchedMixedShapeFallback: a sub-batch whose images disagree in shape
-// cannot stack, so the batched path must fall back to per-sample — and
-// therefore fail (or succeed) EXACTLY as per-sample mode does. Here the odd
-// shape breaks the dense layer in both modes; the errors must match, proving
-// the fallback reached the per-sample code path rather than dying in Stack.
-func TestBatchedMixedShapeFallback(t *testing.T) {
-	run := func(subBatch int) error {
+// TestMixedShapeDatasetRejected: a training set is one shape. A sub-batch
+// whose images disagree cannot pack and reports the offending sample; with
+// batches of one the odd image reaches the network, whose dense layer
+// rejects it. Either way Fit fails instead of training on a subset.
+func TestMixedShapeDatasetRejected(t *testing.T) {
+	for _, subBatch := range []int{0, 1} {
 		ds := tinyDataset(t, 2, 5)
 		// One odd-shaped sample: conv accepts it, flatten+dense reject it.
 		odd := tensor.MustNew(3, 20, 20)
@@ -158,16 +157,9 @@ func TestBatchedMixedShapeFallback(t *testing.T) {
 		}
 		tr := &Trainer{Net: net, Opt: opt, BatchSize: ds.Len(), Epochs: 1, SubBatch: subBatch,
 			Rng: rand.New(rand.NewSource(2))}
-		_, err = tr.Fit(ds)
-		return err
-	}
-	batched := run(0)
-	perSample := run(1)
-	if batched == nil || perSample == nil {
-		t.Fatalf("mixed-shape training succeeded: batched %v, per-sample %v", batched, perSample)
-	}
-	if batched.Error() != perSample.Error() {
-		t.Fatalf("fallback diverged from per-sample: %q vs %q", batched, perSample)
+		if _, err := tr.Fit(ds); err == nil {
+			t.Fatalf("subbatch=%d: mixed-shape training succeeded", subBatch)
+		}
 	}
 }
 

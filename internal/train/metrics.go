@@ -128,9 +128,9 @@ func Evaluate(net *nn.Sequential, ds *gtsrb.Dataset) (*ConfusionMatrix, error) {
 // cores). The dataset runs through the batch-native forward path: each
 // worker packs its share of examples into NCHW micro-batches and classifies
 // them with one GEMM per layer per sub-batch (infer.PredictBatched).
-// Predictions are recorded in example order and the batched path computes
-// the same logits as per-sample forward, so the matrix is identical for
-// every worker count and sub-batch size.
+// Predictions are recorded in example order and a sample's logits do not
+// depend on the batch it rides in, so the matrix is identical for every
+// worker count and sub-batch size.
 func EvaluateParallel(net *nn.Sequential, ds *gtsrb.Dataset, workers int) (*ConfusionMatrix, error) {
 	if net == nil || ds == nil || ds.Len() == 0 {
 		return nil, fmt.Errorf("train: evaluate needs a network and a non-empty dataset")
