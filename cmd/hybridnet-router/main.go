@@ -4,11 +4,11 @@
 // endpoints a single daemon exposes.
 //
 //	POST /classify        routed to a shard: power-of-two-choices under the
-//	                      -placement policy (p2c, weighted-p2c on -weights/
-//	                      -adaptive-weights, or minmax on worker-advertised
-//	                      weights), round-robin on ties; one automatic
-//	                      failover on a dead or load-shedding (503) shard for
-//	                      guaranteed and fast requests (budget never fails over)
+//	                      -placement policy (p2c, or weighted-p2c on
+//	                      -weights/-adaptive-weights), round-robin on ties;
+//	                      one automatic failover on a dead or load-shedding
+//	                      (503) shard for guaranteed and fast requests
+//	                      (budget never fails over)
 //	GET  /healthz         router + fleet health (503 once no shard is routable)
 //	GET  /stats           per-shard serve.Stats plus the serve.Merge aggregate
 //	                      (fleet latency quantiles from merged histograms)
@@ -39,6 +39,10 @@
 // fleet without operator action. SIGINT/SIGTERM drains the fleet: spawned
 // workers get SIGTERM and drain their own schedulers before the router
 // exits.
+//
+// This file is flag parsing and wiring: the router is internal/shard, the
+// wire types internal/api, the listen → signal → drain lifecycle
+// cli.ServeUntilSignal.
 package main
 
 import (
@@ -46,14 +50,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux, served only via -debug-addr
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/cli"
@@ -85,7 +84,7 @@ func run(args []string) error {
 	timeout := fs.Duration("timeout", 30*time.Second, "per-attempt proxy timeout")
 	weights := fs.String("weights", "", "comma-separated per-shard capacity weights (empty = all equal)")
 	adaptive := fs.Bool("adaptive-weights", true, "scale placement by each worker's reported per-image service time")
-	placement := fs.String("placement", "weighted-p2c", "placement policy: p2c|weighted-p2c|minmax (minmax consumes each worker's self-advertised weight)")
+	placement := fs.String("placement", "weighted-p2c", "placement policy: "+strings.Join(shard.PlacementNames(), "|"))
 	restartMax := fs.Int("restart-max", 5, "consecutive respawn attempts before a dead worker is permanently down (0 = default, negative disables respawn)")
 	restartBackoff := fs.Duration("restart-backoff", 250*time.Millisecond, "initial respawn backoff (doubles per consecutive attempt)")
 	gemmWorkers := fs.Int("gemm-workers", 1, "per-worker intra-GEMM parallelism, appended to spawned workers' args (spawn mode; 1 = off)")
@@ -163,50 +162,22 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := cli.NewHTTPServer(router.Mux())
-	logger.Info("listening", "addr", ln.Addr().String(), "shards", router.Shards(),
-		"probe", *healthInterval, "breaker", *breaker)
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			return fmt.Errorf("debug listener: %w", err)
-		}
-		logger.Info("pprof listening", "addr", dln.Addr().String())
-		go func() {
-			if err := http.Serve(dln, nil); err != nil {
-				logger.Warn("pprof server exited", "err", err)
+	return cli.ServeUntilSignal(logger, *addr, *debugAddr, router.Mux(), 30*time.Second,
+		func(bound string) error {
+			logger.Info("listening", "addr", bound, "shards", router.Shards(),
+				"probe", *healthInterval, "breaker", *breaker)
+			return nil
+		},
+		func(ctx context.Context) error {
+			rep := router.Report(ctx)
+			if err := router.Shutdown(ctx); err != nil {
+				return err
 			}
-		}()
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	logger.Info("shutting down", "draining_shards", router.Shards())
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	rep := router.Report(shutdownCtx)
-	if err := router.Shutdown(shutdownCtx); err != nil {
-		return err
-	}
-	logger.Info("drained", "proxied", rep.Proxied, "failovers", rep.Failovers,
-		"completed", rep.Aggregate.Completed, "batches", rep.Aggregate.Batches,
-		"mean_batch", rep.Aggregate.MeanBatch)
-	return nil
+			logger.Info("drained", "proxied", rep.Proxied, "failovers", rep.Failovers,
+				"completed", rep.Aggregate.Completed, "batches", rep.Aggregate.Batches,
+				"mean_batch", rep.Aggregate.MeanBatch)
+			return nil
+		})
 }
 
 // parseWeights turns the -weights flag into shard.Config.Weights; the

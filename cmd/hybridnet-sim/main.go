@@ -1,14 +1,13 @@
 // Command hybridnet-sim runs the deterministic fleet simulator: scripted
 // shards with piecewise service-time curves, a seeded virtual clock, and
-// the real placement code (shard.Placer) and worker-side weight tracker
-// (serve.WeightTracker) driven at probe cadence. It is how placement
-// policies are compared without standing up a fleet — the same runs CI
-// gates on, replayable byte-for-byte from a seed.
+// the real placement code (shard.Placer) fed probe-stale capacity signals.
+// It is how placement policies are compared without standing up a fleet —
+// the same runs CI gates on, replayable byte-for-byte from a seed.
 //
 //	hybridnet-sim                                 # full builtin matrix, all policies
 //	hybridnet-sim -scenario adversarial-flap      # one builtin, all policies
 //	hybridnet-sim -scenario ./my-scenario.json    # a scripted scenario file
-//	hybridnet-sim -policy minmax -table           # human-readable table instead of JSON
+//	hybridnet-sim -policy p2c -table              # human-readable table instead of JSON
 //	hybridnet-sim -list                           # builtin scenario names
 //
 // Output is the indented-JSON comparison report ([]sim.Comparison); the

@@ -49,6 +49,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/shard"
@@ -84,36 +85,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
-}
-
-// scenarioOffsets precomputes the replayed arrival times: the exact
-// arrival process the simulator ran — exponential spacing at the phase
-// rate, redrawn at phase boundaries, from the scenario's seeded stream
-// (seed+1, the simulator's arrival stream) — as offsets from the start of
-// the run.
-func scenarioOffsets(sc sim.Scenario) []time.Duration {
-	rng := rand.New(rand.NewSource(sc.Seed + 1))
-	var offs []time.Duration
-	t := time.Duration(0)
-	for t < sc.Duration {
-		rps, phaseEnd := sc.RPSAt(t)
-		if rps <= 0 {
-			t = phaseEnd
-			continue
-		}
-		gap := time.Duration(rng.ExpFloat64() / rps * float64(time.Second))
-		next := t + gap
-		if next >= sc.Duration {
-			break
-		}
-		if next > phaseEnd {
-			t = phaseEnd
-			continue
-		}
-		offs = append(offs, next)
-		t = next
-	}
-	return offs
 }
 
 // classPicker deterministically assigns a service class per request from the
@@ -198,23 +169,18 @@ func (t *tally) observeSpans(hdr http.Header) {
 		return
 	}
 	t.traced++
-	for _, s := range worker {
-		h := t.stages[s.Name]
-		if h == nil {
-			h = serve.NewHistogram()
-			t.stages[s.Name] = h
+	observe := func(prefix string, spans []obs.Span) {
+		for _, s := range spans {
+			h := t.stages[prefix+s.Name]
+			if h == nil {
+				h = serve.NewHistogram()
+				t.stages[prefix+s.Name] = h
+			}
+			h.Observe(s.Dur)
 		}
-		h.Observe(s.Dur)
 	}
-	for _, s := range routerSpans {
-		name := "router/" + s.Name
-		h := t.stages[name]
-		if h == nil {
-			h = serve.NewHistogram()
-			t.stages[name] = h
-		}
-		h.Observe(s.Dur)
-	}
+	observe("", worker)
+	observe("router/", routerSpans)
 }
 
 func run(addr string, rps float64, duration time.Duration, sign string, concurrency int, timeout time.Duration, router bool, traceSample float64, classMix string, sc *sim.Scenario) error {
@@ -253,9 +219,6 @@ func run(addr string, rps float64, duration time.Duration, sign string, concurre
 			traceSample = 1
 		}
 		sampleEvery = int(1 / traceSample)
-		if sampleEvery < 1 {
-			sampleEvery = 1
-		}
 	}
 	sem := make(chan struct{}, concurrency)
 	var wg sync.WaitGroup
@@ -286,9 +249,12 @@ func run(addr string, rps float64, duration time.Duration, sign string, concurre
 		go func(seq int, class serve.Class) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			body := fmt.Sprintf(`{"sign":%q,"seed":%d}`, sign, seq)
 			start := time.Now()
-			req, err := http.NewRequest(http.MethodPost, addr+"/classify", bytes.NewReader([]byte(body)))
+			body, err := json.Marshal(api.ClassifyRequest{Sign: sign, Seed: int64(seq)})
+			var req *http.Request
+			if err == nil {
+				req, err = http.NewRequest(http.MethodPost, addr+"/classify", bytes.NewReader(body))
+			}
 			if err != nil {
 				t.mu.Lock()
 				t.errors++
@@ -308,21 +274,20 @@ func run(addr string, rps float64, duration time.Duration, sign string, concurre
 			}
 			// Read outside the lock: body reads must not serialize the
 			// open-loop completions the tool is measuring. The body is only
-			// inspected (for the degraded marker) when classes are in play.
-			var wasDegraded bool
-			if t.byClass {
-				respBody, _ := io.ReadAll(resp.Body)
-				wasDegraded = bytes.Contains(respBody, []byte(`"degraded":true`))
-			} else {
-				io.Copy(io.Discard, resp.Body)
+			// decoded (for the degraded flag) when classes are in play; an
+			// undecodable 200 counts as not degraded, like any other reply.
+			var answer api.ClassifyResponse
+			if t.byClass && resp.StatusCode == http.StatusOK {
+				_ = json.NewDecoder(resp.Body).Decode(&answer)
 			}
+			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			lat := time.Since(start)
 			t.mu.Lock()
 			t.status[resp.StatusCode]++
 			if t.byClass {
 				t.classSt[class][resp.StatusCode]++
-				if wasDegraded {
+				if answer.Degraded {
 					t.degraded[class]++
 				}
 			}
@@ -344,7 +309,7 @@ func run(addr string, rps float64, duration time.Duration, sign string, concurre
 		// each precomputed offset, then fire. Offsets are absolute from the
 		// run start so schedule drift does not accumulate.
 		start := time.Now()
-		for _, off := range scenarioOffsets(*sc) {
+		for _, off := range sc.ArrivalOffsets() {
 			if d := time.Until(start.Add(off)); d > 0 {
 				time.Sleep(d)
 			}

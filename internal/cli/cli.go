@@ -3,12 +3,15 @@
 // binaries cannot drift apart on how a hybrid network is assembled — plus
 // the worker-mode address-report protocol (WriteAddrReport /
 // ParseAddrReport) the hybridnet-router supervisor uses to learn a spawned
-// worker's kernel-assigned port from its stdout, and the http.Server both
-// daemons serve from (NewHTTPServer).
+// worker's kernel-assigned port from its stdout, the http.Server both
+// daemons serve from (NewHTTPServer) and the listen → serve → signal →
+// drain lifecycle both run it under (ServeUntilSignal).
 //
 // # Concurrency contract
 //
-// Everything here is a pure constructor or a stateless formatter: each call
+// ServeUntilSignal aside (it owns the process's listeners and signal
+// handler; call it once, from main), everything here is a pure constructor
+// or a stateless formatter: each call
 // builds fresh state from its arguments (seeded RNGs included) and shares
 // nothing, so all functions are safe to call from any number of goroutines.
 // The networks they return carry their own concurrency rules — see

@@ -71,7 +71,7 @@ func TestClassifyBatchPipelinedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The pre-class path: nil pipes, every image full pipeline.
-		wantFull, _, err := c.ClassifyBatchTimed(imgs)
+		wantFull, _, err := c.ClassifyBatchPipelined(imgs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,25 +75,19 @@ func (c *BatchClassifier) SubBatch() int { return c.pool.SubBatch() }
 // result keeps the per-execution semantics of Classify — while the CNN
 // stage runs the whole sub-batch through one batched forward pass.
 func (c *BatchClassifier) ClassifyBatch(imgs []*tensor.Tensor) ([]Result, error) {
-	results, _, err := c.ClassifyBatchTimed(imgs)
+	results, _, err := c.ClassifyBatchPipelined(imgs, nil)
 	return results, err
 }
 
-// ClassifyBatchTimed is ClassifyBatch plus the batch's per-stage wall-time
-// breakdown (reliable stage, qualifier, batched CNN), summed across the
-// workers that processed the batch's chunks — the observability layer's
-// view into where backend time goes. The timing costs a handful of
-// monotonic clock reads per chunk, nothing per image beyond stage 1's.
-func (c *BatchClassifier) ClassifyBatchTimed(imgs []*tensor.Tensor) ([]Result, StageTimes, error) {
-	return c.ClassifyBatchPipelined(imgs, nil)
-}
-
-// ClassifyBatchPipelined is ClassifyBatchTimed with a per-image pipeline
-// selection: pipes[i] == PipelineCNN runs image i through the batched CNN
-// only (no reliable stage, no qualifier — its Result carries a zero
-// Qualifier and safety-critical classes decide Rejected), PipelineFull
-// keeps the full hybrid semantics. nil pipes means PipelineFull for every
-// image. Mixed sub-batches coalesce: within a chunk the fast images run
+// ClassifyBatchPipelined is ClassifyBatch plus the batch's per-stage
+// wall-time breakdown (reliable stage, qualifier, batched CNN, summed
+// across the workers that processed the batch's chunks; a handful of
+// monotonic clock reads per chunk) and a per-image pipeline selection:
+// pipes[i] == PipelineCNN runs image i through the batched CNN only (no
+// reliable stage, no qualifier — its Result carries a zero Qualifier and
+// safety-critical classes decide Rejected), PipelineFull keeps the full
+// hybrid semantics. nil pipes means PipelineFull for every image. Mixed
+// sub-batches coalesce: within a chunk the fast images run
 // the non-reliable prefix batched and then join the full images' feature
 // maps in one batched CNN continuation, so full-pipeline results are
 // bit-identical whatever the batch mix (the GEMM kernels are batch-width

@@ -229,7 +229,6 @@ func WriteServeStats(p *PromWriter, st serve.Stats, labels ...Label) {
 		p.Gauge("hybridnet_queue_capacity", "Admission-control queue bound.", float64(cs.QueueCap), cls(cs.Class)...)
 	}
 	p.Gauge("hybridnet_service_time_seconds", "Rolling EWMA of backend time per image (the adaptive-placement signal).", st.ServiceTime.Seconds(), labels...)
-	p.Gauge("hybridnet_advertised_weight", "Self-computed min-max placement weight (offered images/sec; 0 = not advertising).", st.AdvertisedWeight, labels...)
 	p.Counter("hybridnet_backend_busy_seconds_total", "Cumulative wall time spent inside the backend.", st.BackendBusy.Seconds(), labels...)
 	p.Gauge("hybridnet_uptime_seconds", "Scheduler uptime.", st.Uptime.Seconds(), labels...)
 	p.BatchSizeHistogram("hybridnet_batch_size", "Dispatched micro-batch sizes.", st.BatchHist, labels...)

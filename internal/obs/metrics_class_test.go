@@ -21,14 +21,10 @@ func (stagedBackend) ClassifyBatch(imgs []*tensor.Tensor) ([]core.Result, error)
 	return make([]core.Result, len(imgs)), nil
 }
 
-func (b stagedBackend) ClassifyBatchTimed(imgs []*tensor.Tensor) ([]core.Result, core.StageTimes, error) {
-	res, err := b.ClassifyBatch(imgs)
-	return res, core.StageTimes{Reliable: 3 * time.Millisecond, Qualifier: time.Millisecond, CNN: 7 * time.Millisecond}, err
-}
-
 func (b stagedBackend) ClassifyBatchPipelined(imgs []*tensor.Tensor, pipes []core.Pipeline) ([]core.Result, core.StageTimes, error) {
-	res, st, err := b.ClassifyBatchTimed(imgs)
-	full := false
+	res, err := b.ClassifyBatch(imgs)
+	st := core.StageTimes{Reliable: 3 * time.Millisecond, Qualifier: time.Millisecond, CNN: 7 * time.Millisecond}
+	full := pipes == nil // nil pipes: every rider runs the full pipeline
 	for _, p := range pipes {
 		if p == core.PipelineFull {
 			full = true

@@ -107,7 +107,7 @@ func equalFamilies(a, b map[string]*MetricFamily) bool {
 func FuzzParsePrometheus(f *testing.F) {
 	var b bytes.Buffer
 	p := NewPromWriter(&b)
-	st := serve.Stats{Submitted: 10, Completed: 9, ServiceTime: 3 * time.Millisecond, AdvertisedWeight: 123.5}
+	st := serve.Stats{Submitted: 10, Completed: 9, ServiceTime: 3 * time.Millisecond}
 	h := serve.NewHistogram()
 	for i := 1; i <= 50; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
@@ -156,12 +156,12 @@ func FuzzParsePrometheus(f *testing.F) {
 
 // TestWriteServeStatsRoundTrip is the deterministic half of the fuzz
 // property: the full golden exposition parses back with every family
-// intact, and the parsed advertised-weight gauge matches the input stat.
+// intact, and the parsed service-time gauge matches the input stat.
 func TestWriteServeStatsRoundTrip(t *testing.T) {
 	var b bytes.Buffer
 	p := NewPromWriter(&b)
 	st := goldenStats()
-	st.AdvertisedWeight = 321.25
+	st.ServiceTime = 321250 * time.Microsecond
 	WriteServeStats(p, st, Label{Name: "shard", Value: "2"})
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
@@ -178,12 +178,12 @@ func TestWriteServeStatsRoundTrip(t *testing.T) {
 	if len(again) != len(fams) {
 		t.Fatalf("family count %d -> %d", len(fams), len(again))
 	}
-	g := fams["hybridnet_advertised_weight"]
+	g := fams["hybridnet_service_time_seconds"]
 	if g == nil || len(g.Samples) == 0 {
-		t.Fatal("advertised weight family missing")
+		t.Fatal("service time family missing")
 	}
-	if v := g.Samples[0].Value; v != 321.25 {
-		t.Fatalf("advertised weight %v, want 321.25", v)
+	if v := g.Samples[0].Value; v != 0.32125 {
+		t.Fatalf("service time %v, want 0.32125", v)
 	}
 	if g.Samples[0].Labels["shard"] != "2" {
 		t.Fatalf("labels %v, want shard=2", g.Samples[0].Labels)

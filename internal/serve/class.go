@@ -79,33 +79,19 @@ func (c Class) Valid() bool { return c < NumClasses }
 // treats as "inherit the default". It backs the daemons' -class-queues
 // flag.
 func ParseClassInts(s string) ([NumClasses]int, error) {
-	var out [NumClasses]int
-	if strings.TrimSpace(s) == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return out, fmt.Errorf("serve: class spec %q is not name=value", part)
-		}
-		c, err := ParseClass(strings.TrimSpace(name))
-		if err != nil {
-			return out, err
-		}
-		n, err := strconv.Atoi(strings.TrimSpace(val))
-		if err != nil {
-			return out, fmt.Errorf("serve: class spec %q: %v", part, err)
-		}
-		out[c] = n
-	}
-	return out, nil
+	return parseClassSpec(s, strconv.Atoi)
 }
 
 // ParseClassFloats parses a per-class float spec like
 // "guaranteed=0.2,fast=0.5,budget=0.3" — the loadgen -class-mix format.
 // Unset classes stay zero.
 func ParseClassFloats(s string) ([NumClasses]float64, error) {
-	var out [NumClasses]float64
+	return parseClassSpec(s, func(v string) (float64, error) { return strconv.ParseFloat(v, 64) })
+}
+
+// parseClassSpec parses "class=value,…" with one value parser.
+func parseClassSpec[T any](s string, parse func(string) (T, error)) ([NumClasses]T, error) {
+	var out [NumClasses]T
 	if strings.TrimSpace(s) == "" {
 		return out, nil
 	}
@@ -118,11 +104,10 @@ func ParseClassFloats(s string) ([NumClasses]float64, error) {
 		if err != nil {
 			return out, err
 		}
-		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
+		out[c], err = parse(strings.TrimSpace(val))
 		if err != nil {
 			return out, fmt.Errorf("serve: class spec %q: %v", part, err)
 		}
-		out[c] = f
 	}
 	return out, nil
 }

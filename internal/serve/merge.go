@@ -22,8 +22,6 @@ import "time"
 //     merge fall back to the historical count-weighted mean of per-shard
 //     quantiles. LatencyMax is the exact max either way.
 //   - ServiceTime is the dispatched-weighted mean of the shard estimates.
-//   - AdvertisedWeight sums: each shard advertises an offered service rate,
-//     so the fleet-level value is total advertised capacity.
 //   - Uptime is the max: the fleet has been up as long as its oldest shard.
 //   - The per-class splits merge by class name under the same rules
 //     (counter sums, exact histogram merges), so fleet-level per-class
@@ -100,7 +98,6 @@ func Merge(shards ...Stats) Stats {
 		m.StageReliable += s.StageReliable
 		m.StageQualifier += s.StageQualifier
 		m.StageCNN += s.StageCNN
-		m.AdvertisedWeight += s.AdvertisedWeight
 		p50w += float64(s.LatencyP50) * float64(s.LatencyCount)
 		p99w += float64(s.LatencyP99) * float64(s.LatencyCount)
 		if d := s.Dispatched(); s.ServiceTime > 0 && d > 0 {

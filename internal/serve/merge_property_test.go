@@ -23,14 +23,13 @@ func randHist(rng *rand.Rand, n int) *Histogram {
 // populated — the richest input Merge ever sees.
 func randStats(rng *rand.Rand) Stats {
 	s := Stats{
-		Shards:           1,
-		Batches:          uint64(1 + rng.Intn(200)),
-		ServiceTime:      time.Duration(1+rng.Intn(20)) * time.Millisecond,
-		AdvertisedWeight: rng.Float64() * 500,
-		BackendBusy:      time.Duration(rng.Int63n(int64(10 * time.Second))),
-		Uptime:           time.Duration(rng.Int63n(int64(time.Hour))),
-		BatchHist:        make([]uint64, 1+rng.Intn(8)),
-		BackendHist:      randHist(rng, 60),
+		Shards:      1,
+		Batches:     uint64(1 + rng.Intn(200)),
+		ServiceTime: time.Duration(1+rng.Intn(20)) * time.Millisecond,
+		BackendBusy: time.Duration(rng.Int63n(int64(10 * time.Second))),
+		Uptime:      time.Duration(rng.Int63n(int64(time.Hour))),
+		BatchHist:   make([]uint64, 1+rng.Intn(8)),
+		BackendHist: randHist(rng, 60),
 	}
 	for i := range s.BatchHist {
 		s.BatchHist[i] = uint64(rng.Intn(50))
@@ -157,7 +156,6 @@ func mergesEquivalent(t *testing.T, label string, a, b Stats) {
 		{"stage_qualifier", a.StageQualifier == b.StageQualifier},
 		{"stage_cnn", a.StageCNN == b.StageCNN},
 		{"service_time", durClose(a.ServiceTime, b.ServiceTime)},
-		{"advertised_weight", floatClose(a.AdvertisedWeight, b.AdvertisedWeight)},
 		{"backend_busy", a.BackendBusy == b.BackendBusy},
 		{"uptime", a.Uptime == b.Uptime},
 		{"batch_hist_len", len(a.BatchHist) == len(b.BatchHist)},

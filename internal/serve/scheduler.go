@@ -53,11 +53,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs/logx"
 	"repro/internal/tensor"
 )
 
@@ -69,21 +71,14 @@ type Backend interface {
 	ClassifyBatch(imgs []*tensor.Tensor) ([]core.Result, error)
 }
 
-// TimedBackend is the optional richer contract: a backend that also
-// reports the batch's per-stage wall-time breakdown. The Scheduler uses it
-// when available (core.BatchClassifier implements it), so per-stage
-// observability costs nothing to backends that don't care.
-type TimedBackend interface {
-	Backend
-	ClassifyBatchTimed(imgs []*tensor.Tensor) ([]core.Result, core.StageTimes, error)
-}
-
-// PipelinedBackend is the per-request pipeline contract: pipes[i] selects
-// which execution pipeline image i runs (core.PipelineFull for guaranteed
-// and non-degraded budget riders, core.PipelineCNN for fast and degraded
-// riders) while the whole mixed batch still coalesces into one GEMM per
-// layer. Backends that don't implement it run every rider through the full
-// pipeline — correct, just without the fast path.
+// PipelinedBackend is the optional richer contract: pipes[i] selects which
+// execution pipeline image i runs (core.PipelineFull for guaranteed and
+// non-degraded budget riders, core.PipelineCNN for fast and degraded
+// riders; nil pipes = all full) while the whole mixed batch still coalesces
+// into one GEMM per layer, and the batch's per-stage wall-time breakdown
+// comes back with the results. Backends that don't implement it run every
+// rider through the full pipeline and report no stage times — correct, just
+// without the fast path.
 type PipelinedBackend interface {
 	Backend
 	ClassifyBatchPipelined(imgs []*tensor.Tensor, pipes []core.Pipeline) ([]core.Result, core.StageTimes, error)
@@ -111,7 +106,7 @@ type Timing struct {
 	// fast (CNN-only) pipeline because the budget queue was full.
 	Degraded bool
 	// Stages is the batch-level backend pipeline breakdown (zero unless
-	// the backend implements TimedBackend). Batch-level: shared by every
+	// the backend implements PipelinedBackend). Batch-level: shared by every
 	// rider of the batch, and summed per-worker wall time under a parallel
 	// pool.
 	Stages core.StageTimes
@@ -301,8 +296,7 @@ type Scheduler struct {
 	notify  chan struct{}
 	drained chan struct{} // closed when the flusher has flushed everything
 
-	stats  statsState
-	weight *WeightTracker // advertised min-max placement weight
+	stats statsState
 }
 
 // New starts a Scheduler (and its flusher goroutine) over backend.
@@ -319,7 +313,6 @@ func New(backend Backend, cfg Config) (*Scheduler, error) {
 		backend: backend,
 		notify:  make(chan struct{}, 1),
 		drained: make(chan struct{}),
-		weight:  NewWeightTracker(WeightConfig{}),
 	}
 	s.stats.init(cfg.MaxBatch)
 	go s.run()
@@ -604,29 +597,17 @@ func (s *Scheduler) flush(batch []*request) {
 		return
 	}
 	imgs := make([]*tensor.Tensor, len(live))
+	pipes := make([]core.Pipeline, len(live))
 	mixed := false
 	for i, r := range live {
-		imgs[i] = r.img
-		if r.pipeline() != core.PipelineFull {
-			mixed = true
-		}
+		imgs[i], pipes[i] = r.img, r.pipeline()
+		mixed = mixed || pipes[i] != core.PipelineFull
+	}
+	if !mixed {
+		pipes = nil // every rider full-pipeline
 	}
 	start := time.Now()
-	var results []core.Result
-	var stages core.StageTimes
-	var pipes []core.Pipeline
-	var err error
-	if pb, ok := s.backend.(PipelinedBackend); ok && mixed {
-		pipes = make([]core.Pipeline, len(live))
-		for i, r := range live {
-			pipes[i] = r.pipeline()
-		}
-		results, stages, err = pb.ClassifyBatchPipelined(imgs, pipes)
-	} else if tb, ok := s.backend.(TimedBackend); ok {
-		results, stages, err = tb.ClassifyBatchTimed(imgs)
-	} else {
-		results, err = s.backend.ClassifyBatch(imgs)
-	}
+	results, stages, err := s.callBackend(imgs, pipes)
 	if err == nil && len(results) != len(imgs) {
 		err = fmt.Errorf("serve: backend returned %d results for %d images", len(results), len(imgs))
 	}
@@ -678,6 +659,25 @@ func (s *Scheduler) flush(batch []*request) {
 	s.stats.completed(timings)
 }
 
+// callBackend is the one place the backend runs: through PipelinedBackend
+// when implemented (pipes is nil unless the batch is mixed), else plain
+// ClassifyBatch. A panic inside the backend is converted into that batch's
+// error, so its riders fail like any other backend error and the flusher
+// lives on to serve the next batch instead of taking the process down.
+func (s *Scheduler) callBackend(imgs []*tensor.Tensor, pipes []core.Pipeline) (results []core.Result, stages core.StageTimes, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			logx.Default().Error("backend panic", "batch", len(imgs), "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+			results, err = nil, fmt.Errorf("serve: backend panic: %v", p)
+		}
+	}()
+	if pb, ok := s.backend.(PipelinedBackend); ok {
+		return pb.ClassifyBatchPipelined(imgs, pipes)
+	}
+	results, err = s.backend.ClassifyBatch(imgs)
+	return results, stages, err
+}
+
 // Stats snapshots the scheduler counters. Queue depths are read live; the
 // rest is consistent at a single instant. Per-class depths count requests
 // by the queue they wait in, so a degraded budget request counts toward
@@ -692,16 +692,5 @@ func (s *Scheduler) Stats() Stats {
 	for c := range caps {
 		caps[c] = s.cfg.ClassQueues[c]
 	}
-	st := s.stats.snapshot(depths, caps)
-	// Fold this snapshot into the min-max weight tracker: snapshots are
-	// taken at the router's probe cadence, which is exactly the update
-	// cadence the distributed policy wants (rate-limited internally).
-	st.AdvertisedWeight = s.weight.Observe(time.Now(), WeightSignals{
-		Service:    st.ServiceTime,
-		QueueDepth: st.QueueDepth,
-		QueueCap:   st.QueueCap,
-		Submitted:  st.Submitted,
-		Rejected:   st.Rejected,
-	})
-	return st
+	return s.stats.snapshot(depths, caps)
 }

@@ -56,9 +56,11 @@ type pipeRecordingBackend struct {
 }
 
 func (p *pipeRecordingBackend) ClassifyBatchPipelined(imgs []*tensor.Tensor, pipes []core.Pipeline) ([]core.Result, core.StageTimes, error) {
-	p.mu.Lock()
-	p.pipes = append(p.pipes, append([]core.Pipeline(nil), pipes...))
-	p.mu.Unlock()
+	if pipes != nil { // nil pipes: an unmixed, all-full batch
+		p.mu.Lock()
+		p.pipes = append(p.pipes, append([]core.Pipeline(nil), pipes...))
+		p.mu.Unlock()
+	}
 	results, err := p.fakeBackend.ClassifyBatch(imgs)
 	return results, core.StageTimes{}, err
 }
@@ -79,14 +81,9 @@ type stageBackend struct {
 	stages core.StageTimes
 }
 
-func (b *stageBackend) ClassifyBatchTimed(imgs []*tensor.Tensor) ([]core.Result, core.StageTimes, error) {
-	results, err := b.fakeBackend.ClassifyBatch(imgs)
-	return results, b.stages, err
-}
-
 func (b *stageBackend) ClassifyBatchPipelined(imgs []*tensor.Tensor, pipes []core.Pipeline) ([]core.Result, core.StageTimes, error) {
 	st := b.stages
-	full := false
+	full := pipes == nil // nil pipes: every rider runs the full pipeline
 	for _, p := range pipes {
 		if p == core.PipelineFull {
 			full = true

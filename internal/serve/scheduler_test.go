@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -433,6 +434,54 @@ func TestSchedulerBackendError(t *testing.T) {
 	}
 }
 
+// TestSchedulerBackendPanicFailsOnlyThatBatch: a panic inside the backend
+// fails the riders of that batch with an error, books them as failed, and
+// leaves the flusher alive for the next batch — the process must not die
+// with the batch. The per-class exactly-once accounting holds after every
+// batch.
+func TestSchedulerBackendPanicFailsOnlyThatBatch(t *testing.T) {
+	fb := newFakeBackend(nil)
+	backend := &panickyBackend{inner: fb, panicOn: 2}
+	s, err := New(backend, Config{MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The flusher books a batch's outcomes just after delivering them, so
+	// the invariant is awaited, not sampled.
+	checkAccounting := func(batch int) {
+		t.Helper()
+		waitFor(t, fmt.Sprintf("exactly-once accounting after batch %d", batch), func() bool {
+			for _, cs := range s.Stats().Classes {
+				if cs.Submitted+cs.Rejected != cs.Completed+cs.Failed+cs.Rejected+cs.Expired+cs.ExpiredDispatched {
+					return false
+				}
+			}
+			return true
+		})
+	}
+	classes := []Class{ClassGuaranteed, ClassFast, ClassBudget}
+	for batch := 1; batch <= 3; batch++ {
+		res, err := s.SubmitClass(context.Background(), fb.img(batch), classes[batch-1])
+		switch {
+		case batch == 2:
+			if err == nil || !strings.Contains(err.Error(), "backend panic") {
+				t.Fatalf("batch 2 over panicking backend = %v, want a backend panic error", err)
+			}
+		case err != nil || res.Class != batch:
+			t.Fatalf("batch %d = (%d, %v), want (%d, nil)", batch, res.Class, err, batch)
+		}
+		checkAccounting(batch)
+	}
+	shutdownOK(t, s)
+	st := s.Stats()
+	if st.Failed != 1 || st.Completed != 2 || st.Batches != 3 {
+		t.Fatalf("failed=%d completed=%d batches=%d, want 1/2/3", st.Failed, st.Completed, st.Batches)
+	}
+	if f := st.Class(ClassFast).Failed; f != 1 {
+		t.Errorf("fast class failed=%d, want 1 (the panicking batch's rider)", f)
+	}
+}
+
 // TestSchedulerValidation covers constructor and Submit argument checks.
 func TestSchedulerValidation(t *testing.T) {
 	if _, err := New(nil, Config{}); err == nil {
@@ -605,6 +654,21 @@ type holdingBackend struct {
 func (b *holdingBackend) ClassifyBatch(imgs []*tensor.Tensor) ([]core.Result, error) {
 	<-b.hold
 	b.calls.Add(1)
+	return b.inner.ClassifyBatch(imgs)
+}
+
+// panickyBackend panics on its panicOn-th call (1-based) and delegates
+// otherwise.
+type panickyBackend struct {
+	inner   Backend
+	panicOn int64
+	calls   atomic.Int64
+}
+
+func (b *panickyBackend) ClassifyBatch(imgs []*tensor.Tensor) ([]core.Result, error) {
+	if b.calls.Add(1) == b.panicOn {
+		panic("scripted backend panic")
+	}
 	return b.inner.ClassifyBatch(imgs)
 }
 

@@ -78,14 +78,6 @@ type Stats struct {
 	// uses it for heterogeneity-aware weighted placement.
 	ServiceTime time.Duration `json:"service_ns"`
 
-	// AdvertisedWeight is the shard's self-computed min-max placement
-	// weight (see WeightTracker): an offered service rate in images/sec,
-	// adapted online from local queue pressure and shed rate. 0 means the
-	// shard is not advertising (no service estimate yet, or the policy is
-	// disabled); routers then fall back to static-weight scoring. In a
-	// Merge aggregate it is the fleet sum — total advertised capacity.
-	AdvertisedWeight float64 `json:"advertised_weight,omitempty"`
-
 	// BackendBusy is cumulative wall time spent inside the backend; over
 	// uptime it gives backend utilisation.
 	BackendBusy time.Duration `json:"backend_busy_ns"`

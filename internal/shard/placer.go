@@ -26,10 +26,6 @@ type Candidate struct {
 	// Service is the per-image service time (ns) the shard last reported;
 	// 0 means no estimate yet.
 	Service int64
-	// AdvertisedWeight is the shard's self-computed min-max weight (an
-	// offered service rate, see serve.WeightTracker); 0 means the shard is
-	// not advertising.
-	AdvertisedWeight float64
 }
 
 // Placer chooses one shard among the routable candidates. Implementations
@@ -57,17 +53,11 @@ const (
 	// probed service time when PlacerOptions.AdaptiveWeights is set and
 	// both candidates report one. The PR-4 heuristic and the default.
 	PlacementWeightedP2C = "weighted-p2c"
-	// PlacementMinMax scores (load+1)/advertisedWeight when both
-	// candidates advertise a min-max weight, falling back to weighted-p2c
-	// scoring otherwise (startup, old workers). Decentralized online
-	// min-max: the weight itself adapts on the worker, the router just
-	// consumes it.
-	PlacementMinMax = "minmax"
 )
 
 // PlacementNames lists the accepted policy names, sorted.
 func PlacementNames() []string {
-	names := []string{PlacementP2C, PlacementWeightedP2C, PlacementMinMax}
+	names := []string{PlacementP2C, PlacementWeightedP2C}
 	sort.Strings(names)
 	return names
 }
@@ -78,7 +68,7 @@ type PlacerOptions struct {
 	// sequence → same decisions: the simulator's determinism rests here.
 	Seed int64
 	// AdaptiveWeights enables the service-time term in weighted-p2c
-	// scoring (and in minmax's fallback), mirroring Config.AdaptiveWeights.
+	// scoring, mirroring Config.AdaptiveWeights.
 	AdaptiveWeights bool
 }
 
@@ -90,8 +80,6 @@ func NewPlacer(name string, opts PlacerOptions) (Placer, error) {
 		return newP2CPlacer(name, opts.Seed, scoreP2C), nil
 	case "", PlacementWeightedP2C:
 		return newP2CPlacer(PlacementWeightedP2C, opts.Seed, scoreWeighted(opts.AdaptiveWeights)), nil
-	case PlacementMinMax:
-		return newP2CPlacer(name, opts.Seed, scoreMinMax(opts.AdaptiveWeights)), nil
 	default:
 		return nil, fmt.Errorf("shard: unknown placement policy %q (have %s)",
 			name, strings.Join(PlacementNames(), ", "))
@@ -122,22 +110,6 @@ func scoreWeighted(adaptive bool) scoreFunc {
 			sb *= float64(b.Service)
 		}
 		return sa, sb
-	}
-}
-
-// scoreMinMax consumes the worker-advertised min-max weight: load per
-// offered service rate is expected completion time, so the pairwise winner
-// is the shard that would finish the request sooner by its own account —
-// and the advertisements adapt to equalise exactly that across the fleet.
-// The same pairwise unit rule applies: both candidates must advertise, or
-// the pair falls back to weighted scoring.
-func scoreMinMax(adaptive bool) scoreFunc {
-	weighted := scoreWeighted(adaptive)
-	return func(a, b Candidate) (float64, float64) {
-		if a.AdvertisedWeight > 0 && b.AdvertisedWeight > 0 {
-			return float64(a.Load+1) / a.AdvertisedWeight, float64(b.Load+1) / b.AdvertisedWeight
-		}
-		return weighted(a, b)
 	}
 }
 

@@ -41,9 +41,9 @@ func TestP2CIgnoresCapacitySignals(t *testing.T) {
 	// Same load everywhere: capacity signals must not matter, so picks
 	// spread roughly evenly (ties round-robin across all three).
 	cands := []Candidate{
-		{ID: 0, StaticWeight: 8, Load: 5, Service: 100, AdvertisedWeight: 100},
-		{ID: 1, StaticWeight: 1, Load: 5, Service: 900, AdvertisedWeight: 1},
-		{ID: 2, StaticWeight: 1, Load: 5, Service: 900, AdvertisedWeight: 1},
+		{ID: 0, StaticWeight: 8, Load: 5, Service: 100},
+		{ID: 1, StaticWeight: 1, Load: 5, Service: 900},
+		{ID: 2, StaticWeight: 1, Load: 5, Service: 900},
 	}
 	counts := pickCounts(t, p, cands, 900)
 	for i, c := range counts {
@@ -79,27 +79,6 @@ func TestWeightedP2CUsesServiceOnlyWhenBothReport(t *testing.T) {
 	counts = pickCounts(t, p, both, 200)
 	if counts[1] == 0 || counts[0] != 0 {
 		t.Fatalf("measured pair should prefer the fast shard: %v", counts)
-	}
-}
-
-func TestMinMaxPrefersAdvertisedCapacity(t *testing.T) {
-	p, _ := NewPlacer(PlacementMinMax, PlacerOptions{Seed: 1})
-	// Equal load, shard 1 advertises 10× the service rate: it must win
-	// every sampled pair.
-	cands := []Candidate{
-		{ID: 0, StaticWeight: 1, Load: 3, AdvertisedWeight: 10},
-		{ID: 1, StaticWeight: 1, Load: 3, AdvertisedWeight: 100},
-	}
-	counts := pickCounts(t, p, cands, 200)
-	if counts[0] != 0 {
-		t.Fatalf("minmax ignored the advertised weights: %v", counts)
-	}
-	// One shard not advertising: the pair falls back to weighted scoring
-	// (equal here), so both get picked via the tie cursor.
-	cands[0].AdvertisedWeight = 0
-	counts = pickCounts(t, p, cands, 200)
-	if counts[0] == 0 || counts[1] == 0 {
-		t.Fatalf("minmax fallback pair should tie-break round-robin: %v", counts)
 	}
 }
 

@@ -13,12 +13,10 @@
 // static capacity weight (Config.Weights), optionally scaled by the
 // rolling per-image service time each worker exports
 // (Config.AdaptiveWeights), so on heterogeneous hardware the router
-// equalises expected completion time rather than raw queue depth. The
-// minmax policy goes further: each worker adapts its own advertised
-// weight online from local pressure (serve.WeightTracker) and the router
-// scores load per advertised service rate — decentralized min-max
-// placement with zero added coordination. Equal scores fall back to the
-// round-robin cursor.
+// equalises expected completion time rather than raw queue depth; the p2c
+// policy ignores every capacity signal, which is what wins when those
+// signals flap faster than the probe cadence. Equal scores fall back to
+// the round-robin cursor.
 //
 // Placement is service-class aware: workers report per-class queue depths
 // on /healthz and a request's load signal counts only the backlog its
@@ -66,7 +64,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -75,6 +72,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/obs/logx"
 	"repro/internal/serve"
@@ -102,8 +100,8 @@ type Config struct {
 	// with equal static weights. Shards that have not reported an estimate
 	// yet are compared on load/weight alone.
 	AdaptiveWeights bool
-	// Placement selects the placement policy: "p2c", "weighted-p2c"
-	// (default) or "minmax" — see the Placement constants and Placer. The
+	// Placement selects the placement policy: "p2c" or "weighted-p2c"
+	// (default) — see the Placement constants and Placer. The
 	// empty string means weighted-p2c, which with nil Weights and
 	// AdaptiveWeights off behaves exactly like plain p2c.
 	Placement string
@@ -154,10 +152,10 @@ type Config struct {
 	DefaultClass serve.Class
 }
 
-// statusClientClosedRequest is the nginx-convention 499 for "client closed
-// the connection before the server answered" — same convention hybridnetd
-// uses, so client churn stays out of 502/503 accounting at both tiers.
-const statusClientClosedRequest = 499
+// maxWorkerReply caps how much of a worker's /classify reply the router
+// buffers. A real reply is ~300 bytes; anything past the cap is a broken or
+// hostile worker and is handled as a transport failure, not forwarded.
+const maxWorkerReply = 1 << 20
 
 func (c Config) withDefaults() Config {
 	if c.HealthInterval == 0 {
@@ -211,7 +209,6 @@ type shardState struct {
 	inflight atomic.Int64  // router-side requests currently proxied to this shard
 	depth    atomic.Int64  // queue depth last reported by /healthz
 	service  atomic.Int64  // per-image service time (ns) last reported by /healthz
-	advW     atomic.Uint64 // min-max advertised weight (float64 bits) last reported by /healthz
 	restarts atomic.Uint64 // successful supervisor respawns
 
 	// classDepth is the per-class queue depth the shard last reported on
@@ -283,22 +280,10 @@ func (s *shardState) adopt(p *workerProc, url string) {
 func (s *shardState) resetLoadSignals() {
 	s.depth.Store(0)
 	s.service.Store(0)
-	s.setAdvWeight(0)
 	s.hasClassDepths.Store(false)
 	for i := range s.classDepth {
 		s.classDepth[i].Store(0)
 	}
-}
-
-// advWeight/setAdvWeight hold the float64 advertised weight in an atomic
-// word, matching the other probe-updated load signals.
-func (s *shardState) advWeight() float64     { return math.Float64frombits(s.advW.Load()) }
-func (s *shardState) setAdvWeight(w float64) { s.advW.Store(math.Float64bits(w)) }
-
-func (s *shardState) isOpen() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.open
 }
 
 func (s *shardState) isDown() bool {
@@ -392,9 +377,7 @@ type Router struct {
 	failovers atomic.Uint64 // requests saved by the second attempt
 	errored   atomic.Uint64 // requests that surfaced a transport error
 
-	rec         *obs.Recorder // router-side flight recorder
-	sampleEvery uint64        // log 1-in-N outcome lines at info (0 = never)
-	sampleN     atomic.Uint64
+	trace *obs.TraceSink // router-side flight recorder + per-request outcome lines
 
 	stopOnce sync.Once
 	stop     chan struct{} // closes to stop the health loop and supervisors
@@ -448,19 +431,10 @@ func newRouter(shards []*shardState, cfg Config) *Router {
 		client: client,
 		shards: shards,
 		placer: placer,
-		rec:    obs.NewRecorder(cfg.TraceDepth),
+		trace:  obs.NewTraceSink(cfg.Log, "proxy", cfg.TraceDepth, cfg.TraceSample),
 		stop:   make(chan struct{}),
 		probed: make(chan struct{}),
 		done:   make(chan struct{}),
-	}
-	if f := cfg.TraceSample; f > 0 {
-		if f > 1 {
-			f = 1
-		}
-		r.sampleEvery = uint64(1 / f)
-		if r.sampleEvery < 1 {
-			r.sampleEvery = 1
-		}
 	}
 	go r.healthLoop()
 	return r
@@ -540,11 +514,10 @@ func (r *Router) WaitReady(ctx context.Context) error {
 // business.
 func (s *shardState) candidate(c serve.Class) Candidate {
 	return Candidate{
-		ID:               s.id,
-		StaticWeight:     s.weight,
-		Load:             s.classLoad(c),
-		Service:          s.service.Load(),
-		AdvertisedWeight: s.advWeight(),
+		ID:           s.id,
+		StaticWeight: s.weight,
+		Load:         s.classLoad(c),
+		Service:      s.service.Load(),
 	}
 }
 
@@ -600,37 +573,6 @@ func (r *Router) Mux() *http.ServeMux {
 	return mux
 }
 
-// finishTrace files one proxied request with the router's flight recorder
-// and, when Config.Log is wired, emits the structured outcome line: errors
-// and shed/expired outcomes at warn, served requests at debug.
-func (r *Router) finishTrace(rec obs.TraceRecord, errMsg string) {
-	r.rec.Record(rec)
-	l := r.cfg.Log
-	if l == nil {
-		return
-	}
-	sampled := r.sampleEvery > 0 && r.sampleN.Add(1)%r.sampleEvery == 0
-	kvs := []any{"trace", rec.ID, "status", rec.Status,
-		"total_ms", float64(rec.Total.Microseconds()) / 1000}
-	if sh := rec.Attrs["shard"]; sh != "" {
-		kvs = append(kvs, "shard", sh)
-	}
-	if errMsg != "" {
-		kvs = append(kvs, "err", errMsg)
-	}
-	if sampled && len(rec.Spans) > 0 {
-		kvs = append(kvs, "spans", obs.FormatSpans(rec.Spans))
-	}
-	switch {
-	case rec.Status >= 400:
-		l.Warn("proxy", kvs...)
-	case sampled:
-		l.Info("proxy", kvs...)
-	default:
-		l.Debug("proxy", kvs...)
-	}
-}
-
 // handleClassify proxies one classification to a picked shard, failing over
 // to one other shard on a connection error or 503 before surfacing anything
 // to the client. The worker's response is buffered before a byte reaches
@@ -643,7 +585,7 @@ func (r *Router) finishTrace(rec obs.TraceRecord, errMsg string) {
 // breakdown.
 func (r *Router) handleClassify(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
+		api.WriteJSON(w, http.StatusMethodNotAllowed, api.ErrorResponse{Error: "POST only"})
 		return
 	}
 	start := time.Now()
@@ -656,7 +598,7 @@ func (r *Router) handleClassify(w http.ResponseWriter, req *http.Request) {
 	if h := req.Header.Get(obs.ClassHeader); h != "" {
 		c, err := serve.ParseClass(h)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+			api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: err.Error()})
 			return
 		}
 		class = c
@@ -666,15 +608,22 @@ func (r *Router) handleClassify(w http.ResponseWriter, req *http.Request) {
 			ID: trace, Start: start, Status: status, Total: time.Since(start), Spans: spans,
 			Attrs: map[string]string{"class": class.String()},
 		}
+		var kvs []any
 		if shard >= 0 {
 			rec.Attrs["shard"] = strconv.Itoa(shard)
+			kvs = []any{"shard", shard}
 		}
 		w.Header().Set(obs.RouterSpansHeader, obs.FormatSpans(spans))
-		r.finishTrace(rec, errMsg)
+		r.trace.Finish(rec, errMsg, kvs...)
+	}
+	// fail answers with the router's own error body instead of a worker's.
+	fail := func(status int, shard int, spans []obs.Span, logMsg, clientMsg string) {
+		finish(status, shard, spans, logMsg)
+		api.WriteJSON(w, status, api.ErrorResponse{Error: clientMsg})
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 16<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("read body: %v", err)})
+		api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: fmt.Sprintf("read body: %v", err)})
 		return
 	}
 	spans := []obs.Span{{Name: "read", Dur: time.Since(start)}}
@@ -682,10 +631,8 @@ func (r *Router) handleClassify(w http.ResponseWriter, req *http.Request) {
 	first := r.pick(nil, class)
 	if first == nil {
 		r.errored.Add(1)
-		finish(http.StatusBadGateway, -1, spans, "no shards available")
-		writeJSON(w, http.StatusBadGateway, map[string]string{
-			"error": "no shards available: every worker is permanently down",
-		})
+		fail(http.StatusBadGateway, -1, spans, "no shards available",
+			"no shards available: every worker is permanently down")
 		return
 	}
 	attemptStart := time.Now()
@@ -723,17 +670,12 @@ func (r *Router) handleClassify(w http.ResponseWriter, req *http.Request) {
 		if req.Context().Err() != nil {
 			// The client aborted; nobody reads this response and the shard
 			// did not fail. Keep client churn out of the error stats.
-			finish(statusClientClosedRequest, first.id, spans, "client closed request")
-			writeJSON(w, statusClientClosedRequest, map[string]string{
-				"error": "client closed request",
-			})
+			fail(api.StatusClientClosedRequest, first.id, spans, "client closed request", "client closed request")
 			return
 		}
 		r.errored.Add(1)
-		finish(http.StatusBadGateway, first.id, spans, err.Error())
-		writeJSON(w, http.StatusBadGateway, map[string]string{
-			"error": fmt.Sprintf("shard %d unreachable: %v", first.id, err),
-		})
+		fail(http.StatusBadGateway, first.id, spans, err.Error(),
+			fmt.Sprintf("shard %d unreachable: %v", first.id, err))
 		return
 	}
 	finish(status, first.id, spans, "")
@@ -741,10 +683,11 @@ func (r *Router) handleClassify(w http.ResponseWriter, req *http.Request) {
 }
 
 // forward issues one attempt against one shard and does the breaker
-// bookkeeping: transport errors count toward opening, any response counts
-// as shard liveness. A 503 is a live shard shedding load — failover-worthy
-// but not breaker-worthy. An abort caused by the client (parent context
-// done) is no evidence against the shard, so it never touches the breaker:
+// bookkeeping: transport errors — a reply longer than maxWorkerReply among
+// them — count toward opening, any other response counts as shard
+// liveness. A 503 is a live shard shedding load — failover-worthy but not
+// breaker-worthy. An abort caused by the client (parent context done) is
+// no evidence against the shard, so it never touches the breaker:
 // otherwise a few impatient clients could circuit-break a healthy fleet.
 func (r *Router) forward(parent context.Context, s *shardState, trace string, class serve.Class, body []byte) (int, http.Header, []byte, error) {
 	s.inflight.Add(1)
@@ -762,28 +705,57 @@ func (r *Router) forward(parent context.Context, s *shardState, trace string, cl
 	// fleet edge.
 	req.Header.Set(obs.ClassHeader, class.String())
 	resp, err := r.client.Do(req)
+	var respBody []byte
+	if err == nil {
+		defer resp.Body.Close()
+		respBody, err = io.ReadAll(io.LimitReader(resp.Body, maxWorkerReply+1))
+		if err == nil && len(respBody) > maxWorkerReply {
+			err = fmt.Errorf("reply exceeds %d bytes", maxWorkerReply)
+		}
+	}
 	if err != nil {
 		if parent.Err() == nil {
-			if opened := s.recordFailure(r.cfg.BreakerThreshold); opened {
-				r.cfg.Logf("shard: circuit OPEN on shard %d (%s): %v", s.id, s.base(), err)
-			}
+			r.noteFailure(s, err)
 		}
 		return 0, nil, nil, err
+	}
+	r.noteSuccess(s, "request")
+	return resp.StatusCode, resp.Header, respBody, nil
+}
+
+// noteFailure counts one probe or request failure against the shard's
+// breaker and logs the transition if it opened; noteSuccess is its inverse.
+func (r *Router) noteFailure(s *shardState, err error) {
+	if s.recordFailure(r.cfg.BreakerThreshold) {
+		r.cfg.Logf("shard: circuit OPEN on shard %d (%s): %v", s.id, s.base(), err)
+	}
+}
+
+func (r *Router) noteSuccess(s *shardState, what string) {
+	if s.recordSuccess() {
+		r.cfg.Logf("shard: circuit CLOSED on shard %d (%s): %s succeeded", s.id, s.base(), what)
+	}
+}
+
+// getJSON fetches one of a shard's GET endpoints into v, within timeout.
+func (r *Router) getJSON(ctx context.Context, timeout time.Duration, s *shardState, path string, v any) error {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base()+path, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
-	if err != nil {
-		if parent.Err() == nil {
-			if opened := s.recordFailure(r.cfg.BreakerThreshold); opened {
-				r.cfg.Logf("shard: circuit OPEN on shard %d (%s): %v", s.id, s.base(), err)
-			}
-		}
-		return 0, nil, nil, err
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s status %d", path, resp.StatusCode)
 	}
-	if readmitted := s.recordSuccess(); readmitted {
-		r.cfg.Logf("shard: circuit CLOSED on shard %d (%s): request succeeded", s.id, s.base())
-	}
-	return resp.StatusCode, resp.Header, respBody, nil
+	err = json.NewDecoder(resp.Body).Decode(v)
+	io.Copy(io.Discard, resp.Body) // read to EOF so the connection is reused
+	return err
 }
 
 func copyResponse(w http.ResponseWriter, status int, hdr http.Header, body []byte) {
@@ -797,12 +769,6 @@ func copyResponse(w http.ResponseWriter, status int, hdr http.Header, body []byt
 	}
 	w.WriteHeader(status)
 	w.Write(body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
 }
 
 // healthLoop probes every shard's /healthz each interval (in parallel, so a
@@ -847,47 +813,23 @@ func (r *Router) probe(s *shardState) {
 	if timeout > 2*time.Second {
 		timeout = 2 * time.Second
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base()+"/healthz", nil)
-	if err != nil {
+	var health api.Health
+	err := r.getJSON(context.Background(), timeout, s, "/healthz", &health)
+	if err == nil {
+		s.depth.Store(health.QueueDepth)
+		if health.ServiceNS > 0 {
+			s.service.Store(health.ServiceNS)
+		}
+		if health.ClassQueueDepths != nil {
+			for _, c := range serve.Classes {
+				s.classDepth[c].Store(health.ClassQueueDepths[c.String()])
+			}
+			s.hasClassDepths.Store(true)
+		}
+		r.noteSuccess(s, "probe")
 		return
 	}
-	resp, err := r.client.Do(req)
-	if err == nil {
-		var health struct {
-			QueueDepth       int64            `json:"queue_depth"`
-			ServiceNS        int64            `json:"service_ns"`
-			AdvertisedWeight float64          `json:"advertised_weight"`
-			ClassQueueDepths map[string]int64 `json:"class_queue_depths"`
-		}
-		decodeErr := json.NewDecoder(resp.Body).Decode(&health)
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if decodeErr == nil && resp.StatusCode == http.StatusOK {
-			s.depth.Store(health.QueueDepth)
-			if health.ServiceNS > 0 {
-				s.service.Store(health.ServiceNS)
-			}
-			if health.AdvertisedWeight >= 0 {
-				s.setAdvWeight(health.AdvertisedWeight)
-			}
-			if health.ClassQueueDepths != nil {
-				for _, c := range serve.Classes {
-					s.classDepth[c].Store(health.ClassQueueDepths[c.String()])
-				}
-				s.hasClassDepths.Store(true)
-			}
-			if readmitted := s.recordSuccess(); readmitted {
-				r.cfg.Logf("shard: circuit CLOSED on shard %d (%s): probe succeeded", s.id, s.base())
-			}
-			return
-		}
-		err = fmt.Errorf("healthz status %d (decode: %v)", resp.StatusCode, decodeErr)
-	}
-	if opened := s.recordFailure(r.cfg.BreakerThreshold); opened {
-		r.cfg.Logf("shard: circuit OPEN on shard %d (%s): %v", s.id, s.base(), err)
-	}
+	r.noteFailure(s, err)
 	if r.cfg.OnShardDown != nil && s.shouldNotifyDown(r.cfg.DownAfter) {
 		r.cfg.Logf("shard: attached shard %d (%s) unreachable for %v — invoking OnShardDown",
 			s.id, s.base(), r.cfg.DownAfter)
@@ -904,12 +846,8 @@ type ShardStatus struct {
 	// ServiceTime is the per-image service time the shard last reported,
 	// the adaptive-placement signal.
 	ServiceTime time.Duration `json:"service_ns"`
-	// AdvertisedWeight is the min-max placement weight the shard last
-	// reported on /healthz (0 = not advertising), the `-placement minmax`
-	// signal.
-	AdvertisedWeight float64 `json:"advertised_weight,omitempty"`
-	Inflight         int64   `json:"inflight"`
-	QueueDepth       int64   `json:"queue_depth"` // last /healthz report
+	Inflight    int64         `json:"inflight"`
+	QueueDepth  int64         `json:"queue_depth"` // last /healthz report
 	// ClassQueueDepths is the per-class queue-depth split the shard last
 	// reported on /healthz (absent against a worker that predates classes).
 	ClassQueueDepths map[string]int64 `json:"class_queue_depths,omitempty"`
@@ -956,10 +894,9 @@ func (r *Router) Report(ctx context.Context) StatsReport {
 			defer wg.Done()
 			st := ShardStatus{
 				ID: s.id, URL: s.base(), Healthy: s.healthy(),
-				Weight:           s.weight,
-				ServiceTime:      time.Duration(s.service.Load()),
-				AdvertisedWeight: s.advWeight(),
-				Inflight:         s.inflight.Load(), QueueDepth: s.depth.Load(),
+				Weight:      s.weight,
+				ServiceTime: time.Duration(s.service.Load()),
+				Inflight:    s.inflight.Load(), QueueDepth: s.depth.Load(),
 				Restarts:        s.restarts.Load(),
 				PermanentlyDown: s.isDown(),
 			}
@@ -1014,29 +951,15 @@ func (r *Router) fetchStats(ctx context.Context, s *shardState) (*serve.Stats, e
 	if s.isDown() {
 		return nil, fmt.Errorf("shard permanently down")
 	}
-	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base()+"/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("stats status %d", resp.StatusCode)
-	}
 	var st serve.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := r.getJSON(ctx, 2*time.Second, s, "/stats", &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.Report(req.Context()))
+	api.WriteJSON(w, http.StatusOK, r.Report(req.Context()))
 }
 
 // handleMetrics renders the fleet in Prometheus text format: the
@@ -1075,7 +998,6 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		}
 		p.Gauge("hybridnet_shard_weight", "Static placement capacity weight.", sh.Weight, l)
 		p.Gauge("hybridnet_shard_service_time_seconds", "Per-image service time the shard last reported (adaptive-placement signal).", sh.ServiceTime.Seconds(), l)
-		p.Gauge("hybridnet_shard_advertised_weight", "Min-max placement weight the shard last reported on /healthz (0 = not advertising).", sh.AdvertisedWeight, l)
 	}
 	if err := p.Err(); err != nil {
 		r.cfg.Log.Warn("write metrics", "err", err)
@@ -1094,7 +1016,7 @@ func b2f(b bool) float64 {
 // so one curl answers "what were the slowest requests anywhere".
 func (r *Router) handleDebugRequests(w http.ResponseWriter, req *http.Request) {
 	dumps := make([]obs.RecorderDump, len(r.shards)+1)
-	dumps[len(r.shards)] = r.rec.Snapshot()
+	dumps[len(r.shards)] = r.trace.Snapshot()
 	var wg sync.WaitGroup
 	for i, s := range r.shards {
 		wg.Add(1)
@@ -1108,7 +1030,7 @@ func (r *Router) handleDebugRequests(w http.ResponseWriter, req *http.Request) {
 		}(i, s)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, obs.MergeDumps(dumps...))
+	api.WriteJSON(w, http.StatusOK, obs.MergeDumps(dumps...))
 }
 
 func (r *Router) fetchDump(ctx context.Context, s *shardState) (obs.RecorderDump, error) {
@@ -1116,57 +1038,33 @@ func (r *Router) fetchDump(ctx context.Context, s *shardState) (obs.RecorderDump
 	if s.isDown() {
 		return dump, fmt.Errorf("shard permanently down")
 	}
-	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base()+"/debug/requests", nil)
-	if err != nil {
-		return dump, err
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return dump, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return dump, fmt.Errorf("debug/requests status %d", resp.StatusCode)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&dump)
-	return dump, err
+	return dump, r.getJSON(ctx, 2*time.Second, s, "/debug/requests", &dump)
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	healthy, down := 0, 0
-	var classDepths map[string]int64
+	body := api.FleetHealth{Status: "ok", Shards: len(r.shards)}
 	for _, s := range r.shards {
 		if s.healthy() {
-			healthy++
+			body.Healthy++
 		}
 		if s.isDown() {
-			down++
+			body.Down++
 		}
 		if s.hasClassDepths.Load() {
-			if classDepths == nil {
-				classDepths = make(map[string]int64, serve.NumClasses)
+			if body.ClassQueueDepths == nil {
+				body.ClassQueueDepths = make(map[string]int64, serve.NumClasses)
 			}
 			for _, c := range serve.Classes {
-				classDepths[c.String()] += s.classDepth[c].Load()
+				body.ClassQueueDepths[c.String()] += s.classDepth[c].Load()
 			}
 		}
 	}
 	status := http.StatusOK
-	body := map[string]any{
-		"status": "ok", "shards": len(r.shards), "healthy": healthy, "down": down,
-	}
-	if classDepths != nil {
-		// Fleet-wide per-class backlog, same shape as a worker's report, so a
-		// front tier can stack routers the way routers stack workers.
-		body["class_queue_depths"] = classDepths
-	}
-	if healthy == 0 {
+	if body.Healthy == 0 {
 		status = http.StatusServiceUnavailable
-		body["status"] = "no healthy shards"
+		body.Status = "no healthy shards"
 	}
-	writeJSON(w, status, body)
+	api.WriteJSON(w, status, body)
 }
 
 // Shutdown stops the health loop and supervisors, then drains the fleet:

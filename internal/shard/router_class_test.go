@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -13,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -47,26 +47,21 @@ func startClassWorker(t *testing.T, name string) *classWorker {
 		w.lastClass.Store(r.Header.Get(obs.ClassHeader))
 		if w.shed.Load() {
 			rw.Header().Set("Retry-After", "17")
-			rw.Header().Set("Content-Type", "application/json")
-			rw.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintf(rw, `{"error":"queue full","shed_by":%q}`, w.name)
+			api.WriteJSON(rw, http.StatusServiceUnavailable, api.ErrorResponse{Error: "queue full at " + w.name})
 			return
 		}
 		w.classified.Add(1)
-		rw.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(rw, `{"class":14,"served_by":%q}`, w.name)
+		api.WriteJSON(rw, http.StatusOK, api.ClassifyResponse{Class: 14, ServiceClass: r.Header.Get(obs.ClassHeader)})
 	})
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set("Content-Type", "application/json")
-		if !w.reportCls.Load() {
-			fmt.Fprintf(rw, `{"status":"ok","queue_depth":%d,"service_ns":0}`, w.depth.Load())
-			return
+		health := api.Health{Status: "ok", QueueDepth: w.depth.Load()}
+		if w.reportCls.Load() {
+			health.ClassQueueDepths = make(map[string]int64, serve.NumClasses)
+			for _, c := range serve.Classes {
+				health.ClassQueueDepths[c.String()] = w.classDepth[c].Load()
+			}
 		}
-		fmt.Fprintf(rw, `{"status":"ok","queue_depth":%d,"service_ns":0,"class_queue_depths":{"guaranteed":%d,"fast":%d,"budget":%d}}`,
-			w.depth.Load(),
-			w.classDepth[serve.ClassGuaranteed].Load(),
-			w.classDepth[serve.ClassFast].Load(),
-			w.classDepth[serve.ClassBudget].Load())
+		api.WriteJSON(rw, http.StatusOK, health)
 	})
 	mux.HandleFunc("/stats", func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("Content-Type", "application/json")
@@ -224,9 +219,7 @@ func TestRouterClassAwarePlacement(t *testing.T) {
 			return false
 		}
 		defer resp.Body.Close()
-		var body struct {
-			ClassQueueDepths map[string]int64 `json:"class_queue_depths"`
-		}
+		var body api.FleetHealth
 		if json.NewDecoder(resp.Body).Decode(&body) != nil {
 			return false
 		}

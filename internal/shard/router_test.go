@@ -9,11 +9,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -28,6 +30,7 @@ type testWorker struct {
 	depth atomic.Int64 // queue depth reported by /healthz
 	delay atomic.Int64 // per-classify latency, ns
 	svc   atomic.Int64 // service_ns reported by /healthz (adaptive placement)
+	bloat atomic.Bool  // answer /classify with a 2 MiB body
 
 	mu  sync.Mutex
 	srv *http.Server
@@ -64,13 +67,14 @@ func (w *testWorker) serveOn(ln net.Listener) {
 			rw.Header().Set(obs.TraceHeader, tr)
 		}
 		rw.Header().Set(obs.SpansHeader, "queue;dur=0.100,backend;dur=0.500")
-		rw.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(rw, `{"class":14,"decision":"accept"}`)
+		if w.bloat.Load() {
+			rw.Write(bytes.Repeat([]byte("x"), 2<<20))
+			return
+		}
+		api.WriteJSON(rw, http.StatusOK, api.ClassifyResponse{Class: 14, Decision: "accept"})
 	})
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(rw, `{"status":"ok","queue_depth":%d,"service_ns":%d}`,
-			w.depth.Load(), w.svc.Load())
+		api.WriteJSON(rw, http.StatusOK, api.Health{Status: "ok", QueueDepth: w.depth.Load(), ServiceNS: w.svc.Load()})
 	})
 	mux.HandleFunc("/stats", func(rw http.ResponseWriter, r *http.Request) {
 		n := w.classified.Load()
@@ -416,6 +420,45 @@ func TestRouterClientAbortIsNotShardFailure(t *testing.T) {
 	}
 	if rep.Errors != 0 {
 		t.Fatalf("router errors %d after client aborts — error stats polluted", rep.Errors)
+	}
+}
+
+// TestRouterCapsWorkerReply: a worker streaming more than maxWorkerReply is
+// a transport failure, not a response — the router stops reading at the
+// cap, counts it against the shard's breaker, fails over to the other
+// shard, and answers 502 itself when the failover target is as broken.
+func TestRouterCapsWorkerReply(t *testing.T) {
+	a := startTestWorker(t)
+	b := startTestWorker(t)
+	cfg := testConfig(t)
+	cfg.BreakerThreshold = 1 // the first oversized reply must open the breaker
+	r, front := newTestRouter(t, cfg, a, b)
+	client := &http.Client{Timeout: 5 * time.Second}
+
+	a.bloat.Store(true)
+	for i := 0; i < 10; i++ {
+		if err := classifyOK(client, front.URL); err != nil {
+			t.Fatalf("request %d with one bloated shard: %v (want failover to the healthy shard)", i, err)
+		}
+	}
+	rep := r.Report(context.Background())
+	if rep.Failovers == 0 || rep.Errors != 0 {
+		t.Fatalf("failovers=%d errors=%d, want failovers > 0 and no client-visible error", rep.Failovers, rep.Errors)
+	}
+	if rep.Shards[0].BreakerOpens == 0 {
+		t.Error("oversized replies never opened the bloated shard's breaker")
+	}
+
+	b.bloat.Store(true)
+	resp, err := client.Post(front.URL+"/classify", "application/json",
+		bytes.NewReader([]byte(`{"sign":"stop"}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fail api.ErrorResponse
+	decodeJSONBody(t, resp, &fail)
+	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(fail.Error, "exceeds") {
+		t.Fatalf("all-bloated fleet: status %d error %q, want 502 naming the oversized reply", resp.StatusCode, fail.Error)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/api"
 )
 
 // supervisorTestConfig tightens the restart knobs so backoff-budget
@@ -140,11 +142,7 @@ func TestSupervisorExhaustionMarksPermanentlyDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var health struct {
-		Shards  int `json:"shards"`
-		Healthy int `json:"healthy"`
-		Down    int `json:"down"`
-	}
+	var health api.FleetHealth
 	decodeJSONBody(t, resp, &health)
 	if resp.StatusCode != http.StatusOK || health.Shards != 2 || health.Healthy != 1 || health.Down != 1 {
 		t.Fatalf("healthz status %d body %+v, want 200 with 2 shards / 1 healthy / 1 down",

@@ -1,26 +1,25 @@
 // Package sim is the deterministic fleet simulator behind placement
 // development: scripted fake shards (piecewise service-time curves — step
 // changes, ramps, adversarial flapping, heterogeneous fleets), a seeded
-// virtual clock, and the *real* placement code (shard.Placer, fed by the
-// real serve.WeightTracker) driven through discrete-event simulation. A
-// full multi-second scenario runs in milliseconds of wall time, so
-// head-to-head policy comparisons (p50/p99/p999 from the real mergeable
-// histograms) run in CI on every build, and the same seed always produces
-// a byte-identical report.
+// virtual clock, and the *real* placement code (shard.Placer) driven
+// through discrete-event simulation. A full multi-second scenario runs in
+// milliseconds of wall time, so head-to-head policy comparisons
+// (p50/p99/p999 from the real mergeable histograms) run in CI on every
+// build, and the same seed always produces a byte-identical report.
 //
 // The model mirrors the router faithfully where it matters for placement
 // and stays simple everywhere else: each fake shard is a single-server
 // FIFO queue with an admission bound; the simulated router sees each
 // shard's live outstanding count (its own inflight bookkeeping) but only
-// probe-stale service-time and advertised-weight signals, refreshed every
-// ProbeInterval like the real health loop; a request refused by a full
-// shard gets exactly one failover attempt before it is shed, like
-// handleClassify.
+// a probe-stale service-time signal, refreshed every ProbeInterval like
+// the real health loop; a request refused by a full shard gets exactly one
+// failover attempt before it is shed, like handleClassify.
 package sim
 
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"time"
 )
@@ -45,7 +44,7 @@ type Scenario struct {
 	// yet and every policy is equally blind.
 	Warmup time.Duration `json:"warmup_ns,omitempty"`
 	// ProbeInterval is the simulated health-probe period: how often the
-	// router's view of service time and advertised weight refreshes.
+	// router's view of each shard's service time refreshes.
 	// 0 selects 250ms, the router default.
 	ProbeInterval time.Duration `json:"probe_interval_ns,omitempty"`
 	// Arrivals is the piecewise-constant arrival schedule: phase i applies
@@ -95,17 +94,46 @@ func (s ShardScript) serviceAt(t time.Duration) time.Duration {
 	return s.Curve[len(s.Curve)-1].Service
 }
 
-// RPSAt returns the scripted arrival rate at offset t, and the offset at
+// rpsAt returns the scripted arrival rate at offset t, and the offset at
 // which the current phase ends (Duration if t is past every phase).
-// Exported so `loadgen -scenario` replays the same schedule against a real
-// fleet.
-func (sc Scenario) RPSAt(t time.Duration) (float64, time.Duration) {
+func (sc Scenario) rpsAt(t time.Duration) (float64, time.Duration) {
 	for _, p := range sc.Arrivals {
 		if t < p.Until {
 			return p.RPS, p.Until
 		}
 	}
 	return 0, sc.Duration
+}
+
+// ArrivalOffsets is the scenario's arrival process as offsets from the
+// start of the run: exponential spacing at each phase's rate from the
+// seeded arrival stream (Seed+1), skipping zero-rate phases. A gap crossing
+// into the next phase is re-drawn from the boundary at the new rate — close
+// enough to an inhomogeneous Poisson process for scripting purposes, and
+// deterministic. Run consumes it; `loadgen -scenario` replays the same
+// offsets against a real fleet, so simulated and measured tails line up
+// arrival for arrival.
+func (sc Scenario) ArrivalOffsets() []time.Duration {
+	rng := rand.New(rand.NewSource(sc.Seed + 1))
+	var offs []time.Duration
+	for t := time.Duration(0); t < sc.Duration; {
+		rps, phaseEnd := sc.rpsAt(t)
+		if rps <= 0 {
+			t = phaseEnd
+			continue
+		}
+		next := t + time.Duration(rng.ExpFloat64()/rps*float64(time.Second))
+		if next >= sc.Duration {
+			break
+		}
+		if next > phaseEnd {
+			t = phaseEnd
+			continue
+		}
+		offs = append(offs, next)
+		t = next
+	}
+	return offs
 }
 
 // Validate checks a scenario is runnable.

@@ -65,10 +65,9 @@ func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 // simShard is one scripted fake worker: a single-server FIFO queue with
-// an admission bound, a per-completion service-time EWMA (α=1/8, exactly
-// statsState.batchDone), and the real serve.WeightTracker computing its
-// advertised min-max weight. The wrapping simulation keeps the router's
-// view of serviceEWMA/advertised weight probe-stale.
+// an admission bound and a per-completion service-time EWMA (α=1/8, exactly
+// statsState.batchDone). The wrapping simulation keeps the router's view of
+// the EWMA probe-stale.
 type simShard struct {
 	id     int
 	script ShardScript
@@ -78,13 +77,11 @@ type simShard struct {
 	busy    bool
 	ewma    time.Duration // per-request service EWMA, the worker-local estimate
 
-	submitted, rejected uint64 // cumulative, for the tracker's shed-rate delta
-	completed           uint64
-	tracker             *serve.WeightTracker
+	completed uint64
 
-	// The router's probe-stale view, refreshed at probe events.
+	// probedService is the router's probe-stale view of ewma, refreshed at
+	// probe events.
 	probedService int64
-	probedAdvW    float64
 }
 
 // outstanding is what the simulated router has in flight to this shard:
@@ -101,10 +98,8 @@ func (s *simShard) outstanding() int64 {
 // admit tries to accept a request arriving at now; reports success.
 func (s *simShard) admit(now time.Duration) bool {
 	if s.outstanding() >= int64(s.cap) {
-		s.rejected++
 		return false
 	}
-	s.submitted++
 	s.waiting = append(s.waiting, now)
 	return true
 }
@@ -121,11 +116,10 @@ func (s *simShard) observe(svc time.Duration) {
 
 func (s *simShard) candidate() shard.Candidate {
 	return shard.Candidate{
-		ID:               s.id,
-		StaticWeight:     s.script.Weight,
-		Load:             s.outstanding(),
-		Service:          s.probedService,
-		AdvertisedWeight: s.probedAdvW,
+		ID:           s.id,
+		StaticWeight: s.script.Weight,
+		Load:         s.outstanding(),
+		Service:      s.probedService,
 	}
 }
 
@@ -140,7 +134,7 @@ func Run(sc Scenario, policy string) (Result, error) {
 	placer, err := shard.NewPlacer(policy, shard.PlacerOptions{
 		Seed: sc.Seed,
 		// The weighted policy runs with its service-time term on — the
-		// strongest baseline; p2c ignores it, minmax falls back to it.
+		// strongest baseline; p2c ignores it.
 		AdaptiveWeights: true,
 	})
 	if err != nil {
@@ -150,8 +144,6 @@ func Run(sc Scenario, policy string) (Result, error) {
 	if probeEvery == 0 {
 		probeEvery = 250 * time.Millisecond
 	}
-	epoch := time.Unix(0, 0).UTC() // WeightTracker timestamps, virtual
-
 	shards := make([]*simShard, len(sc.Shards))
 	for i, script := range sc.Shards {
 		if script.Weight == 0 {
@@ -161,15 +153,13 @@ func Run(sc Scenario, policy string) (Result, error) {
 		if capacity == 0 {
 			capacity = 32
 		}
-		shards[i] = &simShard{
-			id: i, script: script, cap: capacity,
-			tracker: serve.NewWeightTracker(serve.WeightConfig{}),
-		}
+		shards[i] = &simShard{id: i, script: script, cap: capacity}
 	}
 
-	// Independent seeded streams so arrival spacing, service jitter and
-	// the placer's sampling cannot perturb each other across policies.
-	arrivalRng := rand.New(rand.NewSource(sc.Seed + 1))
+	// Independent seeded streams (arrivals: Seed+1 inside ArrivalOffsets,
+	// service jitter: Seed+2, the placer: Seed) so arrival spacing, service
+	// jitter and the placer's sampling cannot perturb each other across
+	// policies.
 	serviceRng := rand.New(rand.NewSource(sc.Seed + 2))
 
 	res := Result{Scenario: sc.Name, Policy: placer.Name()}
@@ -183,30 +173,14 @@ func Run(sc Scenario, policy string) (Result, error) {
 		heap.Push(&events, e)
 	}
 
-	// scheduleArrival books the next arrival at or after t: exponential
-	// spacing at the phase's rate, skipping zero-rate phases.
-	var scheduleArrival func(t time.Duration)
-	scheduleArrival = func(t time.Duration) {
-		for t < sc.Duration {
-			rps, phaseEnd := sc.RPSAt(t)
-			if rps <= 0 {
-				t = phaseEnd
-				continue
-			}
-			gap := time.Duration(arrivalRng.ExpFloat64() / rps * float64(time.Second))
-			next := t + gap
-			if next >= sc.Duration {
-				return
-			}
-			// A gap crossing into the next phase is re-drawn from the
-			// boundary at the new rate — close enough to an inhomogeneous
-			// Poisson process for scripting purposes, and deterministic.
-			if next > phaseEnd {
-				t = phaseEnd
-				continue
-			}
-			push(event{at: next, kind: evArrival})
-			return
+	// scheduleArrival books the next arrival. One at a time, so an arrival's
+	// seq — its rank among simultaneous events — is taken when its
+	// predecessor fires.
+	arrivals := sc.ArrivalOffsets()
+	scheduleArrival := func() {
+		if len(arrivals) > 0 {
+			push(event{at: arrivals[0], kind: evArrival})
+			arrivals = arrivals[1:]
 		}
 	}
 
@@ -225,19 +199,11 @@ func Run(sc Scenario, policy string) (Result, error) {
 		push(event{at: now + svc, kind: evDeparture, shard: s.id, enq: enq, svc: svc})
 	}
 
-	// probe refreshes the router's stale view of every shard, driving the
-	// real WeightTracker with the worker-local signals — exactly what a
-	// /healthz probe round does to Scheduler.Stats().
-	probe := func(now time.Duration) {
+	// probe refreshes the router's stale view of every shard — what a
+	// /healthz probe round does.
+	probe := func() {
 		for _, s := range shards {
 			s.probedService = int64(s.ewma)
-			s.probedAdvW = s.tracker.Observe(epoch.Add(now), serve.WeightSignals{
-				Service:    s.ewma,
-				QueueDepth: len(s.waiting),
-				QueueCap:   s.cap,
-				Submitted:  s.submitted,
-				Rejected:   s.rejected,
-			})
 		}
 	}
 
@@ -259,15 +225,15 @@ func Run(sc Scenario, policy string) (Result, error) {
 		return shards[idx[placer.Pick(cands)]]
 	}
 
-	probe(0) // the router probes before serving, like WaitReady
+	probe() // the router probes before serving, like WaitReady
 	push(event{at: probeEvery, kind: evProbe})
-	scheduleArrival(0)
+	scheduleArrival()
 
 	for events.Len() > 0 {
 		e := heap.Pop(&events).(event)
 		switch e.kind {
 		case evProbe:
-			probe(e.at)
+			probe()
 			if e.at < sc.Duration {
 				push(event{at: e.at + probeEvery, kind: evProbe})
 			}
@@ -289,7 +255,7 @@ func Run(sc Scenario, policy string) (Result, error) {
 			} else if !target.busy {
 				startService(target, e.at)
 			}
-			scheduleArrival(e.at)
+			scheduleArrival()
 		case evDeparture:
 			s := shards[e.shard]
 			s.busy = false
@@ -325,10 +291,9 @@ type Comparison struct {
 	Results     []Result `json:"results"`
 }
 
-// Policies is the comparison set every scenario runs under.
-func Policies() []string {
-	return []string{shard.PlacementP2C, shard.PlacementWeightedP2C, shard.PlacementMinMax}
-}
+// Policies is the comparison set every scenario runs under: every policy
+// the router accepts, so a new one cannot skip the matrix.
+func Policies() []string { return shard.PlacementNames() }
 
 // Matrix runs every scenario under every policy: the CI comparison table.
 func Matrix(scenarios []Scenario, policies []string) ([]Comparison, error) {

@@ -1,4 +1,4 @@
-package main
+package worker
 
 import (
 	"encoding/json"
@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 )
 
@@ -52,7 +53,7 @@ func TestClassifyServiceClassHeader(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fast classify: status %d body %s", resp.StatusCode, body)
 	}
-	var got classifyResponse
+	var got api.ClassifyResponse
 	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +80,7 @@ func TestHealthzClassQueueDepths(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var body struct {
-		ClassQueueDepths map[string]int `json:"class_queue_depths"`
-	}
+	var body api.Health
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
