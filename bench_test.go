@@ -172,8 +172,8 @@ func BenchmarkAblation_RollbackDistance(b *testing.B) {
 	}
 }
 
-// Convolution kernels — naive reference loop vs the im2col/GEMM path the
-// layer refactor introduced, on the paper's exact first AlexNet layer
+// Convolution kernels — the direct reference loop vs the im2col/GEMM path
+// the layers run, on the paper's exact first AlexNet layer
 // (96 × 11×11×3 over 227×227×3, stride 4).
 
 func convBenchWorkload(b *testing.B) (*nn.Conv2D, *tensor.Tensor) {
@@ -188,12 +188,13 @@ func convBenchWorkload(b *testing.B) (*nn.Conv2D, *tensor.Tensor) {
 	return c, x
 }
 
-func BenchmarkConvForward_Naive(b *testing.B) {
+func BenchmarkConvForward_Direct(b *testing.B) {
 	c, x := convBenchWorkload(b)
+	spec := reliable.ConvSpec{Stride: c.Stride(), Pad: c.Pad()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.ForwardNaive(x); err != nil {
+		if _, err := reliable.NativeConv2D(x, c.Weight(), c.Bias().Data(), spec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -658,9 +659,7 @@ func BenchmarkRouterProxy(b *testing.B) {
 	w1, w2 := worker(), worker()
 	defer w1.Close()
 	defer w2.Close()
-	router, err := shard.New([]string{w1.URL, w2.URL}, shard.Config{
-		Logf: func(string, ...any) {},
-	})
+	router, err := shard.New([]string{w1.URL, w2.URL}, shard.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -114,7 +114,6 @@ func run(args []string) error {
 		Placement:        *placement,
 		RestartMax:       *restartMax,
 		RestartBackoff:   *restartBackoff,
-		Logf:             logger.Logf,
 		Log:              logger,
 		TraceDepth:       *traceDepth,
 		TraceSample:      *traceSample,

@@ -126,7 +126,7 @@ func TestWireContractRoundTrip(t *testing.T) {
 	}
 
 	router, err := shard.New([]string{good}, shard.Config{
-		HealthInterval: 20 * time.Millisecond, Logf: t.Logf,
+		HealthInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

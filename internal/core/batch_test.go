@@ -68,7 +68,11 @@ func TestClassifyBatchMatchesSerial(t *testing.T) {
 		}
 
 		for _, workers := range []int{1, 4} {
-			got, err := h.ClassifyBatch(imgs, workers)
+			c, err := h.NewBatchClassifier(workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.ClassifyBatch(imgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,7 +280,11 @@ func TestClassifyBatchEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.ClassifyBatch(nil, 2)
+	c, err := h.NewBatchClassifier(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.ClassifyBatch(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

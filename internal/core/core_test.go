@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gtsrb"
 	"repro/internal/nn"
+	"repro/internal/reliable"
 	"repro/internal/shape"
 	"repro/internal/tensor"
 	"repro/internal/train"
@@ -454,43 +457,222 @@ func TestHybridRejectsMismatchedShape(t *testing.T) {
 	}
 }
 
-func TestHybridExecutionFailure(t *testing.T) {
-	net := trainedMicroNet(t)
+// saturatingALUs yields a fresh transient ALU per processing element that
+// corrupts every result with an independent random word, so under temporal
+// DMR the very first operation disagrees with itself and the second failed
+// attempt trips the default bucket.
+func saturatingALUs() ALUFactory {
 	seed := int64(0)
-	h, err := NewHybridNetwork(Config{
-		Wiring: WiringParallel, Mode: ModeTemporalDMR,
-		SafetyClasses: defaultSafety(), DownsampleFactor: 3,
-		ALUs: func() fault.ALU {
-			seed++
-			rng := rand.New(rand.NewSource(seed))
-			alu, err := fault.NewTransient(1, fault.WordRandom{}, rng)
-			if err != nil {
-				panic(err)
-			}
-			return alu
+	return func() fault.ALU {
+		seed++
+		alu, err := fault.NewTransient(1, fault.WordRandom{}, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			panic(err)
+		}
+		return alu
+	}
+}
+
+// infFaultALU is ideal except that an infinite sum comes back as a different
+// finite value on every execution. Convolution and ReLU never produce an
+// infinity, but reliable max pooling seeds every window with −Inf, so its
+// first comparison (v − (−Inf) = +Inf) disagrees with itself: the fault
+// lands in the DCNN prefix continuation, after conv1 executed cleanly, and
+// — being a function of the operands, not of the ALU's history — at the same
+// operation of every image a pooled engine serves.
+type infFaultALU struct{ n float32 }
+
+func (a *infFaultALU) Mul(x, y float32) float32 { return x * y }
+
+func (a *infFaultALU) Add(x, y float32) float32 {
+	s := x + y
+	if math.IsInf(float64(s), 0) {
+		a.n++
+		return a.n
+	}
+	return s
+}
+
+// TestBucketTripAtEveryReliableSite drives a persistent fault into each of
+// the three places the hybrid executes reliably — the parallel wiring's edge
+// convolution, the bifurcated wiring's conv1, and the bifurcated DCNN prefix
+// continuation — through Classify and through a warm one-worker
+// BatchClassifier whose chunk also carries CNN-only riders. Every full image
+// must come back DecisionExecutionFailed with the bucket trip in ExecErr and
+// Bucket, per-image work counters, and the wiring's asymmetry intact: the
+// parallel CNN never depended on the failed edge stage and still reports its
+// opinion, the bifurcated CNN lost its input and reports nothing. The riders
+// never touch the reliable stage, so they equal a fault-free run bit for bit.
+func TestBucketTripAtEveryReliableSite(t *testing.T) {
+	net := trainedMicroNet(t)
+	conv1, err := nn.FirstConv(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := InstallSobelPair(conv1, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Under the default bucket two successive failures trip: one retry.
+	tripOnFirstOp := reliable.Stats{Ops: 2, Failed: 2, Retries: 1}
+	sites := []struct {
+		name    string
+		cfg     Config
+		imgSize int
+		alus    func() ALUFactory
+		cnnRuns bool // the CNN still classifies an image whose reliable stage failed
+		// cleanDepth is how many layers execute fault-free before the trip.
+		cleanDepth int
+	}{
+		{
+			name:    "parallel edge convolution",
+			cfg:     Config{Wiring: WiringParallel, DownsampleFactor: 3},
+			imgSize: 96, alus: saturatingALUs, cnnRuns: true,
 		},
-	}, net)
-	if err != nil {
-		t.Fatal(err)
+		{
+			name:    "bifurcated conv1",
+			cfg:     Config{Wiring: WiringBifurcated, Pair: pair},
+			imgSize: 32, alus: saturatingALUs,
+		},
+		{
+			name:    "bifurcated prefix continuation",
+			cfg:     Config{Wiring: WiringBifurcated, Pair: pair, DCNNDepth: 3},
+			imgSize: 32, cleanDepth: 2,
+			alus: func() ALUFactory { return func() fault.ALU { return &infFaultALU{} } },
+		},
 	}
-	rng := rand.New(rand.NewSource(38))
-	img, err := gtsrb.AngledStopSign(96, rng)
-	if err != nil {
-		t.Fatal(err)
+	for _, site := range sites {
+		t.Run(site.name, func(t *testing.T) {
+			cfg := site.cfg
+			cfg.Mode, cfg.SafetyClasses = ModeTemporalDMR, defaultSafety()
+			clean, err := NewHybridNetwork(cfg, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.ALUs = site.alus()
+			faulty, err := NewHybridNetwork(cfg, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			rng := rand.New(rand.NewSource(57))
+			gcfg, err := gtsrb.Config{Size: site.imgSize}.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			imgs := make([]*tensor.Tensor, 5)
+			for i := range imgs {
+				spec := gtsrb.StandardClasses()[i%len(gtsrb.StandardClasses())]
+				if imgs[i], err = gtsrb.Render(gtsrb.RandomParams(gcfg, spec, rng), rng); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pipes := []Pipeline{PipelineFull, PipelineCNN, PipelineFull, PipelineCNN, PipelineFull}
+
+			// Fault-free reference for the riders and for the parallel
+			// wiring's surviving CNN opinion.
+			cleanPool, err := clean.NewBatchClassifier(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := cleanPool.ClassifyBatchPipelined(imgs, pipes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The work counters of an image that trips: the layers before
+			// the faulty one in full, then the two attempts of the trip.
+			wantStats := tripOnFirstOp
+			if site.cleanDepth > 0 {
+				ops, err := PrefixCost(net, site.cleanDepth, imgs[0].Shape())
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantStats.Ops += ops
+			}
+
+			checkFailed := func(t *testing.T, label string, res, ref Result) {
+				t.Helper()
+				if res.Decision != DecisionExecutionFailed {
+					t.Errorf("%s: decision = %v, want execution-failed", label, res.Decision)
+				}
+				if !errors.Is(res.ExecErr, reliable.ErrBucketTripped) {
+					t.Errorf("%s: ExecErr = %v, want a bucket trip", label, res.ExecErr)
+				}
+				if !res.Bucket.Tripped || res.Bucket.Errors != 2 {
+					t.Errorf("%s: bucket = %+v, want tripped after 2 errors", label, res.Bucket)
+				}
+				if res.Stats != wantStats {
+					t.Errorf("%s: stats = %+v, want per-image %+v", label, res.Stats, wantStats)
+				}
+				if res.Qualifier.Class != 0 {
+					t.Errorf("%s: qualifier ran (%v) after a failed execution", label, res.Qualifier.Class)
+				}
+				if site.cnnRuns {
+					if res.Class != ref.Class || res.Confidence != ref.Confidence || !equalProbs(res.Probs, ref.Probs) {
+						t.Errorf("%s: CNN opinion (%d,%v) != fault-free (%d,%v)",
+							label, res.Class, res.Confidence, ref.Class, ref.Confidence)
+					}
+				} else if res.Class != 0 || res.Confidence != 0 || res.Probs != nil {
+					t.Errorf("%s: CNN ran without its input: (%d,%v,%v)", label, res.Class, res.Confidence, res.Probs)
+				}
+			}
+
+			serial := make([]Result, len(imgs))
+			for i, img := range imgs {
+				if pipes[i] != PipelineFull {
+					continue
+				}
+				if serial[i], err = faulty.Classify(img); err != nil {
+					t.Fatal(err)
+				}
+				checkFailed(t, fmt.Sprintf("Classify img %d", i), serial[i], want[i])
+			}
+
+			pool, err := faulty.NewBatchClassifier(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Two rounds: the second runs on an engine that has already
+			// served (and tripped on) other images.
+			for round := 0; round < 2; round++ {
+				got, _, err := pool.ClassifyBatchPipelined(imgs, pipes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range got {
+					label := fmt.Sprintf("round %d img %d", round, i)
+					if pipes[i] == PipelineFull {
+						checkFailed(t, label, got[i], want[i])
+						// The attempt counts in the message are the image's
+						// own, whatever the pooled engine served before it.
+						if got[i].ExecErr != nil && got[i].ExecErr.Error() != serial[i].ExecErr.Error() {
+							t.Errorf("%s: ExecErr %q != Classify's %q", label, got[i].ExecErr, serial[i].ExecErr)
+						}
+						continue
+					}
+					if got[i].Class != want[i].Class || got[i].Confidence != want[i].Confidence ||
+						!equalProbs(got[i].Probs, want[i].Probs) || got[i].Decision != want[i].Decision ||
+						got[i].Stats != (reliable.Stats{}) || got[i].Bucket != (reliable.Snapshot{}) ||
+						got[i].ExecErr != nil {
+						t.Errorf("%s: fast rider %+v != fault-free %+v", label, got[i], want[i])
+					}
+				}
+			}
+		})
 	}
-	res, err := h.Classify(img)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// equalProbs reports whether two probability rows are bit-identical.
+func equalProbs(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	if res.Decision != DecisionExecutionFailed {
-		t.Errorf("decision = %v, want execution-failed under saturating faults", res.Decision)
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
 	}
-	if res.ExecErr == nil {
-		t.Error("ExecErr should carry the bucket trip")
-	}
-	if !res.Bucket.Tripped {
-		t.Error("bucket snapshot should show the trip")
-	}
+	return true
 }
 
 func TestHybridSingleTransientFaultIsCorrected(t *testing.T) {

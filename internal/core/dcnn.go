@@ -11,33 +11,30 @@ import (
 // This file generalises the DCNN from "the first convolution layer" (the
 // paper's implementation) to an arbitrary prefix of the network — the
 // Section V future-work question of "under what conditions subsequent layers
-// of the CNN can be harnessed". ExecutePrefix runs the first depth layers
+// of the CNN can be harnessed". ExecuteLayers runs a range of layers
 // through the reliable engine: convolutions and dense layers via the
 // overloaded multiply/accumulate protocol, activations and pooling via
 // redundant comparisons, LRN via protected sums and products.
 
-// ExecutePrefix reliably executes layers [0, depth) of net on x and returns
-// the intermediate activation. Dropout layers are the identity (inference
-// semantics). The engine accumulates work statistics and bucket state across
-// the whole prefix.
-func ExecutePrefix(e *reliable.Engine, net *nn.Sequential, depth int, x *tensor.Tensor) (*tensor.Tensor, error) {
-	if e == nil {
-		return nil, fmt.Errorf("core: prefix execution needs an engine")
+// ExecuteLayers reliably executes layers [from, to) of net on x and returns
+// the intermediate activation: from 0 it is the generalised DCNN prefix; the
+// bifurcated hybrid enters at 1 to continue past the conv1 it already
+// executed. Dropout layers are the identity (inference semantics). The
+// engine accumulates work statistics and bucket state across the whole
+// range.
+func ExecuteLayers(e *reliable.Engine, net *nn.Sequential, from, to int, x *tensor.Tensor) (*tensor.Tensor, error) {
+	if e == nil || net == nil {
+		return nil, fmt.Errorf("core: reliable execution needs an engine and a network")
 	}
-	if net == nil {
-		return nil, fmt.Errorf("core: prefix execution needs a network")
+	if from < 0 || to < from || to > net.Len() {
+		return nil, fmt.Errorf("core: reliable layer range [%d,%d) out of [0,%d]", from, to, net.Len())
 	}
-	if depth < 0 || depth > net.Len() {
-		return nil, fmt.Errorf("core: prefix depth %d out of [0,%d]", depth, net.Len())
-	}
-	var err error
-	for i := 0; i < depth; i++ {
-		layer, lerr := net.Layer(i)
-		if lerr != nil {
-			return nil, lerr
-		}
-		x, err = executeLayer(e, layer, x)
+	for i := from; i < to; i++ {
+		layer, err := net.Layer(i)
 		if err != nil {
+			return nil, err
+		}
+		if x, err = executeLayer(e, layer, x); err != nil {
 			return nil, fmt.Errorf("core: reliable layer %d (%s): %w", i, layer.Name(), err)
 		}
 	}
@@ -136,27 +133,4 @@ func PrefixCost(net *nn.Sequential, depth int, inputShape []int) (ops uint64, er
 		}
 	}
 	return ops, nil
-}
-
-// ExecutePrefixFrom reliably executes layers [from, to) of net — used by the
-// bifurcated hybrid to continue the DCNN past the already-executed conv1.
-func ExecutePrefixFrom(e *reliable.Engine, net *nn.Sequential, from, to int, x *tensor.Tensor) (*tensor.Tensor, error) {
-	if e == nil || net == nil {
-		return nil, fmt.Errorf("core: prefix execution needs an engine and a network")
-	}
-	if from < 0 || to < from || to > net.Len() {
-		return nil, fmt.Errorf("core: prefix range [%d,%d) out of [0,%d]", from, to, net.Len())
-	}
-	var err error
-	for i := from; i < to; i++ {
-		layer, lerr := net.Layer(i)
-		if lerr != nil {
-			return nil, lerr
-		}
-		x, err = executeLayer(e, layer, x)
-		if err != nil {
-			return nil, fmt.Errorf("core: reliable layer %d (%s): %w", i, layer.Name(), err)
-		}
-	}
-	return x, nil
 }

@@ -42,7 +42,7 @@ func idealEngine(t *testing.T) *reliable.Engine {
 // The load-bearing equivalence: on fault-free hardware the reliable prefix
 // computes exactly what the plain framework computes, for EVERY depth and
 // every layer type (conv, relu, lrn, pool, flatten, dense).
-func TestExecutePrefixMatchesPlainForward(t *testing.T) {
+func TestExecuteLayersMatchesPlainForward(t *testing.T) {
 	for _, useLRN := range []bool{false, true} {
 		net := prefixNet(t, useLRN)
 		rng := rand.New(rand.NewSource(56))
@@ -50,7 +50,7 @@ func TestExecutePrefixMatchesPlainForward(t *testing.T) {
 		x.FillUniform(rng, 0, 1)
 		for depth := 0; depth <= net.Len(); depth++ {
 			e := idealEngine(t)
-			got, err := ExecutePrefix(e, net, depth, x)
+			got, err := ExecuteLayers(e, net, 0, depth, x)
 			if err != nil {
 				t.Fatalf("lrn=%v depth %d: %v", useLRN, depth, err)
 			}
@@ -71,27 +71,27 @@ func TestExecutePrefixMatchesPlainForward(t *testing.T) {
 	}
 }
 
-func TestExecutePrefixValidation(t *testing.T) {
+func TestExecuteLayersValidation(t *testing.T) {
 	net := prefixNet(t, false)
 	e := idealEngine(t)
 	x := tensor.MustNew(3, 16, 16)
-	if _, err := ExecutePrefix(nil, net, 1, x); err == nil {
+	if _, err := ExecuteLayers(nil, net, 0, 1, x); err == nil {
 		t.Error("nil engine should fail")
 	}
-	if _, err := ExecutePrefix(e, nil, 1, x); err == nil {
+	if _, err := ExecuteLayers(e, nil, 0, 1, x); err == nil {
 		t.Error("nil net should fail")
 	}
-	if _, err := ExecutePrefix(e, net, -1, x); err == nil {
+	if _, err := ExecuteLayers(e, net, 0, -1, x); err == nil {
 		t.Error("negative depth should fail")
 	}
-	if _, err := ExecutePrefix(e, net, 99, x); err == nil {
+	if _, err := ExecuteLayers(e, net, 0, 99, x); err == nil {
 		t.Error("excess depth should fail")
 	}
-	if _, err := ExecutePrefixFrom(e, net, 3, 1, x); err == nil {
+	if _, err := ExecuteLayers(e, net, 3, 1, x); err == nil {
 		t.Error("inverted range should fail")
 	}
-	if _, err := ExecutePrefixFrom(nil, net, 0, 1, x); err == nil {
-		t.Error("nil engine range should fail")
+	if _, err := ExecuteLayers(e, net, -1, 1, x); err == nil {
+		t.Error("negative start should fail")
 	}
 }
 
@@ -101,12 +101,12 @@ func TestReliableLayersDetectFaults(t *testing.T) {
 	// reference is the reliable engine itself, not nn.Forward: the SIMD
 	// GEMM path's fused multiply-adds round differently from the reliable
 	// ops' scalar MAC chain, so plain-forward equality is only ever
-	// tolerance-based — see TestExecutePrefixMatchesPlainForward.)
+	// tolerance-based — see TestExecuteLayersMatchesPlainForward.)
 	net := prefixNet(t, false)
 	rng := rand.New(rand.NewSource(57))
 	x := tensor.MustNew(3, 16, 16)
 	x.FillUniform(rng, 0, 1)
-	want, err := ExecutePrefix(idealEngine(t), net, net.Len(), x)
+	want, err := ExecuteLayers(idealEngine(t), net, 0, net.Len(), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestReliableLayersDetectFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExecutePrefix(e, net, net.Len(), x)
+	got, err := ExecuteLayers(e, net, 0, net.Len(), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestReliablePrefixAbortsUnderSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecutePrefix(e, net, net.Len(), x); !errors.Is(err, reliable.ErrBucketTripped) {
+	if _, err := ExecuteLayers(e, net, 0, net.Len(), x); !errors.Is(err, reliable.ErrBucketTripped) {
 		t.Fatalf("want bucket trip, got %v", err)
 	}
 }
@@ -171,7 +171,7 @@ func TestPrefixCostMatchesMeasuredOps(t *testing.T) {
 			t.Fatalf("depth %d: %v", depth, err)
 		}
 		e := idealEngine(t)
-		if _, err := ExecutePrefix(e, net, depth, x); err != nil {
+		if _, err := ExecuteLayers(e, net, 0, depth, x); err != nil {
 			t.Fatal(err)
 		}
 		measured := e.Stats().Ops

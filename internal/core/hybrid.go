@@ -152,18 +152,33 @@ type Result struct {
 type HybridNetwork struct {
 	cfg       Config
 	net       *nn.Sequential
-	conv1     *nn.Conv2D
 	qualifier *shape.Qualifier
-	sobelBank *tensor.Tensor // parallel wiring edge stage (2, C, k, k)
+
+	// What the two wirings differ in, resolved once by NewHybridNetwork so
+	// the classify path never asks which wiring it is.
+	//
+	// The reliably executed convolution — the standalone Sobel pair
+	// (parallel) or the CNN's own conv1, sharing its weight storage
+	// (bifurcated) — and the two output channels of it that carry Sobel-x
+	// and Sobel-y for the qualifier.
+	edgeBank *tensor.Tensor
+	edgeBias []float32
+	edgeSpec reliable.ConvSpec
+	edgePair SobelPair
+	// onSaliency: it convolves the image's colourfulness plane, not the image.
+	onSaliency bool
+	// cnnFrom is the layer at which the non-reliable CNN takes over. From 1
+	// up the reliable stage executes layers [0, cnnFrom) and the CNN consumes
+	// its output, so it cannot run after an execution failure. At 0 the CNN
+	// consumes the (downsampled) image itself, owes nothing to the reliable
+	// stage and still reports its opinion after a failure.
+	cnnFrom int
 }
 
 // NewHybridNetwork wraps a trained CNN into a hybrid network.
 func NewHybridNetwork(cfg Config, net *nn.Sequential) (*HybridNetwork, error) {
 	if net == nil {
 		return nil, fmt.Errorf("core: hybrid needs a CNN")
-	}
-	if cfg.Wiring != WiringParallel && cfg.Wiring != WiringBifurcated {
-		return nil, fmt.Errorf("core: unknown wiring %d", int(cfg.Wiring))
 	}
 	if _, err := cfg.Mode.PEs(); err != nil {
 		return nil, err
@@ -193,16 +208,6 @@ func NewHybridNetwork(cfg Config, net *nn.Sequential) (*HybridNetwork, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Wiring == WiringBifurcated {
-		if cfg.Pair.XIdx == cfg.Pair.YIdx {
-			return nil, fmt.Errorf("core: bifurcated wiring needs a Sobel pair with distinct indices")
-		}
-		if cfg.Pair.XIdx < 0 || cfg.Pair.XIdx >= conv1.Filters() ||
-			cfg.Pair.YIdx < 0 || cfg.Pair.YIdx >= conv1.Filters() {
-			return nil, fmt.Errorf("core: Sobel pair (%d,%d) out of range [0,%d)",
-				cfg.Pair.XIdx, cfg.Pair.YIdx, conv1.Filters())
-		}
-	}
 	qcfg := shape.DefaultQualifierConfig()
 	if cfg.Qualifier != nil {
 		qcfg = *cfg.Qualifier
@@ -211,38 +216,56 @@ func NewHybridNetwork(cfg Config, net *nn.Sequential) (*HybridNetwork, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: hybrid qualifier: %w", err)
 	}
-	h := &HybridNetwork{cfg: cfg, net: net, conv1: conv1, qualifier: q}
-	if cfg.Wiring == WiringParallel {
-		// The parallel edge stage convolves the single-channel saliency
-		// (colourfulness) image, so the bank has one input channel.
-		fx, err := shape.SobelX(cfg.SobelKernel)
-		if err != nil {
+	h := &HybridNetwork{cfg: cfg, net: net, qualifier: q}
+	switch cfg.Wiring {
+	case WiringParallel:
+		// The edge stage convolves the single-channel saliency
+		// (colourfulness) image at full resolution, independent of the CNN.
+		if h.edgeBank, err = sobelBank(cfg.SobelKernel); err != nil {
 			return nil, err
 		}
-		fy, err := shape.SobelY(cfg.SobelKernel)
-		if err != nil {
-			return nil, err
+		h.edgeSpec = reliable.ConvSpec{Stride: 1, Pad: cfg.SobelKernel / 2}
+		h.edgePair = SobelPair{XIdx: 0, YIdx: 1}
+		h.onSaliency = true
+	case WiringBifurcated:
+		if cfg.Pair.XIdx == cfg.Pair.YIdx {
+			return nil, fmt.Errorf("core: bifurcated wiring needs a Sobel pair with distinct indices")
 		}
-		bank, err := tensor.New(2, 1, cfg.SobelKernel, cfg.SobelKernel)
-		if err != nil {
-			return nil, err
+		if cfg.Pair.XIdx < 0 || cfg.Pair.XIdx >= conv1.Filters() ||
+			cfg.Pair.YIdx < 0 || cfg.Pair.YIdx >= conv1.Filters() {
+			return nil, fmt.Errorf("core: Sobel pair (%d,%d) out of range [0,%d)",
+				cfg.Pair.XIdx, cfg.Pair.YIdx, conv1.Filters())
 		}
-		for i, f := range []*tensor.Tensor{fx, fy} {
-			view, err := bank.Filter(i)
-			if err != nil {
-				return nil, err
-			}
-			ch, err := view.Channel(0)
-			if err != nil {
-				return nil, err
-			}
-			if err := ch.CopyFrom(f); err != nil {
-				return nil, err
-			}
-		}
-		h.sobelBank = bank
+		// conv1 executes reliably; its output feeds both the qualifier (via
+		// the Sobel channels) and the rest of the CNN.
+		h.edgeBank, h.edgeBias = conv1.Weight(), conv1.Bias().Data()
+		h.edgeSpec = reliable.ConvSpec{Stride: conv1.Stride(), Pad: conv1.Pad()}
+		h.edgePair = cfg.Pair
+		h.cnnFrom = cfg.DCNNDepth
+	default:
+		return nil, fmt.Errorf("core: unknown wiring %d", int(cfg.Wiring))
 	}
 	return h, nil
+}
+
+// sobelBank builds the parallel wiring's (2, 1, k, k) filter bank: Sobel-x
+// then Sobel-y, each over the one saliency channel.
+func sobelBank(k int) (*tensor.Tensor, error) {
+	fx, err := shape.SobelX(k)
+	if err != nil {
+		return nil, err
+	}
+	fy, err := shape.SobelY(k)
+	if err != nil {
+		return nil, err
+	}
+	bank, err := tensor.New(2, 1, k, k)
+	if err != nil {
+		return nil, err
+	}
+	copy(bank.Data()[:k*k], fx.Data())
+	copy(bank.Data()[k*k:], fy.Data())
+	return bank, nil
 }
 
 // Net returns the wrapped CNN.
@@ -270,15 +293,16 @@ func (h *HybridNetwork) newEngine() (*reliable.Engine, error) {
 // Classify runs the hybrid pipeline on a full-resolution CHW image with a
 // fresh context and reliable engine: a chunk of one through the same
 // pipelined path every batch takes. It is safe to call concurrently on a
-// shared HybridNetwork; for batches prefer ClassifyBatch, which shares
-// each worker's context and engine across the images of that batch.
+// shared HybridNetwork; for batches hold a BatchClassifier
+// (NewBatchClassifier), whose workers each keep one context and engine
+// across every image they serve.
 func (h *HybridNetwork) Classify(img *tensor.Tensor) (Result, error) {
 	engine, err := h.newEngine()
 	if err != nil {
 		return Result{}, err
 	}
 	results := make([]Result, 1)
-	if err := h.classifyChunkPipelined(nn.NewContext(), engine, []*tensor.Tensor{img}, nil, results, nil); err != nil {
+	if err := h.classifyChunkPipelined(nn.NewContext(), engine, []*tensor.Tensor{img}, nil, results, &StageTimes{}); err != nil {
 		return Result{}, err
 	}
 	return results[0], nil
@@ -305,22 +329,10 @@ func (h *HybridNetwork) Classify(img *tensor.Tensor) (Result, error) {
 // SAME batched CNN continuation, so a mixed chunk still costs one GEMM per
 // layer. nil pipes means PipelineFull for every image.
 //
-// When st is non-nil the chunk's per-stage wall time is accumulated into
-// it (reliable stage, qualifier, batched CNN) — one goroutine owns a chunk
-// end to end, so plain additions suffice.
+// The chunk's per-stage wall time is accumulated into st (reliable stage,
+// qualifier, batched CNN) — one goroutine owns a chunk end to end, so plain
+// additions suffice.
 func (h *HybridNetwork) classifyChunkPipelined(ctx *nn.Context, engine *reliable.Engine, imgs []*tensor.Tensor, pipes []Pipeline, results []Result, st *StageTimes) error {
-	if h.cfg.Wiring != WiringParallel && h.cfg.Wiring != WiringBifurcated {
-		return fmt.Errorf("core: unknown wiring %d", int(h.cfg.Wiring))
-	}
-	if len(imgs) != len(results) {
-		return fmt.Errorf("core: classify chunk has %d images for %d results", len(imgs), len(results))
-	}
-	if pipes != nil && len(pipes) != len(imgs) {
-		return fmt.Errorf("core: classify chunk has %d pipelines for %d images", len(pipes), len(imgs))
-	}
-	if st == nil {
-		st = &StageTimes{} // timing always measured into somewhere; discarded when unwanted
-	}
 	// Stage 1: reliable execution + qualifier, per sample — full-pipeline
 	// images only.
 	cnnIns := make([]*tensor.Tensor, 0, len(imgs))
@@ -364,27 +376,34 @@ func (h *HybridNetwork) classifyChunkPipelined(ctx *nn.Context, engine *reliable
 	return err
 }
 
+// cnnImage is what the CNN classifies when it consumes the image itself
+// (cnnFrom == 0): the box-downsampled view, or the image as it is at
+// factor 1.
+func (h *HybridNetwork) cnnImage(img *tensor.Tensor) (*tensor.Tensor, error) {
+	if h.cfg.DownsampleFactor <= 1 {
+		return img, nil
+	}
+	return BoxDownsample(img, h.cfg.DownsampleFactor)
+}
+
 // fastEntries computes the CNN-stage entry tensor for every fast-pipeline
-// image. Parallel wiring: the (possibly downsampled) image itself — the CNN
-// consumes the raw input. Bifurcated wiring: the image is run through the
-// non-reliable batched prefix [0, DCNNDepth) so it arrives at the same
-// layer as the reliable stage's output; same-shaped fast images share one
-// batched prefix pass.
+// image — what the reliable stage would have handed over, computed without
+// it. When the CNN consumes the image that is the (possibly downsampled)
+// image; otherwise the images run the non-reliable batched prefix
+// [0, cnnFrom) so they arrive at the same layer as the reliable stage's
+// output, same-shaped fast images sharing one batched prefix pass.
 func (h *HybridNetwork) fastEntries(ctx *nn.Context, imgs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if h.cfg.Wiring == WiringBifurcated {
-		entries, err := h.net.ForwardSamples(ctx, 0, h.cfg.DCNNDepth, imgs)
+	if h.cnnFrom > 0 {
+		entries, err := h.net.ForwardSamples(ctx, 0, h.cnnFrom, imgs)
 		if err != nil {
 			return nil, fmt.Errorf("core: fast prefix: %w", err)
 		}
 		return entries, nil
 	}
-	if h.cfg.DownsampleFactor <= 1 {
-		return imgs, nil
-	}
 	entries := make([]*tensor.Tensor, len(imgs))
 	for j, img := range imgs {
 		var err error
-		if entries[j], err = BoxDownsample(img, h.cfg.DownsampleFactor); err != nil {
+		if entries[j], err = h.cnnImage(img); err != nil {
 			return nil, err
 		}
 	}
@@ -392,105 +411,62 @@ func (h *HybridNetwork) fastEntries(ctx *nn.Context, imgs []*tensor.Tensor) ([]*
 }
 
 // reliableStage runs everything except the non-reliable CNN for one image:
-// the reliably executed portion (parallel wiring: the Sobel edge stage;
-// bifurcated wiring: the DCNN prefix) and, when execution succeeds, the
-// shape qualifier. It fills res.Stats/Bucket/Qualifier and, on a bucket
-// trip, res.Decision/ExecErr. It returns the tensor the CNN stage should
-// consume: the (possibly downsampled) input image (parallel — returned even
-// after an execution failure, whose Result still reports the CNN's opinion)
-// or the reliably computed feature map (bifurcated; nil after a failure,
-// because the CNN cannot run without it). Qualifier wall time is booked
-// into st.Qualifier so the caller can split it out of the stage total.
+// the reliably executed convolution, the rest of the DCNN prefix when the
+// CNN takes over later than layer 1, and — when execution succeeds — the
+// shape qualifier on the convolution's Sobel channels. It fills
+// res.Stats/Bucket/Qualifier and, on a bucket trip, res.Decision/ExecErr.
+// It returns the tensor the CNN stage should consume: the reliably computed
+// feature map (nil after an execution failure, because the CNN cannot run
+// without it) or, when the CNN consumes the image itself, the (possibly
+// downsampled) image — returned even after a failure, whose Result still
+// reports the CNN's opinion. Qualifier wall time is booked into
+// st.Qualifier so the caller can split it out of the stage total.
 func (h *HybridNetwork) reliableStage(engine *reliable.Engine, img *tensor.Tensor, res *Result, st *StageTimes) (*tensor.Tensor, error) {
-	if h.cfg.Wiring == WiringParallel {
+	in := img
+	if h.onSaliency && img.Rank() == 3 && img.Dim(0) == 3 {
 		// Deterministic saliency preprocessing: traffic-sign faces are
 		// saturated, so the colourfulness channel separates the sign from
 		// grey background and clutter. It is a bounded per-pixel min/max
 		// with no accumulation — the class of operation the paper's
 		// qualifier is allowed to treat as deterministically verifiable.
-		saliency := img
-		if img.Rank() == 3 && img.Dim(0) == 3 {
-			col, err := shape.Colorfulness(img)
-			if err != nil {
-				return nil, err
-			}
-			saliency, err = col.Reshape(1, col.Dim(0), col.Dim(1))
-			if err != nil {
-				return nil, err
-			}
-		}
-		// Reliable edge stage on the full-resolution saliency channel.
-		edges, execErr := reliable.Conv2D(engine, saliency, h.sobelBank, nil,
-			reliable.ConvSpec{Stride: 1, Pad: h.cfg.SobelKernel / 2})
-		res.Stats = engine.Stats()
-		res.Bucket = engine.Bucket().Snapshot()
-
-		cnnIn := img
-		if h.cfg.DownsampleFactor > 1 {
-			var err error
-			cnnIn, err = BoxDownsample(img, h.cfg.DownsampleFactor)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if execErr != nil {
-			if errors.Is(execErr, reliable.ErrBucketTripped) {
-				res.Decision = DecisionExecutionFailed
-				res.ExecErr = execErr
-				return cnnIn, nil
-			}
-			return nil, execErr
-		}
-		qStart := time.Now()
-		mag, err := EdgeMagnitudeFromChannels(edges, SobelPair{XIdx: 0, YIdx: 1})
+		col, err := shape.Colorfulness(img)
 		if err != nil {
 			return nil, err
 		}
-		qres, err := h.qualifier.QualifyEdgeMap(mag)
-		st.Qualifier += time.Since(qStart)
-		if err != nil {
-			return nil, fmt.Errorf("core: qualifier: %w", err)
+		if in, err = col.Reshape(1, col.Dim(0), col.Dim(1)); err != nil {
+			return nil, err
 		}
-		res.Qualifier = qres
-		return cnnIn, nil
 	}
-
-	// Bifurcated wiring: conv1 executes reliably; its output feeds both the
-	// qualifier (via the Sobel channels) and the rest of the CNN.
-	features, execErr := reliable.Conv2D(engine, img, h.conv1.Weight(), h.conv1.Bias().Data(),
-		reliable.ConvSpec{Stride: h.conv1.Stride(), Pad: h.conv1.Pad()})
+	// The convolution is a direct call, not the first step of the prefix
+	// walk: the qualifier needs its output, not the prefix tail.
+	features, execErr := reliable.Conv2D(engine, in, h.edgeBank, h.edgeBias, h.edgeSpec)
+	cnnIn := features
+	if execErr == nil && h.cnnFrom > 1 {
+		// The generalised DCNN: continue the reliable prefix beyond conv1
+		// before handing over to the non-reliable CNN.
+		cnnIn, execErr = ExecuteLayers(engine, h.net, 1, h.cnnFrom, features)
+	}
 	res.Stats = engine.Stats()
 	res.Bucket = engine.Bucket().Snapshot()
-	if execErr != nil {
-		if errors.Is(execErr, reliable.ErrBucketTripped) {
-			res.Decision = DecisionExecutionFailed
-			res.ExecErr = execErr
-			return nil, nil
+	if h.cnnFrom == 0 {
+		var err error
+		if cnnIn, err = h.cnnImage(img); err != nil {
+			return nil, err
 		}
-		return nil, execErr
 	}
-
-	// Continue the reliable prefix beyond conv1 if configured (the
-	// generalised DCNN), then hand over to the non-reliable CNN.
-	tail := features
-	if h.cfg.DCNNDepth > 1 {
-		tail, execErr = ExecutePrefixFrom(engine, h.net, 1, h.cfg.DCNNDepth, features)
-		res.Stats = engine.Stats()
-		res.Bucket = engine.Bucket().Snapshot()
-		if execErr != nil {
-			if errors.Is(execErr, reliable.ErrBucketTripped) {
-				res.Decision = DecisionExecutionFailed
-				res.ExecErr = execErr
-				return nil, nil
-			}
+	if execErr != nil {
+		if !errors.Is(execErr, reliable.ErrBucketTripped) {
 			return nil, execErr
 		}
+		res.Decision = DecisionExecutionFailed
+		res.ExecErr = execErr
+		return cnnIn, nil
 	}
-
 	// Qualifier path: edge magnitude from the reliably computed Sobel
-	// channels of the SAME feature map the CNN consumes.
+	// channels — under the bifurcated wiring, of the SAME feature map the
+	// CNN consumes.
 	qStart := time.Now()
-	mag, err := EdgeMagnitudeFromChannels(features, h.cfg.Pair)
+	mag, err := EdgeMagnitudeFromChannels(features, h.edgePair)
 	if err != nil {
 		return nil, err
 	}
@@ -500,7 +476,7 @@ func (h *HybridNetwork) reliableStage(engine *reliable.Engine, img *tensor.Tenso
 		return nil, fmt.Errorf("core: qualifier: %w", err)
 	}
 	res.Qualifier = qres
-	return tail, nil
+	return cnnIn, nil
 }
 
 // cnnStage runs the non-reliable CNN portion over the surviving images of a
@@ -509,49 +485,23 @@ func (h *HybridNetwork) reliableStage(engine *reliable.Engine, img *tensor.Tenso
 // common shape pack into a single NCHW micro-batch (one GEMM per layer);
 // ragged shapes run one batch per shape.
 func (h *HybridNetwork) cnnStage(ctx *nn.Context, cnnIns []*tensor.Tensor, idxs []int, results []Result) error {
-	from := 0
-	if h.cfg.Wiring == WiringBifurcated {
-		from = h.cfg.DCNNDepth
-	}
-	logits, err := h.net.ForwardSamples(ctx, from, h.net.Len(), cnnIns)
+	logits, err := h.net.ForwardSamples(ctx, h.cnnFrom, h.net.Len(), cnnIns)
 	if err != nil {
 		return fmt.Errorf("core: CNN path: %w", err)
 	}
 	for j, i := range idxs {
-		if err := h.finishResult(logits[j], &results[i]); err != nil {
+		res := &results[i]
+		probs, class, err := nn.SoftmaxArgmax(logits[j])
+		if err != nil {
 			return err
+		}
+		res.Probs, res.Class, res.Confidence = probs, class, probs[class]
+		// Unless the reliable stage already ruled (execution failure).
+		if res.Decision != DecisionExecutionFailed {
+			h.decide(res)
 		}
 	}
 	return nil
-}
-
-// finishResult turns one logits row into class/confidence/probs and, unless
-// the reliable stage already ruled (execution failure), the decision.
-func (h *HybridNetwork) finishResult(logits *tensor.Tensor, res *Result) error {
-	probs, class, err := nn.SoftmaxArgmax(logits)
-	if err != nil {
-		return err
-	}
-	res.Probs, res.Class, res.Confidence = probs, class, probs[class]
-	if res.Decision != DecisionExecutionFailed {
-		h.decide(res)
-	}
-	return nil
-}
-
-// ClassifyBatch classifies every image through a worker pool (workers <= 0
-// defaults to GOMAXPROCS), returning results in input order. The CNN's
-// weights are shared across workers; each worker owns its forward context
-// and reliable engine, whose leaky bucket is reset between images so every
-// inference gets the per-execution error-counter semantics of Classify.
-// The pool is built per call; long-lived callers (serving layers) should
-// hold a BatchClassifier instead.
-func (h *HybridNetwork) ClassifyBatch(imgs []*tensor.Tensor, workers int) ([]Result, error) {
-	c, err := h.NewBatchClassifier(workers)
-	if err != nil {
-		return nil, err
-	}
-	return c.ClassifyBatch(imgs)
 }
 
 // decide implements the Reliable Result block.

@@ -2,8 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
-	"time"
+	"sync"
 
 	"repro/internal/infer"
 	"repro/internal/tensor"
@@ -23,8 +22,8 @@ type ClassifierConfig struct {
 // — one forward context and one reliable engine per worker — is built once
 // and reused across every batch, so a serving layer pays the engine
 // construction cost at startup instead of per call. It is safe for
-// concurrent use: overlapping ClassifyBatch calls serialize through the
-// engine's exclusive entry point, each batch running with the full pool.
+// concurrent use: overlapping ClassifyBatch calls queue on the pool's
+// one-batch-at-a-time lock, each batch running with the full pool.
 //
 // Execution is sub-batch native: each worker claims contiguous sub-batches
 // of the incoming batch, runs the reliable stage and qualifier per image
@@ -98,25 +97,21 @@ func (c *BatchClassifier) ClassifyBatchPipelined(imgs []*tensor.Tensor, pipes []
 	}
 	results := make([]Result, len(imgs))
 	// Chunks complete on concurrent pool workers; fold their per-chunk
-	// stage times atomically.
-	var reliableNS, qualifierNS, cnnNS atomic.Int64
-	err := c.pool.RunSubExclusive(len(imgs), func(w *infer.Worker, lo, hi int) error {
+	// stage times under a lock.
+	var mu sync.Mutex
+	var times StageTimes
+	err := c.pool.RunSub(len(imgs), func(w *infer.Worker, lo, hi int) error {
 		var st StageTimes
 		var chunkPipes []Pipeline
 		if pipes != nil {
 			chunkPipes = pipes[lo:hi]
 		}
 		err := c.h.classifyChunkPipelined(w.Ctx, w.Engine, imgs[lo:hi], chunkPipes, results[lo:hi], &st)
-		reliableNS.Add(int64(st.Reliable))
-		qualifierNS.Add(int64(st.Qualifier))
-		cnnNS.Add(int64(st.CNN))
+		mu.Lock()
+		times.Add(st)
+		mu.Unlock()
 		return err
 	})
-	times := StageTimes{
-		Reliable:  time.Duration(reliableNS.Load()),
-		Qualifier: time.Duration(qualifierNS.Load()),
-		CNN:       time.Duration(cnnNS.Load()),
-	}
 	if err != nil {
 		return nil, times, err
 	}

@@ -124,23 +124,14 @@ func Classify(correct, signalled bool) Outcome {
 	}
 }
 
-// RunCampaign executes n independent trials and tallies the outcomes.
+// RunCampaign executes n trials in order on one goroutine and tallies the
+// outcomes: the one-worker view of RunCampaignParallel, for trials that are
+// not indexed because their closures draw from one shared random stream.
 func RunCampaign(n int, trial Trial) (Tally, error) {
-	var tally Tally
-	if n < 0 {
-		return tally, fmt.Errorf("fault: campaign size %d negative", n)
-	}
 	if trial == nil {
-		return tally, fmt.Errorf("fault: campaign trial must not be nil")
+		return Tally{}, fmt.Errorf("fault: campaign trial must not be nil")
 	}
-	for i := 0; i < n; i++ {
-		correct, signalled, err := trial()
-		if err != nil {
-			return tally, fmt.Errorf("fault: trial %d: %w", i, err)
-		}
-		tally.Add(Classify(correct, signalled))
-	}
-	return tally, nil
+	return RunCampaignParallel(n, 1, func(int) (bool, bool, error) { return trial() })
 }
 
 // IndexedTrial runs injection trial i. The index is the trial's identity:
@@ -153,9 +144,10 @@ type IndexedTrial func(i int) (correct, signalled bool, err error)
 // (workers <= 0 defaults to GOMAXPROCS) and tallies the outcomes. Trials
 // are claimed with work stealing — injection trials have wildly uneven
 // cost (retry storms, early bucket trips), so static sharding would stall
-// on the unlucky shard. The tally is the same multiset RunCampaign would
-// produce for the same IndexedTrial; the first trial error aborts the
-// campaign.
+// on the unlucky shard. The tally is the same multiset for every worker
+// count; with one worker the trials additionally run in index order on a
+// single goroutine, which RunCampaign relies on. The first trial error
+// aborts the campaign.
 func RunCampaignParallel(n, workers int, trial IndexedTrial) (Tally, error) {
 	var tally Tally
 	if n < 0 {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -421,19 +422,49 @@ func TestTally(t *testing.T) {
 	}
 }
 
+// TestRunCampaign: RunCampaign is the ordered one-worker view of
+// RunCampaignParallel. Its trials take no index because their closures share
+// one random stream, so they must observe a strict 0..n-1 sequence on a
+// single goroutine — the unsynchronised counter below is the trial's only
+// notion of position, and -race fails the test if a second goroutine ever
+// touches it — and the tally must equal the indexed one-worker campaign.
 func TestRunCampaign(t *testing.T) {
-	i := 0
-	tally, err := RunCampaign(4, func() (bool, bool, error) {
-		i++
-		return i%2 == 0, true, nil
+	const n = 64
+	outcome := func(i int) (bool, bool, error) { return i%2 == 0, i%3 == 0, nil }
+	next := 0
+	tally, err := RunCampaign(n, func() (bool, bool, error) {
+		i := next
+		next++
+		return outcome(i)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tally.Corrected != 2 || tally.Detected != 2 {
-		t.Errorf("tally = %+v", tally)
+	var order []int
+	want, err := RunCampaignParallel(n, 1, func(i int) (bool, bool, error) {
+		order = append(order, i)
+		return outcome(i)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunCampaign(-1, nil); err == nil {
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("one-worker campaign visited index %d at position %d", got, i)
+		}
+	}
+	if len(order) != n || next != n {
+		t.Fatalf("ran %d indexed and %d plain trials, want %d each", len(order), next, n)
+	}
+	if tally != want {
+		t.Errorf("RunCampaign tally %+v != RunCampaignParallel(n, 1) %+v", tally, want)
+	}
+
+	boom := fmt.Errorf("boom")
+	if _, err := RunCampaign(n, func() (bool, bool, error) { return false, false, boom }); !errors.Is(err, boom) {
+		t.Errorf("trial error = %v, want boom", err)
+	}
+	if _, err := RunCampaign(-1, func() (bool, bool, error) { return true, false, nil }); err == nil {
 		t.Error("negative n should fail")
 	}
 	if _, err := RunCampaign(1, nil); err == nil {

@@ -22,23 +22,21 @@
 //
 // # Concurrency contract
 //
-// A BatchEngine runs ONE batch at a time: an overlapping Run (or anything
-// built on it — RunSub, ForwardBatched, PredictBatched) fails fast with
-// ErrBusy, because the per-worker contexts it would reuse are not
-// re-entrant. Callers that issue batches from several goroutines serialize
-// through RunSubExclusive, the mutex-guarded entry point
-// (core.BatchClassifier does). Within a batch, work items are claimed
-// lock-free through internal/pool work stealing; each worker touches only
-// its own nn.Context and reliable.Engine, so no state is shared between
-// workers except the immutable network weights.
+// A BatchEngine runs ONE batch at a time, because the per-worker contexts a
+// batch reuses are not re-entrant. RunSub — the one entry point, which
+// ForwardBatched and PredictBatched are built on — holds a mutex for the
+// length of the batch, so batches issued from several goroutines queue up
+// and each runs with the full pool (core.BatchClassifier relies on this).
+// Within a batch, work items are claimed lock-free through internal/pool
+// work stealing; each worker touches only its own nn.Context and
+// reliable.Engine, so no state is shared between workers except the
+// immutable network weights.
 package infer
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/nn"
 	"repro/internal/pool"
@@ -46,12 +44,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// ErrBusy is returned by Run (and everything built on it) when another batch
-// is already in flight on the same BatchEngine. Callers that want to wait
-// instead of fail should use RunSubExclusive.
-var ErrBusy = errors.New("infer: engine already running a batch")
-
-// Worker is the per-goroutine execution state handed to Run callbacks.
+// Worker is the per-goroutine execution state handed to RunSub callbacks.
 type Worker struct {
 	// ID is the worker index in [0, Workers).
 	ID int
@@ -80,25 +73,20 @@ type Config struct {
 
 // BatchEngine fans work items out across a fixed pool of workers. The
 // network (if any) is shared; every mutable artefact is per-worker. A
-// BatchEngine is safe for sequential reuse across many batches — contexts
-// and their scratch buffers persist, which is where the allocation win of
-// batching lives — but a single BatchEngine cannot run two batches
-// concurrently: an in-flight guard makes an overlapping Run fail fast with
-// ErrBusy, and RunSubExclusive is the serialized entry point for callers
-// that issue batches from multiple goroutines.
+// BatchEngine is reused across many batches — contexts and their scratch
+// buffers persist, which is where the allocation win of batching lives —
+// and runs them one at a time: concurrent callers queue on mu.
 type BatchEngine struct {
 	net      *nn.Sequential
 	workers  []*Worker
 	subBatch int
 
-	// inflight enforces the one-batch-at-a-time contract; mu serializes
-	// RunSubExclusive callers in front of it.
-	inflight atomic.Bool
-	mu       sync.Mutex
+	// mu enforces the one-batch-at-a-time contract.
+	mu sync.Mutex
 }
 
 // New builds a pool over net (which may be nil for engines used only via
-// Run with closures that carry their own workload).
+// RunSub with closures that carry their own workload).
 func New(net *nn.Sequential, cfg Config) (*BatchEngine, error) {
 	n := cfg.Workers
 	if n == 0 {
@@ -131,48 +119,18 @@ func (e *BatchEngine) Workers() int { return len(e.workers) }
 // Net returns the shared network (possibly nil).
 func (e *BatchEngine) Net() *nn.Sequential { return e.net }
 
-// Run executes fn(worker, i) for every i in [0, n), work-stealing across
-// the pool: each worker pulls the next unclaimed index, so uneven item
-// costs (retry storms in fault campaigns, early bucket trips) do not
-// stall the batch. The first error cancels remaining work and is returned.
-func (e *BatchEngine) Run(n int, fn func(w *Worker, i int) error) error {
-	if fn == nil {
-		return fmt.Errorf("infer: run needs a work function")
-	}
-	if !e.inflight.CompareAndSwap(false, true) {
-		return ErrBusy
-	}
-	defer e.inflight.Store(false)
-	err := pool.Run(n, len(e.workers), func(worker, i int) error {
-		return fn(e.workers[worker], i)
-	})
-	if err != nil {
-		return fmt.Errorf("infer: %w", err)
-	}
-	return nil
-}
-
 // SubBatch returns the configured sub-batch cap (0 = ⌈batch/workers⌉).
 func (e *BatchEngine) SubBatch() int { return e.subBatch }
 
-// subBatchFor resolves the effective sub-batch size for an n-item batch.
-func (e *BatchEngine) subBatchFor(n int) int {
-	s := e.subBatch
-	if s <= 0 {
-		s = (n + len(e.workers) - 1) / len(e.workers)
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
 // RunSub executes fn(worker, lo, hi) over contiguous sub-batches [lo, hi) of
-// an n-item batch — the sub-batch counterpart of Run. Sub-batch size is
-// Config.SubBatch (default ⌈n/workers⌉); sub-batches are claimed through the
-// same work stealing as Run, so a ragged tail (or a worker stuck on a slow
-// sub-batch) rebalances instead of stalling the batch. Results must be
-// written to disjoint [lo, hi) slices, which keeps the callback race-free.
+// an n-item batch. Sub-batch size is Config.SubBatch (default ⌈n/workers⌉);
+// sub-batches are claimed with work stealing — each worker pulls the next
+// unclaimed one — so a ragged tail or a worker stuck on a slow sub-batch
+// (retry storms, early bucket trips) rebalances instead of stalling the
+// batch. Results must be written to disjoint [lo, hi) slices, which keeps
+// the callback race-free. The first error cancels remaining work and is
+// returned. Overlapping calls from different goroutines queue up and
+// execute one at a time; fn must not call back into the same engine.
 func (e *BatchEngine) RunSub(n int, fn func(w *Worker, lo, hi int) error) error {
 	if fn == nil {
 		return fmt.Errorf("infer: run needs a work function")
@@ -180,26 +138,25 @@ func (e *BatchEngine) RunSub(n int, fn func(w *Worker, lo, hi int) error) error 
 	if n <= 0 {
 		return nil
 	}
-	size := e.subBatchFor(n)
+	size := e.subBatch
+	if size <= 0 {
+		size = (n + len(e.workers) - 1) / len(e.workers) // >= 1: n > 0
+	}
 	chunks := (n + size - 1) / size
-	return e.Run(chunks, func(w *Worker, ci int) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	err := pool.Run(chunks, len(e.workers), func(worker, ci int) error {
 		lo := ci * size
 		hi := lo + size
 		if hi > n {
 			hi = n
 		}
-		return fn(w, lo, hi)
+		return fn(e.workers[worker], lo, hi)
 	})
-}
-
-// RunSubExclusive is RunSub behind a lock: overlapping batches from
-// different goroutines queue up and execute one at a time instead of
-// failing with ErrBusy. This is the entry point for serving layers that
-// flush batches from concurrent paths onto one shared engine.
-func (e *BatchEngine) RunSubExclusive(n int, fn func(w *Worker, lo, hi int) error) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.RunSub(n, fn)
+	if err != nil {
+		return fmt.Errorf("infer: %w", err)
+	}
+	return nil
 }
 
 // Stats sums the reliable-execution work counters across all workers —

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,8 +37,8 @@ func randImages(n, size int, seed int64) []*tensor.Tensor {
 	return xs
 }
 
-func TestBatchEngineRun(t *testing.T) {
-	e, err := New(nil, Config{Workers: 4})
+func TestBatchEngineRunSub(t *testing.T) {
+	e, err := New(nil, Config{Workers: 4, SubBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +46,11 @@ func TestBatchEngineRun(t *testing.T) {
 		t.Fatalf("workers = %d", e.Workers())
 	}
 	var count atomic.Int64
-	if err := e.Run(100, func(w *Worker, i int) error {
+	if err := e.RunSub(100, func(w *Worker, lo, hi int) error {
 		if w.Ctx == nil {
 			t.Error("worker without context")
 		}
-		count.Add(1)
+		count.Add(int64(hi - lo))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -60,8 +61,8 @@ func TestBatchEngineRun(t *testing.T) {
 
 	// Errors propagate and cancel the batch.
 	boom := errors.New("boom")
-	err = e.Run(1000, func(w *Worker, i int) error {
-		if i == 3 {
+	err = e.RunSub(1000, func(w *Worker, lo, hi int) error {
+		if lo == 3 {
 			return boom
 		}
 		return nil
@@ -70,14 +71,8 @@ func TestBatchEngineRun(t *testing.T) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 
-	// Empty batch and validation.
-	if err := e.Run(0, func(w *Worker, i int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(-1, nil); err == nil {
-		t.Error("negative count should fail")
-	}
-	if err := e.Run(1, nil); err == nil {
+	// Validation. (The empty batch is covered by TestRunSubCoversEveryIndex.)
+	if err := e.RunSub(1, nil); err == nil {
 		t.Error("nil fn should fail")
 	}
 	if _, err := New(nil, Config{Workers: -2}); err == nil {
@@ -88,82 +83,48 @@ func TestBatchEngineRun(t *testing.T) {
 	}
 }
 
-// TestBatchEngineConcurrentRunRejected: the documented one-batch-at-a-time
-// contract is now enforced — a Run that overlaps an in-flight batch fails
-// fast with ErrBusy instead of corrupting per-worker state. Under -race
-// this also proves the guard itself is sound.
-func TestBatchEngineConcurrentRunRejected(t *testing.T) {
-	e, err := New(nil, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inFirst := make(chan struct{})
-	release := make(chan struct{})
-	firstDone := make(chan error, 1)
-	var once sync.Once
-	go func() {
-		firstDone <- e.Run(4, func(w *Worker, i int) error {
-			once.Do(func() { close(inFirst) })
-			<-release
-			return nil
-		})
-	}()
-	<-inFirst
-	// Overlapping batch: cleanly rejected, not executed.
-	if err := e.Run(1, func(w *Worker, i int) error {
-		t.Error("overlapping batch must not execute")
-		return nil
-	}); !errors.Is(err, ErrBusy) {
-		t.Fatalf("overlapping Run = %v, want ErrBusy", err)
-	}
-	close(release)
-	if err := <-firstDone; err != nil {
-		t.Fatal(err)
-	}
-	// The guard resets: the engine is usable again.
-	if err := e.Run(1, func(w *Worker, i int) error { return nil }); err != nil {
-		t.Fatalf("post-batch Run: %v", err)
-	}
-}
-
-// TestBatchEngineRunSubExclusive: concurrent RunSubExclusive callers
-// serialize — every batch executes, none observes ErrBusy, and no two
-// batches overlap.
-func TestBatchEngineRunSubExclusive(t *testing.T) {
+// TestBatchEngineRunSubSerializes: the one-batch-at-a-time contract —
+// concurrent RunSub callers queue, every batch executes in full, and no
+// chunk of one batch runs while another batch is in flight. Each batch
+// claims the engine on its first chunk and releases it on its last; a chunk
+// that finds another batch's claim has overlapped it. Under -race this also
+// proves per-worker state is handed from batch to batch soundly.
+func TestBatchEngineRunSubSerializes(t *testing.T) {
 	e, err := New(nil, Config{Workers: 3, SubBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const callers, items = 8, 20
-	var active, maxActive, total atomic.Int64
+	var owner, total atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(callers)
 	errs := make(chan error, callers)
-	for c := 0; c < callers; c++ {
-		go func() {
+	for c := 1; c <= callers; c++ {
+		go func(id int64) {
 			defer wg.Done()
-			errs <- e.RunSubExclusive(items, func(w *Worker, lo, hi int) error {
-				if a := active.Add(1); a > maxActive.Load() {
-					maxActive.Store(a) // approximate high-water mark; exact check below is batch overlap via Run guard
+			var done atomic.Int64
+			errs <- e.RunSub(items, func(w *Worker, lo, hi int) error {
+				if !owner.CompareAndSwap(0, id) && owner.Load() != id {
+					return fmt.Errorf("batch %d ran a chunk while batch %d was in flight", id, owner.Load())
 				}
+				runtime.Gosched() // let a waiting batch try to cut in
 				total.Add(int64(hi - lo))
-				active.Add(-1)
+				if done.Add(1) == items {
+					owner.Store(0)
+				}
 				return nil
 			})
-		}()
+		}(int64(c))
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		if err != nil {
-			t.Fatalf("RunSubExclusive: %v", err)
+			t.Fatalf("RunSub: %v", err)
 		}
 	}
 	if got := total.Load(); got != callers*items {
 		t.Fatalf("executed %d of %d items", got, callers*items)
-	}
-	if maxActive.Load() > int64(e.Workers()) {
-		t.Fatalf("observed %d concurrent items for %d workers — batches overlapped", maxActive.Load(), e.Workers())
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 
 // Conv2D is a 2-D convolution layer over CHW inputs with an FCHW weight bank
 // and per-filter bias, the workhorse of AlexNet. The forward and backward
-// passes are lowered onto im2col + blocked GEMM (internal/tensor); the
-// direct 7-deep loop survives as ForwardNaive, the reference implementation
-// the GEMM path is equivalence-tested against.
+// passes are lowered onto im2col + blocked GEMM (internal/tensor). The
+// direct loop nest is not kept here: the reference the GEMM path is
+// equivalence-tested against is reliable.NativeConv2D, the same textbook
+// transcription the fault campaigns and Table 1 use as their oracle.
 //
 // The struct holds only parameters and hyper-parameters; activation caches
 // and the im2col scratch live in the Context, so one Conv2D may serve any
@@ -110,20 +111,6 @@ func (c *Conv2D) Params() []*Param {
 	}
 }
 
-// checkInput validates x and returns the output extents.
-func (c *Conv2D) checkInput(x *tensor.Tensor) (outH, outW int, err error) {
-	if x.Rank() != 3 || x.Dim(0) != c.inC {
-		return 0, 0, fmt.Errorf("nn: conv %q wants (%d,H,W) input, got %v", c.name, c.inC, x.Shape())
-	}
-	inH, inW := x.Dim(1), x.Dim(2)
-	outH = tensor.ConvOut(inH, c.k, c.stride, c.pad)
-	outW = tensor.ConvOut(inW, c.k, c.stride, c.pad)
-	if outH < 1 || outW < 1 {
-		return 0, 0, fmt.Errorf("nn: conv %q kernel %d does not fit input %dx%d", c.name, c.k, inH, inW)
-	}
-	return outH, outW, nil
-}
-
 // ForwardBatch implements Layer for an NCHW micro-batch: ONE Im2colBatch
 // lowering and ONE blocked GEMM (bias-seeded, ascending-tap accumulation)
 // against the (outC) × (inC·k·k) weight view cover all N samples — the
@@ -176,51 +163,6 @@ func (c *Conv2D) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, e
 		fRow := st.out[f*cols : (f+1)*cols]
 		for s := 0; s < n; s++ {
 			copy(od[(s*c.outC+f)*hw:(s*c.outC+f+1)*hw], fRow[s*hw:(s+1)*hw])
-		}
-	}
-	return out, nil
-}
-
-// ForwardNaive computes the convolution with the direct loop nest over
-// (filter, y, x, channel, ky, kx). It allocates no cache and touches no
-// context: it is the reference implementation for the GEMM path's
-// equivalence tests and for explainability review (the transcription of the
-// textbook definition the dependability argument can be checked against).
-func (c *Conv2D) ForwardNaive(x *tensor.Tensor) (*tensor.Tensor, error) {
-	outH, outW, err := c.checkInput(x)
-	if err != nil {
-		return nil, err
-	}
-	inH, inW := x.Dim(1), x.Dim(2)
-	out := tensor.MustNew(c.outC, outH, outW)
-	in, w, b, od := x.Data(), c.weight.Data(), c.bias.Data(), out.Data()
-	for f := 0; f < c.outC; f++ {
-		fBase := f * c.inC * c.k * c.k
-		for oy := 0; oy < outH; oy++ {
-			iy0 := oy*c.stride - c.pad
-			for ox := 0; ox < outW; ox++ {
-				ix0 := ox*c.stride - c.pad
-				acc := b[f]
-				for ch := 0; ch < c.inC; ch++ {
-					chBase := ch * inH * inW
-					kBase := fBase + ch*c.k*c.k
-					for ky := 0; ky < c.k; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= inH {
-							continue
-						}
-						row := chBase + iy*inW
-						kRow := kBase + ky*c.k
-						for kx := 0; kx < c.k; kx++ {
-							ix := ix0 + kx
-							if ix >= 0 && ix < inW {
-								acc += in[row+ix] * w[kRow+kx]
-							}
-						}
-					}
-				}
-				od[(f*outH+oy)*outW+ox] = acc
-			}
 		}
 	}
 	return out, nil

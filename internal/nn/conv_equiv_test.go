@@ -4,14 +4,23 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/reliable"
 	"repro/internal/tensor"
 )
 
-// TestConvIm2colMatchesNaive is the golden-equivalence gate for the GEMM
+// directConv is the reference every test here compares the GEMM path
+// against: the library's one unprotected direct-loop convolution, run with
+// the layer's own weights, bias and geometry.
+func directConv(c *Conv2D, x *tensor.Tensor) (*tensor.Tensor, error) {
+	return reliable.NativeConv2D(x, c.Weight(), c.Bias().Data(),
+		reliable.ConvSpec{Stride: c.Stride(), Pad: c.Pad()})
+}
+
+// TestConvIm2colMatchesDirect is the golden-equivalence gate for the GEMM
 // convolution path: on randomized shapes, strides and paddings, the
-// im2col+GEMM ForwardBatch must agree with the retained direct-loop
-// reference within 1e-5.
-func TestConvIm2colMatchesNaive(t *testing.T) {
+// im2col+GEMM ForwardBatch must agree with the direct-loop reference
+// (reliable.NativeConv2D) within 1e-5.
+func TestConvIm2colMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ctx := NewContext()
 	for trial := 0; trial < 50; trial++ {
@@ -32,7 +41,7 @@ func TestConvIm2colMatchesNaive(t *testing.T) {
 		x := tensor.MustNew(inC, h, w)
 		x.FillUniform(rng, -1, 1)
 
-		want, err := c.ForwardNaive(x)
+		want, err := directConv(c, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +58,7 @@ func TestConvIm2colMatchesNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		if diff > 1e-5 {
-			t.Errorf("trial %d (c=%d f=%d k=%d s=%d p=%d %dx%d): im2col/GEMM diverges from naive by %v",
+			t.Errorf("trial %d (c=%d f=%d k=%d s=%d p=%d %dx%d): im2col/GEMM diverges from the direct loop by %v",
 				trial, inC, outC, k, stride, pad, h, w, diff)
 		}
 	}
@@ -67,7 +76,7 @@ func TestConvConcurrentSharedWeights(t *testing.T) {
 	}
 	x := tensor.MustNew(3, 12, 12)
 	x.FillUniform(rng, -1, 1)
-	want, err := c.ForwardNaive(x)
+	want, err := directConv(c, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +123,7 @@ func TestZeroValueContextUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.ForwardNaive(x)
+	want, err := directConv(c, x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func (l *Logger) Warn(msg string, kvs ...any) { l.log(Warn, msg, kvs) }
 // Error logs an error-level event.
 func (l *Logger) Error(msg string, kvs ...any) { l.log(Error, msg, kvs) }
 
-// Logf adapts printf-style call sites (e.g. shard.Config.Logf): the
+// Logf serves printf-style call sites (the router's event lines): the
 // formatted message becomes the msg field of one info-level event.
 func (l *Logger) Logf(format string, args ...any) {
 	l.log(Info, fmt.Sprintf(format, args...), nil)

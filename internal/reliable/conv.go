@@ -39,13 +39,25 @@ func (s ConvSpec) Validate(input, filters *tensor.Tensor) (outH, outW int, err e
 		return 0, 0, fmt.Errorf("reliable: kernel %dx%d does not fit input %dx%d (pad %d)",
 			kh, kw, h, w, s.Pad)
 	}
-	outH = (h+2*s.Pad-kh)/s.Stride + 1
-	outW = (w+2*s.Pad-kw)/s.Stride + 1
-	if outH < 1 || outW < 1 {
-		return 0, 0, fmt.Errorf("reliable: kernel %dx%d does not fit input %dx%d (pad %d)",
-			kh, kw, h, w, s.Pad)
+	// The kernel fits and the stride is positive, so both extents are >= 1.
+	return (h+2*s.Pad-kh)/s.Stride + 1, (w+2*s.Pad-kw)/s.Stride + 1, nil
+}
+
+// newOutput is the preamble the reliable kernel and the native baseline
+// share: validate the spec, check that a bias has one entry per filter, and
+// allocate the (F, outH, outW) output. The loop nests below stay two plain
+// loops on purpose — the native row of Table 1 must be code the compiler
+// sees through, not the reliable kernel behind a callback.
+func (s ConvSpec) newOutput(input, filters *tensor.Tensor, bias []float32) (*tensor.Tensor, error) {
+	outH, outW, err := s.Validate(input, filters)
+	if err != nil {
+		return nil, err
 	}
-	return outH, outW, nil
+	nf := filters.Dim(0)
+	if bias != nil && len(bias) != nf {
+		return nil, fmt.Errorf("reliable: bias length %d != filters %d", len(bias), nf)
+	}
+	return tensor.New(nf, outH, outW)
 }
 
 // Conv2D executes the full convolution layer with the reliable kernel of
@@ -56,20 +68,13 @@ func (s ConvSpec) Validate(input, filters *tensor.Tensor) (outH, outW int, err e
 // On a persistent-error abort the partially computed output is discarded and
 // ErrBucketTripped is returned (wrapped, with the failing output coordinate).
 func Conv2D(e *Engine, input, filters *tensor.Tensor, bias []float32, spec ConvSpec) (*tensor.Tensor, error) {
-	outH, outW, err := spec.Validate(input, filters)
+	out, err := spec.newOutput(input, filters, bias)
 	if err != nil {
 		return nil, err
 	}
-	nf := filters.Dim(0)
-	if bias != nil && len(bias) != nf {
-		return nil, fmt.Errorf("reliable: bias length %d != filters %d", len(bias), nf)
-	}
+	nf, outH, outW := out.Dim(0), out.Dim(1), out.Dim(2)
 	inC, inH, inW := input.Dim(0), input.Dim(1), input.Dim(2)
 	kh, kw := filters.Dim(2), filters.Dim(3)
-	out, err := tensor.New(nf, outH, outW)
-	if err != nil {
-		return nil, err
-	}
 
 	in := input.Data()
 	fl := filters.Data()
@@ -119,20 +124,13 @@ func Conv2D(e *Engine, input, filters *tensor.Tensor, bias []float32, spec ConvS
 // the "native execution" row of Table 1 and the oracle fault campaigns
 // compare against.
 func NativeConv2D(input, filters *tensor.Tensor, bias []float32, spec ConvSpec) (*tensor.Tensor, error) {
-	outH, outW, err := spec.Validate(input, filters)
+	out, err := spec.newOutput(input, filters, bias)
 	if err != nil {
 		return nil, err
 	}
-	nf := filters.Dim(0)
-	if bias != nil && len(bias) != nf {
-		return nil, fmt.Errorf("reliable: bias length %d != filters %d", len(bias), nf)
-	}
+	nf, outH, outW := out.Dim(0), out.Dim(1), out.Dim(2)
 	inC, inH, inW := input.Dim(0), input.Dim(1), input.Dim(2)
 	kh, kw := filters.Dim(2), filters.Dim(3)
-	out, err := tensor.New(nf, outH, outW)
-	if err != nil {
-		return nil, err
-	}
 
 	in := input.Data()
 	fl := filters.Data()

@@ -68,8 +68,15 @@ func NewEngine(ops Ops, bucket *LeakyBucket) (*Engine, error) {
 }
 
 // Mul executes a reliable multiplication (retry + bucket protocol). The
-// retry loop is written out inline (rather than through a closure) because
-// this is the innermost statement of every convolution the DCNN executes.
+// retry loop is written out in Mul and in Add (rather than shared through a
+// closure, a selector flag or a helper call) because this is the innermost
+// statement of every convolution the DCNN executes: each of those forms was
+// measured and cost frame-loop throughput (see CHANGES.md, PR 15).
+//
+// The trip message counts attempts from the bucket's own per-execution
+// counters, not from the engine's Stats: callers reset the bucket before
+// every execution but let a pooled engine's Stats accumulate, and the same
+// failure must read the same whichever engine served it.
 func (e *Engine) Mul(a, b float32) (float32, error) {
 	for {
 		v, ok := e.ops.Mul(a, b)
@@ -81,7 +88,7 @@ func (e *Engine) Mul(a, b float32) (float32, error) {
 		e.stats.Failed++
 		if e.bucket.Fail() {
 			return 0, fmt.Errorf("after %d attempts (%d failed): %w",
-				e.stats.Ops, e.stats.Failed, ErrBucketTripped)
+				e.bucket.Errors()+e.bucket.OKs(), e.bucket.Errors(), ErrBucketTripped)
 		}
 		e.stats.Retries++
 	}
@@ -99,7 +106,7 @@ func (e *Engine) Add(a, b float32) (float32, error) {
 		e.stats.Failed++
 		if e.bucket.Fail() {
 			return 0, fmt.Errorf("after %d attempts (%d failed): %w",
-				e.stats.Ops, e.stats.Failed, ErrBucketTripped)
+				e.bucket.Errors()+e.bucket.OKs(), e.bucket.Errors(), ErrBucketTripped)
 		}
 		e.stats.Retries++
 	}

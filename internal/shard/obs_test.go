@@ -65,7 +65,7 @@ func singleValue(t *testing.T, fams map[string]*obs.MetricFamily, name string) f
 // full two-tier breakdown.
 func TestRouterTracePropagation(t *testing.T) {
 	a := startTestWorker(t)
-	_, front := newTestRouter(t, testConfig(t), a)
+	_, front := newTestRouter(t, testConfig(), a)
 
 	req, err := http.NewRequest(http.MethodPost, front.URL+"/classify",
 		strings.NewReader(`{"sign":"stop","seed":1}`))
@@ -129,7 +129,7 @@ func TestRouterTracePropagation(t *testing.T) {
 func TestRouterMetricsAndBreakerFlip(t *testing.T) {
 	a := startTestWorker(t)
 	b := startTestWorker(t)
-	_, front := newTestRouter(t, testConfig(t), a, b)
+	_, front := newTestRouter(t, testConfig(), a, b)
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	const n = 10
@@ -188,7 +188,7 @@ func TestRouterMetricsAndBreakerFlip(t *testing.T) {
 func TestRouterDebugRequestsMerged(t *testing.T) {
 	a := startTestWorker(t)
 	b := startTestWorker(t)
-	_, front := newTestRouter(t, testConfig(t), a, b)
+	_, front := newTestRouter(t, testConfig(), a, b)
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	const n = 6

@@ -63,7 +63,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -128,12 +127,9 @@ type Config struct {
 	OnShardDown func(id int, url string)
 	// Client overrides the HTTP client used for proxying and probing.
 	Client *http.Client
-	// Logf sinks router events (breaker transitions, failovers, worker
-	// exits, respawns). Default log.Printf; set to a no-op in tests.
-	Logf func(format string, args ...any)
-	// Log is the structured logger for per-request outcome lines (one
-	// logfmt line per proxied request carrying the trace ID). Nil disables
-	// them; event logging still flows through Logf.
+	// Log is the router's one logger: router events (breaker transitions,
+	// failovers, worker exits, respawns) as info lines and one logfmt line
+	// per proxied request carrying the trace ID. Nil is silent.
 	Log *logx.Logger
 	// TraceDepth is the flight recorder's K (slowest + most recent traces
 	// kept for GET /debug/requests). 0 selects obs.DefaultRecorderDepth.
@@ -175,9 +171,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RestartBackoffMax == 0 {
 		c.RestartBackoffMax = 5 * time.Second
-	}
-	if c.Logf == nil {
-		c.Logf = log.Printf
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -489,7 +482,7 @@ func (r *Router) ReplaceShard(id int, newURL string) error {
 	s.downNotified = false
 	s.mu.Unlock()
 	s.resetLoadSignals()
-	r.cfg.Logf("shard: shard %d replaced: %s -> %s", id, old, nu)
+	r.cfg.Log.Logf("shard: shard %d replaced: %s -> %s", id, old, nu)
 	return nil
 }
 
@@ -727,13 +720,13 @@ func (r *Router) forward(parent context.Context, s *shardState, trace string, cl
 // breaker and logs the transition if it opened; noteSuccess is its inverse.
 func (r *Router) noteFailure(s *shardState, err error) {
 	if s.recordFailure(r.cfg.BreakerThreshold) {
-		r.cfg.Logf("shard: circuit OPEN on shard %d (%s): %v", s.id, s.base(), err)
+		r.cfg.Log.Logf("shard: circuit OPEN on shard %d (%s): %v", s.id, s.base(), err)
 	}
 }
 
 func (r *Router) noteSuccess(s *shardState, what string) {
 	if s.recordSuccess() {
-		r.cfg.Logf("shard: circuit CLOSED on shard %d (%s): %s succeeded", s.id, s.base(), what)
+		r.cfg.Log.Logf("shard: circuit CLOSED on shard %d (%s): %s succeeded", s.id, s.base(), what)
 	}
 }
 
@@ -831,7 +824,7 @@ func (r *Router) probe(s *shardState) {
 	}
 	r.noteFailure(s, err)
 	if r.cfg.OnShardDown != nil && s.shouldNotifyDown(r.cfg.DownAfter) {
-		r.cfg.Logf("shard: attached shard %d (%s) unreachable for %v — invoking OnShardDown",
+		r.cfg.Log.Logf("shard: attached shard %d (%s) unreachable for %v — invoking OnShardDown",
 			s.id, s.base(), r.cfg.DownAfter)
 		go r.cfg.OnShardDown(s.id, s.base())
 	}
@@ -1088,7 +1081,7 @@ func (r *Router) Shutdown(ctx context.Context) error {
 		if proc == nil {
 			continue
 		}
-		if err := proc.drain(ctx, r.cfg.Logf); err != nil {
+		if err := proc.drain(ctx, r.cfg.Log); err != nil {
 			errs = append(errs, fmt.Errorf("shard %d: %w", s.id, err))
 		}
 	}

@@ -101,7 +101,7 @@ func postClass(t *testing.T, front, class string) (int, string, http.Header) {
 // shard is touched.
 func TestRouterClassHeader(t *testing.T) {
 	w := startClassWorker(t, "a")
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cfg.DefaultClass = serve.ClassFast
 	r, err := New([]string{w.addr}, cfg)
 	if err != nil {
@@ -140,7 +140,7 @@ func TestRouterBudgetNeverFailsOver(t *testing.T) {
 	shedding := startClassWorker(t, "shedder")
 	shedding.shed.Store(true)
 	healthy := startClassWorker(t, "server")
-	r, err := New([]string{shedding.addr, healthy.addr}, testConfig(t))
+	r, err := New([]string{shedding.addr, healthy.addr}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestRouterClassAwarePlacement(t *testing.T) {
 	b.classDepth[serve.ClassGuaranteed].Store(4)
 	b.classDepth[serve.ClassFast].Store(4)
 	b.reportCls.Store(true)
-	r, err := New([]string{a.addr, b.addr}, testConfig(t))
+	r, err := New([]string{a.addr, b.addr}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

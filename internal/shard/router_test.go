@@ -138,12 +138,11 @@ func (w *testWorker) Restart() {
 	w.serveOn(ln)
 }
 
-func testConfig(t *testing.T) Config {
+func testConfig() Config {
 	return Config{
 		HealthInterval:   20 * time.Millisecond,
 		BreakerThreshold: 2,
 		RequestTimeout:   5 * time.Second,
-		Logf:             t.Logf,
 	}
 }
 
@@ -251,7 +250,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestRouterFailover(t *testing.T) {
 	a := startTestWorker(t)
 	b := startTestWorker(t)
-	router, front := newTestRouter(t, testConfig(t), a, b)
+	router, front := newTestRouter(t, testConfig(), a, b)
 
 	client := &http.Client{Timeout: 10 * time.Second}
 	const (
@@ -347,7 +346,7 @@ func TestRouterP2CPrefersShortQueue(t *testing.T) {
 	a := startTestWorker(t)
 	b := startTestWorker(t)
 	a.depth.Store(50)
-	_, front := newTestRouter(t, testConfig(t), a, b)
+	_, front := newTestRouter(t, testConfig(), a, b)
 
 	// WaitReady guarantees one probe round, so the router has seen A's depth.
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -370,7 +369,7 @@ func TestRouterP2CPrefersShortQueue(t *testing.T) {
 func TestRouterRoundRobinOnTies(t *testing.T) {
 	a := startTestWorker(t)
 	b := startTestWorker(t)
-	_, front := newTestRouter(t, testConfig(t), a, b)
+	_, front := newTestRouter(t, testConfig(), a, b)
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	const n = 40
@@ -397,7 +396,7 @@ func TestRouterClientAbortIsNotShardFailure(t *testing.T) {
 	b := startTestWorker(t)
 	a.delay.Store(int64(300 * time.Millisecond))
 	b.delay.Store(int64(300 * time.Millisecond))
-	cfg := testConfig(t)
+	cfg := testConfig()
 	// One initial probe round, then none: nothing resets consecFails behind
 	// the test's back, so any breaker bump would stick and be visible.
 	cfg.HealthInterval = time.Hour
@@ -430,7 +429,7 @@ func TestRouterClientAbortIsNotShardFailure(t *testing.T) {
 func TestRouterCapsWorkerReply(t *testing.T) {
 	a := startTestWorker(t)
 	b := startTestWorker(t)
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cfg.BreakerThreshold = 1 // the first oversized reply must open the breaker
 	r, front := newTestRouter(t, cfg, a, b)
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -467,7 +466,7 @@ func TestRouterCapsWorkerReply(t *testing.T) {
 func TestRouterAllShardsDown(t *testing.T) {
 	a := startTestWorker(t)
 	b := startTestWorker(t)
-	_, front := newTestRouter(t, testConfig(t), a, b)
+	_, front := newTestRouter(t, testConfig(), a, b)
 	a.Stop()
 	b.Stop()
 
@@ -500,7 +499,7 @@ func TestRouterAllShardsDown(t *testing.T) {
 func TestRouterWeightedPlacement(t *testing.T) {
 	a := startTestWorker(t)
 	b := startTestWorker(t)
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cfg.Weights = []float64{1, 3}
 	_, front := newTestRouter(t, cfg, a, b)
 
@@ -529,7 +528,7 @@ func TestRouterAdaptivePlacement(t *testing.T) {
 	fast := startTestWorker(t)
 	slow.svc.Store(int64(4 * time.Millisecond))
 	fast.svc.Store(int64(time.Millisecond))
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cfg.AdaptiveWeights = true
 	_, front := newTestRouter(t, cfg, slow, fast)
 
@@ -557,7 +556,7 @@ func TestRouterReplaceShard(t *testing.T) {
 	b := startTestWorker(t)
 	replacement := startTestWorker(t)
 	notified := make(chan int, 1)
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cfg.DownAfter = 50 * time.Millisecond
 	cfg.OnShardDown = func(id int, url string) {
 		select {
@@ -623,7 +622,7 @@ func TestRouterValidation(t *testing.T) {
 		t.Error("non-positive weight accepted")
 	}
 	// Scheme-less URLs are normalised.
-	r, err := New([]string{"127.0.0.1:9/"}, Config{Logf: t.Logf})
+	r, err := New([]string{"127.0.0.1:9/"}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

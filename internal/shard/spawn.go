@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cli"
+	"repro/internal/obs/logx"
 )
 
 // spawnReportTimeout bounds how long a freshly started worker may take to
@@ -44,7 +45,6 @@ func Spawn(bin string, n int, extraArgs []string, cfg Config) (*Router, error) {
 	if _, err := NewPlacer(cfg.Placement, PlacerOptions{}); err != nil {
 		return nil, err
 	}
-	logf := cfg.withDefaults().Logf
 	shards := make([]*shardState, 0, n)
 	kill := func() {
 		for _, s := range shards {
@@ -52,7 +52,7 @@ func Spawn(bin string, n int, extraArgs []string, cfg Config) (*Router, error) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		proc, addr, err := startWorker(bin, extraArgs, i, logf, nil)
+		proc, addr, err := startWorker(bin, extraArgs, i, cfg.Log, nil)
 		if err != nil {
 			kill()
 			return nil, fmt.Errorf("shard: worker %d: %w", i, err)
@@ -63,7 +63,7 @@ func Spawn(bin string, n int, extraArgs []string, cfg Config) (*Router, error) {
 			proc.cmd.Process.Kill()
 			return nil, fmt.Errorf("shard: worker %d reported bad address %q: %w", i, addr, err)
 		}
-		logf("shard: worker %d up at %s (pid %d)", i, u, proc.cmd.Process.Pid)
+		cfg.Log.Logf("shard: worker %d up at %s (pid %d)", i, u, proc.cmd.Process.Pid)
 		shards = append(shards, &shardState{id: i, url: u, proc: proc})
 	}
 	r := newRouter(shards, cfg)
@@ -76,7 +76,7 @@ func Spawn(bin string, n int, extraArgs []string, cfg Config) (*Router, error) {
 // close of cancel (nil = never) abandons the wait and kills the fresh
 // process — the supervisor passes the router's stop channel so a shutdown
 // never blocks behind a slow-starting respawn.
-func startWorker(bin string, extraArgs []string, id int, logf func(string, ...any), cancel <-chan struct{}) (*workerProc, string, error) {
+func startWorker(bin string, extraArgs []string, id int, log *logx.Logger, cancel <-chan struct{}) (*workerProc, string, error) {
 	args := append([]string{"-addr", "127.0.0.1:0"}, extraArgs...)
 	cmd := exec.Command(bin, args...)
 	cmd.Stderr = os.Stderr
@@ -106,8 +106,8 @@ func startWorker(bin string, extraArgs []string, id int, logf func(string, ...an
 		<-scanDone // Wait closes the stdout pipe; only call it after EOF
 		err := cmd.Wait()
 		// Log before releasing waiters: once waited closes, a test-scoped
-		// logf may already be out of scope.
-		logf("shard: worker %d (pid %d) exited: %v", id, cmd.Process.Pid, err)
+		// logger's writer may already be gone.
+		log.Logf("shard: worker %d (pid %d) exited: %v", id, cmd.Process.Pid, err)
 		p.mu.Lock()
 		p.waitErr = err
 		p.mu.Unlock()
@@ -149,7 +149,7 @@ func (p *workerProc) exited() bool {
 // admission and drains its scheduler) and waits for the exit, escalating to
 // SIGKILL when ctx expires. A worker that already died (e.g. the failover
 // drill SIGKILLed it) drains trivially.
-func (p *workerProc) drain(ctx context.Context, logf func(string, ...any)) error {
+func (p *workerProc) drain(ctx context.Context, log *logx.Logger) error {
 	if p.exited() {
 		return nil
 	}
@@ -161,7 +161,7 @@ func (p *workerProc) drain(ctx context.Context, logf func(string, ...any)) error
 	select {
 	case <-p.waited:
 	case <-ctx.Done():
-		logf("shard: drain deadline passed, killing pid %d", p.cmd.Process.Pid)
+		log.Logf("shard: drain deadline passed, killing pid %d", p.cmd.Process.Pid)
 		p.cmd.Process.Kill()
 		<-p.waited
 		return fmt.Errorf("drain timed out, worker killed: %w", ctx.Err())

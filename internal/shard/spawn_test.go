@@ -26,7 +26,7 @@ func TestSpawnSupervisesRealWorkers(t *testing.T) {
 		t.Fatalf("build hybridnetd: %v\n%s", err, out)
 	}
 
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cfg.RestartBackoff = 50 * time.Millisecond
 	router, err := Spawn(bin, 2, []string{"-demo", "-size", "32"}, cfg)
 	if err != nil {

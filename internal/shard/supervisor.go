@@ -54,7 +54,7 @@ func (r *Router) supervise(s *shardState) {
 		if time.Since(started) >= healthyRunFactor*r.cfg.RestartBackoff {
 			attempts = 0
 		}
-		r.cfg.Logf("shard: worker %d died (%v); supervisor taking over", s.id, proc.waitError())
+		r.cfg.Log.Logf("shard: worker %d died (%v); supervisor taking over", s.id, proc.waitError())
 		var ok bool
 		proc, ok = r.respawn(s, &attempts)
 		if !ok {
@@ -72,7 +72,7 @@ func (r *Router) respawn(s *shardState, attempts *int) (*workerProc, bool) {
 	for {
 		if *attempts >= r.cfg.RestartMax {
 			s.markDown()
-			r.cfg.Logf("shard: worker %d permanently down after %d consecutive restart attempts",
+			r.cfg.Log.Logf("shard: worker %d permanently down after %d consecutive restart attempts",
 				s.id, *attempts)
 			return nil, false
 		}
@@ -81,32 +81,32 @@ func (r *Router) respawn(s *shardState, attempts *int) (*workerProc, bool) {
 			backoff = r.cfg.RestartBackoffMax
 		}
 		*attempts++
-		r.cfg.Logf("shard: respawning worker %d in %v (attempt %d/%d)",
+		r.cfg.Log.Logf("shard: respawning worker %d in %v (attempt %d/%d)",
 			s.id, backoff, *attempts, r.cfg.RestartMax)
 		select {
 		case <-time.After(backoff):
 		case <-r.stop:
 			return nil, false
 		}
-		proc, addr, err := startWorker(r.bin, r.binArgs, s.id, r.cfg.Logf, r.stop)
+		proc, addr, err := startWorker(r.bin, r.binArgs, s.id, r.cfg.Log, r.stop)
 		if err != nil {
 			select {
 			case <-r.stop: // shutdown canceled the spawn; not a failed attempt
 				return nil, false
 			default:
 			}
-			r.cfg.Logf("shard: respawn of worker %d failed: %v", s.id, err)
+			r.cfg.Log.Logf("shard: respawn of worker %d failed: %v", s.id, err)
 			continue
 		}
 		u, err := normalizeURL(addr)
 		if err != nil {
 			proc.cmd.Process.Kill()
-			r.cfg.Logf("shard: respawned worker %d reported bad address %q: %v", s.id, addr, err)
+			r.cfg.Log.Logf("shard: respawned worker %d reported bad address %q: %v", s.id, addr, err)
 			continue
 		}
 		s.adopt(proc, u)
 		s.restarts.Add(1)
-		r.cfg.Logf("shard: worker %d respawned at %s (pid %d)", s.id, u, proc.cmd.Process.Pid)
+		r.cfg.Log.Logf("shard: worker %d respawned at %s (pid %d)", s.id, u, proc.cmd.Process.Pid)
 		return proc, true
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // supervisorTestConfig tightens the restart knobs so backoff-budget
 // behaviour is observable in milliseconds.
-func supervisorTestConfig(t *testing.T) Config {
-	cfg := testConfig(t)
+func supervisorTestConfig() Config {
+	cfg := testConfig()
 	cfg.RestartBackoff = 10 * time.Millisecond
 	cfg.RestartBackoffMax = 100 * time.Millisecond
 	cfg.RestartMax = 3
@@ -55,7 +55,7 @@ func writeWorkerScript(t *testing.T, dir string, addrs ...string) string {
 func TestSupervisorRespawnsKilledWorker(t *testing.T) {
 	w := startTestWorker(t)
 	script := writeWorkerScript(t, t.TempDir(), w.addr)
-	router, err := Spawn(script, 1, nil, supervisorTestConfig(t))
+	router, err := Spawn(script, 1, nil, supervisorTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSupervisorExhaustionMarksPermanentlyDown(t *testing.T) {
 	wB := startTestWorker(t)
 	dir := t.TempDir()
 	script := writeWorkerScript(t, dir, wA.addr, wB.addr)
-	cfg := supervisorTestConfig(t)
+	cfg := supervisorTestConfig()
 	router, err := Spawn(script, 2, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestSupervisorExhaustionMarksPermanentlyDown(t *testing.T) {
 func TestSupervisorDisabled(t *testing.T) {
 	w := startTestWorker(t)
 	script := writeWorkerScript(t, t.TempDir(), w.addr)
-	cfg := supervisorTestConfig(t)
+	cfg := supervisorTestConfig()
 	cfg.RestartMax = -1
 	router, err := Spawn(script, 1, nil, cfg)
 	if err != nil {

@@ -104,7 +104,7 @@ func TestIm2colBatchMatchesPerSample(t *testing.T) {
 		}
 		for s := 0; s < tc.n; s++ {
 			one := make([]float32, ckk*hw)
-			err := Im2col(one, src[s*tc.c*tc.h*tc.w:(s+1)*tc.c*tc.h*tc.w],
+			err := Im2colBatch(one, src[s*tc.c*tc.h*tc.w:(s+1)*tc.c*tc.h*tc.w], 1,
 				tc.c, tc.h, tc.w, tc.k, tc.stride, tc.pad)
 			if err != nil {
 				t.Fatal(err)

@@ -155,7 +155,7 @@ func TestIm2colAgainstReference(t *testing.T) {
 		src := randSlice(rng, c*h*w)
 		want := im2colRef(src, c, h, w, k, stride, pad)
 		got := make([]float32, len(want))
-		if err := Im2col(got, src, c, h, w, k, stride, pad); err != nil {
+		if err := Im2colBatch(got, src, 1, c, h, w, k, stride, pad); err != nil {
 			t.Fatal(err)
 		}
 		closeSlices(t, "im2col", got, want, 0)
@@ -181,16 +181,16 @@ func TestConvOut(t *testing.T) {
 }
 
 func TestIm2colErrors(t *testing.T) {
-	if err := Im2col(make([]float32, 1), make([]float32, 4), 1, 2, 2, 3, 1, 0); err == nil {
+	if err := Im2colBatch(make([]float32, 1), make([]float32, 4), 1, 1, 2, 2, 3, 1, 0); err == nil {
 		t.Error("expected kernel-does-not-fit error")
 	}
-	if err := Im2col(make([]float32, 1), make([]float32, 16), 1, 4, 4, 2, 1, 0); err == nil {
+	if err := Im2colBatch(make([]float32, 1), make([]float32, 16), 1, 1, 4, 4, 2, 1, 0); err == nil {
 		t.Error("expected short-dst error")
 	}
 }
 
 // TestCol2imAdjoint checks the defining adjoint identity
-// ⟨Im2col(x), g⟩ = ⟨x, Col2im(g)⟩ on random data.
+// ⟨Im2colBatch(x), g⟩ = ⟨x, Col2imBatch(g)⟩ on random data (a batch of one).
 func TestCol2imAdjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	c, h, w, k, stride, pad := 3, 9, 8, 3, 2, 1
@@ -200,11 +200,11 @@ func TestCol2imAdjoint(t *testing.T) {
 	g := randSlice(rng, c*k*k*n)
 
 	cols := make([]float32, c*k*k*n)
-	if err := Im2col(cols, x, c, h, w, k, stride, pad); err != nil {
+	if err := Im2colBatch(cols, x, 1, c, h, w, k, stride, pad); err != nil {
 		t.Fatal(err)
 	}
 	back := make([]float32, c*h*w)
-	if err := Col2im(back, g, c, h, w, k, stride, pad); err != nil {
+	if err := Col2imBatch(back, g, 1, c, h, w, k, stride, pad); err != nil {
 		t.Fatal(err)
 	}
 	var lhs, rhs float64

@@ -7,7 +7,7 @@ import (
 )
 
 // TestCol2imBatchMatchesPerSample pins the batched scatter against N
-// independent Col2im calls: sample s's column range must land bit-for-bit in
+// independent batches of one: sample s's column range must land bit-for-bit in
 // sample s's CHW plane, across ragged batch sizes and strided/padded shapes.
 func TestCol2imBatchMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
@@ -36,7 +36,7 @@ func TestCol2imBatchMatchesPerSample(t *testing.T) {
 				copy(one[r*hw:(r+1)*hw], cols[r*tc.n*hw+s*hw:r*tc.n*hw+(s+1)*hw])
 			}
 			want := make([]float32, chw)
-			if err := Col2im(want, one, tc.c, tc.h, tc.w, tc.k, tc.stride, tc.pad); err != nil {
+			if err := Col2imBatch(want, one, 1, tc.c, tc.h, tc.w, tc.k, tc.stride, tc.pad); err != nil {
 				t.Fatal(err)
 			}
 			for i, v := range want {

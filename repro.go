@@ -14,9 +14,13 @@
 //	internal/fault       SEU models, ALUs (incl. a bit-exact soft-float
 //	                     IEEE-754 emulation), injection campaigns, ECC
 //	internal/reliable    Algorithms 1–3: overloaded operators, leaky
-//	                     bucket, reliable convolution, checkpoint/rollback
+//	                     bucket, reliable convolution and its unprotected
+//	                     reference (NativeConv2D, the one direct-loop
+//	                     oracle), checkpoint/rollback
 //	internal/nn          CNN framework (conv, pool, LRN, dense, dropout)
 //	                     with full backpropagation; AlexNet constructors
+//	internal/infer       worker-pool execution layer: BatchEngine runs one
+//	                     batch at a time, concurrent callers queue
 //	internal/train       SGD, filter-freeze policies, metrics
 //	internal/sax         Symbolic Aggregate approXimation
 //	internal/shape       Sobel, segmentation, radial series, qualifier
@@ -25,7 +29,11 @@
 //	internal/onnxlite    platform-agnostic hybrid model description
 //	internal/experiments regeneration of every table/figure of the paper
 //
-// See the runnable examples under examples/ and the CLIs under cmd/.
+// One image at a time goes through HybridNetwork.Classify; batches go
+// through a persistent pool built once with HybridNetwork.NewBatchClassifier
+// (per-sample and batched results are identical, bucket-trip message
+// included). See the runnable examples under examples/ and the CLIs under
+// cmd/.
 package repro
 
 import (
