@@ -225,9 +225,15 @@ func BenchmarkConvForward_Im2col(b *testing.B) {
 // The recorded numbers are the benchmark's: nn.conv1_ms … nn.fc8_ms at N=8
 // and nn.alexnet_n1_ms in bench/README.md.
 
-func benchForwardBatchLayer(b *testing.B, layer nn.Layer, inShape ...int) {
+// Batch-size sweeps of the weight-carrying layers, forward and backward.
+var (
+	forwardSweep  = []int{1, 4, 8, 16, 32}
+	backwardSweep = []int{1, 4, 8, 16}
+)
+
+func benchForwardBatchLayer(b *testing.B, layer nn.Layer, batches []int, inShape ...int) {
 	rng := rand.New(rand.NewSource(30))
-	for _, batch := range []int{1, 4, 8, 16, 32} {
+	for _, batch := range batches {
 		packed := tensor.MustNew(append([]int{batch}, inShape...)...)
 		packed.FillUniform(rng, 0, 1)
 		b.Run(fmt.Sprintf("n=%d", batch), func(b *testing.B) {
@@ -252,7 +258,7 @@ func BenchmarkForwardBatch_AlexNetConv1(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchForwardBatchLayer(b, conv, 3, nn.AlexNetInputSize, nn.AlexNetInputSize)
+	benchForwardBatchLayer(b, conv, forwardSweep, 3, nn.AlexNetInputSize, nn.AlexNetInputSize)
 }
 
 // AlexNet conv2: 256 5×5×96 filters over 27×27 — 2.4 MB of weights, the
@@ -263,7 +269,7 @@ func BenchmarkForwardBatch_AlexNetConv2(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchForwardBatchLayer(b, conv, 96, 27, 27)
+	benchForwardBatchLayer(b, conv, forwardSweep, 96, 27, 27)
 }
 
 // AlexNet conv3: 384 3×3×256 filters over 13×13 — 3.5 MB of weights against
@@ -275,7 +281,7 @@ func BenchmarkForwardBatch_AlexNetConv3(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchForwardBatchLayer(b, conv, 256, 13, 13)
+	benchForwardBatchLayer(b, conv, forwardSweep, 256, 13, 13)
 }
 
 // AlexNet fc6: 4096×9216 — 151 MB of weights, pure weight streaming; a
@@ -286,7 +292,7 @@ func BenchmarkForwardBatch_AlexNetFC6(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchForwardBatchLayer(b, fc, 256*6*6)
+	benchForwardBatchLayer(b, fc, forwardSweep, 256*6*6)
 }
 
 // Whole-network batched forward on the AlexNet-shaped micro net — the
@@ -300,7 +306,15 @@ func BenchmarkForwardBatch_MicroNet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchForwardBatchLayer(b, net, 3, 32, 32) // Sequential implements Layer
+	benchForwardBatchLayer(b, net, forwardSweep, 3, 32, 32) // Sequential implements Layer
+}
+
+// AlexNet lrn1: 96×55×55, the larger of the network's two normalisation
+// sites and, with no weights to amortise, flat in the batch size — n=1 and
+// n=8 are the same per-sample kernel (nn.lrn_ms in bench/ is both sites at
+// n=8).
+func BenchmarkLRNForward(b *testing.B) {
+	benchForwardBatchLayer(b, nn.NewAlexNetLRN("lrn1"), []int{1, 8}, 96, 55, 55)
 }
 
 // Batch-native backward — one training step (forward + backward, since the
@@ -312,9 +326,9 @@ func BenchmarkForwardBatch_MicroNet(b *testing.B) {
 // twice (dW and dX). Training is research tooling and stays on
 // `go test -bench` (bench/README.md, "Who uses this system").
 
-func benchBackwardBatchLayer(b *testing.B, layer nn.Layer, inShape, outShape []int) {
+func benchBackwardBatchLayer(b *testing.B, layer nn.Layer, batches, inShape, outShape []int) {
 	rng := rand.New(rand.NewSource(40))
-	for _, batch := range []int{1, 4, 8, 16} {
+	for _, batch := range batches {
 		packedX := tensor.MustNew(append([]int{batch}, inShape...)...)
 		packedX.FillUniform(rng, 0, 1)
 		packedG := tensor.MustNew(append([]int{batch}, outShape...)...)
@@ -345,7 +359,7 @@ func BenchmarkBackwardBatch_AlexNetConv3(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchBackwardBatchLayer(b, conv, []int{256, 13, 13}, []int{384, 13, 13})
+	benchBackwardBatchLayer(b, conv, backwardSweep, []int{256, 13, 13}, []int{384, 13, 13})
 }
 
 // AlexNet fc6 backward: 4096×9216 — 151 MB of weights, read twice per
@@ -356,7 +370,14 @@ func BenchmarkBackwardBatch_AlexNetFC6(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchBackwardBatchLayer(b, fc, []int{256 * 6 * 6}, []int{4096})
+	benchBackwardBatchLayer(b, fc, backwardSweep, []int{256 * 6 * 6}, []int{4096})
+}
+
+// AlexNet lrn1 backward (forward + backward, like its neighbours): the
+// channel-major derivative over the float32 d / d^-β caches.
+func BenchmarkLRNBackward(b *testing.B) {
+	shape := []int{96, 55, 55}
+	benchBackwardBatchLayer(b, nn.NewAlexNetLRN("lrn1"), []int{1, 8}, shape, shape)
 }
 
 // End-to-end training throughput — Trainer.Fit over one epoch of synthetic

@@ -41,7 +41,10 @@ func idealEngine(t *testing.T) *reliable.Engine {
 
 // The load-bearing equivalence: on fault-free hardware the reliable prefix
 // computes exactly what the plain framework computes, for EVERY depth and
-// every layer type (conv, relu, lrn, pool, flatten, dense).
+// every layer type (conv, relu, lrn, pool, flatten, dense) — within 2e-5
+// where the plain path is a SIMD GEMM that rounds differently from the
+// scalar MAC chain, and bit for bit across an LRN layer, whose float32
+// arithmetic the two sides share operation for operation.
 func TestExecuteLayersMatchesPlainForward(t *testing.T) {
 	for _, useLRN := range []bool{false, true} {
 		net := prefixNet(t, useLRN)
@@ -66,6 +69,24 @@ func TestExecuteLayersMatchesPlainForward(t *testing.T) {
 			}
 			if depth > 0 && e.Stats().Ops == 0 {
 				t.Fatalf("depth %d executed no reliable operations", depth)
+			}
+			if depth == net.Len() {
+				continue
+			}
+			if _, ok := net.Layers()[depth].(*nn.LRN); !ok {
+				continue
+			}
+			// Same input on both sides of the LRN layer at index depth.
+			plainLRN, err := net.ForwardSamples(nn.NewContext(), depth, depth+1, []*tensor.Tensor{want})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotLRN, err := ExecuteLayers(idealEngine(t), net, depth, depth+1, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d, _ := plainLRN[0].MaxAbsDiff(gotLRN); d != 0 {
+				t.Fatalf("reliable lrn differs from plain lrn by %v on the same input, want bit-identical", d)
 			}
 		}
 	}
@@ -296,5 +317,8 @@ func TestReliableLayerPrimitivesValidation(t *testing.T) {
 	}
 	if _, err := reliable.LRN(e, chw, 0, 1, 1, 1); err == nil {
 		t.Error("window 0 lrn should fail")
+	}
+	if _, err := reliable.LRN(e, chw, 4, 1, 1, 1); err == nil {
+		t.Error("even-window lrn should fail")
 	}
 }

@@ -78,6 +78,20 @@ func ApproxEqual(a, b, atol, rtol float64) bool {
 	return d <= atol+rtol*m
 }
 
+// InvPow returns d^-β in float32, the local-response-normalisation scale
+// every LRN kernel in the tree (plain forward, backward, reliable) shares so
+// that they agree bit for bit. β = 0.75 — AlexNet's constant — is
+// 1/(√d·√√d): two correctly rounded float32 square roots, a product and a
+// division, identical on every platform and within a few ulp of the exact
+// power; any other β rounds math.Pow's float64 result once.
+func InvPow(d float32, beta float64) float32 {
+	if beta == 0.75 {
+		s := float32(math.Sqrt(float64(d)))
+		return 1 / (s * float32(math.Sqrt(float64(s))))
+	}
+	return float32(math.Pow(float64(d), -beta))
+}
+
 // Welford accumulates mean and variance in a single numerically stable pass.
 // The zero value is ready to use.
 type Welford struct {

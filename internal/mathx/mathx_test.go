@@ -93,6 +93,26 @@ func TestApproxEqual(t *testing.T) {
 	}
 }
 
+func TestInvPow(t *testing.T) {
+	// β = 0.75 takes the square-root form: a few float32 roundings away
+	// from the exact power over the range an LRN denominator covers.
+	for d := float32(1); d < 1e6; d *= 1.37 {
+		want := math.Pow(float64(d), -0.75)
+		if got := float64(InvPow(d, 0.75)); math.Abs(got-want) > 4e-7*want {
+			t.Errorf("InvPow(%v, 0.75) = %v, want %v", d, got, want)
+		}
+	}
+	if got := InvPow(16, 0.75); got != 0.125 {
+		t.Errorf("InvPow(16, 0.75) = %v, want 0.125 exactly", got)
+	}
+	// Any other β is math.Pow rounded once.
+	for _, beta := range []float64{0.5, 1, 0.7500001} {
+		if got, want := InvPow(3.5, beta), float32(math.Pow(3.5, -beta)); got != want {
+			t.Errorf("InvPow(3.5, %v) = %v, want %v", beta, got, want)
+		}
+	}
+}
+
 func TestWelford(t *testing.T) {
 	var w Welford
 	if w.Mean() != 0 || w.Var() != 0 || w.N() != 0 {

@@ -25,8 +25,7 @@ type Conv2D struct {
 	pad       int
 	weight    *tensor.Tensor // (outC, inC, k, k)
 	bias      *tensor.Tensor // (outC)
-	gradW     *tensor.Tensor
-	gradB     *tensor.Tensor
+	grads     paramGrads
 }
 
 // convState is the per-context mutable state of one Conv2D: the reusable
@@ -73,8 +72,6 @@ func NewConv2D(name string, inC, outC, k, stride, pad int, rng *rand.Rand) (*Con
 	return &Conv2D{
 		name: name, inC: inC, outC: outC, k: k, stride: stride, pad: pad,
 		weight: w, bias: b,
-		gradW: tensor.MustNew(outC, inC, k, k),
-		gradB: tensor.MustNew(outC),
 	}, nil
 }
 
@@ -106,8 +103,8 @@ func (c *Conv2D) Pad() int { return c.pad }
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param {
 	return []*Param{
-		{Name: c.name + ".weight", Value: c.weight, Grad: c.gradW},
-		{Name: c.name + ".bias", Value: c.bias, Grad: c.gradB},
+		{Name: c.name + ".weight", Value: c.weight, Grad: c.grads.w},
+		{Name: c.name + ".bias", Value: c.bias, Grad: c.grads.b},
 	}
 }
 
@@ -195,8 +192,9 @@ func (c *Conv2D) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tenso
 	cols := n * hw
 	ckk := c.inC * c.k * c.k
 	g := grad.Data()
-	dw := ctx.gradBuf(c.gradW).Data()
-	db := ctx.gradBuf(c.gradB).Data()
+	gradW, gradB := c.grads.get(c.weight, c.bias)
+	dw := ctx.gradBuf(gradW).Data()
+	db := ctx.gradBuf(gradB).Data()
 
 	// NCHW → F-major: one contiguous copy per (filter, sample), the exact
 	// inverse of the forward's output transpose.

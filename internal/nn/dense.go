@@ -14,8 +14,7 @@ type Dense struct {
 	in, out int
 	weight  *tensor.Tensor // (out, in)
 	bias    *tensor.Tensor // (out)
-	gradW   *tensor.Tensor
-	gradB   *tensor.Tensor
+	grads   paramGrads
 }
 
 // denseState is the per-context forward cache: the input batch of the last
@@ -46,8 +45,6 @@ func NewDense(name string, in, out int, rng *rand.Rand) (*Dense, error) {
 	return &Dense{
 		name: name, in: in, out: out,
 		weight: w, bias: b,
-		gradW: tensor.MustNew(out, in),
-		gradB: tensor.MustNew(out),
 	}, nil
 }
 
@@ -63,8 +60,8 @@ func (d *Dense) Bias() *tensor.Tensor { return d.bias }
 // Params implements Layer.
 func (d *Dense) Params() []*Param {
 	return []*Param{
-		{Name: d.name + ".weight", Value: d.weight, Grad: d.gradW},
-		{Name: d.name + ".bias", Value: d.bias, Grad: d.gradB},
+		{Name: d.name + ".weight", Value: d.weight, Grad: d.grads.w},
+		{Name: d.name + ".bias", Value: d.bias, Grad: d.grads.b},
 	}
 }
 
@@ -111,8 +108,9 @@ func (d *Dense) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor
 		return nil, fmt.Errorf("nn: dense %q wants (%d,%d) gradient, got %v", d.name, n, d.out, grad.Shape())
 	}
 	g, x, w := grad.Data(), st.lastIn.Data(), d.weight.Data()
-	dw := ctx.gradBuf(d.gradW).Data()
-	db := ctx.gradBuf(d.gradB).Data()
+	gradW, gradB := d.grads.get(d.weight, d.bias)
+	dw := ctx.gradBuf(gradW).Data()
+	db := ctx.gradBuf(gradB).Data()
 	if err := tensor.AddColSums(db, g, n, d.out); err != nil {
 		return nil, fmt.Errorf("nn: dense %q: %w", d.name, err)
 	}

@@ -25,20 +25,47 @@ package nn
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/tensor"
 )
 
 // Param is one learnable tensor with its gradient accumulator. Gradients are
-// accumulated (+=) by BackwardBatch and cleared by ZeroGrad.
+// accumulated (+=) by BackwardBatch and cleared by ZeroGrad. A nil Grad means
+// no gradient has been accumulated yet and reads as all zeros: layers create
+// the accumulator in their first BackwardBatch, so a network that only ever
+// runs forward (serving, evaluation, serialisation) holds no gradient memory.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+// ZeroGrad clears the gradient accumulator (a nil one is already zero).
+func (p *Param) ZeroGrad() {
+	if p.Grad != nil {
+		p.Grad.Zero()
+	}
+}
+
+// paramGrads holds a layer's weight and bias gradient accumulators, created
+// by the first BackwardBatch that asks for them. The sync.Once makes that
+// safe when the data-parallel trainer's workers reach the layer together:
+// they all see the same canonical tensors, which is what Context.gradBuf
+// keys their shadows on.
+type paramGrads struct {
+	once sync.Once
+	w, b *tensor.Tensor
+}
+
+// get returns the accumulators, shaped like weight and bias.
+func (g *paramGrads) get(weight, bias *tensor.Tensor) (w, b *tensor.Tensor) {
+	g.once.Do(func() {
+		g.w = tensor.MustNew(weight.Shape()...)
+		g.b = tensor.MustNew(bias.Shape()...)
+	})
+	return g.w, g.b
+}
 
 // Layer is a differentiable module over micro-batches; a single sample is
 // the N=1 batch. In training contexts ForwardBatch caches whatever

@@ -2,8 +2,8 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
+	"repro/internal/mathx"
 	"repro/internal/tensor"
 )
 
@@ -11,7 +11,15 @@ import (
 //
 //	y_i = x_i / (k + (α/n)·Σ_{j∈window(i)} x_j²)^β
 //
-// where the window spans n channels centred on i (clipped at the ends).
+// where the window spans the n channels centred on i (clipped at the ends),
+// so n is odd.
+//
+// The arithmetic is float32 throughout, each step rounded on its own (no
+// fused multiply-add on any platform): squares x_j² summed in ascending j,
+// d = k + (α/n)·Σ, then y = x · mathx.InvPow(d, β). reliable.LRN performs the
+// same operations in the same order through its protected operators, so on
+// fault-free ALUs the two agree bit for bit; against the exact
+// (float64, math.Pow) formula the output is within 8 ulp.
 type LRN struct {
 	name  string
 	n     int
@@ -21,19 +29,25 @@ type LRN struct {
 }
 
 // lrnState is the per-context forward cache of the last training-mode
-// ForwardBatch.
+// ForwardBatch, plus the backward's scratch; the buffers grow to the largest
+// batch seen and are reused call over call. An inference forward needs no
+// scratch at all: its window sums accumulate in the output it is about to
+// overwrite, so it allocates that output and nothing else.
 type lrnState struct {
 	lastIn *tensor.Tensor
-	denom  []float64 // k + (α/n)Σx² per element of the batch
+	denom  []float32 // d = k + (α/n)Σx² per element of the batch
+	scale  []float32 // d^-β per element of the batch
+	planes []float32 // backward, one sample: g·x·d^(-β-1)
 }
 
 var _ Layer = (*LRN)(nil)
 
-// NewLRN returns an LRN layer. AlexNet's published constants are
-// n=5, k=2, α=1e-4, β=0.75.
+// NewLRN returns an LRN layer over a window of n channels; n must be odd so
+// the window is centred. AlexNet's published constants are n=5, k=2,
+// α=1e-4, β=0.75.
 func NewLRN(name string, n int, k, alpha, beta float64) (*LRN, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("nn: lrn %q window %d must be >= 1", name, n)
+	if n < 1 || n%2 == 0 {
+		return nil, fmt.Errorf("nn: lrn %q window %d must be odd and >= 1", name, n)
 	}
 	if k < 0 || alpha < 0 || beta <= 0 {
 		return nil, fmt.Errorf("nn: lrn %q constants (k=%v α=%v β=%v) invalid", name, k, alpha, beta)
@@ -57,40 +71,65 @@ func (l *LRN) Name() string { return l.name }
 // Params implements Layer.
 func (l *LRN) Params() []*Param { return nil }
 
+// window returns the clipped channel window [lo, hi] centred on ch.
+func (l *LRN) window(ch, c int) (lo, hi int) {
+	lo, hi = ch-l.n/2, ch+l.n/2
+	if lo < 0 {
+		lo = 0
+	}
+	if hi >= c {
+		hi = c - 1
+	}
+	return lo, hi
+}
+
+// sumPlanes writes Σ_{j=lo..hi} src[j·hw : (j+1)·hw] into dst (hw = len(dst)):
+// contiguous passes in ascending j, recomputed per window — no running
+// subtract, so nothing drifts from one channel to the next.
+func sumPlanes(dst, src []float32, lo, hi int) {
+	hw := len(dst)
+	copy(dst, src[lo*hw:(lo+1)*hw])
+	for j := lo + 1; j <= hi; j++ {
+		for p, v := range src[j*hw : (j+1)*hw] {
+			dst[p] += v
+		}
+	}
+}
+
 // normalize applies the LRN kernel to one CHW sample (c channels of hw
-// elements). When denom is non-nil it receives the per-element
-// k + (α/n)Σx² cache BackwardBatch consumes.
-func (l *LRN) normalize(in, od []float32, c, hw int, denom []float64) {
-	half := l.n / 2
-	for pos := 0; pos < hw; pos++ {
-		for ch := 0; ch < c; ch++ {
-			lo := ch - half
-			if lo < 0 {
-				lo = 0
+// elements), channel-major: per channel the squares of its window's planes
+// sum, in ascending j, into that channel's plane of od, and one pass turns
+// each sum into the output there. When denom and scale are non-nil they
+// receive the per-element d and d^-β BackwardBatch consumes.
+func (l *LRN) normalize(in, od []float32, c, hw int, denom, scale []float32) {
+	k, a := float32(l.k), float32(l.alpha/float64(l.n))
+	for ch := 0; ch < c; ch++ {
+		lo, hi := l.window(ch, c)
+		off := ch * hw
+		x, y := in[off:off+hw], od[off:off+hw]
+		for p, v := range in[lo*hw : (lo+1)*hw] {
+			y[p] = float32(v * v)
+		}
+		for j := lo + 1; j <= hi; j++ {
+			for p, v := range in[j*hw : (j+1)*hw] {
+				y[p] += float32(v * v)
 			}
-			hi := ch + half
-			if hi >= c {
-				hi = c - 1
-			}
-			var ss float64
-			for j := lo; j <= hi; j++ {
-				v := float64(in[j*hw+pos])
-				ss += v * v
-			}
-			d := l.k + l.alpha/float64(l.n)*ss
-			idx := ch*hw + pos
+		}
+		for p, ss := range y {
+			d := k + float32(a*ss)
+			r := mathx.InvPow(d, l.beta)
+			y[p] = x[p] * r
 			if denom != nil {
-				denom[idx] = d
+				denom[off+p], scale[off+p] = d, r
 			}
-			od[idx] = float32(float64(in[idx]) * math.Pow(d, -l.beta))
 		}
 	}
 }
 
 // ForwardBatch implements Layer over an NCHW batch: normalisation windows
 // span channels within a sample, so the pass applies the kernel to each of
-// the N packed samples. In training contexts the input and the denominator
-// cache are kept for BackwardBatch; inference contexts cache nothing.
+// the N packed samples. In training contexts the input and the d / d^-β
+// caches are kept for BackwardBatch; inference contexts cache nothing.
 func (l *LRN) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("nn: lrn %q forward needs a context", l.name)
@@ -99,26 +138,23 @@ func (l *LRN) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, erro
 		return nil, fmt.Errorf("nn: lrn %q wants NCHW batch, got %v", l.name, x.Shape())
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	chw := c * h * w
 	st := ctx.state(l, func() any { return &lrnState{} }).(*lrnState)
 	if ctx.Training() {
 		st.lastIn = x
-		if cap(st.denom) >= n*c*h*w {
-			st.denom = st.denom[:n*c*h*w]
-		} else {
-			st.denom = make([]float64, n*c*h*w)
-		}
+		st.denom = tensor.GrowSlice(st.denom, n*chw)
+		st.scale = tensor.GrowSlice(st.scale, n*chw)
 	} else {
 		st.lastIn = nil
 	}
 	out := tensor.MustNew(n, c, h, w)
 	in, od := x.Data(), out.Data()
-	chw := c * h * w
 	for s := 0; s < n; s++ {
-		var denom []float64
+		var denom, scale []float32
 		if st.lastIn != nil {
-			denom = st.denom[s*chw : (s+1)*chw]
+			denom, scale = st.denom[s*chw:(s+1)*chw], st.scale[s*chw:(s+1)*chw]
 		}
-		l.normalize(in[s*chw:(s+1)*chw], od[s*chw:(s+1)*chw], c, h*w, denom)
+		l.normalize(in[s*chw:(s+1)*chw], od[s*chw:(s+1)*chw], c, h*w, denom, scale)
 	}
 	return out, nil
 }
@@ -126,7 +162,7 @@ func (l *LRN) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, erro
 // BackwardBatch implements Layer with the exact derivative, sample by
 // sample (windows never cross samples):
 //
-//	dx_m = g_m·denom_m^{-β} − (2αβ/n)·x_m·Σ_{i: m∈window(i)} g_i·x_i·denom_i^{-β-1}
+//	dx_m = g_m·d_m^{-β} − (2αβ/n)·x_m·Σ_{i: m∈window(i)} g_i·x_i·d_i^{-β-1}
 func (l *LRN) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("nn: lrn %q backward needs a context", l.name)
@@ -140,45 +176,36 @@ func (l *LRN) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, 
 			l.name, grad.Shape(), st.lastIn.Shape())
 	}
 	n, c, h, w := st.lastIn.Dim(0), st.lastIn.Dim(1), st.lastIn.Dim(2), st.lastIn.Dim(3)
+	chw := c * h * w
+	st.planes = tensor.GrowSlice(st.planes, chw)
 	dx := tensor.MustNew(n, c, h, w)
 	in, g, dxd := st.lastIn.Data(), grad.Data(), dx.Data()
-	chw := c * h * w
 	for s := 0; s < n; s++ {
-		l.backwardSample(in[s*chw:(s+1)*chw], g[s*chw:(s+1)*chw], dxd[s*chw:(s+1)*chw],
-			st.denom[s*chw:(s+1)*chw], c, h*w)
+		lo, hi := s*chw, (s+1)*chw
+		l.backwardSample(in[lo:hi], g[lo:hi], dxd[lo:hi], st.denom[lo:hi], st.scale[lo:hi],
+			st.planes, c, h*w)
 	}
 	return dx, nil
 }
 
 // backwardSample applies the LRN derivative to one CHW sample (c channels of
-// hw elements) given its forward denominator cache.
-func (l *LRN) backwardSample(in, g, dxd []float32, denom []float64, c, hw int) {
-	half := l.n / 2
-	scale := 2 * l.alpha * l.beta / float64(l.n)
-	for pos := 0; pos < hw; pos++ {
-		// Precompute g_i · x_i · denom_i^{-β-1} per channel at this pixel.
-		gi := make([]float64, c)
-		for ch := 0; ch < c; ch++ {
-			idx := ch*hw + pos
-			gi[ch] = float64(g[idx]) * float64(in[idx]) * math.Pow(denom[idx], -l.beta-1)
-		}
-		for m := 0; m < c; m++ {
-			idx := m*hw + pos
-			direct := float64(g[idx]) * math.Pow(denom[idx], -l.beta)
-			// Channels i whose window contains m: |i − m| <= half.
-			lo := m - half
-			if lo < 0 {
-				lo = 0
-			}
-			hi := m + half
-			if hi >= c {
-				hi = c - 1
-			}
-			var cross float64
-			for i := lo; i <= hi; i++ {
-				cross += gi[i]
-			}
-			dxd[idx] = float32(direct - scale*float64(in[idx])*cross)
+// hw elements) given its forward caches, in the forward's channel-major
+// walk: planes holds g_i·x_i·d_i^{-β-1} for the whole sample (d^{-β-1} is
+// d^-β / d), and the channels whose window contains m are the channels of
+// m's own window, so their planes sum into m's plane of dxd, which one pass
+// then turns into the derivative.
+func (l *LRN) backwardSample(in, g, dxd, denom, scale, planes []float32, c, hw int) {
+	for i, r := range scale {
+		planes[i] = g[i] * in[i] * r / denom[i]
+	}
+	coef := float32(2 * l.alpha * l.beta / float64(l.n))
+	for m := 0; m < c; m++ {
+		lo, hi := l.window(m, c)
+		off := m * hw
+		dst := dxd[off : off+hw]
+		sumPlanes(dst, planes, lo, hi)
+		for p, sum := range dst {
+			dst[p] = g[off+p]*scale[off+p] - coef*in[off+p]*sum
 		}
 	}
 }

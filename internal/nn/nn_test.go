@@ -443,6 +443,13 @@ func TestLRNValidation(t *testing.T) {
 	if _, err := NewLRN("l", 0, 1, 1, 1); err == nil {
 		t.Error("window 0 should fail")
 	}
+	// A window is centred on its channel: an even n would span n+1
+	// channels while α is scaled by 1/n.
+	for _, n := range []int{2, 4} {
+		if _, err := NewLRN("l", n, 2, 1e-4, 0.75); err == nil {
+			t.Errorf("even window %d should fail", n)
+		}
+	}
 	if _, err := NewLRN("l", 3, -1, 1, 1); err == nil {
 		t.Error("negative k should fail")
 	}

@@ -175,6 +175,18 @@ func TestImportValidation(t *testing.T) {
 	if _, _, err := Import(&m4, rng); err == nil {
 		t.Error("missing weights should fail")
 	}
+	// An even LRN window has no centre channel: the file must be refused,
+	// not normalised over some other window.
+	m10 := *m
+	m10.Layers = append([]LayerDesc(nil), m.Layers...)
+	for i := range m10.Layers {
+		if m10.Layers[i].Type == "lrn" {
+			m10.Layers[i].Window = 4
+		}
+	}
+	if _, _, err := Import(&m10, rng); err == nil || !strings.Contains(err.Error(), "must be odd") {
+		t.Errorf("even lrn window: got %v, want the odd-window error", err)
+	}
 	// Bad reliability block.
 	m5 := *m
 	m5.Reliability = &ReliabilityDesc{Wiring: "weird", Mode: "plain"}

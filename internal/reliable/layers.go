@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/mathx"
 	"repro/internal/tensor"
 )
 
@@ -136,11 +137,14 @@ func MaxPool2D(e *Engine, x *tensor.Tensor, k, stride int) (*tensor.Tensor, erro
 	return out, nil
 }
 
-// LRN executes AlexNet's local response normalisation reliably. The squares
-// and the window sums run through the overloaded operators; the power
-// denominator uses exp/log in float64 (a bounded elementary function —
-// on the FPGA target this is a lookup table, which the paper's methodology
-// treats as a verified deterministic block).
+// LRN executes AlexNet's local response normalisation reliably over an odd
+// window of n channels. The squares, the window sums and the final scaling
+// run through the overloaded operators; d = k + (α/n)·Σ and the power
+// mathx.InvPow(d, β) are a bounded elementary function of one protected
+// value (on the FPGA target a lookup table, which the paper's methodology
+// treats as a verified deterministic block). Operation for operation this is
+// nn.LRN's float32 arithmetic, so on fault-free ALUs the two agree bit for
+// bit.
 func LRN(e *Engine, x *tensor.Tensor, n int, k, alpha, beta float64) (*tensor.Tensor, error) {
 	if e == nil {
 		return nil, fmt.Errorf("reliable: lrn needs an engine")
@@ -148,8 +152,8 @@ func LRN(e *Engine, x *tensor.Tensor, n int, k, alpha, beta float64) (*tensor.Te
 	if x.Rank() != 3 {
 		return nil, fmt.Errorf("reliable: lrn wants CHW input, got %v", x.Shape())
 	}
-	if n < 1 || beta <= 0 {
-		return nil, fmt.Errorf("reliable: lrn window %d / beta %v invalid", n, beta)
+	if n < 1 || n%2 == 0 || beta <= 0 {
+		return nil, fmt.Errorf("reliable: lrn window %d (odd, >= 1) / beta %v invalid", n, beta)
 	}
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	out, err := tensor.New(c, h, w)
@@ -159,6 +163,7 @@ func LRN(e *Engine, x *tensor.Tensor, n int, k, alpha, beta float64) (*tensor.Te
 	in, od := x.Data(), out.Data()
 	half := n / 2
 	hw := h * w
+	kf, a := float32(k), float32(alpha/float64(n))
 	// Reliably squared activations.
 	sq := make([]float32, len(in))
 	for i, v := range in {
@@ -185,8 +190,8 @@ func LRN(e *Engine, x *tensor.Tensor, n int, k, alpha, beta float64) (*tensor.Te
 				}
 			}
 			idx := ch*hw + pos
-			denom := math.Pow(k+alpha/float64(n)*float64(ss), -beta)
-			v, err := e.Mul(in[idx], float32(denom))
+			d := kf + float32(a*ss)
+			v, err := e.Mul(in[idx], mathx.InvPow(d, beta))
 			if err != nil {
 				return nil, fmt.Errorf("reliable: lrn scale (%d,%d): %w", ch, pos, err)
 			}

@@ -102,14 +102,30 @@ func (f *FilterFreeze) Pinned(idx int) *tensor.Tensor {
 	return p.Clone()
 }
 
-// gradView returns the gradient sub-tensor of filter idx.
-func (f *FilterFreeze) gradView(idx int) (*tensor.Tensor, error) {
+// eachGrad applies fn to the gradient sub-tensor of every managed filter. A
+// nil accumulator (no backward pass yet) is all zeros: there is nothing to
+// clear or attenuate.
+func (f *FilterFreeze) eachGrad(fn func(g *tensor.Tensor)) error {
+	var weight *nn.Param
 	for _, p := range f.conv.Params() {
 		if p.Value == f.conv.Weight() {
-			return p.Grad.Filter(idx)
+			weight = p
 		}
 	}
-	return nil, fmt.Errorf("train: conv weight parameter not found")
+	if weight == nil {
+		return fmt.Errorf("train: conv weight parameter not found")
+	}
+	if weight.Grad == nil {
+		return nil
+	}
+	for _, idx := range f.indices {
+		g, err := weight.Grad.Filter(idx)
+		if err != nil {
+			return err
+		}
+		fn(g)
+	}
+	return nil
 }
 
 // BeforeStep is invoked after gradient accumulation and before the optimiser
@@ -117,21 +133,9 @@ func (f *FilterFreeze) gradView(idx int) (*tensor.Tensor, error) {
 func (f *FilterFreeze) BeforeStep() error {
 	switch f.mode {
 	case FreezeHard:
-		for _, idx := range f.indices {
-			g, err := f.gradView(idx)
-			if err != nil {
-				return err
-			}
-			g.Zero()
-		}
+		return f.eachGrad(func(g *tensor.Tensor) { g.Zero() })
 	case FreezeDrift:
-		for _, idx := range f.indices {
-			g, err := f.gradView(idx)
-			if err != nil {
-				return err
-			}
-			g.Scale(DriftAttenuation)
-		}
+		return f.eachGrad(func(g *tensor.Tensor) { g.Scale(DriftAttenuation) })
 	}
 	return nil
 }

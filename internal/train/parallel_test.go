@@ -117,3 +117,81 @@ func TestTrainerParallelFit(t *testing.T) {
 		t.Error("negative workers should fail")
 	}
 }
+
+// TestLazyGradParallelFit: gradient accumulators do not exist until the
+// first backward pass, and with Workers: 4 every worker reaches each layer's
+// first BackwardBatch at once — they must all end up shadowing the same
+// canonical tensors (run under -race), and two runs of one seed must train
+// the same weights.
+func TestLazyGradParallelFit(t *testing.T) {
+	ds := tinyDataset(t, 4, 5)
+	cfg := tinyConfig()
+	cfg.UseLRN = true
+	fit := func() *nn.Sequential {
+		net, err := nn.NewMicroAlexNet(cfg, rand.New(rand.NewSource(21)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range net.Params() {
+			if p.Grad != nil {
+				t.Fatalf("%s has a gradient accumulator before training", p.Name)
+			}
+		}
+		opt, err := NewSGD(0.05, 0.9, 1e-4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &Trainer{Net: net, Opt: opt, BatchSize: 8, Epochs: 1, Workers: 4, Rng: rand.New(rand.NewSource(22))}
+		if _, err := tr.Fit(ds); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range net.Params() {
+			if p.Grad == nil {
+				t.Fatalf("%s has no gradient accumulator after training", p.Name)
+			}
+		}
+		return net
+	}
+	a, b := fit().Params(), fit().Params()
+	for i := range a {
+		if d, err := a[i].Value.MaxAbsDiff(b[i].Value); err != nil || d != 0 {
+			t.Errorf("%s differs between two Workers: 4 runs of one seed: %v %v", a[i].Name, d, err)
+		}
+	}
+}
+
+// TestSGDStepNilGrad: a parameter no backward pass has reached has a zero
+// gradient — the step applies decay only, and must not dereference it.
+func TestSGDStepNilGrad(t *testing.T) {
+	net, err := nn.NewMicroAlexNet(tinyConfig(), rand.New(rand.NewSource(23)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := NewSGD(0.1, 0, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := net.Params()
+	before := params[0].Value.Clone()
+	if err := opt.Step(params, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := before.Clone()
+	want.Scale(1 - 0.1*0.5)
+	if !params[0].Value.AllClose(want, 1e-6) {
+		t.Error("nil-gradient step should shrink weights by lr·decay and nothing else")
+	}
+	conv, ok := net.Layers()[0].(*nn.Conv2D)
+	if !ok {
+		t.Fatal("layer 0 is not the first convolution")
+	}
+	for _, mode := range []FreezeMode{FreezeHard, FreezeDrift} {
+		f, err := NewFilterFreeze(conv, mode, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.BeforeStep(); err != nil {
+			t.Errorf("%v freeze before any backward pass: %v", mode, err)
+		}
+	}
+}

@@ -53,7 +53,9 @@ func (o *SGD) SetLR(lr float32) error {
 func (o *SGD) LR() float32 { return o.lr }
 
 // Step applies one update to every parameter from its accumulated gradient,
-// scaled by 1/batchSize. Gradients are NOT cleared (call net.ZeroGrads).
+// scaled by 1/batchSize; a parameter whose Grad is nil (no backward pass has
+// reached it) has a zero gradient, so only decay and momentum move it.
+// Gradients are NOT cleared (call net.ZeroGrads).
 func (o *SGD) Step(params []*nn.Param, batchSize int) error {
 	if batchSize < 1 {
 		return fmt.Errorf("train: batch size %d must be >= 1", batchSize)
@@ -65,11 +67,17 @@ func (o *SGD) Step(params []*nn.Param, batchSize int) error {
 			v = tensor.MustNew(p.Value.Shape()...)
 			o.velocity[p] = v
 		}
-		g := p.Grad.Data()
+		var g []float32
+		if p.Grad != nil {
+			g = p.Grad.Data()
+		}
 		w := p.Value.Data()
 		vd := v.Data()
 		for i := range w {
-			grad := g[i]*inv + o.decay*w[i]
+			grad := o.decay * w[i]
+			if g != nil {
+				grad += g[i] * inv
+			}
 			vd[i] = o.momentum*vd[i] - o.lr*grad
 			w[i] += vd[i]
 		}
