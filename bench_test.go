@@ -642,14 +642,20 @@ func BenchmarkStatsMerge(b *testing.B) {
 	for i := range shards {
 		n := uint64(1000 * (i + 1))
 		shards[i] = serve.Stats{
-			Submitted: n, Completed: n - 10, Failed: 5, Expired: 5,
-			Batches:      n / 4,
-			BatchHist:    []uint64{10, 20, 30, n/4 - 60},
-			LatencyCount: int(n - 10),
-			LatencyP50:   time.Duration(i+1) * time.Millisecond,
-			LatencyP99:   time.Duration(i+2) * 3 * time.Millisecond,
-			LatencyMax:   time.Duration(i+3) * 5 * time.Millisecond,
-			Uptime:       time.Minute,
+			Batches:   n / 4,
+			BatchHist: []uint64{10, 20, 30, n/4 - 60},
+			Uptime:    time.Minute,
+		}
+		for _, c := range serve.Classes {
+			lat, queue := serve.NewHistogram(), serve.NewHistogram()
+			for j := 1; j <= 100; j++ {
+				lat.Observe(time.Duration(i+j) * time.Millisecond)
+				queue.Observe(time.Duration(j) * time.Microsecond)
+			}
+			shards[i].Classes = append(shards[i].Classes, serve.ClassStats{Class: c.String(), Counts: serve.Counts{
+				Submitted: n, Completed: n - 10, Failed: 5, Expired: 5,
+				LatencyHist: lat, QueueHist: queue,
+			}})
 		}
 	}
 	b.ReportAllocs()

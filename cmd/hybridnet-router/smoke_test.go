@@ -35,19 +35,8 @@ func TestFleetSmoke(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("finds the spawned workers through /proc")
 	}
-	bin := t.TempDir()
-	for _, name := range []string{"hybridnetd", "hybridnet-router"} {
-		out, err := exec.Command("go", "build", "-o", filepath.Join(bin, name), "repro/cmd/"+name).CombinedOutput()
-		if err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, out)
-		}
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
+	bin := buildBinaries(t, "cmd/hybridnetd", "cmd/hybridnet-router")
+	addr := freeAddr(t)
 	base := "http://" + addr
 
 	// restart-backoff 300ms > 2 × health-interval: the SIGKILLed worker
@@ -78,14 +67,6 @@ func TestFleetSmoke(t *testing.T) {
 	}()
 
 	client := &http.Client{Timeout: 10 * time.Second}
-	getJSON := func(url string, v any) (int, error) {
-		resp, err := client.Get(url)
-		if err != nil {
-			return 0, err
-		}
-		defer resp.Body.Close()
-		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(v)
-	}
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()
 		for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Millisecond) {
@@ -125,50 +106,11 @@ func TestFleetSmoke(t *testing.T) {
 		}
 		return answer, resp.Header
 	}
-	metrics := func(url string) map[string]*obs.MetricFamily {
-		t.Helper()
-		resp, err := client.Get(url + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fams, err := obs.ParsePrometheus(string(raw))
-		if err != nil {
-			t.Fatalf("%s/metrics does not parse: %v", url, err)
-		}
-		return fams
-	}
-	value := func(fams map[string]*obs.MetricFamily, name string, labels ...string) float64 {
-		t.Helper()
-		f := fams[name]
-		if f == nil {
-			t.Fatalf("metric family %s missing", name)
-		}
-	samples:
-		for _, s := range f.Samples {
-			if len(s.Labels) != len(labels)/2 {
-				continue
-			}
-			for i := 0; i+1 < len(labels); i += 2 {
-				if s.Labels[labels[i]] != labels[i+1] {
-					continue samples
-				}
-			}
-			return s.Value
-		}
-		t.Fatalf("metric %s has no series with labels %v", name, labels)
-		return 0
-	}
-
 	// The router listens only after its first probe round, so a 200 here
 	// means both workers answered /healthz.
 	var fleet api.FleetHealth
 	waitFor("router /healthz", func() bool {
-		status, err := getJSON(base+"/healthz", &fleet)
+		status, err := getJSON(client, base+"/healthz", &fleet)
 		return err == nil && status == http.StatusOK
 	})
 	if fleet.Status != "ok" || fleet.Shards != 2 || fleet.Healthy != 2 {
@@ -200,7 +142,7 @@ func TestFleetSmoke(t *testing.T) {
 	classify(8)
 	var rep shard.StatsReport
 	waitFor("the killed worker to be respawned and re-admitted", func() bool {
-		if status, err := getJSON(base+"/stats", &rep); err != nil || status != http.StatusOK {
+		if status, err := getJSON(client, base+"/stats", &rep); err != nil || status != http.StatusOK {
 			return false
 		}
 		return rep.Restarts == 1 && rep.HealthyShards == 2
@@ -208,7 +150,7 @@ func TestFleetSmoke(t *testing.T) {
 	classify(9)
 
 	// Merged stats aggregate the whole fleet, with exact histogram quantiles.
-	if _, err := getJSON(base+"/stats", &rep); err != nil {
+	if _, err := getJSON(client, base+"/stats", &rep); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Shards) != 2 || rep.Aggregate.Shards != 2 || rep.Aggregate.LatencyHist == nil || rep.Proxied < 3 {
@@ -218,22 +160,22 @@ func TestFleetSmoke(t *testing.T) {
 	// The Prometheus view of the same fleet: completions in the aggregate,
 	// and the SIGKILL flipped the dead shard's breaker (the opens counter
 	// survives its respawn and re-admission).
-	fams := metrics(base)
-	if v := value(fams, "hybridnet_requests_completed_total"); v < 1 {
+	fams := scrape(t, client, base)
+	if v := sample(t, fams, "hybridnet_requests_completed_total"); v < 1 {
 		t.Errorf("fleet completed_total %v, want ≥ 1", v)
 	}
-	if v := value(fams, "hybridnet_router_healthy_shards"); v != 2 {
+	if v := sample(t, fams, "hybridnet_router_healthy_shards"); v != 2 {
 		t.Errorf("router_healthy_shards %v, want 2", v)
 	}
 	var opens, restarts float64
 	for _, sh := range rep.Shards {
 		id := strconv.Itoa(sh.ID)
-		opens += value(fams, "hybridnet_shard_breaker_opens_total", "shard", id)
-		restarts += value(fams, "hybridnet_shard_restarts_total", "shard", id)
+		opens += sample(t, fams, "hybridnet_shard_breaker_opens_total", "shard", id)
+		restarts += sample(t, fams, "hybridnet_shard_restarts_total", "shard", id)
 		// Both workers (one of them respawned) expose the same families on
 		// their own /metrics, at the URLs the report names.
-		wf := metrics(sh.URL)
-		value(wf, "hybridnet_requests_submitted_total")
+		wf := scrape(t, client, sh.URL)
+		sample(t, wf, "hybridnet_requests_submitted_total")
 		if wf["hybridnet_build_info"] == nil || wf["hybridnet_request_latency_seconds"] == nil {
 			t.Errorf("worker %s /metrics lacks build info or the latency histogram", sh.URL)
 		}
@@ -243,7 +185,7 @@ func TestFleetSmoke(t *testing.T) {
 	}
 	// The merged flight recorder answers for the whole fleet.
 	var dump obs.RecorderDump
-	if _, err := getJSON(base+"/debug/requests", &dump); err != nil || len(dump.Slowest) == 0 || len(dump.Recent) == 0 {
+	if _, err := getJSON(client, base+"/debug/requests", &dump); err != nil || len(dump.Slowest) == 0 || len(dump.Recent) == 0 {
 		t.Errorf("fleet flight recorder: %v, %d slowest, %d recent", err, len(dump.Slowest), len(dump.Recent))
 	}
 
@@ -264,6 +206,84 @@ func TestFleetSmoke(t *testing.T) {
 	for _, pid := range childPIDs(t, router.Process.Pid) {
 		t.Errorf("worker pid %d outlived the router's drain", pid)
 	}
+}
+
+// buildBinaries compiles the module's commands at pkgs (e.g. "cmd/hybridnetd")
+// into a fresh directory, each named after its last path element, and
+// returns the directory.
+func buildBinaries(t *testing.T, pkgs ...string) string {
+	t.Helper()
+	bin := t.TempDir()
+	for _, pkg := range pkgs {
+		out, err := exec.Command("go", "build", "-o", filepath.Join(bin, filepath.Base(pkg)), "repro/"+pkg).CombinedOutput()
+		if err != nil {
+			t.Fatalf("build %s: %v\n%s", pkg, err, out)
+		}
+	}
+	return bin
+}
+
+// freeAddr returns a loopback address that nothing listened on a moment ago.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+func getJSON(client *http.Client, url string, v any) (int, error) {
+	resp, err := client.Get(url)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(v)
+}
+
+// scrape reads base's /metrics through obs.ParsePrometheus.
+func scrape(t *testing.T, client *http.Client, base string) map[string]*obs.MetricFamily {
+	t.Helper()
+	resp, err := client.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParsePrometheus(string(raw))
+	if err != nil {
+		t.Fatalf("%s/metrics does not parse: %v", base, err)
+	}
+	return fams
+}
+
+// sample returns the value of family name's series whose labels are
+// exactly the given name/value pairs.
+func sample(t *testing.T, fams map[string]*obs.MetricFamily, name string, labels ...string) float64 {
+	t.Helper()
+	f := fams[name]
+	if f == nil {
+		t.Fatalf("metric family %s missing", name)
+	}
+samples:
+	for _, s := range f.Samples {
+		if len(s.Labels) != len(labels)/2 {
+			continue
+		}
+		for i := 0; i+1 < len(labels); i += 2 {
+			if s.Labels[labels[i]] != labels[i+1] {
+				continue samples
+			}
+		}
+		return s.Value
+	}
+	t.Fatalf("metric %s has no series with labels %v", name, labels)
+	return 0
 }
 
 func hasSpan(spans []obs.Span, name string) bool {

@@ -446,12 +446,8 @@ func reportShards(client *http.Client, addr string) error {
 			s.Stats.LatencyMax.Round(time.Microsecond))
 	}
 	agg := rep.Aggregate
-	exact := "count-weighted"
-	if agg.LatencyHist != nil {
-		exact = "merged-histogram exact"
-	}
-	fmt.Printf("  aggregate (%d shards, %s)  completed %d (mean batch %.2f)  p50 %v  p99 %v  max %v\n",
-		agg.Shards, exact, agg.Completed, agg.MeanBatch,
+	fmt.Printf("  aggregate (%d shards)  completed %d (mean batch %.2f)  p50 %v  p99 %v  max %v\n",
+		agg.Shards, agg.Completed, agg.MeanBatch,
 		agg.LatencyP50.Round(time.Microsecond), agg.LatencyP99.Round(time.Microsecond),
 		agg.LatencyMax.Round(time.Microsecond))
 	return nil

@@ -60,10 +60,9 @@ type ErrorResponse struct {
 // the endpoint has always encoded them in.
 type Health struct {
 	Build Build `json:"build"`
-	// ClassQueueDepths is keyed by service-class wire name; absent from a
-	// worker that predates classes, which makes the router fall back to
-	// QueueDepth for every class.
-	ClassQueueDepths map[string]int64 `json:"class_queue_depths,omitempty"`
+	// ClassQueueDepths is keyed by service-class wire name: the signal the
+	// router's class-aware placement reads.
+	ClassQueueDepths map[string]int64 `json:"class_queue_depths"`
 	QueueDepth       int64            `json:"queue_depth"`
 	ServiceNS        int64            `json:"service_ns"`
 	Status           string           `json:"status"`
@@ -88,7 +87,7 @@ type Build struct {
 // worker reports, so a front tier can stack routers the way routers stack
 // workers.
 type FleetHealth struct {
-	ClassQueueDepths map[string]int64 `json:"class_queue_depths,omitempty"`
+	ClassQueueDepths map[string]int64 `json:"class_queue_depths"`
 	Down             int              `json:"down"`
 	Healthy          int              `json:"healthy"`
 	Shards           int              `json:"shards"`

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -165,4 +166,124 @@ func TestWireContractRoundTrip(t *testing.T) {
 	if fail.Error == "" {
 		t.Error("router 405 carries no error message")
 	}
+}
+
+// okBackend answers every image at once.
+type okBackend struct{}
+
+func (okBackend) ClassifyBatch(imgs []*tensor.Tensor) ([]core.Result, error) {
+	return make([]core.Result, len(imgs)), nil
+}
+
+// TestStatsKeySet pins the JSON key set of /stats on both tiers at every
+// nesting level (array elements merged under "[]"), after traffic in every
+// class, so a field moved between the aggregate ledger, the class ledgers
+// and the batch-level block cannot add, drop or rename a key.
+func TestStatsKeySet(t *testing.T) {
+	good := startWorker(t, okBackend{})
+	router, err := shard.New([]string{good}, shard.Config{HealthInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(router.Mux())
+	defer func() {
+		front.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := router.Shutdown(ctx); err != nil {
+			t.Errorf("router shutdown: %v", err)
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := router.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range serve.Classes {
+		req, err := http.NewRequest(http.MethodPost, front.URL+"/classify", strings.NewReader(`{"sign":"stop","seed":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(obs.ClassHeader, c.String())
+		var ok api.ClassifyResponse
+		resp, err := http.DefaultClient.Do(req)
+		decodeStrict(t, resp, err, http.StatusOK, &ok)
+	}
+	keys := func(url string) []string {
+		t.Helper()
+		resp, err := http.Get(url + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body any
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		set := map[string]bool{}
+		var walk func(path string, v any)
+		walk = func(path string, v any) {
+			switch v := v.(type) {
+			case map[string]any:
+				for k, x := range v {
+					set[path+k] = true
+					walk(path+k+".", x)
+				}
+			case []any:
+				for _, x := range v {
+					walk(strings.TrimSuffix(path, ".")+"[].", x)
+				}
+			}
+		}
+		walk("", body)
+		return sorted(set)
+	}
+	// The expected sets, built from the blocks they nest.
+	prefixed := func(prefix string, names ...string) []string {
+		out := make([]string, len(names))
+		for i, n := range names {
+			out[i] = prefix + n
+		}
+		return out
+	}
+	hist := func(name string) []string {
+		return append([]string{name}, prefixed(name+".", "counts", "max_ns", "sum_ns", "total")...)
+	}
+	ledger := []string{"submitted", "rejected", "expired", "expired_dispatched", "completed", "failed", "degraded",
+		"queue_depth", "queue_cap", "latency_count", "latency_p50_ns", "latency_p99_ns", "latency_max_ns",
+		"stage_reliable_ns", "stage_qualifier_ns", "stage_cnn_ns"}
+	ledger = append(append(ledger, hist("latency_hist")...), hist("queue_hist")...)
+	stats := append([]string{"shards", "batches", "mean_batch", "batch_hist", "service_ns", "backend_busy_ns",
+		"uptime_ns", "classes", "classes[].class"}, hist("backend_hist")...)
+	stats = append(append(stats, ledger...), prefixed("classes[].", ledger...)...)
+	fleet := []string{"aggregate", "shards", "proxied", "failovers", "errors", "healthy_shards", "permanently_down",
+		"restarts", "breaker_opens", "breaker_closes", "shards[].stats"}
+	fleet = append(fleet, prefixed("shards[].", "id", "url", "healthy", "weight", "service_ns", "inflight",
+		"queue_depth", "class_queue_depths", "class_queue_depths.guaranteed", "class_queue_depths.fast",
+		"class_queue_depths.budget", "breaker_opens", "breaker_closes", "restarts")...)
+	fleet = append(append(fleet, prefixed("aggregate.", stats...)...), prefixed("shards[].stats.", stats...)...)
+	set := func(names []string) []string {
+		m := map[string]bool{}
+		for _, n := range names {
+			m[n] = true
+		}
+		return sorted(m)
+	}
+	for _, tier := range []struct {
+		name, url string
+		want      []string
+	}{{"worker", good, set(stats)}, {"router", front.URL, set(fleet)}} {
+		if got := keys(tier.url); strings.Join(got, " ") != strings.Join(tier.want, " ") {
+			t.Errorf("%s /stats keys:\n got %v\nwant %v", tier.name, got, tier.want)
+		}
+	}
+}
+
+func sorted(set map[string]bool) []string {
+	list := make([]string, 0, len(set))
+	for k := range set {
+		list = append(list, k)
+	}
+	sort.Strings(list)
+	return list
 }

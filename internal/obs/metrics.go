@@ -85,6 +85,11 @@ func escapeHelp(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
+// with returns labels plus extra, never aliasing the caller's slice.
+func with(labels []Label, extra ...Label) []Label {
+	return append(labels[:len(labels):len(labels)], extra...)
+}
+
 // formatValue renders a sample value the way Prometheus expects: shortest
 // float form, integers without exponent where possible.
 func formatValue(v float64) string {
@@ -131,14 +136,12 @@ func (p *PromWriter) HistogramFromServe(name, help string, h *serve.Histogram, l
 			// them. (Only once the cumulative count has saturated.)
 			break
 		}
-		le := append(labels[:len(labels):len(labels)], Label{"le", formatValue(bounds[i].Seconds())})
-		p.printf("%s %d\n", series(name+"_bucket", le), cum)
+		p.printf("%s %d\n", series(name+"_bucket", with(labels, Label{"le", formatValue(bounds[i].Seconds())})), cum)
 		if cum == total {
 			break
 		}
 	}
-	inf := append(labels[:len(labels):len(labels)], Label{"le", "+Inf"})
-	p.printf("%s %d\n", series(name+"_bucket", inf), total)
+	p.printf("%s %d\n", series(name+"_bucket", with(labels, Label{"le", "+Inf"})), total)
 	p.printf("%s %s\n", series(name+"_sum", labels), formatValue(h.Sum().Seconds()))
 	p.printf("%s %d\n", series(name+"_count", labels), total)
 }
@@ -155,11 +158,9 @@ func (p *PromWriter) BatchSizeHistogram(name, help string, batchHist []uint64, l
 	for i, c := range batchHist {
 		cum += c
 		sum += uint64(i+1) * c
-		le := append(labels[:len(labels):len(labels)], Label{"le", strconv.Itoa(i + 1)})
-		p.printf("%s %d\n", series(name+"_bucket", le), cum)
+		p.printf("%s %d\n", series(name+"_bucket", with(labels, Label{"le", strconv.Itoa(i + 1)})), cum)
 	}
-	inf := append(labels[:len(labels):len(labels)], Label{"le", "+Inf"})
-	p.printf("%s %d\n", series(name+"_bucket", inf), total)
+	p.printf("%s %d\n", series(name+"_bucket", with(labels, Label{"le", "+Inf"})), total)
 	p.printf("%s %d\n", series(name+"_sum", labels), sum)
 	p.printf("%s %d\n", series(name+"_count", labels), total)
 }
@@ -169,91 +170,90 @@ func (p *PromWriter) BatchSizeHistogram(name, help string, batchHist []uint64, l
 // scheduler's stats, the router with the fleet's serve.Merge aggregate —
 // so a dashboard works unchanged against either tier.
 //
-// Every request counter, latency/queue-wait histogram, queue gauge and
-// stage-busy total is written twice: once unlabeled (the aggregate, the
-// pre-class series dashboards already consume) and once per service class
-// with a class="guaranteed|fast|budget" label in the same family. Both
-// views render from the same snapshot, so the per-class sums equal the
-// unlabeled totals exactly; queries should use one view or the other, not
-// sum across both. The outcome-matrix family hybridnet_requests_total
+// Every ledger family (request counters, queue gauges, latency and
+// queue-wait histograms, stage-busy totals) renders one serve.Counts per
+// view: the unlabeled aggregate first (the pre-class series dashboards
+// already consume), then each class under class="guaranteed|fast|budget".
+// The aggregate is the sum of the classes, so the per-class series sum to
+// the unlabeled ones exactly; queries should use one view or the other,
+// not sum across both. The outcome matrix hybridnet_requests_total
 // {class,outcome} and hybridnet_requests_degraded_total{class} exist only
-// in class-labeled form.
+// in class-labeled form. Each family's series are contiguous, as the text
+// format requires.
 func WriteServeStats(p *PromWriter, st serve.Stats, labels ...Label) {
-	// cls returns labels + class=name without aliasing the caller's slice.
-	cls := func(name string) []Label {
-		return append(labels[:len(labels):len(labels)], Label{"class", name})
+	type view struct {
+		c      serve.Counts
+		labels []Label
 	}
-	counters := []struct {
+	views := []view{{st.Counts, labels}}
+	for _, cs := range st.Classes {
+		views = append(views, view{cs.Counts, with(labels, Label{"class", cs.Class})})
+	}
+	classes := views[1:]
+	for _, c := range []struct {
 		name, help string
-		agg        uint64
-		per        func(serve.ClassStats) uint64
+		v          func(serve.Counts) uint64
 	}{
-		{"hybridnet_requests_submitted_total", "Requests accepted into a scheduler queue.", st.Submitted, func(c serve.ClassStats) uint64 { return c.Submitted }},
-		{"hybridnet_requests_rejected_total", "Requests shed by admission control (class queue full).", st.Rejected, func(c serve.ClassStats) uint64 { return c.Rejected }},
-		{"hybridnet_requests_expired_total", "Requests whose deadline expired while queued.", st.Expired, func(c serve.ClassStats) uint64 { return c.Expired }},
-		{"hybridnet_requests_expired_dispatched_total", "Requests whose deadline expired after dispatch to the backend (work wasted, result discarded).", st.ExpiredDispatched, func(c serve.ClassStats) uint64 { return c.ExpiredDispatched }},
-		{"hybridnet_requests_completed_total", "Requests classified successfully.", st.Completed, func(c serve.ClassStats) uint64 { return c.Completed }},
-		{"hybridnet_requests_failed_total", "Requests failed with a backend error.", st.Failed, func(c serve.ClassStats) uint64 { return c.Failed }},
-	}
-	for _, c := range counters {
-		p.Counter(c.name, c.help, float64(c.agg), labels...)
-		for _, cs := range st.Classes {
-			p.Counter(c.name, c.help, float64(c.per(cs)), cls(cs.Class)...)
+		{"hybridnet_requests_submitted_total", "Requests accepted into a scheduler queue.", func(c serve.Counts) uint64 { return c.Submitted }},
+		{"hybridnet_requests_rejected_total", "Requests shed by admission control (class queue full).", func(c serve.Counts) uint64 { return c.Rejected }},
+		{"hybridnet_requests_expired_total", "Requests whose deadline expired while queued.", func(c serve.Counts) uint64 { return c.Expired }},
+		{"hybridnet_requests_expired_dispatched_total", "Requests whose deadline expired after dispatch to the backend (work wasted, result discarded).", func(c serve.Counts) uint64 { return c.ExpiredDispatched }},
+		{"hybridnet_requests_completed_total", "Requests classified successfully.", func(c serve.Counts) uint64 { return c.Completed }},
+		{"hybridnet_requests_failed_total", "Requests failed with a backend error.", func(c serve.Counts) uint64 { return c.Failed }},
+	} {
+		for _, vw := range views {
+			p.Counter(c.name, c.help, float64(c.v(vw.c)), vw.labels...)
 		}
 	}
 	// The outcome matrix: one family, class × outcome, for per-tier SLO
 	// burn queries (e.g. rate(hybridnet_requests_total{class="guaranteed",
 	// outcome="completed"}[5m])).
-	const outcomeHelp = "Requests by service class and terminal outcome."
-	for _, cs := range st.Classes {
+	for _, vw := range classes {
 		for _, o := range []struct {
 			name string
 			v    uint64
 		}{
-			{"completed", cs.Completed},
-			{"rejected", cs.Rejected},
-			{"expired", cs.Expired},
-			{"expired_dispatched", cs.ExpiredDispatched},
-			{"failed", cs.Failed},
+			{"completed", vw.c.Completed},
+			{"rejected", vw.c.Rejected},
+			{"expired", vw.c.Expired},
+			{"expired_dispatched", vw.c.ExpiredDispatched},
+			{"failed", vw.c.Failed},
 		} {
-			ls := append(cls(cs.Class), Label{"outcome", o.name})
-			p.Counter("hybridnet_requests_total", outcomeHelp, float64(o.v), ls...)
+			p.Counter("hybridnet_requests_total", "Requests by service class and terminal outcome.", float64(o.v), with(vw.labels, Label{"outcome", o.name})...)
 		}
-		p.Counter("hybridnet_requests_degraded_total", "Budget requests re-admitted into the fast (CNN-only) pipeline instead of being shed.", float64(cs.Degraded), cls(cs.Class)...)
+	}
+	for _, vw := range classes {
+		p.Counter("hybridnet_requests_degraded_total", "Budget requests re-admitted into the fast (CNN-only) pipeline instead of being shed.", float64(vw.c.Degraded), vw.labels...)
 	}
 	p.Counter("hybridnet_batches_total", "Backend micro-batch invocations.", float64(st.Batches), labels...)
-	p.Gauge("hybridnet_queue_depth", "Live scheduler queue depth.", float64(st.QueueDepth), labels...)
-	p.Gauge("hybridnet_queue_capacity", "Admission-control queue bound.", float64(st.QueueCap), labels...)
-	for _, cs := range st.Classes {
-		p.Gauge("hybridnet_queue_depth", "Live scheduler queue depth.", float64(cs.QueueDepth), cls(cs.Class)...)
-		p.Gauge("hybridnet_queue_capacity", "Admission-control queue bound.", float64(cs.QueueCap), cls(cs.Class)...)
+	for _, vw := range views {
+		p.Gauge("hybridnet_queue_depth", "Live scheduler queue depth.", float64(vw.c.QueueDepth), vw.labels...)
+	}
+	for _, vw := range views {
+		p.Gauge("hybridnet_queue_capacity", "Admission-control queue bound.", float64(vw.c.QueueCap), vw.labels...)
 	}
 	p.Gauge("hybridnet_service_time_seconds", "Rolling EWMA of backend time per image (the adaptive-placement signal).", st.ServiceTime.Seconds(), labels...)
 	p.Counter("hybridnet_backend_busy_seconds_total", "Cumulative wall time spent inside the backend.", st.BackendBusy.Seconds(), labels...)
 	p.Gauge("hybridnet_uptime_seconds", "Scheduler uptime.", st.Uptime.Seconds(), labels...)
 	p.BatchSizeHistogram("hybridnet_batch_size", "Dispatched micro-batch sizes.", st.BatchHist, labels...)
-	p.HistogramFromServe("hybridnet_request_latency_seconds", "End-to-end request latency (enqueue to response).", st.LatencyHist, labels...)
-	p.HistogramFromServe("hybridnet_queue_wait_seconds", "Time from enqueue until the flusher picked the request into a batch.", st.QueueHist, labels...)
-	for _, cs := range st.Classes {
-		p.HistogramFromServe("hybridnet_request_latency_seconds", "End-to-end request latency (enqueue to response).", cs.LatencyHist, cls(cs.Class)...)
-		p.HistogramFromServe("hybridnet_queue_wait_seconds", "Time from enqueue until the flusher picked the request into a batch.", cs.QueueHist, cls(cs.Class)...)
+	for _, vw := range views {
+		p.HistogramFromServe("hybridnet_request_latency_seconds", "End-to-end request latency (enqueue to response).", vw.c.LatencyHist, vw.labels...)
+	}
+	for _, vw := range views {
+		p.HistogramFromServe("hybridnet_queue_wait_seconds", "Time from enqueue until the flusher picked the request into a batch.", vw.c.QueueHist, vw.labels...)
 	}
 	p.HistogramFromServe("hybridnet_backend_latency_seconds", "Wall time of the request's batch inside the backend.", st.BackendHist, labels...)
-	stageHelp := "Cumulative per-worker wall time spent in each backend pipeline stage."
 	for _, stage := range []struct {
 		name string
-		agg  time.Duration
-		per  func(serve.ClassStats) time.Duration
+		v    func(serve.Counts) time.Duration
 	}{
-		{"reliable", st.StageReliable, func(c serve.ClassStats) time.Duration { return c.StageReliable }},
-		{"qualifier", st.StageQualifier, func(c serve.ClassStats) time.Duration { return c.StageQualifier }},
-		{"cnn", st.StageCNN, func(c serve.ClassStats) time.Duration { return c.StageCNN }},
+		{"reliable", func(c serve.Counts) time.Duration { return c.StageReliable }},
+		{"qualifier", func(c serve.Counts) time.Duration { return c.StageQualifier }},
+		{"cnn", func(c serve.Counts) time.Duration { return c.StageCNN }},
 	} {
-		ls := append(labels[:len(labels):len(labels)], Label{"stage", stage.name})
-		p.Counter("hybridnet_stage_busy_seconds_total", stageHelp, stage.agg.Seconds(), ls...)
-		for _, cs := range st.Classes {
-			lsc := append(cls(cs.Class), Label{"stage", stage.name})
-			p.Counter("hybridnet_stage_busy_seconds_total", stageHelp, stage.per(cs).Seconds(), lsc...)
+		for _, vw := range views {
+			p.Counter("hybridnet_stage_busy_seconds_total", "Cumulative per-worker wall time spent in each backend pipeline stage.",
+				stage.v(vw.c).Seconds(), with(vw.labels, Label{"stage", stage.name})...)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func TestWriteServeStatsClassSumsToAggregate(t *testing.T) {
 			wg.Add(1)
 			go func(c serve.Class) {
 				defer wg.Done()
-				if _, err := s.SubmitClass(context.Background(), img, c); err != nil {
+				if _, _, err := s.SubmitTraced(context.Background(), img, c); err != nil {
 					t.Errorf("submit %v: %v", c, err)
 				}
 			}(class)

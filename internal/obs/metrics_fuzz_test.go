@@ -107,7 +107,7 @@ func equalFamilies(a, b map[string]*MetricFamily) bool {
 func FuzzParsePrometheus(f *testing.F) {
 	var b bytes.Buffer
 	p := NewPromWriter(&b)
-	st := serve.Stats{Submitted: 10, Completed: 9, ServiceTime: 3 * time.Millisecond}
+	st := serve.Stats{Counts: serve.Counts{Submitted: 10, Completed: 9}, ServiceTime: 3 * time.Millisecond}
 	h := serve.NewHistogram()
 	for i := 1; i <= 50; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)

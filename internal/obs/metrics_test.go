@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,44 +15,36 @@ import (
 )
 
 // goldenStats builds a fully populated serve.Stats with known samples, the
-// input to the golden /metrics rendering tests.
+// input to the golden /metrics rendering tests: three class ledgers and
+// the batch-level fields, the aggregate derived by serve.Merge as on the
+// router. Latency samples 1..100ms split 55/36/9 across
+// guaranteed/fast/budget.
 func goldenStats() serve.Stats {
-	lat := serve.NewHistogram()
-	queue := serve.NewHistogram()
-	backend := serve.NewHistogram()
-	for i := 1; i <= 100; i++ {
-		d := time.Duration(i) * time.Millisecond
-		lat.Observe(d)
-		queue.Observe(d / 4)
-		backend.Observe(d / 2)
+	ledgers := [serve.NumClasses]serve.Counts{
+		{Submitted: 60, Rejected: 4, Expired: 2, ExpiredDispatched: 1, Completed: 55, Failed: 2, QueueDepth: 1, QueueCap: 32,
+			StageReliable: 2 * time.Second, StageQualifier: 750 * time.Millisecond, StageCNN: 3 * time.Second},
+		{Submitted: 40, Rejected: 5, Expired: 2, ExpiredDispatched: 1, Completed: 36, Failed: 1, QueueDepth: 2, QueueCap: 16,
+			StageCNN: 2500 * time.Millisecond},
+		{Submitted: 20, Rejected: 1, Expired: 1, Completed: 9, Degraded: 4, QueueDepth: 1, QueueCap: 16,
+			StageReliable: time.Second, StageQualifier: 250 * time.Millisecond, StageCNN: 1500 * time.Millisecond},
 	}
-	return serve.Stats{
-		Shards:            1,
-		Submitted:         120,
-		Rejected:          10,
-		Expired:           5,
-		ExpiredDispatched: 2,
-		Completed:         100,
-		Failed:            3,
-		Batches:           30,
-		MeanBatch:         3.5,
-		BatchHist:         []uint64{5, 10, 10, 5},
-		QueueDepth:        4,
-		QueueCap:          64,
-		LatencyCount:      int(lat.Count()),
-		LatencyP50:        lat.Quantile(0.50),
-		LatencyP99:        lat.Quantile(0.99),
-		LatencyMax:        lat.Max(),
-		LatencyHist:       lat,
-		QueueHist:         queue,
-		BackendHist:       backend,
-		StageReliable:     3 * time.Second,
-		StageQualifier:    time.Second,
-		StageCNN:          7 * time.Second,
-		ServiceTime:       2 * time.Millisecond,
-		BackendBusy:       45 * time.Second,
-		Uptime:            time.Hour,
+	st := serve.Stats{
+		Batches: 30, BatchHist: []uint64{5, 10, 10, 5}, BackendHist: serve.NewHistogram(),
+		ServiceTime: 2 * time.Millisecond, BackendBusy: 45 * time.Second, Uptime: time.Hour,
 	}
+	sample := 1
+	for i, c := range serve.Classes {
+		cs := serve.ClassStats{Class: c.String(), Counts: ledgers[i]}
+		cs.LatencyHist, cs.QueueHist = serve.NewHistogram(), serve.NewHistogram()
+		for ; cs.LatencyHist.Count() < cs.Completed; sample++ {
+			d := time.Duration(sample) * time.Millisecond
+			cs.LatencyHist.Observe(d)
+			cs.QueueHist.Observe(d / 4)
+			st.BackendHist.Observe(d / 2)
+		}
+		st.Classes = append(st.Classes, cs)
+	}
+	return serve.Merge(st)
 }
 
 func renderStats(t *testing.T, st serve.Stats) map[string]*MetricFamily {
@@ -106,28 +99,37 @@ func TestWriteServeStatsGolden(t *testing.T) {
 		}
 	}
 
-	single := func(name string) float64 {
+	// aggregate returns a family's one unlabeled sample (the class-labeled
+	// series are TestWriteServeStatsClassSumsToAggregate's).
+	aggregate := func(name string) float64 {
 		t.Helper()
-		f := fams[name]
-		if f == nil || len(f.Samples) != 1 {
-			t.Fatalf("family %s: want exactly one sample, have %+v", name, f)
+		var found []float64
+		for _, s := range fams[name].Samples {
+			if len(s.Labels) == 0 {
+				found = append(found, s.Value)
+			}
 		}
-		return f.Samples[0].Value
+		if len(found) != 1 {
+			t.Fatalf("family %s: want exactly one unlabeled sample, have %v", name, found)
+		}
+		return found[0]
 	}
-	if got := single("hybridnet_requests_completed_total"); got != 100 {
+	if got := aggregate("hybridnet_requests_completed_total"); got != 100 {
 		t.Errorf("completed_total = %v, want 100", got)
 	}
-	if got := single("hybridnet_requests_expired_dispatched_total"); got != 2 {
+	if got := aggregate("hybridnet_requests_expired_dispatched_total"); got != 2 {
 		t.Errorf("expired_dispatched_total = %v, want 2", got)
 	}
-	if got := single("hybridnet_queue_depth"); got != 4 {
+	if got := aggregate("hybridnet_queue_depth"); got != 4 {
 		t.Errorf("queue_depth = %v, want 4", got)
 	}
 
 	// Stage counters: one series per stage label.
 	stages := map[string]float64{}
 	for _, s := range fams["hybridnet_stage_busy_seconds_total"].Samples {
-		stages[s.Labels["stage"]] = s.Value
+		if s.Labels["class"] == "" {
+			stages[s.Labels["stage"]] = s.Value
+		}
 	}
 	if stages["reliable"] != 3 || stages["qualifier"] != 1 || stages["cnn"] != 7 {
 		t.Errorf("stage series = %v, want reliable=3 qualifier=1 cnn=7", stages)
@@ -139,6 +141,9 @@ func TestWriteServeStatsGolden(t *testing.T) {
 	var infSeen bool
 	prev := -1.0
 	for _, s := range f.Samples {
+		if s.Labels["class"] != "" {
+			continue
+		}
 		switch s.Name {
 		case f.Name + "_count":
 			count = s.Value
@@ -256,5 +261,50 @@ func BenchmarkObservePath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		completed.Add(1)
 		r.Record(tr)
+	}
+}
+
+// TestWriteServeStatsGoldenBytes pins the exposition byte for byte: family
+// order, series order within a family, label rendering, value formatting
+// and histogram bucket collapsing. Regenerate testdata/serve_stats.prom
+// only for a deliberate change to the /metrics output.
+func TestWriteServeStatsGoldenBytes(t *testing.T) {
+	var b strings.Builder
+	p := NewPromWriter(&b)
+	WriteServeStats(p, goldenStats())
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/serve_stats.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := b.String()
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("output has %d lines, golden %d", len(gl), len(wl))
+	}
+	// Every family's series form one group under its TYPE header, as the
+	// text format requires.
+	family := ""
+	for _, line := range strings.Split(strings.TrimSpace(got), "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family = strings.Fields(f)[0]
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name := strings.FieldsFunc(line, func(r rune) bool { return r == '{' || r == ' ' })[0]
+		switch strings.TrimPrefix(name, family) {
+		case "", "_bucket", "_sum", "_count":
+		default:
+			t.Fatalf("%s under family %s's header: series not contiguous", name, family)
+		}
 	}
 }

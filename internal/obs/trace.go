@@ -13,11 +13,14 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // Wire headers for cross-process trace propagation.
@@ -82,6 +85,24 @@ func ValidTraceID(id string) bool {
 		}
 	}
 	return true
+}
+
+// ResolveRequest resolves what both tiers read from a /classify request
+// before its body: the trace ID — the caller's if well-formed, a fresh one
+// otherwise — which it echoes on w, and the service class named by
+// ClassHeader (def when the header is absent). An unknown class is the
+// error, for the caller to answer with a 400.
+func ResolveRequest(w http.ResponseWriter, r *http.Request, def serve.Class) (trace string, class serve.Class, err error) {
+	trace = r.Header.Get(TraceHeader)
+	if !ValidTraceID(trace) {
+		trace = NewTraceID()
+	}
+	w.Header().Set(TraceHeader, trace)
+	class = def
+	if h := r.Header.Get(ClassHeader); h != "" {
+		class, err = serve.ParseClass(h)
+	}
+	return trace, class, err
 }
 
 // Span is one named stage of a request's lifetime. Names are flat

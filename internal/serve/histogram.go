@@ -11,8 +11,8 @@ import (
 // bucket upper bounds grow geometrically by 2^(1/histBucketsPerDoubling)
 // starting at histMin. Because every process uses the same layout, two
 // histograms merge by element-wise count addition — which is what makes
-// fleet-level quantiles exact-to-bucket instead of count-weighted means of
-// per-shard quantiles: merging then taking a quantile gives bit-identical
+// fleet-level quantiles exact-to-bucket instead of averages of per-shard
+// quantiles: merging then taking a quantile gives bit-identical
 // results to observing all samples in one process.
 const (
 	// histMin is the upper bound of the first bucket: everything at or
@@ -181,7 +181,7 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 type histogramJSON struct {
 	Counts []uint64 `json:"counts"`
 	Total  uint64   `json:"total"`
-	SumNS  int64    `json:"sum_ns,omitempty"` // absent in snapshots from older workers
+	SumNS  int64    `json:"sum_ns,omitempty"`
 	MaxNS  int64    `json:"max_ns"`
 }
 

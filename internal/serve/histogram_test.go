@@ -146,18 +146,14 @@ func TestMergeStatsHistogramExact(t *testing.T) {
 			h.Observe(d)
 			all.Observe(d)
 		}
-		shards[i] = Stats{
-			Shards:       1,
-			Completed:    h.Count(),
-			LatencyCount: int(h.Count()),
-			LatencyP50:   h.Quantile(0.50),
-			LatencyP99:   h.Quantile(0.99),
-			LatencyMax:   h.Max(),
-			LatencyHist:  h,
-		}
+		// Each shard serves a different class: the fleet quantiles come from
+		// the sum across classes as well as across shards.
+		shards[i] = Stats{Shards: 1, Classes: []ClassStats{
+			{Class: Classes[i].String(), Counts: Counts{Completed: h.Count(), LatencyHist: h}},
+		}}
 	}
-	// A dead shard merged as zero-valued stats with an empty histogram.
-	shards = append(shards, Stats{LatencyHist: NewHistogram()})
+	// A dead shard merged as zero-valued stats.
+	shards = append(shards, Stats{})
 	m := Merge(shards...)
 	if m.Shards != 4 {
 		t.Errorf("fleet size %d, want 4 including the dead shard", m.Shards)

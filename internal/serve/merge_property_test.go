@@ -17,10 +17,10 @@ func randHist(rng *rand.Rand, n int) *Histogram {
 	return h
 }
 
-// randStats generates one shard's plausible snapshot: per-class splits
-// whose sums equal the aggregate fields by construction (the invariant a
-// live snapshot holds), full histograms, and every merged signal
-// populated — the richest input Merge ever sees.
+// randStats generates one shard's plausible snapshot: random class
+// ledgers with full histograms, the aggregate their sum (as in a live
+// snapshot), and every merged batch-level signal populated — the richest
+// input Merge ever sees.
 func randStats(rng *rand.Rand) Stats {
 	s := Stats{
 		Shards:      1,
@@ -34,11 +34,8 @@ func randStats(rng *rand.Rand) Stats {
 	for i := range s.BatchHist {
 		s.BatchHist[i] = uint64(rng.Intn(50))
 	}
-	lat := NewHistogram()
-	queue := NewHistogram()
 	for _, c := range Classes {
-		cs := ClassStats{
-			Class:             c.String(),
+		cs := ClassStats{Class: c.String(), Counts: Counts{
 			Submitted:         uint64(rng.Intn(1000)),
 			Rejected:          uint64(rng.Intn(100)),
 			Expired:           uint64(rng.Intn(50)),
@@ -53,37 +50,11 @@ func randStats(rng *rand.Rand) Stats {
 			StageCNN:          time.Duration(rng.Int63n(int64(time.Second))),
 			LatencyHist:       randHist(rng, 80),
 			QueueHist:         randHist(rng, 80),
-		}
-		if n := cs.LatencyHist.Count(); n > 0 {
-			cs.LatencyCount = int(n)
-			cs.LatencyP50 = cs.LatencyHist.Quantile(0.50)
-			cs.LatencyP99 = cs.LatencyHist.Quantile(0.99)
-			cs.LatencyMax = cs.LatencyHist.Max()
-		}
-		s.Submitted += cs.Submitted
-		s.Rejected += cs.Rejected
-		s.Expired += cs.Expired
-		s.ExpiredDispatched += cs.ExpiredDispatched
-		s.Completed += cs.Completed
-		s.Failed += cs.Failed
-		s.Degraded += cs.Degraded
-		s.QueueDepth += cs.QueueDepth
-		s.QueueCap += cs.QueueCap
-		s.StageReliable += cs.StageReliable
-		s.StageQualifier += cs.StageQualifier
-		s.StageCNN += cs.StageCNN
-		lat.Merge(cs.LatencyHist)
-		queue.Merge(cs.QueueHist)
+		}}
+		cs.derive()
 		s.Classes = append(s.Classes, cs)
 	}
-	s.LatencyHist = lat
-	s.QueueHist = queue
-	if n := lat.Count(); n > 0 {
-		s.LatencyCount = int(n)
-		s.LatencyP50 = lat.Quantile(0.50)
-		s.LatencyP99 = lat.Quantile(0.99)
-		s.LatencyMax = lat.Max()
-	}
+	s.Counts = sum(s.Classes)
 	if s.Batches > 0 {
 		s.MeanBatch = float64(s.Dispatched()) / float64(s.Batches)
 	}
@@ -231,9 +202,10 @@ func TestMergeAssociative(t *testing.T) {
 	}
 }
 
-// TestMergeClassSplitSumsToAggregate: in any Merge result over inputs
-// whose class splits tile their aggregates, the output class splits tile
-// the output aggregates — counters, stage-busy time, and histogram counts.
+// TestMergeClassSplitSumsToAggregate: the aggregate of any Merge result
+// is the sum of its class ledgers — counters, queue occupancy, stage-busy
+// time, histograms and the quantiles derived from them — and no class's
+// maximum exceeds the fleet's.
 func TestMergeClassSplitSumsToAggregate(t *testing.T) {
 	for seed := int64(200); seed < 220; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -242,42 +214,11 @@ func TestMergeClassSplitSumsToAggregate(t *testing.T) {
 			shards[i] = randStats(rng)
 		}
 		m := Merge(shards...)
-		var sum ClassStats
-		var latN uint64
-		var stageR, stageQ, stageC time.Duration
+		checkAggregateIsClassSum(t, fmt.Sprintf("seed %d", seed), m)
 		for _, cs := range m.Classes {
-			sum.Submitted += cs.Submitted
-			sum.Rejected += cs.Rejected
-			sum.Expired += cs.Expired
-			sum.ExpiredDispatched += cs.ExpiredDispatched
-			sum.Completed += cs.Completed
-			sum.Failed += cs.Failed
-			sum.Degraded += cs.Degraded
-			sum.QueueDepth += cs.QueueDepth
-			sum.QueueCap += cs.QueueCap
-			stageR += cs.StageReliable
-			stageQ += cs.StageQualifier
-			stageC += cs.StageCNN
-			if cs.LatencyHist != nil {
-				latN += cs.LatencyHist.Count()
-			}
 			if cs.LatencyMax > m.LatencyMax {
 				t.Errorf("seed %d: class %s max %v exceeds aggregate max %v", seed, cs.Class, cs.LatencyMax, m.LatencyMax)
 			}
-		}
-		if sum.Submitted != m.Submitted || sum.Rejected != m.Rejected ||
-			sum.Expired != m.Expired || sum.ExpiredDispatched != m.ExpiredDispatched ||
-			sum.Completed != m.Completed || sum.Failed != m.Failed || sum.Degraded != m.Degraded {
-			t.Errorf("seed %d: class counter sums do not tile the aggregate", seed)
-		}
-		if sum.QueueDepth != m.QueueDepth || sum.QueueCap != m.QueueCap {
-			t.Errorf("seed %d: class queue sums %d/%d != aggregate %d/%d", seed, sum.QueueDepth, sum.QueueCap, m.QueueDepth, m.QueueCap)
-		}
-		if stageR != m.StageReliable || stageQ != m.StageQualifier || stageC != m.StageCNN {
-			t.Errorf("seed %d: class stage-busy sums do not tile the aggregate", seed)
-		}
-		if m.LatencyHist != nil && latN != m.LatencyHist.Count() {
-			t.Errorf("seed %d: class histogram counts sum %d != aggregate %d", seed, latN, m.LatencyHist.Count())
 		}
 	}
 }

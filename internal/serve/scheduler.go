@@ -41,11 +41,12 @@
 //
 // # Observability
 //
-// Stats() snapshots the counters plus cumulative log-bucketed latency
-// Histograms — aggregate and per class, the per-class sums equalling the
-// aggregates by construction. Histograms from many schedulers Merge
-// exactly, which is how the shard router computes fleet quantiles that
-// match a single-process run bucket-for-bucket.
+// The scheduler keeps one ledger (Counts: counters, cumulative
+// log-bucketed latency Histograms, stage totals) per class and updates
+// exactly one per request event. Stats() snapshots them; its aggregate is
+// their sum, the same step Merge takes across many schedulers — which is
+// how the shard router computes fleet quantiles that match a
+// single-process run bucket-for-bucket.
 package serve
 
 import (
@@ -279,7 +280,7 @@ func (h *reqHeap) Pop() any {
 
 // Scheduler coalesces concurrent single-image submissions into
 // micro-batches across per-class queues. Build with New, serve with
-// Submit/SubmitClass from any number of goroutines, stop with Shutdown.
+// Submit/SubmitTraced from any number of goroutines, stop with Shutdown.
 type Scheduler struct {
 	cfg     Config
 	backend Backend
@@ -342,15 +343,10 @@ func (s *Scheduler) Submit(ctx context.Context, img *tensor.Tensor) (core.Result
 	return res, err
 }
 
-// SubmitClass is Submit under an explicit service class.
-func (s *Scheduler) SubmitClass(ctx context.Context, img *tensor.Tensor, class Class) (core.Result, error) {
-	res, _, err := s.SubmitTraced(ctx, img, class)
-	return res, err
-}
-
-// SubmitTraced is SubmitClass plus the request's stage-timestamp breakdown
-// — the scheduler's half of a request trace. The Timing is meaningful only
-// on success; expired or rejected requests return a zero Timing.
+// SubmitTraced is Submit under an explicit service class, plus the
+// request's stage-timestamp breakdown — the scheduler's half of a request
+// trace. The Timing is meaningful only on success; expired or rejected
+// requests return a zero Timing.
 func (s *Scheduler) SubmitTraced(ctx context.Context, img *tensor.Tensor, class Class) (core.Result, Timing, error) {
 	if img == nil {
 		return core.Result{}, Timing{}, fmt.Errorf("serve: nil image")
@@ -573,14 +569,16 @@ func (s *Scheduler) collect(batch []*request) []*request {
 // flush drops requests whose context already expired, runs the survivors
 // through the backend as one batch, and delivers per-request responses.
 // Every transition out of statePending/stateDispatched is a CAS against the
-// submitter's abandon, so each request lands in exactly one stats bucket.
+// submitter's abandon, so each request lands in exactly one stats bucket,
+// and each outcome is booked before it is delivered: a caller whose Submit
+// has returned finds its request in Stats.
 func (s *Scheduler) flush(batch []*request) {
 	live := batch[:0]
 	for _, r := range batch {
 		if r.ctx.Err() != nil {
 			if r.state.CompareAndSwap(statePending, stateExpired) {
-				r.done <- response{err: r.ctx.Err()}
 				s.stats.expired(r.class)
+				r.done <- response{err: r.ctx.Err()}
 			}
 			// On a lost CAS the submitter already claimed (and counted) the
 			// expiry; nothing to deliver.
@@ -626,20 +624,21 @@ func (s *Scheduler) flush(batch []*request) {
 	}
 	s.stats.batchDone(len(live), now.Sub(start))
 	s.stats.stageTimes([3]time.Duration{stages.Reliable, stages.Qualifier, stages.CNN}, fullRiders, allRiders)
-	if err != nil {
-		var nFailed [NumClasses]int
-		for _, r := range live {
-			if r.state.CompareAndSwap(stateDispatched, stateDelivered) {
-				r.done <- response{err: err}
-				nFailed[r.class]++
-			}
-		}
-		s.stats.failed(nFailed)
-		return
-	}
+	// Book every rider this flush claims, then deliver to the same riders
+	// (stateDelivered is final), the j-th claimed one taking timings[j].
 	timings := make([]Timing, 0, len(live))
-	for i, r := range live {
-		tm := Timing{
+	var nFailed [NumClasses]int
+	for _, r := range live {
+		if !r.state.CompareAndSwap(stateDispatched, stateDelivered) {
+			// The submitter expired the request mid-batch: the result is
+			// discarded and its latency stays out of the histogram.
+			continue
+		}
+		if err != nil {
+			nFailed[r.class]++
+			continue
+		}
+		timings = append(timings, Timing{
 			Enqueued:   r.enq,
 			Picked:     r.picked,
 			Dispatched: start,
@@ -648,15 +647,24 @@ func (s *Scheduler) flush(batch []*request) {
 			Class:      r.class,
 			Degraded:   r.degraded,
 			Stages:     stages,
-		}
-		if r.state.CompareAndSwap(stateDispatched, stateDelivered) {
-			r.done <- response{res: results[i], timing: tm}
-			timings = append(timings, tm)
-		}
-		// A lost CAS means the submitter expired the request mid-batch: the
-		// result is discarded and its latency stays out of the histogram.
+		})
 	}
-	s.stats.completed(timings)
+	if err != nil {
+		s.stats.failed(nFailed)
+	} else {
+		s.stats.completed(timings)
+	}
+	j := 0
+	for i, r := range live {
+		switch {
+		case r.state.Load() != stateDelivered: // claimed by its submitter
+		case err != nil:
+			r.done <- response{err: err}
+		default:
+			r.done <- response{res: results[i], timing: timings[j]}
+			j++
+		}
+	}
 }
 
 // callBackend is the one place the backend runs: through PipelinedBackend

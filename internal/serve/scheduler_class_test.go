@@ -219,7 +219,7 @@ func TestSchedulerBudgetDegradesIntoFast(t *testing.T) {
 	waitFor(t, "second degradation", func() bool { return s.Stats().Class(ClassFast).QueueDepth == 2 })
 
 	// Both queues full: shed with ErrQueueFull, not a third degradation.
-	if _, err := s.SubmitClass(context.Background(), backend.img(4), ClassBudget); !errors.Is(err, ErrQueueFull) {
+	if _, _, err := s.SubmitTraced(context.Background(), backend.img(4), ClassBudget); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-full budget submit: err %v, want ErrQueueFull", err)
 	}
 
@@ -293,7 +293,7 @@ func TestSchedulerWRRFairnessUnderBudgetFlood(t *testing.T) {
 				go func() {
 					defer floodWG.Done()
 					for !stop.Load() {
-						if _, err := s.SubmitClass(context.Background(), img, ClassBudget); err != nil {
+						if _, _, err := s.SubmitTraced(context.Background(), img, ClassBudget); err != nil {
 							t.Errorf("budget flooder: %v", err)
 							return
 						}
@@ -340,8 +340,7 @@ func TestSchedulerWRRFairnessUnderBudgetFlood(t *testing.T) {
 
 // TestSchedulerClassStatsSumsToAggregate churns a mixed-class workload —
 // completions across every class, degradations, and expiries — and checks
-// that every per-class counter, histogram count, and stage-time column sums
-// exactly to its aggregate.
+// that the snapshot's aggregate is exactly the sum of its class ledgers.
 func TestSchedulerClassStatsSumsToAggregate(t *testing.T) {
 	backend := &stageBackend{
 		fakeBackend: newFakeBackend(nil),
@@ -362,7 +361,7 @@ func TestSchedulerClassStatsSumsToAggregate(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := s.SubmitClass(context.Background(), img, class); err != nil {
+				if _, _, err := s.SubmitTraced(context.Background(), img, class); err != nil {
 					t.Errorf("submit %v: %v", class, err)
 				}
 			}()
@@ -382,7 +381,7 @@ func TestSchedulerClassStatsSumsToAggregate(t *testing.T) {
 		wg.Add(1)
 		go func(c Class) {
 			defer wg.Done()
-			_, _ = s.SubmitClass(cancelled, img, c) // outcome intentionally unasserted
+			_, _, _ = s.SubmitTraced(cancelled, img, c) // outcome intentionally unasserted
 		}(c)
 	}
 	wg.Wait()
@@ -397,42 +396,9 @@ func TestSchedulerClassStatsSumsToAggregate(t *testing.T) {
 	if len(st.Classes) != NumClasses {
 		t.Fatalf("snapshot has %d class splits, want %d", len(st.Classes), NumClasses)
 	}
-	var sum ClassStats
-	var latCount uint64
-	var stageSum [3]time.Duration
-	for _, cs := range st.Classes {
-		sum.Submitted += cs.Submitted
-		sum.Rejected += cs.Rejected
-		sum.Expired += cs.Expired
-		sum.ExpiredDispatched += cs.ExpiredDispatched
-		sum.Completed += cs.Completed
-		sum.Failed += cs.Failed
-		sum.Degraded += cs.Degraded
-		sum.QueueDepth += cs.QueueDepth
-		sum.LatencyCount += cs.LatencyCount
-		if cs.LatencyHist != nil {
-			latCount += cs.LatencyHist.Count()
-		}
-		stageSum[0] += cs.StageReliable
-		stageSum[1] += cs.StageQualifier
-		stageSum[2] += cs.StageCNN
-	}
-	if sum.Submitted != st.Submitted || sum.Rejected != st.Rejected ||
-		sum.Expired != st.Expired || sum.ExpiredDispatched != st.ExpiredDispatched ||
-		sum.Completed != st.Completed || sum.Failed != st.Failed ||
-		sum.Degraded != st.Degraded {
-		t.Errorf("class counter sums %+v do not match aggregates %+v", sum, st)
-	}
-	if sum.QueueDepth != st.QueueDepth {
-		t.Errorf("class queue depths sum to %d, aggregate %d", sum.QueueDepth, st.QueueDepth)
-	}
-	if sum.LatencyCount != st.LatencyCount || latCount != st.LatencyHist.Count() {
-		t.Errorf("class latency counts sum to %d (hist %d), aggregate %d (hist %d)",
-			sum.LatencyCount, latCount, st.LatencyCount, st.LatencyHist.Count())
-	}
-	if stageSum[0] != st.StageReliable || stageSum[1] != st.StageQualifier || stageSum[2] != st.StageCNN {
-		t.Errorf("class stage sums %v do not match aggregates [%v %v %v]",
-			stageSum, st.StageReliable, st.StageQualifier, st.StageCNN)
+	checkAggregateIsClassSum(t, "scheduler", st)
+	if st.StageCNN == 0 || st.StageReliable == 0 {
+		t.Errorf("stage totals reliable %v cnn %v, want both booked", st.StageReliable, st.StageCNN)
 	}
 }
 
@@ -467,7 +433,7 @@ func TestRetryAfter(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _ = s.SubmitClass(context.Background(), img, ClassBudget)
+			_, _, _ = s.SubmitTraced(context.Background(), img, ClassBudget)
 		}()
 	}
 	waitFor(t, "3 queued budget requests", func() bool { return s.Stats().Class(ClassBudget).QueueDepth == 3 })

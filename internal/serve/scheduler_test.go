@@ -461,7 +461,7 @@ func TestSchedulerBackendPanicFailsOnlyThatBatch(t *testing.T) {
 	}
 	classes := []Class{ClassGuaranteed, ClassFast, ClassBudget}
 	for batch := 1; batch <= 3; batch++ {
-		res, err := s.SubmitClass(context.Background(), fb.img(batch), classes[batch-1])
+		res, _, err := s.SubmitTraced(context.Background(), fb.img(batch), classes[batch-1])
 		switch {
 		case batch == 2:
 			if err == nil || !strings.Contains(err.Error(), "backend panic") {

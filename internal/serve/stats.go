@@ -6,24 +6,19 @@ import (
 	"time"
 )
 
-// Stats is a point-in-time snapshot of a Scheduler's counters. Latency
-// quantiles are nearest-rank selections over a cumulative log-bucketed
-// histogram (LatencyHist) — exact-to-bucket, see Histogram — and durations
-// are nanoseconds in JSON.
+// Counts is the serving ledger: the request counters, queue occupancy,
+// latency histograms and stage-busy totals of one service class — or, in
+// a Stats, of all of them. Durations are nanoseconds in JSON.
+//
+// The scheduler keeps one Counts per class and nothing else per request: a
+// Stats snapshot's aggregate Counts is the sum of its Classes, computed by
+// the same Add that Merge uses across shards, so the aggregate and the
+// per-class split cannot disagree.
 //
 // Every submitted request resolves to exactly one of Expired,
 // ExpiredDispatched, Completed or Failed, so once the queue is drained
-// Submitted equals their sum. Every counter and histogram also splits per
-// service class in Classes; the per-class values sum to the aggregate
-// fields by construction (both are updated under the same lock from the
-// same events).
-type Stats struct {
-	// Shards is how many schedulers this snapshot covers: 1 for a
-	// Scheduler's own stats, the fleet size for a Merge aggregate
-	// (unreachable shards merged as zero-valued stats still count).
-	Shards int `json:"shards,omitempty"`
-
-	// Admission counters.
+// Submitted equals their sum.
+type Counts struct {
 	Submitted uint64 `json:"submitted"` // accepted into a queue
 	Rejected  uint64 `json:"rejected"`  // ErrQueueFull admissions
 	Expired   uint64 `json:"expired"`   // context expired while queued
@@ -39,39 +34,111 @@ type Stats struct {
 	// outcome counters above.
 	Degraded uint64 `json:"degraded"`
 
+	// Queue occupancy (live). A class counts the requests waiting in its
+	// own queue — a degraded budget request occupies (and is counted in)
+	// the fast queue, while its Submitted/Completed/… accounting stays
+	// under budget.
+	QueueDepth int `json:"queue_depth"`
+	QueueCap   int `json:"queue_cap"`
+
+	// End-to-end latency (enqueue → response) since process start.
+	// LatencyHist is the mergeable histogram; the quantile fields are
+	// derived from it (nearest-rank, exact-to-bucket — see Histogram).
+	LatencyCount int           `json:"latency_count"`
+	LatencyP50   time.Duration `json:"latency_p50_ns"`
+	LatencyP99   time.Duration `json:"latency_p99_ns"`
+	LatencyMax   time.Duration `json:"latency_max_ns"`
+	LatencyHist  *Histogram    `json:"latency_hist,omitempty"`
+	// QueueHist is enqueue → picked into a batch, same bucket layout.
+	QueueHist *Histogram `json:"queue_hist,omitempty"`
+
+	// Cumulative backend pipeline stage time (per-worker wall time summed
+	// across the pool — can exceed wall clock under parallelism, like CPU
+	// time). A batch's reliable + qualifier time is apportioned among its
+	// full-pipeline riders, its CNN time among all riders, by rider count;
+	// the integer remainder, and any stage time no rider of that stage
+	// could own, goes to the batch's last class. Zero when the backend
+	// does not report stage timing.
+	StageReliable  time.Duration `json:"stage_reliable_ns"`
+	StageQualifier time.Duration `json:"stage_qualifier_ns"`
+	StageCNN       time.Duration `json:"stage_cnn_ns"`
+}
+
+// newCounts returns an empty ledger with its histograms allocated.
+func newCounts() Counts {
+	return Counts{LatencyHist: NewHistogram(), QueueHist: NewHistogram()}
+}
+
+// Add folds o into c: counters, queue occupancy and stage totals sum,
+// histograms merge exactly. The quantile fields are left stale until the
+// owner derives them from the merged histogram.
+func (c *Counts) Add(o Counts) {
+	c.Submitted += o.Submitted
+	c.Rejected += o.Rejected
+	c.Expired += o.Expired
+	c.ExpiredDispatched += o.ExpiredDispatched
+	c.Completed += o.Completed
+	c.Failed += o.Failed
+	c.Degraded += o.Degraded
+	c.QueueDepth += o.QueueDepth
+	c.QueueCap += o.QueueCap
+	c.LatencyHist.Merge(o.LatencyHist)
+	c.QueueHist.Merge(o.QueueHist)
+	c.StageReliable += o.StageReliable
+	c.StageQualifier += o.StageQualifier
+	c.StageCNN += o.StageCNN
+}
+
+// derive sets the latency summary fields from LatencyHist.
+func (c *Counts) derive() {
+	h := c.LatencyHist
+	c.LatencyCount, c.LatencyMax = int(h.Count()), h.Max()
+	c.LatencyP50, c.LatencyP99 = h.Quantile(0.50), h.Quantile(0.99)
+}
+
+// stages addresses the three stage totals in pipeline order.
+func (c *Counts) stages() [3]*time.Duration {
+	return [3]*time.Duration{&c.StageReliable, &c.StageQualifier, &c.StageCNN}
+}
+
+// Dispatched is the number of images the backend has been asked to classify:
+// every terminal outcome downstream of a backend invocation.
+func (c Counts) Dispatched() uint64 {
+	return c.Completed + c.Failed + c.ExpiredDispatched
+}
+
+// sum is the aggregate ledger of a class split.
+func sum(classes []ClassStats) Counts {
+	total := newCounts()
+	for _, cs := range classes {
+		total.Add(cs.Counts)
+	}
+	total.derive()
+	return total
+}
+
+// Stats is a point-in-time snapshot of a Scheduler's counters: the
+// aggregate ledger (the sum of Classes), plus the batch-level fields that
+// belong to no class.
+type Stats struct {
+	// Shards is how many schedulers this snapshot covers: 1 for a
+	// Scheduler's own stats, the fleet size for a Merge aggregate
+	// (unreachable shards merged as zero-valued stats still count).
+	Shards int `json:"shards,omitempty"`
+
+	Counts
+
 	// Batching. The histogram and mean reflect what the backend saw
 	// (dispatched sizes), including riders that later expired mid-flight.
 	Batches   uint64   `json:"batches"`    // backend invocations
 	MeanBatch float64  `json:"mean_batch"` // dispatched images over Batches
 	BatchHist []uint64 `json:"batch_hist"` // BatchHist[i] = batches of size i+1
 
-	// Queue occupancy (live, summed across the class queues).
-	QueueDepth int `json:"queue_depth"`
-	QueueCap   int `json:"queue_cap"`
-
-	// End-to-end latency (enqueue → response) since process start.
-	// LatencyHist is the full mergeable histogram; the quantile fields are
-	// derived from it at snapshot time for convenience.
-	LatencyCount int           `json:"latency_count"`
-	LatencyP50   time.Duration `json:"latency_p50_ns"`
-	LatencyP99   time.Duration `json:"latency_p99_ns"`
-	LatencyMax   time.Duration `json:"latency_max_ns"`
-	LatencyHist  *Histogram    `json:"latency_hist,omitempty"`
-
-	// Per-stage latency, same mergeable bucket layout as LatencyHist:
-	// QueueHist is enqueue → picked into a batch; BackendHist is the wall
-	// time of the request's batch inside the backend. Together with the
-	// stage counters below they are the substrate of the /metrics
-	// per-stage breakdown.
-	QueueHist   *Histogram `json:"queue_hist,omitempty"`
+	// BackendHist is the wall time of each request's batch inside the
+	// backend, same bucket layout as LatencyHist. Together with QueueHist
+	// and the stage totals it is the substrate of the /metrics per-stage
+	// breakdown.
 	BackendHist *Histogram `json:"backend_hist,omitempty"`
-
-	// Cumulative backend pipeline stage time (per-worker wall time summed
-	// across the pool — can exceed wall clock under parallelism, like CPU
-	// time). Zero when the backend does not report stage timing.
-	StageReliable  time.Duration `json:"stage_reliable_ns"`
-	StageQualifier time.Duration `json:"stage_qualifier_ns"`
-	StageCNN       time.Duration `json:"stage_cnn_ns"`
 
 	// ServiceTime is a rolling (EWMA, α=1/8) estimate of backend time per
 	// image — the shard's speed, independent of queueing. The shard router
@@ -89,46 +156,10 @@ type Stats struct {
 	Classes []ClassStats `json:"classes,omitempty"`
 }
 
-// ClassStats is one service class's slice of the scheduler counters. The
-// same outcome invariant holds per class: Submitted resolves to exactly
-// one of Expired, ExpiredDispatched, Completed or Failed. QueueDepth
-// counts requests waiting in this class's queue — a degraded budget
-// request occupies (and is counted in) the fast queue, while its
-// Submitted/Completed/… accounting stays under budget.
+// ClassStats is one service class's ledger.
 type ClassStats struct {
-	Class             string `json:"class"`
-	Submitted         uint64 `json:"submitted"`
-	Rejected          uint64 `json:"rejected"`
-	Expired           uint64 `json:"expired"`
-	ExpiredDispatched uint64 `json:"expired_dispatched"`
-	Completed         uint64 `json:"completed"`
-	Failed            uint64 `json:"failed"`
-	Degraded          uint64 `json:"degraded"`
-
-	QueueDepth int `json:"queue_depth"`
-	QueueCap   int `json:"queue_cap"`
-
-	LatencyCount int           `json:"latency_count"`
-	LatencyP50   time.Duration `json:"latency_p50_ns"`
-	LatencyP99   time.Duration `json:"latency_p99_ns"`
-	LatencyMax   time.Duration `json:"latency_max_ns"`
-	LatencyHist  *Histogram    `json:"latency_hist,omitempty"`
-	QueueHist    *Histogram    `json:"queue_hist,omitempty"`
-
-	// Per-class share of the backend stage-busy time: reliable + qualifier
-	// time is apportioned among the batch's full-pipeline riders, CNN time
-	// among all riders, by rider count. The per-class sums equal the
-	// aggregate stage counters exactly (remainders are assigned, not
-	// dropped).
-	StageReliable  time.Duration `json:"stage_reliable_ns"`
-	StageQualifier time.Duration `json:"stage_qualifier_ns"`
-	StageCNN       time.Duration `json:"stage_cnn_ns"`
-}
-
-// Dispatched is the number of images the backend has been asked to classify:
-// every terminal outcome downstream of a backend invocation.
-func (s Stats) Dispatched() uint64 {
-	return s.Completed + s.Failed + s.ExpiredDispatched
+	Class string `json:"class"`
+	Counts
 }
 
 // Class returns the snapshot's stats for one service class (zero-valued if
@@ -165,86 +196,54 @@ func NearestRank(sorted []time.Duration, p float64) time.Duration {
 	return sorted[rank-1]
 }
 
-// classState is the mutable per-class slice of statsState.
-type classState struct {
-	nSubmitted  uint64
-	nRejected   uint64
-	nExpired    uint64
-	nExpiredDis uint64
-	nCompleted  uint64
-	nFailed     uint64
-	nDegraded   uint64
-	lat         *Histogram
-	queueWait   *Histogram
-	stages      [3]time.Duration
-}
-
-// statsState is the mutable, mutex-guarded side of Stats. The aggregate
-// fields and the per-class fields are updated together under the same
-// lock, so per-class sums equal the aggregates in every snapshot.
+// statsState is the mutable, mutex-guarded side of Stats: one ledger per
+// class — every request event updates exactly one — and the batch-level
+// fields.
 type statsState struct {
 	mu          sync.Mutex
 	start       time.Time
-	nSubmitted  uint64
-	nRejected   uint64
-	nExpired    uint64
-	nExpiredDis uint64
-	nCompleted  uint64
-	nFailed     uint64
-	nDegraded   uint64
+	classes     [NumClasses]Counts // queue occupancy is read live at snapshot time
 	nBatches    uint64
 	nDispatched uint64
 	batchHist   []uint64
 	busy        time.Duration
 	service     time.Duration // EWMA backend time per image
-	lat         *Histogram
-	queueWait   *Histogram
 	backendLat  *Histogram
-	stages      [3]time.Duration // reliable, qualifier, cnn
-	classes     [NumClasses]classState
 }
 
 func (st *statsState) init(maxBatch int) {
 	st.start = time.Now()
 	st.batchHist = make([]uint64, maxBatch)
-	st.lat = NewHistogram()
-	st.queueWait = NewHistogram()
 	st.backendLat = NewHistogram()
 	for c := range st.classes {
-		st.classes[c].lat = NewHistogram()
-		st.classes[c].queueWait = NewHistogram()
+		st.classes[c] = newCounts()
 	}
 }
 
 func (st *statsState) submitted(c Class, degraded bool) {
 	st.mu.Lock()
-	st.nSubmitted++
-	st.classes[c].nSubmitted++
+	st.classes[c].Submitted++
 	if degraded {
-		st.nDegraded++
-		st.classes[c].nDegraded++
+		st.classes[c].Degraded++
 	}
 	st.mu.Unlock()
 }
 
 func (st *statsState) rejected(c Class) {
 	st.mu.Lock()
-	st.nRejected++
-	st.classes[c].nRejected++
+	st.classes[c].Rejected++
 	st.mu.Unlock()
 }
 
 func (st *statsState) expired(c Class) {
 	st.mu.Lock()
-	st.nExpired++
-	st.classes[c].nExpired++
+	st.classes[c].Expired++
 	st.mu.Unlock()
 }
 
 func (st *statsState) expiredDispatched(c Class) {
 	st.mu.Lock()
-	st.nExpiredDis++
-	st.classes[c].nExpiredDis++
+	st.classes[c].ExpiredDispatched++
 	st.mu.Unlock()
 }
 
@@ -275,140 +274,89 @@ func (st *statsState) serviceEstimate() time.Duration {
 func (st *statsState) failed(byClass [NumClasses]int) {
 	st.mu.Lock()
 	for c, n := range byClass {
-		st.nFailed += uint64(n)
-		st.classes[c].nFailed += uint64(n)
+		st.classes[c].Failed += uint64(n)
 	}
 	st.mu.Unlock()
 }
 
-// completed records the delivered requests of one batch: end-to-end
-// latency plus the per-stage observations (queue wait, backend wall time)
-// and the same observations under each request's class.
+// completed records the delivered requests of one batch under each
+// request's class: end-to-end latency and queue wait, plus the batch's
+// backend wall time.
 func (st *statsState) completed(timings []Timing) {
 	st.mu.Lock()
-	st.nCompleted += uint64(len(timings))
 	for _, tm := range timings {
-		lat := tm.Done.Sub(tm.Enqueued)
-		wait := tm.Picked.Sub(tm.Enqueued)
-		st.lat.Observe(lat)
-		st.queueWait.Observe(wait)
-		st.backendLat.Observe(tm.Done.Sub(tm.Dispatched))
 		cs := &st.classes[tm.Class]
-		cs.nCompleted++
-		cs.lat.Observe(lat)
-		cs.queueWait.Observe(wait)
+		cs.Completed++
+		cs.LatencyHist.Observe(tm.Done.Sub(tm.Enqueued))
+		cs.QueueHist.Observe(tm.Picked.Sub(tm.Enqueued))
+		st.backendLat.Observe(tm.Done.Sub(tm.Dispatched))
 	}
 	st.mu.Unlock()
 }
 
-// stageTimes folds one batch's backend pipeline breakdown into the
-// cumulative per-stage counters, apportioning each stage across the
-// classes that rode the batch: reliable + qualifier time among the
-// full-pipeline riders, CNN time among all riders, proportional to rider
-// count with the integer remainder assigned to the last participating
-// class — so the per-class stage sums equal the aggregates exactly.
+// stageTimes books one batch's backend pipeline breakdown to the classes
+// that rode it: reliable + qualifier time among the full-pipeline riders,
+// CNN time among all riders, proportional to rider count. The integer
+// remainder goes to the last participating class; stage time reported for
+// a stage no rider ran (a backend timing reliable work in an all-fast
+// batch — core never does) goes whole to the batch's last class. Nothing
+// is dropped, so the class totals sum to the backend's report.
 func (st *statsState) stageTimes(stages [3]time.Duration, fullRiders, allRiders [NumClasses]int) {
 	st.mu.Lock()
-	for i := range stages {
-		st.stages[i] += stages[i]
+	defer st.mu.Unlock()
+	for i, d := range stages {
 		riders := fullRiders
 		if i == 2 { // CNN runs for every rider
 			riders = allRiders
 		}
-		total := 0
-		for _, n := range riders {
-			total += n
-		}
-		if total == 0 || stages[i] == 0 {
-			continue
-		}
-		var assigned time.Duration
-		last := -1
+		total, last := 0, -1
 		for c, n := range riders {
 			if n > 0 {
-				last = c
+				total, last = total+n, c
 			}
 		}
+		if last < 0 {
+			for c, n := range allRiders {
+				if n > 0 {
+					last = c
+				}
+			}
+		}
+		var assigned time.Duration
 		for c, n := range riders {
-			if n == 0 {
-				continue
+			if n > 0 && c != last {
+				share := d * time.Duration(n) / time.Duration(total)
+				*st.classes[c].stages()[i] += share
+				assigned += share
 			}
-			share := stages[i] * time.Duration(n) / time.Duration(total)
-			if c == last {
-				share = stages[i] - assigned
-			}
-			st.classes[c].stages[i] += share
-			assigned += share
 		}
+		*st.classes[last].stages()[i] += d - assigned
 	}
-	st.mu.Unlock()
 }
 
 func (st *statsState) snapshot(depths, caps [NumClasses]int) Stats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	depth, capacity := 0, 0
-	for c := range depths {
-		depth += depths[c]
-		capacity += caps[c]
-	}
 	s := Stats{
-		Shards:            1,
-		Submitted:         st.nSubmitted,
-		Rejected:          st.nRejected,
-		Expired:           st.nExpired,
-		ExpiredDispatched: st.nExpiredDis,
-		Completed:         st.nCompleted,
-		Failed:            st.nFailed,
-		Degraded:          st.nDegraded,
-		Batches:           st.nBatches,
-		BatchHist:         append([]uint64(nil), st.batchHist...),
-		QueueDepth:        depth,
-		QueueCap:          capacity,
-		ServiceTime:       st.service,
-		BackendBusy:       st.busy,
-		Uptime:            time.Since(st.start),
+		Shards:      1,
+		Batches:     st.nBatches,
+		BatchHist:   append([]uint64(nil), st.batchHist...),
+		BackendHist: st.backendLat.Clone(),
+		ServiceTime: st.service,
+		BackendBusy: st.busy,
+		Uptime:      time.Since(st.start),
+		Classes:     make([]ClassStats, NumClasses),
 	}
 	if st.nBatches > 0 {
 		s.MeanBatch = float64(st.nDispatched) / float64(st.nBatches)
 	}
-	s.LatencyHist = st.lat.Clone()
-	s.QueueHist = st.queueWait.Clone()
-	s.BackendHist = st.backendLat.Clone()
-	s.StageReliable, s.StageQualifier, s.StageCNN = st.stages[0], st.stages[1], st.stages[2]
-	if n := st.lat.Count(); n > 0 {
-		s.LatencyCount = int(n)
-		s.LatencyP50 = st.lat.Quantile(0.50)
-		s.LatencyP99 = st.lat.Quantile(0.99)
-		s.LatencyMax = st.lat.Max()
-	}
-	s.Classes = make([]ClassStats, NumClasses)
 	for i, c := range Classes {
-		src := &st.classes[c]
-		cs := ClassStats{
-			Class:             c.String(),
-			Submitted:         src.nSubmitted,
-			Rejected:          src.nRejected,
-			Expired:           src.nExpired,
-			ExpiredDispatched: src.nExpiredDis,
-			Completed:         src.nCompleted,
-			Failed:            src.nFailed,
-			Degraded:          src.nDegraded,
-			QueueDepth:        depths[c],
-			QueueCap:          caps[c],
-			StageReliable:     src.stages[0],
-			StageQualifier:    src.stages[1],
-			StageCNN:          src.stages[2],
-		}
-		cs.LatencyHist = src.lat.Clone()
-		cs.QueueHist = src.queueWait.Clone()
-		if n := src.lat.Count(); n > 0 {
-			cs.LatencyCount = int(n)
-			cs.LatencyP50 = src.lat.Quantile(0.50)
-			cs.LatencyP99 = src.lat.Quantile(0.99)
-			cs.LatencyMax = src.lat.Max()
-		}
-		s.Classes[i] = cs
+		cs := st.classes[c]
+		cs.QueueDepth, cs.QueueCap = depths[c], caps[c]
+		cs.LatencyHist, cs.QueueHist = cs.LatencyHist.Clone(), cs.QueueHist.Clone()
+		cs.derive()
+		s.Classes[i] = ClassStats{Class: c.String(), Counts: cs}
 	}
+	s.Counts = sum(s.Classes)
 	return s
 }

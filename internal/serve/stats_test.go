@@ -101,35 +101,54 @@ func TestSnapshotQuantiles(t *testing.T) {
 	}
 }
 
-// TestMergeStats pins the fleet-aggregation rules on histogram-less inputs
-// (the legacy fallback): counters sum, the batch histogram is an
-// element-wise sum over the longest length, MeanBatch is recomputed from
-// merged totals, quantiles fall back to count-weighted means, Uptime and
-// LatencyMax take the max. TestMergeStatsHistogramExact covers the exact
-// path.
+// TestMergeStats pins the fleet-aggregation rules: class ledgers merge by
+// class name in encounter order, the aggregate is their sum, the batch
+// histogram is an element-wise sum over the longest length, MeanBatch is
+// recomputed from merged totals, Uptime and LatencyMax take the max.
+// TestMergeStatsHistogramExact covers the quantiles.
 func TestMergeStats(t *testing.T) {
+	hist := func(n int, top time.Duration) *Histogram {
+		h := NewHistogram()
+		for i := 1; i <= n; i++ {
+			h.Observe(top * time.Duration(i) / time.Duration(n))
+		}
+		return h
+	}
+	class := func(name string, c Counts) ClassStats {
+		c.QueueHist = NewHistogram()
+		return ClassStats{Class: name, Counts: c}
+	}
 	a := Stats{
-		Submitted: 100, Rejected: 5, Expired: 2, ExpiredDispatched: 1,
-		Completed: 90, Failed: 7,
 		Batches: 20, BatchHist: []uint64{2, 3, 15},
-		QueueDepth: 1, QueueCap: 64,
-		LatencyCount: 90, LatencyP50: 10 * time.Millisecond,
-		LatencyP99: 30 * time.Millisecond, LatencyMax: 40 * time.Millisecond,
 		BackendBusy: time.Second, Uptime: 10 * time.Second,
+		Classes: []ClassStats{
+			class("guaranteed", Counts{Submitted: 60, Rejected: 5, Expired: 2, ExpiredDispatched: 1,
+				Completed: 50, Failed: 7, QueueDepth: 1, QueueCap: 32, LatencyHist: hist(50, 40*time.Millisecond)}),
+			class("budget", Counts{Submitted: 40, Completed: 40, Degraded: 3, QueueCap: 32,
+				LatencyHist: hist(40, 20*time.Millisecond)}),
+		},
 	}
 	b := Stats{
-		Submitted: 50, Completed: 45, Expired: 5,
 		Batches: 15, BatchHist: []uint64{5, 10},
-		QueueDepth: 2, QueueCap: 32,
-		LatencyCount: 45, LatencyP50: 20 * time.Millisecond,
-		LatencyP99: 60 * time.Millisecond, LatencyMax: 35 * time.Millisecond,
 		BackendBusy: 2 * time.Second, Uptime: 8 * time.Second,
+		Classes: []ClassStats{
+			class("budget", Counts{Submitted: 50, Completed: 45, Expired: 5, QueueDepth: 2, QueueCap: 32,
+				LatencyHist: hist(45, 35*time.Millisecond)}),
+		},
 	}
 	m := Merge(a, b)
 	if m.Submitted != 150 || m.Rejected != 5 || m.Expired != 7 ||
-		m.ExpiredDispatched != 1 || m.Completed != 135 || m.Failed != 7 {
-		t.Fatalf("counter sums wrong: %+v", m)
+		m.ExpiredDispatched != 1 || m.Completed != 135 || m.Failed != 7 || m.Degraded != 3 {
+		t.Fatalf("counter sums wrong: %+v", m.Counts)
 	}
+	if len(m.Classes) != 2 || m.Classes[0].Class != "guaranteed" || m.Classes[1].Class != "budget" {
+		t.Fatalf("merged classes %+v, want guaranteed then budget", m.Classes)
+	}
+	if bc := m.Classes[1]; bc.Submitted != 90 || bc.Completed != 85 || bc.Expired != 5 ||
+		bc.Degraded != 3 || bc.QueueDepth != 2 || bc.QueueCap != 64 || bc.LatencyCount != 85 {
+		t.Errorf("budget merged across shards: %+v", bc.Counts)
+	}
+	checkAggregateIsClassSum(t, "merge", m)
 	if m.Batches != 35 {
 		t.Fatalf("batches %d", m.Batches)
 	}
@@ -152,12 +171,6 @@ func TestMergeStats(t *testing.T) {
 	if m.LatencyCount != 135 {
 		t.Errorf("latency count %d", m.LatencyCount)
 	}
-	// Weighted p50: (10ms*90 + 20ms*45) / 135
-	p50Num := float64(10*time.Millisecond)*90 + float64(20*time.Millisecond)*45
-	wantP50 := time.Duration(p50Num / 135)
-	if m.LatencyP50 != wantP50 {
-		t.Errorf("p50 %v, want count-weighted %v", m.LatencyP50, wantP50)
-	}
 	if m.LatencyMax != 40*time.Millisecond {
 		t.Errorf("max %v", m.LatencyMax)
 	}
@@ -171,7 +184,7 @@ func TestMergeStats(t *testing.T) {
 		t.Errorf("merged shard count %d, want 2 (fleet size, not live-shard count)", m.Shards)
 	}
 
-	if z := Merge(); z.Submitted != 0 || z.BatchHist != nil {
+	if z := Merge(); z.Submitted != 0 || z.BatchHist != nil || z.Classes != nil {
 		t.Errorf("empty merge not zero: %+v", z)
 	}
 	if h := MergeBatchHist(nil, nil); h != nil {
@@ -179,5 +192,74 @@ func TestMergeStats(t *testing.T) {
 	}
 	if h := MergeBatchHist([]uint64{1}, []uint64{0, 2}); len(h) != 2 || h[0] != 1 || h[1] != 2 {
 		t.Errorf("uneven hist merge: %v", h)
+	}
+}
+
+// checkAggregateIsClassSum fails unless st's aggregate ledger equals the
+// field-by-field sum of its class ledgers, histograms and the quantiles
+// derived from them included.
+func checkAggregateIsClassSum(t *testing.T, label string, st Stats) {
+	t.Helper()
+	var want Counts
+	lat, queue := NewHistogram(), NewHistogram()
+	for _, cs := range st.Classes {
+		want.Submitted += cs.Submitted
+		want.Rejected += cs.Rejected
+		want.Expired += cs.Expired
+		want.ExpiredDispatched += cs.ExpiredDispatched
+		want.Completed += cs.Completed
+		want.Failed += cs.Failed
+		want.Degraded += cs.Degraded
+		want.QueueDepth += cs.QueueDepth
+		want.QueueCap += cs.QueueCap
+		want.StageReliable += cs.StageReliable
+		want.StageQualifier += cs.StageQualifier
+		want.StageCNN += cs.StageCNN
+		lat.Merge(cs.LatencyHist)
+		queue.Merge(cs.QueueHist)
+	}
+	want.LatencyCount, want.LatencyMax = int(lat.Count()), lat.Max()
+	want.LatencyP50, want.LatencyP99 = lat.Quantile(0.50), lat.Quantile(0.99)
+	got := st.Counts
+	if got.QueueHist == nil { // Merge omits an empty queue-wait histogram
+		got.QueueHist = NewHistogram()
+	}
+	if !histsEqual(got.LatencyHist, lat) || !histsEqual(got.QueueHist, queue) {
+		t.Errorf("%s: aggregate histograms are not the sum of the class histograms", label)
+	}
+	got.LatencyHist, got.QueueHist = nil, nil
+	if got != want {
+		t.Errorf("%s: aggregate %+v != sum of classes %+v", label, got, want)
+	}
+}
+
+// TestStageTimesBooking pins how a batch's stage report is booked to
+// classes: proportional to rider count, the integer remainder to the last
+// participating class, and time for a stage no rider ran (reliable time in
+// an all-CNN batch, which core never reports but a backend may) whole to
+// the batch's last class — so the class totals always sum to the report.
+func TestStageTimesBooking(t *testing.T) {
+	var st statsState
+	st.init(8)
+	// guaranteed 1 + budget 2 full riders, one fast rider: 10ns of reliable
+	// time splits 3 / 7, CNN time 4 ways.
+	st.stageTimes([3]time.Duration{10, 0, 8}, [NumClasses]int{1, 0, 2}, [NumClasses]int{1, 1, 2})
+	// An all-CNN batch (fast + a degraded budget rider) that still reports
+	// reliable and qualifier time.
+	st.stageTimes([3]time.Duration{5, 3, 4}, [NumClasses]int{}, [NumClasses]int{0, 1, 1})
+	s := st.snapshot([NumClasses]int{}, [NumClasses]int{})
+	want := [NumClasses][3]time.Duration{
+		ClassGuaranteed: {3, 0, 2},
+		ClassFast:       {0, 0, 2 + 2},
+		ClassBudget:     {7 + 5, 3, 4 + 2},
+	}
+	for _, c := range Classes {
+		cs := s.Class(c)
+		if got := [3]time.Duration{cs.StageReliable, cs.StageQualifier, cs.StageCNN}; got != want[c] {
+			t.Errorf("%v stages %v, want %v", c, got, want[c])
+		}
+	}
+	if s.StageReliable != 15 || s.StageQualifier != 3 || s.StageCNN != 12 {
+		t.Errorf("aggregate stages %v/%v/%v, want the reports' totals 15/3/12", s.StageReliable, s.StageQualifier, s.StageCNN)
 	}
 }

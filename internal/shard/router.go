@@ -9,14 +9,14 @@
 // interface, selected by Config.Placement): two distinct routable shards
 // are sampled and the one with the lower score wins. A shard's load is
 // what the router has in flight to it plus the queue depth it last
-// reported on /healthz. The default weighted-p2c policy scores load per
-// static capacity weight (Config.Weights), optionally scaled by the
-// rolling per-image service time each worker exports
-// (Config.AdaptiveWeights), so on heterogeneous hardware the router
-// equalises expected completion time rather than raw queue depth; the p2c
-// policy ignores every capacity signal, which is what wins when those
-// signals flap faster than the probe cadence. Equal scores fall back to
-// the round-robin cursor.
+// reported on /healthz for the request's class (below). The default
+// weighted-p2c policy scores load per static capacity weight
+// (Config.Weights), optionally scaled by the rolling per-image service
+// time each worker exports (Config.AdaptiveWeights), so on heterogeneous
+// hardware the router equalises expected completion time rather than raw
+// queue depth; the p2c policy ignores every capacity signal, which is what
+// wins when those signals flap faster than the probe cadence. Equal scores
+// fall back to the round-robin cursor.
 //
 // Placement is service-class aware: workers report per-class queue depths
 // on /healthz and a request's load signal counts only the backlog its
@@ -50,10 +50,11 @@
 // # Stats
 //
 // GET /stats serves the fleet view: every shard's serve.Stats merged with
-// serve.Merge plus per-shard detail. Shards that report nothing merge as
-// zero-valued stats with empty histograms, so the aggregate's shard count
-// is the fleet size, and fleet latency quantiles come from summed
-// log-bucketed histograms — exact-to-bucket, not count-weighted means.
+// serve.Merge plus per-shard detail. Class ledgers merge by class name and
+// the fleet aggregate is their sum, so fleet latency quantiles come from
+// summed log-bucketed histograms — exact-to-bucket. Shards that report
+// nothing merge as zero-valued stats, so the aggregate's shard count is
+// the fleet size.
 package shard
 
 import (
@@ -205,11 +206,8 @@ type shardState struct {
 	restarts atomic.Uint64 // successful supervisor respawns
 
 	// classDepth is the per-class queue depth the shard last reported on
-	// /healthz (indexed by serve.Class); hasClassDepths records whether the
-	// worker reports the split at all, so placement can fall back to the
-	// total depth against an older worker.
-	classDepth     [serve.NumClasses]atomic.Int64
-	hasClassDepths atomic.Bool
+	// /healthz (indexed by serve.Class).
+	classDepth [serve.NumClasses]atomic.Int64
 
 	mu           sync.Mutex
 	url          string      // base URL, no trailing slash; rewritten on respawn
@@ -223,20 +221,12 @@ type shardState struct {
 	downNotified bool      // OnShardDown already fired for this outage
 }
 
-// load is the class-blind placement signal: what the router has in flight
-// to the shard plus the scheduler backlog the shard last admitted to.
-func (s *shardState) load() int64 { return s.inflight.Load() + s.depth.Load() }
-
 // classLoad is the placement signal for a request of class c: router
 // inflight plus the backlog the shard will dispatch at the same or higher
 // priority than c. A guaranteed request only competes with the guaranteed
 // queue; a budget request waits behind everything, so its effective depth
-// is the whole backlog. Workers that do not report the class split fall
-// back to the total depth.
+// is the whole backlog.
 func (s *shardState) classLoad(c serve.Class) int64 {
-	if !s.hasClassDepths.Load() {
-		return s.load()
-	}
 	d := s.inflight.Load()
 	for i := serve.ClassGuaranteed; i <= c && i.Valid(); i++ {
 		d += s.classDepth[i].Load()
@@ -273,7 +263,6 @@ func (s *shardState) adopt(p *workerProc, url string) {
 func (s *shardState) resetLoadSignals() {
 	s.depth.Store(0)
 	s.service.Store(0)
-	s.hasClassDepths.Store(false)
 	for i := range s.classDepth {
 		s.classDepth[i].Store(0)
 	}
@@ -582,19 +571,10 @@ func (r *Router) handleClassify(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	start := time.Now()
-	trace := req.Header.Get(obs.TraceHeader)
-	if !obs.ValidTraceID(trace) {
-		trace = obs.NewTraceID()
-	}
-	w.Header().Set(obs.TraceHeader, trace)
-	class := r.cfg.DefaultClass
-	if h := req.Header.Get(obs.ClassHeader); h != "" {
-		c, err := serve.ParseClass(h)
-		if err != nil {
-			api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: err.Error()})
-			return
-		}
-		class = c
+	trace, class, err := obs.ResolveRequest(w, req, r.cfg.DefaultClass)
+	if err != nil {
+		api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: err.Error()})
+		return
 	}
 	finish := func(status int, shard int, spans []obs.Span, errMsg string) {
 		rec := obs.TraceRecord{
@@ -813,11 +793,8 @@ func (r *Router) probe(s *shardState) {
 		if health.ServiceNS > 0 {
 			s.service.Store(health.ServiceNS)
 		}
-		if health.ClassQueueDepths != nil {
-			for _, c := range serve.Classes {
-				s.classDepth[c].Store(health.ClassQueueDepths[c.String()])
-			}
-			s.hasClassDepths.Store(true)
+		for _, c := range serve.Classes {
+			s.classDepth[c].Store(health.ClassQueueDepths[c.String()])
 		}
 		r.noteSuccess(s, "probe")
 		return
@@ -842,8 +819,8 @@ type ShardStatus struct {
 	Inflight    int64         `json:"inflight"`
 	QueueDepth  int64         `json:"queue_depth"` // last /healthz report
 	// ClassQueueDepths is the per-class queue-depth split the shard last
-	// reported on /healthz (absent against a worker that predates classes).
-	ClassQueueDepths map[string]int64 `json:"class_queue_depths,omitempty"`
+	// reported on /healthz, keyed by class wire name: the placement signal.
+	ClassQueueDepths map[string]int64 `json:"class_queue_depths"`
 	BreakerOpens     uint64           `json:"breaker_opens"`
 	BreakerCloses    uint64           `json:"breaker_closes"`
 	// Restarts counts supervisor respawns of this shard's worker process.
@@ -890,14 +867,12 @@ func (r *Router) Report(ctx context.Context) StatsReport {
 				Weight:      s.weight,
 				ServiceTime: time.Duration(s.service.Load()),
 				Inflight:    s.inflight.Load(), QueueDepth: s.depth.Load(),
-				Restarts:        s.restarts.Load(),
-				PermanentlyDown: s.isDown(),
+				Restarts:         s.restarts.Load(),
+				PermanentlyDown:  s.isDown(),
+				ClassQueueDepths: make(map[string]int64, serve.NumClasses),
 			}
-			if s.hasClassDepths.Load() {
-				st.ClassQueueDepths = make(map[string]int64, serve.NumClasses)
-				for _, c := range serve.Classes {
-					st.ClassQueueDepths[c.String()] = s.classDepth[c].Load()
-				}
+			for _, c := range serve.Classes {
+				st.ClassQueueDepths[c.String()] = s.classDepth[c].Load()
 			}
 			st.BreakerOpens, st.BreakerCloses = s.breakerCounts()
 			stats, err := r.fetchStats(ctx, s)
@@ -911,8 +886,8 @@ func (r *Router) Report(ctx context.Context) StatsReport {
 	}
 	wg.Wait()
 	// Every shard enters the merge: one that reported nothing contributes
-	// zero-valued stats with an empty histogram, so the aggregate's shard
-	// count is the fleet size, not the live-shard count.
+	// zero-valued stats, so the aggregate's shard count is the fleet size,
+	// not the live-shard count.
 	per := make([]serve.Stats, len(statuses))
 	rep := StatsReport{
 		Shards:    statuses,
@@ -923,8 +898,6 @@ func (r *Router) Report(ctx context.Context) StatsReport {
 	for i, st := range statuses {
 		if st.Stats != nil {
 			per[i] = *st.Stats
-		} else {
-			per[i] = serve.Stats{LatencyHist: serve.NewHistogram()}
 		}
 		if st.Healthy {
 			rep.HealthyShards++
@@ -982,12 +955,8 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		p.Gauge("hybridnet_shard_inflight", "Requests the router currently has in flight to this shard.", float64(sh.Inflight), l)
 		p.Gauge("hybridnet_shard_queue_depth", "Queue depth the shard last reported on /healthz.", float64(sh.QueueDepth), l)
 		for _, c := range serve.Classes {
-			d, ok := sh.ClassQueueDepths[c.String()]
-			if !ok {
-				continue
-			}
 			p.Gauge("hybridnet_shard_class_queue_depth", "Per-class queue depth the shard last reported on /healthz.",
-				float64(d), l, obs.Label{Name: "class", Value: c.String()})
+				float64(sh.ClassQueueDepths[c.String()]), l, obs.Label{Name: "class", Value: c.String()})
 		}
 		p.Gauge("hybridnet_shard_weight", "Static placement capacity weight.", sh.Weight, l)
 		p.Gauge("hybridnet_shard_service_time_seconds", "Per-image service time the shard last reported (adaptive-placement signal).", sh.ServiceTime.Seconds(), l)
@@ -1035,7 +1004,7 @@ func (r *Router) fetchDump(ctx context.Context, s *shardState) (obs.RecorderDump
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	body := api.FleetHealth{Status: "ok", Shards: len(r.shards)}
+	body := api.FleetHealth{Status: "ok", Shards: len(r.shards), ClassQueueDepths: make(map[string]int64, serve.NumClasses)}
 	for _, s := range r.shards {
 		if s.healthy() {
 			body.Healthy++
@@ -1043,13 +1012,8 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		if s.isDown() {
 			body.Down++
 		}
-		if s.hasClassDepths.Load() {
-			if body.ClassQueueDepths == nil {
-				body.ClassQueueDepths = make(map[string]int64, serve.NumClasses)
-			}
-			for _, c := range serve.Classes {
-				body.ClassQueueDepths[c.String()] += s.classDepth[c].Load()
-			}
+		for _, c := range serve.Classes {
+			body.ClassQueueDepths[c.String()] += s.classDepth[c].Load()
 		}
 	}
 	status := http.StatusOK

@@ -30,7 +30,6 @@ type classWorker struct {
 	shed       atomic.Bool
 	depth      atomic.Int64
 	classDepth [serve.NumClasses]atomic.Int64
-	reportCls  atomic.Bool // include class_queue_depths in /healthz
 }
 
 func startClassWorker(t *testing.T, name string) *classWorker {
@@ -54,12 +53,9 @@ func startClassWorker(t *testing.T, name string) *classWorker {
 		api.WriteJSON(rw, http.StatusOK, api.ClassifyResponse{Class: 14, ServiceClass: r.Header.Get(obs.ClassHeader)})
 	})
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, r *http.Request) {
-		health := api.Health{Status: "ok", QueueDepth: w.depth.Load()}
-		if w.reportCls.Load() {
-			health.ClassQueueDepths = make(map[string]int64, serve.NumClasses)
-			for _, c := range serve.Classes {
-				health.ClassQueueDepths[c.String()] = w.classDepth[c].Load()
-			}
+		health := api.Health{Status: "ok", QueueDepth: w.depth.Load(), ClassQueueDepths: make(map[string]int64, serve.NumClasses)}
+		for _, c := range serve.Classes {
+			health.ClassQueueDepths[c.String()] = w.classDepth[c].Load()
 		}
 		api.WriteJSON(rw, http.StatusOK, health)
 	})
@@ -198,13 +194,11 @@ func TestRouterClassAwarePlacement(t *testing.T) {
 	a := startClassWorker(t, "a")
 	a.depth.Store(50)
 	a.classDepth[serve.ClassBudget].Store(50)
-	a.reportCls.Store(true)
 	// Shard B: modest guaranteed+fast backlog, no budget. Total depth 8.
 	b := startClassWorker(t, "b")
 	b.depth.Store(8)
 	b.classDepth[serve.ClassGuaranteed].Store(4)
 	b.classDepth[serve.ClassFast].Store(4)
-	b.reportCls.Store(true)
 	r, err := New([]string{a.addr, b.addr}, testConfig())
 	if err != nil {
 		t.Fatal(err)

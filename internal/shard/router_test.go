@@ -74,7 +74,10 @@ func (w *testWorker) serveOn(ln net.Listener) {
 		api.WriteJSON(rw, http.StatusOK, api.ClassifyResponse{Class: 14, Decision: "accept"})
 	})
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, r *http.Request) {
-		api.WriteJSON(rw, http.StatusOK, api.Health{Status: "ok", QueueDepth: w.depth.Load(), ServiceNS: w.svc.Load()})
+		api.WriteJSON(rw, http.StatusOK, api.Health{
+			Status: "ok", QueueDepth: w.depth.Load(), ServiceNS: w.svc.Load(),
+			ClassQueueDepths: map[string]int64{"guaranteed": w.depth.Load(), "fast": 0, "budget": 0},
+		})
 	})
 	mux.HandleFunc("/stats", func(rw http.ResponseWriter, r *http.Request) {
 		n := w.classified.Load()
@@ -82,14 +85,17 @@ func (w *testWorker) serveOn(ln net.Listener) {
 		for i := uint64(0); i < n; i++ {
 			hist.Observe(time.Millisecond)
 		}
-		st := serve.Stats{
-			Shards:    1,
-			Submitted: n, Completed: n, Batches: n,
-			BatchHist:    []uint64{n},
+		ledger := serve.Counts{
+			Submitted: n, Completed: n,
 			LatencyCount: int(n), LatencyP50: hist.Quantile(0.50),
 			LatencyP99: hist.Quantile(0.99), LatencyMax: hist.Max(),
 			LatencyHist: hist,
-			Uptime:      time.Second,
+		}
+		st := serve.Stats{
+			Shards: 1, Counts: ledger, Batches: n,
+			BatchHist: []uint64{n},
+			Uptime:    time.Second,
+			Classes:   []serve.ClassStats{{Class: "guaranteed", Counts: ledger}},
 		}
 		rw.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(rw).Encode(st)

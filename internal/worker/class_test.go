@@ -15,30 +15,12 @@ import (
 // TestClassifyServiceClassHeader: the worker resolves X-Hybridnet-Class
 // (absent = -default-class, invalid = 400) and reports the tier in the
 // response, with the `"service_class":...,"degraded":...` pair adjacent in
-// the raw encoding — the stable marker the CI smoke greps for.
+// the raw encoding — the stable marker api.ClassifyResponse documents.
 func TestClassifyServiceClassHeader(t *testing.T) {
 	srv, _ := newTestServer(t)
-
 	post := func(class string) (*http.Response, string) {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, srv.URL+"/classify",
-			strings.NewReader(`{"sign":"stop","seed":3}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if class != "" {
-			req.Header.Set(obs.ClassHeader, class)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, string(body)
+		return postClass(t, srv.URL, class, `{"sign":"stop","seed":3}`)
 	}
 
 	resp, body := post("")
@@ -69,6 +51,43 @@ func TestClassifyServiceClassHeader(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "premium") {
 		t.Errorf("invalid class: status %d body %s, want 400 naming the class", resp.StatusCode, body)
 	}
+}
+
+// TestClassifyRefusesBadClassBeforeBody: the class header is resolved
+// before the body is read, so a bad class is the 400 even when the body is
+// malformed too.
+func TestClassifyRefusesBadClassBeforeBody(t *testing.T) {
+	srv, _ := newTestServer(t)
+	resp, body := postClass(t, srv.URL, "platinum", `{"sign":`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, `platinum`) {
+		t.Errorf("bad class with a malformed body: status %d body %s, want the 400 naming the class", resp.StatusCode, body)
+	}
+	if !obs.ValidTraceID(resp.Header.Get(obs.TraceHeader)) {
+		t.Errorf("400 carries no trace ID: %q", resp.Header.Get(obs.TraceHeader))
+	}
+}
+
+// postClass POSTs body to /classify under the given class header (none
+// when empty) and returns the response with its body read.
+func postClass(t *testing.T, base, class, body string) (*http.Response, string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, base+"/classify", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if class != "" {
+		req.Header.Set(obs.ClassHeader, class)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, string(raw)
 }
 
 // TestHealthzClassQueueDepths: the worker's health report carries the

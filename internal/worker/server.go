@@ -76,16 +76,6 @@ func retryAfterSecs(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// traceID resolves the request's trace ID: the propagated header if the
-// caller (the router, typically) sent a well-formed one, a freshly minted ID
-// otherwise.
-func traceID(r *http.Request) string {
-	if id := r.Header.Get(obs.TraceHeader); obs.ValidTraceID(id) {
-		return id
-	}
-	return obs.NewTraceID()
-}
-
 // schedSpans turns the scheduler's Timing into the request's span list:
 // contiguous top-level stages (queue wait, batch assembly, backend) whose
 // deltas tile the scheduler's portion of the wall clock, plus dotted
@@ -116,8 +106,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	trace := traceID(r)
-	w.Header().Set(obs.TraceHeader, trace)
+	// The headers first: a bad class is refused before the body is read.
+	trace, class, err := obs.ResolveRequest(w, r, s.defaultClass)
+	if err != nil {
+		api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: err.Error()})
+		return
+	}
 	var req api.ClassifyRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20)).Decode(&req); err != nil {
 		api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
@@ -127,14 +121,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: err.Error()})
 		return
-	}
-	class := s.defaultClass
-	if v := r.Header.Get(obs.ClassHeader); v != "" {
-		class, err = serve.ParseClass(v)
-		if err != nil {
-			api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: err.Error()})
-			return
-		}
 	}
 	// admission covers everything before the scheduler saw the request:
 	// body read, decode/render, deadline setup.
