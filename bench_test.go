@@ -104,6 +104,33 @@ func BenchmarkTable1_Alg2RedundantMultiplication_Full(b *testing.B) {
 	benchReliable(b, true, func() (reliable.Ops, error) { return reliable.NewTemporalDMR(fault.Soft{}) })
 }
 
+// The serving path's reliable convolution: the demo hybrid's conv1
+// (16 × 5×5×3 over 32×32×3) on temporal DMR over fault-free ALUs, which
+// Conv2D executes row by row (two passes, one comparison per row).
+
+func BenchmarkReliableConv_TemporalDMRIdeal(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	in := tensor.MustNew(3, 32, 32)
+	in.FillUniform(rng, 0, 1)
+	filters := tensor.MustNew(16, 3, 5, 5)
+	filters.FillUniform(rng, -0.1, 0.1)
+	bias := make([]float32, 16)
+	ops, err := reliable.NewTemporalDMR(fault.Ideal{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	engine, err := reliable.NewEngine(ops, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := reliable.Conv2D(engine, in, filters, bias, reliable.ConvSpec{Stride: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Figure 3 — the radial-series + SAX pipeline on an angled stop sign
 // (also the paper's "naive SAX completes in 1.942 s" reference point).
 

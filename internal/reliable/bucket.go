@@ -90,6 +90,17 @@ func (b *LeakyBucket) OK() {
 	}
 }
 
+// OKn records n correctly executed operations at once — the same counters
+// and level as n calls to OK.
+func (b *LeakyBucket) OKn(n uint64) {
+	b.oks += n
+	if uint64(b.level) > n {
+		b.level -= int(n)
+	} else {
+		b.level = 0
+	}
+}
+
 func (b *LeakyBucket) factor() int {
 	if b.Factor < 1 {
 		return DefaultFactor

@@ -45,9 +45,10 @@ func (s ConvSpec) Validate(input, filters *tensor.Tensor) (outH, outW int, err e
 
 // newOutput is the preamble the reliable kernel and the native baseline
 // share: validate the spec, check that a bias has one entry per filter, and
-// allocate the (F, outH, outW) output. The loop nests below stay two plain
-// loops on purpose — the native row of Table 1 must be code the compiler
-// sees through, not the reliable kernel behind a callback.
+// allocate the (F, outH, outW) output. NativeConv2D keeps its own plain
+// loop nest on purpose — the native row of Table 1 and the benchmark's
+// oracle must be code the compiler sees through and must not share the
+// kernel under test.
 func (s ConvSpec) newOutput(input, filters *tensor.Tensor, bias []float32) (*tensor.Tensor, error) {
 	outH, outW, err := s.Validate(input, filters)
 	if err != nil {
@@ -61,9 +62,17 @@ func (s ConvSpec) newOutput(input, filters *tensor.Tensor, bias []float32) (*ten
 }
 
 // Conv2D executes the full convolution layer with the reliable kernel of
-// Algorithm 3: every multiply and every accumulate goes through the engine's
-// retry/bucket protocol. bias may be nil (no bias) or have one entry per
-// filter.
+// Algorithm 3. bias may be nil (no bias) or have one entry per filter.
+//
+// Detection is per output row, replay is per operation. On an engine whose
+// operators are DMR over fault-free ALUs (see NewEngine) each row (f, oy) is
+// computed twice by convRowPass and the two copies are compared once; a row
+// that agrees is booked as the 2·m operations (m valid MACs) its scalar
+// execution would have recorded. A row that disagrees — on a fault-free ALU
+// only a NaN can — is recomputed from its start by convRow, where every
+// multiply and every accumulate goes through the engine's retry/bucket
+// protocol, so retries, Stats, the bucket and the error text are exactly
+// those of the scalar kernel. Every other engine runs convRow on every row.
 //
 // On a persistent-error abort the partially computed output is discarded and
 // ErrBucketTripped is returned (wrapped, with the failing output coordinate).
@@ -72,51 +81,180 @@ func Conv2D(e *Engine, input, filters *tensor.Tensor, bias []float32, spec ConvS
 	if err != nil {
 		return nil, err
 	}
-	nf, outH, outW := out.Dim(0), out.Dim(1), out.Dim(2)
-	inC, inH, inW := input.Dim(0), input.Dim(1), input.Dim(2)
-	kh, kw := filters.Dim(2), filters.Dim(3)
-
-	in := input.Data()
-	fl := filters.Data()
+	g := newConvGeom(input, filters, bias, spec, out.Dim(2))
+	outH, outW := out.Dim(1), out.Dim(2)
+	if e.rows && cap(e.twin) < outW {
+		e.twin = make([]float32, outW)
+	}
 	od := out.Data()
-	for f := 0; f < nf; f++ {
-		fBase := f * inC * kh * kw
+	for f := 0; f < out.Dim(0); f++ {
 		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				var acc float32
-				if bias != nil {
-					acc = bias[f]
-				}
-				iy0 := oy*spec.Stride - spec.Pad
-				ix0 := ox*spec.Stride - spec.Pad
-				for c := 0; c < inC; c++ {
-					cBase := c * inH * inW
-					kBase := fBase + c*kh*kw
-					for ky := 0; ky < kh; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= inH {
-							continue
-						}
-						rowBase := cBase + iy*inW
-						kRow := kBase + ky*kw
-						for kx := 0; kx < kw; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= inW {
-								continue
-							}
-							acc, err = e.MAC(acc, in[rowBase+ix], fl[kRow+kx])
-							if err != nil {
-								return nil, fmt.Errorf("reliable: conv output (%d,%d,%d): %w",
-									f, oy, ox, err)
-							}
-						}
-					}
-				}
-				od[(f*outH+oy)*outW+ox] = acc
+			row := od[(f*outH+oy)*outW:][:outW]
+			if e.rows && e.convRowDMR(&g, row, f, oy) {
+				continue
+			}
+			if err := e.convRow(&g, row, f, oy); err != nil {
+				return nil, err
 			}
 		}
 	}
 	return out, nil
+}
+
+// convGeom is the loop geometry of one convolution: the operands, the
+// layout and, per filter column kx, the span [lo, hi) of output columns
+// whose input column ox·stride − pad + kx lies inside the image.
+type convGeom struct {
+	in, fl, bias          []float32
+	inC, inH, inW, kh, kw int
+	stride, pad           int
+	spans                 []colSpan
+	width                 int // Σ over kx of hi − lo
+}
+
+type colSpan struct{ lo, hi int }
+
+func newConvGeom(input, filters *tensor.Tensor, bias []float32, spec ConvSpec, outW int) convGeom {
+	g := convGeom{
+		in: input.Data(), fl: filters.Data(), bias: bias,
+		inC: input.Dim(0), inH: input.Dim(1), inW: input.Dim(2),
+		kh: filters.Dim(2), kw: filters.Dim(3),
+		stride: spec.Stride, pad: spec.Pad,
+	}
+	g.spans = make([]colSpan, g.kw)
+	for kx := range g.spans {
+		// ox·s − pad + kx ≥ 0  ⇔  ox ≥ ⌈(pad − kx)/s⌉
+		lo := 0
+		if d := g.pad - kx; d > 0 {
+			lo = (d + g.stride - 1) / g.stride
+		}
+		// ox·s − pad + kx ≤ inW − 1  ⇔  ox ≤ ⌊(inW − 1 + pad − kx)/s⌋
+		hi := 0
+		if d := g.inW - 1 + g.pad - kx; d >= 0 {
+			hi = min(outW, d/g.stride+1)
+		}
+		if lo < hi {
+			g.spans[kx] = colSpan{lo, hi}
+			g.width += hi - lo
+		}
+	}
+	return g
+}
+
+// macs returns the number of valid (unclipped) MACs of output row oy.
+func (g *convGeom) macs(oy int) int {
+	iy0 := oy*g.stride - g.pad
+	rows := min(g.kh, g.inH-iy0) - max(0, -iy0)
+	return g.inC * max(0, rows) * g.width
+}
+
+// convRowDMR computes output row (f, oy) twice, into row and into the
+// engine's twin buffer, and compares the copies element by element. If they
+// agree it books the row's operations and returns true; otherwise it touches
+// neither Stats nor the bucket and returns false, and the caller replays the
+// row through convRow.
+func (e *Engine) convRowDMR(g *convGeom, row []float32, f, oy int) bool {
+	twin := e.twin[:len(row)]
+	convRowPass(row, g, f, oy)
+	convRowPass(twin, g, f, oy)
+	for i, v := range row {
+		if v != twin[i] {
+			return false
+		}
+	}
+	n := 2 * uint64(g.macs(oy))
+	e.stats.Ops += n
+	e.bucket.OKn(n)
+	return true
+}
+
+// convRowPass computes output row (f, oy) into acc tap-major: for each tap
+// (c, ky, kx), in the scalar kernel's order, it adds the tap's product to
+// every output column it reaches. Per output element that is the scalar
+// kernel's exact sequence of float32 operations — the explicit conversion
+// rounds each product before the add, so nothing fuses. It must not be
+// inlined: the two passes convRowDMR compares are two executions.
+//
+//go:noinline
+func convRowPass(acc []float32, g *convGeom, f, oy int) {
+	var b float32
+	if g.bias != nil {
+		b = g.bias[f]
+	}
+	for i := range acc {
+		acc[i] = b
+	}
+	iy0 := oy*g.stride - g.pad
+	taps := g.kh * g.kw
+	for c := 0; c < g.inC; c++ {
+		for ky := 0; ky < g.kh; ky++ {
+			iy := iy0 + ky
+			if iy < 0 || iy >= g.inH {
+				continue
+			}
+			in := g.in[(c*g.inH+iy)*g.inW:][:g.inW]
+			w := g.fl[(f*g.inC+c)*taps+ky*g.kw:][:g.kw]
+			for kx, s := range g.spans {
+				if s.lo == s.hi {
+					continue
+				}
+				dst := acc[s.lo:s.hi]
+				x0 := s.lo*g.stride - g.pad + kx
+				wk := w[kx]
+				if g.stride == 1 {
+					src := in[x0:][:len(dst)]
+					for i, v := range src {
+						dst[i] += float32(v * wk)
+					}
+					continue
+				}
+				for i := range dst {
+					dst[i] += float32(in[x0+i*g.stride] * wk)
+				}
+			}
+		}
+	}
+}
+
+// convRow computes output row (f, oy) element by element, every multiply
+// and accumulate through the engine's retry/bucket protocol (Algorithm 3).
+// It is the whole kernel for engines without the row path and the replay of
+// a row whose two passes disagreed.
+func (e *Engine) convRow(g *convGeom, row []float32, f, oy int) error {
+	fBase := f * g.inC * g.kh * g.kw
+	iy0 := oy*g.stride - g.pad
+	for ox := range row {
+		var acc float32
+		if g.bias != nil {
+			acc = g.bias[f]
+		}
+		ix0 := ox*g.stride - g.pad
+		for c := 0; c < g.inC; c++ {
+			cBase := c * g.inH * g.inW
+			kBase := fBase + c*g.kh*g.kw
+			for ky := 0; ky < g.kh; ky++ {
+				iy := iy0 + ky
+				if iy < 0 || iy >= g.inH {
+					continue
+				}
+				rowBase := cBase + iy*g.inW
+				kRow := kBase + ky*g.kw
+				for kx := 0; kx < g.kw; kx++ {
+					ix := ix0 + kx
+					if ix < 0 || ix >= g.inW {
+						continue
+					}
+					var err error
+					acc, err = e.MAC(acc, g.in[rowBase+ix], g.fl[kRow+kx])
+					if err != nil {
+						return fmt.Errorf("reliable: conv output (%d,%d,%d): %w", f, oy, ox, err)
+					}
+				}
+			}
+		}
+		row[ox] = acc
+	}
+	return nil
 }
 
 // NativeConv2D is the unprotected reference implementation: plain float32

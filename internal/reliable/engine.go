@@ -3,6 +3,8 @@ package reliable
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/fault"
 )
 
 // ErrBucketTripped is returned when the leaky-bucket error counter reaches
@@ -44,6 +46,12 @@ func (s *Stats) Sub(other Stats) {
 // if the bucket has not tripped — is retried (the rollback distance is one
 // operation); a correct operation drains the bucket by one.
 //
+// Conv2D on a DMR engine over fault-free ALUs detects per output row and
+// replays per operation, and only on disagreement: the row runs twice and is
+// compared once, and only a row whose copies differ goes through Mul/Add.
+// The counters and the bucket end where the per-operation protocol would
+// have left them.
+//
 // Engine is not safe for concurrent use. The system-wide idiom is
 // per-worker engines: the execution layer (internal/infer) builds one
 // engine per pool worker via its EngineFactory and aggregates their Stats,
@@ -53,6 +61,10 @@ type Engine struct {
 	ops    Ops
 	bucket *LeakyBucket
 	stats  Stats
+	// rows selects Conv2D's row-granular path; twin is its second copy of
+	// an output row.
+	rows bool
+	twin []float32
 }
 
 // NewEngine returns an engine executing via ops and accounting errors in
@@ -64,14 +76,36 @@ func NewEngine(ops Ops, bucket *LeakyBucket) (*Engine, error) {
 	if bucket == nil {
 		bucket = NewDefaultBucket()
 	}
-	return &Engine{ops: ops, bucket: bucket}, nil
+	return &Engine{ops: ops, bucket: bucket, rows: rowGranular(ops)}, nil
+}
+
+// rowGranular reports whether Conv2D may detect per row on ops: temporal
+// DMR over a fault-free ALU, or spatial DMR over two. On those a row's two
+// executions can only differ where the per-operation comparison would have
+// failed too (a NaN), so the row path changes no outcome. Every other
+// operator set — plain, TMR, degrading, soft-float or any injecting ALU —
+// keeps per-operation execution, so fault.ALU's injection model sees every
+// operation.
+func rowGranular(ops Ops) bool {
+	switch o := ops.(type) {
+	case *TemporalDMR:
+		_, ok := o.alu.(fault.Ideal)
+		return ok
+	case *SpatialDMR:
+		_, a := o.a.(fault.Ideal)
+		_, b := o.b.(fault.Ideal)
+		return a && b
+	}
+	return false
 }
 
 // Mul executes a reliable multiplication (retry + bucket protocol). The
 // retry loop is written out in Mul and in Add (rather than shared through a
-// closure, a selector flag or a helper call) because this is the innermost
-// statement of every convolution the DCNN executes: each of those forms was
-// measured and cost frame-loop throughput (see CHANGES.md, PR 15).
+// closure, a selector flag or a helper call) because it is the innermost
+// statement of every per-operation convolution: each of those forms was
+// measured and cost throughput when this was the serving hot path. It no
+// longer is — Conv2D's row path serves fault-free DMR — but the loops still
+// serve injecting ALUs, the replay of a disagreeing row and Table 1.
 //
 // The trip message counts attempts from the bucket's own per-execution
 // counters, not from the engine's Stats: callers reset the bucket before

@@ -7,7 +7,13 @@
 //     redundancy (TMR) variants of those operators;
 //   - the leaky-bucket error counter of Algorithm 3;
 //   - the reliable convolution kernel of Algorithm 3, with an
-//     operation-granularity rollback distance of exactly one operation; and
+//     operation-granularity rollback distance of exactly one operation. On
+//     DMR over fault-free ALUs detection is per output row and replay per
+//     operation, only on disagreement: each row runs twice and is compared
+//     once, and a row whose copies differ is recomputed operation by
+//     operation through the retry/bucket protocol, which every other
+//     operator set (plain, TMR, degrading, soft-float, injecting ALUs) uses
+//     for every operation; and
 //   - layer- and network-granularity checkpoint/rollback executors used by
 //     the rollback-distance ablation.
 //

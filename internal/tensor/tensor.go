@@ -138,7 +138,9 @@ func (t *Tensor) offset(idx []int) int {
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
+			// Format a copy: passing idx itself would make every At/Set
+			// caller's variadic index slice escape to the heap.
+			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", append([]int(nil), idx...), t.shape))
 		}
 		off += x * t.strides[i]
 	}

@@ -73,6 +73,27 @@ func TestAtSetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAtSetNoAlloc: the variadic index of At/Set stays on the caller's
+// stack — the morphology and contour loops call them once per neighbour per
+// pixel — and the out-of-range panic still names the index and the shape.
+func TestAtSetNoAlloc(t *testing.T) {
+	m2, m3 := MustNew(4, 5), MustNew(2, 4, 5)
+	y, x := 3, 4
+	if n := testing.AllocsPerRun(100, func() {
+		m2.Set(m2.At(y, x)+1, y, x)
+		m3.Set(m3.At(1, y, x)+1, 1, y, x)
+	}); n != 0 {
+		t.Fatalf("At/Set allocate %v times per call pair, want 0", n)
+	}
+	defer func() {
+		const want = "tensor: index [1 5] out of range for shape [4 5]"
+		if r := recover(); r != want {
+			t.Fatalf("panic %v, want %q", r, want)
+		}
+	}()
+	m2.At(1, 5)
+}
+
 func TestAt4MatchesAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tn := MustNew(3, 2, 4, 5)
