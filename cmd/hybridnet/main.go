@@ -214,19 +214,15 @@ func cmdCampaign(args []string) error {
 	modelPath := fs.String("model", "model.json", "model path")
 	rate := fs.Float64("rate", 1e-4, "transient fault rate per operation")
 	trials := fs.Int("trials", 20, "injection trials")
-	modeName := fs.String("mode", "temporal-dmr", "redundancy mode")
+	modeName := fs.String("mode", core.ModeTemporalDMR.String(), "redundancy mode")
 	seed := fs.Int64("seed", 4, "random seed")
 	workers := fs.Int("workers", 0, "parallel trial workers (0 = all cores)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	modes := map[string]core.RedundancyMode{
-		"plain": core.ModePlain, "temporal-dmr": core.ModeTemporalDMR,
-		"spatial-dmr": core.ModeSpatialDMR, "tmr": core.ModeTMR,
-	}
-	mode, ok := modes[*modeName]
-	if !ok {
-		return fmt.Errorf("unknown mode %q", *modeName)
+	mode, err := core.ParseMode(*modeName)
+	if err != nil {
+		return err
 	}
 	_, net, err := cli.LoadHybrid(*modelPath, *seed)
 	if err != nil {

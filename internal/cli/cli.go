@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gtsrb"
+	"repro/internal/infer"
 	"repro/internal/nn"
 	"repro/internal/onnxlite"
 	"repro/internal/shape"
@@ -71,10 +72,11 @@ func LoadHybrid(path string, seed int64) (*core.HybridNetwork, *nn.Sequential, e
 // NewBatchClassifier builds the persistent serving classifier for a hybrid
 // network from CLI-level knobs: workers is the inference pool size (0 = all
 // cores) and subBatch the per-worker NCHW micro-batch cap for the batched
-// CNN stage (0 = batch/workers). Shared by the serving binaries so the
-// -workers/-subbatch flag semantics cannot drift from the engine config.
+// CNN stage (0 = batch/workers); negative values are refused. Shared by the
+// serving binaries so the -workers/-subbatch flag semantics cannot drift
+// from the engine config.
 func NewBatchClassifier(h *core.HybridNetwork, workers, subBatch int) (*core.BatchClassifier, error) {
-	return h.NewBatchClassifierConfig(core.ClassifierConfig{Workers: workers, SubBatch: subBatch})
+	return h.NewBatchClassifierConfig(infer.Config{Workers: workers, SubBatch: subBatch})
 }
 
 // DemoHybrid builds an untrained micro network with the Sobel pair

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/gtsrb"
+	"repro/internal/infer"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -230,7 +231,7 @@ func TestClassifyBatchSubBatchEquivalence(t *testing.T) {
 			}
 			want[i] = res
 		}
-		for _, ccfg := range []ClassifierConfig{
+		for _, ccfg := range []infer.Config{
 			{Workers: 1},              // whole batch in one sub-batch
 			{Workers: 3},              // default ceil(11/3)=4 → ragged tail of 3
 			{Workers: 2, SubBatch: 1}, // batches of one

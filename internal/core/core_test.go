@@ -22,21 +22,16 @@ func TestModeAccessors(t *testing.T) {
 	cases := []struct {
 		mode RedundancyMode
 		pes  int
-		exec int
 	}{
-		{ModePlain, 1, 1},
-		{ModeTemporalDMR, 1, 2},
-		{ModeSpatialDMR, 2, 2},
-		{ModeTMR, 3, 3},
+		{ModePlain, 1},
+		{ModeTemporalDMR, 1},
+		{ModeSpatialDMR, 2},
+		{ModeTMR, 3},
 	}
 	for _, c := range cases {
 		pes, err := c.mode.PEs()
 		if err != nil || pes != c.pes {
 			t.Errorf("%v PEs = %d, %v; want %d", c.mode, pes, err, c.pes)
-		}
-		ex, err := c.mode.ExecutionsPerOp()
-		if err != nil || ex != c.exec {
-			t.Errorf("%v execs = %d, %v; want %d", c.mode, ex, err, c.exec)
 		}
 		if c.mode.String() == "" {
 			t.Error("empty mode string")
@@ -53,9 +48,6 @@ func TestModeAccessors(t *testing.T) {
 	bad := RedundancyMode(0)
 	if _, err := bad.PEs(); err == nil {
 		t.Error("unknown mode PEs should fail")
-	}
-	if _, err := bad.ExecutionsPerOp(); err == nil {
-		t.Error("unknown mode execs should fail")
 	}
 	if _, err := bad.NewOps(nil); err == nil {
 		t.Error("unknown mode NewOps should fail")

@@ -27,49 +27,62 @@ const (
 	ModeTMR
 )
 
+// modeSpec is everything a redundancy mode is: the name the CLI flag and the
+// model file use, how many processing elements it occupies and how its
+// operators are built over PEs drawn from a factory.
+type modeSpec struct {
+	name   string
+	pes    int
+	newOps func(ALUFactory) (reliable.Ops, error)
+}
+
+// modes is the one table of redundancy modes, indexed by RedundancyMode.
+var modes = [...]modeSpec{
+	ModePlain: {"plain", 1, func(f ALUFactory) (reliable.Ops, error) {
+		return reliable.NewPlain(f())
+	}},
+	ModeTemporalDMR: {"temporal-dmr", 1, func(f ALUFactory) (reliable.Ops, error) {
+		return reliable.NewTemporalDMR(f())
+	}},
+	ModeSpatialDMR: {"spatial-dmr", 2, func(f ALUFactory) (reliable.Ops, error) {
+		return reliable.NewSpatialDMR(f(), f())
+	}},
+	ModeTMR: {"tmr", 3, func(f ALUFactory) (reliable.Ops, error) {
+		return reliable.NewTMR(f(), f(), f())
+	}},
+}
+
+// spec returns the mode's table entry, or an error for an unknown mode.
+func (m RedundancyMode) spec() (modeSpec, error) {
+	if m < ModePlain || int(m) >= len(modes) {
+		return modeSpec{}, fmt.Errorf("core: unknown redundancy mode %d", int(m))
+	}
+	return modes[m], nil
+}
+
+// ParseMode returns the redundancy mode whose String is name.
+func ParseMode(name string) (RedundancyMode, error) {
+	for m := ModePlain; int(m) < len(modes); m++ {
+		if modes[m].name == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown redundancy mode %q", name)
+}
+
 // String implements fmt.Stringer.
 func (m RedundancyMode) String() string {
-	switch m {
-	case ModePlain:
-		return "plain"
-	case ModeTemporalDMR:
-		return "temporal-dmr"
-	case ModeSpatialDMR:
-		return "spatial-dmr"
-	case ModeTMR:
-		return "tmr"
-	default:
+	s, err := m.spec()
+	if err != nil {
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
+	return s.name
 }
 
 // PEs returns how many processing elements the mode occupies.
 func (m RedundancyMode) PEs() (int, error) {
-	switch m {
-	case ModePlain, ModeTemporalDMR:
-		return 1, nil
-	case ModeSpatialDMR:
-		return 2, nil
-	case ModeTMR:
-		return 3, nil
-	default:
-		return 0, fmt.Errorf("core: unknown redundancy mode %d", int(m))
-	}
-}
-
-// ExecutionsPerOp returns how many times each operation executes (the
-// computational-expense multiplier Table 1 measures).
-func (m RedundancyMode) ExecutionsPerOp() (int, error) {
-	switch m {
-	case ModePlain:
-		return 1, nil
-	case ModeTemporalDMR, ModeSpatialDMR:
-		return 2, nil
-	case ModeTMR:
-		return 3, nil
-	default:
-		return 0, fmt.Errorf("core: unknown redundancy mode %d", int(m))
-	}
+	s, err := m.spec()
+	return s.pes, err
 }
 
 // ALUFactory produces the processing elements the DCNN executes on. The
@@ -79,22 +92,15 @@ type ALUFactory func() fault.ALU
 
 func defaultALUFactory() fault.ALU { return fault.Ideal{} }
 
-// NewOps builds the overloaded operators for the mode, drawing the required
-// number of PEs from the factory.
+// NewOps builds the overloaded operators for the mode, drawing PEs() PEs
+// from the factory.
 func (m RedundancyMode) NewOps(factory ALUFactory) (reliable.Ops, error) {
+	s, err := m.spec()
+	if err != nil {
+		return nil, err
+	}
 	if factory == nil {
 		factory = defaultALUFactory
 	}
-	switch m {
-	case ModePlain:
-		return reliable.NewPlain(factory())
-	case ModeTemporalDMR:
-		return reliable.NewTemporalDMR(factory())
-	case ModeSpatialDMR:
-		return reliable.NewSpatialDMR(factory(), factory())
-	case ModeTMR:
-		return reliable.NewTMR(factory(), factory(), factory())
-	default:
-		return nil, fmt.Errorf("core: unknown redundancy mode %d", int(m))
-	}
+	return s.newOps(factory)
 }

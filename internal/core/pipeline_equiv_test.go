@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/gtsrb"
+	"repro/internal/infer"
 	"repro/internal/nn"
 	"repro/internal/reliable"
 	"repro/internal/tensor"
@@ -261,7 +262,7 @@ func TestClassifyBatchRaggedShapes(t *testing.T) {
 			}
 		}
 
-		for _, ccfg := range []ClassifierConfig{{Workers: 1}, {Workers: 2}, {Workers: 2, SubBatch: 3}, {Workers: 3, SubBatch: 1}} {
+		for _, ccfg := range []infer.Config{{Workers: 1}, {Workers: 2}, {Workers: 2, SubBatch: 3}, {Workers: 3, SubBatch: 1}} {
 			c, err := h.NewBatchClassifierConfig(ccfg)
 			if err != nil {
 				t.Fatal(err)

@@ -8,16 +8,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// ClassifierConfig parameterises a BatchClassifier.
-type ClassifierConfig struct {
-	// Workers is the pool size (<= 0 defaults to GOMAXPROCS).
-	Workers int
-	// SubBatch caps how many images one worker packs into an NCHW
-	// micro-batch for the CNN stage (one GEMM per layer per sub-batch).
-	// 0 defaults to ⌈batch/workers⌉ — see infer.Config.SubBatch.
-	SubBatch int
-}
-
 // BatchClassifier is a persistent pooled hybrid classifier: the worker pool
 // — one forward context and one reliable engine per worker — is built once
 // and reused across every batch, so a serving layer pays the engine
@@ -35,25 +25,20 @@ type BatchClassifier struct {
 	pool *infer.BatchEngine
 }
 
-// NewBatchClassifier builds the persistent pool (workers <= 0 defaults to
+// NewBatchClassifier builds the persistent pool (workers 0 defaults to
 // GOMAXPROCS) over the hybrid network's shared weights, with the default
 // sub-batch policy.
 func (h *HybridNetwork) NewBatchClassifier(workers int) (*BatchClassifier, error) {
-	return h.NewBatchClassifierConfig(ClassifierConfig{Workers: workers})
+	return h.NewBatchClassifierConfig(infer.Config{Workers: workers})
 }
 
-// NewBatchClassifierConfig is NewBatchClassifier with an explicit sub-batch
-// cap.
-func (h *HybridNetwork) NewBatchClassifierConfig(cfg ClassifierConfig) (*BatchClassifier, error) {
-	if cfg.Workers < 0 {
-		cfg.Workers = 0
-	}
-	if cfg.SubBatch < 0 {
-		cfg.SubBatch = 0
-	}
-	pool, err := infer.New(h.net, infer.Config{
-		Workers: cfg.Workers, SubBatch: cfg.SubBatch, EngineFactory: h.newEngine,
-	})
+// NewBatchClassifierConfig is NewBatchClassifier with the pool's full
+// configuration (worker count and sub-batch cap, validated by infer.New);
+// the per-worker reliable engines are always the network's own, whatever
+// cfg.EngineFactory holds.
+func (h *HybridNetwork) NewBatchClassifierConfig(cfg infer.Config) (*BatchClassifier, error) {
+	cfg.EngineFactory = h.newEngine
+	pool, err := infer.New(h.net, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,8 @@
 // Package nn is the from-scratch CNN framework the reproduction trains and
 // executes hybrid networks with. It provides the layers AlexNet needs
 // (convolution, ReLU, local response normalisation, max pooling, dense,
-// dropout), forward/backward passes, cross-entropy loss and weight
-// serialisation.
+// dropout), forward/backward passes and cross-entropy loss. Models are
+// stored by internal/onnxlite.
 //
 // There is one execution path, and it is batch-native: ForwardBatch takes
 // an NCHW (or N×K flat) micro-batch and vectorises across it — convolution
@@ -34,7 +34,7 @@ import (
 // accumulated (+=) by BackwardBatch and cleared by ZeroGrad. A nil Grad means
 // no gradient has been accumulated yet and reads as all zeros: layers create
 // the accumulator in their first BackwardBatch, so a network that only ever
-// runs forward (serving, evaluation, serialisation) holds no gradient memory.
+// runs forward (serving, evaluation, export) holds no gradient memory.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor

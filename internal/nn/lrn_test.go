@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -179,8 +178,8 @@ func TestLRNBitIdenticalToReliable(t *testing.T) {
 	}
 }
 
-// TestLazyGradInference: building a network, loading its weights, reading
-// its parameters and running it forward — everything a serving daemon does —
+// TestLazyGradInference: building a network, reading its parameters and
+// running it forward — everything a serving daemon does —
 // allocates no gradient accumulator; the first backward pass does, once, and
 // ZeroGrads then clears it.
 func TestLazyGradInference(t *testing.T) {
@@ -201,13 +200,6 @@ func TestLazyGradInference(t *testing.T) {
 		}
 	}
 	requireNoGrads("after construction")
-	var weights bytes.Buffer
-	if err := SaveWeights(net, &weights); err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadWeights(net, &weights); err != nil {
-		t.Fatal(err)
-	}
 	if net.ParamCount() == 0 || net.Summary() == "" {
 		t.Fatal("empty network")
 	}

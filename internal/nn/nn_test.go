@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -749,71 +748,6 @@ func TestFirstConv(t *testing.T) {
 	flat, _ := NewSequential("noconv", NewReLU("r"))
 	if _, err := FirstConv(flat); err == nil {
 		t.Error("network without conv should fail")
-	}
-}
-
-func TestSaveLoadWeights(t *testing.T) {
-	ctx := NewContext()
-	rng := rand.New(rand.NewSource(16))
-	cfg := MicroConfig{InputSize: 16, Conv1Filters: 4, Conv1Kernel: 3,
-		Conv2Filters: 4, Hidden: 8, Classes: 3, UseLRN: true}
-	a, err := NewMicroAlexNet(cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := SaveWeights(a, &buf); err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewMicroAlexNet(cfg, rand.New(rand.NewSource(999)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadWeights(b, bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	for i, pa := range a.Params() {
-		if !pa.Value.Equal(b.Params()[i].Value) {
-			t.Fatalf("parameter %q differs after load", pa.Name)
-		}
-	}
-	// Outputs agree.
-	x := tensor.MustNew(3, 16, 16)
-	x.FillUniform(rng, 0, 1)
-	oa, err := a.Forward(ctx, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ob, err := b.Forward(ctx, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !oa.Equal(ob) {
-		t.Error("loaded network produces different output")
-	}
-}
-
-func TestLoadWeightsRejectsMismatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	cfg := MicroConfig{InputSize: 16, Conv1Filters: 4, Conv1Kernel: 3,
-		Conv2Filters: 4, Hidden: 8, Classes: 3, UseLRN: false}
-	a, _ := NewMicroAlexNet(cfg, rng)
-	var buf bytes.Buffer
-	if err := SaveWeights(a, &buf); err != nil {
-		t.Fatal(err)
-	}
-	// Different architecture: more filters.
-	cfg2 := cfg
-	cfg2.Conv1Filters = 8
-	b, _ := NewMicroAlexNet(cfg2, rng)
-	if err := LoadWeights(b, bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("shape mismatch should fail")
-	}
-	if err := LoadWeights(a, bytes.NewReader([]byte("garbage!"))); err == nil {
-		t.Error("bad magic should fail")
-	}
-	if err := LoadWeights(a, bytes.NewReader(nil)); err == nil {
-		t.Error("empty stream should fail")
 	}
 }
 

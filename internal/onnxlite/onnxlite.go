@@ -77,39 +77,27 @@ type ReliabilityDesc struct {
 	SafetyClasses    map[string]string `json:"safety_classes,omitempty"` // class index → shape name
 }
 
-var modeNames = map[core.RedundancyMode]string{
-	core.ModePlain:       "plain",
-	core.ModeTemporalDMR: "temporal-dmr",
-	core.ModeSpatialDMR:  "spatial-dmr",
-	core.ModeTMR:         "tmr",
-}
-
-var wiringNames = map[core.Wiring]string{
-	core.WiringParallel:   "parallel",
-	core.WiringBifurcated: "bifurcated",
-}
-
-var shapeNames = map[shape.Class]string{
-	shape.ClassUnknown:  "unknown",
-	shape.ClassCircle:   "circle",
-	shape.ClassTriangle: "triangle",
-	shape.ClassSquare:   "square",
-	shape.ClassOctagon:  "octagon",
-}
-
-func invert[K comparable, V comparable](m map[K]V) map[V]K {
-	out := make(map[V]K, len(m))
-	for k, v := range m {
-		out[v] = k
+// parseEnum returns the value in [first, last] whose String is name, so
+// each enum's names are written once, by its String method.
+func parseEnum[T interface {
+	~int
+	fmt.Stringer
+}](name string, first, last T) (T, bool) {
+	for v := first; v <= last; v++ {
+		if v.String() == name {
+			return v, true
+		}
 	}
-	return out
+	return 0, false
 }
 
-var (
-	modeByName   = invert(modeNames)
-	wiringByName = invert(wiringNames)
-	shapeByName  = invert(shapeNames)
-)
+func parseWiring(name string) (core.Wiring, bool) {
+	return parseEnum(name, core.WiringParallel, core.WiringBifurcated)
+}
+
+func parseShape(name string) (shape.Class, bool) {
+	return parseEnum(name, shape.ClassUnknown, shape.ClassOctagon)
+}
 
 func encodeTensor(t *tensor.Tensor) (string, error) {
 	var buf bytes.Buffer
@@ -193,11 +181,12 @@ func Export(net *nn.Sequential, cfg *core.Config) (*Model, error) {
 			SobelKernel:      cfg.SobelKernel,
 			DownsampleFactor: cfg.DownsampleFactor,
 		}
-		var ok bool
-		if r.Wiring, ok = wiringNames[cfg.Wiring]; !ok {
+		// A name that does not parse back is an unknown value's fallback.
+		r.Wiring, r.Mode = cfg.Wiring.String(), cfg.Mode.String()
+		if _, ok := parseWiring(r.Wiring); !ok {
 			return nil, fmt.Errorf("onnxlite: unknown wiring %d", int(cfg.Wiring))
 		}
-		if r.Mode, ok = modeNames[cfg.Mode]; !ok {
+		if _, err := core.ParseMode(r.Mode); err != nil {
 			return nil, fmt.Errorf("onnxlite: unknown mode %d", int(cfg.Mode))
 		}
 		if cfg.Wiring == core.WiringBifurcated {
@@ -206,11 +195,10 @@ func Export(net *nn.Sequential, cfg *core.Config) (*Model, error) {
 		if len(cfg.SafetyClasses) > 0 {
 			r.SafetyClasses = make(map[string]string, len(cfg.SafetyClasses))
 			for class, sh := range cfg.SafetyClasses {
-				name, ok := shapeNames[sh]
-				if !ok {
+				if _, ok := parseShape(sh.String()); !ok {
 					return nil, fmt.Errorf("onnxlite: unknown shape class %d", int(sh))
 				}
-				r.SafetyClasses[fmt.Sprintf("%d", class)] = name
+				r.SafetyClasses[fmt.Sprintf("%d", class)] = sh.String()
 			}
 		}
 		m.Reliability = r
@@ -302,10 +290,10 @@ func Import(m *Model, rng *rand.Rand) (*nn.Sequential, *core.Config, error) {
 		DownsampleFactor: r.DownsampleFactor,
 	}
 	var ok bool
-	if cfg.Wiring, ok = wiringByName[r.Wiring]; !ok {
+	if cfg.Wiring, ok = parseWiring(r.Wiring); !ok {
 		return nil, nil, fmt.Errorf("onnxlite: unknown wiring %q", r.Wiring)
 	}
-	if cfg.Mode, ok = modeByName[r.Mode]; !ok {
+	if cfg.Mode, err = core.ParseMode(r.Mode); err != nil {
 		return nil, nil, fmt.Errorf("onnxlite: unknown mode %q", r.Mode)
 	}
 	if len(r.SobelPair) == 2 {
@@ -320,7 +308,7 @@ func Import(m *Model, rng *rand.Rand) (*nn.Sequential, *core.Config, error) {
 			if _, err := fmt.Sscanf(classStr, "%d", &class); err != nil {
 				return nil, nil, fmt.Errorf("onnxlite: safety class key %q: %w", classStr, err)
 			}
-			sh, ok := shapeByName[shapeName]
+			sh, ok := parseShape(shapeName)
 			if !ok {
 				return nil, nil, fmt.Errorf("onnxlite: unknown shape %q", shapeName)
 			}

@@ -3,6 +3,7 @@ package onnxlite
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -301,5 +302,58 @@ func TestHybridRoundTripBehaviour(t *testing.T) {
 		t.Errorf("round-tripped hybrid disagrees: (%d,%v,%v) vs (%d,%v,%v)",
 			r1.Class, r1.Decision, r1.Qualifier.Class,
 			r2.Class, r2.Decision, r2.Qualifier.Class)
+	}
+}
+
+// exportGolden writes the documents TestExportGoldenBytes pins: a weighted
+// micro network whose safety table names every shape, then a weightless
+// one-layer network under every mode × wiring.
+func exportGolden(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	write := func(net *nn.Sequential, cfg *core.Config) {
+		m, err := Export(net, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Write(m, &buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := hybridCfg()
+	cfg.SafetyClasses = map[int]shape.Class{
+		0: shape.ClassUnknown, 1: shape.ClassCircle, 2: shape.ClassTriangle,
+		3: shape.ClassSquare, 14: shape.ClassOctagon,
+	}
+	write(buildNet(t, 1), cfg)
+	relu, err := nn.NewSequential("relu", nn.NewReLU("relu1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []core.RedundancyMode{core.ModePlain, core.ModeTemporalDMR, core.ModeSpatialDMR, core.ModeTMR} {
+		for _, wiring := range []core.Wiring{core.WiringParallel, core.WiringBifurcated} {
+			write(relu, &core.Config{Wiring: wiring, Mode: mode, BucketFactor: 2, BucketCeiling: 3})
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestExportGoldenBytes pins the exported document byte for byte, the mode,
+// wiring and shape names included. Regenerate testdata/export_golden.json
+// only for a deliberate change to the model format.
+func TestExportGoldenBytes(t *testing.T) {
+	got := exportGolden(t)
+	want, err := os.ReadFile("testdata/export_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d: got %q, want %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("got %d lines, want %d", len(gl), len(wl))
 	}
 }

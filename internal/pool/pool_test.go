@@ -2,6 +2,7 @@ package pool
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -23,21 +24,27 @@ func TestRunCoversAllItems(t *testing.T) {
 	}
 }
 
+// TestRunErrorWrapsIndexAndCancels: the first error comes back wrapped with
+// its item index. With one worker the stop is exact — items 0..5 run, none
+// after. With several, Run only promises the wrapped error: the others may
+// finish every remaining item before the failing worker stores its failure.
 func TestRunErrorWrapsIndexAndCancels(t *testing.T) {
 	boom := errors.New("boom")
-	var ran atomic.Int32
-	err := Run(10_000, 4, func(worker, i int) error {
-		ran.Add(1)
-		if i == 5 {
-			return boom
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int32
+		err := Run(10_000, workers, func(worker, i int) error {
+			ran.Add(1)
+			if i == 5 {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "item 5") {
+			t.Fatalf("workers=%d: err = %v, want boom wrapped with item 5", workers, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if n := ran.Load(); int(n) == 10_000 {
-		t.Error("error did not cancel remaining work")
+		if n := ran.Load(); workers == 1 && n != 6 {
+			t.Errorf("workers=1: %d items ran, want 6 (the error cancels the rest)", n)
+		}
 	}
 }
 

@@ -44,6 +44,13 @@ func dmrPair(t *testing.T, spatial bool, mkBucket func() *LeakyBucket) (rows, sc
 	return rows, scalar
 }
 
+func dmrName(spatial bool) string {
+	if spatial {
+		return "spatial-dmr"
+	}
+	return "temporal-dmr"
+}
+
 // sameRun requires the two engines' Conv2D results to be indistinguishable:
 // output bits, error text, Stats and bucket snapshot.
 func sameRun(t *testing.T, what string, rows, scalar *Engine, got, want *tensor.Tensor, gotErr, wantErr error) {
@@ -120,7 +127,7 @@ func TestReliableConvRowsMatchScalar(t *testing.T) {
 			if wantErr != nil {
 				t.Fatalf("shape %+v: %v", s, wantErr)
 			}
-			sameRun(t, rows.Ops().Name(), rows, scalar, got, want, gotErr, wantErr)
+			sameRun(t, dmrName(spatial), rows, scalar, got, want, gotErr, wantErr)
 		}
 	}
 }
@@ -185,7 +192,7 @@ func TestReliableConvRowsNonFinite(t *testing.T) {
 			spec := ConvSpec{Stride: 1, Pad: 1}
 			got, gotErr := Conv2D(rows, input, filters, bias, spec)
 			want, wantErr := Conv2D(scalar, input, filters, bias, spec)
-			what := tc.name + "/" + rows.Ops().Name()
+			what := tc.name + "/" + dmrName(spatial)
 			if tc.trips != errors.Is(wantErr, ErrBucketTripped) {
 				t.Fatalf("%s: scalar err %v, want trip %v", what, wantErr, tc.trips)
 			}

@@ -122,23 +122,13 @@ func (d *DegradingOps) execute(op func(fault.ALU) float32) (float32, bool) {
 	}
 	switch n {
 	case 3:
-		// Vote and diagnose the dissenter.
-		switch {
-		case vals[0] == vals[1] && vals[1] == vals[2]:
-			return vals[0], true
-		case vals[0] == vals[1]:
-			d.noteDissent(idx[2])
-			return vals[0], true
-		case vals[0] == vals[2]:
-			d.noteDissent(idx[1])
-			return vals[0], true
-		case vals[1] == vals[2]:
-			d.noteDissent(idx[0])
-			return vals[1], true
-		default:
-			// Three-way disagreement: no diagnosis possible.
-			return vals[0], false
+		// Vote and diagnose the dissenter; a three-way disagreement names
+		// none.
+		v, ok, dissenter := vote3(vals[0], vals[1], vals[2])
+		if dissenter >= 0 {
+			d.noteDissent(idx[dissenter])
 		}
+		return v, ok
 	case 2:
 		if vals[0] == vals[1] {
 			return vals[0], true
@@ -170,9 +160,4 @@ func (d *DegradingOps) Mul(a, b float32) (float32, bool) {
 // Add implements Ops.
 func (d *DegradingOps) Add(a, b float32) (float32, bool) {
 	return d.execute(func(alu fault.ALU) float32 { return alu.Add(a, b) })
-}
-
-// Name implements Ops.
-func (d *DegradingOps) Name() string {
-	return "degrading-" + d.Level().String()
 }

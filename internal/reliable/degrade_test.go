@@ -24,9 +24,6 @@ func TestDegradingOpsHealthyVoting(t *testing.T) {
 	if v != 7 || !ok {
 		t.Errorf("Add = %v,%v", v, ok)
 	}
-	if d.Name() == "" {
-		t.Error("empty name")
-	}
 }
 
 func TestDegradingOpsValidation(t *testing.T) {

@@ -79,59 +79,56 @@ func NewEngine(ops Ops, bucket *LeakyBucket) (*Engine, error) {
 	return &Engine{ops: ops, bucket: bucket, rows: rowGranular(ops)}, nil
 }
 
-// rowGranular reports whether Conv2D may detect per row on ops: temporal
-// DMR over a fault-free ALU, or spatial DMR over two. On those a row's two
-// executions can only differ where the per-operation comparison would have
-// failed too (a NaN), so the row path changes no outcome. Every other
-// operator set — plain, TMR, degrading, soft-float or any injecting ALU —
-// keeps per-operation execution, so fault.ALU's injection model sees every
-// operation.
+// rowGranular reports whether Conv2D may detect per row on ops: DMR whose
+// two PEs are both fault-free — temporal DMR over one fault.Ideal is the
+// same ALU twice. On those a row's two executions can only differ where the
+// per-operation comparison would have failed too (a NaN), so the row path
+// changes no outcome. Every other operator set — plain, TMR, degrading,
+// soft-float or any injecting ALU — keeps per-operation execution, so
+// fault.ALU's injection model sees every operation.
 func rowGranular(ops Ops) bool {
-	switch o := ops.(type) {
-	case *TemporalDMR:
-		_, ok := o.alu.(fault.Ideal)
-		return ok
-	case *SpatialDMR:
-		_, a := o.a.(fault.Ideal)
-		_, b := o.b.(fault.Ideal)
-		return a && b
+	d, ok := ops.(*DMR)
+	if !ok {
+		return false
 	}
-	return false
+	_, a := d.a.(fault.Ideal)
+	_, b := d.b.(fault.Ideal)
+	return a && b
 }
 
-// Mul executes a reliable multiplication (retry + bucket protocol). The
-// retry loop is written out in Mul and in Add (rather than shared through a
-// closure, a selector flag or a helper call) because it is the innermost
-// statement of every per-operation convolution: each of those forms was
-// measured and cost throughput when this was the serving hot path. It no
-// longer is — Conv2D's row path serves fault-free DMR — but the loops still
-// serve injecting ALUs, the replay of a disagreeing row and Table 1.
+// opKind names the operation the retry loop executes.
+type opKind uint8
+
+const (
+	opMul opKind = iota
+	opAdd
+)
+
+// Mul executes a reliable multiplication (retry + bucket protocol).
+func (e *Engine) Mul(a, b float32) (float32, error) { return e.exec(opMul, a, b) }
+
+// Add executes a reliable addition (retry + bucket protocol).
+func (e *Engine) Add(a, b float32) (float32, error) { return e.exec(opAdd, a, b) }
+
+// exec is the retry loop of Algorithm 3 for one operation. The operation is
+// a value, not a closure or method value, so the loop allocates nothing; it
+// is the innermost statement of the per-operation path (injecting ALUs, the
+// replay of a disagreeing row, Table 1), which Conv2D's row path keeps off
+// the fault-free serving path.
 //
 // The trip message counts attempts from the bucket's own per-execution
 // counters, not from the engine's Stats: callers reset the bucket before
 // every execution but let a pooled engine's Stats accumulate, and the same
 // failure must read the same whichever engine served it.
-func (e *Engine) Mul(a, b float32) (float32, error) {
+func (e *Engine) exec(op opKind, a, b float32) (float32, error) {
 	for {
-		v, ok := e.ops.Mul(a, b)
-		e.stats.Ops++
-		if ok {
-			e.bucket.OK()
-			return v, nil
+		var v float32
+		var ok bool
+		if op == opMul {
+			v, ok = e.ops.Mul(a, b)
+		} else {
+			v, ok = e.ops.Add(a, b)
 		}
-		e.stats.Failed++
-		if e.bucket.Fail() {
-			return 0, fmt.Errorf("after %d attempts (%d failed): %w",
-				e.bucket.Errors()+e.bucket.OKs(), e.bucket.Errors(), ErrBucketTripped)
-		}
-		e.stats.Retries++
-	}
-}
-
-// Add executes a reliable addition (retry + bucket protocol).
-func (e *Engine) Add(a, b float32) (float32, error) {
-	for {
-		v, ok := e.ops.Add(a, b)
 		e.stats.Ops++
 		if ok {
 			e.bucket.OK()
@@ -161,9 +158,6 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // Bucket returns the engine's error counter (shared, live view).
 func (e *Engine) Bucket() *LeakyBucket { return e.bucket }
-
-// Ops returns the operator variant the engine executes with.
-func (e *Engine) Ops() Ops { return e.ops }
 
 // ResetStats clears the work counters (the bucket is left untouched; use
 // Bucket().Reset() to drain it).

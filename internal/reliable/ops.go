@@ -3,8 +3,11 @@
 //   - the overloaded arithmetic operators of Algorithms 1 and 2 — every
 //     multiply/accumulate returns a value AND a qualifier saying whether the
 //     operation is asserted to have executed correctly;
-//   - temporal and spatial dual-modular redundancy (DMR) and triple-modular
-//     redundancy (TMR) variants of those operators;
+//   - the redundant variants of those operators, which differ only in the
+//     processing elements each operation runs on and how their results must
+//     agree: dual-modular redundancy (DMR) runs two executions and compares —
+//     temporal DMR is DMR with the same PE twice, spatial DMR two different
+//     PEs — and triple-modular redundancy (TMR) runs three and votes;
 //   - the leaky-bucket error counter of Algorithm 3;
 //   - the reliable convolution kernel of Algorithm 3, with an
 //     operation-granularity rollback distance of exactly one operation. On
@@ -35,8 +38,6 @@ type Ops interface {
 	Mul(a, b float32) (float32, bool)
 	// Add returns a+b and a qualifier.
 	Add(a, b float32) (float32, bool)
-	// Name identifies the operator variant in reports and benchmarks.
-	Name() string
 }
 
 // Plain is Algorithm 1: a single, non-redundant execution whose qualifier is
@@ -62,81 +63,54 @@ func (p *Plain) Mul(a, b float32) (float32, bool) { return p.alu.Mul(a, b), true
 // Add implements Ops (Algorithm 1).
 func (p *Plain) Add(a, b float32) (float32, bool) { return p.alu.Add(a, b), true }
 
-// Name implements Ops.
-func (p *Plain) Name() string { return "plain" }
-
-// TemporalDMR is Algorithm 2: the same operation is executed twice in series
-// on the SAME ALU and the qualifier is set to true iff the two results agree.
-// Under the SEU assumption (independent transient faults) this detects any
-// single fault; a permanent ALU defect produces two identical wrong results
-// and escapes detection — the limitation Section II-B attributes to temporal
-// redundancy.
-type TemporalDMR struct {
-	alu fault.ALU
-}
-
-var _ Ops = (*TemporalDMR)(nil)
-
-// NewTemporalDMR returns Algorithm 2 operators executing twice on alu.
-func NewTemporalDMR(alu fault.ALU) (*TemporalDMR, error) {
-	if alu == nil {
-		return nil, fmt.Errorf("reliable: temporal DMR ops need an ALU")
-	}
-	return &TemporalDMR{alu: alu}, nil
-}
-
-// Mul implements Ops (Algorithm 2).
-func (t *TemporalDMR) Mul(a, b float32) (float32, bool) {
-	p1 := t.alu.Mul(a, b)
-	p2 := t.alu.Mul(a, b)
-	return p1, p1 == p2
-}
-
-// Add implements Ops (Algorithm 2).
-func (t *TemporalDMR) Add(a, b float32) (float32, bool) {
-	s1 := t.alu.Add(a, b)
-	s2 := t.alu.Add(a, b)
-	return s1, s1 == s2
-}
-
-// Name implements Ops.
-func (t *TemporalDMR) Name() string { return "temporal-dmr" }
-
-// SpatialDMR executes each operation on two DIFFERENT ALUs (two processing
-// elements of the compute unit) and compares. Unlike temporal DMR it also
-// detects permanent single-PE defects, at the cost of occupying two PEs;
-// execution can proceed in parallel on real hardware (Section II-B), so its
-// latency advantage is not modelled here — only its detection behaviour.
-type SpatialDMR struct {
+// DMR is dual-modular redundancy: each operation executes on processing
+// element a, then on b, and the qualifier is true iff the two results agree.
+// The two DMR modes of the paper differ only in the PEs:
+//
+//   - temporal DMR (Algorithm 2, NewTemporalDMR) runs the SAME PE twice in
+//     series. Under the SEU assumption (independent transient faults) this
+//     detects any single fault; a permanent defect produces two identical
+//     wrong results and escapes — the limitation Section II-B attributes to
+//     temporal redundancy.
+//   - spatial DMR (NewSpatialDMR) runs two DIFFERENT PEs, so it also detects
+//     a permanent single-PE defect, at the cost of occupying two PEs. On real
+//     hardware the two execute in parallel (Section II-B); that latency
+//     advantage is not modelled here — only the detection behaviour.
+type DMR struct {
 	a, b fault.ALU
 }
 
-var _ Ops = (*SpatialDMR)(nil)
+var _ Ops = (*DMR)(nil)
+
+// NewTemporalDMR returns Algorithm 2 operators executing twice on alu.
+func NewTemporalDMR(alu fault.ALU) (*DMR, error) {
+	if alu == nil {
+		return nil, fmt.Errorf("reliable: temporal DMR ops need an ALU")
+	}
+	return &DMR{a: alu, b: alu}, nil
+}
 
 // NewSpatialDMR returns operators executing on the PE pair (a, b).
-func NewSpatialDMR(a, b fault.ALU) (*SpatialDMR, error) {
+func NewSpatialDMR(a, b fault.ALU) (*DMR, error) {
 	if a == nil || b == nil {
 		return nil, fmt.Errorf("reliable: spatial DMR ops need two ALUs")
 	}
-	return &SpatialDMR{a: a, b: b}, nil
+	return &DMR{a: a, b: b}, nil
 }
 
 // Mul implements Ops.
-func (s *SpatialDMR) Mul(a, b float32) (float32, bool) {
-	p1 := s.a.Mul(a, b)
-	p2 := s.b.Mul(a, b)
+func (d *DMR) Mul(a, b float32) (float32, bool) {
+	p1 := d.a.Mul(a, b)
+	p2 := d.b.Mul(a, b)
 	return p1, p1 == p2
 }
 
 // Add implements Ops.
-func (s *SpatialDMR) Add(a, b float32) (float32, bool) {
-	s1 := s.a.Add(a, b)
-	s2 := s.b.Add(a, b)
+func (d *DMR) Add(a, b float32) (float32, bool) {
+	s1 := d.a.Add(a, b)
+	s2 := d.b.Add(a, b)
 	return s1, s1 == s2
 }
-
-// Name implements Ops.
-func (s *SpatialDMR) Name() string { return "spatial-dmr" }
 
 // TMR executes each operation on three ALUs and majority-votes: "in the case
 // of triple modular redundancy, agreed upon by execution of the algorithm
@@ -158,28 +132,32 @@ func NewTMR(a, b, c fault.ALU) (*TMR, error) {
 	return &TMR{a: a, b: b, c: c}, nil
 }
 
-func vote(x, y, z float32) (float32, bool) {
+// vote3 majority-votes three results. It returns the majority value and
+// true, plus the index (0–2) of the one result that dissents, or -1 when all
+// three agree. With no majority it returns x, false and -1.
+func vote3(x, y, z float32) (v float32, ok bool, dissenter int) {
 	switch {
-	case x == y || x == z:
-		return x, true
+	case x == y && x == z:
+		return x, true, -1
+	case x == y:
+		return x, true, 2
+	case x == z:
+		return x, true, 1
 	case y == z:
-		return y, true
+		return y, true, 0
 	default:
-		// Three-way disagreement: no majority. Return the first result with
-		// a false qualifier so Algorithm 3's retry path takes over.
-		return x, false
+		return x, false, -1
 	}
 }
 
 // Mul implements Ops.
 func (t *TMR) Mul(a, b float32) (float32, bool) {
-	return vote(t.a.Mul(a, b), t.b.Mul(a, b), t.c.Mul(a, b))
+	v, ok, _ := vote3(t.a.Mul(a, b), t.b.Mul(a, b), t.c.Mul(a, b))
+	return v, ok
 }
 
 // Add implements Ops.
 func (t *TMR) Add(a, b float32) (float32, bool) {
-	return vote(t.a.Add(a, b), t.b.Add(a, b), t.c.Add(a, b))
+	v, ok, _ := vote3(t.a.Add(a, b), t.b.Add(a, b), t.c.Add(a, b))
+	return v, ok
 }
-
-// Name implements Ops.
-func (t *TMR) Name() string { return "tmr" }

@@ -5,22 +5,62 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/reliable"
 	"repro/internal/tensor"
 )
 
+// TestSobel3Kernels: SobelX(3) and SobelY(3) are the classic 3×3 Sobel
+// kernels, scaled so the positive entries sum to +2.
 func TestSobel3Kernels(t *testing.T) {
-	kx := SobelX3()
-	if kx.At(1, 0) != -2 || kx.At(1, 2) != 2 || kx.At(0, 1) != 0 {
-		t.Error("SobelX3 entries wrong")
+	classicX := []float32{
+		-1, 0, 1,
+		-2, 0, 2,
+		-1, 0, 1,
 	}
-	ky := SobelY3()
-	if ky.At(0, 1) != -2 || ky.At(2, 1) != 2 || ky.At(1, 0) != 0 {
-		t.Error("SobelY3 entries wrong")
+	kx, err := SobelX(3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Zero DC response: kernel sums to zero.
-	if kx.Sum() != 0 || ky.Sum() != 0 {
-		t.Error("Sobel kernels must sum to zero")
+	ky, err := SobelY(3)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for y := 0; y < 3; y++ {
+		for x := 0; x < 3; x++ {
+			if want := classicX[y*3+x] / 2; kx.At(y, x) != want || ky.At(x, y) != want {
+				t.Fatalf("(%d,%d): SobelX %v, SobelY transposed %v, want %v", y, x, kx.At(y, x), ky.At(x, y), want)
+			}
+		}
+	}
+}
+
+// sobelEdges convolves an H×W image with SobelX(3) and SobelY(3) ("same"
+// size, zero padding) through reliable.NativeConv2D and returns both
+// responses and their magnitude sqrt(gx²+gy²).
+func sobelEdges(t *testing.T, img *tensor.Tensor) (gx, gy, mag *tensor.Tensor) {
+	t.Helper()
+	h, w := img.Dim(0), img.Dim(1)
+	kx, err := SobelX(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ky, err := SobelY(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filters := tensor.MustFromSlice(append(append([]float32(nil), kx.Data()...), ky.Data()...), 2, 1, 3, 3)
+	out, err := reliable.NativeConv2D(tensor.MustFromSlice(img.Data(), 1, h, w), filters, nil,
+		reliable.ConvSpec{Stride: 1, Pad: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gx = tensor.MustFromSlice(out.Data()[:h*w], h, w)
+	gy = tensor.MustFromSlice(out.Data()[h*w:], h, w)
+	mag = tensor.MustNew(h, w)
+	for i, v := range gx.Data() {
+		mag.Data()[i] = float32(math.Hypot(float64(v), float64(gy.Data()[i])))
+	}
+	return gx, gy, mag
 }
 
 func TestExtendedSobelProperties(t *testing.T) {
@@ -76,14 +116,7 @@ func TestSobelRespondsToEdges(t *testing.T) {
 			img.Set(1, y, x)
 		}
 	}
-	gx, err := Convolve2D(img, SobelX3())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gy, err := Convolve2D(img, SobelY3())
-	if err != nil {
-		t.Fatal(err)
-	}
+	gx, gy, _ := sobelEdges(t, img)
 	if gx.At(4, 4) <= 0 {
 		t.Error("Sobel-x should respond to a vertical edge")
 	}
@@ -127,26 +160,6 @@ func TestGrayscale(t *testing.T) {
 	}
 	if _, err := Grayscale(tensor.MustNew(2)); err == nil {
 		t.Error("rank-1 image should fail")
-	}
-}
-
-func TestEdgeMagnitudeRing(t *testing.T) {
-	// A filled square: edge magnitude is large on the border, zero inside.
-	img := tensor.MustNew(16, 16)
-	for y := 4; y < 12; y++ {
-		for x := 4; x < 12; x++ {
-			img.Set(1, y, x)
-		}
-	}
-	em, err := EdgeMagnitude(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if em.At(8, 8) != 0 {
-		t.Error("interior should have zero gradient")
-	}
-	if em.At(8, 4) == 0 || em.At(4, 8) == 0 {
-		t.Error("border should have nonzero gradient")
 	}
 }
 
@@ -586,10 +599,7 @@ func TestQualifyImageEmpty(t *testing.T) {
 func TestQualifyEdgeMap(t *testing.T) {
 	q, _ := NewQualifier(DefaultQualifierConfig())
 	img := rasterPolygon(t, 8, 0.2, 96)
-	edges, err := EdgeMagnitude(img)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, edges := sobelEdges(t, img)
 	res, err := q.QualifyEdgeMap(edges)
 	if err != nil {
 		t.Fatal(err)
@@ -601,15 +611,6 @@ func TestQualifyEdgeMap(t *testing.T) {
 	}
 	if _, err := q.QualifyEdgeMap(tensor.MustNew(3, 8, 8)); err == nil {
 		t.Error("rank-3 edge map should fail")
-	}
-}
-
-func TestConvolve2DValidation(t *testing.T) {
-	if _, err := Convolve2D(tensor.MustNew(3), SobelX3()); err == nil {
-		t.Error("rank-1 image should fail")
-	}
-	if _, err := Convolve2D(tensor.MustNew(3, 3), tensor.MustNew(3)); err == nil {
-		t.Error("rank-1 kernel should fail")
 	}
 }
 

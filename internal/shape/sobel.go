@@ -9,28 +9,9 @@ package shape
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 )
-
-// SobelX3 returns the classic 3×3 horizontal-gradient Sobel kernel.
-func SobelX3() *tensor.Tensor {
-	return tensor.MustFromSlice([]float32{
-		-1, 0, 1,
-		-2, 0, 2,
-		-1, 0, 1,
-	}, 3, 3)
-}
-
-// SobelY3 returns the classic 3×3 vertical-gradient Sobel kernel.
-func SobelY3() *tensor.Tensor {
-	return tensor.MustFromSlice([]float32{
-		-1, -2, -1,
-		0, 0, 0,
-		1, 2, 1,
-	}, 3, 3)
-}
 
 // binomialRow returns the n-tap binomial smoothing vector (Pascal row),
 // the building block of extended Sobel kernels.
@@ -134,56 +115,4 @@ func Grayscale(img *tensor.Tensor) (*tensor.Tensor, error) {
 	default:
 		return nil, fmt.Errorf("shape: grayscale needs rank 2 or 3, got rank %d", img.Rank())
 	}
-}
-
-// Convolve2D convolves an H×W image with a k×k kernel ("same" output size,
-// zero padding). It is a plain reference implementation — the reliable
-// variant lives in internal/reliable.
-func Convolve2D(img, kernel *tensor.Tensor) (*tensor.Tensor, error) {
-	if img.Rank() != 2 || kernel.Rank() != 2 {
-		return nil, fmt.Errorf("shape: convolve needs rank-2 image and kernel")
-	}
-	h, w := img.Dim(0), img.Dim(1)
-	kh, kw := kernel.Dim(0), kernel.Dim(1)
-	out := tensor.MustNew(h, w)
-	oy, ox := kh/2, kw/2
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var acc float32
-			for ky := 0; ky < kh; ky++ {
-				iy := y + ky - oy
-				if iy < 0 || iy >= h {
-					continue
-				}
-				for kx := 0; kx < kw; kx++ {
-					ix := x + kx - ox
-					if ix < 0 || ix >= w {
-						continue
-					}
-					acc += img.At(iy, ix) * kernel.At(ky, kx)
-				}
-			}
-			out.Set(acc, y, x)
-		}
-	}
-	return out, nil
-}
-
-// EdgeMagnitude returns the Sobel gradient magnitude sqrt(gx²+gy²) of a
-// grayscale image, the edge map the SAX qualifier consumes.
-func EdgeMagnitude(gray *tensor.Tensor) (*tensor.Tensor, error) {
-	gx, err := Convolve2D(gray, SobelX3())
-	if err != nil {
-		return nil, fmt.Errorf("shape: sobel x: %w", err)
-	}
-	gy, err := Convolve2D(gray, SobelY3())
-	if err != nil {
-		return nil, fmt.Errorf("shape: sobel y: %w", err)
-	}
-	out := tensor.MustNew(gray.Dim(0), gray.Dim(1))
-	gxd, gyd, od := gx.Data(), gy.Data(), out.Data()
-	for i := range od {
-		od[i] = float32(math.Hypot(float64(gxd[i]), float64(gyd[i])))
-	}
-	return out, nil
 }
