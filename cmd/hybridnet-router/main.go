@@ -3,9 +3,9 @@
 // replica and micro-batching scheduler, and presents the same three
 // endpoints a single daemon exposes.
 //
-//	POST /classify        routed to a shard: power-of-two-choices under the
-//	                      -placement policy (p2c, or weighted-p2c on
-//	                      -weights/-adaptive-weights), round-robin on ties;
+//	POST /classify        routed to a shard: power-of-two-choices on load
+//	                      per -weights, scaled by service time under
+//	                      -adaptive-weights, round-robin on ties;
 //	                      one automatic failover on a dead or load-shedding
 //	                      (503) shard for guaranteed and fast requests
 //	                      (budget never fails over)
@@ -84,7 +84,6 @@ func run(args []string) error {
 	timeout := fs.Duration("timeout", 30*time.Second, "per-attempt proxy timeout")
 	weights := fs.String("weights", "", "comma-separated per-shard capacity weights (empty = all equal)")
 	adaptive := fs.Bool("adaptive-weights", true, "scale placement by each worker's reported per-image service time")
-	placement := fs.String("placement", "weighted-p2c", "placement policy: "+strings.Join(shard.PlacementNames(), "|"))
 	restartMax := fs.Int("restart-max", 5, "consecutive respawn attempts before a dead worker is permanently down (0 = default, negative disables respawn)")
 	restartBackoff := fs.Duration("restart-backoff", 250*time.Millisecond, "initial respawn backoff (doubles per consecutive attempt)")
 	gemmWorkers := fs.Int("gemm-workers", 1, "per-worker intra-GEMM parallelism, appended to spawned workers' args (spawn mode; 1 = off)")
@@ -111,7 +110,6 @@ func run(args []string) error {
 		BreakerThreshold: *breaker,
 		RequestTimeout:   *timeout,
 		AdaptiveWeights:  *adaptive,
-		Placement:        *placement,
 		RestartMax:       *restartMax,
 		RestartBackoff:   *restartBackoff,
 		Log:              logger,

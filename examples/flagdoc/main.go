@@ -33,7 +33,6 @@ var targets = []struct {
 }{
 	{name: "hybridnetd", pkg: "repro/cmd/hybridnetd"},
 	{name: "hybridnet-router", pkg: "repro/cmd/hybridnet-router"},
-	{name: "hybridnet-sim", pkg: "repro/cmd/hybridnet-sim"},
 	{name: "hybridnet-train", pkg: "repro/cmd/hybridnet", args: []string{"train"}},
 }
 

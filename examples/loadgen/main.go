@@ -26,14 +26,6 @@
 //
 //	go run ./examples/loadgen -addr http://127.0.0.1:8090 -rps 400 \
 //	    -class-mix 'guaranteed=0.2,fast=0.5,budget=0.3'
-//
-// -scenario replays a fleet-simulator arrival schedule (a builtin name
-// from internal/sim, or a scenario JSON file) against the real fleet: the
-// same seeded Poisson arrival process the simulator ran, including phase
-// changes like the overload-burst spike, so simulated and measured tails
-// line up arrival-for-arrival. It overrides -rps and -duration:
-//
-//	go run ./examples/loadgen -addr http://127.0.0.1:8090 -router -scenario overload-burst
 package main
 
 import (
@@ -53,7 +45,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/shard"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -66,22 +57,8 @@ func main() {
 	router := flag.Bool("router", false, "target is hybridnet-router: report per-shard vs aggregate stats after the run")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of requests to trace: parse X-Hybridnet-Spans and report the server-side per-stage breakdown (0 = off)")
 	classMix := flag.String("class-mix", "", "per-class traffic fractions, e.g. guaranteed=0.2,fast=0.5,budget=0.3 (empty = no class header, the server default applies); enables per-class latency reporting")
-	scenario := flag.String("scenario", "", "replay a fleet-simulator arrival schedule (builtin name or scenario JSON file) instead of -rps/-duration")
 	flag.Parse()
-	var sc *sim.Scenario
-	if *scenario != "" {
-		loaded, err := sim.Builtin(*scenario)
-		if err != nil {
-			// Not a builtin: treat it as a scenario file.
-			loaded, err = sim.LoadScenario(*scenario)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "loadgen:", err)
-				os.Exit(1)
-			}
-		}
-		sc = &loaded
-	}
-	if err := run(*addr, *rps, *duration, *sign, *concurrency, *timeout, *router, *traceSample, *classMix, sc); err != nil {
+	if err := run(*addr, *rps, *duration, *sign, *concurrency, *timeout, *router, *traceSample, *classMix); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
@@ -183,13 +160,9 @@ func (t *tally) observeSpans(hdr http.Header) {
 	observe("router/", routerSpans)
 }
 
-func run(addr string, rps float64, duration time.Duration, sign string, concurrency int, timeout time.Duration, router bool, traceSample float64, classMix string, sc *sim.Scenario) error {
-	if sc == nil && rps <= 0 {
+func run(addr string, rps float64, duration time.Duration, sign string, concurrency int, timeout time.Duration, router bool, traceSample float64, classMix string) error {
+	if rps <= 0 {
 		return fmt.Errorf("rps must be > 0")
-	}
-	if sc != nil {
-		// The scenario scripts the schedule; -rps/-duration don't apply.
-		duration = sc.Duration
 	}
 	picker, err := newClassPicker(classMix)
 	if err != nil {
@@ -224,8 +197,7 @@ func run(addr string, rps float64, duration time.Duration, sign string, concurre
 	var wg sync.WaitGroup
 	seq := 0
 	// fire launches one request (or sheds it at the concurrency cap); it is
-	// called from the single scheduling goroutine, on whichever schedule —
-	// the fixed -rps ticker or the replayed scenario offsets — is driving.
+	// called from the single scheduling goroutine, on the -rps ticker.
 	fire := func() {
 		seq++
 		select {
@@ -304,38 +276,20 @@ func run(addr string, rps float64, duration time.Duration, sign string, concurre
 		}(seq, class)
 	}
 
-	if sc != nil {
-		// Replay the simulator's arrival process in real time: sleep to
-		// each precomputed offset, then fire. Offsets are absolute from the
-		// run start so schedule drift does not accumulate.
-		start := time.Now()
-		for _, off := range sc.ArrivalOffsets() {
-			if d := time.Until(start.Add(off)); d > 0 {
-				time.Sleep(d)
-			}
-			fire()
-		}
-	} else {
-		interval := time.Duration(float64(time.Second) / rps)
-		deadline := time.Now().Add(duration)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for now := time.Now(); now.Before(deadline); now = <-ticker.C {
-			fire()
-		}
+	interval := time.Duration(float64(time.Second) / rps)
+	deadline := time.Now().Add(duration)
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	for now := time.Now(); now.Before(deadline); now = <-ticker.C {
+		fire()
 	}
 	wg.Wait()
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sent := seq - t.shed
-	if sc != nil {
-		fmt.Printf("scenario %s: offered %d requests over %v; sent %d (%.1f rps mean)\n",
-			sc.Name, seq, duration, sent, float64(sent)/duration.Seconds())
-	} else {
-		fmt.Printf("offered %d requests over %v (target %.0f rps); sent %d (%.1f rps)\n",
-			seq, duration, rps, sent, float64(sent)/duration.Seconds())
-	}
+	fmt.Printf("offered %d requests over %v (target %.0f rps); sent %d (%.1f rps)\n",
+		seq, duration, rps, sent, float64(sent)/duration.Seconds())
 	for code, n := range t.status {
 		fmt.Printf("  HTTP %d: %d\n", code, n)
 	}

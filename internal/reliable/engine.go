@@ -83,8 +83,8 @@ func NewEngine(ops Ops, bucket *LeakyBucket) (*Engine, error) {
 // two PEs are both fault-free — temporal DMR over one fault.Ideal is the
 // same ALU twice. On those a row's two executions can only differ where the
 // per-operation comparison would have failed too (a NaN), so the row path
-// changes no outcome. Every other operator set — plain, TMR, degrading,
-// soft-float or any injecting ALU — keeps per-operation execution, so
+// changes no outcome. Every other operator set — plain, TMR, soft-float
+// or any injecting ALU — keeps per-operation execution, so
 // fault.ALU's injection model sees every operation.
 func rowGranular(ops Ops) bool {
 	d, ok := ops.(*DMR)

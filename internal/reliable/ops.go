@@ -15,7 +15,7 @@
 //     operation, only on disagreement: each row runs twice and is compared
 //     once, and a row whose copies differ is recomputed operation by
 //     operation through the retry/bucket protocol, which every other
-//     operator set (plain, TMR, degrading, soft-float, injecting ALUs) uses
+//     operator set (plain, TMR, soft-float, injecting ALUs) uses
 //     for every operation; and
 //   - layer- and network-granularity checkpoint/rollback executors used by
 //     the rollback-distance ablation.
@@ -132,32 +132,25 @@ func NewTMR(a, b, c fault.ALU) (*TMR, error) {
 	return &TMR{a: a, b: b, c: c}, nil
 }
 
-// vote3 majority-votes three results. It returns the majority value and
-// true, plus the index (0–2) of the one result that dissents, or -1 when all
-// three agree. With no majority it returns x, false and -1.
-func vote3(x, y, z float32) (v float32, ok bool, dissenter int) {
+// vote3 majority-votes three results: the majority value and true, or x
+// and false when no two agree.
+func vote3(x, y, z float32) (float32, bool) {
 	switch {
-	case x == y && x == z:
-		return x, true, -1
-	case x == y:
-		return x, true, 2
-	case x == z:
-		return x, true, 1
+	case x == y || x == z:
+		return x, true
 	case y == z:
-		return y, true, 0
+		return y, true
 	default:
-		return x, false, -1
+		return x, false
 	}
 }
 
 // Mul implements Ops.
 func (t *TMR) Mul(a, b float32) (float32, bool) {
-	v, ok, _ := vote3(t.a.Mul(a, b), t.b.Mul(a, b), t.c.Mul(a, b))
-	return v, ok
+	return vote3(t.a.Mul(a, b), t.b.Mul(a, b), t.c.Mul(a, b))
 }
 
 // Add implements Ops.
 func (t *TMR) Add(a, b float32) (float32, bool) {
-	v, ok, _ := vote3(t.a.Add(a, b), t.b.Add(a, b), t.c.Add(a, b))
-	return v, ok
+	return vote3(t.a.Add(a, b), t.b.Add(a, b), t.c.Add(a, b))
 }

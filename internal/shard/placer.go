@@ -1,125 +1,36 @@
 package shard
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Candidate is one routable shard's placement signals, as a Placer sees
-// them: a snapshot assembled by the caller (the Router from its probe
-// state, the simulator from its scripted fleet), so policies are pure
-// decision logic with no knowledge of HTTP, probing, or virtual clocks.
-type Candidate struct {
-	// ID is the shard's stable identifier, for diagnostics only — Pick
-	// returns an index into the candidate slice, not an ID.
-	ID int
-	// StaticWeight is the configured capacity weight (> 0; 1 = neutral).
-	StaticWeight float64
-	// Load is the class-effective backlog: requests the caller has in
-	// flight to the shard plus the queue depth a request of the class
-	// being placed would wait behind.
-	Load int64
-	// Service is the per-image service time (ns) the shard last reported;
+// candidate is one routable shard's placement signals, snapshotted by
+// Router.pick from its probe state.
+type candidate struct {
+	// weight is the static capacity weight (> 0; 1 = neutral).
+	weight float64
+	// load is the class-effective backlog: requests the router has in
+	// flight to the shard plus the queue depth a request of the class being
+	// placed would wait behind.
+	load int64
+	// service is the per-image service time (ns) the shard last reported;
 	// 0 means no estimate yet.
-	Service int64
+	service int64
 }
 
-// Placer chooses one shard among the routable candidates. Implementations
-// must be safe for concurrent use; Pick is called with len(cands) ≥ 1 and
-// returns an index into cands.
+// placer is weighted power-of-two-choices: sample two distinct candidates,
+// score each (load+1)/weight, multiply by the probed service time when
+// adaptive is set and both report one, and the lower score wins. Equal
+// scores fall to a round-robin cursor over the whole candidate slice.
+// Safe for concurrent use.
 //
-// Placer is the seam between placement policy and everything else: the
-// Router feeds it live probe state, internal/sim feeds it scripted fleets
-// on a virtual clock, so a policy benchmarked in simulation is bit-for-bit
-// the code that routes production traffic.
-type Placer interface {
-	// Name reports the policy name this placer was built from.
-	Name() string
-	// Pick returns the index of the chosen candidate.
-	Pick(cands []Candidate) int
-}
-
-// Placement policy names accepted by NewPlacer and Config.Placement.
-const (
-	// PlacementP2C is unweighted power-of-two-choices: lowest
-	// class-effective load wins, ignoring static weights and service
-	// times. The PR-3 baseline.
-	PlacementP2C = "p2c"
-	// PlacementWeightedP2C scores (load+1)/staticWeight, multiplied by the
-	// probed service time when PlacerOptions.AdaptiveWeights is set and
-	// both candidates report one. The PR-4 heuristic and the default.
-	PlacementWeightedP2C = "weighted-p2c"
-)
-
-// PlacementNames lists the accepted policy names, sorted.
-func PlacementNames() []string {
-	names := []string{PlacementP2C, PlacementWeightedP2C}
-	sort.Strings(names)
-	return names
-}
-
-// PlacerOptions parameterise NewPlacer.
-type PlacerOptions struct {
-	// Seed feeds the two-choices sampling. Same seed, same candidate
-	// sequence → same decisions: the simulator's determinism rests here.
-	Seed int64
-	// AdaptiveWeights enables the service-time term in weighted-p2c
-	// scoring, mirroring Config.AdaptiveWeights.
-	AdaptiveWeights bool
-}
-
-// NewPlacer builds the named placement policy. An empty name selects
-// weighted-p2c (the historical default).
-func NewPlacer(name string, opts PlacerOptions) (Placer, error) {
-	switch name {
-	case PlacementP2C:
-		return newP2CPlacer(name, opts.Seed, scoreP2C), nil
-	case "", PlacementWeightedP2C:
-		return newP2CPlacer(PlacementWeightedP2C, opts.Seed, scoreWeighted(opts.AdaptiveWeights)), nil
-	default:
-		return nil, fmt.Errorf("shard: unknown placement policy %q (have %s)",
-			name, strings.Join(PlacementNames(), ", "))
-	}
-}
-
-// scoreFunc scores a sampled pair. Lower wins; equal falls to the
-// round-robin cursor. Scoring is pairwise (not per-candidate) because the
-// unit-mixing rules are pairwise: a measured shard and an unmeasured one
-// must be compared in common units, whatever each knows individually.
-type scoreFunc func(a, b Candidate) (sa, sb float64)
-
-// scoreP2C ignores every capacity signal: raw class-effective load.
-func scoreP2C(a, b Candidate) (float64, float64) {
-	return float64(a.Load + 1), float64(b.Load + 1)
-}
-
-// scoreWeighted is the PR-4 heuristic: load per static capacity, scaled by
-// measured service time only when adaptive weighting is on and both
-// candidates have an estimate (comparing a measured shard against an
-// unmeasured one would mix units).
-func scoreWeighted(adaptive bool) scoreFunc {
-	return func(a, b Candidate) (float64, float64) {
-		sa := float64(a.Load+1) / a.StaticWeight
-		sb := float64(b.Load+1) / b.StaticWeight
-		if adaptive && a.Service > 0 && b.Service > 0 {
-			sa *= float64(a.Service)
-			sb *= float64(b.Service)
-		}
-		return sa, sb
-	}
-}
-
-// p2cPlacer is the one sampling engine behind every policy: sample two
-// distinct candidates, score the pair, lower score wins, ties fall to a
-// shared round-robin cursor over the whole candidate slice. Policies
-// differ only in the scoreFunc.
-type p2cPlacer struct {
-	name  string
-	score scoreFunc
+// The service term compares measured shards only: a measured shard against
+// an unmeasured one would mix units. With every weight 1 and adaptive off,
+// the score is the load alone — plain power-of-two-choices.
+type placer struct {
+	adaptive bool
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -127,13 +38,12 @@ type p2cPlacer struct {
 	rr atomic.Uint64 // tie-break cursor
 }
 
-func newP2CPlacer(name string, seed int64, score scoreFunc) *p2cPlacer {
-	return &p2cPlacer{name: name, score: score, rng: rand.New(rand.NewSource(seed))}
+func newPlacer(seed int64, adaptive bool) *placer {
+	return &placer{adaptive: adaptive, rng: rand.New(rand.NewSource(seed))}
 }
 
-func (p *p2cPlacer) Name() string { return p.name }
-
-func (p *p2cPlacer) Pick(cands []Candidate) int {
+// pick returns the index of the chosen candidate.
+func (p *placer) pick(cands []candidate) int {
 	if len(cands) <= 1 {
 		return 0
 	}
@@ -144,7 +54,13 @@ func (p *p2cPlacer) Pick(cands []Candidate) int {
 	if j >= i {
 		j++
 	}
-	sa, sb := p.score(cands[i], cands[j])
+	a, b := cands[i], cands[j]
+	sa := float64(a.load+1) / a.weight
+	sb := float64(b.load+1) / b.weight
+	if p.adaptive && a.service > 0 && b.service > 0 {
+		sa *= float64(a.service)
+		sb *= float64(b.service)
+	}
 	switch {
 	case sa < sb:
 		return i

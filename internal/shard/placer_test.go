@@ -1,49 +1,37 @@
 package shard
 
 import (
+	"encoding/json"
+	"math/rand"
+	"os"
+	"reflect"
 	"testing"
 )
 
-func TestNewPlacerNames(t *testing.T) {
-	for _, name := range append(PlacementNames(), "") {
-		p, err := NewPlacer(name, PlacerOptions{Seed: 1})
-		if err != nil {
-			t.Fatalf("NewPlacer(%q): %v", name, err)
-		}
-		if name != "" && p.Name() != name {
-			t.Fatalf("NewPlacer(%q).Name() = %q", name, p.Name())
-		}
-	}
-	if p, err := NewPlacer("", PlacerOptions{}); err != nil || p.Name() != PlacementWeightedP2C {
-		t.Fatalf("empty policy: got (%v, %v), want weighted-p2c", p, err)
-	}
-	if _, err := NewPlacer("bogus", PlacerOptions{}); err == nil {
-		t.Fatal("NewPlacer(bogus) did not fail")
-	}
-}
-
 // pickCounts runs n picks over cands and tallies the winners.
-func pickCounts(t *testing.T, p Placer, cands []Candidate, n int) []int {
+func pickCounts(t *testing.T, p *placer, cands []candidate, n int) []int {
 	t.Helper()
 	counts := make([]int, len(cands))
 	for k := 0; k < n; k++ {
-		i := p.Pick(cands)
+		i := p.pick(cands)
 		if i < 0 || i >= len(cands) {
-			t.Fatalf("Pick returned %d for %d candidates", i, len(cands))
+			t.Fatalf("pick returned %d for %d candidates", i, len(cands))
 		}
 		counts[i]++
 	}
 	return counts
 }
 
+// TestP2CIgnoresCapacitySignals: with unit weights and adaptive off the
+// placer is plain power-of-two-choices — service times do not matter.
 func TestP2CIgnoresCapacitySignals(t *testing.T) {
-	p, _ := NewPlacer(PlacementP2C, PlacerOptions{Seed: 1})
-	// Same load everywhere: capacity signals must not matter, so picks
-	// spread roughly evenly (ties round-robin across all three).
-	cands := []Candidate{
-		{ID: 0, StaticWeight: 8, Load: 5, Service: 100},
-		{ID: 1, StaticWeight: 1, Load: 5, Service: 900},
-		{ID: 2, StaticWeight: 1, Load: 5, Service: 900},
+	p := newPlacer(1, false)
+	// Same load everywhere: picks spread roughly evenly (ties round-robin
+	// across all three).
+	cands := []candidate{
+		{weight: 1, load: 5, service: 100},
+		{weight: 1, load: 5, service: 900},
+		{weight: 1, load: 5, service: 900},
 	}
 	counts := pickCounts(t, p, cands, 900)
 	for i, c := range counts {
@@ -52,7 +40,7 @@ func TestP2CIgnoresCapacitySignals(t *testing.T) {
 		}
 	}
 	// Unequal load: the lightest shard must dominate.
-	cands[0].Load = 0
+	cands[0].load = 0
 	counts = pickCounts(t, p, cands, 900)
 	if counts[0] < counts[1] || counts[0] < counts[2] {
 		t.Fatalf("p2c did not prefer the lightest shard: %v", counts)
@@ -60,21 +48,21 @@ func TestP2CIgnoresCapacitySignals(t *testing.T) {
 }
 
 func TestWeightedP2CUsesServiceOnlyWhenBothReport(t *testing.T) {
-	p, _ := NewPlacer(PlacementWeightedP2C, PlacerOptions{Seed: 1, AdaptiveWeights: true})
+	p := newPlacer(1, true)
 	// Shard 0 is 10× slower by service time but unmeasured shard 1 exists:
 	// a pair mixing measured and unmeasured compares on load/weight alone.
-	mixed := []Candidate{
-		{ID: 0, StaticWeight: 1, Load: 1, Service: 1000},
-		{ID: 1, StaticWeight: 1, Load: 2, Service: 0},
+	mixed := []candidate{
+		{weight: 1, load: 1, service: 1000},
+		{weight: 1, load: 2, service: 0},
 	}
 	counts := pickCounts(t, p, mixed, 200)
 	if counts[0] == 0 || counts[1] != 0 {
 		t.Fatalf("mixed pair should fall back to load/weight (0 wins): %v", counts)
 	}
 	// Both measured: the slow shard loses despite equal load.
-	both := []Candidate{
-		{ID: 0, StaticWeight: 1, Load: 1, Service: 1000},
-		{ID: 1, StaticWeight: 1, Load: 1, Service: 10},
+	both := []candidate{
+		{weight: 1, load: 1, service: 1000},
+		{weight: 1, load: 1, service: 10},
 	}
 	counts = pickCounts(t, p, both, 200)
 	if counts[1] == 0 || counts[0] != 0 {
@@ -82,18 +70,116 @@ func TestWeightedP2CUsesServiceOnlyWhenBothReport(t *testing.T) {
 	}
 }
 
-func TestPlacerDeterministic(t *testing.T) {
-	cands := []Candidate{
-		{ID: 0, StaticWeight: 1, Load: 1},
-		{ID: 1, StaticWeight: 1, Load: 2},
-		{ID: 2, StaticWeight: 1, Load: 3},
-		{ID: 3, StaticWeight: 1, Load: 1},
+// TestPlacerIdleFleet pins what an idle fleet does. With adaptive weights
+// on, an idle measured pair has equal load terms, so the service estimate
+// decides every pick and the shard with the lower (possibly stale)
+// estimate takes all the traffic — the fleet-streams max_shard_share near
+// 1. With adaptive off the scores tie and the cursor spreads the picks.
+func TestPlacerIdleFleet(t *testing.T) {
+	idle := []candidate{
+		{weight: 1, load: 0, service: 700_000},
+		{weight: 1, load: 0, service: 690_000},
 	}
-	a, _ := NewPlacer(PlacementP2C, PlacerOptions{Seed: 42})
-	b, _ := NewPlacer(PlacementP2C, PlacerOptions{Seed: 42})
+	if counts := pickCounts(t, newPlacer(1, true), idle, 1000); counts[1] != 1000 {
+		t.Fatalf("adaptive: idle measured pair split %v, want every pick on the lower estimate", counts)
+	}
+	counts := pickCounts(t, newPlacer(1, false), idle, 1000)
+	for i, c := range counts {
+		if c < 400 {
+			t.Fatalf("adaptive off: idle pair split %v, shard %d below 40%%", counts, i)
+		}
+	}
+}
+
+func TestPlacerDeterministic(t *testing.T) {
+	cands := []candidate{
+		{weight: 1, load: 1},
+		{weight: 1, load: 2},
+		{weight: 1, load: 3},
+		{weight: 1, load: 1},
+	}
+	a, b := newPlacer(42, false), newPlacer(42, false)
 	for k := 0; k < 1000; k++ {
-		if ia, ib := a.Pick(cands), b.Pick(cands); ia != ib {
+		if ia, ib := a.pick(cands), b.pick(cands); ia != ib {
 			t.Fatalf("pick %d diverged under the same seed: %d vs %d", k, ia, ib)
+		}
+	}
+}
+
+// pickGolden is testdata/pick_golden.json: the pick indices recorded over
+// goldenCandidates when placement still had two named policies —
+// weighted-p2c with adaptive weights on (Adaptive) and off (Weighted), and
+// p2c on unit weights (Unit).
+type pickGolden struct {
+	Adaptive []int `json:"adaptive"`
+	Weighted []int `json:"weighted"`
+	Unit     []int `json:"unit"`
+}
+
+// goldenCandidates draws a seeded sequence of candidate slices: 2–5
+// shards, loads 0–9, weights from {0.5, 1, 2} (all 1 when unit), and a
+// service time that is unreported, one of three round values (so measured
+// pairs tie), or arbitrary.
+func goldenCandidates(unit bool) [][]candidate {
+	rng := rand.New(rand.NewSource(26))
+	weights := []float64{0.5, 1, 2}
+	seq := make([][]candidate, 1000)
+	for k := range seq {
+		cands := make([]candidate, 2+rng.Intn(4))
+		for i := range cands {
+			c := candidate{weight: weights[rng.Intn(len(weights))], load: int64(rng.Intn(10))}
+			switch rng.Intn(3) {
+			case 1:
+				c.service = int64(1+rng.Intn(3)) * 1e6
+			case 2:
+				c.service = 1 + rng.Int63n(1e7)
+			}
+			if unit {
+				c.weight = 1
+			}
+			cands[i] = c
+		}
+		seq[k] = cands
+	}
+	return seq
+}
+
+func goldenPicks(adaptive, unit bool) []int {
+	p := newPlacer(1, adaptive)
+	seq := goldenCandidates(unit)
+	picks := make([]int, len(seq))
+	for k, cands := range seq {
+		picks[k] = p.pick(cands)
+	}
+	return picks
+}
+
+// TestPlacerGoldenPicks replays the recorded pick sequences: same RNG
+// draws, same scores, same tie-break cursor, so the same shard every time.
+// Plain p2c is reproduced with adaptive weights off on unit weights.
+func TestPlacerGoldenPicks(t *testing.T) {
+	raw, err := os.ReadFile("testdata/pick_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want pickGolden
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name           string
+		adaptive, unit bool
+		want           []int
+	}{
+		{"adaptive", true, false, want.Adaptive},
+		{"weighted", false, false, want.Weighted},
+		{"unit", false, true, want.Unit},
+	} {
+		if len(c.want) != 1000 {
+			t.Fatalf("%s: recording holds %d picks, want 1000", c.name, len(c.want))
+		}
+		if got := goldenPicks(c.adaptive, c.unit); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: pick sequence diverged from the recording", c.name)
 		}
 	}
 }

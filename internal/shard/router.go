@@ -5,18 +5,17 @@
 //
 // # Placement
 //
-// Placement is power-of-two-choices behind a pluggable policy (the Placer
-// interface, selected by Config.Placement): two distinct routable shards
-// are sampled and the one with the lower score wins. A shard's load is
-// what the router has in flight to it plus the queue depth it last
-// reported on /healthz for the request's class (below). The default
-// weighted-p2c policy scores load per static capacity weight
-// (Config.Weights), optionally scaled by the rolling per-image service
-// time each worker exports (Config.AdaptiveWeights), so on heterogeneous
-// hardware the router equalises expected completion time rather than raw
-// queue depth; the p2c policy ignores every capacity signal, which is what
-// wins when those signals flap faster than the probe cadence. Equal scores
-// fall back to the round-robin cursor.
+// Placement is weighted power-of-two-choices, the router's one policy: two
+// distinct routable shards are sampled and the one with the lower score
+// wins. A shard's load is what the router has in flight to it plus the
+// queue depth it last reported on /healthz for the request's class
+// (below). The score is (load+1) per static capacity weight
+// (Config.Weights), multiplied by the rolling per-image service time each
+// worker exports when Config.AdaptiveWeights is on and both sampled shards
+// report one, so on heterogeneous hardware the router equalises expected
+// completion time rather than raw queue depth. With no weights and
+// AdaptiveWeights off the score is the load alone: plain
+// power-of-two-choices. Equal scores fall back to the round-robin cursor.
 //
 // Placement is service-class aware: workers report per-class queue depths
 // on /healthz and a request's load signal counts only the backlog its
@@ -44,8 +43,7 @@
 // breaker. RestartMax consecutive failed or short-lived restarts mark the
 // shard permanently down: it leaves placement for good but stays in /stats
 // so dashboards see fleet size. Attached (remote) workers have no process
-// to watch; Config.OnShardDown fires after an outage outlasts DownAfter and
-// ReplaceShard swaps in a replacement URL.
+// to watch: the breaker alone takes them out of placement and lets them back.
 //
 // # Stats
 //
@@ -98,13 +96,9 @@ type Config struct {
 	// service-time estimate (the service_ns it reports on /healthz), so a
 	// shard on slower hardware is offered proportionally less work even
 	// with equal static weights. Shards that have not reported an estimate
-	// yet are compared on load/weight alone.
+	// yet are compared on load/weight alone. With nil Weights and
+	// AdaptiveWeights off, placement is plain power-of-two-choices on load.
 	AdaptiveWeights bool
-	// Placement selects the placement policy: "p2c" or "weighted-p2c"
-	// (default) — see the Placement constants and Placer. The
-	// empty string means weighted-p2c, which with nil Weights and
-	// AdaptiveWeights off behaves exactly like plain p2c.
-	Placement string
 	// RestartMax bounds consecutive restart attempts for a spawned worker
 	// before its shard is marked permanently down. A run longer than
 	// 10×RestartBackoff resets the budget. 0 selects the default (5);
@@ -117,15 +111,6 @@ type Config struct {
 	RestartBackoff time.Duration
 	// RestartBackoffMax caps the exponential respawn backoff. Default 5s.
 	RestartBackoffMax time.Duration
-	// DownAfter is how long an attached shard's breaker must stay open
-	// before OnShardDown fires (once per outage). 0 disables the callback.
-	// Spawned shards are respawned instead and never trigger it.
-	DownAfter time.Duration
-	// OnShardDown is the replacement hook for attached workers: called (in
-	// its own goroutine) when an attached shard has been unreachable for
-	// DownAfter, so an operator or control plane can provision a
-	// replacement and install it with ReplaceShard.
-	OnShardDown func(id int, url string)
 	// Client overrides the HTTP client used for proxying and probing.
 	Client *http.Client
 	// Log is the router's one logger: router events (breaker transitions,
@@ -209,16 +194,14 @@ type shardState struct {
 	// /healthz (indexed by serve.Class).
 	classDepth [serve.NumClasses]atomic.Int64
 
-	mu           sync.Mutex
-	url          string      // base URL, no trailing slash; rewritten on respawn
-	proc         *workerProc // non-nil only for spawned workers; rewritten on respawn
-	open         bool        // circuit open: excluded from placement
-	down         bool        // permanently down: restart budget exhausted
-	consecFails  int
-	opens        uint64    // breaker open transitions
-	closes       uint64    // breaker close (re-admission) transitions
-	openSince    time.Time // when the current outage opened the breaker
-	downNotified bool      // OnShardDown already fired for this outage
+	mu          sync.Mutex
+	url         string      // base URL, no trailing slash; rewritten on respawn
+	proc        *workerProc // non-nil only for spawned workers; rewritten on respawn
+	open        bool        // circuit open: excluded from placement
+	down        bool        // permanently down: restart budget exhausted
+	consecFails int
+	opens       uint64 // breaker open transitions
+	closes      uint64 // breaker close (re-admission) transitions
 }
 
 // classLoad is the placement signal for a request of class c: router
@@ -246,21 +229,16 @@ func (s *shardState) currentProc() *workerProc {
 	return s.proc
 }
 
-// adopt installs a freshly respawned worker process and its new base URL.
-// Breaker state is left alone: the next successful health probe re-admits
-// the shard, so traffic only returns once the new process answers.
+// adopt installs a freshly respawned worker process and its new base URL,
+// and clears the probe-reported load signals the dead process left; the next
+// probe of the new process repopulates them. Breaker state is left alone:
+// the next successful health probe re-admits the shard, so traffic only
+// returns once the new process answers.
 func (s *shardState) adopt(p *workerProc, url string) {
 	s.mu.Lock()
 	s.proc = p
 	s.url = url
 	s.mu.Unlock()
-	s.resetLoadSignals()
-}
-
-// resetLoadSignals clears the probe-reported load state after the shard's
-// worker is swapped out (respawn or replacement); the next probe of the new
-// process repopulates it.
-func (s *shardState) resetLoadSignals() {
 	s.depth.Store(0)
 	s.service.Store(0)
 	for i := range s.classDepth {
@@ -297,7 +275,6 @@ func (s *shardState) recordFailure(threshold int) bool {
 	if !s.open && s.consecFails >= threshold {
 		s.open = true
 		s.opens++
-		s.openSince = time.Now()
 		return true
 	}
 	return false
@@ -309,28 +286,12 @@ func (s *shardState) recordSuccess() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.consecFails = 0
-	s.downNotified = false
 	if s.open {
 		s.open = false
 		s.closes++
 		return true
 	}
 	return false
-}
-
-// shouldNotifyDown reports (once per outage) that an attached shard's
-// breaker has been open longer than after.
-func (s *shardState) shouldNotifyDown(after time.Duration) bool {
-	if after <= 0 {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.proc != nil || !s.open || s.downNotified || time.Since(s.openSince) < after {
-		return false
-	}
-	s.downNotified = true
-	return true
 }
 
 func (s *shardState) breakerCounts() (opens, closes uint64) {
@@ -353,7 +314,7 @@ type Router struct {
 	binArgs []string
 	superWG sync.WaitGroup
 
-	placer Placer // placement policy (Config.Placement)
+	placer *placer
 
 	proxied   atomic.Uint64 // client requests proxied (any outcome)
 	failovers atomic.Uint64 // requests saved by the second attempt
@@ -374,9 +335,6 @@ func New(urls []string, cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("shard: router needs at least one worker URL")
 	}
 	if err := validateWeights(cfg.Weights, len(urls)); err != nil {
-		return nil, err
-	}
-	if _, err := NewPlacer(cfg.Placement, PlacerOptions{}); err != nil {
 		return nil, err
 	}
 	shards := make([]*shardState, len(urls))
@@ -402,17 +360,11 @@ func newRouter(shards []*shardState, cfg Config) *Router {
 			s.weight = cfg.Weights[i]
 		}
 	}
-	// Placement was validated by New/Spawn; an error here is internal
-	// misuse of newRouter, so fail loud.
-	placer, err := NewPlacer(cfg.Placement, PlacerOptions{Seed: cfg.Seed, AdaptiveWeights: cfg.AdaptiveWeights})
-	if err != nil {
-		panic(err)
-	}
 	r := &Router{
 		cfg:    cfg,
 		client: client,
 		shards: shards,
-		placer: placer,
+		placer: newPlacer(cfg.Seed, cfg.AdaptiveWeights),
 		trace:  obs.NewTraceSink(cfg.Log, "proxy", cfg.TraceDepth, cfg.TraceSample),
 		stop:   make(chan struct{}),
 		probed: make(chan struct{}),
@@ -443,38 +395,6 @@ func normalizeURL(u string) (string, error) {
 // Shards returns the number of worker shards (healthy or not).
 func (r *Router) Shards() int { return len(r.shards) }
 
-// ReplaceShard points shard id at a replacement worker URL — the manual
-// counterpart of the automatic respawn, for attached (remote) workers whose
-// replacement the router cannot provision itself. The shard's
-// permanently-down flag and failure streak are cleared; re-admission still
-// goes through the circuit breaker, so traffic returns only after the
-// replacement answers a probe. Spawned shards are supervised and refuse
-// replacement.
-func (r *Router) ReplaceShard(id int, newURL string) error {
-	if id < 0 || id >= len(r.shards) {
-		return fmt.Errorf("shard: no shard %d", id)
-	}
-	nu, err := normalizeURL(newURL)
-	if err != nil {
-		return fmt.Errorf("shard: replacement for shard %d: %w", id, err)
-	}
-	s := r.shards[id]
-	s.mu.Lock()
-	if s.proc != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("shard: shard %d is a spawned worker; the supervisor owns its lifecycle", id)
-	}
-	old := s.url
-	s.url = nu
-	s.down = false
-	s.consecFails = 0
-	s.downNotified = false
-	s.mu.Unlock()
-	s.resetLoadSignals()
-	r.cfg.Log.Logf("shard: shard %d replaced: %s -> %s", id, old, nu)
-	return nil
-}
-
 // WaitReady blocks until the first full health-probe round has completed
 // (whatever its outcomes — an unreachable fleet still "readies" so the
 // caller can start serving 502s rather than hang), or until ctx expires.
@@ -492,21 +412,14 @@ func (r *Router) WaitReady(ctx context.Context) error {
 // candidate snapshots one shard's placement signals for a request of class
 // c. The load term is the class-effective backlog (same-or-higher-priority
 // queue depth), so a shard drowning in budget work still looks cheap to a
-// guaranteed request; how the signals combine into a score is the Placer's
-// business.
-func (s *shardState) candidate(c serve.Class) Candidate {
-	return Candidate{
-		ID:           s.id,
-		StaticWeight: s.weight,
-		Load:         s.classLoad(c),
-		Service:      s.service.Load(),
-	}
+// guaranteed request.
+func (s *shardState) candidate(c serve.Class) candidate {
+	return candidate{weight: s.weight, load: s.classLoad(c), service: s.service.Load()}
 }
 
 // pick chooses a target shard for a request of class c, excluding `not`
 // (the shard a failed first attempt used). The routable set goes to the
-// configured Placer — power-of-two-choices under the selected scoring
-// policy. With every breaker open the router still picks among
+// placer. With every breaker open the router still picks among
 // non-permanently-down shards (whatever the placer makes of what is
 // left): a guess at a possibly-recovered shard beats a guaranteed error.
 // Returns nil only when every shard is permanently down.
@@ -535,11 +448,11 @@ func (r *Router) pick(not *shardState, c serve.Class) *shardState {
 	case 1:
 		return routable[0]
 	}
-	cands := make([]Candidate, len(routable))
+	cands := make([]candidate, len(routable))
 	for i, s := range routable {
 		cands[i] = s.candidate(c)
 	}
-	return routable[r.placer.Pick(cands)]
+	return routable[r.placer.pick(cands)]
 }
 
 // Mux returns the router's HTTP API: the same endpoints a single hybridnetd
@@ -800,11 +713,6 @@ func (r *Router) probe(s *shardState) {
 		return
 	}
 	r.noteFailure(s, err)
-	if r.cfg.OnShardDown != nil && s.shouldNotifyDown(r.cfg.DownAfter) {
-		r.cfg.Log.Logf("shard: attached shard %d (%s) unreachable for %v — invoking OnShardDown",
-			s.id, s.base(), r.cfg.DownAfter)
-		go r.cfg.OnShardDown(s.id, s.base())
-	}
 }
 
 // ShardStatus is one shard's entry in the /stats report.
@@ -942,7 +850,6 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	p.Counter("hybridnet_router_failovers_total", "Requests served by the second attempt after the first shard failed.", float64(rep.Failovers))
 	p.Counter("hybridnet_router_errors_total", "Requests that surfaced a transport error to the client.", float64(rep.Errors))
 	p.Gauge("hybridnet_router_shards", "Configured fleet size (healthy or not).", float64(len(rep.Shards)))
-	p.Info("hybridnet_router_placement", "Active placement policy (label `policy`).", obs.Label{Name: "policy", Value: r.placer.Name()})
 	p.Gauge("hybridnet_router_healthy_shards", "Shards currently routable (breaker closed, not permanently down).", float64(rep.HealthyShards))
 	for _, sh := range rep.Shards {
 		l := obs.Label{Name: "shard", Value: strconv.Itoa(sh.ID)}

@@ -553,63 +553,6 @@ func TestRouterAdaptivePlacement(t *testing.T) {
 	}
 }
 
-// TestRouterReplaceShard is the attached-worker half of self-healing: the
-// router cannot respawn a remote process, so after DownAfter it fires
-// OnShardDown, and ReplaceShard installs the replacement URL — which still
-// rejoins through the circuit breaker.
-func TestRouterReplaceShard(t *testing.T) {
-	a := startTestWorker(t)
-	b := startTestWorker(t)
-	replacement := startTestWorker(t)
-	notified := make(chan int, 1)
-	cfg := testConfig()
-	cfg.DownAfter = 50 * time.Millisecond
-	cfg.OnShardDown = func(id int, url string) {
-		select {
-		case notified <- id:
-		default:
-		}
-	}
-	router, front := newTestRouter(t, cfg, a, b)
-
-	client := &http.Client{Timeout: 5 * time.Second}
-	a.Stop()
-	waitFor(t, "OnShardDown for shard 0", func() bool {
-		select {
-		case id := <-notified:
-			return id == 0
-		default:
-			return false
-		}
-	})
-	// Traffic keeps flowing through the survivor meanwhile.
-	if err := classifyOK(client, front.URL); err != nil {
-		t.Fatal(err)
-	}
-	if err := router.ReplaceShard(0, replacement.addr); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "replacement re-admitted", func() bool {
-		rep := routerReport(t, front.URL)
-		return rep.Shards[0].Healthy && rep.Shards[0].URL == "http://"+replacement.addr
-	})
-	// Replacement shard serves: push traffic until it has handled some.
-	waitFor(t, "replacement serving", func() bool {
-		if err := classifyOK(client, front.URL); err != nil {
-			t.Fatal(err)
-		}
-		return replacement.classified.Load() > 0
-	})
-
-	// Guard rails: bad ids and URLs are refused.
-	if err := router.ReplaceShard(7, replacement.addr); err == nil {
-		t.Error("out-of-range shard id accepted")
-	}
-	if err := router.ReplaceShard(0, ""); err == nil {
-		t.Error("empty replacement URL accepted")
-	}
-}
-
 // TestRouterValidation covers constructor argument checks.
 func TestRouterValidation(t *testing.T) {
 	if _, err := New(nil, Config{}); err == nil {

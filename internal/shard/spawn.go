@@ -42,9 +42,6 @@ func Spawn(bin string, n int, extraArgs []string, cfg Config) (*Router, error) {
 	if err := validateWeights(cfg.Weights, n); err != nil {
 		return nil, err
 	}
-	if _, err := NewPlacer(cfg.Placement, PlacerOptions{}); err != nil {
-		return nil, err
-	}
 	shards := make([]*shardState, 0, n)
 	kill := func() {
 		for _, s := range shards {

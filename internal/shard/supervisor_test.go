@@ -148,10 +148,6 @@ func TestSupervisorExhaustionMarksPermanentlyDown(t *testing.T) {
 		t.Fatalf("healthz status %d body %+v, want 200 with 2 shards / 1 healthy / 1 down",
 			resp.StatusCode, health)
 	}
-	// Replacement is the supervisor's job for spawned shards.
-	if err := router.ReplaceShard(1, wB.addr); err == nil {
-		t.Error("ReplaceShard accepted a spawned, supervised shard")
-	}
 }
 
 // TestSupervisorDisabled: RestartMax < 0 restores the pre-supervisor

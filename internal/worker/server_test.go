@@ -186,28 +186,40 @@ func TestDecodeImageRefusesPNGBomb(t *testing.T) {
 	}
 }
 
-func TestClassifyBadRequests(t *testing.T) {
-	srv, _ := newTestServer(t)
-	// A well-formed PNG of the wrong size must be rejected at admission —
-	// inside a micro-batch it would otherwise fail its co-batched riders.
-	wrongSize, err := gtsrb.AngledStopSign(16, rand.New(rand.NewSource(3)))
+// pngBody is a /classify body carrying an angled stop sign of the given
+// size as image_png.
+func pngBody(tb testing.TB, size int) string {
+	tb.Helper()
+	img, err := gtsrb.AngledStopSign(size, rand.New(rand.NewSource(3)))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var png bytes.Buffer
-	if err := gtsrb.WritePNG(wrongSize, &png); err != nil {
-		t.Fatal(err)
+	if err := gtsrb.WritePNG(img, &png); err != nil {
+		tb.Fatal(err)
 	}
-	cases := []string{
+	return fmt.Sprintf(`{"image_png":%q}`, base64.StdEncoding.EncodeToString(png.Bytes()))
+}
+
+// badRequestBodies are /classify bodies a 32-pixel worker must refuse with
+// a 400. A well-formed PNG of the wrong size is among them: it must be
+// rejected at admission — inside a micro-batch it would otherwise fail its
+// co-batched riders.
+func badRequestBodies(tb testing.TB) []string {
+	return []string{
 		`not json`,
 		`{}`,
 		`{"sign":"no-such-sign"}`,
 		`{"sign":"stop","image_png":"AAAA"}`,
 		`{"image_png":"!!!"}`,
-		fmt.Sprintf(`{"image_png":%q}`, base64.StdEncoding.EncodeToString(png.Bytes())),
+		pngBody(tb, 16),
 		fmt.Sprintf(`{"image_png":%q}`, base64.StdEncoding.EncodeToString(pngBomb(20000, 20000))),
 	}
-	for _, body := range cases {
+}
+
+func TestClassifyBadRequests(t *testing.T) {
+	srv, _ := newTestServer(t)
+	for _, body := range badRequestBodies(t) {
 		resp, _, fail := postClassify(t, srv.URL, body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
