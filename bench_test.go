@@ -24,7 +24,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/gtsrb"
-	"repro/internal/infer"
 	"repro/internal/nn"
 	"repro/internal/reliable"
 	"repro/internal/serve"
@@ -451,54 +450,15 @@ func BenchmarkTrainerFit(b *testing.B) {
 	}
 }
 
-// Intra-GEMM parallelism — a single conv3- or fc6-shaped GEMM split across
-// gemm workers (tensor.SetGemmWorkers, the -gemm-workers axis of the
-// daemons). This is the latency lever: same work, fewer wall-clock
-// milliseconds per layer, results bit-identical. Scaling requires real
-// cores — at GOMAXPROCS=1 the splits serialize and the sweep should be
-// flat, which is exactly why the flag defaults to off.
-func BenchmarkGemmWorkers(b *testing.B) {
-	defer tensor.SetGemmWorkers(1)
-	rng := rand.New(rand.NewSource(37))
-	shapes := []struct {
-		name    string
-		m, k, n int
-	}{
-		// conv3 batched at n=8: 384 filters × (256·3·3) over 8×13×13 positions.
-		{"conv3_n8", 384, 2304, 1352},
-		// fc6 batched at n=8: 8 samples × 9216 inputs × 4096 outputs.
-		{"fc6_n8", 8, 9216, 4096},
-	}
-	for _, s := range shapes {
-		a := make([]float32, s.m*s.k)
-		bb := make([]float32, s.k*s.n)
-		for i := range a {
-			a[i] = rng.Float32()
-		}
-		for i := range bb {
-			bb[i] = rng.Float32()
-		}
-		dst := make([]float32, s.m*s.n)
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("shape=%s/gemm-workers=%d", s.name, workers), func(b *testing.B) {
-				tensor.SetGemmWorkers(workers)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tensor.Gemm(dst, a, bb, s.m, s.k, s.n)
-				}
-				flops := 2 * float64(s.m) * float64(s.k) * float64(s.n)
-				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
-		}
-	}
-}
+// Pooled CNN-only classification — the persistent BatchClassifier with
+// every image on PipelineCNN (no reliable stage, no qualifier), on an
+// AlexNet-shaped micro network. One benchmark iteration classifies the
+// whole batch; each worker runs its share as one NCHW micro-batch, so
+// throughput in samples/op scales with workers until the GEMM memory
+// bandwidth saturates. The pool is the only parallelism: every GEMM runs
+// on the worker that issued it.
 
-// BatchEngine throughput — shared-weight inference over a worker pool, on
-// an AlexNet-shaped micro network. One benchmark iteration classifies the
-// whole batch; throughput in samples/op scales with workers until the GEMM
-// memory bandwidth saturates.
-
-func BenchmarkBatchEngine_Throughput(b *testing.B) {
+func BenchmarkBatchClassifier_CNNOnly(b *testing.B) {
 	rng := rand.New(rand.NewSource(21))
 	net, err := nn.NewMicroAlexNet(nn.MicroConfig{
 		InputSize: 32, Conv1Filters: 16, Conv1Kernel: 5,
@@ -507,22 +467,31 @@ func BenchmarkBatchEngine_Throughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	h, err := core.NewHybridNetwork(core.Config{
+		Wiring: core.WiringParallel, Mode: core.ModeTemporalDMR,
+		SafetyClasses: map[int]shape.Class{gtsrb.StopClass: shape.ClassOctagon},
+	}, net)
+	if err != nil {
+		b.Fatal(err)
+	}
 	const batch = 64
 	xs := make([]*tensor.Tensor, batch)
+	pipes := make([]core.Pipeline, batch)
 	for i := range xs {
 		x := tensor.MustNew(3, 32, 32)
 		x.FillUniform(rng, 0, 1)
 		xs[i] = x
+		pipes[i] = core.PipelineCNN
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e, err := infer.New(net, infer.Config{Workers: workers})
+			c, err := h.NewBatchClassifier(workers)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.PredictBatched(xs); err != nil {
+				if _, _, err := c.ClassifyBatchPipelined(xs, pipes); err != nil {
 					b.Fatal(err)
 				}
 			}

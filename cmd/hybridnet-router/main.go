@@ -86,7 +86,6 @@ func run(args []string) error {
 	adaptive := fs.Bool("adaptive-weights", true, "scale placement by each worker's reported per-image service time")
 	restartMax := fs.Int("restart-max", 5, "consecutive respawn attempts before a dead worker is permanently down (0 = default, negative disables respawn)")
 	restartBackoff := fs.Duration("restart-backoff", 250*time.Millisecond, "initial respawn backoff (doubles per consecutive attempt)")
-	gemmWorkers := fs.Int("gemm-workers", 1, "per-worker intra-GEMM parallelism, appended to spawned workers' args (spawn mode; 1 = off)")
 	debugAddr := fs.String("debug-addr", "", "optional second listen address exposing net/http/pprof (empty = off)")
 	traceSample := fs.Float64("trace-sample", 0, "fraction of proxied requests logged with their span breakdown (0 = off, 1 = all)")
 	traceDepth := fs.Int("trace-depth", obs.DefaultRecorderDepth, "flight recorder depth: K slowest + K most recent traces kept for /debug/requests")
@@ -131,11 +130,7 @@ func run(args []string) error {
 	case *attach != "":
 		router, err = shard.New(splitList(*attach), cfg)
 	case *workerBin != "":
-		wargs := strings.Fields(*workerArgs)
-		if *gemmWorkers != 1 {
-			wargs = append(wargs, "-gemm-workers", strconv.Itoa(*gemmWorkers))
-		}
-		router, err = shard.Spawn(*workerBin, *shards, wargs, cfg)
+		router, err = shard.Spawn(*workerBin, *shards, strings.Fields(*workerArgs), cfg)
 	default:
 		return fmt.Errorf("need -worker-bin (spawn workers) or -attach (use running workers)")
 	}

@@ -72,7 +72,6 @@ func run(args []string) error {
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request deadline")
 	size := fs.Int("size", 32, "input size for -demo and server-side rendering")
 	seed := fs.Int64("seed", 1, "random seed")
-	gemmWorkers := fs.Int("gemm-workers", 1, "goroutines per GEMM call (intra-GEMM row parallelism; 1 = off)")
 	debugAddr := fs.String("debug-addr", "", "optional second listen address exposing net/http/pprof (empty = off)")
 	traceSample := fs.Float64("trace-sample", 0, "fraction of traced requests logged with their span breakdown (0 = off, 1 = all)")
 	traceDepth := fs.Int("trace-depth", obs.DefaultRecorderDepth, "flight recorder depth: K slowest + K most recent traces kept for /debug/requests")
@@ -80,7 +79,6 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tensor.SetGemmWorkers(*gemmWorkers)
 	level, err := logx.ParseLevel(*logLevel)
 	if err != nil {
 		return err
@@ -128,7 +126,7 @@ func run(args []string) error {
 			logger.Info("listening",
 				"addr", bound, "workers", bc.Workers(), "subbatch", bc.SubBatch(),
 				"max_batch", *maxBatch, "max_delay", *maxDelay, "queue", *queueSize,
-				"gemm", tensor.GemmKernel(), "gemm_workers", tensor.GemmWorkers())
+				"gemm", tensor.GemmKernel())
 			// Worker mode: report the bound address on stdout so a supervisor
 			// (hybridnet-router) that started us with -addr 127.0.0.1:0 can
 			// learn the kernel-assigned port. Logs go to stderr, so this is

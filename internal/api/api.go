@@ -76,7 +76,6 @@ type Health struct {
 type Build struct {
 	CPUFeatures string `json:"cpu_features"`
 	GemmKernel  string `json:"gemm_kernel"`
-	GemmWorkers int    `json:"gemm_workers"`
 	GoArch      string `json:"go_arch"`
 	GOMAXPROCS  int    `json:"gomaxprocs"`
 	NumCPU      int    `json:"num_cpu"`

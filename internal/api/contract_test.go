@@ -125,6 +125,23 @@ func TestWireContractRoundTrip(t *testing.T) {
 		len(health.ClassQueueDepths) != serve.NumClasses || health.ServiceNS <= 0 {
 		t.Errorf("incomplete worker health: %+v", health)
 	}
+	// The build block names the compute substrate and nothing else: the
+	// GEMM kernel and the host, no parallelism knob.
+	raw, err := json.Marshal(health.Build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var build map[string]any
+	if err := json.Unmarshal(raw, &build); err != nil {
+		t.Fatal(err)
+	}
+	buildKeys := map[string]bool{}
+	for k := range build {
+		buildKeys[k] = true
+	}
+	if got, want := strings.Join(sorted(buildKeys), " "), "cpu_features gemm_kernel go_arch gomaxprocs num_cpu"; got != want {
+		t.Errorf("/healthz build keys %q, want %q", got, want)
+	}
 
 	router, err := shard.New([]string{good}, shard.Config{
 		HealthInterval: 20 * time.Millisecond,

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gtsrb"
-	"repro/internal/infer"
 	"repro/internal/nn"
 	"repro/internal/onnxlite"
 	"repro/internal/shape"
@@ -74,9 +73,9 @@ func LoadHybrid(path string, seed int64) (*core.HybridNetwork, *nn.Sequential, e
 // cores) and subBatch the per-worker NCHW micro-batch cap for the batched
 // CNN stage (0 = batch/workers); negative values are refused. Shared by the
 // serving binaries so the -workers/-subbatch flag semantics cannot drift
-// from the engine config.
+// from the classifier's.
 func NewBatchClassifier(h *core.HybridNetwork, workers, subBatch int) (*core.BatchClassifier, error) {
-	return h.NewBatchClassifierConfig(infer.Config{Workers: workers, SubBatch: subBatch})
+	return core.NewBatchClassifier(h, workers, subBatch)
 }
 
 // DemoHybrid builds an untrained micro network with the Sobel pair

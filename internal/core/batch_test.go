@@ -3,11 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/gtsrb"
-	"repro/internal/infer"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -97,48 +97,13 @@ func TestClassifyBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchClassifierReuse: one persistent pool serves many batches —
-// including overlapping batches from concurrent goroutines, which serialize
-// through the engine's exclusive entry point — and every result matches the
-// fresh-engine Classify path. Run with -race this is the serving-layer gate.
+// TestBatchClassifierReuse: one persistent pool serves many batches in
+// turn — growing, shrinking and repeating, so every worker's warmed context
+// and engine are reused by later batches — and every result is bit for bit
+// the fresh-engine Classify of its image.
 func TestBatchClassifierReuse(t *testing.T) {
-	net := trainedMicroNet(t)
-	conv1, err := nn.FirstConv(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair, err := InstallSobelPair(conv1, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHybridNetwork(Config{
-		Wiring: WiringBifurcated, Mode: ModeTemporalDMR,
-		Pair: pair, SafetyClasses: defaultSafety(),
-	}, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	gcfg, err := gtsrb.Config{Size: 32}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	imgs := make([]*tensor.Tensor, 6)
-	want := make([]Result, len(imgs))
-	for i := range imgs {
-		spec := gtsrb.StandardClasses()[i%len(gtsrb.StandardClasses())]
-		img, err := gtsrb.Render(gtsrb.RandomParams(gcfg, spec, rng), rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		imgs[i] = img
-		res, err := h.Classify(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res
-	}
-
+	h, imgs := bifurcatedHybrid(t, 9, 17)
+	want := serialResults(t, h, imgs)
 	c, err := h.NewBatchClassifier(2)
 	if err != nil {
 		t.Fatal(err)
@@ -146,36 +111,62 @@ func TestBatchClassifierReuse(t *testing.T) {
 	if c.Workers() != 2 {
 		t.Fatalf("workers = %d", c.Workers())
 	}
-	const rounds = 4
-	var wg sync.WaitGroup
-	wg.Add(rounds)
-	errs := make(chan error, rounds)
-	for r := 0; r < rounds; r++ {
-		go func() {
-			defer wg.Done()
-			got, err := c.ClassifyBatch(imgs)
-			if err != nil {
-				errs <- err
-				return
+	for round, n := range []int{9, 3, 9, 1, 5, 9} {
+		got, err := c.ClassifyBatch(imgs[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if !sameResult(got[i], want[i]) {
+				t.Fatalf("round %d (n=%d) img %d: (%d,%v,%+v,%+v) != Classify (%d,%v,%+v,%+v)", round, n, i,
+					got[i].Class, got[i].Decision, got[i].Stats, got[i].Bucket,
+					want[i].Class, want[i].Decision, want[i].Stats, want[i].Bucket)
 			}
-			for i := range got {
-				if got[i].Class != want[i].Class || got[i].Decision != want[i].Decision ||
-					got[i].Stats != want[i].Stats {
-					errs <- fmt.Errorf("img %d: (%d,%v,%+v) != serial (%d,%v,%+v)",
-						i, got[i].Class, got[i].Decision, got[i].Stats,
-						want[i].Class, want[i].Decision, want[i].Stats)
+		}
+	}
+}
+
+// TestBatchClassifierOneBatchAtATime: several goroutines classify different
+// batches on ONE classifier at once; the calls queue on its lock, and every
+// result is bit for bit the fresh-engine Classify of its image — a chunk of
+// one batch running on a worker while another batch holds it would corrupt
+// that worker's context or engine. Run with -race this is the serving-layer
+// gate: per-worker state is handed from batch to batch soundly.
+func TestBatchClassifierOneBatchAtATime(t *testing.T) {
+	h, imgs := bifurcatedHybrid(t, 9, 17)
+	want := serialResults(t, h, imgs)
+	c, err := NewBatchClassifier(h, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 6
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				got, err := c.ClassifyBatch(imgs[lo:hi])
+				if err != nil {
+					errs <- err
 					return
 				}
+				for j := range got {
+					if !sameResult(got[j], want[lo+j]) {
+						errs <- fmt.Errorf("batch [%d,%d) round %d img %d: (%d,%v,%+v,%+v) != Classify (%d,%v,%+v,%+v)",
+							lo, hi, round, lo+j, got[j].Class, got[j].Decision, got[j].Stats, got[j].Bucket,
+							want[lo+j].Class, want[lo+j].Decision, want[lo+j].Stats, want[lo+j].Bucket)
+						return
+					}
+				}
 			}
-			errs <- nil
-		}()
+		}(i, i+1+i%4)
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
+		t.Error(err)
 	}
 }
 
@@ -231,18 +222,18 @@ func TestClassifyBatchSubBatchEquivalence(t *testing.T) {
 			}
 			want[i] = res
 		}
-		for _, ccfg := range []infer.Config{
-			{Workers: 1},              // whole batch in one sub-batch
-			{Workers: 3},              // default ceil(11/3)=4 → ragged tail of 3
-			{Workers: 2, SubBatch: 1}, // batches of one
-			{Workers: 2, SubBatch: 4}, // explicit cap, ragged
+		for _, ccfg := range []struct{ workers, subBatch int }{
+			{1, 0}, // whole batch in one sub-batch
+			{3, 0}, // default ceil(11/3)=4 → ragged tail of 3
+			{2, 1}, // batches of one
+			{2, 4}, // explicit cap, ragged
 		} {
-			c, err := h.NewBatchClassifierConfig(ccfg)
+			c, err := NewBatchClassifier(h, ccfg.workers, ccfg.subBatch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ccfg.SubBatch != 0 && c.SubBatch() != ccfg.SubBatch {
-				t.Fatalf("sub-batch = %d, want %d", c.SubBatch(), ccfg.SubBatch)
+			if c.SubBatch() != ccfg.subBatch {
+				t.Fatalf("sub-batch = %d, want %d", c.SubBatch(), ccfg.subBatch)
 			}
 			got, err := c.ClassifyBatch(imgs)
 			if err != nil {
@@ -291,5 +282,169 @@ func TestClassifyBatchEmpty(t *testing.T) {
 	}
 	if len(res) != 0 {
 		t.Errorf("empty batch returned %d results", len(res))
+	}
+}
+
+// sameResult reports whether two results agree in every field a caller can
+// read, probabilities bit for bit.
+func sameResult(a, b Result) bool {
+	return a.Class == b.Class && a.Confidence == b.Confidence && equalProbs(a.Probs, b.Probs) &&
+		a.Decision == b.Decision && a.Qualifier.Class == b.Qualifier.Class &&
+		a.Stats == b.Stats && a.Bucket == b.Bucket && (a.ExecErr == nil) == (b.ExecErr == nil)
+}
+
+// bifurcatedHybrid wraps the shared trained net in the bifurcated wiring and
+// renders n 32 px images of every standard class in turn.
+func bifurcatedHybrid(t *testing.T, n int, seed int64) (*HybridNetwork, []*tensor.Tensor) {
+	t.Helper()
+	net := trainedMicroNet(t)
+	conv1, err := nn.FirstConv(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := InstallSobelPair(conv1, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHybridNetwork(Config{
+		Wiring: WiringBifurcated, Mode: ModeTemporalDMR,
+		Pair: pair, SafetyClasses: defaultSafety(),
+	}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	gcfg, err := gtsrb.Config{Size: 32}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs := make([]*tensor.Tensor, n)
+	for i := range imgs {
+		spec := gtsrb.StandardClasses()[i%len(gtsrb.StandardClasses())]
+		if imgs[i], err = gtsrb.Render(gtsrb.RandomParams(gcfg, spec, rng), rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return h, imgs
+}
+
+// serialResults classifies each image alone with h.Classify, the
+// fresh-engine oracle every pooled result must equal.
+func serialResults(t *testing.T, h *HybridNetwork, imgs []*tensor.Tensor) []Result {
+	t.Helper()
+	want := make([]Result, len(imgs))
+	for i, img := range imgs {
+		res, err := h.Classify(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	return want
+}
+
+// TestBatchClassifierCoversEveryIndex: the sub-batch split covers every
+// image with one result, in input order, for default and explicit
+// sub-batch sizes — ragged tails, batches of one, a cap larger than the
+// batch, more workers than images. An empty batch is a no-op and a
+// negative sub-batch size is refused.
+func TestBatchClassifierCoversEveryIndex(t *testing.T) {
+	h, imgs := bifurcatedHybrid(t, 17, 29)
+	want := serialResults(t, h, imgs)
+	for _, tc := range []struct{ workers, subBatch, n int }{
+		{4, 0, 17}, // default: ceil(17/4) = 5 → chunks 5,5,5,2
+		{4, 0, 4},
+		{4, 0, 1},
+		{3, 2, 11}, // explicit cap, ragged tail
+		{2, 1, 5},  // batches of one
+		{8, 16, 3}, // cap larger than batch, more workers than images
+	} {
+		c, err := NewBatchClassifier(h, tc.workers, tc.subBatch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.ClassifyBatch(imgs[:tc.n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != tc.n {
+			t.Fatalf("%+v: %d results for %d images", tc, len(got), tc.n)
+		}
+		for i := range got {
+			if !sameResult(got[i], want[i]) {
+				t.Fatalf("%+v img %d: (%d,%v,%+v,%+v) != Classify (%d,%v,%+v,%+v)", tc, i,
+					got[i].Class, got[i].Decision, got[i].Stats, got[i].Bucket,
+					want[i].Class, want[i].Decision, want[i].Stats, want[i].Bucket)
+			}
+		}
+	}
+	c, err := NewBatchClassifier(h, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.ClassifyBatch(nil); err != nil || len(got) != 0 {
+		t.Fatalf("empty batch: %d results, err %v", len(got), err)
+	}
+	if _, err := NewBatchClassifier(h, 2, -1); err == nil {
+		t.Error("negative sub-batch should fail")
+	}
+}
+
+// TestBatchClassifierDefaultWorkers: workers 0 sizes the pool to
+// GOMAXPROCS, through both constructors, and that pool classifies.
+func TestBatchClassifierDefaultWorkers(t *testing.T) {
+	h, imgs := bifurcatedHybrid(t, 6, 31)
+	want := serialResults(t, h, imgs)
+	c, err := NewBatchClassifier(h, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Workers() != runtime.GOMAXPROCS(0) {
+		t.Fatalf("default workers = %d, want GOMAXPROCS %d", c.Workers(), runtime.GOMAXPROCS(0))
+	}
+	if d, err := h.NewBatchClassifier(0); err != nil || d.Workers() != c.Workers() || d.SubBatch() != 0 {
+		t.Fatalf("h.NewBatchClassifier(0): %v, err %v", d, err)
+	}
+	got, err := c.ClassifyBatch(imgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if !sameResult(got[i], want[i]) {
+			t.Fatalf("img %d: class %d != Classify %d", i, got[i].Class, want[i].Class)
+		}
+	}
+}
+
+// TestBatchClassifierErrorFailsBatch: an image that cannot be classified
+// fails the whole batch, whichever worker's chunk holds it, the classifier
+// stays usable afterwards, and a negative worker count is refused.
+func TestBatchClassifierErrorFailsBatch(t *testing.T) {
+	h, imgs := bifurcatedHybrid(t, 6, 37)
+	want := serialResults(t, h, imgs)
+	c, err := NewBatchClassifier(h, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Workers() != 4 {
+		t.Fatalf("workers = %d", c.Workers())
+	}
+	for at := 0; at <= len(imgs); at += 3 {
+		bad := append(append(append([]*tensor.Tensor{}, imgs[:at]...), tensor.MustNew(3, 5, 5)), imgs[at:]...)
+		if _, err := c.ClassifyBatch(bad); err == nil {
+			t.Errorf("batch with an unclassifiable image at %d should fail", at)
+		}
+	}
+	got, err := c.ClassifyBatch(imgs)
+	if err != nil {
+		t.Fatalf("classifier unusable after a failed batch: %v", err)
+	}
+	for i := range got {
+		if !sameResult(got[i], want[i]) {
+			t.Fatalf("after a failed batch, img %d: class %d != Classify %d", i, got[i].Class, want[i].Class)
+		}
+	}
+	if _, err := NewBatchClassifier(h, -2, 0); err == nil {
+		t.Error("negative workers should fail")
 	}
 }

@@ -277,19 +277,6 @@ func (h *HybridNetwork) Qualifier() *shape.Qualifier { return h.qualifier }
 // Config returns the (normalised) configuration.
 func (h *HybridNetwork) Config() Config { return h.cfg }
 
-// newEngine builds a fresh reliable engine (ops + bucket) for one inference.
-func (h *HybridNetwork) newEngine() (*reliable.Engine, error) {
-	ops, err := h.cfg.Mode.NewOps(h.cfg.ALUs)
-	if err != nil {
-		return nil, err
-	}
-	bucket, err := reliable.NewLeakyBucket(h.cfg.BucketFactor, h.cfg.BucketCeiling)
-	if err != nil {
-		return nil, err
-	}
-	return reliable.NewEngine(ops, bucket)
-}
-
 // Classify runs the hybrid pipeline on a full-resolution CHW image with a
 // fresh context and reliable engine: a chunk of one through the same
 // pipelined path every batch takes. It is safe to call concurrently on a
@@ -297,12 +284,12 @@ func (h *HybridNetwork) newEngine() (*reliable.Engine, error) {
 // (NewBatchClassifier), whose workers each keep one context and engine
 // across every image they serve.
 func (h *HybridNetwork) Classify(img *tensor.Tensor) (Result, error) {
-	engine, err := h.newEngine()
+	w, err := h.newWorker()
 	if err != nil {
 		return Result{}, err
 	}
 	results := make([]Result, 1)
-	if err := h.classifyChunkPipelined(nn.NewContext(), engine, []*tensor.Tensor{img}, nil, results, &StageTimes{}); err != nil {
+	if err := h.classifyChunkPipelined(w, []*tensor.Tensor{img}, nil, results, &StageTimes{}); err != nil {
 		return Result{}, err
 	}
 	return results[0], nil
@@ -332,7 +319,7 @@ func (h *HybridNetwork) Classify(img *tensor.Tensor) (Result, error) {
 // The chunk's per-stage wall time is accumulated into st (reliable stage,
 // qualifier, batched CNN) — one goroutine owns a chunk end to end, so plain
 // additions suffice.
-func (h *HybridNetwork) classifyChunkPipelined(ctx *nn.Context, engine *reliable.Engine, imgs []*tensor.Tensor, pipes []Pipeline, results []Result, st *StageTimes) error {
+func (h *HybridNetwork) classifyChunkPipelined(w worker, imgs []*tensor.Tensor, pipes []Pipeline, results []Result, st *StageTimes) error {
 	// Stage 1: reliable execution + qualifier, per sample — full-pipeline
 	// images only.
 	cnnIns := make([]*tensor.Tensor, 0, len(imgs))
@@ -344,11 +331,11 @@ func (h *HybridNetwork) classifyChunkPipelined(ctx *nn.Context, engine *reliable
 			fastImgs, fastIdxs = append(fastImgs, img), append(fastIdxs, i)
 			continue
 		}
-		engine.Bucket().Reset()
-		before := engine.Stats()
+		w.engine.Bucket().Reset()
+		before := w.engine.Stats()
 		qBefore := st.Qualifier
 		stageStart := time.Now()
-		cnnIn, err := h.reliableStage(engine, img, &results[i], st)
+		cnnIn, err := h.reliableStage(w.engine, img, &results[i], st)
 		// The qualifier ran inside reliableStage and booked its own time;
 		// the reliable span is the remainder.
 		st.Reliable += time.Since(stageStart) - (st.Qualifier - qBefore)
@@ -368,9 +355,9 @@ func (h *HybridNetwork) classifyChunkPipelined(ctx *nn.Context, engine *reliable
 	// as the reliably computed feature maps; the prefix is CNN work and is
 	// booked as such.
 	cnnStart := time.Now()
-	fast, err := h.fastEntries(ctx, fastImgs)
+	fast, err := h.fastEntries(w.ctx, fastImgs)
 	if err == nil {
-		err = h.cnnStage(ctx, append(cnnIns, fast...), append(idxs, fastIdxs...), results)
+		err = h.cnnStage(w.ctx, append(cnnIns, fast...), append(idxs, fastIdxs...), results)
 	}
 	st.CNN += time.Since(cnnStart)
 	return err

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/gtsrb"
-	"repro/internal/infer"
 	"repro/internal/nn"
 	"repro/internal/reliable"
 	"repro/internal/tensor"
@@ -262,8 +261,8 @@ func TestClassifyBatchRaggedShapes(t *testing.T) {
 			}
 		}
 
-		for _, ccfg := range []infer.Config{{Workers: 1}, {Workers: 2}, {Workers: 2, SubBatch: 3}, {Workers: 3, SubBatch: 1}} {
-			c, err := h.NewBatchClassifierConfig(ccfg)
+		for _, ccfg := range []struct{ workers, subBatch int }{{1, 0}, {2, 0}, {2, 3}, {3, 1}} {
+			c, err := NewBatchClassifier(h, ccfg.workers, ccfg.subBatch)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,8 +15,8 @@ import (
 // accumulators. Layers
 // themselves hold only immutable parameters, so any number of goroutines may
 // run the SAME network concurrently as long as each uses its own Context —
-// this is the contract the batched execution layer (internal/infer) and the
-// data-parallel trainer (internal/train) build on.
+// this is the contract the pooled classifier (internal/core), pooled
+// evaluation and the data-parallel trainer (internal/train) build on.
 //
 // A Context is NOT safe for concurrent use; it is the unit of concurrency
 // (one per goroutine/worker). The zero value is ready to use (NewContext is

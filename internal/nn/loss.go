@@ -57,9 +57,9 @@ func CrossEntropyLossBatch(logits *tensor.Tensor, labels []int) (loss float64, g
 
 // SoftmaxArgmax returns the softmax distribution over a flat logits tensor
 // and its argmax class (ties resolve to the lowest index). It is THE
-// logits-to-verdict tail shared by every prediction path — PredictCtx,
-// infer.PredictBatched rows and core's result finishing — so a row's
-// verdict cannot depend on which entry point produced its logits.
+// logits-to-verdict tail shared by every prediction path — train's pooled
+// evaluation and core's result finishing — so a row's verdict cannot
+// depend on which entry point produced its logits.
 func SoftmaxArgmax(logits *tensor.Tensor) (probs []float32, class int, err error) {
 	probs, err = Softmax(logits)
 	if err != nil {
@@ -71,23 +71,4 @@ func SoftmaxArgmax(logits *tensor.Tensor) (probs []float32, class int, err error
 		}
 	}
 	return probs, class, nil
-}
-
-// Predict runs one sample through a fresh inference context and returns the
-// class probabilities and the argmax class. For repeated or concurrent
-// prediction, allocate a Context per goroutine and use PredictCtx so
-// scratch buffers are reused.
-func Predict(net *Sequential, x *tensor.Tensor) (probs []float32, class int, err error) {
-	return PredictCtx(NewContext(), net, x)
-}
-
-// PredictCtx runs one sample through ctx (Sequential.Forward, the N=1 view
-// of the batched path) and returns the class probabilities and the argmax
-// class.
-func PredictCtx(ctx *Context, net *Sequential, x *tensor.Tensor) (probs []float32, class int, err error) {
-	logits, err := net.Forward(ctx, x)
-	if err != nil {
-		return nil, 0, fmt.Errorf("nn: predict forward: %w", err)
-	}
-	return SoftmaxArgmax(logits)
 }

@@ -686,33 +686,6 @@ func TestSequentialValidation(t *testing.T) {
 	}
 }
 
-func TestPredict(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	net, err := NewMicroAlexNet(MicroConfig{
-		InputSize: 16, Conv1Filters: 4, Conv1Kernel: 3, Conv2Filters: 4,
-		Hidden: 8, Classes: 4, UseLRN: false,
-	}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.MustNew(3, 16, 16)
-	x.FillUniform(rng, 0, 1)
-	probs, class, err := Predict(net, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(probs) != 4 || class < 0 || class >= 4 {
-		t.Fatalf("probs %v class %d", probs, class)
-	}
-	var sum float64
-	for _, p := range probs {
-		sum += float64(p)
-	}
-	if math.Abs(sum-1) > 1e-5 {
-		t.Errorf("probabilities sum to %v", sum)
-	}
-}
-
 func TestMicroConfigValidate(t *testing.T) {
 	if _, err := (MicroConfig{InputSize: 4, Conv1Filters: 1, Conv1Kernel: 3, Conv2Filters: 1, Hidden: 1, Classes: 2}).Validate(); err == nil {
 		t.Error("tiny input should fail")

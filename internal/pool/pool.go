@@ -1,7 +1,7 @@
-// Package pool is the leaf work-stealing primitive shared by the batched
-// execution layer (internal/infer) and the fault-injection campaigns
-// (internal/fault). It is dependency-free so both can use it without
-// import cycles (infer → reliable → fault).
+// Package pool is the leaf work-stealing primitive shared by the pooled
+// hybrid classifier (internal/core), pooled evaluation (internal/train) and
+// the fault-injection campaigns (internal/fault). It is dependency-free so
+// all of them can use it without import cycles (core → reliable → fault).
 package pool
 
 import (

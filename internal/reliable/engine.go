@@ -53,10 +53,9 @@ func (s *Stats) Sub(other Stats) {
 // have left them.
 //
 // Engine is not safe for concurrent use. The system-wide idiom is
-// per-worker engines: the execution layer (internal/infer) builds one
-// engine per pool worker via its EngineFactory and aggregates their Stats,
-// and internal/core resets the leaky bucket between inferences so each
-// classification keeps the per-execution error-counter semantics.
+// per-worker engines: the pooled classifier (internal/core) builds one
+// engine per pool worker and resets its leaky bucket between inferences so
+// each classification keeps the per-execution error-counter semantics.
 type Engine struct {
 	ops    Ops
 	bucket *LeakyBucket

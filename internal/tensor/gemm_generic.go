@@ -5,12 +5,11 @@ package tensor
 // Fallback build (non-amd64 architectures, or `-tags noasm`): the SIMD
 // microkernel path is compiled out, gemmAsmActive stays false, and every
 // GEMM runs the pure-Go blocked kernels in matmul.go — bit-identical to the
-// pre-SIMD implementation. Intra-GEMM row parallelism (SetGemmWorkers)
-// still applies; it splits the same scalar kernels across row blocks.
+// pre-SIMD implementation.
 
 // gemmAsmRows is never reached when gemmAsmActive is false; the stub keeps
 // the dispatch sites in matmul.go compiling on every platform.
-func gemmAsmRows(dst, a, b []float32, i0, i1, k, n int, lda, ldb int, aT, bT bool) {
+func gemmAsmRows(dst, a, b []float32, m, k, n int, aT, bT bool) {
 	panic("tensor: SIMD gemm kernel called in a noasm build")
 }
 

@@ -22,18 +22,20 @@ import "sync"
 // All four operand layouts (Gemm, GemmTA, GemmTB, and Linear's x·wᵀ) share
 // this nest; they differ only in how the A and B slivers are packed.
 
-// gemmBlockMC rows of packed A per inner block: 192×128 float32 = 96 KiB,
-// sized to survive in L2 next to the 512 KiB B panel. (gemmMR/gemmNR, the
-// microkernel's register tile, are defined next to the dispatch logic in
-// matmul.go because the row splitter aligns chunks to gemmMR on every
-// build.)
-const gemmBlockMC = 192
+const (
+	// gemmBlockMC rows of packed A per inner block: 192×128 float32 =
+	// 96 KiB, sized to survive in L2 next to the 512 KiB B panel.
+	gemmBlockMC = 192
+	// gemmMR × gemmNR is the microkernel's register tile: 6 rows × 16
+	// columns = 12 YMM accumulators, the classic AVX2 sgemm shape.
+	gemmMR = 6
+	gemmNR = 16
+)
 
-// gemmPackBuf holds one worker's packing scratch: an A block of up to
+// gemmPackBuf holds one call's packing scratch: an A block of up to
 // gemmBlockMC (+ sliver padding) rows × gemmBlockK, and a B panel of up to
 // gemmBlockK × gemmBlockN (+ sliver padding). Recycled through a sync.Pool
-// so concurrent Gemm calls (scheduler workers × intra-GEMM row workers)
-// never share a buffer.
+// so concurrent Gemm calls (one per pool worker) never share a buffer.
 type gemmPackBuf struct {
 	a []float32
 	b []float32
@@ -59,14 +61,19 @@ var gemmMasks = func() (m [gemmNR + 1][gemmNR]int32) {
 	return
 }()
 
-// gemmAsmRows updates rows [i0, i1) of dst (m×n, row-major, stride n):
-// dst[r] += A[r]·B. A is a (m×k) row-major with stride lda when !aT, or
-// (k×m) with stride lda when aT (the GemmTA layout). B is (k×n) with
-// stride ldb when !bT, or (n×k) with stride ldb when bT (the GemmTB /
-// Linear weight layout). Row ranges from different goroutines may be
-// processed concurrently: each call packs into its own pooled scratch and
-// writes only its own dst rows.
-func gemmAsmRows(dst, a, b []float32, i0, i1, k, n int, lda, ldb int, aT, bT bool) {
+// gemmAsmRows updates every row of dst (m×n, row-major, stride n):
+// dst[r] += A[r]·B. A is (m×k) row-major when !aT, or (k×m) when aT (the
+// GemmTA layout). B is (k×n) when !bT, or (n×k) when bT (the GemmTB
+// layout). Concurrent calls are safe: each packs into its own pooled
+// scratch.
+func gemmAsmRows(dst, a, b []float32, m, k, n int, aT, bT bool) {
+	lda, ldb := k, n
+	if aT {
+		lda = m
+	}
+	if bT {
+		ldb = k
+	}
 	buf := gemmPackBufs.Get().(*gemmPackBuf)
 	ap, bp := buf.a, buf.b
 	for j0 := 0; j0 < n; j0 += gemmBlockN {
@@ -79,8 +86,8 @@ func gemmAsmRows(dst, a, b []float32, i0, i1, k, n int, lda, ldb int, aT, bT boo
 			} else {
 				gemmPackB(bp, b, j0, jw, l0, kc, ldb)
 			}
-			for i := i0; i < i1; i += gemmBlockMC {
-				mb := min(gemmBlockMC, i1-i)
+			for i := 0; i < m; i += gemmBlockMC {
+				mb := min(gemmBlockMC, m-i)
 				if aT {
 					gemmPackAT(ap, a, i, mb, l0, kc, lda)
 				} else {
@@ -121,11 +128,6 @@ var linearZeroBias [8]float32
 // than the multiply — and instead sweeps 8-output groups of weight rows
 // with the pack-free dot kernel, reusing each group across all n samples so
 // the weight matrix streams from memory exactly once per call.
-//
-// Intra-GEMM parallelism splits the OUTPUT dimension (not the batch: n is
-// small here) in kernel-aligned groups of 8; each worker writes disjoint
-// dst columns, and the kernel's accumulation chain is position-independent,
-// so results are bit-identical for every worker count.
 func linearAsm(dst, x, w, bias []float32, n, in, out int) {
 	if n == 0 || out == 0 {
 		return
@@ -146,21 +148,19 @@ func linearAsm(dst, x, w, bias []float32, n, in, out int) {
 	kfull := int64(in / 8)
 	ktail := int64(in % 8)
 	kmask := &gemmMasks[ktail][0]
-	gemmSplitRows(out, 8, int64(n)*int64(in)*int64(out), func(o0, o1 int) {
-		for o := o0; o < o1; o += 8 {
-			rows := min(8, o1-o)
-			omask := &gemmMasks[rows][0]
-			wp := &w[o*in]
-			bp := &linearZeroBias[0]
-			if bias != nil {
-				bp = &bias[o]
-			}
-			for i := 0; i < n; i++ {
-				linearKernel8(&dst[i*out+o], &x[i*in], wp, bp,
-					int64(in), kfull, ktail, int64(rows), kmask, omask)
-			}
+	for o := 0; o < out; o += 8 {
+		rows := min(8, out-o)
+		omask := &gemmMasks[rows][0]
+		wp := &w[o*in]
+		bp := &linearZeroBias[0]
+		if bias != nil {
+			bp = &bias[o]
 		}
-	})
+		for i := 0; i < n; i++ {
+			linearKernel8(&dst[i*out+o], &x[i*in], wp, bp,
+				int64(in), kfull, ktail, int64(rows), kmask, omask)
+		}
+	}
 }
 
 // gemmPackA packs rows [i0, i0+mb) × k range [l0, l0+kc) of a row-major A

@@ -2,9 +2,7 @@ package tensor
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // GEMM kernels over row-major float32 slices. These are the compute
@@ -31,15 +29,11 @@ import (
 //
 // GemmKernel reports which path is active; CPUFeatures what was detected.
 //
-// The kernels carry no caller-visible state, so they are safe for
-// concurrent use; callers own the slices. Packing scratch recycles through
-// sync.Pools rather than allocating per call.
-//
-// A single Gemm/GemmAcc/GemmTA/GemmTB call can additionally split its M
-// dimension across a bounded set of worker goroutines (SetGemmWorkers,
-// default 1 = off). Rows are independent in every kernel — each output
-// element's accumulation chain depends only on its own A row and B column —
-// so results are bit-identical for every worker count.
+// Every call runs on the calling goroutine: a batch's parallelism is the
+// inference pool's workers, each issuing its own GEMMs. The kernels carry
+// no caller-visible state, so they are safe for concurrent use; callers own
+// the slices. Packing scratch recycles through sync.Pools rather than
+// allocating per call.
 
 const (
 	// gemmBlockM is the number of output rows processed per B panel in the
@@ -51,12 +45,6 @@ const (
 	// gemmBlockN is the width of the packed B panel. 128×1024 float32 =
 	// 512 KiB, sized to survive in L2 across the full sweep of A rows.
 	gemmBlockN = 1024
-	// gemmMR × gemmNR is the SIMD microkernel's register tile: 6 rows × 16
-	// columns = 12 YMM accumulators, the classic AVX2 sgemm shape. The row
-	// splitter aligns parallel chunks to gemmMR on every build so the SIMD
-	// path's sliver padding stays on real block edges.
-	gemmMR = 6
-	gemmNR = 16
 )
 
 // gemmAsmActive selects the SIMD path; set during init by gemm_amd64.go
@@ -89,102 +77,6 @@ var gemmPanels = sync.Pool{
 	},
 }
 
-// gemmTokenPool bounds the extra goroutines intra-GEMM parallelism may use
-// across ALL concurrent GEMM calls in the process: a call takes tokens
-// non-blockingly (running single-threaded if none are free), so scheduler
-// workers × GEMM workers can never oversubscribe beyond SetGemmWorkers-1
-// extras.
-type gemmTokenPool struct{ ch chan struct{} }
-
-var (
-	gemmTokens      atomic.Pointer[gemmTokenPool]
-	gemmWorkerCount atomic.Int64
-)
-
-func init() { gemmWorkerCount.Store(1) }
-
-// SetGemmWorkers bounds how many goroutines a single GEMM call may use by
-// splitting its M dimension into row blocks. n <= 1 disables intra-GEMM
-// parallelism (the default: at GOMAXPROCS=1 extra workers only add
-// scheduling overhead). The bound is process-global and shared by all
-// concurrent GEMM calls. Results are bit-identical for every setting.
-func SetGemmWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	// A runaway flag value should not preallocate a huge token pool; beyond
-	// a few times the core count extra workers cannot help anyway.
-	if ceil := max(64, 4*runtime.NumCPU()); n > ceil {
-		n = ceil
-	}
-	gemmWorkerCount.Store(int64(n))
-	if n == 1 {
-		gemmTokens.Store(nil)
-		return
-	}
-	p := &gemmTokenPool{ch: make(chan struct{}, n-1)}
-	for i := 0; i < n-1; i++ {
-		p.ch <- struct{}{}
-	}
-	gemmTokens.Store(p)
-}
-
-// GemmWorkers reports the current intra-GEMM worker bound.
-func GemmWorkers() int { return int(gemmWorkerCount.Load()) }
-
-// gemmParallelMinWork is the m·k·n MAC count below which a GEMM always runs
-// single-threaded: goroutine handoff costs ~µs, so sub-megaflop calls lose.
-const gemmParallelMinWork = 1 << 20
-
-// gemmSplitRows runs body over [0, m) split into row blocks, using up to
-// the globally bounded extra workers. body must be safe for concurrent
-// calls on disjoint row ranges (every kernel here is: rows write disjoint
-// dst regions and packing scratch is pooled per call). Chunks are aligned
-// to align — gemmMR for the GEMM kernels so the SIMD path's sliver padding
-// stays on real block edges, 8 for the Linear dot kernel's output groups.
-func gemmSplitRows(m, align int, work int64, body func(i0, i1 int)) {
-	p := gemmTokens.Load()
-	if p == nil || m < 2*align || work < gemmParallelMinWork {
-		body(0, m)
-		return
-	}
-	maxExtra := m/align - 1
-	extra := 0
-	for extra < maxExtra {
-		ok := false
-		select {
-		case <-p.ch:
-			ok = true
-		default:
-		}
-		if !ok {
-			break
-		}
-		extra++
-	}
-	if extra == 0 {
-		body(0, m)
-		return
-	}
-	parts := extra + 1
-	chunk := (m + parts - 1) / parts
-	chunk = (chunk + align - 1) / align * align
-	var wg sync.WaitGroup
-	for lo := chunk; lo < m; lo += chunk {
-		hi := min(lo+chunk, m)
-		wg.Add(1)
-		go func(i0, i1 int) {
-			defer wg.Done()
-			body(i0, i1)
-		}(lo, hi)
-	}
-	body(0, min(chunk, m))
-	wg.Wait()
-	for i := 0; i < extra; i++ {
-		p.ch <- struct{}{}
-	}
-}
-
 // Gemm computes dst = a·b for row-major a (m×k), b (k×n), dst (m×n),
 // overwriting dst. Slices must have at least m*k, k*n and m*n elements;
 // the function panics otherwise (programming error, not runtime input).
@@ -206,25 +98,23 @@ func gemmAcc(dst, a, b []float32, m, k, n int) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	gemmSplitRows(m, gemmMR, int64(m)*int64(k)*int64(n), func(i0, i1 int) {
-		if gemmAsmActive {
-			gemmAsmRows(dst, a, b, i0, i1, k, n, k, n, false, false)
-		} else {
-			gemmAccScalar(dst, a, b, i0, i1, k, n)
-		}
-	})
+	if gemmAsmActive {
+		gemmAsmRows(dst, a, b, m, k, n, false, false)
+	} else {
+		gemmAccScalar(dst, a, b, m, k, n)
+	}
 }
 
-// gemmAccScalar is the pure-Go blocked kernel for rows [i0, i1), preserved
-// bit-identically from the pre-SIMD implementation: B panels are packed
-// densely once per (j, l) block and reused across every A row (axpy-style
-// i–l–j sweeps the compiler turns into bounds-check-free streaming code).
+// gemmAccScalar is the pure-Go blocked kernel, preserved bit-identically
+// from the pre-SIMD implementation: B panels are packed densely once per
+// (j, l) block and reused across every A row (axpy-style i–l–j sweeps the
+// compiler turns into bounds-check-free streaming code).
 // Packing is what makes batch-wide GEMMs fast: with all N samples' im2col
 // columns in one matrix, B's row stride spans megabytes, and walking 128
 // such rows per output row would thrash the TLB; the dense panel costs one
 // copy per (j, l) block and turns the hot loop into sequential 512 KiB-
 // resident streams.
-func gemmAccScalar(dst, a, b []float32, i0, i1, k, n int) {
+func gemmAccScalar(dst, a, b []float32, m, k, n int) {
 	pp := gemmPanels.Get().(*[]float32)
 	panel := *pp
 	for j0 := 0; j0 < n; j0 += gemmBlockN {
@@ -235,7 +125,7 @@ func gemmAccScalar(dst, a, b []float32, i0, i1, k, n int) {
 			for l := l0; l < lMax; l++ {
 				copy(panel[(l-l0)*jw:(l-l0)*jw+jw], b[l*n+j0:l*n+jMax])
 			}
-			for i := i0; i < i1; i++ {
+			for i := 0; i < m; i++ {
 				cr := dst[i*n+j0 : i*n+jMax]
 				ar := a[i*k+l0 : i*k+lMax]
 				for li, av := range ar {
@@ -264,13 +154,11 @@ func GemmTA(dst, a, b []float32, m, k, n int) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	gemmSplitRows(m, gemmMR, int64(m)*int64(k)*int64(n), func(i0, i1 int) {
-		if gemmAsmActive {
-			gemmAsmRows(dst, a, b, i0, i1, k, n, m, n, true, false)
-		} else {
-			gemmTAScalar(dst, a, b, i0, i1, k, n, m)
-		}
-	})
+	if gemmAsmActive {
+		gemmAsmRows(dst, a, b, m, k, n, true, false)
+	} else {
+		gemmTAScalar(dst, a, b, m, k, n)
+	}
 }
 
 // gemmTAScalar now gets the same panel treatment as Gemm: B is carved into
@@ -280,7 +168,7 @@ func GemmTA(dst, a, b []float32, m, k, n int) {
 // per 64 output rows). Per-element accumulation order is unchanged
 // (l ascends for every (i, j)), so results are bit-identical to the
 // pre-packing kernel.
-func gemmTAScalar(dst, a, b []float32, i0, i1, k, n, lda int) {
+func gemmTAScalar(dst, a, b []float32, m, k, n int) {
 	pp := gemmPanels.Get().(*[]float32)
 	panel := *pp
 	for j0 := 0; j0 < n; j0 += gemmBlockN {
@@ -291,10 +179,10 @@ func gemmTAScalar(dst, a, b []float32, i0, i1, k, n, lda int) {
 			for l := l0; l < lMax; l++ {
 				copy(panel[(l-l0)*jw:(l-l0)*jw+jw], b[l*n+j0:l*n+jMax])
 			}
-			for ib := i0; ib < i1; ib += gemmBlockM {
-				iMax := min(ib+gemmBlockM, i1)
+			for ib := 0; ib < m; ib += gemmBlockM {
+				iMax := min(ib+gemmBlockM, m)
 				for l := l0; l < lMax; l++ {
-					ar := a[l*lda+ib : l*lda+iMax]
+					ar := a[l*m+ib : l*m+iMax]
 					br := panel[(l-l0)*jw : (l-l0)*jw+jw]
 					for ii, av := range ar {
 						if av == 0 {
@@ -323,13 +211,11 @@ func GemmTB(dst, a, b []float32, m, k, n int) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	gemmSplitRows(m, gemmMR, int64(m)*int64(k)*int64(n), func(i0, i1 int) {
-		if gemmAsmActive {
-			gemmAsmRows(dst, a, b, i0, i1, k, n, k, k, false, true)
-		} else {
-			gemmTBScalar(dst, a, b, i0, i1, k, n, k)
-		}
-	})
+	if gemmAsmActive {
+		gemmAsmRows(dst, a, b, m, k, n, false, true)
+	} else {
+		gemmTBScalar(dst, a, b, m, k, n)
+	}
 }
 
 // gemmTBScalar packs bᵀ panels densely (transposing during the pack) and
@@ -339,7 +225,7 @@ func GemmTB(dst, a, b []float32, m, k, n int) {
 // element now folds into dst per l step (ascending), which differs from
 // the old separate-accumulator dot product by at most rounding; the
 // backward-pass consumers are all tolerance-tested.
-func gemmTBScalar(dst, a, b []float32, i0, i1, k, n, ldb int) {
+func gemmTBScalar(dst, a, b []float32, m, k, n int) {
 	pp := gemmPanels.Get().(*[]float32)
 	panel := *pp
 	for j0 := 0; j0 < n; j0 += gemmBlockN {
@@ -348,12 +234,12 @@ func gemmTBScalar(dst, a, b []float32, i0, i1, k, n, ldb int) {
 		for l0 := 0; l0 < k; l0 += gemmBlockK {
 			lMax := min(l0+gemmBlockK, k)
 			for jj := 0; jj < jw; jj++ {
-				src := b[(j0+jj)*ldb+l0 : (j0+jj)*ldb+lMax]
+				src := b[(j0+jj)*k+l0 : (j0+jj)*k+lMax]
 				for li, v := range src {
 					panel[li*jw+jj] = v
 				}
 			}
-			for i := i0; i < i1; i++ {
+			for i := 0; i < m; i++ {
 				cr := dst[i*n+j0 : i*n+jMax]
 				ar := a[i*k+l0 : i*k+lMax]
 				for li, av := range ar {
@@ -421,26 +307,6 @@ func Linear(dst, x, w, bias []float32, n, in, out int) {
 			dst[i*out+o] = acc
 		}
 	}
-}
-
-// MatMul computes the matrix product of two rank-2 tensors: t (m×k) by
-// o (k×n), returning a new (m×n) tensor. It is the tensor-level face of the
-// blocked GEMM kernel.
-func (t *Tensor) MatMul(o *Tensor) (*Tensor, error) {
-	if t.Rank() != 2 || o.Rank() != 2 {
-		return nil, fmt.Errorf("tensor: matmul wants rank-2 operands, got %v × %v", t.shape, o.shape)
-	}
-	m, k := t.shape[0], t.shape[1]
-	if o.shape[0] != k {
-		return nil, fmt.Errorf("tensor: matmul inner dims mismatch %v × %v", t.shape, o.shape)
-	}
-	n := o.shape[1]
-	out, err := New(m, n)
-	if err != nil {
-		return nil, err
-	}
-	Gemm(out.data, t.data, o.data, m, k, n)
-	return out, nil
 }
 
 // GrowSlice returns buf if it has capacity for n elements (re-sliced to

@@ -97,24 +97,6 @@ func TestGemmTransposedVariants(t *testing.T) {
 	}
 }
 
-func TestMatMulTensor(t *testing.T) {
-	a := MustFromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := MustFromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c, err := a.MatMul(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float32{58, 64, 139, 154}
-	closeSlices(t, "matmul", c.Data(), want, 0)
-
-	if _, err := a.MatMul(a); err == nil {
-		t.Error("expected inner-dimension mismatch error")
-	}
-	if _, err := MustNew(3).MatMul(b); err == nil {
-		t.Error("expected rank error")
-	}
-}
-
 // im2colRef extracts column (oy, ox), row (ch, ky, kx) by direct indexing.
 func im2colRef(src []float32, c, h, w, k, stride, pad int) []float32 {
 	outH := ConvOut(h, k, stride, pad)

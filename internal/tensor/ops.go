@@ -51,34 +51,11 @@ func (t *Tensor) SubInPlace(o *Tensor) error {
 	return nil
 }
 
-// MulElemInPlace multiplies t element-wise by o.
-func (t *Tensor) MulElemInPlace(o *Tensor) error {
-	if !t.SameShape(o) {
-		return fmt.Errorf("tensor: mul shape mismatch %v != %v", t.shape, o.shape)
-	}
-	for i, x := range o.data {
-		t.data[i] *= x
-	}
-	return nil
-}
-
 // Scale multiplies every element by s.
 func (t *Tensor) Scale(s float32) {
 	for i := range t.data {
 		t.data[i] *= s
 	}
-}
-
-// AxpyInPlace computes t += a*o (the BLAS axpy primitive), used by the SGD
-// optimiser for momentum updates.
-func (t *Tensor) AxpyInPlace(a float32, o *Tensor) error {
-	if !t.SameShape(o) {
-		return fmt.Errorf("tensor: axpy shape mismatch %v != %v", t.shape, o.shape)
-	}
-	for i, x := range o.data {
-		t.data[i] += a * x
-	}
-	return nil
 }
 
 // Sum returns the sum of all elements, accumulated in float64 for stability.
@@ -118,22 +95,6 @@ func (t *Tensor) Max() float32 {
 		}
 	}
 	return m
-}
-
-// ArgMax returns the linear index of the largest element (-1 for empty
-// tensors). Ties resolve to the lowest index, which keeps classification
-// deterministic.
-func (t *Tensor) ArgMax() int {
-	if len(t.data) == 0 {
-		return -1
-	}
-	best, bi := t.data[0], 0
-	for i, x := range t.data {
-		if x > best {
-			best, bi = x, i
-		}
-	}
-	return bi
 }
 
 // L2Norm returns the Euclidean norm of the flattened tensor.

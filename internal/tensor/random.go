@@ -30,16 +30,3 @@ func (t *Tensor) FillHe(rng *rand.Rand, fanIn int) {
 	std := float32(math.Sqrt(2.0 / float64(fanIn)))
 	t.FillNormal(rng, 0, std)
 }
-
-// FillXavier fills t with Xavier/Glorot-uniform initialised weights for a
-// layer with the given fan-in and fan-out.
-func (t *Tensor) FillXavier(rng *rand.Rand, fanIn, fanOut int) {
-	if fanIn < 1 {
-		fanIn = 1
-	}
-	if fanOut < 1 {
-		fanOut = 1
-	}
-	limit := float32(math.Sqrt(6.0 / float64(fanIn+fanOut)))
-	t.FillUniform(rng, -limit, limit)
-}

@@ -2,11 +2,12 @@ package train
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"repro/internal/gtsrb"
-	"repro/internal/infer"
 	"repro/internal/nn"
+	"repro/internal/pool"
 	"repro/internal/tensor"
 )
 
@@ -118,19 +119,16 @@ func (m *ConfusionMatrix) String() string {
 	return b.String()
 }
 
-// Evaluate runs the network over the dataset through the batched inference
-// engine (all cores) and returns the confusion matrix.
+// Evaluate runs the network over the dataset on all cores and returns the
+// confusion matrix.
 func Evaluate(net *nn.Sequential, ds *gtsrb.Dataset) (*ConfusionMatrix, error) {
 	return EvaluateParallel(net, ds, 0)
 }
 
 // EvaluateParallel is Evaluate with an explicit worker count (0 = all
-// cores). The dataset runs through the batch-native forward path: each
-// worker packs its share of examples into NCHW micro-batches and classifies
-// them with one GEMM per layer per sub-batch (infer.PredictBatched).
-// Predictions are recorded in example order and a sample's logits do not
-// depend on the batch it rides in, so the matrix is identical for every
-// worker count and sub-batch size.
+// cores). Predictions are recorded in example order and a sample's logits
+// do not depend on the batch it rides in, so the matrix is identical for
+// every worker count.
 func EvaluateParallel(net *nn.Sequential, ds *gtsrb.Dataset, workers int) (*ConfusionMatrix, error) {
 	if net == nil || ds == nil || ds.Len() == 0 {
 		return nil, fmt.Errorf("train: evaluate needs a network and a non-empty dataset")
@@ -139,24 +137,60 @@ func EvaluateParallel(net *nn.Sequential, ds *gtsrb.Dataset, workers int) (*Conf
 	if err != nil {
 		return nil, err
 	}
-	pool, err := infer.New(net, infer.Config{Workers: workers})
-	if err != nil {
-		return nil, err
-	}
 	xs := make([]*tensor.Tensor, ds.Len())
 	for i, ex := range ds.Examples {
 		xs[i] = ex.Image
 	}
-	preds, err := pool.PredictBatched(xs)
+	_, classes, err := predict(net, xs, workers)
 	if err != nil {
 		return nil, fmt.Errorf("train: evaluate: %w", err)
 	}
 	for i, ex := range ds.Examples {
-		if err := cm.Add(ex.Label, preds[i].Class); err != nil {
+		if err := cm.Add(ex.Label, classes[i]); err != nil {
 			return nil, err
 		}
 	}
 	return cm, nil
+}
+
+// predict classifies every input through the batch-native forward path on
+// a pool of workers (0 = all cores), each owning one nn.Context: the inputs
+// split into one contiguous share per worker, ⌈len(xs)/workers⌉ each, and
+// a worker packs its share into NCHW micro-batches — one GEMM per layer
+// (Sequential.ForwardSamples). Softmax probabilities and argmax classes
+// come back in input order.
+func predict(net *nn.Sequential, xs []*tensor.Tensor, workers int) ([][]float32, []int, error) {
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers < 1 {
+		return nil, nil, fmt.Errorf("worker count %d must be >= 1", workers)
+	}
+	n := len(xs)
+	probs, classes := make([][]float32, n), make([]int, n)
+	if n == 0 {
+		return probs, classes, nil
+	}
+	ctxs := make([]*nn.Context, workers)
+	for i := range ctxs {
+		ctxs[i] = nn.NewContext()
+	}
+	size := (n + workers - 1) / workers
+	err := pool.Run((n+size-1)/size, workers, func(w, ci int) error {
+		lo := ci * size
+		hi := min(lo+size, n)
+		outs, err := net.ForwardSamples(ctxs[w], 0, net.Len(), xs[lo:hi])
+		if err != nil {
+			return err
+		}
+		for i, logits := range outs {
+			if probs[lo+i], classes[lo+i], err = nn.SoftmaxArgmax(logits); err != nil {
+				return fmt.Errorf("sample %d: %w", lo+i, err)
+			}
+		}
+		return nil
+	})
+	return probs, classes, err
 }
 
 // Accuracy is a convenience wrapper returning just the accuracy.
@@ -171,7 +205,8 @@ func Accuracy(net *nn.Sequential, ds *gtsrb.Dataset) (float64, error) {
 // MeanClassConfidence returns the mean softmax probability the network
 // assigns to class `class` over that class's true examples — the
 // "confidence values for the Stop sign class" that Figure 4 plots per
-// filter replacement.
+// filter replacement. The examples run through Evaluate's pooled batched
+// pass and their probabilities are summed in example order.
 func MeanClassConfidence(net *nn.Sequential, ds *gtsrb.Dataset, class int) (float64, error) {
 	if net == nil || ds == nil {
 		return 0, fmt.Errorf("train: confidence needs a network and dataset")
@@ -179,21 +214,22 @@ func MeanClassConfidence(net *nn.Sequential, ds *gtsrb.Dataset, class int) (floa
 	if class < 0 || class >= ds.NumClasses() {
 		return 0, fmt.Errorf("train: class %d out of range [0,%d)", class, ds.NumClasses())
 	}
-	var sum float64
-	var n int
-	for i, ex := range ds.Examples {
-		if ex.Label != class {
-			continue
+	var xs []*tensor.Tensor
+	for _, ex := range ds.Examples {
+		if ex.Label == class {
+			xs = append(xs, ex.Image)
 		}
-		probs, _, err := nn.Predict(net, ex.Image)
-		if err != nil {
-			return 0, fmt.Errorf("train: confidence example %d: %w", i, err)
-		}
-		sum += float64(probs[class])
-		n++
 	}
-	if n == 0 {
+	if len(xs) == 0 {
 		return 0, fmt.Errorf("train: dataset has no examples of class %d", class)
 	}
-	return sum / float64(n), nil
+	probs, _, err := predict(net, xs, 0)
+	if err != nil {
+		return 0, fmt.Errorf("train: confidence: %w", err)
+	}
+	var sum float64
+	for _, p := range probs {
+		sum += float64(p[class])
+	}
+	return sum / float64(len(xs)), nil
 }

@@ -23,9 +23,8 @@ import (
 // ForwardBatch/BackwardBatch — one GEMM per layer per direction for the
 // whole sub-batch, so conv and fc weight matrices stream once per
 // sub-batch instead of once per sample. SubBatch caps the size of those
-// batches; every image of a dataset must share one shape. Worker
-// parallelism composes with intra-GEMM parallelism
-// (tensor.SetGemmWorkers): total concurrency ≈ Workers × gemm workers.
+// batches; every image of a dataset must share one shape. Workers is the
+// only parallelism: each worker's GEMMs run on its own goroutine.
 type Trainer struct {
 	// Net is the network to train.
 	Net *nn.Sequential

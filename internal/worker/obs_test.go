@@ -154,8 +154,10 @@ func TestMetricsMatchesStats(t *testing.T) {
 	if got := counter("hybridnet_batches_total"); got != float64(st.Batches) {
 		t.Errorf("batches_total = %v, /stats says %d", got, st.Batches)
 	}
-	if fams["hybridnet_build_info"] == nil {
+	if bi := fams["hybridnet_build_info"]; bi == nil || len(bi.Samples) != 1 {
 		t.Error("hybridnet_build_info missing from /metrics")
+	} else if labels := bi.Samples[0].Labels; len(labels) != 2 || labels["gemm_kernel"] == "" || labels["go_arch"] == "" {
+		t.Errorf("hybridnet_build_info labels %v, want exactly gemm_kernel and go_arch", labels)
 	}
 
 	f := fams["hybridnet_request_latency_seconds"]

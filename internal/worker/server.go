@@ -251,7 +251,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Build: api.Build{
 			GemmKernel:  tensor.GemmKernel(),
 			CPUFeatures: tensor.CPUFeatures(),
-			GemmWorkers: tensor.GemmWorkers(),
 			GOMAXPROCS:  runtime.GOMAXPROCS(0),
 			NumCPU:      runtime.NumCPU(),
 			GoArch:      runtime.GOARCH,
@@ -273,7 +272,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Info("hybridnet_build_info",
 		"Compute substrate of this worker: selected GEMM kernel and host CPU.",
 		obs.Label{Name: "gemm_kernel", Value: tensor.GemmKernel()},
-		obs.Label{Name: "gemm_workers", Value: fmt.Sprint(tensor.GemmWorkers())},
 		obs.Label{Name: "go_arch", Value: runtime.GOARCH},
 	)
 	if err := p.Err(); err != nil {

@@ -19,13 +19,14 @@
 //	                     oracle), checkpoint/rollback
 //	internal/nn          CNN framework (conv, pool, LRN, dense, dropout)
 //	                     with full backpropagation; AlexNet constructors
-//	internal/infer       worker-pool execution layer: BatchEngine runs one
-//	                     batch at a time, concurrent callers queue
-//	internal/train       SGD, filter-freeze policies, metrics
+//	internal/pool        work-stealing fan-out shared by the pooled
+//	                     classifier, evaluation and fault campaigns
+//	internal/train       SGD, filter-freeze policies, pooled evaluation
 //	internal/sax         Symbolic Aggregate approXimation
 //	internal/shape       Sobel, segmentation, radial series, qualifier
 //	internal/gtsrb       synthetic traffic-sign dataset
-//	internal/core        the hybrid network and the reliability guarantee
+//	internal/core        the hybrid network, its pooled batch classifier
+//	                     and the reliability guarantee
 //	internal/onnxlite    platform-agnostic hybrid model description
 //	internal/experiments regeneration of every table/figure of the paper
 //
@@ -39,7 +40,6 @@ package repro
 import (
 	"repro/internal/core"
 	"repro/internal/gtsrb"
-	"repro/internal/infer"
 	"repro/internal/nn"
 	"repro/internal/reliable"
 	"repro/internal/shape"
@@ -71,11 +71,6 @@ type (
 	LeakyBucket = reliable.LeakyBucket
 	// Dataset is a labelled synthetic traffic-sign collection.
 	Dataset = gtsrb.Dataset
-	// BatchEngine is the worker-pool execution layer for batched,
-	// concurrency-safe shared-weight inference.
-	BatchEngine = infer.BatchEngine
-	// BatchConfig parameterises a BatchEngine.
-	BatchConfig = infer.Config
 	// ForwardContext carries the per-goroutine mutable state of a
 	// forward/backward pass (one per worker).
 	ForwardContext = nn.Context
@@ -116,10 +111,4 @@ func NewHybridNetwork(cfg HybridConfig, net *Network) (*HybridNetwork, error) {
 // environment and protection configuration.
 func ComputeGuarantee(params GuaranteeParams) (Guarantee, error) {
 	return core.ComputeGuarantee(params)
-}
-
-// NewBatchEngine builds a worker pool over net for batched shared-weight
-// inference (see internal/infer). Workers 0 defaults to GOMAXPROCS.
-func NewBatchEngine(net *Network, cfg BatchConfig) (*BatchEngine, error) {
-	return infer.New(net, cfg)
 }
