@@ -467,8 +467,10 @@ func BenchmarkBatchClassifier_CNNOnly(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// CNN-only riders never reach the qualifier, so the pair's filters
+	// need not be Sobel kernels.
 	h, err := core.NewHybridNetwork(core.Config{
-		Wiring: core.WiringParallel, Mode: core.ModeTemporalDMR,
+		Mode: core.ModeTemporalDMR, Pair: core.SobelPair{XIdx: 0, YIdx: 1},
 		SafetyClasses: map[int]shape.Class{gtsrb.StopClass: shape.ClassOctagon},
 	}, net)
 	if err != nil {
@@ -525,7 +527,7 @@ func BenchmarkScheduler_Throughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	h, err := core.NewHybridNetwork(core.Config{
-		Wiring: core.WiringBifurcated, Mode: core.ModeTemporalDMR, Pair: pair,
+		Mode: core.ModeTemporalDMR, Pair: pair,
 		SafetyClasses: map[int]shape.Class{gtsrb.StopClass: shape.ClassOctagon},
 	}, net)
 	if err != nil {
@@ -782,7 +784,7 @@ func BenchmarkReliableMAC_TMR(b *testing.B) {
 
 // Hybrid end-to-end inference.
 
-func benchHybrid(b *testing.B, wiring core.Wiring) {
+func BenchmarkHybridClassify(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	net, err := nn.NewMicroAlexNet(nn.MicroConfig{
 		InputSize: 32, Conv1Filters: 8, Conv1Kernel: 5,
@@ -799,20 +801,14 @@ func benchHybrid(b *testing.B, wiring core.Wiring) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := core.Config{
-		Wiring: wiring, Mode: core.ModeTemporalDMR, Pair: pair,
+	h, err := core.NewHybridNetwork(core.Config{
+		Mode: core.ModeTemporalDMR, Pair: pair,
 		SafetyClasses: map[int]shape.Class{gtsrb.StopClass: shape.ClassOctagon},
-	}
-	imgSize := 32
-	if wiring == core.WiringParallel {
-		cfg.DownsampleFactor = 3
-		imgSize = 96
-	}
-	h, err := core.NewHybridNetwork(cfg, net)
+	}, net)
 	if err != nil {
 		b.Fatal(err)
 	}
-	img, err := gtsrb.AngledStopSign(imgSize, rng)
+	img, err := gtsrb.AngledStopSign(32, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -823,9 +819,6 @@ func benchHybrid(b *testing.B, wiring core.Wiring) {
 		}
 	}
 }
-
-func BenchmarkHybridClassify_Parallel(b *testing.B)   { benchHybrid(b, core.WiringParallel) }
-func BenchmarkHybridClassify_Bifurcated(b *testing.B) { benchHybrid(b, core.WiringBifurcated) }
 
 // Reliable execution under injected faults (includes retry work).
 

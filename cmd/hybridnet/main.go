@@ -224,21 +224,18 @@ func cmdCampaign(args []string) error {
 	if err != nil {
 		return err
 	}
-	_, net, err := cli.LoadHybrid(*modelPath, *seed)
+	loaded, _, err := cli.LoadHybrid(*modelPath, *seed)
 	if err != nil {
 		return err
 	}
-	cfg := cli.StandardHybridConfig(core.SobelPair{XIdx: 0, YIdx: 1})
-	cfg.Mode = mode
 	// Trials run across the worker pool; all randomness (ALU seeds, the
 	// rendered sign) derives from the trial index so the tally is
 	// independent of scheduling. The outcome mapping mirrors the serial
 	// CLI of earlier revisions: a bucket trip is a detected unrecoverable
 	// error, retries mean the fault was corrected, otherwise masked.
 	trial := func(i int) (correct, signalled bool, err error) {
-		cfgTrial := cfg
 		aluSeed := *seed + int64(i)*1_000_000
-		cfgTrial.ALUs = func() fault.ALU {
+		h, err := trialHybrid(loaded, mode, func() fault.ALU {
 			aluSeed++
 			alu, err := fault.NewTransient(*rate, fault.BitFlip{Bit: -1},
 				rand.New(rand.NewSource(aluSeed)))
@@ -246,8 +243,7 @@ func cmdCampaign(args []string) error {
 				panic(err) // unreachable: parameters validated above
 			}
 			return alu
-		}
-		h, err := core.NewHybridNetwork(cfgTrial, net)
+		})
 		if err != nil {
 			return false, false, err
 		}
@@ -274,6 +270,15 @@ func cmdCampaign(args []string) error {
 	}
 	fmt.Printf("campaign (%s, rate %.1e): %s\n", *modeName, *rate, tally.String())
 	return nil
+}
+
+// trialHybrid is the network one campaign trial classifies with: the loaded
+// model's own configuration — Sobel pair, safety table, leaky bucket — with
+// only the redundancy mode and the processing elements replaced.
+func trialHybrid(loaded *core.HybridNetwork, mode core.RedundancyMode, alus core.ALUFactory) (*core.HybridNetwork, error) {
+	cfg := loaded.Config()
+	cfg.Mode, cfg.ALUs = mode, alus
+	return core.NewHybridNetwork(cfg, loaded.Net())
 }
 
 func cmdRender(args []string) error {

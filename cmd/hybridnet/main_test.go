@@ -1,8 +1,15 @@
 package main
 
 import (
+	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/cli"
+	"repro/internal/core"
+	"repro/internal/nn"
+	"repro/internal/onnxlite"
 )
 
 func TestTrainQualifyEvalCampaignFlow(t *testing.T) {
@@ -64,5 +71,59 @@ func TestRenderSubcommand(t *testing.T) {
 	}
 	if len(matches) != 6 {
 		t.Errorf("wrote %d PNGs, want 6", len(matches))
+	}
+}
+
+// TestCampaignKeepsLoadedConfig: a campaign trial classifies with the
+// model it loaded — its Sobel pair, safety table and bucket — not with the
+// CLI defaults, overriding only the redundancy mode and the ALUs.
+func TestCampaignKeepsLoadedConfig(t *testing.T) {
+	cfg := nn.DefaultMicroConfig()
+	cfg.Conv1Filters = 6
+	net, err := nn.NewMicroAlexNet(cfg, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv1, err := nn.FirstConv(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := core.InstallSobelPair(conv1, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hcfg := cli.StandardHybridConfig(pair)
+	hcfg.BucketCeiling = 5
+	model, err := onnxlite.Export(net, &hcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := onnxlite.Write(model, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, _, err := cli.LoadHybrid(path, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := trialHybrid(loaded, core.ModeTMR, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := h.Config()
+	if got.Pair != pair || got.BucketCeiling != 5 || got.Mode != core.ModeTMR {
+		t.Errorf("trial config: pair %+v, bucket ceiling %d, mode %v; want %+v, 5, %v",
+			got.Pair, got.BucketCeiling, got.Mode, pair, core.ModeTMR)
+	}
+	if err := run([]string{"campaign", "-model", path, "-trials", "2", "-mode", "tmr"}); err != nil {
+		t.Fatalf("campaign: %v", err)
 	}
 }

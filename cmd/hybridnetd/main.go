@@ -60,7 +60,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("hybridnetd", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	modelPath := fs.String("model", "", "onnxlite model path")
+	modelPath := fs.String("model", "", "onnxlite model path (a version-2 document, as hybridnet train writes)")
 	demo := fs.Bool("demo", false, "serve an untrained demo network instead of -model")
 	workers := fs.Int("workers", 0, "inference pool size (0 = all cores)")
 	subBatch := fs.Int("subbatch", 0, "images per worker sub-batch in the batched CNN stage (0 = batch/workers)")

@@ -36,7 +36,7 @@ func buildTrainedHybrid(t *testing.T, mode repro.RedundancyMode) (*repro.HybridN
 	}
 	net := sharedNet
 	h, err := repro.NewHybridNetwork(repro.HybridConfig{
-		Wiring: repro.WiringBifurcated, Mode: mode,
+		Mode:          mode,
 		Pair:          core.SobelPair{XIdx: 0, YIdx: 1},
 		SafetyClasses: map[int]repro.ShapeClass{repro.StopClass: repro.ClassOctagon},
 	}, net)
@@ -244,7 +244,7 @@ func TestEndToEndFaultCampaignMatchesGuarantee(t *testing.T) {
 func mustHybrid(t *testing.T, net *repro.Network, pair core.SobelPair, alus core.ALUFactory) *repro.HybridNetwork {
 	t.Helper()
 	h, err := repro.NewHybridNetwork(repro.HybridConfig{
-		Wiring: repro.WiringBifurcated, Mode: repro.ModeTemporalDMR,
+		Mode: repro.ModeTemporalDMR,
 		Pair: pair, ALUs: alus,
 		SafetyClasses: map[int]repro.ShapeClass{repro.StopClass: repro.ClassOctagon},
 	}, net)

@@ -30,12 +30,12 @@ import (
 	"repro/internal/shape"
 )
 
-// StandardHybridConfig is the canonical CLI assembly: bifurcated wiring,
-// temporal DMR, and the stop sign as the safety-critical class that must be
-// qualified as an octagon.
+// StandardHybridConfig is the canonical CLI assembly: temporal DMR, the
+// Sobel pair at pair in conv1, and the stop sign as the safety-critical
+// class that must be qualified as an octagon.
 func StandardHybridConfig(pair core.SobelPair) core.Config {
 	return core.Config{
-		Wiring: core.WiringBifurcated, Mode: core.ModeTemporalDMR,
+		Mode:          core.ModeTemporalDMR,
 		Pair:          pair,
 		SafetyClasses: map[int]shape.Class{gtsrb.StopClass: shape.ClassOctagon},
 	}

@@ -8,90 +8,39 @@ import (
 	"testing"
 
 	"repro/internal/gtsrb"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
 // TestClassifyBatchMatchesSerial: pooled hybrid classification must agree
 // with per-call Classify — classes, decisions, qualifier verdicts AND the
-// per-inference reliable-work counters — for both wirings and any worker
-// count. Run with -race this exercises concurrent shared-weight hybrid
-// inference end to end.
+// per-inference reliable-work counters — for any worker count. Run with
+// -race this exercises concurrent shared-weight hybrid inference end to end.
 func TestClassifyBatchMatchesSerial(t *testing.T) {
-	net := trainedMicroNet(t)
-	for _, wiring := range []Wiring{WiringParallel, WiringBifurcated} {
-		cfg := Config{
-			Wiring: wiring, Mode: ModeTemporalDMR,
-			SafetyClasses: defaultSafety(),
-		}
-		imgSize := 32
-		if wiring == WiringParallel {
-			cfg.DownsampleFactor = 3
-			imgSize = 96
-		} else {
-			conv1, err := nn.FirstConv(net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pair, err := InstallSobelPair(conv1, 0, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Pair = pair
-		}
-		h, err := NewHybridNetwork(cfg, net)
+	h, imgs := trainedHybrid(t, 9, 91)
+	want := serialResults(t, h, imgs)
+	for _, workers := range []int{1, 4} {
+		c, err := h.NewBatchClassifier(workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		rng := rand.New(rand.NewSource(91))
-		gcfg, err := gtsrb.Config{Size: imgSize}.Normalize()
+		got, err := c.ClassifyBatch(imgs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		imgs := make([]*tensor.Tensor, 9)
-		for i := range imgs {
-			spec := gtsrb.StandardClasses()[i%len(gtsrb.StandardClasses())]
-			img, err := gtsrb.Render(gtsrb.RandomParams(gcfg, spec, rng), rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			imgs[i] = img
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d results", workers, len(got))
 		}
-
-		want := make([]Result, len(imgs))
-		for i, img := range imgs {
-			res, err := h.Classify(img)
-			if err != nil {
-				t.Fatal(err)
+		for i := range got {
+			if got[i].Class != want[i].Class || got[i].Decision != want[i].Decision ||
+				got[i].Qualifier.Class != want[i].Qualifier.Class {
+				t.Errorf("workers=%d img %d: (%d,%v,%v) != serial (%d,%v,%v)",
+					workers, i,
+					got[i].Class, got[i].Decision, got[i].Qualifier.Class,
+					want[i].Class, want[i].Decision, want[i].Qualifier.Class)
 			}
-			want[i] = res
-		}
-
-		for _, workers := range []int{1, 4} {
-			c, err := h.NewBatchClassifier(workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := c.ClassifyBatch(imgs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("wiring=%v workers=%d: %d results", wiring, workers, len(got))
-			}
-			for i := range got {
-				if got[i].Class != want[i].Class || got[i].Decision != want[i].Decision ||
-					got[i].Qualifier.Class != want[i].Qualifier.Class {
-					t.Errorf("wiring=%v workers=%d img %d: (%d,%v,%v) != serial (%d,%v,%v)",
-						wiring, workers, i,
-						got[i].Class, got[i].Decision, got[i].Qualifier.Class,
-						want[i].Class, want[i].Decision, want[i].Qualifier.Class)
-				}
-				if got[i].Stats != want[i].Stats {
-					t.Errorf("wiring=%v workers=%d img %d: stats %+v != serial %+v",
-						wiring, workers, i, got[i].Stats, want[i].Stats)
-				}
+			if got[i].Stats != want[i].Stats {
+				t.Errorf("workers=%d img %d: stats %+v != serial %+v",
+					workers, i, got[i].Stats, want[i].Stats)
 			}
 		}
 	}
@@ -102,7 +51,7 @@ func TestClassifyBatchMatchesSerial(t *testing.T) {
 // and engine are reused by later batches — and every result is bit for bit
 // the fresh-engine Classify of its image.
 func TestBatchClassifierReuse(t *testing.T) {
-	h, imgs := bifurcatedHybrid(t, 9, 17)
+	h, imgs := trainedHybrid(t, 9, 17)
 	want := serialResults(t, h, imgs)
 	c, err := h.NewBatchClassifier(2)
 	if err != nil {
@@ -133,7 +82,7 @@ func TestBatchClassifierReuse(t *testing.T) {
 // that worker's context or engine. Run with -race this is the serving-layer
 // gate: per-worker state is handed from batch to batch soundly.
 func TestBatchClassifierOneBatchAtATime(t *testing.T) {
-	h, imgs := bifurcatedHybrid(t, 9, 17)
+	h, imgs := trainedHybrid(t, 9, 17)
 	want := serialResults(t, h, imgs)
 	c, err := NewBatchClassifier(h, 3, 1)
 	if err != nil {
@@ -177,86 +126,42 @@ func TestBatchClassifierOneBatchAtATime(t *testing.T) {
 // of one; sizes ragged against the batch exercise the tail chunks).
 // Run with -race this is the golden-equivalence gate of the serving path.
 func TestClassifyBatchSubBatchEquivalence(t *testing.T) {
-	net := trainedMicroNet(t)
-	for _, wiring := range []Wiring{WiringParallel, WiringBifurcated} {
-		cfg := Config{
-			Wiring: wiring, Mode: ModeTemporalDMR,
-			SafetyClasses: defaultSafety(),
-		}
-		imgSize := 32
-		if wiring == WiringParallel {
-			cfg.DownsampleFactor = 3
-			imgSize = 96
-		} else {
-			conv1, err := nn.FirstConv(net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pair, err := InstallSobelPair(conv1, 0, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Pair = pair
-		}
-		h, err := NewHybridNetwork(cfg, net)
+	h, imgs := trainedHybrid(t, 11, 93)
+	want := serialResults(t, h, imgs)
+	for _, ccfg := range []struct{ workers, subBatch int }{
+		{1, 0}, // whole batch in one sub-batch
+		{3, 0}, // default ceil(11/3)=4 → ragged tail of 3
+		{2, 1}, // batches of one
+		{2, 4}, // explicit cap, ragged
+	} {
+		c, err := NewBatchClassifier(h, ccfg.workers, ccfg.subBatch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(93))
-		gcfg, err := gtsrb.Config{Size: imgSize}.Normalize()
+		if c.SubBatch() != ccfg.subBatch {
+			t.Fatalf("sub-batch = %d, want %d", c.SubBatch(), ccfg.subBatch)
+		}
+		got, err := c.ClassifyBatch(imgs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		imgs := make([]*tensor.Tensor, 11)
-		want := make([]Result, len(imgs))
-		for i := range imgs {
-			spec := gtsrb.StandardClasses()[i%len(gtsrb.StandardClasses())]
-			img, err := gtsrb.Render(gtsrb.RandomParams(gcfg, spec, rng), rng)
-			if err != nil {
-				t.Fatal(err)
+		for i := range got {
+			if got[i].Class != want[i].Class || got[i].Decision != want[i].Decision ||
+				got[i].Qualifier.Class != want[i].Qualifier.Class ||
+				got[i].Confidence != want[i].Confidence {
+				t.Errorf("cfg=%+v img %d: (%d,%v,%v,%v) != serial (%d,%v,%v,%v)",
+					ccfg, i,
+					got[i].Class, got[i].Decision, got[i].Qualifier.Class, got[i].Confidence,
+					want[i].Class, want[i].Decision, want[i].Qualifier.Class, want[i].Confidence)
 			}
-			imgs[i] = img
-			res, err := h.Classify(img)
-			if err != nil {
-				t.Fatal(err)
+			if got[i].Stats != want[i].Stats {
+				t.Errorf("cfg=%+v img %d: stats %+v != serial %+v",
+					ccfg, i, got[i].Stats, want[i].Stats)
 			}
-			want[i] = res
-		}
-		for _, ccfg := range []struct{ workers, subBatch int }{
-			{1, 0}, // whole batch in one sub-batch
-			{3, 0}, // default ceil(11/3)=4 → ragged tail of 3
-			{2, 1}, // batches of one
-			{2, 4}, // explicit cap, ragged
-		} {
-			c, err := NewBatchClassifier(h, ccfg.workers, ccfg.subBatch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.SubBatch() != ccfg.subBatch {
-				t.Fatalf("sub-batch = %d, want %d", c.SubBatch(), ccfg.subBatch)
-			}
-			got, err := c.ClassifyBatch(imgs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range got {
-				if got[i].Class != want[i].Class || got[i].Decision != want[i].Decision ||
-					got[i].Qualifier.Class != want[i].Qualifier.Class ||
-					got[i].Confidence != want[i].Confidence {
-					t.Errorf("wiring=%v cfg=%+v img %d: (%d,%v,%v,%v) != serial (%d,%v,%v,%v)",
-						wiring, ccfg, i,
-						got[i].Class, got[i].Decision, got[i].Qualifier.Class, got[i].Confidence,
-						want[i].Class, want[i].Decision, want[i].Qualifier.Class, want[i].Confidence)
-				}
-				if got[i].Stats != want[i].Stats {
-					t.Errorf("wiring=%v cfg=%+v img %d: stats %+v != serial %+v",
-						wiring, ccfg, i, got[i].Stats, want[i].Stats)
-				}
-				for cls := range got[i].Probs {
-					if got[i].Probs[cls] != want[i].Probs[cls] {
-						t.Errorf("wiring=%v cfg=%+v img %d: probs[%d] %v != %v",
-							wiring, ccfg, i, cls, got[i].Probs[cls], want[i].Probs[cls])
-					}
+			for cls := range got[i].Probs {
+				if got[i].Probs[cls] != want[i].Probs[cls] {
+					t.Errorf("cfg=%+v img %d: probs[%d] %v != %v",
+						ccfg, i, cls, got[i].Probs[cls], want[i].Probs[cls])
 				}
 			}
 		}
@@ -266,8 +171,8 @@ func TestClassifyBatchSubBatchEquivalence(t *testing.T) {
 func TestClassifyBatchEmpty(t *testing.T) {
 	net := trainedMicroNet(t)
 	h, err := NewHybridNetwork(Config{
-		Wiring: WiringParallel, Mode: ModeTemporalDMR,
-		SafetyClasses: defaultSafety(), DownsampleFactor: 3,
+		Mode: ModeTemporalDMR, Pair: trainedPair,
+		SafetyClasses: defaultSafety(),
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -293,23 +198,14 @@ func sameResult(a, b Result) bool {
 		a.Stats == b.Stats && a.Bucket == b.Bucket && (a.ExecErr == nil) == (b.ExecErr == nil)
 }
 
-// bifurcatedHybrid wraps the shared trained net in the bifurcated wiring and
+// trainedHybrid wraps the shared trained net in a temporal-DMR hybrid and
 // renders n 32 px images of every standard class in turn.
-func bifurcatedHybrid(t *testing.T, n int, seed int64) (*HybridNetwork, []*tensor.Tensor) {
+func trainedHybrid(t *testing.T, n int, seed int64) (*HybridNetwork, []*tensor.Tensor) {
 	t.Helper()
-	net := trainedMicroNet(t)
-	conv1, err := nn.FirstConv(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair, err := InstallSobelPair(conv1, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	h, err := NewHybridNetwork(Config{
-		Wiring: WiringBifurcated, Mode: ModeTemporalDMR,
-		Pair: pair, SafetyClasses: defaultSafety(),
-	}, net)
+		Mode: ModeTemporalDMR,
+		Pair: trainedPair, SafetyClasses: defaultSafety(),
+	}, trainedMicroNet(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +245,7 @@ func serialResults(t *testing.T, h *HybridNetwork, imgs []*tensor.Tensor) []Resu
 // batch, more workers than images. An empty batch is a no-op and a
 // negative sub-batch size is refused.
 func TestBatchClassifierCoversEveryIndex(t *testing.T) {
-	h, imgs := bifurcatedHybrid(t, 17, 29)
+	h, imgs := trainedHybrid(t, 17, 29)
 	want := serialResults(t, h, imgs)
 	for _, tc := range []struct{ workers, subBatch, n int }{
 		{4, 0, 17}, // default: ceil(17/4) = 5 → chunks 5,5,5,2
@@ -393,7 +289,7 @@ func TestBatchClassifierCoversEveryIndex(t *testing.T) {
 // TestBatchClassifierDefaultWorkers: workers 0 sizes the pool to
 // GOMAXPROCS, through both constructors, and that pool classifies.
 func TestBatchClassifierDefaultWorkers(t *testing.T) {
-	h, imgs := bifurcatedHybrid(t, 6, 31)
+	h, imgs := trainedHybrid(t, 6, 31)
 	want := serialResults(t, h, imgs)
 	c, err := NewBatchClassifier(h, 0, 0)
 	if err != nil {
@@ -420,7 +316,7 @@ func TestBatchClassifierDefaultWorkers(t *testing.T) {
 // fails the whole batch, whichever worker's chunk holds it, the classifier
 // stays usable afterwards, and a negative worker count is refused.
 func TestBatchClassifierErrorFailsBatch(t *testing.T) {
-	h, imgs := bifurcatedHybrid(t, 6, 37)
+	h, imgs := trainedHybrid(t, 6, 37)
 	want := serialResults(t, h, imgs)
 	c, err := NewBatchClassifier(h, 4, 1)
 	if err != nil {

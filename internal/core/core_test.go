@@ -52,7 +52,7 @@ func TestModeAccessors(t *testing.T) {
 	if _, err := bad.NewOps(nil); err == nil {
 		t.Error("unknown mode NewOps should fail")
 	}
-	if bad.String() == "" || Wiring(9).String() == "" || Decision(9).String() == "" {
+	if bad.String() == "" || Decision(9).String() == "" {
 		t.Error("fallback strings empty")
 	}
 }
@@ -216,49 +216,17 @@ func TestEdgeMagnitudeFromChannels(t *testing.T) {
 	}
 }
 
-func TestBoxDownsample(t *testing.T) {
-	img := tensor.MustFromSlice([]float32{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}, 1, 4, 4)
-	out, err := BoxDownsample(img, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float32{3.5, 5.5, 11.5, 13.5}
-	for i, w := range want {
-		if out.Data()[i] != w {
-			t.Errorf("down[%d] = %v, want %v", i, out.Data()[i], w)
-		}
-	}
-	id, err := BoxDownsample(img, 1)
-	if err != nil || !id.Equal(img) {
-		t.Error("factor 1 should be a copy")
-	}
-	id.Set3(99, 0, 0, 0)
-	if img.At3(0, 0, 0) == 99 {
-		t.Error("factor 1 must copy, not alias")
-	}
-	if _, err := BoxDownsample(img, 3); err == nil {
-		t.Error("non-divisible factor should fail")
-	}
-	if _, err := BoxDownsample(img, 0); err == nil {
-		t.Error("factor 0 should fail")
-	}
-	if _, err := BoxDownsample(tensor.MustNew(4, 4), 2); err == nil {
-		t.Error("rank-2 should fail")
-	}
-}
-
 var (
 	trainedNetOnce sync.Once
 	trainedNet     *nn.Sequential
 	trainedNetErr  error
 )
 
-// trainedMicroNet trains a small classifier once and shares it across the
+// trainedPair is where trainedMicroNet's conv1 carries the Sobel pair.
+var trainedPair = SobelPair{XIdx: 0, YIdx: 1}
+
+// trainedMicroNet trains a small classifier once, with the Sobel pair
+// pinned in its conv1 as hybridnet train pins it, and shares it across the
 // hybrid tests (they only read it).
 func trainedMicroNet(t *testing.T) *nn.Sequential {
 	t.Helper()
@@ -278,6 +246,17 @@ func buildTrainedMicroNet() (*nn.Sequential, error) {
 	if err != nil {
 		return nil, err
 	}
+	conv1, err := nn.FirstConv(net)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := InstallSobelPair(conv1, trainedPair.XIdx, trainedPair.YIdx); err != nil {
+		return nil, err
+	}
+	freeze, err := train.NewFilterFreeze(conv1, train.FreezeHard, trainedPair.XIdx, trainedPair.YIdx)
+	if err != nil {
+		return nil, err
+	}
 	ds, err := gtsrb.Generate(gtsrb.Config{Size: 32, PerClass: 15, Clutter: 1}, rand.New(rand.NewSource(34)))
 	if err != nil {
 		return nil, err
@@ -286,7 +265,10 @@ func buildTrainedMicroNet() (*nn.Sequential, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := &train.Trainer{Net: net, Opt: opt, BatchSize: 8, Epochs: 8, Rng: rng}
+	tr := &train.Trainer{
+		Net: net, Opt: opt, BatchSize: 8, Epochs: 8, Rng: rng,
+		Freezes: []*train.FilterFreeze{freeze},
+	}
 	if _, err := tr.Fit(ds); err != nil {
 		return nil, err
 	}
@@ -300,18 +282,16 @@ func defaultSafety() map[int]shape.Class {
 func TestHybridConfigValidation(t *testing.T) {
 	net := trainedMicroNet(t)
 	good := Config{
-		Wiring: WiringParallel, Mode: ModeTemporalDMR,
-		SafetyClasses: defaultSafety(), DownsampleFactor: 3,
+		Mode: ModeTemporalDMR, Pair: trainedPair,
+		SafetyClasses: defaultSafety(),
+	}
+	if _, err := NewHybridNetwork(good, net); err != nil {
+		t.Fatalf("good config: %v", err)
 	}
 	if _, err := NewHybridNetwork(good, nil); err == nil {
 		t.Error("nil net should fail")
 	}
 	bad := good
-	bad.Wiring = Wiring(0)
-	if _, err := NewHybridNetwork(bad, net); err == nil {
-		t.Error("unknown wiring should fail")
-	}
-	bad = good
 	bad.Mode = RedundancyMode(0)
 	if _, err := NewHybridNetwork(bad, net); err == nil {
 		t.Error("unknown mode should fail")
@@ -322,7 +302,6 @@ func TestHybridConfigValidation(t *testing.T) {
 		t.Error("no safety classes should fail")
 	}
 	bad = good
-	bad.Wiring = WiringBifurcated
 	bad.Pair = SobelPair{XIdx: 0, YIdx: 0}
 	if _, err := NewHybridNetwork(bad, net); err == nil {
 		t.Error("degenerate sobel pair should fail")
@@ -340,11 +319,35 @@ func TestHybridConfigValidation(t *testing.T) {
 	}
 }
 
+// sobelNet64 builds an untrained 64×64 micro network with the Sobel pair
+// installed in its conv1: its CNN classification is meaningless, but the
+// qualifier sees conv1's Sobel channels at a resolution where an octagon's
+// corners survive.
+func sobelNet64(t *testing.T) (*nn.Sequential, SobelPair) {
+	t.Helper()
+	net, err := nn.NewMicroAlexNet(nn.MicroConfig{
+		InputSize: 64, Conv1Filters: 8, Conv1Kernel: 5,
+		Conv2Filters: 8, Hidden: 16, Classes: 6, UseLRN: false,
+	}, rand.New(rand.NewSource(41)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv1, err := nn.FirstConv(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := InstallSobelPair(conv1, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net, pair
+}
+
 func TestHybridParallelStopSignQualified(t *testing.T) {
-	net := trainedMicroNet(t)
+	net, pair := sobelNet64(t)
 	h, err := NewHybridNetwork(Config{
-		Wiring: WiringParallel, Mode: ModeTemporalDMR,
-		SafetyClasses: defaultSafety(), DownsampleFactor: 3,
+		Mode: ModeTemporalDMR, Pair: pair,
+		SafetyClasses: defaultSafety(),
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -353,12 +356,12 @@ func TestHybridParallelStopSignQualified(t *testing.T) {
 		t.Error("accessors broken")
 	}
 
-	// A clean, well-centred stop sign at 96×96 (CNN sees 32×32).
+	// A clean, well-centred stop sign at 64×64.
 	rng := rand.New(rand.NewSource(35))
 	spec := gtsrb.StandardClasses()[gtsrb.StopClass]
 	img, err := gtsrb.Render(gtsrb.SignParams{
-		Shape: spec.Shape, Fill: spec.Fill, Size: 96,
-		CenterX: 48, CenterY: 48, Radius: 36, Rotation: 0.1,
+		Shape: spec.Shape, Fill: spec.Fill, Size: 64,
+		CenterX: 32, CenterY: 32, Radius: 24, Rotation: 0.1,
 		Background: 0.1, NoiseSigma: 0.01, Brightness: 1,
 	}, rng)
 	if err != nil {
@@ -393,8 +396,8 @@ func TestHybridParallelStopSignQualified(t *testing.T) {
 func TestHybridParallelNonSafetyClassSkipsQualification(t *testing.T) {
 	net := trainedMicroNet(t)
 	h, err := NewHybridNetwork(Config{
-		Wiring: WiringParallel, Mode: ModePlain,
-		SafetyClasses: defaultSafety(), DownsampleFactor: 3,
+		Mode: ModePlain, Pair: trainedPair,
+		SafetyClasses: defaultSafety(),
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -404,8 +407,8 @@ func TestHybridParallelNonSafetyClassSkipsQualification(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	spec := gtsrb.StandardClasses()[3] // parking
 	img, err := gtsrb.Render(gtsrb.SignParams{
-		Shape: spec.Shape, Fill: spec.Fill, Size: 96,
-		CenterX: 48, CenterY: 48, Radius: 34,
+		Shape: spec.Shape, Fill: spec.Fill, Size: 32,
+		CenterX: 16, CenterY: 16, Radius: 11,
 		Background: 0.1, NoiseSigma: 0.01, Brightness: 1,
 	}, rng)
 	if err != nil {
@@ -428,15 +431,14 @@ func TestHybridRejectsMismatchedShape(t *testing.T) {
 	// Demand a triangle for the stop class: a real octagonal stop sign must
 	// now be rejected whenever the CNN claims "stop".
 	h, err := NewHybridNetwork(Config{
-		Wiring: WiringParallel, Mode: ModePlain,
-		SafetyClasses:    map[int]shape.Class{gtsrb.StopClass: shape.ClassTriangle},
-		DownsampleFactor: 3,
+		Mode: ModePlain, Pair: trainedPair,
+		SafetyClasses: map[int]shape.Class{gtsrb.StopClass: shape.ClassTriangle},
 	}, net)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(37))
-	img, err := gtsrb.AngledStopSign(96, rng)
+	img, err := gtsrb.AngledStopSign(32, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,57 +488,36 @@ func (a *infFaultALU) Add(x, y float32) float32 {
 }
 
 // TestBucketTripAtEveryReliableSite drives a persistent fault into each of
-// the three places the hybrid executes reliably — the parallel wiring's edge
-// convolution, the bifurcated wiring's conv1, and the bifurcated DCNN prefix
+// the places the hybrid executes reliably — conv1 and the DCNN prefix
 // continuation — through Classify and through a warm one-worker
 // BatchClassifier whose chunk also carries CNN-only riders. Every full image
 // must come back DecisionExecutionFailed with the bucket trip in ExecErr and
-// Bucket, per-image work counters, and the wiring's asymmetry intact: the
-// parallel CNN never depended on the failed edge stage and still reports its
-// opinion, the bifurcated CNN lost its input and reports nothing. The riders
-// never touch the reliable stage, so they equal a fault-free run bit for bit.
+// Bucket and per-image work counters; the CNN lost its input and reports
+// nothing. The riders never touch the reliable stage, so they equal a
+// fault-free run bit for bit.
 func TestBucketTripAtEveryReliableSite(t *testing.T) {
 	net := trainedMicroNet(t)
-	conv1, err := nn.FirstConv(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair, err := InstallSobelPair(conv1, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Under the default bucket two successive failures trip: one retry.
 	tripOnFirstOp := reliable.Stats{Ops: 2, Failed: 2, Retries: 1}
 	sites := []struct {
-		name    string
-		cfg     Config
-		imgSize int
-		alus    func() ALUFactory
-		cnnRuns bool // the CNN still classifies an image whose reliable stage failed
+		name      string
+		dcnnDepth int
+		alus      func() ALUFactory
 		// cleanDepth is how many layers execute fault-free before the trip.
 		cleanDepth int
 	}{
+		{name: "bifurcated conv1", alus: saturatingALUs},
 		{
-			name:    "parallel edge convolution",
-			cfg:     Config{Wiring: WiringParallel, DownsampleFactor: 3},
-			imgSize: 96, alus: saturatingALUs, cnnRuns: true,
-		},
-		{
-			name:    "bifurcated conv1",
-			cfg:     Config{Wiring: WiringBifurcated, Pair: pair},
-			imgSize: 32, alus: saturatingALUs,
-		},
-		{
-			name:    "bifurcated prefix continuation",
-			cfg:     Config{Wiring: WiringBifurcated, Pair: pair, DCNNDepth: 3},
-			imgSize: 32, cleanDepth: 2,
+			name: "bifurcated prefix continuation", dcnnDepth: 3, cleanDepth: 2,
 			alus: func() ALUFactory { return func() fault.ALU { return &infFaultALU{} } },
 		},
 	}
 	for _, site := range sites {
 		t.Run(site.name, func(t *testing.T) {
-			cfg := site.cfg
-			cfg.Mode, cfg.SafetyClasses = ModeTemporalDMR, defaultSafety()
+			cfg := Config{
+				Mode: ModeTemporalDMR, Pair: trainedPair, DCNNDepth: site.dcnnDepth,
+				SafetyClasses: defaultSafety(),
+			}
 			clean, err := NewHybridNetwork(cfg, net)
 			if err != nil {
 				t.Fatal(err)
@@ -548,7 +529,7 @@ func TestBucketTripAtEveryReliableSite(t *testing.T) {
 			}
 
 			rng := rand.New(rand.NewSource(57))
-			gcfg, err := gtsrb.Config{Size: site.imgSize}.Normalize()
+			gcfg, err := gtsrb.Config{Size: 32}.Normalize()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -561,8 +542,7 @@ func TestBucketTripAtEveryReliableSite(t *testing.T) {
 			}
 			pipes := []Pipeline{PipelineFull, PipelineCNN, PipelineFull, PipelineCNN, PipelineFull}
 
-			// Fault-free reference for the riders and for the parallel
-			// wiring's surviving CNN opinion.
+			// Fault-free reference for the riders.
 			cleanPool, err := clean.NewBatchClassifier(1)
 			if err != nil {
 				t.Fatal(err)
@@ -582,7 +562,7 @@ func TestBucketTripAtEveryReliableSite(t *testing.T) {
 				wantStats.Ops += ops
 			}
 
-			checkFailed := func(t *testing.T, label string, res, ref Result) {
+			checkFailed := func(t *testing.T, label string, res Result) {
 				t.Helper()
 				if res.Decision != DecisionExecutionFailed {
 					t.Errorf("%s: decision = %v, want execution-failed", label, res.Decision)
@@ -599,12 +579,7 @@ func TestBucketTripAtEveryReliableSite(t *testing.T) {
 				if res.Qualifier.Class != 0 {
 					t.Errorf("%s: qualifier ran (%v) after a failed execution", label, res.Qualifier.Class)
 				}
-				if site.cnnRuns {
-					if res.Class != ref.Class || res.Confidence != ref.Confidence || !equalProbs(res.Probs, ref.Probs) {
-						t.Errorf("%s: CNN opinion (%d,%v) != fault-free (%d,%v)",
-							label, res.Class, res.Confidence, ref.Class, ref.Confidence)
-					}
-				} else if res.Class != 0 || res.Confidence != 0 || res.Probs != nil {
+				if res.Class != 0 || res.Confidence != 0 || res.Probs != nil {
 					t.Errorf("%s: CNN ran without its input: (%d,%v,%v)", label, res.Class, res.Confidence, res.Probs)
 				}
 			}
@@ -617,7 +592,7 @@ func TestBucketTripAtEveryReliableSite(t *testing.T) {
 				if serial[i], err = faulty.Classify(img); err != nil {
 					t.Fatal(err)
 				}
-				checkFailed(t, fmt.Sprintf("Classify img %d", i), serial[i], want[i])
+				checkFailed(t, fmt.Sprintf("Classify img %d", i), serial[i])
 			}
 
 			pool, err := faulty.NewBatchClassifier(1)
@@ -634,7 +609,7 @@ func TestBucketTripAtEveryReliableSite(t *testing.T) {
 				for i := range got {
 					label := fmt.Sprintf("round %d img %d", round, i)
 					if pipes[i] == PipelineFull {
-						checkFailed(t, label, got[i], want[i])
+						checkFailed(t, label, got[i])
 						// The attempt counts in the message are the image's
 						// own, whatever the pooled engine served before it.
 						if got[i].ExecErr != nil && got[i].ExecErr.Error() != serial[i].ExecErr.Error() {
@@ -671,8 +646,8 @@ func TestHybridSingleTransientFaultIsCorrected(t *testing.T) {
 	net := trainedMicroNet(t)
 	mk := func(f ALUFactory) *HybridNetwork {
 		h, err := NewHybridNetwork(Config{
-			Wiring: WiringParallel, Mode: ModeTemporalDMR,
-			SafetyClasses: defaultSafety(), DownsampleFactor: 3, ALUs: f,
+			Mode: ModeTemporalDMR, Pair: trainedPair,
+			SafetyClasses: defaultSafety(), ALUs: f,
 		}, net)
 		if err != nil {
 			t.Fatal(err)
@@ -680,7 +655,7 @@ func TestHybridSingleTransientFaultIsCorrected(t *testing.T) {
 		return h
 	}
 	rng := rand.New(rand.NewSource(39))
-	img, err := gtsrb.AngledStopSign(96, rng)
+	img, err := gtsrb.AngledStopSign(32, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,27 +685,11 @@ func TestHybridSingleTransientFaultIsCorrected(t *testing.T) {
 }
 
 func TestHybridBifurcated(t *testing.T) {
-	// Untrained net at 64×64: the CNN classification is meaningless, but
-	// the bifurcated data path must deliver the conv1 Sobel channels to the
-	// qualifier, which must still recognise the octagon.
-	rng := rand.New(rand.NewSource(41))
-	net, err := nn.NewMicroAlexNet(nn.MicroConfig{
-		InputSize: 64, Conv1Filters: 8, Conv1Kernel: 5,
-		Conv2Filters: 8, Hidden: 16, Classes: 6, UseLRN: false,
-	}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conv1, err := nn.FirstConv(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair, err := InstallSobelPair(conv1, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The bifurcated data path must deliver the conv1 Sobel channels to the
+	// qualifier, which must still recognise an angled octagon.
+	net, pair := sobelNet64(t)
 	h, err := NewHybridNetwork(Config{
-		Wiring: WiringBifurcated, Mode: ModeTemporalDMR,
+		Mode:          ModeTemporalDMR,
 		SafetyClasses: defaultSafety(), Pair: pair,
 	}, net)
 	if err != nil {

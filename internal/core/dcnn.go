@@ -18,8 +18,7 @@ import (
 
 // ExecuteLayers reliably executes layers [from, to) of net on x and returns
 // the intermediate activation: from 0 it is the generalised DCNN prefix; the
-// bifurcated hybrid enters at 1 to continue past the conv1 it already
-// executed. Dropout layers are the identity (inference semantics). The
+// hybrid enters at 1 to continue past the conv1 it already executed. Dropout layers are the identity (inference semantics). The
 // engine accumulates work statistics and bucket state across the whole
 // range.
 func ExecuteLayers(e *reliable.Engine, net *nn.Sequential, from, to int, x *tensor.Tensor) (*tensor.Tensor, error) {

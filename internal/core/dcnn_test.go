@@ -237,7 +237,7 @@ func TestHybridDeepDCNN(t *testing.T) {
 	}
 	mk := func(depth int) *HybridNetwork {
 		h, err := NewHybridNetwork(Config{
-			Wiring: WiringBifurcated, Mode: ModeTemporalDMR,
+			Mode: ModeTemporalDMR,
 			Pair: pair, DCNNDepth: depth,
 			SafetyClasses: defaultSafety(),
 		}, net)
@@ -270,7 +270,7 @@ func TestHybridDeepDCNN(t *testing.T) {
 	}
 	// Depth out of range is rejected.
 	if _, err := NewHybridNetwork(Config{
-		Wiring: WiringBifurcated, Mode: ModePlain, Pair: pair,
+		Mode: ModePlain, Pair: pair,
 		DCNNDepth: 99, SafetyClasses: defaultSafety(),
 	}, net); err == nil {
 		t.Error("excess DCNN depth should fail")

@@ -2,9 +2,9 @@
 // "platform-agnostic description of hybrid-CNNs" (Section V-B suggests
 // "researching extensions to the ONNX standard"): a versioned JSON model
 // format that carries the network topology, the weights, AND the
-// reliability annotations a hybrid CNN needs — the partition wiring, the
-// redundancy mode, the leaky-bucket parameters, the Sobel-pair location and
-// the safety-class/shape qualification table.
+// reliability annotations a hybrid CNN needs — the redundancy mode, the
+// leaky-bucket parameters, the location of the Sobel pair in conv1 and the
+// safety-class/shape qualification table.
 //
 // The format is deliberately self-contained (weights embedded base64) so a
 // single document fully reproduces a deployed hybrid network.
@@ -24,8 +24,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// FormatVersion is the current document version.
-const FormatVersion = 1
+// FormatVersion is the current document version. Version 2 dropped the
+// wiring choice (a hybrid always executes conv1 reliably and qualifies its
+// Sobel channels), so a version-1 document, which may name the retired
+// parallel wiring, is refused rather than read as something it is not.
+const FormatVersion = 2
 
 // Model is the top-level document.
 type Model struct {
@@ -65,38 +68,26 @@ type LayerDesc struct {
 	Weights map[string]string `json:"weights,omitempty"`
 }
 
-// ReliabilityDesc carries the hybrid annotations.
+// ReliabilityDesc carries the hybrid annotations: how conv1 executes
+// reliably (mode, leaky bucket) and which of its channels feed the shape
+// qualifier.
 type ReliabilityDesc struct {
-	Wiring           string            `json:"wiring"` // parallel | bifurcated
-	Mode             string            `json:"mode"`   // plain | temporal-dmr | spatial-dmr | tmr
-	BucketFactor     int               `json:"bucket_factor"`
-	BucketCeiling    int               `json:"bucket_ceiling"`
-	SobelPair        []int             `json:"sobel_pair,omitempty"` // [xIdx, yIdx]
-	SobelKernel      int               `json:"sobel_kernel,omitempty"`
-	DownsampleFactor int               `json:"downsample_factor,omitempty"`
-	SafetyClasses    map[string]string `json:"safety_classes,omitempty"` // class index → shape name
+	Mode          string            `json:"mode"` // plain | temporal-dmr | spatial-dmr | tmr
+	BucketFactor  int               `json:"bucket_factor"`
+	BucketCeiling int               `json:"bucket_ceiling"`
+	SobelPair     []int             `json:"sobel_pair"`               // [xIdx, yIdx] in conv1
+	SafetyClasses map[string]string `json:"safety_classes,omitempty"` // class index → shape name
 }
 
-// parseEnum returns the value in [first, last] whose String is name, so
-// each enum's names are written once, by its String method.
-func parseEnum[T interface {
-	~int
-	fmt.Stringer
-}](name string, first, last T) (T, bool) {
-	for v := first; v <= last; v++ {
-		if v.String() == name {
-			return v, true
+// parseShape returns the shape class whose String is name, so the names are
+// written once, by shape.Class.String.
+func parseShape(name string) (shape.Class, bool) {
+	for c := shape.ClassUnknown; c <= shape.ClassOctagon; c++ {
+		if c.String() == name {
+			return c, true
 		}
 	}
 	return 0, false
-}
-
-func parseWiring(name string) (core.Wiring, bool) {
-	return parseEnum(name, core.WiringParallel, core.WiringBifurcated)
-}
-
-func parseShape(name string) (shape.Class, bool) {
-	return parseEnum(name, shape.ClassUnknown, shape.ClassOctagon)
 }
 
 func encodeTensor(t *tensor.Tensor) (string, error) {
@@ -176,21 +167,14 @@ func Export(net *nn.Sequential, cfg *core.Config) (*Model, error) {
 	}
 	if cfg != nil {
 		r := &ReliabilityDesc{
-			BucketFactor:     cfg.BucketFactor,
-			BucketCeiling:    cfg.BucketCeiling,
-			SobelKernel:      cfg.SobelKernel,
-			DownsampleFactor: cfg.DownsampleFactor,
+			Mode:          cfg.Mode.String(),
+			BucketFactor:  cfg.BucketFactor,
+			BucketCeiling: cfg.BucketCeiling,
+			SobelPair:     []int{cfg.Pair.XIdx, cfg.Pair.YIdx},
 		}
 		// A name that does not parse back is an unknown value's fallback.
-		r.Wiring, r.Mode = cfg.Wiring.String(), cfg.Mode.String()
-		if _, ok := parseWiring(r.Wiring); !ok {
-			return nil, fmt.Errorf("onnxlite: unknown wiring %d", int(cfg.Wiring))
-		}
 		if _, err := core.ParseMode(r.Mode); err != nil {
 			return nil, fmt.Errorf("onnxlite: unknown mode %d", int(cfg.Mode))
-		}
-		if cfg.Wiring == core.WiringBifurcated {
-			r.SobelPair = []int{cfg.Pair.XIdx, cfg.Pair.YIdx}
 		}
 		if len(cfg.SafetyClasses) > 0 {
 			r.SafetyClasses = make(map[string]string, len(cfg.SafetyClasses))
@@ -283,24 +267,14 @@ func Import(m *Model, rng *rand.Rand) (*nn.Sequential, *core.Config, error) {
 		return net, nil, nil
 	}
 	r := m.Reliability
-	cfg := &core.Config{
-		BucketFactor:     r.BucketFactor,
-		BucketCeiling:    r.BucketCeiling,
-		SobelKernel:      r.SobelKernel,
-		DownsampleFactor: r.DownsampleFactor,
-	}
-	var ok bool
-	if cfg.Wiring, ok = parseWiring(r.Wiring); !ok {
-		return nil, nil, fmt.Errorf("onnxlite: unknown wiring %q", r.Wiring)
-	}
+	cfg := &core.Config{BucketFactor: r.BucketFactor, BucketCeiling: r.BucketCeiling}
 	if cfg.Mode, err = core.ParseMode(r.Mode); err != nil {
 		return nil, nil, fmt.Errorf("onnxlite: unknown mode %q", r.Mode)
 	}
-	if len(r.SobelPair) == 2 {
-		cfg.Pair = core.SobelPair{XIdx: r.SobelPair[0], YIdx: r.SobelPair[1]}
-	} else if len(r.SobelPair) != 0 {
+	if len(r.SobelPair) != 2 {
 		return nil, nil, fmt.Errorf("onnxlite: sobel pair must have 2 entries, got %d", len(r.SobelPair))
 	}
+	cfg.Pair = core.SobelPair{XIdx: r.SobelPair[0], YIdx: r.SobelPair[1]}
 	if len(r.SafetyClasses) > 0 {
 		cfg.SafetyClasses = make(map[int]shape.Class, len(r.SafetyClasses))
 		for classStr, shapeName := range r.SafetyClasses {

@@ -29,10 +29,9 @@ func buildNet(t *testing.T, seed int64) *nn.Sequential {
 
 func hybridCfg() *core.Config {
 	return &core.Config{
-		Wiring: core.WiringBifurcated, Mode: core.ModeTemporalDMR,
+		Mode:         core.ModeTemporalDMR,
 		BucketFactor: 2, BucketCeiling: 3,
 		Pair:          core.SobelPair{XIdx: 0, YIdx: 1},
-		SobelKernel:   3,
 		SafetyClasses: map[int]shape.Class{gtsrb.StopClass: shape.ClassOctagon},
 	}
 }
@@ -62,8 +61,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if cfg2 == nil {
 		t.Fatal("reliability config lost")
 	}
-	if cfg2.Wiring != core.WiringBifurcated || cfg2.Mode != core.ModeTemporalDMR {
-		t.Errorf("wiring/mode lost: %v %v", cfg2.Wiring, cfg2.Mode)
+	if cfg2.Mode != core.ModeTemporalDMR {
+		t.Errorf("mode lost: %v", cfg2.Mode)
 	}
 	if cfg2.Pair != (core.SobelPair{XIdx: 0, YIdx: 1}) {
 		t.Errorf("sobel pair lost: %+v", cfg2.Pair)
@@ -120,11 +119,6 @@ func TestExportValidation(t *testing.T) {
 	}
 	net := buildNet(t, 4)
 	bad := hybridCfg()
-	bad.Wiring = core.Wiring(0)
-	if _, err := Export(net, bad); err == nil {
-		t.Error("unknown wiring should fail")
-	}
-	bad = hybridCfg()
 	bad.Mode = core.RedundancyMode(0)
 	if _, err := Export(net, bad); err == nil {
 		t.Error("unknown mode should fail")
@@ -144,7 +138,7 @@ func TestImportValidation(t *testing.T) {
 	if _, _, err := Import(&Model{Version: 99}, rng); err == nil {
 		t.Error("wrong version should fail")
 	}
-	if _, _, err := Import(&Model{Version: 1}, rng); err == nil {
+	if _, _, err := Import(&Model{Version: FormatVersion}, rng); err == nil {
 		t.Error("no layers should fail")
 	}
 	net := buildNet(t, 6)
@@ -190,28 +184,28 @@ func TestImportValidation(t *testing.T) {
 	}
 	// Bad reliability block.
 	m5 := *m
-	m5.Reliability = &ReliabilityDesc{Wiring: "weird", Mode: "plain"}
+	m5.Reliability = &ReliabilityDesc{Mode: "plain"}
 	if _, _, err := Import(&m5, rng); err == nil {
-		t.Error("unknown wiring name should fail")
+		t.Error("missing sobel pair should fail")
 	}
 	m6 := *m
-	m6.Reliability = &ReliabilityDesc{Wiring: "parallel", Mode: "weird"}
+	m6.Reliability = &ReliabilityDesc{Mode: "weird", SobelPair: []int{0, 1}}
 	if _, _, err := Import(&m6, rng); err == nil {
 		t.Error("unknown mode name should fail")
 	}
 	m7 := *m
-	m7.Reliability = &ReliabilityDesc{Wiring: "parallel", Mode: "plain", SobelPair: []int{1}}
+	m7.Reliability = &ReliabilityDesc{Mode: "plain", SobelPair: []int{1}}
 	if _, _, err := Import(&m7, rng); err == nil {
 		t.Error("1-entry sobel pair should fail")
 	}
 	m8 := *m
-	m8.Reliability = &ReliabilityDesc{Wiring: "parallel", Mode: "plain",
+	m8.Reliability = &ReliabilityDesc{Mode: "plain", SobelPair: []int{0, 1},
 		SafetyClasses: map[string]string{"0": "weird"}}
 	if _, _, err := Import(&m8, rng); err == nil {
 		t.Error("unknown shape name should fail")
 	}
 	m9 := *m
-	m9.Reliability = &ReliabilityDesc{Wiring: "parallel", Mode: "plain",
+	m9.Reliability = &ReliabilityDesc{Mode: "plain", SobelPair: []int{0, 1},
 		SafetyClasses: map[string]string{"abc": "octagon"}}
 	if _, _, err := Import(&m9, rng); err == nil {
 		t.Error("non-numeric class key should fail")
@@ -236,13 +230,44 @@ func TestDocumentIsHumanReadable(t *testing.T) {
 	}
 	doc := buf.String()
 	for _, want := range []string{
-		`"version": 1`, `"type": "conv2d"`, `"type": "lrn"`,
-		`"wiring": "bifurcated"`, `"mode": "temporal-dmr"`,
+		`"version": 2`, `"type": "conv2d"`, `"type": "lrn"`,
+		`"mode": "temporal-dmr"`, `"sobel_pair"`,
 		`"safety_classes"`, `"octagon"`,
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("document missing %q", want)
 		}
+	}
+	if strings.Contains(doc, `"wiring"`) {
+		t.Error("document names a wiring; version 2 has none")
+	}
+}
+
+// TestImportRefusesVersion1 pins the format bump: a version-1 document,
+// which may name the retired parallel wiring, is refused by the version
+// check instead of being read as the one hybrid wiring there is.
+func TestImportRefusesVersion1(t *testing.T) {
+	m, err := Export(buildNet(t, 7), hybridCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(m, &buf); err != nil {
+		t.Fatal(err)
+	}
+	doc := strings.Replace(buf.String(), `"version": 2`, `"version": 1`, 1)
+	doc = strings.Replace(doc, `"reliability": {`, `"reliability": {
+    "wiring": "parallel",`, 1)
+	if !strings.Contains(doc, `"wiring": "parallel"`) || !strings.Contains(doc, `"version": 1`) {
+		t.Fatal("could not build the version-1 document")
+	}
+	v1, err := ReadModel(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Import(v1, rand.New(rand.NewSource(1)))
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1 (want 2)") {
+		t.Errorf("version-1 parallel document: got %v, want the version error", err)
 	}
 }
 
@@ -266,7 +291,7 @@ func TestHybridRoundTripBehaviour(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{
-		Wiring: core.WiringBifurcated, Mode: core.ModePlain,
+		Mode:          core.ModePlain,
 		Pair:          pair,
 		SafetyClasses: map[int]shape.Class{gtsrb.StopClass: shape.ClassOctagon},
 	}
@@ -307,7 +332,7 @@ func TestHybridRoundTripBehaviour(t *testing.T) {
 
 // exportGolden writes the documents TestExportGoldenBytes pins: a weighted
 // micro network whose safety table names every shape, then a weightless
-// one-layer network under every mode × wiring.
+// one-layer network under every mode.
 func exportGolden(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -331,15 +356,13 @@ func exportGolden(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	for _, mode := range []core.RedundancyMode{core.ModePlain, core.ModeTemporalDMR, core.ModeSpatialDMR, core.ModeTMR} {
-		for _, wiring := range []core.Wiring{core.WiringParallel, core.WiringBifurcated} {
-			write(relu, &core.Config{Wiring: wiring, Mode: mode, BucketFactor: 2, BucketCeiling: 3})
-		}
+		write(relu, &core.Config{Mode: mode, BucketFactor: 2, BucketCeiling: 3})
 	}
 	return buf.Bytes()
 }
 
-// TestExportGoldenBytes pins the exported document byte for byte, the mode,
-// wiring and shape names included. Regenerate testdata/export_golden.json
+// TestExportGoldenBytes pins the exported document byte for byte, the mode
+// and shape names included. Regenerate testdata/export_golden.json
 // only for a deliberate change to the model format.
 func TestExportGoldenBytes(t *testing.T) {
 	got := exportGolden(t)

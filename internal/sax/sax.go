@@ -248,52 +248,6 @@ func (e *Encoder) MinDist(a, b Word, n int) (float64, error) {
 	return math.Sqrt(float64(n)/float64(e.wordLen)) * math.Sqrt(s), nil
 }
 
-// HammingDist returns the number of positions at which the two words differ —
-// the "cheaply compared" string distance the paper alludes to for qualifier
-// matching. Word lengths must match.
-func HammingDist(a, b Word) (int, error) {
-	if len(a.Symbols) != len(b.Symbols) {
-		return 0, fmt.Errorf("sax: hamming distance of words with lengths %d and %d",
-			len(a.Symbols), len(b.Symbols))
-	}
-	n := 0
-	for i := range a.Symbols {
-		if a.Symbols[i] != b.Symbols[i] {
-			n++
-		}
-	}
-	return n, nil
-}
-
-// MinRotation returns the rotation of w that is lexicographically smallest.
-// Radial shape series have an arbitrary angular origin, so qualifier
-// matching compares rotation-normalised words (Booth's canonical rotation,
-// computed here by the simple O(n²) scan — words are short).
-func MinRotation(w Word) Word {
-	n := len(w.Symbols)
-	if n == 0 {
-		return w
-	}
-	best := 0
-	for cand := 1; cand < n; cand++ {
-		for k := 0; k < n; k++ {
-			a := w.Symbols[(cand+k)%n]
-			b := w.Symbols[(best+k)%n]
-			if a != b {
-				if a < b {
-					best = cand
-				}
-				break
-			}
-		}
-	}
-	out := Word{Symbols: make([]int, n), Alphabet: w.Alphabet}
-	for k := 0; k < n; k++ {
-		out.Symbols[k] = w.Symbols[(best+k)%n]
-	}
-	return out
-}
-
 // MinRotationMinDist returns the smallest MINDIST between a and any rotation
 // of b — the rotation-invariant variant used for closed-contour (radial)
 // series, whose angular origin is arbitrary. Because MINDIST charges nothing
@@ -317,33 +271,6 @@ func (e *Encoder) MinRotationMinDist(a, b Word, n int) (float64, error) {
 		d, err := e.MinDist(a, rot, n)
 		if err != nil {
 			return 0, err
-		}
-		if d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
-// MinRotationHamming returns the smallest Hamming distance between a and any
-// rotation of b — rotation-invariant word comparison for closed-contour
-// series.
-func MinRotationHamming(a, b Word) (int, error) {
-	if len(a.Symbols) != len(b.Symbols) {
-		return 0, fmt.Errorf("sax: rotation hamming of words with lengths %d and %d",
-			len(a.Symbols), len(b.Symbols))
-	}
-	n := len(a.Symbols)
-	if n == 0 {
-		return 0, nil
-	}
-	best := n + 1
-	for rot := 0; rot < n; rot++ {
-		d := 0
-		for k := 0; k < n; k++ {
-			if a.Symbols[k] != b.Symbols[(k+rot)%n] {
-				d++
-			}
 		}
 		if d < best {
 			best = d

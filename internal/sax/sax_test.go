@@ -286,58 +286,6 @@ func TestMinDistLowerBounds(t *testing.T) {
 	}
 }
 
-func TestHammingDist(t *testing.T) {
-	a := Word{Symbols: []int{0, 1, 2}, Alphabet: 4}
-	b := Word{Symbols: []int{0, 2, 2}, Alphabet: 4}
-	d, err := HammingDist(a, b)
-	if err != nil || d != 1 {
-		t.Errorf("hamming = %v, %v", d, err)
-	}
-	if _, err := HammingDist(a, Word{Symbols: []int{0}}); err == nil {
-		t.Error("length mismatch should fail")
-	}
-}
-
-func TestMinRotation(t *testing.T) {
-	w := Word{Symbols: []int{2, 0, 1}, Alphabet: 3}
-	r := MinRotation(w)
-	want := []int{0, 1, 2}
-	for i, s := range want {
-		if r.Symbols[i] != s {
-			t.Fatalf("MinRotation = %v, want %v", r.Symbols, want)
-		}
-	}
-	// Rotation-invariance: all rotations share the same canonical form.
-	rot := Word{Symbols: []int{1, 2, 0}, Alphabet: 3}
-	if !MinRotation(rot).Equal(r) {
-		t.Error("rotations should share canonical form")
-	}
-	empty := MinRotation(Word{Alphabet: 3})
-	if len(empty.Symbols) != 0 {
-		t.Error("empty word rotation")
-	}
-}
-
-func TestMinRotationHamming(t *testing.T) {
-	a := Word{Symbols: []int{0, 1, 2, 3}, Alphabet: 4}
-	b := Word{Symbols: []int{2, 3, 0, 1}, Alphabet: 4} // pure rotation of a
-	d, err := MinRotationHamming(a, b)
-	if err != nil || d != 0 {
-		t.Errorf("rotation hamming = %v, %v; want 0", d, err)
-	}
-	c := Word{Symbols: []int{0, 0, 0, 0}, Alphabet: 4}
-	d, _ = MinRotationHamming(a, c)
-	if d != 3 {
-		t.Errorf("rotation hamming to constant = %d, want 3", d)
-	}
-	if _, err := MinRotationHamming(a, Word{Symbols: []int{0}}); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if d, err := MinRotationHamming(Word{}, Word{}); err != nil || d != 0 {
-		t.Error("empty words should compare 0")
-	}
-}
-
 // Property: encoding is shift- and scale-invariant (z-normalisation).
 func TestQuickEncodeAffineInvariant(t *testing.T) {
 	e, _ := NewEncoder(4, 4)

@@ -123,11 +123,11 @@ var (
 	ErrClosed = errors.New("serve: scheduler closed")
 )
 
-// DefaultClassWeights is the dispatch weight vector applied when Config
-// leaves ClassWeights zero: guaranteed 16, fast 4, budget 1 — under full
-// backlog a MaxBatch=8 batch carries ~6 guaranteed riders, and no class
-// with queued work ever gets zero slots.
-var DefaultClassWeights = [NumClasses]int{16, 4, 1}
+// classWeights are the smooth weighted-round-robin dispatch weights:
+// guaranteed 16, fast 4, budget 1 — under full backlog a MaxBatch=8 batch
+// carries ~6 guaranteed riders, and no class with queued work ever gets
+// zero slots.
+var classWeights = [NumClasses]int{16, 4, 1}
 
 // Config parameterises a Scheduler.
 type Config struct {
@@ -144,10 +144,6 @@ type Config struct {
 	// ClassQueues optionally overrides the per-class queue bound; a zero
 	// entry inherits QueueSize.
 	ClassQueues [NumClasses]int
-	// ClassWeights are the smooth weighted-round-robin dispatch weights; a
-	// zero vector inherits DefaultClassWeights. Every weight must be ≥ 1,
-	// so no class can be configured into starvation.
-	ClassWeights [NumClasses]int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -172,14 +168,6 @@ func (c Config) withDefaults() (Config, error) {
 		}
 		if c.ClassQueues[i] < 1 {
 			return c, fmt.Errorf("serve: ClassQueues[%s] %d must be >= 1", Class(i), c.ClassQueues[i])
-		}
-	}
-	if c.ClassWeights == ([NumClasses]int{}) {
-		c.ClassWeights = DefaultClassWeights
-	}
-	for i, w := range c.ClassWeights {
-		if w < 1 {
-			return c, fmt.Errorf("serve: ClassWeights[%s] %d must be >= 1", Class(i), w)
 		}
 	}
 	return c, nil
@@ -449,7 +437,7 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 // tryPop removes and returns the next request to dispatch, or nil if every
 // queue is empty. Across classes it advances the smooth weighted
 // round-robin over the non-empty queues, so under backlog each batch slot
-// honours ClassWeights; within a class the heap yields EDF order.
+// honours classWeights; within a class the heap yields EDF order.
 func (s *Scheduler) tryPop() *request {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -460,7 +448,7 @@ func (s *Scheduler) popLocked() *request {
 	total := 0
 	for c := range s.queues {
 		if len(s.queues[c]) > 0 {
-			total += s.cfg.ClassWeights[c]
+			total += classWeights[c]
 		}
 	}
 	if total == 0 {
@@ -471,7 +459,7 @@ func (s *Scheduler) popLocked() *request {
 		if len(s.queues[c]) == 0 {
 			continue
 		}
-		s.wrr[c] += s.cfg.ClassWeights[c]
+		s.wrr[c] += classWeights[c]
 		if best < 0 || s.wrr[c] > s.wrr[best] {
 			best = c
 		}

@@ -108,7 +108,7 @@ func TestSchedulerCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, err := core.NewHybridNetwork(core.Config{
-		Wiring: core.WiringBifurcated, Mode: core.ModeTemporalDMR, Pair: pair,
+		Mode: core.ModeTemporalDMR, Pair: pair,
 		SafetyClasses: map[int]shape.Class{gtsrb.StopClass: shape.ClassOctagon},
 	}, net)
 	if err != nil {

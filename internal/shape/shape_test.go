@@ -616,7 +616,7 @@ func TestQualifyEdgeMap(t *testing.T) {
 
 func TestRadialSeriesRotationShiftsSeries(t *testing.T) {
 	// The radial series of a rotated polygon is (approximately) a circular
-	// shift — the invariance MinRotationHamming relies on.
+	// shift — the invariance Encoder.MinRotationMinDist relies on.
 	rng := rand.New(rand.NewSource(5))
 	_ = rng
 	base := rasterPolygon(t, 4, 0, 96)

@@ -25,8 +25,9 @@
 //	internal/sax         Symbolic Aggregate approXimation
 //	internal/shape       Sobel, segmentation, radial series, qualifier
 //	internal/gtsrb       synthetic traffic-sign dataset
-//	internal/core        the hybrid network, its pooled batch classifier
-//	                     and the reliability guarantee
+//	internal/core        the hybrid network (reliable conv1 → qualifier +
+//	                     CNN), its pooled batch classifier and the
+//	                     reliability guarantee
 //	internal/onnxlite    platform-agnostic hybrid model description
 //	internal/experiments regeneration of every table/figure of the paper
 //
@@ -47,9 +48,10 @@ import (
 
 // Re-exported core types: the hybrid network and its configuration.
 type (
-	// HybridNetwork is the paper's contribution: a CNN partitioned into a
-	// reliably executed part and a conventional part, with a qualifier
-	// gating safety-critical classifications.
+	// HybridNetwork is the paper's contribution: a CNN whose first
+	// convolution executes reliably and feeds both a shape qualifier
+	// (through its Sobel pair) and the conventional rest of the CNN, the
+	// qualifier gating safety-critical classifications.
 	HybridNetwork = core.HybridNetwork
 	// HybridConfig assembles a HybridNetwork.
 	HybridConfig = core.Config
@@ -82,9 +84,6 @@ const (
 	ModeTemporalDMR = core.ModeTemporalDMR
 	ModeSpatialDMR  = core.ModeSpatialDMR
 	ModeTMR         = core.ModeTMR
-
-	WiringParallel   = core.WiringParallel
-	WiringBifurcated = core.WiringBifurcated
 
 	DecisionQualified         = core.DecisionQualified
 	DecisionRejected          = core.DecisionRejected
