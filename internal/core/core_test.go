@@ -311,11 +311,22 @@ func TestHybridConfigValidation(t *testing.T) {
 		t.Error("out-of-range sobel pair should fail")
 	}
 	bad = good
-	qc := shape.DefaultQualifierConfig()
-	qc.SmoothWindow = 2
-	bad.Qualifier = &qc
+	bad.DCNNDepth = 2
 	if _, err := NewHybridNetwork(bad, net); err == nil {
-		t.Error("invalid qualifier config should fail")
+		t.Error("DCNN depth 2 should fail: conv1 is the whole reliable stage")
+	}
+	// The CNN takes over at layer 1, so layer 0 must be the reliable conv1;
+	// a convolution found further in must not be taken for it.
+	conv, err := nn.NewConv2D("conv", 3, 3, 3, 1, 1, rand.New(rand.NewSource(64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reluFirst, err := nn.NewSequential("relu-first", nn.NewReLU("relu"), conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewHybridNetwork(good, reluFirst); err == nil {
+		t.Error("a net whose layer 0 is not a convolution should fail")
 	}
 }
 
@@ -467,166 +478,122 @@ func saturatingALUs() ALUFactory {
 	}
 }
 
-// infFaultALU is ideal except that an infinite sum comes back as a different
-// finite value on every execution. Convolution and ReLU never produce an
-// infinity, but reliable max pooling seeds every window with −Inf, so its
-// first comparison (v − (−Inf) = +Inf) disagrees with itself: the fault
-// lands in the DCNN prefix continuation, after conv1 executed cleanly, and
-// — being a function of the operands, not of the ALU's history — at the same
-// operation of every image a pooled engine serves.
-type infFaultALU struct{ n float32 }
-
-func (a *infFaultALU) Mul(x, y float32) float32 { return x * y }
-
-func (a *infFaultALU) Add(x, y float32) float32 {
-	s := x + y
-	if math.IsInf(float64(s), 0) {
-		a.n++
-		return a.n
-	}
-	return s
-}
-
-// TestBucketTripAtEveryReliableSite drives a persistent fault into each of
-// the places the hybrid executes reliably — conv1 and the DCNN prefix
-// continuation — through Classify and through a warm one-worker
-// BatchClassifier whose chunk also carries CNN-only riders. Every full image
-// must come back DecisionExecutionFailed with the bucket trip in ExecErr and
-// Bucket and per-image work counters; the CNN lost its input and reports
-// nothing. The riders never touch the reliable stage, so they equal a
+// TestBucketTripAtEveryReliableSite drives a persistent fault into the one
+// place the hybrid executes reliably — conv1 — through Classify and through
+// a warm one-worker BatchClassifier whose chunk also carries CNN-only
+// riders. Every full image must come back DecisionExecutionFailed with the
+// bucket trip in ExecErr and Bucket and per-image work counters; the CNN
+// lost its input and reports nothing. The riders never touch the reliable stage, so they equal a
 // fault-free run bit for bit.
 func TestBucketTripAtEveryReliableSite(t *testing.T) {
 	net := trainedMicroNet(t)
-	// Under the default bucket two successive failures trip: one retry.
-	tripOnFirstOp := reliable.Stats{Ops: 2, Failed: 2, Retries: 1}
-	sites := []struct {
-		name      string
-		dcnnDepth int
-		alus      func() ALUFactory
-		// cleanDepth is how many layers execute fault-free before the trip.
-		cleanDepth int
-	}{
-		{name: "bifurcated conv1", alus: saturatingALUs},
-		{
-			name: "bifurcated prefix continuation", dcnnDepth: 3, cleanDepth: 2,
-			alus: func() ALUFactory { return func() fault.ALU { return &infFaultALU{} } },
-		},
-	}
-	for _, site := range sites {
-		t.Run(site.name, func(t *testing.T) {
-			cfg := Config{
-				Mode: ModeTemporalDMR, Pair: trainedPair, DCNNDepth: site.dcnnDepth,
-				SafetyClasses: defaultSafety(),
-			}
-			clean, err := NewHybridNetwork(cfg, net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.ALUs = site.alus()
-			faulty, err := NewHybridNetwork(cfg, net)
-			if err != nil {
-				t.Fatal(err)
-			}
+	t.Run("bifurcated conv1", func(t *testing.T) {
+		cfg := Config{
+			Mode: ModeTemporalDMR, Pair: trainedPair,
+			SafetyClasses: defaultSafety(),
+		}
+		clean, err := NewHybridNetwork(cfg, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.ALUs = saturatingALUs()
+		faulty, err := NewHybridNetwork(cfg, net)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			rng := rand.New(rand.NewSource(57))
-			gcfg, err := gtsrb.Config{Size: 32}.Normalize()
+		rng := rand.New(rand.NewSource(57))
+		gcfg, err := gtsrb.Config{Size: 32}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		imgs := make([]*tensor.Tensor, 5)
+		for i := range imgs {
+			spec := gtsrb.StandardClasses()[i%len(gtsrb.StandardClasses())]
+			if imgs[i], err = gtsrb.Render(gtsrb.RandomParams(gcfg, spec, rng), rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pipes := []Pipeline{PipelineFull, PipelineCNN, PipelineFull, PipelineCNN, PipelineFull}
+
+		// Fault-free reference for the riders.
+		cleanPool, err := clean.NewBatchClassifier(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := cleanPool.ClassifyBatchPipelined(imgs, pipes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The work counters of an image that trips: under the default
+		// bucket two successive failures of its first operation trip, one
+		// retry.
+		wantStats := reliable.Stats{Ops: 2, Failed: 2, Retries: 1}
+
+		checkFailed := func(t *testing.T, label string, res Result) {
+			t.Helper()
+			if res.Decision != DecisionExecutionFailed {
+				t.Errorf("%s: decision = %v, want execution-failed", label, res.Decision)
+			}
+			if !errors.Is(res.ExecErr, reliable.ErrBucketTripped) {
+				t.Errorf("%s: ExecErr = %v, want a bucket trip", label, res.ExecErr)
+			}
+			if !res.Bucket.Tripped || res.Bucket.Errors != 2 {
+				t.Errorf("%s: bucket = %+v, want tripped after 2 errors", label, res.Bucket)
+			}
+			if res.Stats != wantStats {
+				t.Errorf("%s: stats = %+v, want per-image %+v", label, res.Stats, wantStats)
+			}
+			if res.Qualifier.Class != 0 {
+				t.Errorf("%s: qualifier ran (%v) after a failed execution", label, res.Qualifier.Class)
+			}
+			if res.Class != 0 || res.Confidence != 0 || res.Probs != nil {
+				t.Errorf("%s: CNN ran without its input: (%d,%v,%v)", label, res.Class, res.Confidence, res.Probs)
+			}
+		}
+
+		serial := make([]Result, len(imgs))
+		for i, img := range imgs {
+			if pipes[i] != PipelineFull {
+				continue
+			}
+			if serial[i], err = faulty.Classify(img); err != nil {
+				t.Fatal(err)
+			}
+			checkFailed(t, fmt.Sprintf("Classify img %d", i), serial[i])
+		}
+
+		pool, err := faulty.NewBatchClassifier(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two rounds: the second runs on an engine that has already
+		// served (and tripped on) other images.
+		for round := 0; round < 2; round++ {
+			got, _, err := pool.ClassifyBatchPipelined(imgs, pipes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			imgs := make([]*tensor.Tensor, 5)
-			for i := range imgs {
-				spec := gtsrb.StandardClasses()[i%len(gtsrb.StandardClasses())]
-				if imgs[i], err = gtsrb.Render(gtsrb.RandomParams(gcfg, spec, rng), rng); err != nil {
-					t.Fatal(err)
-				}
-			}
-			pipes := []Pipeline{PipelineFull, PipelineCNN, PipelineFull, PipelineCNN, PipelineFull}
-
-			// Fault-free reference for the riders.
-			cleanPool, err := clean.NewBatchClassifier(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _, err := cleanPool.ClassifyBatchPipelined(imgs, pipes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The work counters of an image that trips: the layers before
-			// the faulty one in full, then the two attempts of the trip.
-			wantStats := tripOnFirstOp
-			if site.cleanDepth > 0 {
-				ops, err := PrefixCost(net, site.cleanDepth, imgs[0].Shape())
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantStats.Ops += ops
-			}
-
-			checkFailed := func(t *testing.T, label string, res Result) {
-				t.Helper()
-				if res.Decision != DecisionExecutionFailed {
-					t.Errorf("%s: decision = %v, want execution-failed", label, res.Decision)
-				}
-				if !errors.Is(res.ExecErr, reliable.ErrBucketTripped) {
-					t.Errorf("%s: ExecErr = %v, want a bucket trip", label, res.ExecErr)
-				}
-				if !res.Bucket.Tripped || res.Bucket.Errors != 2 {
-					t.Errorf("%s: bucket = %+v, want tripped after 2 errors", label, res.Bucket)
-				}
-				if res.Stats != wantStats {
-					t.Errorf("%s: stats = %+v, want per-image %+v", label, res.Stats, wantStats)
-				}
-				if res.Qualifier.Class != 0 {
-					t.Errorf("%s: qualifier ran (%v) after a failed execution", label, res.Qualifier.Class)
-				}
-				if res.Class != 0 || res.Confidence != 0 || res.Probs != nil {
-					t.Errorf("%s: CNN ran without its input: (%d,%v,%v)", label, res.Class, res.Confidence, res.Probs)
-				}
-			}
-
-			serial := make([]Result, len(imgs))
-			for i, img := range imgs {
-				if pipes[i] != PipelineFull {
+			for i := range got {
+				label := fmt.Sprintf("round %d img %d", round, i)
+				if pipes[i] == PipelineFull {
+					checkFailed(t, label, got[i])
+					// The attempt counts in the message are the image's
+					// own, whatever the pooled engine served before it.
+					if got[i].ExecErr != nil && got[i].ExecErr.Error() != serial[i].ExecErr.Error() {
+						t.Errorf("%s: ExecErr %q != Classify's %q", label, got[i].ExecErr, serial[i].ExecErr)
+					}
 					continue
 				}
-				if serial[i], err = faulty.Classify(img); err != nil {
-					t.Fatal(err)
-				}
-				checkFailed(t, fmt.Sprintf("Classify img %d", i), serial[i])
-			}
-
-			pool, err := faulty.NewBatchClassifier(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Two rounds: the second runs on an engine that has already
-			// served (and tripped on) other images.
-			for round := 0; round < 2; round++ {
-				got, _, err := pool.ClassifyBatchPipelined(imgs, pipes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range got {
-					label := fmt.Sprintf("round %d img %d", round, i)
-					if pipes[i] == PipelineFull {
-						checkFailed(t, label, got[i])
-						// The attempt counts in the message are the image's
-						// own, whatever the pooled engine served before it.
-						if got[i].ExecErr != nil && got[i].ExecErr.Error() != serial[i].ExecErr.Error() {
-							t.Errorf("%s: ExecErr %q != Classify's %q", label, got[i].ExecErr, serial[i].ExecErr)
-						}
-						continue
-					}
-					if got[i].Class != want[i].Class || got[i].Confidence != want[i].Confidence ||
-						!equalProbs(got[i].Probs, want[i].Probs) || got[i].Decision != want[i].Decision ||
-						got[i].Stats != (reliable.Stats{}) || got[i].Bucket != (reliable.Snapshot{}) ||
-						got[i].ExecErr != nil {
-						t.Errorf("%s: fast rider %+v != fault-free %+v", label, got[i], want[i])
-					}
+				if got[i].Class != want[i].Class || got[i].Confidence != want[i].Confidence ||
+					!equalProbs(got[i].Probs, want[i].Probs) || got[i].Decision != want[i].Decision ||
+					got[i].Stats != (reliable.Stats{}) || got[i].Bucket != (reliable.Snapshot{}) ||
+					got[i].ExecErr != nil {
+					t.Errorf("%s: fast rider %+v != fault-free %+v", label, got[i], want[i])
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // equalProbs reports whether two probability rows are bit-identical.

@@ -12,12 +12,11 @@ import (
 )
 
 // StageTimes is the per-stage wall-time breakdown of the classify
-// pipeline: the reliable stage (conv1 and the rest of the DCNN prefix),
-// the shape qualifier, and the batched non-reliable CNN. Each worker measures
-// the chunks it processes, so across a pooled batch the fields are
-// summed per-worker wall time — they can exceed the batch's wall clock
-// when workers run in parallel, the same way CPU time can. Zero-valued
-// when the caller did not ask for timing.
+// pipeline: the reliable stage (conv1), the shape qualifier, and the
+// batched non-reliable CNN. Each worker measures the chunks it processes,
+// so across a pooled batch the fields are summed per-worker wall time —
+// they can exceed the batch's wall clock when workers run in parallel, the
+// same way CPU time can. Zero-valued when the caller did not ask for timing.
 type StageTimes struct {
 	Reliable  time.Duration `json:"reliable_ns"`
 	Qualifier time.Duration `json:"qualifier_ns"`
@@ -84,18 +83,18 @@ type Config struct {
 	SafetyClasses map[int]shape.Class
 	// Pair locates the Sobel filters in the first convolution layer.
 	Pair SobelPair
-	// DCNNDepth is how many leading layers execute reliably (default 1 —
-	// the paper's "one convolution layer"; deeper prefixes answer the
-	// Section V question of harnessing subsequent layers, at the cost
-	// PrefixCost quantifies). The non-reliable CNN takes over at this layer.
+	// DCNNDepth reads back how many leading layers execute reliably: always
+	// 1, the paper's "one convolution layer", after which the non-reliable
+	// CNN takes over. 0 normalises to 1; any other value is refused.
 	DCNNDepth int
 	// ALUs produces the processing elements for the reliable stage
 	// (default: ideal).
 	ALUs ALUFactory
-	// Qualifier overrides the shape qualifier configuration (default:
-	// shape.DefaultQualifierConfig).
-	Qualifier *shape.QualifierConfig
 }
+
+// cnnFrom is the layer at which the non-reliable CNN takes over: conv1, at
+// layer 0, is the whole reliable stage.
+const cnnFrom = 1
 
 // Result is the hybrid network's full output for one input, retaining every
 // artefact a safety case would want to inspect.
@@ -143,17 +142,21 @@ func NewHybridNetwork(cfg Config, net *nn.Sequential) (*HybridNetwork, error) {
 		cfg.BucketCeiling = reliable.DefaultCeiling
 	}
 	if cfg.DCNNDepth == 0 {
-		cfg.DCNNDepth = 1
+		cfg.DCNNDepth = cnnFrom
 	}
-	if cfg.DCNNDepth < 1 || cfg.DCNNDepth > net.Len() {
-		return nil, fmt.Errorf("core: DCNN depth %d out of [1,%d]", cfg.DCNNDepth, net.Len())
+	if cfg.DCNNDepth != cnnFrom {
+		return nil, fmt.Errorf("core: DCNN depth %d, want %d: conv1 is the whole reliable stage", cfg.DCNNDepth, cnnFrom)
 	}
 	if len(cfg.SafetyClasses) == 0 {
 		return nil, fmt.Errorf("core: hybrid needs at least one safety-critical class")
 	}
-	conv1, err := nn.FirstConv(net)
+	layer0, err := net.Layer(0)
 	if err != nil {
 		return nil, err
+	}
+	conv1, ok := layer0.(*nn.Conv2D)
+	if !ok {
+		return nil, fmt.Errorf("core: hybrid needs a convolution at layer 0, got %T", layer0)
 	}
 	if cfg.Pair.XIdx == cfg.Pair.YIdx {
 		return nil, fmt.Errorf("core: hybrid needs a Sobel pair with distinct indices")
@@ -163,11 +166,7 @@ func NewHybridNetwork(cfg Config, net *nn.Sequential) (*HybridNetwork, error) {
 		return nil, fmt.Errorf("core: Sobel pair (%d,%d) out of range [0,%d)",
 			cfg.Pair.XIdx, cfg.Pair.YIdx, conv1.Filters())
 	}
-	qcfg := shape.DefaultQualifierConfig()
-	if cfg.Qualifier != nil {
-		qcfg = *cfg.Qualifier
-	}
-	q, err := shape.NewQualifier(qcfg)
+	q, err := shape.NewQualifier(shape.DefaultQualifierConfig())
 	if err != nil {
 		return nil, fmt.Errorf("core: hybrid qualifier: %w", err)
 	}
@@ -205,8 +204,8 @@ func (h *HybridNetwork) Classify(img *tensor.Tensor) (Result, error) {
 // worker's context and reliable engine, writing one Result per image. The
 // pipeline splits into two stages:
 //
-//  1. Per sample: the reliable stage (the DCNN prefix, whose overloaded
-//     MAC protocol is inherently per-image) and the shape qualifier, with
+//  1. Per sample: the reliable stage (conv1, whose overloaded MAC
+//     protocol is inherently per-image) and the shape qualifier, with
 //     the leaky bucket reset before every image and the work counters
 //     reported as per-image deltas.
 //  2. Batched: the non-reliable CNN portion of every image that survived
@@ -216,8 +215,8 @@ func (h *HybridNetwork) Classify(img *tensor.Tensor) (Result, error) {
 //
 // pipes selects the pipeline per image: pipes[i] == PipelineCNN skips
 // stage 1 (no reliable execution, no qualifier) for image i and routes it
-// straight into the batched CNN. Fast images run the non-reliable prefix
-// (the layers the reliable stage would have computed) as one micro-batch,
+// straight into the batched CNN. Fast images run conv1 non-reliably (the
+// layer the reliable stage would have computed) as one micro-batch,
 // then every surviving image — full and fast alike — coalesces into the
 // SAME batched CNN continuation, so a mixed chunk still costs one GEMM per
 // layer. nil pipes means PipelineFull for every image.
@@ -256,15 +255,14 @@ func (h *HybridNetwork) classifyChunkPipelined(w worker, imgs []*tensor.Tensor, 
 			idxs = append(idxs, i)
 		}
 	}
-	// Stage 2: the CNN portion, micro-batched. Fast images first run the
-	// non-reliable prefix [0, DCNNDepth) so they enter the continuation at
-	// the same layer as the reliably computed feature maps, same-shaped
-	// fast images sharing one batched pass; the prefix is CNN work and is
-	// booked as such.
+	// Stage 2: the CNN portion, micro-batched. Fast images first run conv1
+	// non-reliably so they enter the continuation at the same layer as the
+	// reliably computed feature maps, same-shaped fast images sharing one
+	// batched pass; that conv1 is CNN work and is booked as such.
 	cnnStart := time.Now()
-	fast, err := h.net.ForwardSamples(w.ctx, 0, h.cfg.DCNNDepth, fastImgs)
+	fast, err := h.net.ForwardSamples(w.ctx, 0, cnnFrom, fastImgs)
 	if err != nil {
-		err = fmt.Errorf("core: fast prefix: %w", err)
+		err = fmt.Errorf("core: fast conv1: %w", err)
 	} else {
 		err = h.cnnStage(w.ctx, append(cnnIns, fast...), append(idxs, fastIdxs...), results)
 	}
@@ -273,25 +271,16 @@ func (h *HybridNetwork) classifyChunkPipelined(w worker, imgs []*tensor.Tensor, 
 }
 
 // reliableStage runs everything except the non-reliable CNN for one image:
-// conv1 executed reliably, the rest of the DCNN prefix when the CNN takes
-// over later than layer 1, and — when execution succeeds — the shape
+// conv1 executed reliably and — when execution succeeds — the shape
 // qualifier on conv1's Sobel channels. It fills res.Stats/Bucket/Qualifier
-// and, on a bucket trip, res.Decision/ExecErr. It returns the reliably
-// computed feature map the CNN stage should consume, or nil after an
+// and, on a bucket trip, res.Decision/ExecErr. It returns conv1's reliably
+// computed feature map, which the CNN stage consumes, or nil after an
 // execution failure, because the CNN cannot run without it. Qualifier wall
 // time is booked into st.Qualifier so the caller can split it out of the
 // stage total.
 func (h *HybridNetwork) reliableStage(engine *reliable.Engine, img *tensor.Tensor, res *Result, st *StageTimes) (*tensor.Tensor, error) {
-	// The convolution is a direct call, not the first step of the prefix
-	// walk: the qualifier needs its output, not the prefix tail.
 	spec := reliable.ConvSpec{Stride: h.conv1.Stride(), Pad: h.conv1.Pad()}
 	features, execErr := reliable.Conv2D(engine, img, h.conv1.Weight(), h.conv1.Bias().Data(), spec)
-	cnnIn := features
-	if execErr == nil && h.cfg.DCNNDepth > 1 {
-		// The generalised DCNN: continue the reliable prefix beyond conv1
-		// before handing over to the non-reliable CNN.
-		cnnIn, execErr = ExecuteLayers(engine, h.net, 1, h.cfg.DCNNDepth, features)
-	}
 	res.Stats = engine.Stats()
 	res.Bucket = engine.Bucket().Snapshot()
 	if execErr != nil {
@@ -315,7 +304,7 @@ func (h *HybridNetwork) reliableStage(engine *reliable.Engine, img *tensor.Tenso
 		return nil, fmt.Errorf("core: qualifier: %w", err)
 	}
 	res.Qualifier = qres
-	return cnnIn, nil
+	return features, nil
 }
 
 // cnnStage runs the non-reliable CNN portion over the surviving images of a
@@ -324,7 +313,7 @@ func (h *HybridNetwork) reliableStage(engine *reliable.Engine, img *tensor.Tenso
 // common shape pack into a single NCHW micro-batch (one GEMM per layer);
 // ragged shapes run one batch per shape.
 func (h *HybridNetwork) cnnStage(ctx *nn.Context, cnnIns []*tensor.Tensor, idxs []int, results []Result) error {
-	logits, err := h.net.ForwardSamples(ctx, h.cfg.DCNNDepth, h.net.Len(), cnnIns)
+	logits, err := h.net.ForwardSamples(ctx, cnnFrom, h.net.Len(), cnnIns)
 	if err != nil {
 		return fmt.Errorf("core: CNN path: %w", err)
 	}

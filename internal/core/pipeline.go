@@ -6,7 +6,7 @@ import "fmt"
 // The serving tier maps service classes onto pipelines: guaranteed (and
 // non-degraded budget) requests run PipelineFull, fast and degraded-budget
 // requests run PipelineCNN. Mixed-pipeline micro-batches still coalesce
-// into one GEMM per layer — fast images run the non-reliable prefix
+// into one GEMM per layer — fast images run conv1 non-reliably,
 // batched, then join the reliably computed feature maps in a single
 // batched continuation — and the batch-width independence of the GEMM
 // kernels keeps the full-pipeline riders' results bit-identical to a

@@ -121,7 +121,7 @@ func (c *BatchClassifier) ClassifyBatch(imgs []*tensor.Tensor) ([]Result, error)
 // safety-critical classes decide Rejected), PipelineFull keeps the full
 // hybrid semantics. nil pipes means PipelineFull for every image. Mixed
 // sub-batches coalesce: within a chunk the fast images run
-// the non-reliable prefix batched and then join the full images' feature
+// conv1 non-reliably, batched, and then join the full images' feature
 // maps in one batched CNN continuation, so full-pipeline results are
 // bit-identical whatever the batch mix (the GEMM kernels are batch-width
 // independent).

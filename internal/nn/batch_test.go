@@ -225,7 +225,7 @@ func TestForwardBatchSequentialMicro(t *testing.T) {
 }
 
 // TestForwardBatchFromMatchesForwardFrom pins the mid-chain entry point the
-// hybrid network uses to continue micro-batches past the reliable prefix.
+// hybrid network uses to continue micro-batches past the reliable conv1.
 func TestForwardBatchFromMatchesForwardFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	net, err := NewMicroAlexNet(DefaultMicroConfig(), rng)

@@ -16,9 +16,7 @@ import (
 //
 // The arithmetic is float32 throughout, each step rounded on its own (no
 // fused multiply-add on any platform): squares x_j² summed in ascending j,
-// d = k + (α/n)·Σ, then y = x · mathx.InvPow(d, β). reliable.LRN performs the
-// same operations in the same order through its protected operators, so on
-// fault-free ALUs the two agree bit for bit; against the exact
+// d = k + (α/n)·Σ, then y = x · mathx.InvPow(d, β). Against the exact
 // (float64, math.Pow) formula the output is within 8 ulp.
 type LRN struct {
 	name  string

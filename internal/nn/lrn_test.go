@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/fault"
-	"repro/internal/reliable"
 	"repro/internal/tensor"
 )
 
@@ -136,45 +134,6 @@ func TestLRNBitIdenticalAcrossBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireBitIdentical(t, fmt.Sprintf("sample %d of 8", i), packed[i], alone[0])
-	}
-}
-
-// TestLRNBitIdenticalToReliable pins the shared arithmetic: on an ideal ALU
-// reliable.LRN's protected operators perform nn.LRN's float32 operations in
-// the same order, so the protected prefix and the plain forward agree on
-// every bit — for AlexNet's β and for the math.Pow branch.
-func TestLRNBitIdenticalToReliable(t *testing.T) {
-	ops, err := reliable.NewPlain(fault.Ideal{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := reliable.NewEngine(ops, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(72))
-	for _, l := range []*LRN{NewAlexNetLRN("lrn"), generalLRN(t, 1)} {
-		for _, scale := range []float64{1, 300} {
-			x := normalBatch(rng, scale, 9, 6, 5)
-			plain, err := l.ForwardBatch(NewContext(), x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sample, err := x.Sample(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			k, alpha, beta := l.Constants()
-			got, err := reliable.LRN(e, sample, l.Window(), k, alpha, beta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := plain.Sample(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireBitIdentical(t, fmt.Sprintf("β=%v ×%v", beta, scale), got, want)
-		}
 	}
 }
 
