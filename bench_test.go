@@ -1,7 +1,7 @@
 package repro_test
 
 // Benchmark harness: one benchmark per table/figure of the paper, plus
-// microbenchmarks for the substrates. See EXPERIMENTS.md for the recorded
+// microbenchmarks for the substrates. `go run ./cmd/experiments` prints the
 // paper-vs-measured comparison.
 //
 // Run everything:   go test -bench=. -benchmem
@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
@@ -130,21 +131,43 @@ func BenchmarkReliableConv_TemporalDMRIdeal(b *testing.B) {
 	}
 }
 
-// Figure 3 — the radial-series + SAX pipeline on an angled stop sign
-// (also the paper's "naive SAX completes in 1.942 s" reference point).
+// Figure 3 — the qualifier (radial series + SAX) on the edge map of conv1's
+// Sobel channels for an angled stop sign (also the paper's "naive SAX
+// completes in 1.942 s" reference point). conv1 runs once in setup.
 
 func BenchmarkFigure3_RadialSAX(b *testing.B) {
 	img, err := gtsrb.AngledStopSign(96, rand.New(rand.NewSource(2)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	q, err := shape.NewQualifier(shape.DefaultQualifierConfig())
+	h, net, err := cli.DemoHybrid(96, 8, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	conv1, err := nn.FirstConv(net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops, err := core.ModeTemporalDMR.NewOps(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	engine, err := reliable.NewEngine(ops, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	features, err := reliable.Conv2D(engine, img, conv1.Weight(), conv1.Bias().Data(),
+		reliable.ConvSpec{Stride: conv1.Stride(), Pad: conv1.Pad()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mag, err := core.EdgeMagnitudeFromChannels(features, h.Config().Pair)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := q.QualifyImage(img)
+		res, err := h.Qualifier().QualifyEdgeMap(mag)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,11 +1,12 @@
 // Package cli holds the model-loading and network-construction plumbing
 // shared by the hybridnet CLI and the hybridnetd daemon, so the two
-// binaries cannot drift apart on how a hybrid network is assembled — plus
-// the worker-mode address-report protocol (WriteAddrReport /
-// ParseAddrReport) the hybridnet-router supervisor uses to learn a spawned
-// worker's kernel-assigned port from its stdout, the http.Server both
-// daemons serve from (NewHTTPServer) and the listen → serve → signal →
-// drain lifecycle both run it under (ServeUntilSignal).
+// binaries cannot drift apart on how a hybrid network is assembled
+// (internal/experiments builds its Figure 3 and Table 1 SAX-row hybrid with
+// DemoHybrid too) — plus the worker-mode address-report protocol
+// (WriteAddrReport / ParseAddrReport) the hybridnet-router supervisor uses
+// to learn a spawned worker's kernel-assigned port from its stdout, the
+// http.Server both daemons serve from (NewHTTPServer) and the listen →
+// serve → signal → drain lifecycle both run it under (ServeUntilSignal).
 //
 // # Concurrency contract
 //
@@ -80,9 +81,9 @@ func NewBatchClassifier(h *core.HybridNetwork, workers, subBatch int) (*core.Bat
 
 // DemoHybrid builds an untrained micro network with the Sobel pair
 // installed and wraps it in the standard hybrid assembly. It exists for
-// smoke tests and demo serving (hybridnetd -demo): the reliable path,
-// qualifier and decision logic are all real, only the CNN weights are
-// random.
+// smoke tests, demo serving (hybridnetd -demo) and the qualifier figures
+// of internal/experiments: the reliable path, qualifier and decision logic
+// are all real, only the CNN weights are random.
 func DemoHybrid(size, filters int, seed int64) (*core.HybridNetwork, *nn.Sequential, error) {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := nn.DefaultMicroConfig()

@@ -166,7 +166,7 @@ func NewHybridNetwork(cfg Config, net *nn.Sequential) (*HybridNetwork, error) {
 		return nil, fmt.Errorf("core: Sobel pair (%d,%d) out of range [0,%d)",
 			cfg.Pair.XIdx, cfg.Pair.YIdx, conv1.Filters())
 	}
-	q, err := shape.NewQualifier(shape.DefaultQualifierConfig())
+	q, err := shape.NewQualifier()
 	if err != nil {
 		return nil, fmt.Errorf("core: hybrid qualifier: %w", err)
 	}

@@ -1,12 +1,16 @@
 package experiments
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/gtsrb"
 	"repro/internal/nn"
 	"repro/internal/shape"
+	"repro/internal/tensor"
 )
 
 // tinyFigure4Config keeps the training-based experiments fast in tests.
@@ -60,8 +64,8 @@ func TestRunTable1Scaled(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("want 4 rows, got %d", len(res.Rows))
 	}
-	native, plain, dmr := res.Rows[0], res.Rows[1], res.Rows[2]
-	if native.Seconds <= 0 || plain.Seconds <= 0 || dmr.Seconds <= 0 {
+	native, plain, dmr, sax := res.Rows[0], res.Rows[1], res.Rows[2], res.Rows[3]
+	if native.Seconds <= 0 || plain.Seconds <= 0 || dmr.Seconds <= 0 || sax.Seconds <= 0 {
 		t.Fatal("non-positive timings")
 	}
 	// The paper's shape: native ≪ reliable-plain < reliable-redundant,
@@ -74,8 +78,8 @@ func TestRunTable1Scaled(t *testing.T) {
 	}
 	// Wall-clock tests under parallel-suite CPU contention are noisy even
 	// with best-of-N; only the ordering (with a small noise allowance) and
-	// an upper sanity bound are asserted. The recorded, quiet-machine ratio
-	// lives in EXPERIMENTS.md.
+	// an upper sanity bound are asserted. `go run ./cmd/experiments`
+	// prints the ratio on a quiet machine.
 	ratio := dmr.Seconds / plain.Seconds
 	if ratio < 1.0 || ratio > 4 {
 		t.Errorf("redundant/plain ratio %.2f outside plausible band [1.0, 4]", ratio)
@@ -101,6 +105,85 @@ func TestRunFigure3(t *testing.T) {
 	}
 	if !strings.Contains(res.Markdown(), "SAX") {
 		t.Error("markdown missing SAX word")
+	}
+
+	// Seed 1 is the figure cmd/experiments prints: the word the served
+	// path produces for it.
+	res, err = RunFigure3(Figure3Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Word != "acbdcdabacbdcdab" || res.Class != shape.ClassOctagon || res.Peaks != 8 {
+		t.Errorf("seed 1: word %s class %v peaks %d, want acbdcdabacbdcdab octagon 8",
+			res.Word, res.Class, res.Peaks)
+	}
+}
+
+// qualifyServed classifies img through the demo hybrid's served path and
+// returns its qualifier result.
+func qualifyServed(t *testing.T, img *tensor.Tensor) shape.Result {
+	t.Helper()
+	h, _, err := cli.DemoHybrid(img.Dim(1), 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.Classify(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Qualifier
+}
+
+func TestRenderedShapesQualify(t *testing.T) {
+	// The rendered signs must be recognisable by the deterministic shape
+	// qualifier on the served path — this is the contract the hybrid
+	// architecture rests on.
+	rng := rand.New(rand.NewSource(3))
+	cases := []struct {
+		sp   gtsrb.SignShape
+		want shape.Class
+	}{
+		{gtsrb.ShapeOctagon, shape.ClassOctagon},
+		{gtsrb.ShapeTriangleDown, shape.ClassTriangle},
+		{gtsrb.ShapeTriangleUp, shape.ClassTriangle},
+		{gtsrb.ShapeSquare, shape.ClassSquare},
+		{gtsrb.ShapeCircle, shape.ClassCircle},
+	}
+	for _, c := range cases {
+		p := gtsrb.SignParams{
+			Shape: c.sp, Fill: gtsrb.RGB{R: 0.85, G: 0.1, B: 0.1}, Size: 96,
+			CenterX: 48, CenterY: 48, Radius: 38,
+			Rotation: 0.1, Background: 0.1, NoiseSigma: 0.005, Brightness: 1,
+		}
+		img, err := gtsrb.Render(p, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := qualifyServed(t, img)
+		if res.Class != c.want {
+			t.Errorf("%v qualified as %v (peaks=%d round=%.3f dist=%.2f), want %v",
+				c.sp, res.Class, res.Peaks, res.Round, res.WordDist, c.want)
+		}
+	}
+}
+
+func TestAngledStopSignQualifiesAsOctagon(t *testing.T) {
+	// Figure 3's subject: a slightly angled stop sign still shows eight
+	// corners.
+	img, err := gtsrb.AngledStopSign(96, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := qualifyServed(t, img)
+	if res.Class != shape.ClassOctagon {
+		t.Errorf("angled stop sign = %v (peaks=%d round=%.3f dist=%.2f), want octagon",
+			res.Class, res.Peaks, res.Round, res.WordDist)
+	}
+	if res.Peaks != 8 {
+		t.Errorf("peaks = %d, want 8 (\"the eight corners can be clearly identified\")", res.Peaks)
+	}
+	if _, err := gtsrb.AngledStopSign(96, nil); err == nil {
+		t.Error("nil rng should fail")
 	}
 }
 

@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/cli"
 	"repro/internal/gtsrb"
 	"repro/internal/shape"
 	"repro/internal/tensor"
 )
 
-// Figure3Config sizes the Figure 3 reproduction.
+// figure3Size is the rendered sign size in pixels.
+const figure3Size = 96
+
+// Figure3Config seeds the Figure 3 reproduction.
 type Figure3Config struct {
-	// ImageSize is the rendered sign size (default 96).
-	ImageSize int
 	// Seed drives rendering noise.
 	Seed int64
 }
@@ -31,23 +33,25 @@ type Figure3Result struct {
 // RunFigure3 regenerates Figure 3: "the time-series generated from a
 // real-world, slightly angled stop sign. The eight corners can be clearly
 // identified. The SAX word is visible above the time-series plot."
+// The sign is classified through the served path, HybridNetwork.Classify on
+// the demo hybrid, and the figure is its qualifier result. Only conv1's
+// Sobel pair feeds the qualifier, so the demo's random CNN weights cannot
+// change the figure.
 func RunFigure3(cfg Figure3Config) (*Figure3Result, error) {
-	if cfg.ImageSize == 0 {
-		cfg.ImageSize = 96
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	img, err := gtsrb.AngledStopSign(cfg.ImageSize, rng)
+	img, err := gtsrb.AngledStopSign(figure3Size, rng)
 	if err != nil {
 		return nil, err
 	}
-	q, err := shape.NewQualifier(shape.DefaultQualifierConfig())
+	h, _, err := cli.DemoHybrid(figure3Size, 8, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	res, err := q.QualifyImage(img)
+	classified, err := h.Classify(img)
 	if err != nil {
 		return nil, err
 	}
+	res := classified.Qualifier
 	out := &Figure3Result{
 		Image:  img,
 		Series: res.Series,

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/shape"
 	"repro/internal/tensor"
 )
 
@@ -107,69 +106,6 @@ func TestRenderDeterministic(t *testing.T) {
 	}
 	if !a.Equal(b) {
 		t.Error("same seed must render identical images")
-	}
-}
-
-func TestRenderedShapesQualify(t *testing.T) {
-	// The rendered signs must be recognisable by the deterministic shape
-	// qualifier — this is the contract the hybrid architecture rests on.
-	q, err := shape.NewQualifier(shape.DefaultQualifierConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	cases := []struct {
-		sp   SignShape
-		want shape.Class
-	}{
-		{ShapeOctagon, shape.ClassOctagon},
-		{ShapeTriangleDown, shape.ClassTriangle},
-		{ShapeTriangleUp, shape.ClassTriangle},
-		{ShapeSquare, shape.ClassSquare},
-		{ShapeCircle, shape.ClassCircle},
-	}
-	for _, c := range cases {
-		p := SignParams{
-			Shape: c.sp, Fill: RGB{0.85, 0.1, 0.1}, Size: 96,
-			CenterX: 48, CenterY: 48, Radius: 38,
-			Rotation: 0.1, Background: 0.1, NoiseSigma: 0.005, Brightness: 1,
-		}
-		img, err := Render(p, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := q.QualifyImage(img)
-		if err != nil {
-			t.Fatalf("%v: %v", c.sp, err)
-		}
-		if res.Class != c.want {
-			t.Errorf("%v qualified as %v (peaks=%d round=%.3f dist=%.2f), want %v",
-				c.sp, res.Class, res.Peaks, res.Round, res.WordDist, c.want)
-		}
-	}
-}
-
-func TestAngledStopSignQualifiesAsOctagon(t *testing.T) {
-	// Figure 3's subject: a slightly angled stop sign still shows eight
-	// corners.
-	img, err := AngledStopSign(96, rand.New(rand.NewSource(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _ := shape.NewQualifier(shape.DefaultQualifierConfig())
-	res, err := q.QualifyImage(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Class != shape.ClassOctagon {
-		t.Errorf("angled stop sign = %v (peaks=%d round=%.3f dist=%.2f), want octagon",
-			res.Class, res.Peaks, res.Round, res.WordDist)
-	}
-	if res.Peaks != 8 {
-		t.Errorf("peaks = %d, want 8 (\"the eight corners can be clearly identified\")", res.Peaks)
-	}
-	if _, err := AngledStopSign(96, nil); err == nil {
-		t.Error("nil rng should fail")
 	}
 }
 

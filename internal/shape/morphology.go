@@ -101,36 +101,3 @@ func FillHoles(mask *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	return out, nil
 }
-
-// Colorfulness returns the per-pixel channel range (max − min) of a 3×H×W
-// RGB image — a saturation measure that separates the strongly coloured sign
-// face from grey backgrounds and clutter far more reliably than luminance.
-func Colorfulness(img *tensor.Tensor) (*tensor.Tensor, error) {
-	if img.Rank() != 3 || img.Dim(0) != 3 {
-		return nil, fmt.Errorf("shape: colorfulness needs a 3×H×W image, got %v", img.Shape())
-	}
-	h, w := img.Dim(1), img.Dim(2)
-	out := tensor.MustNew(h, w)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			r := img.At3(0, y, x)
-			g := img.At3(1, y, x)
-			b := img.At3(2, y, x)
-			mx, mn := r, r
-			if g > mx {
-				mx = g
-			}
-			if g < mn {
-				mn = g
-			}
-			if b > mx {
-				mx = b
-			}
-			if b < mn {
-				mn = b
-			}
-			out.Set(mx-mn, y, x)
-		}
-	}
-	return out, nil
-}

@@ -111,33 +111,6 @@ func TestFillHolesOpenRingLeaks(t *testing.T) {
 	}
 }
 
-func TestColorfulness(t *testing.T) {
-	img := tensor.MustNew(3, 1, 2)
-	// Pixel 0: saturated red → range 0.8; pixel 1: grey → range 0.
-	img.Set3(0.9, 0, 0, 0)
-	img.Set3(0.1, 1, 0, 0)
-	img.Set3(0.1, 2, 0, 0)
-	img.Set3(0.5, 0, 0, 1)
-	img.Set3(0.5, 1, 0, 1)
-	img.Set3(0.5, 2, 0, 1)
-	c, err := Colorfulness(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := float64(c.At(0, 0)) - 0.8; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("saturated pixel = %v, want 0.8", c.At(0, 0))
-	}
-	if c.At(0, 1) != 0 {
-		t.Errorf("grey pixel = %v, want 0", c.At(0, 1))
-	}
-	if _, err := Colorfulness(tensor.MustNew(2, 2, 2)); err == nil {
-		t.Error("2-channel image should fail")
-	}
-	if _, err := Colorfulness(tensor.MustNew(4)); err == nil {
-		t.Error("rank-1 image should fail")
-	}
-}
-
 // Property: dilation never removes pixels; erosion never adds them; both are
 // monotone in mass.
 func TestQuickMorphologyMonotone(t *testing.T) {

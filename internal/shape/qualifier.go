@@ -87,47 +87,31 @@ func CircleRadialSeries(n int, r float64) ([]float64, error) {
 	return series, nil
 }
 
-// QualifierConfig parameterises the deterministic shape qualifier. The zero
-// value is not usable; use DefaultQualifierConfig.
-type QualifierConfig struct {
-	// SeriesLen is the length of the radial time series (Figure 3 uses a
-	// series long enough to show eight clear corners; 128 here).
-	SeriesLen int
-	// WordLen and Alphabet parameterise the SAX encoder.
-	WordLen  int
-	Alphabet int
-	// SmoothWindow is the circular moving-average window applied to the
+// The qualifier's parameters.
+const (
+	// seriesLen is the length of the radial time series (Figure 3 uses a
+	// series long enough to show eight clear corners).
+	seriesLen = 128
+	// wordLen and alphabet parameterise the SAX encoder.
+	wordLen  = 16
+	alphabet = 4
+	// smoothWindow is the circular moving-average window applied to the
 	// series before corner counting (odd).
-	SmoothWindow int
-	// Roundness is the (max−min)/mean ratio below which the blob is
-	// declared a circle.
-	Roundness float64
-	// PeakFraction scales peak prominence: a corner must rise at least
-	// PeakFraction × (max − mean) above the mean.
-	PeakFraction float64
-	// MaxWordDist is the maximum rotation-invariant MINDIST to a class
+	smoothWindow = 3
+	// roundness is the (max−min)/mean ratio below which the blob is
+	// declared a circle. A regular octagon's radial series has
+	// (max−min)/mean ≈ 0.08, so the circle cut-off must sit well below it;
+	// rasterised discs measure ≈ 0.02–0.03 after smoothing.
+	roundness = 0.04
+	// peakFraction scales peak prominence: a corner must rise at least
+	// peakFraction × (max − mean) above the mean.
+	peakFraction = 0.12
+	// maxWordDist is the maximum rotation-invariant MINDIST to a class
 	// template for the SAX confirmation to pass. MINDIST charges nothing
 	// for adjacent symbols, which makes the gate robust to PAA phase
 	// aliasing while still rejecting grossly different series.
-	MaxWordDist float64
-}
-
-// DefaultQualifierConfig returns the configuration used throughout the
-// experiments.
-func DefaultQualifierConfig() QualifierConfig {
-	return QualifierConfig{
-		SeriesLen:    128,
-		WordLen:      16,
-		Alphabet:     4,
-		SmoothWindow: 3,
-		// A regular octagon's radial series has (max−min)/mean ≈ 0.08, so
-		// the circle cut-off must sit well below it; rasterised discs
-		// measure ≈ 0.02–0.03 after smoothing.
-		Roundness:    0.04,
-		PeakFraction: 0.12,
-		MaxWordDist:  3.0,
-	}
-}
+	maxWordDist = 3.0
+)
 
 // Result is the qualifier's verdict on one image. It retains the
 // intermediate artefacts (series, word, peaks) because they are exactly what
@@ -142,40 +126,31 @@ type Result struct {
 	Round    float64 // (max−min)/mean of the smoothed series
 }
 
-// Qualifier is the reliably executable shape-recognition block of Figures 1
-// and 2: a bounded, deterministic surrogate function from image to shape
-// class. It holds no mutable state after construction and is safe for
-// concurrent use.
+// Qualifier is the reliably executable shape-recognition block of Figure 2:
+// a bounded, deterministic surrogate function from the edge map of conv1's
+// Sobel channels to a shape class. QualifyEdgeMap is its one entry point.
+// It holds no mutable state after construction and is safe for concurrent
+// use.
 type Qualifier struct {
-	cfg       QualifierConfig
 	enc       *sax.Encoder
 	templates map[Class]sax.Word
 }
 
 // NewQualifier builds a qualifier with analytic templates for the circle,
 // triangle, square and octagon classes.
-func NewQualifier(cfg QualifierConfig) (*Qualifier, error) {
-	if cfg.SeriesLen < 16 {
-		return nil, fmt.Errorf("shape: series length %d too short", cfg.SeriesLen)
-	}
-	if cfg.SmoothWindow < 1 || cfg.SmoothWindow%2 == 0 {
-		return nil, fmt.Errorf("shape: smooth window %d must be odd and >= 1", cfg.SmoothWindow)
-	}
-	if cfg.Roundness <= 0 || cfg.PeakFraction <= 0 {
-		return nil, fmt.Errorf("shape: roundness and peak fraction must be positive")
-	}
-	enc, err := sax.NewEncoder(cfg.WordLen, cfg.Alphabet)
+func NewQualifier() (*Qualifier, error) {
+	enc, err := sax.NewEncoder(wordLen, alphabet)
 	if err != nil {
 		return nil, fmt.Errorf("shape: qualifier encoder: %w", err)
 	}
-	q := &Qualifier{cfg: cfg, enc: enc, templates: make(map[Class]sax.Word, 4)}
+	q := &Qualifier{enc: enc, templates: make(map[Class]sax.Word, 4)}
 	for _, tc := range []struct {
 		class Class
 		k     int
 	}{
 		{ClassTriangle, 3}, {ClassSquare, 4}, {ClassOctagon, 8},
 	} {
-		series, err := PolygonRadialSeries(tc.k, cfg.SeriesLen, 1, 0)
+		series, err := PolygonRadialSeries(tc.k, seriesLen, 1, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -186,7 +161,7 @@ func NewQualifier(cfg QualifierConfig) (*Qualifier, error) {
 		q.templates[tc.class] = w
 	}
 	// Circle template: flat series encodes to the mid symbol everywhere.
-	circle, err := CircleRadialSeries(cfg.SeriesLen, 1)
+	circle, err := CircleRadialSeries(seriesLen, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -198,12 +173,6 @@ func NewQualifier(cfg QualifierConfig) (*Qualifier, error) {
 	return q, nil
 }
 
-// Template returns the SAX template word of a class (zero Word when absent).
-func (q *Qualifier) Template(c Class) sax.Word { return q.templates[c] }
-
-// Encoder exposes the qualifier's SAX encoder (shared, read-only use).
-func (q *Qualifier) Encoder() *sax.Encoder { return q.enc }
-
 // ClassifySeries runs the decision procedure on a raw radial series:
 // smooth, measure roundness, count corners, then confirm with the SAX
 // template. The verdict is conservative: any disagreement yields
@@ -212,10 +181,10 @@ func (q *Qualifier) Encoder() *sax.Encoder { return q.enc }
 func (q *Qualifier) ClassifySeries(series []float64) (Result, error) {
 	var res Result
 	res.Class = ClassUnknown
-	if len(series) != q.cfg.SeriesLen {
-		return res, fmt.Errorf("shape: series length %d != configured %d", len(series), q.cfg.SeriesLen)
+	if len(series) != seriesLen {
+		return res, fmt.Errorf("shape: series length %d != %d", len(series), seriesLen)
 	}
-	sm, err := SmoothCircular(series, q.cfg.SmoothWindow)
+	sm, err := SmoothCircular(series, smoothWindow)
 	if err != nil {
 		return res, err
 	}
@@ -241,14 +210,14 @@ func (q *Qualifier) ClassifySeries(series []float64) (Result, error) {
 		return res, fmt.Errorf("shape: non-positive mean radius")
 	}
 	res.Round = (mx - mn) / mean
-	if res.Round < q.cfg.Roundness {
+	if res.Round < roundness {
 		res.Class = ClassCircle
 		res.Peaks = 0
 		return res, nil
 	}
 
-	prom := q.cfg.PeakFraction * (mx - mean)
-	spacing := q.cfg.SeriesLen / 20 // octagon corners are SeriesLen/8 apart
+	prom := peakFraction * (mx - mean)
+	spacing := seriesLen / 20 // octagon corners are seriesLen/8 apart
 	peaks, err := CountPeaks(sm, prom, spacing)
 	if err != nil {
 		return res, err
@@ -267,57 +236,25 @@ func (q *Qualifier) ClassifySeries(series []float64) (Result, error) {
 		return res, nil
 	}
 	// SAX confirmation: the cheap string comparison of the paper.
-	dist, err := q.enc.MinRotationMinDist(word, q.templates[candidate], q.cfg.SeriesLen)
+	dist, err := q.enc.MinRotationMinDist(word, q.templates[candidate], seriesLen)
 	if err != nil {
 		return res, err
 	}
 	res.WordDist = dist
-	if dist <= q.cfg.MaxWordDist {
+	if dist <= maxWordDist {
 		res.Class = candidate
 	}
 	return res, nil
 }
 
-// QualifyImage runs the full qualifier pipeline on a 3×H×W RGB (or H×W
-// grayscale) image. RGB images are segmented on the colourfulness channel
-// (traffic-sign faces are saturated; grey backgrounds and clutter are not);
-// grayscale images fall back to luminance. The segmented mask is hole-filled
-// before the geometric pipeline runs.
-func (q *Qualifier) QualifyImage(img *tensor.Tensor) (Result, error) {
-	var res Result
-	res.Class = ClassUnknown
-	var salient *tensor.Tensor
-	var err error
-	if img.Rank() == 3 && img.Dim(0) == 3 {
-		salient, err = Colorfulness(img)
-	} else {
-		salient, err = Grayscale(img)
-	}
-	if err != nil {
-		return res, err
-	}
-	thresh, err := OtsuThreshold(salient)
-	if err != nil {
-		return res, err
-	}
-	bin, err := Binarize(salient, thresh)
-	if err != nil {
-		return res, err
-	}
-	filled, err := FillHoles(bin)
-	if err != nil {
-		return res, err
-	}
-	return q.qualifyMask(filled)
-}
-
 // QualifyEdgeMap runs the qualifier on an edge-magnitude map (the output of
-// the Sobel-initialised DCNN channels): the edge map is thresholded, the
+// the Sobel-initialised conv1 channels): the edge map is thresholded, the
 // ring is closed with one dilation, its interior filled, and the resulting
-// solid blob classified. This is the Figure 2 data path, where the qualifier
-// consumes the reliably executed convolution output rather than the raw
-// image; the morphological closing makes it robust to small breaks in the
-// edge ring.
+// solid blob classified (largest component, centroid, boundary trace,
+// radial series, ClassifySeries). This is the Figure 2 data path, where the
+// qualifier consumes the reliably executed convolution output rather than
+// the raw image; the morphological closing makes it robust to small breaks
+// in the edge ring.
 func (q *Qualifier) QualifyEdgeMap(edges *tensor.Tensor) (Result, error) {
 	var res Result
 	res.Class = ClassUnknown
@@ -363,16 +300,7 @@ func (q *Qualifier) QualifyEdgeMap(edges *tensor.Tensor) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	return q.qualifyMask(solid)
-}
-
-// qualifyMask runs the geometric pipeline (largest component, centroid,
-// boundary trace, radial series, series classification) on a binary
-// foreground mask.
-func (q *Qualifier) qualifyMask(mask *tensor.Tensor) (Result, error) {
-	var res Result
-	res.Class = ClassUnknown
-	blob, area, err := LargestComponent(mask)
+	blob, area, err := LargestComponent(solid)
 	if err != nil {
 		return res, err
 	}
@@ -388,7 +316,7 @@ func (q *Qualifier) qualifyMask(mask *tensor.Tensor) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	series, err := RadialSeries(contour, cx, cy, q.cfg.SeriesLen)
+	series, err := RadialSeries(contour, cx, cy, seriesLen)
 	if err != nil {
 		return res, err
 	}

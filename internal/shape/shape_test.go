@@ -2,7 +2,6 @@ package shape
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/reliable"
@@ -122,44 +121,6 @@ func TestSobelRespondsToEdges(t *testing.T) {
 	}
 	if gy.At(4, 4) != 0 {
 		t.Error("Sobel-y should not respond to a vertical edge in the interior")
-	}
-}
-
-func TestGrayscale(t *testing.T) {
-	img := tensor.MustNew(3, 2, 2)
-	img.Set3(1, 0, 0, 0) // pure red pixel
-	g, err := Grayscale(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(g.At(0, 0))-0.299) > 1e-6 {
-		t.Errorf("red luminance = %v, want 0.299", g.At(0, 0))
-	}
-	// Rank-2 passes through as a copy.
-	g2d := tensor.MustFromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	out, err := Grayscale(g2d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Equal(g2d) {
-		t.Error("rank-2 grayscale should be identity")
-	}
-	out.Set(9, 0, 0)
-	if g2d.At(0, 0) == 9 {
-		t.Error("rank-2 grayscale must copy, not alias")
-	}
-	// Single channel.
-	one := tensor.MustNew(1, 2, 2)
-	one.Set3(0.5, 0, 1, 1)
-	out, err = Grayscale(one)
-	if err != nil || out.At(1, 1) != 0.5 {
-		t.Error("1-channel grayscale wrong")
-	}
-	if _, err := Grayscale(tensor.MustNew(2, 2, 2)); err == nil {
-		t.Error("2-channel image should fail")
-	}
-	if _, err := Grayscale(tensor.MustNew(2)); err == nil {
-		t.Error("rank-1 image should fail")
 	}
 }
 
@@ -435,7 +396,7 @@ func TestPolygonRadialSeriesProperties(t *testing.T) {
 }
 
 func TestQualifierOnAnalyticSeries(t *testing.T) {
-	q, err := NewQualifier(DefaultQualifierConfig())
+	q, err := NewQualifier()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +433,7 @@ func TestQualifierOnAnalyticSeries(t *testing.T) {
 }
 
 func TestQualifierSeriesValidation(t *testing.T) {
-	q, err := NewQualifier(DefaultQualifierConfig())
+	q, err := NewQualifier()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,39 +449,16 @@ func TestQualifierSeriesValidation(t *testing.T) {
 	}
 }
 
-func TestQualifierConfigValidation(t *testing.T) {
-	bad := DefaultQualifierConfig()
-	bad.SeriesLen = 4
-	if _, err := NewQualifier(bad); err == nil {
-		t.Error("short series length should fail")
-	}
-	bad = DefaultQualifierConfig()
-	bad.SmoothWindow = 4
-	if _, err := NewQualifier(bad); err == nil {
-		t.Error("even smooth window should fail")
-	}
-	bad = DefaultQualifierConfig()
-	bad.Roundness = 0
-	if _, err := NewQualifier(bad); err == nil {
-		t.Error("zero roundness should fail")
-	}
-	bad = DefaultQualifierConfig()
-	bad.Alphabet = 1
-	if _, err := NewQualifier(bad); err == nil {
-		t.Error("alphabet 1 should fail")
-	}
-}
-
 func TestQualifierTemplatesAndEncoder(t *testing.T) {
-	q, err := NewQualifier(DefaultQualifierConfig())
+	q, err := NewQualifier()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Encoder() == nil {
+	if q.enc == nil {
 		t.Fatal("encoder missing")
 	}
 	for _, c := range []Class{ClassCircle, ClassTriangle, ClassSquare, ClassOctagon} {
-		w := q.Template(c)
+		w := q.templates[c]
 		if len(w.Symbols) != 16 {
 			t.Errorf("template %v has %d symbols", c, len(w.Symbols))
 		}
@@ -561,8 +499,8 @@ func rasterPolygon(t *testing.T, k int, rot float64, sz int) *tensor.Tensor {
 	return img
 }
 
-func TestQualifyImageOnRasterisedShapes(t *testing.T) {
-	q, err := NewQualifier(DefaultQualifierConfig())
+func TestQualifyEdgeMapOnRasterisedShapes(t *testing.T) {
+	q, err := NewQualifier()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,8 +510,8 @@ func TestQualifyImageOnRasterisedShapes(t *testing.T) {
 	}{{3, ClassTriangle}, {4, ClassSquare}, {8, ClassOctagon}}
 	for _, c := range cases {
 		for _, rot := range []float64{0, 0.15, 0.3} {
-			img := rasterPolygon(t, c.k, rot, 96)
-			res, err := q.QualifyImage(img)
+			_, _, edges := sobelEdges(t, rasterPolygon(t, c.k, rot, 96))
+			res, err := q.QualifyEdgeMap(edges)
 			if err != nil {
 				t.Fatalf("k=%d rot=%v: %v", c.k, rot, err)
 			}
@@ -585,19 +523,19 @@ func TestQualifyImageOnRasterisedShapes(t *testing.T) {
 	}
 }
 
-func TestQualifyImageEmpty(t *testing.T) {
-	q, _ := NewQualifier(DefaultQualifierConfig())
-	res, err := q.QualifyImage(tensor.MustNew(3, 32, 32))
+func TestQualifyEdgeMapEmpty(t *testing.T) {
+	q, _ := NewQualifier()
+	res, err := q.QualifyEdgeMap(tensor.MustNew(32, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Class != ClassUnknown {
-		t.Error("empty image should be unknown")
+		t.Error("all-zero edge map should be unknown")
 	}
 }
 
 func TestQualifyEdgeMap(t *testing.T) {
-	q, _ := NewQualifier(DefaultQualifierConfig())
+	q, _ := NewQualifier()
 	img := rasterPolygon(t, 8, 0.2, 96)
 	_, _, edges := sobelEdges(t, img)
 	res, err := q.QualifyEdgeMap(edges)
@@ -617,16 +555,14 @@ func TestQualifyEdgeMap(t *testing.T) {
 func TestRadialSeriesRotationShiftsSeries(t *testing.T) {
 	// The radial series of a rotated polygon is (approximately) a circular
 	// shift — the invariance Encoder.MinRotationMinDist relies on.
-	rng := rand.New(rand.NewSource(5))
-	_ = rng
-	base := rasterPolygon(t, 4, 0, 96)
-	rot := rasterPolygon(t, 4, math.Pi/4, 96)
-	q, _ := NewQualifier(DefaultQualifierConfig())
-	r1, err := q.QualifyImage(base)
+	_, _, base := sobelEdges(t, rasterPolygon(t, 4, 0, 96))
+	_, _, rot := sobelEdges(t, rasterPolygon(t, 4, math.Pi/4, 96))
+	q, _ := NewQualifier()
+	r1, err := q.QualifyEdgeMap(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := q.QualifyImage(rot)
+	r2, err := q.QualifyEdgeMap(rot)
 	if err != nil {
 		t.Fatal(err)
 	}

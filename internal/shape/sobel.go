@@ -1,10 +1,12 @@
 // Package shape implements the deterministic qualifier substrate of the
-// hybrid CNN: Sobel edge detection, binary segmentation, contour tracing,
-// the centroid-to-edge radial time series of Figure 3, and SAX-template
-// shape classification. Every routine is a bounded surrogate function in the
-// paper's sense — its output range can be determined a priori, "producing
-// deterministic results that are fully explainable, for instance during a
-// safety certification process".
+// hybrid CNN: Sobel kernels, binary segmentation, contour tracing, the
+// centroid-to-edge radial time series of Figure 3, and SAX-template shape
+// classification. The qualifier has one entry point,
+// Qualifier.QualifyEdgeMap, which reads the Figure 2 edge map of conv1's
+// reliably executed Sobel channels. Every routine is a bounded surrogate
+// function in the paper's sense — its output range can be determined a
+// priori, "producing deterministic results that are fully explainable, for
+// instance during a safety certification process".
 package shape
 
 import (
@@ -86,33 +88,4 @@ func SobelY(n int) (*tensor.Tensor, error) {
 		}
 	}
 	return ky, nil
-}
-
-// Grayscale converts a 3×H×W RGB tensor (or passes through a 1×H×W or H×W
-// tensor) to an H×W luminance tensor using the Rec. 601 weights.
-func Grayscale(img *tensor.Tensor) (*tensor.Tensor, error) {
-	switch img.Rank() {
-	case 2:
-		return img.Clone(), nil
-	case 3:
-		c, h, w := img.Dim(0), img.Dim(1), img.Dim(2)
-		out := tensor.MustNew(h, w)
-		switch c {
-		case 1:
-			copy(out.Data(), img.Data())
-			return out, nil
-		case 3:
-			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					v := 0.299*img.At3(0, y, x) + 0.587*img.At3(1, y, x) + 0.114*img.At3(2, y, x)
-					out.Set(v, y, x)
-				}
-			}
-			return out, nil
-		default:
-			return nil, fmt.Errorf("shape: grayscale needs 1 or 3 channels, got %d", c)
-		}
-	default:
-		return nil, fmt.Errorf("shape: grayscale needs rank 2 or 3, got rank %d", img.Rank())
-	}
 }
