@@ -432,10 +432,10 @@ func BenchmarkLRNBackward(b *testing.B) {
 // End-to-end training throughput — Trainer.Fit over one epoch of synthetic
 // GTSRB on an fc-heavy micro-AlexNet (small convs, 4096-wide hidden layer:
 // the 9 MB fc1 weight matrix dominates, the regime where AlexNet spends
-// its parameters), whole-shard batches (SubBatch 0, the default) against
-// batches of one (SubBatch 1). Mini-batch 16, so the default runs whole
-// 16-sample GEMM sweeps per layer per direction. Same seeds, same update
-// rule, same code path; only the batch size differs.
+// its parameters), mini-batches of 16 (one 16-sample GEMM sweep per layer
+// per direction) against mini-batches of 1. Same seeds, same code path;
+// only the mini-batch size — and so the number of optimiser steps —
+// differs.
 func BenchmarkTrainerFit(b *testing.B) {
 	cfg := nn.MicroConfig{
 		InputSize: 32, Conv1Filters: 8, Conv1Kernel: 5,
@@ -446,8 +446,8 @@ func BenchmarkTrainerFit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, subBatch := range []int{0, 1} {
-		b.Run(fmt.Sprintf("subbatch=%d", subBatch), func(b *testing.B) {
+	for _, batchSize := range []int{16, 1} {
+		b.Run(fmt.Sprintf("batch=%d", batchSize), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -460,8 +460,8 @@ func BenchmarkTrainerFit(b *testing.B) {
 					b.Fatal(err)
 				}
 				tr := &train.Trainer{
-					Net: net, Opt: opt, BatchSize: 16, Epochs: 1,
-					SubBatch: subBatch, Rng: rand.New(rand.NewSource(52)),
+					Net: net, Opt: opt, BatchSize: batchSize, Epochs: 1,
+					Rng: rand.New(rand.NewSource(52)),
 				}
 				b.StartTimer()
 				if _, err := tr.Fit(ds); err != nil {

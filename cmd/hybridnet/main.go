@@ -5,7 +5,7 @@
 //
 // Subcommands:
 //
-//	hybridnet train    -out model.json [-size 32] [-filters 16] [-perclass 20] [-epochs 10] [-subbatch 0] [-workers 1] [-seed 1]
+//	hybridnet train    -out model.json [-size 32] [-filters 16] [-perclass 20] [-epochs 10] [-seed 1]
 //	hybridnet eval     -model model.json [-perclass 10] [-seed 2]
 //	hybridnet qualify  -model model.json [-sign stop|yield|prohibition|parking|mandatory|warning] [-seed 3]
 //	hybridnet campaign -model model.json [-rate 1e-4] [-trials 20] [-mode temporal-dmr|spatial-dmr|tmr|plain]
@@ -68,8 +68,6 @@ func cmdTrain(args []string) error {
 	filters := fs.Int("filters", 16, "first-layer filter count")
 	perClass := fs.Int("perclass", 20, "training examples per class")
 	epochs := fs.Int("epochs", 10, "training epochs")
-	subBatch := fs.Int("subbatch", 0, "samples per forward/backward batch (0 = whole worker shard, 1 = batches of one)")
-	workers := fs.Int("workers", 1, "data-parallel trainer workers per mini-batch")
 	seed := fs.Int64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -105,7 +103,6 @@ func cmdTrain(args []string) error {
 	}
 	tr := &train.Trainer{
 		Net: net, Opt: opt, BatchSize: 8, Epochs: *epochs,
-		SubBatch: *subBatch, Workers: *workers,
 		Freezes: []*train.FilterFreeze{freeze}, Rng: rng,
 		OnEpoch: func(epoch int, loss float64) error {
 			fmt.Printf("epoch %2d  loss %.4f\n", epoch, loss)

@@ -107,7 +107,6 @@ func RunRedundancyCoverage(cfg CoverageConfig) ([]CoverageRow, error) {
 // redundancy pairs a broken PE with a healthy one.
 func coverageFactory(scenario string, rate float64, seed int64) core.ALUFactory {
 	n := 0
-	rng := rand.New(rand.NewSource(seed))
 	return func() fault.ALU {
 		n++
 		switch scenario {
@@ -128,7 +127,6 @@ func coverageFactory(scenario string, rate float64, seed int64) core.ALUFactory 
 			}
 			return fault.Ideal{}
 		default:
-			_ = rng
 			return fault.Ideal{}
 		}
 	}

@@ -483,54 +483,6 @@ func TestCrossEntropyLossBatchRowsIndependent(t *testing.T) {
 	}
 }
 
-// TestBackwardBatchShadowGrads pins that BackwardBatch respects the
-// context's shadow-gradient accumulators — the mechanism data-parallel
-// training uses to stay race-free.
-func TestBackwardBatchShadowGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(70))
-	d, err := NewDense("fc", 12, 5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := make([]*tensor.Tensor, 4)
-	for i := range xs {
-		x := tensor.MustNew(12)
-		x.FillUniform(rng, -1, 1)
-		xs[i] = x
-	}
-	batch, err := tensor.Stack(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := trainCtx()
-	ctx.ShadowGrads(true)
-	out, err := d.ForwardBatch(ctx, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := tensor.MustNew(out.Shape()...)
-	g.FillUniform(rng, -1, 1)
-	zeroGrads(d)
-	if _, err := d.BackwardBatch(ctx, g); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range d.Params() {
-		if maxAbs(p.Grad) != 0 {
-			t.Fatalf("%s: canonical grad written despite shadowing", p.Name)
-		}
-	}
-	if err := ctx.FlushGrads(); err != nil {
-		t.Fatal(err)
-	}
-	var total float32
-	for _, p := range d.Params() {
-		total += maxAbs(p.Grad)
-	}
-	if total == 0 {
-		t.Fatal("flush produced no gradient")
-	}
-}
-
 // TestBackwardBatchErrors pins the failure modes: backward before a
 // training-mode batched forward, mismatched gradient shapes, nil contexts.
 func TestBackwardBatchErrors(t *testing.T) {

@@ -1,22 +1,18 @@
 package nn
 
-import (
-	"fmt"
-	"math/rand"
-
-	"repro/internal/tensor"
-)
+import "math/rand"
 
 // Context carries all per-call mutable state of a forward/backward pass:
 // one activation cache per layer (what a training-mode ForwardBatch leaves
 // for BackwardBatch), the im2col and GEMM scratch buffers (they grow to the
 // largest micro-batch seen and are then reused call over call), the
-// training switch, the dropout RNG and (optionally) context-local gradient
-// accumulators. Layers
-// themselves hold only immutable parameters, so any number of goroutines may
-// run the SAME network concurrently as long as each uses its own Context —
-// this is the contract the pooled classifier (internal/core), pooled
-// evaluation and the data-parallel trainer (internal/train) build on.
+// training switch and the dropout RNG. Layers hold no per-call state, so
+// any number of goroutines may run ForwardBatch on the SAME network
+// concurrently as long as each uses its own Context — the contract the
+// pooled classifier (internal/core) and pooled evaluation (internal/train)
+// build on. BackwardBatch accumulates into the layers' shared Param.Grad
+// tensors, so backward passes over one network run on one goroutine (the
+// trainer runs each mini-batch through a single training context).
 //
 // A Context is NOT safe for concurrent use; it is the unit of concurrency
 // (one per goroutine/worker). The zero value is ready to use (NewContext is
@@ -26,8 +22,6 @@ type Context struct {
 	training bool
 	rng      *rand.Rand
 	states   map[Layer]any
-	grads    map[*tensor.Tensor]*tensor.Tensor
-	shadow   bool
 }
 
 // NewContext returns an inference-mode context with no RNG.
@@ -43,19 +37,18 @@ func (c *Context) SetTraining(on bool) { c.training = on }
 func (c *Context) Training() bool { return c.training }
 
 // SetRand installs the RNG used by stochastic layers (dropout) running
-// through this context. Per-worker RNGs keep data-parallel training
-// deterministic for a fixed worker count.
+// through this context, so a training run's dropout masks are a function
+// of its seed.
 func (c *Context) SetRand(rng *rand.Rand) { c.rng = rng }
 
 // Rand returns the context RNG (nil if none was set).
 func (c *Context) Rand() *rand.Rand { return c.rng }
 
-// Reset drops every cached layer state and shadow gradient. Scratch buffers
-// held inside the dropped states are released to the GC; prefer reusing a
-// context without Reset when running the same network repeatedly.
+// Reset drops every cached layer state. Scratch buffers held inside the
+// dropped states are released to the GC; prefer reusing a context without
+// Reset when running the same network repeatedly.
 func (c *Context) Reset() {
 	c.states = make(map[Layer]any)
-	c.grads = nil
 }
 
 // state returns the per-layer state for l, creating it with mk on first use.
@@ -69,43 +62,4 @@ func (c *Context) state(l Layer, mk func() any) any {
 	s := mk()
 	c.states[l] = s
 	return s
-}
-
-// ShadowGrads switches gradient accumulation into context-local buffers.
-// With shadowing off (the default) BackwardBatch accumulates directly into each
-// parameter's canonical Grad tensor — correct for a single context. With
-// shadowing on, each context accumulates privately and the trainer reduces
-// the shadows with FlushGrads after the concurrent section, which is what
-// makes data-parallel backward passes race-free.
-func (c *Context) ShadowGrads(on bool) { c.shadow = on }
-
-// gradBuf returns the accumulation target for the canonical gradient tensor:
-// the tensor itself, or this context's (lazily created, zero-initialised)
-// shadow of it.
-func (c *Context) gradBuf(canonical *tensor.Tensor) *tensor.Tensor {
-	if !c.shadow {
-		return canonical
-	}
-	if c.grads == nil {
-		c.grads = make(map[*tensor.Tensor]*tensor.Tensor)
-	}
-	if g, ok := c.grads[canonical]; ok {
-		return g
-	}
-	g := tensor.MustNew(canonical.Shape()...)
-	c.grads[canonical] = g
-	return g
-}
-
-// FlushGrads adds every shadow gradient into its canonical tensor and zeroes
-// the shadow for the next accumulation round. It must be called from a
-// single goroutine (the reduction step between concurrent batches).
-func (c *Context) FlushGrads() error {
-	for canonical, g := range c.grads {
-		if err := canonical.AddInPlace(g); err != nil {
-			return fmt.Errorf("nn: flush grads: %w", err)
-		}
-		g.Zero()
-	}
-	return nil
 }

@@ -16,16 +16,16 @@ import (
 //
 // The struct holds only parameters and hyper-parameters; activation caches
 // and the im2col scratch live in the Context, so one Conv2D may serve any
-// number of concurrent forward passes.
+// number of concurrent forward passes. It owns its two Params for its
+// lifetime, so optimiser state keyed by *Param persists across steps.
 type Conv2D struct {
 	name      string
 	inC, outC int
 	k         int // square kernel side
 	stride    int
 	pad       int
-	weight    *tensor.Tensor // (outC, inC, k, k)
-	bias      *tensor.Tensor // (outC)
-	grads     paramGrads
+	weight    Param // (outC, inC, k, k)
+	bias      Param // (outC)
 }
 
 // convState is the per-context mutable state of one Conv2D: the reusable
@@ -71,7 +71,8 @@ func NewConv2D(name string, inC, outC, k, stride, pad int, rng *rand.Rand) (*Con
 	}
 	return &Conv2D{
 		name: name, inC: inC, outC: outC, k: k, stride: stride, pad: pad,
-		weight: w, bias: b,
+		weight: Param{Name: name + ".weight", Value: w},
+		bias:   Param{Name: name + ".bias", Value: b},
 	}, nil
 }
 
@@ -80,10 +81,10 @@ func (c *Conv2D) Name() string { return c.name }
 
 // Weight returns the FCHW weight bank (shared storage — the hybrid network's
 // filter-replacement workflow edits it in place).
-func (c *Conv2D) Weight() *tensor.Tensor { return c.weight }
+func (c *Conv2D) Weight() *tensor.Tensor { return c.weight.Value }
 
 // Bias returns the bias vector (shared storage).
-func (c *Conv2D) Bias() *tensor.Tensor { return c.bias }
+func (c *Conv2D) Bias() *tensor.Tensor { return c.bias.Value }
 
 // Filters returns the number of output filters.
 func (c *Conv2D) Filters() int { return c.outC }
@@ -100,13 +101,9 @@ func (c *Conv2D) Stride() int { return c.stride }
 // Pad returns the padding.
 func (c *Conv2D) Pad() int { return c.pad }
 
-// Params implements Layer.
-func (c *Conv2D) Params() []*Param {
-	return []*Param{
-		{Name: c.name + ".weight", Value: c.weight, Grad: c.grads.w},
-		{Name: c.name + ".bias", Value: c.bias, Grad: c.grads.b},
-	}
-}
+// Params implements Layer: the weight and bias Params, the same two
+// pointers on every call.
+func (c *Conv2D) Params() []*Param { return []*Param{&c.weight, &c.bias} }
 
 // ForwardBatch implements Layer for an NCHW micro-batch: ONE Im2colBatch
 // lowering and ONE blocked GEMM (bias-seeded, ascending-tap accumulation)
@@ -139,7 +136,7 @@ func (c *Conv2D) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, e
 		return nil, fmt.Errorf("nn: conv %q: %w", c.name, err)
 	}
 	st.out = tensor.GrowSlice(st.out, c.outC*cols)
-	b := c.bias.Data()
+	b := c.bias.Value.Data()
 	for f := 0; f < c.outC; f++ {
 		row := st.out[f*cols : (f+1)*cols]
 		bv := b[f]
@@ -147,7 +144,7 @@ func (c *Conv2D) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, e
 			row[j] = bv
 		}
 	}
-	tensor.GemmAcc(st.out, c.weight.Data(), st.cols, c.outC, ckk, cols)
+	tensor.GemmAcc(st.out, c.weight.Value.Data(), st.cols, c.outC, ckk, cols)
 	if ctx.Training() {
 		st.lastIn, st.outH, st.outW = x, outH, outW
 	} else {
@@ -192,9 +189,7 @@ func (c *Conv2D) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tenso
 	cols := n * hw
 	ckk := c.inC * c.k * c.k
 	g := grad.Data()
-	gradW, gradB := c.grads.get(c.weight, c.bias)
-	dw := ctx.gradBuf(gradW).Data()
-	db := ctx.gradBuf(gradB).Data()
+	dw, db := c.weight.grad().Data(), c.bias.grad().Data()
 
 	// NCHW → F-major: one contiguous copy per (filter, sample), the exact
 	// inverse of the forward's output transpose.
@@ -214,7 +209,7 @@ func (c *Conv2D) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tenso
 	for i := range st.dcols {
 		st.dcols[i] = 0
 	}
-	tensor.GemmTA(st.dcols, c.weight.Data(), st.grad, ckk, c.outC, cols)
+	tensor.GemmTA(st.dcols, c.weight.Value.Data(), st.grad, ckk, c.outC, cols)
 	dx := tensor.MustNew(n, c.inC, inH, inW)
 	if err := tensor.Col2imBatch(dx.Data(), st.dcols, n, c.inC, inH, inW, c.k, c.stride, c.pad); err != nil {
 		return nil, fmt.Errorf("nn: conv %q: %w", c.name, err)

@@ -8,13 +8,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// Dense is a fully connected layer over flat inputs: y = Wx + b.
+// Dense is a fully connected layer over flat inputs: y = Wx + b. Like
+// Conv2D it owns its two Params for its lifetime.
 type Dense struct {
 	name    string
 	in, out int
-	weight  *tensor.Tensor // (out, in)
-	bias    *tensor.Tensor // (out)
-	grads   paramGrads
+	weight  Param // (out, in)
+	bias    Param // (out)
 }
 
 // denseState is the per-context forward cache: the input batch of the last
@@ -44,7 +44,8 @@ func NewDense(name string, in, out int, rng *rand.Rand) (*Dense, error) {
 	}
 	return &Dense{
 		name: name, in: in, out: out,
-		weight: w, bias: b,
+		weight: Param{Name: name + ".weight", Value: w},
+		bias:   Param{Name: name + ".bias", Value: b},
 	}, nil
 }
 
@@ -52,18 +53,14 @@ func NewDense(name string, in, out int, rng *rand.Rand) (*Dense, error) {
 func (d *Dense) Name() string { return d.name }
 
 // Weight returns the (out, in) weight matrix (shared storage).
-func (d *Dense) Weight() *tensor.Tensor { return d.weight }
+func (d *Dense) Weight() *tensor.Tensor { return d.weight.Value }
 
 // Bias returns the bias vector (shared storage).
-func (d *Dense) Bias() *tensor.Tensor { return d.bias }
+func (d *Dense) Bias() *tensor.Tensor { return d.bias.Value }
 
-// Params implements Layer.
-func (d *Dense) Params() []*Param {
-	return []*Param{
-		{Name: d.name + ".weight", Value: d.weight, Grad: d.grads.w},
-		{Name: d.name + ".bias", Value: d.bias, Grad: d.grads.b},
-	}
-}
+// Params implements Layer: the weight and bias Params, the same two
+// pointers on every call.
+func (d *Dense) Params() []*Param { return []*Param{&d.weight, &d.bias} }
 
 // ForwardBatch implements Layer over an (N, in) batch: one tensor.Linear
 // call computes X·Wᵀ + b for all N rows (bias seed, then ascending input
@@ -86,7 +83,7 @@ func (d *Dense) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, er
 		st.lastIn = nil
 	}
 	out := tensor.MustNew(n, d.out)
-	tensor.Linear(out.Data(), x.Data(), d.weight.Data(), d.bias.Data(), n, d.in, d.out)
+	tensor.Linear(out.Data(), x.Data(), d.weight.Value.Data(), d.bias.Value.Data(), n, d.in, d.out)
 	return out, nil
 }
 
@@ -107,10 +104,8 @@ func (d *Dense) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor
 	if grad.Rank() != 2 || grad.Dim(0) != n || grad.Dim(1) != d.out {
 		return nil, fmt.Errorf("nn: dense %q wants (%d,%d) gradient, got %v", d.name, n, d.out, grad.Shape())
 	}
-	g, x, w := grad.Data(), st.lastIn.Data(), d.weight.Data()
-	gradW, gradB := d.grads.get(d.weight, d.bias)
-	dw := ctx.gradBuf(gradW).Data()
-	db := ctx.gradBuf(gradB).Data()
+	g, x, w := grad.Data(), st.lastIn.Data(), d.weight.Value.Data()
+	dw, db := d.weight.grad().Data(), d.bias.grad().Data()
 	if err := tensor.AddColSums(db, g, n, d.out); err != nil {
 		return nil, fmt.Errorf("nn: dense %q: %w", d.name, err)
 	}
@@ -123,9 +118,9 @@ func (d *Dense) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor
 // Dropout zeroes activations with probability Rate in training contexts and
 // is the identity at inference (inverted dropout: surviving activations are
 // scaled by 1/(1−Rate) so inference needs no rescaling). The mask is drawn
-// from the context RNG when one is set (per-worker determinism in parallel
-// training); contexts without an RNG fall back to the layer's construction
-// RNG under a mutex, so concurrent training contexts that forgot SetRand
+// from the context RNG when one is set (the trainer seeds its context's);
+// contexts without an RNG fall back to the layer's construction RNG under a
+// mutex, so concurrent training-mode forward passes that forgot SetRand
 // stay race-free (merely serialised on the mask draw).
 type Dropout struct {
 	name string

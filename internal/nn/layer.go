@@ -18,14 +18,14 @@
 // bit-identical whatever batch it rides in. Layers hold only immutable
 // parameters — every per-call cache and scratch buffer lives in the
 // Context threaded through the passes, one cache per layer — so one
-// network can serve any number of concurrent passes, one Context per
-// goroutine.
+// network can serve any number of concurrent forward passes, one Context
+// per goroutine. Backward passes accumulate into the layers' shared
+// gradients, so training a network runs on one goroutine.
 package nn
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/tensor"
 )
@@ -34,7 +34,10 @@ import (
 // accumulated (+=) by BackwardBatch and cleared by ZeroGrad. A nil Grad means
 // no gradient has been accumulated yet and reads as all zeros: layers create
 // the accumulator in their first BackwardBatch, so a network that only ever
-// runs forward (serving, evaluation, export) holds no gradient memory.
+// runs forward (serving, evaluation, export) holds no gradient memory. A
+// layer owns its Params for its lifetime — Params returns the same pointers
+// on every call — so optimiser state keyed by *Param (SGD velocity) carries
+// from step to step.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
@@ -48,35 +51,26 @@ func (p *Param) ZeroGrad() {
 	}
 }
 
-// paramGrads holds a layer's weight and bias gradient accumulators, created
-// by the first BackwardBatch that asks for them. The sync.Once makes that
-// safe when the data-parallel trainer's workers reach the layer together:
-// they all see the same canonical tensors, which is what Context.gradBuf
-// keys their shadows on.
-type paramGrads struct {
-	once sync.Once
-	w, b *tensor.Tensor
-}
-
-// get returns the accumulators, shaped like weight and bias.
-func (g *paramGrads) get(weight, bias *tensor.Tensor) (w, b *tensor.Tensor) {
-	g.once.Do(func() {
-		g.w = tensor.MustNew(weight.Shape()...)
-		g.b = tensor.MustNew(bias.Shape()...)
-	})
-	return g.w, g.b
+// grad returns the gradient accumulator, creating it (zeroed, shaped like
+// Value) on the first call — the first BackwardBatch to reach the layer.
+func (p *Param) grad() *tensor.Tensor {
+	if p.Grad == nil {
+		p.Grad = tensor.MustNew(p.Value.Shape()...)
+	}
+	return p.Grad
 }
 
 // Layer is a differentiable module over micro-batches; a single sample is
 // the N=1 batch. In training contexts ForwardBatch caches whatever
 // BackwardBatch needs in ctx; BackwardBatch consumes the gradient w.r.t.
 // the layer's output and returns the gradient w.r.t. its input,
-// accumulating parameter gradients (into the canonical Grad tensors, or the
-// context's shadow buffers — see Context.ShadowGrads) as a side effect.
+// accumulating parameter gradients into the layer's Param.Grad tensors as a
+// side effect.
 //
-// Layers ARE safe for concurrent shared-weight use: all mutable per-call
-// state lives in the Context, so goroutines running the same layer must
-// simply not share a Context.
+// ForwardBatch is safe for concurrent shared-weight use: all mutable
+// per-call state lives in the Context, so goroutines running the same layer
+// must simply not share a Context. BackwardBatch writes the shared
+// gradients, so backward passes over one network run on one goroutine.
 type Layer interface {
 	// Name identifies the layer in summaries and serialised models.
 	Name() string

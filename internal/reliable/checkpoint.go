@@ -7,17 +7,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file implements the coarse-granularity checkpoint/rollback executors
+// This file implements the coarse-granularity checkpoint/rollback executor
 // used by the rollback-distance ablation (Section II-E: "Once there are hard
 // or soft deadlines to be met, the rollback-distance becomes a significant
 // consideration"). The paper's contribution reduces the rollback distance to
-// ONE OPERATION (Engine + Conv2D); the executors here provide the classical
-// comparison points:
-//
-//   - unit-level checkpointing: execute a unit of work twice, compare the
-//     outputs at the checkpoint, and re-execute the WHOLE unit on mismatch
-//     ("unit" = one layer, or the whole network);
-//   - no checkpointing at all (single unprotected execution).
+// ONE OPERATION (Engine + Conv2D); the executor here is the classical
+// comparison point, unit-level checkpointing: execute a unit of work twice,
+// compare the outputs at the checkpoint, and re-execute the WHOLE unit on
+// mismatch ("unit" = one layer, or the whole network). The ablation's other
+// baseline, no checkpointing at all, is one run on a plain engine.
 
 // ErrRollbackExhausted is returned when a checkpointed unit keeps
 // mismatching for the configured number of attempts — the repetitive-error
@@ -76,21 +74,4 @@ func CheckpointedRun(unit Unit, maxAttempts int, opsPerUnit uint64) (UnitResult,
 		}
 	}
 	return res, fmt.Errorf("reliable: after %d attempts: %w", res.Attempts, ErrRollbackExhausted)
-}
-
-// UnprotectedRun executes the unit once with no checkpoint — the baseline
-// that converts every fault into potential silent data corruption.
-func UnprotectedRun(unit Unit, opsPerUnit uint64) (UnitResult, error) {
-	var res UnitResult
-	if unit == nil {
-		return res, fmt.Errorf("reliable: unprotected run needs a unit")
-	}
-	out, err := unit()
-	if err != nil {
-		return res, fmt.Errorf("reliable: unprotected unit: %w", err)
-	}
-	res.Output = out
-	res.Attempts = 1
-	res.OpsExecuted = opsPerUnit
-	return res, nil
 }

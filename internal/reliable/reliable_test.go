@@ -512,26 +512,6 @@ func TestCheckpointedRunValidation(t *testing.T) {
 	}
 }
 
-func TestUnprotectedRun(t *testing.T) {
-	res, err := UnprotectedRun(func() (*tensor.Tensor, error) {
-		return tensor.MustFromSlice([]float32{5}, 1), nil
-	}, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OpsExecuted != 42 || res.Attempts != 1 {
-		t.Errorf("res = %+v", res)
-	}
-	if _, err := UnprotectedRun(nil, 1); err == nil {
-		t.Error("nil unit should fail")
-	}
-	if _, err := UnprotectedRun(func() (*tensor.Tensor, error) {
-		return nil, errors.New("boom")
-	}, 1); err == nil {
-		t.Error("unit error should propagate")
-	}
-}
-
 // Property: the bucket level is never negative and never exceeds
 // peak; the trip latch is monotone.
 func TestQuickBucketInvariants(t *testing.T) {

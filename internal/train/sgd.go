@@ -14,7 +14,8 @@ import (
 )
 
 // SGD is stochastic gradient descent with classical momentum and optional
-// L2 weight decay.
+// L2 weight decay. Velocity is created on a parameter's first step and keyed
+// by its *nn.Param, which the layer owns for its lifetime.
 type SGD struct {
 	lr       float32
 	momentum float32

@@ -91,6 +91,62 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	}
 }
 
+// TestFitMomentumAccumulates: Trainer.Fit hands the optimiser the layers'
+// own Params, the same pointers every step, so velocity carries from step
+// to step. From one seed, momentum 0.9 trains different weights than
+// momentum 0, and the velocity map holds exactly one tensor per parameter
+// after every step instead of growing by one per parameter per step.
+func TestFitMomentumAccumulates(t *testing.T) {
+	ds := tinyDataset(t, 2, 31)
+	fit := func(momentum float32) []*nn.Param {
+		net, err := nn.NewMicroAlexNet(tinyConfig(), rand.New(rand.NewSource(32)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, second := net.Params(), net.Params()
+		for i := range first {
+			if first[i] != second[i] {
+				t.Errorf("%s: Params returned a new *Param on the second call", first[i].Name)
+				break
+			}
+		}
+		opt, err := NewSGD(0.05, momentum, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One mini-batch per epoch, so OnEpoch runs after every step.
+		tr := &Trainer{
+			Net: net, Opt: opt, BatchSize: ds.Len(), Epochs: 4,
+			Rng: rand.New(rand.NewSource(33)),
+			OnEpoch: func(epoch int, _ float64) error {
+				if got, want := len(opt.velocity), len(first); got != want {
+					t.Errorf("momentum %v, step %d: %d velocity tensors, want %d (one per parameter)",
+						momentum, epoch+1, got, want)
+				}
+				return nil
+			},
+		}
+		if _, err := tr.Fit(ds); err != nil {
+			t.Fatal(err)
+		}
+		return net.Params()
+	}
+	plain, heavy := fit(0), fit(0.9)
+	var maxDiff float64
+	for i := range plain {
+		d, err := plain[i].Value.MaxAbsDiff(heavy[i].Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d > maxDiff {
+			maxDiff = d
+		}
+	}
+	if maxDiff == 0 {
+		t.Error("momentum 0.9 trained the same weights as momentum 0: velocity never accumulated")
+	}
+}
+
 func TestSGDWeightDecayShrinks(t *testing.T) {
 	v := tensor.MustFromSlice([]float32{1}, 1)
 	g := tensor.MustNew(1) // zero gradient
