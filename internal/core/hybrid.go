@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/nn"
@@ -125,6 +126,9 @@ type HybridNetwork struct {
 	// conv1 is the reliably executed convolution; its Pair channels feed
 	// the qualifier.
 	conv1 *nn.Conv2D
+	// workers recycles Classify's *worker across calls on the default
+	// (ideal, stateless) ALUs; see Classify.
+	workers sync.Pool
 }
 
 // NewHybridNetwork wraps a trained CNN into a hybrid network.
@@ -182,19 +186,33 @@ func (h *HybridNetwork) Qualifier() *shape.Qualifier { return h.qualifier }
 // Config returns the (normalised) configuration.
 func (h *HybridNetwork) Config() Config { return h.cfg }
 
-// Classify runs the hybrid pipeline on a full-resolution CHW image with a
-// fresh context and reliable engine: a chunk of one through the same
-// pipelined path every batch takes. It is safe to call concurrently on a
-// shared HybridNetwork; for batches hold a BatchClassifier
-// (NewBatchClassifier), whose workers each keep one context and engine
-// across every image they serve.
+// Classify runs the hybrid pipeline on a full-resolution CHW image: a chunk
+// of one through the same pipelined path every batch takes. It does not
+// build a context and engine per call: on the default ALUs (Config.ALUs
+// nil) it takes a worker from a pool on the network and returns it after
+// the image, so the worker's scratch — forward buffers, the row path's twin
+// and masks — is reused. That is exact because the bucket is reset before
+// every image and the counters are per-image deltas. A custom ALU factory
+// may hand out stateful ALUs (fault injection), so with one every call
+// builds a fresh worker and the factory's ALUs serve one image each. It is
+// safe to call concurrently on a shared HybridNetwork; for batches hold a
+// BatchClassifier (NewBatchClassifier), whose workers each keep one context
+// and engine across every image they serve.
 func (h *HybridNetwork) Classify(img *tensor.Tensor) (Result, error) {
-	w, err := h.newWorker()
-	if err != nil {
-		return Result{}, err
+	w, ok := h.workers.Get().(*worker)
+	if !ok {
+		nw, err := h.newWorker()
+		if err != nil {
+			return Result{}, err
+		}
+		w = &nw
 	}
-	results := make([]Result, 1)
-	if err := h.classifyChunkPipelined(w, []*tensor.Tensor{img}, nil, results, &StageTimes{}); err != nil {
+	var results [1]Result
+	err := h.classifyChunkPipelined(*w, []*tensor.Tensor{img}, nil, results[:], &StageTimes{})
+	if h.cfg.ALUs == nil {
+		h.workers.Put(w)
+	}
+	if err != nil {
 		return Result{}, err
 	}
 	return results[0], nil
@@ -311,7 +329,9 @@ func (h *HybridNetwork) reliableStage(engine *reliable.Engine, img *tensor.Tenso
 // chunk — idxs[j] is the position of cnnIns[j] in results — filling
 // class/confidence/probs and the Reliable Result decision. Images of one
 // common shape pack into a single NCHW micro-batch (one GEMM per layer);
-// ragged shapes run one batch per shape.
+// ragged shapes run one batch per shape. The inference forward may rewrite
+// cnnIns (layer 1 of the demo net is a ReLU, which clamps in place); the
+// qualifier has already read them and no Result refers to them.
 func (h *HybridNetwork) cnnStage(ctx *nn.Context, cnnIns []*tensor.Tensor, idxs []int, results []Result) error {
 	logits, err := h.net.ForwardSamples(ctx, cnnFrom, h.net.Len(), cnnIns)
 	if err != nil {

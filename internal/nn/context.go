@@ -17,7 +17,16 @@ import "math/rand"
 // A Context is NOT safe for concurrent use; it is the unit of concurrency
 // (one per goroutine/worker). The zero value is ready to use (NewContext is
 // equivalent). The zero cost path is to allocate one and reuse it across
-// calls: scratch buffers grow to the high-water mark and are then recycled.
+// calls: scratch buffers grow to the high-water mark and are then recycled,
+// so a context kept in a pool (the hybrid network's Classify, the batch
+// classifier's workers) carries its scratch from call to call.
+//
+// An inference pass may consume its input: a layer may rewrite the tensor
+// it is handed instead of copying it (ReLU clamps in place). A caller whose
+// tensor goes straight into such a layer — ForwardFrom or ForwardSamples
+// entering at a ReLU, as the hybrid network's CNN stage does at layer 1 —
+// must not expect it unchanged afterwards. Training passes never write
+// their input.
 type Context struct {
 	training bool
 	rng      *rand.Rand

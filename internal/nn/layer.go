@@ -137,7 +137,8 @@ func (s *Sequential) Forward(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, er
 
 // ForwardFrom runs one sample through the chain starting at layer index
 // from (inclusive) as a batch of one — so its logits are bit-identical to
-// the sample's row in any larger batch.
+// the sample's row in any larger batch. In an inference context the pass
+// may rewrite x (see Context).
 func (s *Sequential) ForwardFrom(ctx *Context, from int, x *tensor.Tensor) (*tensor.Tensor, error) {
 	outs, err := s.ForwardSamples(ctx, from, len(s.layers), []*tensor.Tensor{x})
 	if err != nil {
@@ -149,7 +150,8 @@ func (s *Sequential) ForwardFrom(ctx *Context, from int, x *tensor.Tensor) (*ten
 // ForwardSamples runs every sample of xs through layers [from, to) and
 // returns the per-sample outputs in input order. Same-shaped samples pack
 // into one batch (one GEMM per layer for the whole group; a group of one is
-// a reshape view, no copy); ragged shapes cannot share a GEMM, so each
+// a reshape view, no copy, so in an inference context the pass may rewrite
+// that sample — see Context); ragged shapes cannot share a GEMM, so each
 // distinct shape forms its own batch, down to batches of one. The outputs
 // of one group are views over a single backing array: retaining one retains
 // the group's output memory (Clone a sample to keep it long-term).

@@ -324,6 +324,49 @@ func TestReLU(t *testing.T) {
 	}
 }
 
+// TestReLUInferenceInPlace: an inference forward clamps its input in place
+// and returns it; a training forward returns a fresh tensor and leaves the
+// input as it was. NaN clamps to 0 either way.
+func TestReLUInferenceInPlace(t *testing.T) {
+	nan := float32(math.NaN())
+	in := []float32{-1, 0, 2, nan, float32(math.Copysign(0, -1)), 0.5}
+	want := []float32{0, 0, 2, 0, 0, 0.5}
+	same := func(got []float32) bool {
+		for i, v := range got {
+			if math.Float32bits(v) != math.Float32bits(want[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, training := range []bool{false, true} {
+		ctx := NewContext()
+		ctx.SetTraining(training)
+		x := tensor.MustFromSlice(append([]float32(nil), in...), 1, len(in))
+		out, err := NewReLU("r").ForwardBatch(ctx, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(out.Data()) {
+			t.Fatalf("training %v: relu = %v, want %v", training, out.Data(), want)
+		}
+		if !training {
+			if out != x || !same(x.Data()) {
+				t.Fatalf("inference: relu returned %p over %v, want its input %p rewritten", out, x.Data(), x)
+			}
+			continue
+		}
+		if out == x || &out.Data()[0] == &x.Data()[0] {
+			t.Fatal("training: relu output shares its input's storage")
+		}
+		for i, v := range x.Data() {
+			if math.Float32bits(v) != math.Float32bits(in[i]) {
+				t.Fatalf("training: input %d changed to %v", i, v)
+			}
+		}
+	}
+}
+
 func TestFlatten(t *testing.T) {
 	ctx := trainCtx()
 	f := NewFlatten("f")

@@ -155,24 +155,27 @@ func (r *ReLU) Params() []*Param { return nil }
 
 // ForwardBatch implements Layer: ReLU is element-wise, so the pass is one
 // clamp sweep over the packed batch (non-positive AND NaN clamp to 0). In
-// training contexts the activation mask is cached for BackwardBatch;
-// inference contexts cache nothing.
+// inference contexts the sweep runs in place: x itself is clamped and
+// returned, and nothing is cached. In training contexts x is left as it was,
+// the result is a fresh tensor and the activation mask is cached for
+// BackwardBatch.
 func (r *ReLU) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("nn: relu %q forward needs a context", r.name)
 	}
 	st := ctx.state(r, func() any { return &reluState{} }).(*reluState)
-	out := x.Clone()
-	d := out.Data()
 	if !ctx.Training() {
 		st.mask = nil
+		d := x.Data()
 		for i, v := range d {
 			if !(v > 0) {
 				d[i] = 0
 			}
 		}
-		return out, nil
+		return x, nil
 	}
+	out := x.Clone()
+	d := out.Data()
 	if cap(st.mask) >= len(d) {
 		st.mask = st.mask[:len(d)]
 	} else {

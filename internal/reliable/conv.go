@@ -2,6 +2,7 @@ package reliable
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/tensor"
 )
@@ -81,10 +82,16 @@ func Conv2D(e *Engine, input, filters *tensor.Tensor, bias []float32, spec ConvS
 	if err != nil {
 		return nil, err
 	}
-	g := newConvGeom(input, filters, bias, spec, out.Dim(2))
 	outH, outW := out.Dim(1), out.Dim(2)
-	if e.rows && cap(e.twin) < outW {
-		e.twin = make([]float32, outW)
+	g := newConvGeom(input, filters, bias, spec, outW, e.spans)
+	e.spans = g.spans
+	if e.rows {
+		if cap(e.twin) < outW {
+			e.twin = make([]float32, outW)
+		}
+		if rowAsm && g.stride == 1 {
+			e.masks = g.setMasks(e.masks, outW)
+		}
 	}
 	od := out.Data()
 	for f := 0; f < out.Dim(0); f++ {
@@ -110,18 +117,26 @@ type convGeom struct {
 	stride, pad           int
 	spans                 []colSpan
 	width                 int // Σ over kx of hi − lo
+	// masks is the SIMD row kernel's lane-mask table (setMasks); nil when
+	// convRowPass runs the Go loop.
+	masks []int32
 }
 
 type colSpan struct{ lo, hi int }
 
-func newConvGeom(input, filters *tensor.Tensor, bias []float32, spec ConvSpec, outW int) convGeom {
+// newConvGeom builds the geometry, its spans in buf's storage (grown to kw
+// when short) so that a long-lived engine computes them without allocating.
+func newConvGeom(input, filters *tensor.Tensor, bias []float32, spec ConvSpec, outW int, buf []colSpan) convGeom {
 	g := convGeom{
 		in: input.Data(), fl: filters.Data(), bias: bias,
 		inC: input.Dim(0), inH: input.Dim(1), inW: input.Dim(2),
 		kh: filters.Dim(2), kw: filters.Dim(3),
 		stride: spec.Stride, pad: spec.Pad,
 	}
-	g.spans = make([]colSpan, g.kw)
+	if cap(buf) < g.kw {
+		buf = make([]colSpan, g.kw)
+	}
+	g.spans = buf[:g.kw]
 	for kx := range g.spans {
 		// ox·s − pad + kx ≥ 0  ⇔  ox ≥ ⌈(pad − kx)/s⌉
 		lo := 0
@@ -133,12 +148,57 @@ func newConvGeom(input, filters *tensor.Tensor, bias []float32, spec ConvSpec, o
 		if d := g.inW - 1 + g.pad - kx; d >= 0 {
 			hi = min(outW, d/g.stride+1)
 		}
+		g.spans[kx] = colSpan{}
 		if lo < hi {
 			g.spans[kx] = colSpan{lo, hi}
 			g.width += hi - lo
 		}
 	}
 	return g
+}
+
+// rowBlock is the SIMD row kernel's register block: four 8-lane YMM
+// accumulators.
+const rowBlock = 32
+
+// setMasks builds the SIMD row kernel's lane-mask table in buf (grown when
+// short) and points g at it. For each rowBlock-column block of the output
+// row it holds kw tap masks — lane j on (sign bit set) where column
+// block·rowBlock + j lies in that kx's span — then one store mask, lane j
+// on where the column lies inside the row. Bit 0 of a tap mask's first lane
+// flags a tap whose span covers every column of the block inside the row:
+// the kernel adds it without blending.
+func (g *convGeom) setMasks(buf []int32, outW int) []int32 {
+	const on, covers = math.MinInt32, 1
+	blocks := (outW + rowBlock - 1) / rowBlock
+	n := blocks * (g.kw + 1) * rowBlock
+	if cap(buf) < n {
+		buf = make([]int32, n)
+	}
+	buf = buf[:n]
+	i := 0
+	for b := 0; b < blocks; b++ {
+		lo, hi := b*rowBlock, min((b+1)*rowBlock, outW)
+		for kx := 0; kx <= g.kw; kx++ {
+			s := colSpan{0, outW}
+			if kx < g.kw {
+				s = g.spans[kx]
+			}
+			m := buf[i : i+rowBlock]
+			for j := range m {
+				m[j] = 0
+				if ox := lo + j; s.lo <= ox && ox < s.hi {
+					m[j] = on
+				}
+			}
+			if kx < g.kw && s.lo <= lo && hi <= s.hi {
+				m[0] |= covers
+			}
+			i += rowBlock
+		}
+	}
+	g.masks = buf
+	return buf
 }
 
 // macs returns the number of valid (unclipped) MACs of output row oy.
@@ -172,11 +232,18 @@ func (e *Engine) convRowDMR(g *convGeom, row []float32, f, oy int) bool {
 // (c, ky, kx), in the scalar kernel's order, it adds the tap's product to
 // every output column it reaches. Per output element that is the scalar
 // kernel's exact sequence of float32 operations — the explicit conversion
-// rounds each product before the add, so nothing fuses. It must not be
-// inlined: the two passes convRowDMR compares are two executions.
+// (in the vector kernel, VMULPS) rounds each product before the add, so
+// nothing fuses. A geometry with a mask table (stride 1, AVX2) runs the
+// vector kernel, every other the Go loop below; the two are equal bit for
+// bit. It must not be inlined: the two passes convRowDMR compares are two
+// executions.
 //
 //go:noinline
 func convRowPass(acc []float32, g *convGeom, f, oy int) {
+	if g.masks != nil {
+		convRowSIMD(acc, g, f, oy)
+		return
+	}
 	var b float32
 	if g.bias != nil {
 		b = g.bias[f]
@@ -214,6 +281,30 @@ func convRowPass(acc []float32, g *convGeom, f, oy int) {
 			}
 		}
 	}
+}
+
+// convRowSIMD is convRowPass on the AVX2 kernel (stride 1, g.masks set):
+// it hands the kernel the rows of the kernel window that lie inside the
+// image, as the Go loop skips the others.
+func convRowSIMD(acc []float32, g *convGeom, f, oy int) {
+	var b float32
+	if g.bias != nil {
+		b = g.bias[f]
+	}
+	iy0 := oy - g.pad
+	kyLo, kyHi := max(0, -iy0), min(g.kh, g.inH-iy0)
+	if kyLo >= kyHi || len(g.in) == 0 {
+		// No input under the window: the row is its bias.
+		for i := range acc {
+			acc[i] = b
+		}
+		return
+	}
+	taps := g.kh * g.kw
+	convRowKernel(&acc[0], &g.in[0], &g.fl[f*g.inC*taps+kyLo*g.kw], &g.masks[0],
+		int64((iy0+kyLo)*g.inW-g.pad), int64(g.inH*g.inW), int64(g.inW),
+		int64(g.inC), int64(kyHi-kyLo), int64(g.kw), int64(taps),
+		int64(len(g.masks)/((g.kw+1)*rowBlock)), b)
 }
 
 // convRow computes output row (f, oy) element by element, every multiply

@@ -61,9 +61,13 @@ type Engine struct {
 	bucket *LeakyBucket
 	stats  Stats
 	// rows selects Conv2D's row-granular path; twin is its second copy of
-	// an output row.
-	rows bool
-	twin []float32
+	// an output row. spans and masks hold the last convolution's column
+	// spans and SIMD lane masks, so a long-lived engine's row path
+	// allocates nothing per call.
+	rows  bool
+	twin  []float32
+	spans []colSpan
+	masks []int32
 }
 
 // NewEngine returns an engine executing via ops and accounting errors in

@@ -35,19 +35,17 @@ const (
 // gemmPackBuf holds one call's packing scratch: an A block of up to
 // gemmBlockMC (+ sliver padding) rows × gemmBlockK, and a B panel of up to
 // gemmBlockK × gemmBlockN (+ sliver padding). Recycled through a sync.Pool
-// so concurrent Gemm calls (one per pool worker) never share a buffer.
+// so concurrent Gemm calls (one per pool worker) never share a buffer. Each
+// call grows the buffers to what its shape needs, not to the block maxima,
+// so a pool miss (sync.Pool drops items across garbage collections) costs a
+// small GEMM a few kilobytes instead of 600 kB.
 type gemmPackBuf struct {
 	a []float32
 	b []float32
 }
 
 var gemmPackBufs = sync.Pool{
-	New: func() any {
-		return &gemmPackBuf{
-			a: make([]float32, (gemmBlockMC+gemmMR)*gemmBlockK),
-			b: make([]float32, (gemmBlockN+gemmNR)*gemmBlockK),
-		}
-	},
+	New: func() any { return new(gemmPackBuf) },
 }
 
 // gemmMasks[w] selects the first w of 16 lanes; the edge kernel indexes it
@@ -75,6 +73,9 @@ func gemmAsmRows(dst, a, b []float32, m, k, n int, aT, bT bool) {
 		ldb = k
 	}
 	buf := gemmPackBufs.Get().(*gemmPackBuf)
+	kb := min(gemmBlockK, k)
+	buf.a = GrowSlice(buf.a, (min(gemmBlockMC, m)+gemmMR)*kb)
+	buf.b = GrowSlice(buf.b, (min(gemmBlockN, n)+gemmNR)*kb)
 	ap, bp := buf.a, buf.b
 	for j0 := 0; j0 < n; j0 += gemmBlockN {
 		jw := min(gemmBlockN, n-j0)

@@ -62,6 +62,11 @@ var (
 // also the `noasm` build-tag fallback).
 func GemmKernel() string { return gemmKernelName }
 
+// SIMDActive reports whether this build and CPU run the AVX2 kernels
+// (GemmKernel reads "avx2-fma"). It is the one CPU-feature check: assembly
+// kernels outside this package (the reliable row pass) gate on it too.
+func SIMDActive() bool { return gemmAsmActive }
+
 // CPUFeatures reports the SIMD features detected at init (e.g.
 // "avx,avx2,fma,avx512f"), or "" when detection is unavailable for the
 // architecture.
