@@ -208,7 +208,7 @@ func (h *HybridNetwork) Classify(img *tensor.Tensor) (Result, error) {
 		w = &nw
 	}
 	var results [1]Result
-	err := h.classifyChunkPipelined(*w, []*tensor.Tensor{img}, nil, results[:], &StageTimes{})
+	err := h.classifyChunkPipelined(w, []*tensor.Tensor{img}, nil, results[:], &StageTimes{})
 	if h.cfg.ALUs == nil {
 		h.workers.Put(w)
 	}
@@ -242,7 +242,7 @@ func (h *HybridNetwork) Classify(img *tensor.Tensor) (Result, error) {
 // The chunk's per-stage wall time is accumulated into st (reliable stage,
 // qualifier, batched CNN) — one goroutine owns a chunk end to end, so plain
 // additions suffice.
-func (h *HybridNetwork) classifyChunkPipelined(w worker, imgs []*tensor.Tensor, pipes []Pipeline, results []Result, st *StageTimes) error {
+func (h *HybridNetwork) classifyChunkPipelined(w *worker, imgs []*tensor.Tensor, pipes []Pipeline, results []Result, st *StageTimes) error {
 	// Stage 1: reliable execution + qualifier, per sample — full-pipeline
 	// images only.
 	cnnIns := make([]*tensor.Tensor, 0, len(imgs))
@@ -258,7 +258,7 @@ func (h *HybridNetwork) classifyChunkPipelined(w worker, imgs []*tensor.Tensor, 
 		before := w.engine.Stats()
 		qBefore := st.Qualifier
 		stageStart := time.Now()
-		cnnIn, err := h.reliableStage(w.engine, img, &results[i], st)
+		cnnIn, err := h.reliableStage(w, img, &results[i], st)
 		// The qualifier ran inside reliableStage and booked its own time;
 		// the reliable span is the remainder.
 		st.Reliable += time.Since(stageStart) - (st.Qualifier - qBefore)
@@ -296,11 +296,11 @@ func (h *HybridNetwork) classifyChunkPipelined(w worker, imgs []*tensor.Tensor, 
 // execution failure, because the CNN cannot run without it. Qualifier wall
 // time is booked into st.Qualifier so the caller can split it out of the
 // stage total.
-func (h *HybridNetwork) reliableStage(engine *reliable.Engine, img *tensor.Tensor, res *Result, st *StageTimes) (*tensor.Tensor, error) {
+func (h *HybridNetwork) reliableStage(w *worker, img *tensor.Tensor, res *Result, st *StageTimes) (*tensor.Tensor, error) {
 	spec := reliable.ConvSpec{Stride: h.conv1.Stride(), Pad: h.conv1.Pad()}
-	features, execErr := reliable.Conv2D(engine, img, h.conv1.Weight(), h.conv1.Bias().Data(), spec)
-	res.Stats = engine.Stats()
-	res.Bucket = engine.Bucket().Snapshot()
+	features, execErr := reliable.Conv2D(w.engine, img, h.conv1.Weight(), h.conv1.Bias().Data(), spec)
+	res.Stats = w.engine.Stats()
+	res.Bucket = w.engine.Bucket().Snapshot()
 	if execErr != nil {
 		if !errors.Is(execErr, reliable.ErrBucketTripped) {
 			return nil, execErr
@@ -312,10 +312,11 @@ func (h *HybridNetwork) reliableStage(engine *reliable.Engine, img *tensor.Tenso
 	// Qualifier path: edge magnitude from the reliably computed Sobel
 	// channels of the SAME feature map the CNN consumes.
 	qStart := time.Now()
-	mag, err := EdgeMagnitudeFromChannels(features, h.cfg.Pair)
+	mag, err := edgeMagnitude(w.edges, features, h.cfg.Pair)
 	if err != nil {
 		return nil, err
 	}
+	w.edges = mag
 	qres, err := h.qualifier.QualifyEdgeMap(mag)
 	st.Qualifier += time.Since(qStart)
 	if err != nil {

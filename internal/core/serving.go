@@ -18,6 +18,7 @@ import (
 type worker struct {
 	ctx    *nn.Context
 	engine *reliable.Engine
+	edges  *tensor.Tensor // the qualifier's edge map, reused while its shape holds
 }
 
 // newWorker builds a fresh context and reliable engine (ops + bucket).
@@ -152,7 +153,7 @@ func (c *BatchClassifier) ClassifyBatchPipelined(imgs []*tensor.Tensor, pipes []
 			chunkPipes = pipes[lo:hi]
 		}
 		var st StageTimes
-		err := c.h.classifyChunkPipelined(c.workers[wi], imgs[lo:hi], chunkPipes, results[lo:hi], &st)
+		err := c.h.classifyChunkPipelined(&c.workers[wi], imgs[lo:hi], chunkPipes, results[lo:hi], &st)
 		mu.Lock()
 		times.Add(st)
 		mu.Unlock()

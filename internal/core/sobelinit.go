@@ -164,23 +164,31 @@ func InstallSobelPair(conv *nn.Conv2D, xIdx, yIdx int) (SobelPair, error) {
 }
 
 // EdgeMagnitudeFromChannels combines the Sobel pair's output channels of a
-// CHW feature map into an edge-magnitude map.
+// CHW feature map into an edge-magnitude map, reading both planes in place.
 func EdgeMagnitudeFromChannels(features *tensor.Tensor, pair SobelPair) (*tensor.Tensor, error) {
+	return edgeMagnitude(nil, features, pair)
+}
+
+// edgeMagnitude is EdgeMagnitudeFromChannels writing into dst when dst is a
+// map of the right shape, and into a new tensor otherwise.
+func edgeMagnitude(dst, features *tensor.Tensor, pair SobelPair) (*tensor.Tensor, error) {
 	if features.Rank() != 3 {
 		return nil, fmt.Errorf("core: edge magnitude needs CHW features, got %v", features.Shape())
 	}
-	gx, err := features.Channel(pair.XIdx)
-	if err != nil {
-		return nil, err
+	c, h, w := features.Dim(0), features.Dim(1), features.Dim(2)
+	for _, idx := range []int{pair.XIdx, pair.YIdx} {
+		if idx < 0 || idx >= c {
+			return nil, fmt.Errorf("core: edge magnitude channel %d out of range [0,%d)", idx, c)
+		}
 	}
-	gy, err := features.Channel(pair.YIdx)
-	if err != nil {
-		return nil, err
+	data := features.Data()
+	gx, gy := data[pair.XIdx*h*w:(pair.XIdx+1)*h*w], data[pair.YIdx*h*w:(pair.YIdx+1)*h*w]
+	if dst == nil || dst.Rank() != 2 || dst.Dim(0) != h || dst.Dim(1) != w {
+		dst = tensor.MustNew(h, w)
 	}
-	out := tensor.MustNew(features.Dim(1), features.Dim(2))
-	gxd, gyd, od := gx.Data(), gy.Data(), out.Data()
+	od := dst.Data()
 	for i := range od {
-		od[i] = float32(math.Hypot(float64(gxd[i]), float64(gyd[i])))
+		od[i] = float32(math.Hypot(float64(gx[i]), float64(gy[i])))
 	}
-	return out, nil
+	return dst, nil
 }

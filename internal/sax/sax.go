@@ -203,19 +203,37 @@ func (e *Encoder) Symbolize(v float64) int {
 }
 
 // Encode converts a raw series to its SAX word: z-normalise, PAA to the word
-// length, then symbolise each segment mean.
+// length, then symbolise each segment mean. Each segment mean is
+// PAA(ZNormalize(series)) computed in place: the same operations in the same
+// order, so the same bits, without the two intermediate series.
 func (e *Encoder) Encode(series []float64) (Word, error) {
-	if len(series) < e.wordLen {
-		return Word{}, fmt.Errorf("sax: series length %d below word length %d", len(series), e.wordLen)
+	n, w := len(series), e.wordLen
+	if n < w {
+		return Word{}, fmt.Errorf("sax: series length %d below word length %d", n, w)
 	}
-	zn := ZNormalize(series, e.eps)
-	paa, err := PAA(zn, e.wordLen)
-	if err != nil {
-		return Word{}, err
+	mean, std := mathx.MeanStd(series)
+	z := func(x float64) float64 {
+		if std < e.eps {
+			return 0
+		}
+		return (x - mean) / std
 	}
-	syms := make([]int, e.wordLen)
-	for i, v := range paa {
-		syms[i] = e.Symbolize(v)
+	syms := make([]int, w)
+	for i := range syms {
+		var s float64
+		if n%w == 0 {
+			seg := n / w
+			for j := i * seg; j < (i+1)*seg; j++ {
+				s += z(series[j])
+			}
+			s /= float64(seg)
+		} else {
+			for k := i * n; k < (i+1)*n; k++ {
+				s += z(series[k/w])
+			}
+			s /= float64(n)
+		}
+		syms[i] = e.Symbolize(s)
 	}
 	return Word{Symbols: syms, Alphabet: e.alphabet}, nil
 }
@@ -225,6 +243,11 @@ func (e *Encoder) Encode(series []float64) (Word, error) {
 // which provably lower-bounds the Euclidean distance between the
 // z-normalised originals.
 func (e *Encoder) MinDist(a, b Word, n int) (float64, error) {
+	return e.minDist(a, b, 0, n)
+}
+
+// minDist is MinDist against b rotated left by r symbols, read in place.
+func (e *Encoder) minDist(a, b Word, r, n int) (float64, error) {
 	if a.Alphabet != e.alphabet || b.Alphabet != e.alphabet {
 		return 0, fmt.Errorf("sax: word alphabets (%d,%d) do not match encoder alphabet %d",
 			a.Alphabet, b.Alphabet, e.alphabet)
@@ -238,7 +261,7 @@ func (e *Encoder) MinDist(a, b Word, n int) (float64, error) {
 	}
 	var s float64
 	for i := range a.Symbols {
-		ra, rb := a.Symbols[i], b.Symbols[i]
+		ra, rb := a.Symbols[i], b.Symbols[(i+r)%len(b.Symbols)]
 		if ra < 0 || ra >= e.alphabet || rb < 0 || rb >= e.alphabet {
 			return 0, fmt.Errorf("sax: symbol out of range at position %d", i)
 		}
@@ -263,12 +286,8 @@ func (e *Encoder) MinRotationMinDist(a, b Word, n int) (float64, error) {
 		return 0, nil
 	}
 	best := math.Inf(1)
-	rot := Word{Symbols: make([]int, w), Alphabet: b.Alphabet}
 	for r := 0; r < w; r++ {
-		for k := 0; k < w; k++ {
-			rot.Symbols[k] = b.Symbols[(k+r)%w]
-		}
-		d, err := e.MinDist(a, rot, n)
+		d, err := e.minDist(a, b, r, n)
 		if err != nil {
 			return 0, err
 		}

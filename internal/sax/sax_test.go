@@ -335,3 +335,71 @@ func TestQuickMinDistMetricProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEncodeMatchesZNormalizePAA: Encode symbolises exactly the segment
+// means of PAA(ZNormalize(series)), for lengths the word length divides and
+// lengths it does not, and for flat series below the z-normalisation floor.
+func TestEncodeMatchesZNormalizePAA(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for _, w := range []int{1, 3, 8, 16} {
+		enc, err := NewEncoder(w, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := w; n <= 4*w+5; n++ {
+			series := make([]float64, n)
+			flat := n%5 == 0
+			for i := range series {
+				if !flat {
+					series[i] = rng.NormFloat64() * 3
+				}
+			}
+			got, err := enc.Encode(series)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paa, err := PAA(ZNormalize(series, 1e-12), w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range paa {
+				if got.Symbols[i] != enc.Symbolize(v) {
+					t.Fatalf("w=%d n=%d: symbol %d is %d, want %d", w, n, i, got.Symbols[i], enc.Symbolize(v))
+				}
+			}
+		}
+	}
+}
+
+// TestMinRotationMinDistMatchesRotatedWords: the rotation-invariant MINDIST
+// is, bit for bit, the least MinDist against every rotation of b written out.
+func TestMinRotationMinDistMatchesRotatedWords(t *testing.T) {
+	enc, err := NewEncoder(16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 50; trial++ {
+		a := Word{Symbols: make([]int, 16), Alphabet: 4}
+		b := Word{Symbols: make([]int, 16), Alphabet: 4}
+		for i := range a.Symbols {
+			a.Symbols[i], b.Symbols[i] = rng.Intn(4), rng.Intn(4)
+		}
+		got, err := enc.MinRotationMinDist(a, b, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := math.Inf(1)
+		for r := 0; r < 16; r++ {
+			rot := Word{Symbols: append(append([]int(nil), b.Symbols[r:]...), b.Symbols[:r]...), Alphabet: 4}
+			d, err := enc.MinDist(a, rot, 128)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = math.Min(want, d)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: %v, want %v", trial, got, want)
+		}
+	}
+}

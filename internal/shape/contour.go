@@ -3,8 +3,6 @@ package shape
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/tensor"
 )
 
 // Point is an integer pixel coordinate (x right, y down).
@@ -12,32 +10,12 @@ type Point struct {
 	X, Y int
 }
 
-// Binarize thresholds a grayscale image: pixels > thresh become 1, the rest
-// 0.
-func Binarize(gray *tensor.Tensor, thresh float32) (*tensor.Tensor, error) {
-	if gray.Rank() != 2 {
-		return nil, fmt.Errorf("shape: binarize needs rank-2 image, got rank %d", gray.Rank())
-	}
-	out := gray.Clone()
-	out.Apply(func(v float32) float32 {
-		if v > thresh {
-			return 1
-		}
-		return 0
-	})
-	return out, nil
-}
-
-// OtsuThreshold computes Otsu's optimal global threshold of a grayscale
+// otsuThreshold computes Otsu's optimal global threshold of a grayscale
 // image whose values lie in [0, 1], using a 256-bin histogram. It makes the
 // qualifier robust to the brightness variation of the synthetic dataset.
-func OtsuThreshold(gray *tensor.Tensor) (float32, error) {
-	if gray.Rank() != 2 {
-		return 0, fmt.Errorf("shape: otsu needs rank-2 image, got rank %d", gray.Rank())
-	}
+func otsuThreshold(data []float32) (float32, error) {
 	const bins = 256
 	var hist [bins]int
-	data := gray.Data()
 	if len(data) == 0 {
 		return 0, fmt.Errorf("shape: otsu of empty image")
 	}
@@ -81,169 +59,20 @@ func OtsuThreshold(gray *tensor.Tensor) (float32, error) {
 	return (float32(bestT) + 0.5) / (bins - 1), nil
 }
 
-// LargestComponent returns a mask containing only the largest 4-connected
-// component of nonzero pixels in the binary image, together with its pixel
-// count. It isolates the sign blob from background clutter.
-func LargestComponent(bin *tensor.Tensor) (*tensor.Tensor, int, error) {
-	if bin.Rank() != 2 {
-		return nil, 0, fmt.Errorf("shape: components need rank-2 image, got rank %d", bin.Rank())
-	}
-	h, w := bin.Dim(0), bin.Dim(1)
-	labels := make([]int, h*w)
-	next := 0
-	bestLabel, bestSize := -1, 0
-	var queue []int
-	for start := 0; start < h*w; start++ {
-		if bin.Data()[start] == 0 || labels[start] != 0 {
-			continue
-		}
-		next++
-		size := 0
-		queue = append(queue[:0], start)
-		labels[start] = next
-		for len(queue) > 0 {
-			p := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			size++
-			py, px := p/w, p%w
-			for _, d := range [4][2]int{{0, 1}, {0, -1}, {1, 0}, {-1, 0}} {
-				ny, nx := py+d[0], px+d[1]
-				if ny < 0 || ny >= h || nx < 0 || nx >= w {
-					continue
-				}
-				q := ny*w + nx
-				if bin.Data()[q] != 0 && labels[q] == 0 {
-					labels[q] = next
-					queue = append(queue, q)
-				}
-			}
-		}
-		if size > bestSize {
-			bestSize, bestLabel = size, next
-		}
-	}
-	out := tensor.MustNew(h, w)
-	if bestLabel < 0 {
-		return out, 0, nil
-	}
-	for i, l := range labels {
-		if l == bestLabel {
-			out.Data()[i] = 1
-		}
-	}
-	return out, bestSize, nil
-}
-
-// Centroid returns the centre of mass of the nonzero pixels of a binary
-// mask. It returns an error if the mask is empty.
-func Centroid(mask *tensor.Tensor) (cx, cy float64, err error) {
-	if mask.Rank() != 2 {
-		return 0, 0, fmt.Errorf("shape: centroid needs rank-2 mask, got rank %d", mask.Rank())
-	}
-	h, w := mask.Dim(0), mask.Dim(1)
-	var sx, sy, n float64
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if mask.At(y, x) != 0 {
-				sx += float64(x)
-				sy += float64(y)
-				n++
-			}
-		}
-	}
-	if n == 0 {
-		return 0, 0, fmt.Errorf("shape: centroid of empty mask")
-	}
-	return sx / n, sy / n, nil
-}
-
-// mooreOffsets are the 8-neighbourhood in clockwise order starting east.
-var mooreOffsets = [8][2]int{
-	{1, 0}, {1, 1}, {0, 1}, {-1, 1}, {-1, 0}, {-1, -1}, {0, -1}, {1, -1},
-}
-
-// BoundaryTrace returns the closed outer boundary of the largest blob in a
-// binary mask using Moore-neighbour tracing with Jacob's stopping criterion.
-// The mask should contain a single component (use LargestComponent first).
-func BoundaryTrace(mask *tensor.Tensor) ([]Point, error) {
-	if mask.Rank() != 2 {
-		return nil, fmt.Errorf("shape: boundary trace needs rank-2 mask, got rank %d", mask.Rank())
-	}
-	h, w := mask.Dim(0), mask.Dim(1)
-	at := func(x, y int) bool {
-		return x >= 0 && x < w && y >= 0 && y < h && mask.At(y, x) != 0
-	}
-	// Find the top-most, left-most foreground pixel (raster scan order).
-	startX, startY := -1, -1
-scan:
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if at(x, y) {
-				startX, startY = x, y
-				break scan
-			}
-		}
-	}
-	if startX < 0 {
-		return nil, fmt.Errorf("shape: boundary trace of empty mask")
-	}
-	// Single-pixel blob.
-	alone := true
-	for _, d := range mooreOffsets {
-		if at(startX+d[0], startY+d[1]) {
-			alone = false
-			break
-		}
-	}
-	if alone {
-		return []Point{{startX, startY}}, nil
-	}
-
-	contour := make([]Point, 0, 4*(h+w))
-	cur := Point{startX, startY}
-	contour = append(contour, cur)
-	// The raster scan entered the start pixel from the west; begin the
-	// neighbourhood search there (index 6 is west; start one past it).
-	dir := 6
-	maxSteps := 4 * h * w // safety bound; a contour cannot be longer
-	for step := 0; step < maxSteps; step++ {
-		found := false
-		for i := 0; i < 8; i++ {
-			d := (dir + 1 + i) % 8
-			nx, ny := cur.X+mooreOffsets[d][0], cur.Y+mooreOffsets[d][1]
-			if at(nx, ny) {
-				// Back-track direction: where we came from relative to the
-				// new pixel, so the search resumes just past it.
-				dir = (d + 4) % 8
-				cur = Point{nx, ny}
-				found = true
-				break
-			}
-		}
-		if !found {
-			return contour, nil // isolated after all (defensive)
-		}
-		if cur.X == startX && cur.Y == startY {
-			return contour, nil
-		}
-		contour = append(contour, cur)
-	}
-	return nil, fmt.Errorf("shape: boundary trace did not close after %d steps", maxSteps)
-}
-
-// RadialSeries resamples a closed contour into n centroid-to-edge distances
-// at equally spaced angles — the time series of Figure 3. Angular bins with
-// no contour point are filled by linear interpolation between neighbouring
-// bins; the maximum distance is taken within each bin (the outer edge).
-func RadialSeries(contour []Point, cx, cy float64, n int) ([]float64, error) {
+// radialSeries resamples a closed contour into len(series) centroid-to-edge
+// distances at equally spaced angles — the time series of Figure 3. Angular
+// bins with no contour point are filled by linear interpolation between
+// neighbouring bins; the maximum distance is taken within each bin (the
+// outer edge). filled is a work buffer as long as series.
+func radialSeries(contour []Point, cx, cy float64, series []float64, filled []bool) error {
+	n := len(series)
 	if n < 4 {
-		return nil, fmt.Errorf("shape: radial series needs n >= 4, got %d", n)
+		return fmt.Errorf("shape: radial series needs n >= 4, got %d", n)
 	}
 	if len(contour) == 0 {
-		return nil, fmt.Errorf("shape: radial series of empty contour")
+		return fmt.Errorf("shape: radial series of empty contour")
 	}
-	series := make([]float64, n)
-	filled := make([]bool, n)
+	clear(filled)
 	for _, p := range contour {
 		dx := float64(p.X) - cx
 		dy := float64(p.Y) - cy
@@ -270,7 +99,7 @@ func RadialSeries(contour []Point, cx, cy float64, n int) ([]float64, error) {
 		}
 	}
 	if !anyFilled {
-		return nil, fmt.Errorf("shape: no angular bins filled")
+		return fmt.Errorf("shape: no angular bins filled")
 	}
 	for i := 0; i < n; i++ {
 		if filled[i] {
@@ -290,7 +119,7 @@ func RadialSeries(contour []Point, cx, cy float64, n int) ([]float64, error) {
 		frac := float64(i-l) / span
 		series[i] = series[li]*(1-frac) + series[ri]*frac
 	}
-	return series, nil
+	return nil
 }
 
 // SmoothCircular applies a centred moving average of the given window
@@ -315,11 +144,12 @@ func SmoothCircular(series []float64, window int) ([]float64, error) {
 	return out, nil
 }
 
-// CountPeaks counts local maxima of a circular series that rise at least
+// countPeaks counts local maxima of a circular series that rise at least
 // minProminence above the series mean, separated by at least minSpacing
-// samples. For the radial series of a regular k-gon this returns k: the
-// paper's Figure 3 notes "the eight corners can be clearly identified".
-func CountPeaks(series []float64, minProminence float64, minSpacing int) (int, error) {
+// samples, listing their indices in buf. For the radial series of a regular
+// k-gon this returns k: the paper's Figure 3 notes "the eight corners can
+// be clearly identified".
+func countPeaks(series []float64, minProminence float64, minSpacing int, buf []int) (int, error) {
 	n := len(series)
 	if n < 3 {
 		return 0, fmt.Errorf("shape: peak counting needs >= 3 samples, got %d", n)
@@ -333,30 +163,28 @@ func CountPeaks(series []float64, minProminence float64, minSpacing int) (int, e
 	}
 	mean /= float64(n)
 
-	type peak struct {
-		idx int
-		val float64
-	}
-	var peaks []peak
+	peaks := buf[:0]
 	for i := 0; i < n; i++ {
 		prev := series[(i-1+n)%n]
 		next := series[(i+1)%n]
 		v := series[i]
 		if v >= prev && v > next && v-mean >= minProminence {
-			peaks = append(peaks, peak{i, v})
+			peaks = append(peaks, i)
 		}
 	}
-	// Enforce spacing circularly: greedily keep the highest peaks.
-	kept := make([]peak, 0, len(peaks))
+	// Enforce spacing circularly: greedily keep the highest peaks. The kept
+	// list overwrites the peak list in place: it never runs ahead of the
+	// peak being read.
+	kept := peaks[:0]
 	for _, p := range peaks {
 		ok := true
 		for j, q := range kept {
-			d := abs(p.idx - q.idx)
+			d := abs(p - q)
 			if d > n/2 {
 				d = n - d
 			}
 			if d < minSpacing {
-				if p.val > q.val {
+				if series[p] > series[q] {
 					kept[j] = p // replace the weaker peak
 				}
 				ok = false

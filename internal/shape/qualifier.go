@@ -3,6 +3,8 @@ package shape
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/sax"
 	"repro/internal/tensor"
@@ -129,11 +131,25 @@ type Result struct {
 // Qualifier is the reliably executable shape-recognition block of Figure 2:
 // a bounded, deterministic surrogate function from the edge map of conv1's
 // Sobel channels to a shape class. QualifyEdgeMap is its one entry point.
-// It holds no mutable state after construction and is safe for concurrent
-// use.
+// Its only mutable state is a pool of per-call scratch, so it is safe for
+// concurrent use.
 type Qualifier struct {
 	enc       *sax.Encoder
 	templates map[Class]sax.Word
+	scratch   sync.Pool // *qualifyScratch
+}
+
+// qualifyScratch holds one QualifyEdgeMap call's buffers: the normalised
+// edge map, the bit-mask planes, the contour, the raw radial series with
+// its filled flags, and the peak list. Slices grow to the largest frame
+// seen and are reused across calls.
+type qualifyScratch struct {
+	norm    []float32
+	words   []uint64
+	contour []Point
+	raw     [seriesLen]float64
+	filled  [seriesLen]bool
+	peaks   [seriesLen]int
 }
 
 // NewQualifier builds a qualifier with analytic templates for the circle,
@@ -144,6 +160,7 @@ func NewQualifier() (*Qualifier, error) {
 		return nil, fmt.Errorf("shape: qualifier encoder: %w", err)
 	}
 	q := &Qualifier{enc: enc, templates: make(map[Class]sax.Word, 4)}
+	q.scratch.New = func() any { return new(qualifyScratch) }
 	for _, tc := range []struct {
 		class Class
 		k     int
@@ -179,6 +196,11 @@ func NewQualifier() (*Qualifier, error) {
 // ClassUnknown — for a safety qualifier a false "unknown" merely withholds
 // qualification, whereas a false positive would defeat the guarantee.
 func (q *Qualifier) ClassifySeries(series []float64) (Result, error) {
+	return q.classifySeries(series, nil)
+}
+
+// classifySeries is ClassifySeries building its peak list in peakBuf.
+func (q *Qualifier) classifySeries(series []float64, peakBuf []int) (Result, error) {
 	var res Result
 	res.Class = ClassUnknown
 	if len(series) != seriesLen {
@@ -218,7 +240,7 @@ func (q *Qualifier) ClassifySeries(series []float64) (Result, error) {
 
 	prom := peakFraction * (mx - mean)
 	spacing := seriesLen / 20 // octagon corners are seriesLen/8 apart
-	peaks, err := CountPeaks(sm, prom, spacing)
+	peaks, err := countPeaks(sm, prom, spacing, peakBuf)
 	if err != nil {
 		return res, err
 	}
@@ -254,73 +276,72 @@ func (q *Qualifier) ClassifySeries(series []float64) (Result, error) {
 // radial series, ClassifySeries). This is the Figure 2 data path, where the
 // qualifier consumes the reliably executed convolution output rather than
 // the raw image; the morphological closing makes it robust to small breaks
-// in the edge ring.
+// in the edge ring. The masks are bit-packed (see bitMask) and every buffer
+// but the Result's series and word comes from pooled scratch.
 func (q *Qualifier) QualifyEdgeMap(edges *tensor.Tensor) (Result, error) {
 	var res Result
 	res.Class = ClassUnknown
 	if edges.Rank() != 2 {
 		return res, fmt.Errorf("shape: edge map must be rank 2, got rank %d", edges.Rank())
 	}
-	// Normalise to [0,1] before Otsu.
-	mx := edges.Max()
-	norm := edges.Clone()
-	if mx > 0 {
-		norm.Scale(1 / mx)
-	}
-	// Zero a small border margin: zero-padded convolutions produce strong
-	// spurious gradients along the frame, which would otherwise survive
-	// thresholding, enclose the frame after closing, and flood the fill.
+	sc := q.scratch.Get().(*qualifyScratch)
+	defer q.scratch.Put(sc)
+	// Normalise to [0,1] before Otsu, and zero a small border margin:
+	// zero-padded convolutions produce strong spurious gradients along the
+	// frame, which would otherwise survive thresholding, enclose the frame
+	// after closing, and flood the fill.
 	const margin = 2
-	h, w := norm.Dim(0), norm.Dim(1)
+	h, w := edges.Dim(0), edges.Dim(1)
+	scale := float32(1)
+	if mx := edges.Max(); mx > 0 {
+		scale = 1 / mx
+	}
+	sc.norm = slices.Grow(sc.norm[:0], h*w)[:h*w]
+	norm := sc.norm
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
+		for x, v := range edges.Data()[y*w : (y+1)*w] {
+			norm[y*w+x] = v * scale
 			if y < margin || y >= h-margin || x < margin || x >= w-margin {
-				norm.Set(0, y, x)
+				norm[y*w+x] = 0
 			}
 		}
 	}
-	thresh, err := OtsuThreshold(norm)
+	thresh, err := otsuThreshold(norm)
 	if err != nil {
 		return res, err
 	}
-	bin, err := Binarize(norm, thresh)
-	if err != nil {
-		return res, err
+	// Five mask planes and two reversed rows of scratch.
+	m := newBitMask(h, w)
+	n := h * m.stride
+	sc.words = slices.Grow(sc.words[:0], 5*n+2*m.stride)[:5*n+2*m.stride]
+	bin, closed, work, blob := sc.words[:n], sc.words[n:2*n], sc.words[2*n:3*n], sc.words[3*n:4*n]
+	tmp, rev := sc.words[4*n:5*n], sc.words[5*n:]
+	clear(bin)
+	for y := 0; y < h; y++ {
+		for x, v := range norm[y*w : (y+1)*w] {
+			if v > thresh {
+				bin[y*m.stride+x>>6] |= 1 << uint(x&63)
+			}
+		}
 	}
-	closed, err := Dilate(bin, 1)
-	if err != nil {
-		return res, err
-	}
-	filled, err := FillHoles(closed)
-	if err != nil {
-		return res, err
-	}
+	m.morph3(closed, bin, tmp, true)
+	m.fillHoles(bin, closed, work, blob, rev)
 	// Undo the dilation so the blob geometry matches the true outline.
-	solid, err := Erode(filled, 1)
-	if err != nil {
-		return res, err
-	}
-	blob, area, err := LargestComponent(solid)
-	if err != nil {
-		return res, err
-	}
+	m.morph3(closed, bin, tmp, false)
+	blob, area := m.largest(closed, work, blob, rev)
 	res.Area = area
 	if area < 16 {
 		return res, nil // nothing segmentable: withhold qualification
 	}
-	cx, cy, err := Centroid(blob)
+	cx, cy := m.centroid(blob, area)
+	sc.contour, err = m.trace(blob, sc.contour[:0])
 	if err != nil {
 		return res, err
 	}
-	contour, err := BoundaryTrace(blob)
-	if err != nil {
+	if err := radialSeries(sc.contour, cx, cy, sc.raw[:], sc.filled[:]); err != nil {
 		return res, err
 	}
-	series, err := RadialSeries(contour, cx, cy, seriesLen)
-	if err != nil {
-		return res, err
-	}
-	out, err := q.ClassifySeries(series)
+	out, err := q.classifySeries(sc.raw[:], sc.peaks[:0])
 	out.Area = area
 	return out, err
 }

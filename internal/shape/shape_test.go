@@ -346,7 +346,7 @@ func TestCountPeaksOnAnalyticPolygons(t *testing.T) {
 			}
 		}
 		mean /= float64(len(series))
-		peaks, err := CountPeaks(series, 0.25*(mx-mean), 128/20)
+		peaks, err := countPeaks(series, 0.25*(mx-mean), 128/20, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +354,7 @@ func TestCountPeaksOnAnalyticPolygons(t *testing.T) {
 			t.Errorf("k=%d polygon: counted %d peaks", k, peaks)
 		}
 	}
-	if _, err := CountPeaks([]float64{1, 2}, 0, 1); err == nil {
+	if _, err := countPeaks([]float64{1, 2}, 0, 1, nil); err == nil {
 		t.Error("short series should fail")
 	}
 }

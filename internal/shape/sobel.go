@@ -1,12 +1,13 @@
 // Package shape implements the deterministic qualifier substrate of the
-// hybrid CNN: Sobel kernels, binary segmentation, contour tracing, the
-// centroid-to-edge radial time series of Figure 3, and SAX-template shape
-// classification. The qualifier has one entry point,
-// Qualifier.QualifyEdgeMap, which reads the Figure 2 edge map of conv1's
-// reliably executed Sobel channels. Every routine is a bounded surrogate
-// function in the paper's sense — its output range can be determined a
-// priori, "producing deterministic results that are fully explainable, for
-// instance during a safety certification process".
+// hybrid CNN: Sobel kernels, binary segmentation on bit-packed masks (one
+// bit per pixel, 64 pixels a word), contour tracing, the centroid-to-edge
+// radial time series of Figure 3, and SAX-template shape classification.
+// The qualifier has one entry point, Qualifier.QualifyEdgeMap, which reads
+// the Figure 2 edge map of conv1's reliably executed Sobel channels. Every
+// routine is a bounded surrogate function in the paper's sense — its output
+// range can be determined a priori, "producing deterministic results that
+// are fully explainable, for instance during a safety certification
+// process".
 package shape
 
 import (

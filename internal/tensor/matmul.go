@@ -74,12 +74,18 @@ func CPUFeatures() string { return cpuFeatures }
 
 // gemmPanels recycles the pure-Go kernels' packing buffers across GEMM
 // calls (and goroutines: each call Gets its own panel, so the kernels stay
-// concurrency-safe).
+// concurrency-safe). A panel grows to what its call's shape needs, not to
+// the block maxima, so a pool miss costs a small GEMM a small panel.
 var gemmPanels = sync.Pool{
-	New: func() any {
-		s := make([]float32, gemmBlockK*gemmBlockN)
-		return &s
-	},
+	New: func() any { return new([]float32) },
+}
+
+// gemmPanel takes a packing panel for a GEMM with inner dimension k and n
+// output columns from the pool. Put the pointer back when done.
+func gemmPanel(k, n int) (*[]float32, []float32) {
+	pp := gemmPanels.Get().(*[]float32)
+	*pp = GrowSlice(*pp, min(gemmBlockK, k)*min(gemmBlockN, n))
+	return pp, *pp
 }
 
 // Gemm computes dst = a·b for row-major a (m×k), b (k×n), dst (m×n),
@@ -120,8 +126,7 @@ func gemmAcc(dst, a, b []float32, m, k, n int) {
 // copy per (j, l) block and turns the hot loop into sequential 512 KiB-
 // resident streams.
 func gemmAccScalar(dst, a, b []float32, m, k, n int) {
-	pp := gemmPanels.Get().(*[]float32)
-	panel := *pp
+	pp, panel := gemmPanel(k, n)
 	for j0 := 0; j0 < n; j0 += gemmBlockN {
 		jMax := min(j0+gemmBlockN, n)
 		jw := jMax - j0
@@ -174,8 +179,7 @@ func GemmTA(dst, a, b []float32, m, k, n int) {
 // (l ascends for every (i, j)), so results are bit-identical to the
 // pre-packing kernel.
 func gemmTAScalar(dst, a, b []float32, m, k, n int) {
-	pp := gemmPanels.Get().(*[]float32)
-	panel := *pp
+	pp, panel := gemmPanel(k, n)
 	for j0 := 0; j0 < n; j0 += gemmBlockN {
 		jMax := min(j0+gemmBlockN, n)
 		jw := jMax - j0
@@ -231,8 +235,7 @@ func GemmTB(dst, a, b []float32, m, k, n int) {
 // the old separate-accumulator dot product by at most rounding; the
 // backward-pass consumers are all tolerance-tested.
 func gemmTBScalar(dst, a, b []float32, m, k, n int) {
-	pp := gemmPanels.Get().(*[]float32)
-	panel := *pp
+	pp, panel := gemmPanel(k, n)
 	for j0 := 0; j0 < n; j0 += gemmBlockN {
 		jMax := min(j0+gemmBlockN, n)
 		jw := jMax - j0
