@@ -366,6 +366,26 @@ func BenchmarkLRNForward(b *testing.B) {
 	benchForwardBatchLayer(b, nn.NewAlexNetLRN("lrn1"), []int{1, 8}, 96, 55, 55)
 }
 
+// AlexNet pool1 (3×3, stride 2, 96×55×55 → 27×27) and the micro net's pool1
+// (2×2, stride 2, 16×28×28 → 14×14): no weights, so the per-plane split
+// and max sweep are all the work (nn.pool_ms in bench/ is AlexNet's three
+// pools at n=8).
+func BenchmarkMaxPoolForward(b *testing.B) {
+	for _, p := range []struct {
+		name    string
+		k       int
+		c, h, w int
+	}{{"alexnet-pool1", 3, 96, 55, 55}, {"micro-pool1", 2, 16, 28, 28}} {
+		pool, err := nn.NewMaxPool2D(p.name, p.k, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(p.name, func(b *testing.B) {
+			benchForwardBatchLayer(b, pool, []int{1, 8}, p.c, p.h, p.w)
+		})
+	}
+}
+
 // Batch-native backward — one training step (forward + backward, since the
 // backward pass consumes the forward's cached activations) through
 // ForwardBatch/BackwardBatch, swept over batch size, N=1 included. dW and

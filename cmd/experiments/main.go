@@ -3,12 +3,14 @@
 //
 // Usage:
 //
-//	experiments [-which all|table1|figure3|figure4|intext|freeze|coverage|rollback|guarantee]
+//	experiments [-which all|table1|figure3|figure4|intext|freeze|coverage|rollback|weights|guarantee|qualifier]
 //	            [-full] [-seed N]
 //
 // -full runs Table 1 at the paper's exact dimensions (96 × 11×11×3 filters
 // over a 227×227×3 input; roughly half a minute of emulated-FPGA
 // arithmetic); without it a scaled workload preserving the ratios is used.
+// The qualifier table uses its own fixed design and held-out seeds, so
+// -seed does not move it.
 package main
 
 import (
@@ -30,7 +32,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	which := fs.String("which", "all", "experiment to run: all|table1|figure3|figure4|intext|freeze|coverage|rollback|weights|guarantee")
+	which := fs.String("which", "all", "experiment to run: all|table1|figure3|figure4|intext|freeze|coverage|rollback|weights|guarantee|qualifier")
 	full := fs.Bool("full", false, "run Table 1 at the paper's full AlexNet conv1 dimensions")
 	seed := fs.Int64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
@@ -39,7 +41,7 @@ func run(args []string) error {
 
 	run := map[string]bool{}
 	if *which == "all" {
-		for _, k := range []string{"table1", "figure3", "figure4", "intext", "freeze", "coverage", "rollback", "weights", "guarantee"} {
+		for _, k := range []string{"table1", "figure3", "figure4", "intext", "freeze", "coverage", "rollback", "weights", "guarantee", "qualifier"} {
 			run[k] = true
 		}
 	} else {
@@ -154,6 +156,16 @@ func run(args []string) error {
 			fmt.Println(g.String())
 		}
 		fmt.Println()
+	}
+	if run["qualifier"] {
+		ran = true
+		fmt.Println("## Qualifier — true shape × verdict (measurement only)")
+		fmt.Println()
+		res, err := experiments.RunQualifierTable(experiments.QualifierConfig{})
+		if err != nil {
+			return fmt.Errorf("qualifier: %w", err)
+		}
+		fmt.Println(res.Markdown())
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", *which)

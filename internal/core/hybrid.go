@@ -258,7 +258,14 @@ func (h *HybridNetwork) classifyChunkPipelined(w *worker, imgs []*tensor.Tensor,
 		before := w.engine.Stats()
 		qBefore := st.Qualifier
 		stageStart := time.Now()
-		cnnIn, err := h.reliableStage(w, img, &results[i], st)
+		var reuse *tensor.Tensor // see worker.conv1Out
+		if len(imgs) == 1 {
+			reuse = w.conv1Out
+		}
+		cnnIn, err := h.reliableStage(w, reuse, img, &results[i], st)
+		if len(imgs) == 1 && cnnIn != nil {
+			w.conv1Out = cnnIn
+		}
 		// The qualifier ran inside reliableStage and booked its own time;
 		// the reliable span is the remainder.
 		st.Reliable += time.Since(stageStart) - (st.Qualifier - qBefore)
@@ -289,16 +296,16 @@ func (h *HybridNetwork) classifyChunkPipelined(w *worker, imgs []*tensor.Tensor,
 }
 
 // reliableStage runs everything except the non-reliable CNN for one image:
-// conv1 executed reliably and — when execution succeeds — the shape
-// qualifier on conv1's Sobel channels. It fills res.Stats/Bucket/Qualifier
-// and, on a bucket trip, res.Decision/ExecErr. It returns conv1's reliably
-// computed feature map, which the CNN stage consumes, or nil after an
-// execution failure, because the CNN cannot run without it. Qualifier wall
-// time is booked into st.Qualifier so the caller can split it out of the
-// stage total.
-func (h *HybridNetwork) reliableStage(w *worker, img *tensor.Tensor, res *Result, st *StageTimes) (*tensor.Tensor, error) {
+// conv1 executed reliably (into out when out has the output's shape) and —
+// when execution succeeds — the shape qualifier on conv1's Sobel channels.
+// It fills res.Stats/Bucket/Qualifier and, on a bucket trip,
+// res.Decision/ExecErr. It returns conv1's reliably computed feature map,
+// which the CNN stage consumes, or nil after an execution failure, because
+// the CNN cannot run without it. Qualifier wall time is booked into
+// st.Qualifier so the caller can split it out of the stage total.
+func (h *HybridNetwork) reliableStage(w *worker, out, img *tensor.Tensor, res *Result, st *StageTimes) (*tensor.Tensor, error) {
 	spec := reliable.ConvSpec{Stride: h.conv1.Stride(), Pad: h.conv1.Pad()}
-	features, execErr := reliable.Conv2D(w.engine, img, h.conv1.Weight(), h.conv1.Bias().Data(), spec)
+	features, execErr := reliable.Conv2DInto(w.engine, out, img, h.conv1.Weight(), h.conv1.Bias().Data(), spec)
 	res.Stats = w.engine.Stats()
 	res.Bucket = w.engine.Bucket().Snapshot()
 	if execErr != nil {

@@ -19,6 +19,12 @@ type worker struct {
 	ctx    *nn.Context
 	engine *reliable.Engine
 	edges  *tensor.Tensor // the qualifier's edge map, reused while its shape holds
+	// conv1Out is conv1's reliably computed output for a chunk of one
+	// image, reused while its shape holds. The CNN stage runs a batch of
+	// one on it in place (a view, no copy) and no Result refers to it;
+	// a larger chunk's outputs are copied into one batch, so they are not
+	// kept.
+	conv1Out *tensor.Tensor
 }
 
 // newWorker builds a fresh context and reliable engine (ops + bucket).

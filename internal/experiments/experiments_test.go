@@ -400,3 +400,48 @@ func TestRunWeightFaultStudy(t *testing.T) {
 		t.Error("absurd upset count should fail")
 	}
 }
+
+// TestRunQualifierTable: every (size, render) row, every sign counted once
+// per seed, the clean 64 px renders (the qualifier's easy case) all named
+// correctly with no false octagon, and the summary rendered for both seeds.
+func TestRunQualifierTable(t *testing.T) {
+	const perClass = 3
+	res, err := RunQualifierTable(QualifierConfig{PerClass: perClass})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(res.Rows), len(qualifierSizes)*len(qualifierRenders); got != want {
+		t.Fatalf("%d rows, want %d", got, want)
+	}
+	classes := gtsrb.StandardClasses()
+	for _, row := range res.Rows {
+		for si := 0; si < 2; si++ {
+			for c := range classes {
+				n := 0
+				for _, k := range row.Counts[si][c] {
+					n += k
+				}
+				if n != perClass {
+					t.Errorf("%d px %s seed #%d class %d: %d verdicts, want %d", row.Size, row.Render, si, c, n, perClass)
+				}
+			}
+			if row.Size != 64 || row.Render != "clean" {
+				continue
+			}
+			for c, k := range row.Correct(si) {
+				if k != perClass {
+					t.Errorf("64 px clean seed #%d: class %s %d of %d correct", si, classes[c].Name, k, perClass)
+				}
+			}
+			if f := row.FalseOctagons(si); f != 0 {
+				t.Errorf("64 px clean seed #%d: %d false octagons", si, f)
+			}
+		}
+	}
+	md := res.Markdown()
+	for _, want := range []string{"seed 11", "seed 12", "| 64 | clean | 3 / 3 / 3 / 3 / 3 / 3 | 0 |", "32 px, +tilt:"} {
+		if !strings.Contains(md, want) {
+			t.Errorf("markdown lacks %q:\n%s", want, md)
+		}
+	}
+}

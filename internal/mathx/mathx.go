@@ -79,11 +79,12 @@ func ApproxEqual(a, b, atol, rtol float64) bool {
 }
 
 // InvPow returns d^-β in float32, the local-response-normalisation scale
-// every LRN kernel in the tree (plain forward, backward, reliable) shares so
-// that they agree bit for bit. β = 0.75 — AlexNet's constant — is
-// 1/(√d·√√d): two correctly rounded float32 square roots, a product and a
-// division, identical on every platform and within a few ulp of the exact
-// power; any other β rounds math.Pow's float64 result once.
+// nn.LRN's forward and backward share so that they agree bit for bit (the
+// AVX2 inference kernel in internal/nn performs the same operations lane by
+// lane). β = 0.75 — AlexNet's constant — is 1/(√d·√√d): two correctly
+// rounded float32 square roots, a product and a division, identical on
+// every platform and within a few ulp of the exact power; any other β
+// rounds math.Pow's float64 result once.
 func InvPow(d float32, beta float64) float32 {
 	if beta == 0.75 {
 		s := float32(math.Sqrt(float64(d)))

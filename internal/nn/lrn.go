@@ -127,7 +127,8 @@ func (l *LRN) normalize(in, od []float32, c, hw int, denom, scale []float32) {
 // ForwardBatch implements Layer over an NCHW batch: normalisation windows
 // span channels within a sample, so the pass applies the kernel to each of
 // the N packed samples. In training contexts the input and the d / d^-β
-// caches are kept for BackwardBatch; inference contexts cache nothing.
+// caches are kept for BackwardBatch; inference contexts cache nothing and,
+// on AVX2 hosts with β = 0.75, run the vector kernel (normalizeSIMD).
 func (l *LRN) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("nn: lrn %q forward needs a context", l.name)
@@ -147,7 +148,12 @@ func (l *LRN) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, erro
 	}
 	out := tensor.MustNew(n, c, h, w)
 	in, od := x.Data(), out.Data()
+	simd := st.lastIn == nil && l.simd(h*w)
 	for s := 0; s < n; s++ {
+		if simd {
+			l.normalizeSIMD(in[s*chw:(s+1)*chw], od[s*chw:(s+1)*chw], c, h*w)
+			continue
+		}
 		var denom, scale []float32
 		if st.lastIn != nil {
 			denom, scale = st.denom[s*chw:(s+1)*chw], st.scale[s*chw:(s+1)*chw]
@@ -155,6 +161,25 @@ func (l *LRN) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, erro
 		l.normalize(in[s*chw:(s+1)*chw], od[s*chw:(s+1)*chw], c, h*w, denom, scale)
 	}
 	return out, nil
+}
+
+// simd reports whether an inference forward over planes of hw elements runs
+// the AVX2 kernel: only for β = 0.75, the one exponent whose InvPow is
+// square roots, a product and a division.
+func (l *LRN) simd(hw int) bool {
+	return kernelAsm && l.beta == 0.75 && hw > 0
+}
+
+// normalizeSIMD is normalize without the backward caches, one lrnKernel
+// call per channel; the same operations in the same order, so the output
+// is normalize's bit for bit.
+func (l *LRN) normalizeSIMD(in, od []float32, c, hw int) {
+	k, a := float32(l.k), float32(l.alpha/float64(l.n))
+	for ch := 0; ch < c; ch++ {
+		lo, hi := l.window(ch, c)
+		off := ch * hw
+		lrnKernel(&od[off], &in[off], &in[lo*hw], int64(hi-lo+1), int64(hw), k, a)
+	}
 }
 
 // BackwardBatch implements Layer with the exact derivative, sample by

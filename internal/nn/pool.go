@@ -16,12 +16,13 @@ type MaxPool2D struct {
 }
 
 // poolState is the per-context forward cache of the last training-mode
-// ForwardBatch.
+// ForwardBatch, plus the inference kernel's scratch.
 type poolState struct {
 	lastShape  []int
 	argmax     []int // linear index into the packed input batch of each output's max
 	n, c       int
 	outH, outW int
+	split      []float32 // one plane's rows split into even and odd columns (poolPlaneSIMD)
 }
 
 var _ Layer = (*MaxPool2D)(nil)
@@ -47,7 +48,8 @@ func (p *MaxPool2D) Params() []*Param { return nil }
 // per (sample, channel) plane, so the pass sweeps all N·C planes of the
 // packed batch. In training contexts each output's argmax (an absolute
 // index into the packed batch) is cached for BackwardBatch; inference
-// contexts cache nothing.
+// contexts cache nothing and, on AVX2 hosts at stride 2, run the vector
+// kernels (poolPlaneSIMD).
 func (p *MaxPool2D) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("nn: pool %q forward needs a context", p.name)
@@ -75,10 +77,37 @@ func (p *MaxPool2D) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor
 	} else {
 		st.argmax = nil
 	}
+	if st.argmax == nil && kernelAsm && p.stride == 2 {
+		ew := splitWidth(outW, p.k)
+		st.split = tensor.GrowSlice(st.split, 2*h*ew)
+		for plane := 0; plane < n*c; plane++ {
+			poolPlaneSIMD(in[plane*h*w:(plane+1)*h*w], od[plane*outH*outW:(plane+1)*outH*outW],
+				st.split, h, w, outH, outW, p.k, ew)
+		}
+		return out, nil
+	}
 	for plane := 0; plane < n*c; plane++ {
 		p.poolPlane(in, od, st.argmax, plane*h*w, plane*outH*outW, w, outH, outW)
 	}
 	return out, nil
+}
+
+// splitWidth is the half-row width of poolPlaneSIMD's split scratch for
+// outW outputs of a k-wide window: every lane of every 8-output block a tap
+// loads, partial last block included, stays inside its half row, and the
+// ⌈w/2⌉ columns the split writes fit (w <= 2·outW + k).
+func splitWidth(outW, k int) int {
+	return (outW+7)&^7 + k
+}
+
+// poolPlaneSIMD is poolPlane for stride 2 without argmax, on the AVX2
+// kernels: the plane's h rows of w columns are split once into even and
+// odd columns in split (2·h·ew elements), then every output takes its taps
+// in poolPlane's (ky, kx) order with poolPlane's comparison, so the output
+// plane is poolPlane's bit for bit.
+func poolPlaneSIMD(in, out, split []float32, h, w, outH, outW, k, ew int) {
+	poolSplitRows(&split[0], &in[0], int64(h), int64(w), int64(ew))
+	maxPoolRows(&out[0], &split[0], int64(outH), int64(outW), int64(k), int64(ew))
 }
 
 // poolPlane sweeps the max window over one (h, w) plane starting at pBase
@@ -166,12 +195,7 @@ func (r *ReLU) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, err
 	st := ctx.state(r, func() any { return &reluState{} }).(*reluState)
 	if !ctx.Training() {
 		st.mask = nil
-		d := x.Data()
-		for i, v := range d {
-			if !(v > 0) {
-				d[i] = 0
-			}
-		}
+		clampInPlace(x.Data())
 		return x, nil
 	}
 	out := x.Clone()
@@ -190,6 +214,26 @@ func (r *ReLU) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, err
 		}
 	}
 	return out, nil
+}
+
+// clampInPlace is the inference ReLU sweep, d[i] = 0 unless d[i] > 0: the
+// AVX2 kernel where the host has it, else clampLoop.
+func clampInPlace(d []float32) {
+	if kernelAsm && len(d) > 0 {
+		reluKernel(&d[0], int64(len(d)))
+		return
+	}
+	clampLoop(d)
+}
+
+// clampLoop is the Go loop of the inference ReLU (non-positive AND NaN
+// clamp to +0).
+func clampLoop(d []float32) {
+	for i, v := range d {
+		if !(v > 0) {
+			d[i] = 0
+		}
+	}
 }
 
 // BackwardBatch implements Layer: the batch gradient gates on the cached

@@ -46,11 +46,12 @@ func (s ConvSpec) Validate(input, filters *tensor.Tensor) (outH, outW int, err e
 
 // newOutput is the preamble the reliable kernel and the native baseline
 // share: validate the spec, check that a bias has one entry per filter, and
-// allocate the (F, outH, outW) output. NativeConv2D keeps its own plain
+// return reuse when it already is an (F, outH, outW) tensor of the output's
+// shape, else allocate one. NativeConv2D keeps its own plain
 // loop nest on purpose — the native row of Table 1 and the benchmark's
 // oracle must be code the compiler sees through and must not share the
 // kernel under test.
-func (s ConvSpec) newOutput(input, filters *tensor.Tensor, bias []float32) (*tensor.Tensor, error) {
+func (s ConvSpec) newOutput(input, filters *tensor.Tensor, bias []float32, reuse *tensor.Tensor) (*tensor.Tensor, error) {
 	outH, outW, err := s.Validate(input, filters)
 	if err != nil {
 		return nil, err
@@ -58,6 +59,9 @@ func (s ConvSpec) newOutput(input, filters *tensor.Tensor, bias []float32) (*ten
 	nf := filters.Dim(0)
 	if bias != nil && len(bias) != nf {
 		return nil, fmt.Errorf("reliable: bias length %d != filters %d", len(bias), nf)
+	}
+	if reuse != nil && reuse.Rank() == 3 && reuse.Dim(0) == nf && reuse.Dim(1) == outH && reuse.Dim(2) == outW {
+		return reuse, nil
 	}
 	return tensor.New(nf, outH, outW)
 }
@@ -78,7 +82,17 @@ func (s ConvSpec) newOutput(input, filters *tensor.Tensor, bias []float32) (*ten
 // On a persistent-error abort the partially computed output is discarded and
 // ErrBucketTripped is returned (wrapped, with the failing output coordinate).
 func Conv2D(e *Engine, input, filters *tensor.Tensor, bias []float32, spec ConvSpec) (*tensor.Tensor, error) {
-	out, err := spec.newOutput(input, filters, bias)
+	return Conv2DInto(e, nil, input, filters, bias, spec)
+}
+
+// Conv2DInto is Conv2D writing into out when out already has the output's
+// (F, outH, outW) shape — every element is overwritten, so its old contents
+// never matter — and into a fresh tensor otherwise; it returns the tensor it
+// wrote. A caller that convolves frame after frame passes its previous
+// output back and allocates it once. After an error out holds a partial
+// result.
+func Conv2DInto(e *Engine, out, input, filters *tensor.Tensor, bias []float32, spec ConvSpec) (*tensor.Tensor, error) {
+	out, err := spec.newOutput(input, filters, bias, out)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +367,7 @@ func (e *Engine) convRow(g *convGeom, row []float32, f, oy int) error {
 // the "native execution" row of Table 1 and the oracle fault campaigns
 // compare against.
 func NativeConv2D(input, filters *tensor.Tensor, bias []float32, spec ConvSpec) (*tensor.Tensor, error) {
-	out, err := spec.newOutput(input, filters, bias)
+	out, err := spec.newOutput(input, filters, bias, nil)
 	if err != nil {
 		return nil, err
 	}

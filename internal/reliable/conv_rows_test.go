@@ -227,3 +227,58 @@ func TestBucketOKn(t *testing.T) {
 		}
 	}
 }
+
+// TestConv2DIntoReusesOutput: given a tensor of the output's shape,
+// Conv2DInto writes every element of it — an output pre-filled with NaN
+// comes back equal to Conv2D's fresh one bit for bit, on the row path and
+// the scalar path, with the same Stats — and returns that same tensor; any
+// other shape (or nil) gets a fresh output and leaves the tensor given alone.
+func TestConv2DIntoReusesOutput(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	input := tensor.MustNew(3, 12, 13)
+	input.FillUniform(rng, -1, 1)
+	filters := tensor.MustNew(4, 3, 5, 5)
+	filters.FillUniform(rng, -1, 1)
+	bias := []float32{0.5, -0.25, 0, 1}
+	spec := ConvSpec{Stride: 1, Pad: 1}
+	rows, scalar := dmrPair(t, false, NewDefaultBucket)
+	for _, e := range []*Engine{rows, scalar} {
+		want, err := Conv2D(e, input, filters, bias, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStats := e.Stats()
+		out := tensor.MustNew(4, 10, 11)
+		for i := range out.Data() {
+			out.Data()[i] = float32(math.NaN())
+		}
+		got, err := Conv2DInto(e, out, input, filters, bias, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != out {
+			t.Fatalf("rows=%v: Conv2DInto did not write into the output of matching shape", e.rows)
+		}
+		for i, v := range want.Data() {
+			if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
+				t.Fatalf("rows=%v: element %d = %v, Conv2D %v", e.rows, i, got.Data()[i], v)
+			}
+		}
+		if d := e.Stats().Ops - wantStats.Ops; d != wantStats.Ops {
+			t.Fatalf("rows=%v: Conv2DInto booked %d ops, Conv2D %d", e.rows, d, wantStats.Ops)
+		}
+		other := tensor.MustNew(4, 11, 10)
+		fresh, err := Conv2DInto(e, other, input, filters, bias, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh == other || !fresh.SameShape(want) {
+			t.Fatalf("rows=%v: mismatched output %v reused or wrong shape %v", e.rows, other.Shape(), fresh.Shape())
+		}
+		for _, v := range other.Data() {
+			if v != 0 {
+				t.Fatalf("rows=%v: a mismatched output was written", e.rows)
+			}
+		}
+	}
+}

@@ -351,7 +351,7 @@ func qualifyFloat(q *Qualifier, edges *tensor.Tensor) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	out, err := q.ClassifySeries(series)
+	out, err := q.classifySeries(series, nil)
 	out.Area = area
 	return out, err
 }

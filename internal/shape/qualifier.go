@@ -190,16 +190,12 @@ func NewQualifier() (*Qualifier, error) {
 	return q, nil
 }
 
-// ClassifySeries runs the decision procedure on a raw radial series:
+// classifySeries runs the decision procedure on a raw radial series:
 // smooth, measure roundness, count corners, then confirm with the SAX
-// template. The verdict is conservative: any disagreement yields
-// ClassUnknown — for a safety qualifier a false "unknown" merely withholds
-// qualification, whereas a false positive would defeat the guarantee.
-func (q *Qualifier) ClassifySeries(series []float64) (Result, error) {
-	return q.classifySeries(series, nil)
-}
-
-// classifySeries is ClassifySeries building its peak list in peakBuf.
+// template, building the peak list in peakBuf (nil allocates one). The
+// verdict is conservative: any disagreement yields ClassUnknown — for a
+// safety qualifier a false "unknown" merely withholds qualification,
+// whereas a false positive would defeat the guarantee.
 func (q *Qualifier) classifySeries(series []float64, peakBuf []int) (Result, error) {
 	var res Result
 	res.Class = ClassUnknown
@@ -273,7 +269,7 @@ func (q *Qualifier) classifySeries(series []float64, peakBuf []int) (Result, err
 // the Sobel-initialised conv1 channels): the edge map is thresholded, the
 // ring is closed with one dilation, its interior filled, and the resulting
 // solid blob classified (largest component, centroid, boundary trace,
-// radial series, ClassifySeries). This is the Figure 2 data path, where the
+// radial series, classifySeries). This is the Figure 2 data path, where the
 // qualifier consumes the reliably executed convolution output rather than
 // the raw image; the morphological closing makes it robust to small breaks
 // in the edge ring. The masks are bit-packed (see bitMask) and every buffer

@@ -412,7 +412,7 @@ func TestQualifierOnAnalyticSeries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := q.ClassifySeries(series)
+			res, err := q.classifySeries(series, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -423,7 +423,7 @@ func TestQualifierOnAnalyticSeries(t *testing.T) {
 		}
 	}
 	circle, _ := CircleRadialSeries(128, 1)
-	res, err := q.ClassifySeries(circle)
+	res, err := q.classifySeries(circle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,14 +437,14 @@ func TestQualifierSeriesValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.ClassifySeries(make([]float64, 10)); err == nil {
+	if _, err := q.classifySeries(make([]float64, 10), nil); err == nil {
 		t.Error("wrong-length series should fail")
 	}
 	neg := make([]float64, 128)
 	for i := range neg {
 		neg[i] = -1
 	}
-	if _, err := q.ClassifySeries(neg); err == nil {
+	if _, err := q.classifySeries(neg, nil); err == nil {
 		t.Error("non-positive mean radius should fail")
 	}
 }

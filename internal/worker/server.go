@@ -76,20 +76,19 @@ func retryAfterSecs(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// schedSpans turns the scheduler's Timing into the request's span list:
-// contiguous top-level stages (queue wait, batch assembly, backend) whose
-// deltas tile the scheduler's portion of the wall clock, plus dotted
-// backend.* sub-spans carrying the batch-level pipeline breakdown (summed
-// per-worker wall time — drill-down data, excluded from the top-level sum).
-func schedSpans(tm serve.Timing, spans []obs.Span) []obs.Span {
-	if tm.Done.IsZero() {
-		return spans
+// servedSpans turns a served request's scheduler Timing into its span list:
+// contiguous top-level stages — admission (start → enqueue stamp), queue
+// wait, batch assembly, backend, deliver (backend done → end) — whose
+// durations tile [start, end] exactly, plus dotted backend.* sub-spans
+// carrying the batch-level pipeline breakdown (summed per-worker wall time —
+// drill-down data, excluded from the top-level sum).
+func servedSpans(tm serve.Timing, start, end time.Time) []obs.Span {
+	spans := []obs.Span{
+		{Name: "admission", Dur: tm.Enqueued.Sub(start)},
+		{Name: "queue", Dur: tm.Picked.Sub(tm.Enqueued)},
+		{Name: "batch", Dur: tm.Dispatched.Sub(tm.Picked)},
+		{Name: "backend", Dur: tm.Done.Sub(tm.Dispatched)},
 	}
-	spans = append(spans,
-		obs.Span{Name: "queue", Dur: tm.Picked.Sub(tm.Enqueued)},
-		obs.Span{Name: "batch", Dur: tm.Dispatched.Sub(tm.Picked)},
-		obs.Span{Name: "backend", Dur: tm.Done.Sub(tm.Dispatched)},
-	)
 	if st := tm.Stages; st.Reliable > 0 || st.Qualifier > 0 || st.CNN > 0 {
 		spans = append(spans,
 			obs.Span{Name: "backend.reliable", Dur: st.Reliable},
@@ -97,7 +96,7 @@ func schedSpans(tm serve.Timing, spans []obs.Span) []obs.Span {
 			obs.Span{Name: "backend.cnn", Dur: st.CNN},
 		)
 	}
-	return spans
+	return append(spans, obs.Span{Name: "deliver", Dur: end.Sub(tm.Done)})
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
@@ -123,8 +122,10 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// admission covers everything before the scheduler saw the request:
-	// body read, decode/render, deadline setup.
-	spans := []obs.Span{{Name: "admission", Dur: time.Since(start)}}
+	// body read, decode/render, deadline setup. A served request's ends at
+	// the scheduler's enqueue stamp (servedSpans); a failed one, which may
+	// have none, ends it here.
+	submitted := time.Now()
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
 	res, timing, err := s.sched.SubmitTraced(ctx, img, class)
@@ -148,19 +149,22 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		}
 		// Failed requests have no scheduler breakdown; the wait span covers
 		// the whole time inside Submit (queued until rejection/expiry).
-		spans = append(spans, obs.Span{Name: "wait", Dur: time.Since(start) - spans[0].Dur})
+		end := time.Now()
+		spans := []obs.Span{
+			{Name: "admission", Dur: submitted.Sub(start)},
+			{Name: "wait", Dur: end.Sub(submitted)},
+		}
 		w.Header().Set(obs.SpansHeader, obs.FormatSpans(spans))
 		api.WriteJSON(w, status, api.ErrorResponse{Error: err.Error()})
 		s.trace.Finish(obs.TraceRecord{
-			ID: trace, Start: start, Status: status, Total: time.Since(start), Spans: spans,
+			ID: trace, Start: start, Status: status, Total: end.Sub(start), Spans: spans,
 		}, err.Error())
 		return
 	}
-	spans = schedSpans(timing, spans)
-	// deliver is the handoff tail: backend done → response committed here.
-	// (The only wall time the spans don't cover is the sub-microsecond gap
-	// between the admission measurement and the scheduler's enqueue stamp.)
-	spans = append(spans, obs.Span{Name: "deliver", Dur: time.Since(timing.Done)})
+	// One end stamp for the spans, latency_ms and the trace total, so the
+	// spans sum to the latency up to the header's µs rounding.
+	end := time.Now()
+	spans := servedSpans(timing, start, end)
 	w.Header().Set(obs.SpansHeader, obs.FormatSpans(spans))
 	resp := api.ClassifyResponse{
 		Class:          res.Class,
@@ -171,14 +175,14 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		Degraded:       timing.Degraded,
 		ReliableOps:    res.Stats.Ops,
 		ReliableRetry:  res.Stats.Retries,
-		LatencyMS:      float64(time.Since(start).Microseconds()) / 1000,
+		LatencyMS:      float64(end.Sub(start).Microseconds()) / 1000,
 	}
 	if classes := gtsrb.StandardClasses(); res.Class >= 0 && res.Class < len(classes) {
 		resp.ClassName = classes[res.Class].Name
 	}
 	api.WriteJSON(w, http.StatusOK, resp)
 	s.trace.Finish(obs.TraceRecord{
-		ID: trace, Start: start, Status: http.StatusOK, Total: time.Since(start), Spans: spans,
+		ID: trace, Start: start, Status: http.StatusOK, Total: end.Sub(start), Spans: spans,
 		Attrs: map[string]string{"decision": resp.Decision},
 	}, "", "batch", timing.BatchSize, "decision", resp.Decision)
 }
