@@ -3,9 +3,9 @@
 // replica and micro-batching scheduler, and presents the same three
 // endpoints a single daemon exposes.
 //
-//	POST /classify        routed to a shard: power-of-two-choices on load
-//	                      per -weights, scaled by service time under
-//	                      -adaptive-weights, round-robin on ties;
+//	POST /classify        routed to a shard: power-of-two-choices on load,
+//	                      scaled by each shard's probed service time,
+//	                      round-robin on ties;
 //	                      one automatic failover on a dead or load-shedding
 //	                      (503) shard for guaranteed and fast requests
 //	                      (budget never fails over)
@@ -50,14 +50,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/cli"
 	"repro/internal/obs"
-	"repro/internal/obs/logx"
 	"repro/internal/serve"
 	"repro/internal/shard"
 )
@@ -82,8 +81,6 @@ func run(args []string) error {
 	healthInterval := fs.Duration("health-interval", 250*time.Millisecond, "shard health-probe period")
 	breaker := fs.Int("breaker", 3, "consecutive failures before a shard is circuit-broken")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-attempt proxy timeout")
-	weights := fs.String("weights", "", "comma-separated per-shard capacity weights (empty = all equal)")
-	adaptive := fs.Bool("adaptive-weights", true, "scale placement by each worker's reported per-image service time")
 	restartMax := fs.Int("restart-max", 5, "consecutive respawn attempts before a dead worker is permanently down (0 = default, negative disables respawn)")
 	restartBackoff := fs.Duration("restart-backoff", 250*time.Millisecond, "initial respawn backoff (doubles per consecutive attempt)")
 	debugAddr := fs.String("debug-addr", "", "optional second listen address exposing net/http/pprof (empty = off)")
@@ -94,11 +91,12 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	level, err := logx.ParseLevel(*logLevel)
-	if err != nil {
-		return err
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+		return fmt.Errorf("-log-level: %w", err)
 	}
-	logger := logx.New(os.Stderr, level)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	slog.SetDefault(logger)
 	defClass, err := serve.ParseClass(*defaultClass)
 	if err != nil {
 		return fmt.Errorf("-default-class: %w", err)
@@ -108,20 +106,12 @@ func run(args []string) error {
 		HealthInterval:   *healthInterval,
 		BreakerThreshold: *breaker,
 		RequestTimeout:   *timeout,
-		AdaptiveWeights:  *adaptive,
 		RestartMax:       *restartMax,
 		RestartBackoff:   *restartBackoff,
 		Log:              logger,
 		TraceDepth:       *traceDepth,
 		TraceSample:      *traceSample,
 		DefaultClass:     defClass,
-	}
-	if *weights != "" {
-		w, err := parseWeights(*weights)
-		if err != nil {
-			return err
-		}
-		cfg.Weights = w
 	}
 	var router *shard.Router
 	switch {
@@ -170,24 +160,6 @@ func run(args []string) error {
 				"mean_batch", rep.Aggregate.MeanBatch)
 			return nil
 		})
-}
-
-// parseWeights turns the -weights flag into shard.Config.Weights; the
-// Router validates count and positivity against the shard count.
-func parseWeights(s string) ([]float64, error) {
-	parts := splitList(s)
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		w, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -weights entry %q: %w", p, err)
-		}
-		out = append(out, w)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-weights has no entries")
-	}
-	return out, nil
 }
 
 // splitList splits a comma-separated flag value, tolerating whitespace and

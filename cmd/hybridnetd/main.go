@@ -35,13 +35,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"time"
 
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/obs/logx"
 	"repro/internal/serve"
 	"repro/internal/tensor"
 	"repro/internal/worker"
@@ -79,13 +79,15 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	level, err := logx.ParseLevel(*logLevel)
-	if err != nil {
-		return err
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+		return fmt.Errorf("-log-level: %w", err)
 	}
-	logger := logx.New(os.Stderr, level)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	slog.SetDefault(logger)
 
 	var h *core.HybridNetwork
+	var err error
 	switch {
 	case *demo && *modelPath != "":
 		return fmt.Errorf("-demo and -model are mutually exclusive")

@@ -393,8 +393,8 @@ func reportShards(client *http.Client, addr string) error {
 			fmt.Printf("  shard %d %-22s %s  stats unavailable: %s\n", s.ID, s.URL, state, s.Error)
 			continue
 		}
-		fmt.Printf("  shard %d %-22s %s  w=%.1f svc=%v  completed %d (mean batch %.2f)  p50 %v  p99 %v  max %v\n",
-			s.ID, s.URL, state, s.Weight, s.ServiceTime.Round(time.Microsecond),
+		fmt.Printf("  shard %d %-22s %s  svc=%v  completed %d (mean batch %.2f)  p50 %v  p99 %v  max %v\n",
+			s.ID, s.URL, state, s.ServiceTime.Round(time.Microsecond),
 			s.Stats.Completed, s.Stats.MeanBatch,
 			s.Stats.LatencyP50.Round(time.Microsecond), s.Stats.LatencyP99.Round(time.Microsecond),
 			s.Stats.LatencyMax.Round(time.Microsecond))

@@ -275,7 +275,7 @@ func TestStatsKeySet(t *testing.T) {
 	stats = append(append(stats, ledger...), prefixed("classes[].", ledger...)...)
 	fleet := []string{"aggregate", "shards", "proxied", "failovers", "errors", "healthy_shards", "permanently_down",
 		"restarts", "breaker_opens", "breaker_closes", "shards[].stats"}
-	fleet = append(fleet, prefixed("shards[].", "id", "url", "healthy", "weight", "service_ns", "inflight",
+	fleet = append(fleet, prefixed("shards[].", "id", "url", "healthy", "service_ns", "inflight",
 		"queue_depth", "class_queue_depths", "class_queue_depths.guaranteed", "class_queue_depths.fast",
 		"class_queue_depths.budget", "breaker_opens", "breaker_closes", "restarts")...)
 	fleet = append(append(fleet, prefixed("aggregate.", stats...)...), prefixed("shards[].stats.", stats...)...)

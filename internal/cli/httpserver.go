@@ -3,6 +3,7 @@ package cli
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux, served only on a -debug-addr listener
@@ -10,8 +11,6 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
-
-	"repro/internal/obs/logx"
 )
 
 // readHeaderTimeout bounds how long a client may take to send its request
@@ -38,9 +37,13 @@ func NewHTTPServer(h http.Handler) *http.Server {
 // through listening (where the worker reports its kernel-assigned port to a
 // supervisor), serve h until SIGINT/SIGTERM, then stop accepting, let
 // in-flight HTTP requests finish, and run the caller's drain — all within
-// grace. It returns nil after a clean signal-driven drain.
-func ServeUntilSignal(log *logx.Logger, addr, debugAddr string, h http.Handler, grace time.Duration,
+// grace. It returns nil after a clean signal-driven drain. A nil log is
+// silent.
+func ServeUntilSignal(log *slog.Logger, addr, debugAddr string, h http.Handler, grace time.Duration,
 	listening func(bound string) error, drain func(context.Context) error) error {
+	if log == nil {
+		log = slog.New(slog.DiscardHandler)
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	ln, err := net.Listen("tcp", addr)

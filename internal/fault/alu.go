@@ -35,9 +35,7 @@ type Transient struct {
 	rate  float64
 	model Model
 	rng   *rand.Rand
-
-	injected uint64 // number of corruptions actually applied
-	ops      uint64 // number of operations executed
+	ops   uint64 // number of operations executed
 }
 
 var _ ALU = (*Transient)(nil)
@@ -61,7 +59,6 @@ func NewTransient(rate float64, model Model, rng *rand.Rand) (*Transient, error)
 func (t *Transient) apply(x float32) float32 {
 	t.ops++
 	if t.rng.Float64() < t.rate {
-		t.injected++
 		return CorruptFloat(t.model, x, t.rng)
 	}
 	return x
@@ -72,9 +69,6 @@ func (t *Transient) Mul(a, b float32) float32 { return t.apply(a * b) }
 
 // Add returns a+b, possibly corrupted.
 func (t *Transient) Add(a, b float32) float32 { return t.apply(a + b) }
-
-// Injected returns the number of corruptions applied so far.
-func (t *Transient) Injected() uint64 { return t.injected }
 
 // Ops returns the number of operations executed so far.
 func (t *Transient) Ops() uint64 { return t.ops }
@@ -113,46 +107,6 @@ func (p *Permanent) Add(a, b float32) float32 { return p.apply(a + b) }
 
 // Ops returns the number of operations executed so far.
 func (p *Permanent) Ops() uint64 { return p.ops }
-
-// Intermittent is an ALU with a permanent defect that manifests only
-// intermittently (e.g. a marginal timing path): with probability Rate the
-// deterministic defect applies, otherwise the result is correct.
-type Intermittent struct {
-	rate     float64
-	model    Model
-	rng      *rand.Rand
-	injected uint64
-}
-
-var _ ALU = (*Intermittent)(nil)
-
-// NewIntermittent returns an intermittently faulty ALU.
-func NewIntermittent(rate float64, model Model, rng *rand.Rand) (*Intermittent, error) {
-	if rate < 0 || rate > 1 {
-		return nil, fmt.Errorf("fault: intermittent rate %v out of [0,1]", rate)
-	}
-	if model == nil || rng == nil {
-		return nil, fmt.Errorf("fault: intermittent model and rng must not be nil")
-	}
-	return &Intermittent{rate: rate, model: model, rng: rng}, nil
-}
-
-func (p *Intermittent) apply(x float32) float32 {
-	if p.rng.Float64() < p.rate {
-		p.injected++
-		return CorruptFloat(p.model, x, p.rng)
-	}
-	return x
-}
-
-// Mul returns a*b, intermittently corrupted.
-func (p *Intermittent) Mul(a, b float32) float32 { return p.apply(a * b) }
-
-// Add returns a+b, intermittently corrupted.
-func (p *Intermittent) Add(a, b float32) float32 { return p.apply(a + b) }
-
-// Injected returns the number of corruptions applied so far.
-func (p *Intermittent) Injected() uint64 { return p.injected }
 
 // OnceAfter is an ALU that executes exactly one corruption after skip
 // fault-free operations, then behaves ideally again. It is the precision

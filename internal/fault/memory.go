@@ -13,50 +13,14 @@ import (
 // (both executions read the same wrong weight), which is why the hybrid
 // architecture pairs reliable execution with an independent qualifier.
 
-// InjectSlice corrupts each element of data independently with probability
-// rate using model, returning the number of corrupted elements.
-func InjectSlice(data []float32, rate float64, m Model, rng *rand.Rand) (int, error) {
-	if rate < 0 || rate > 1 {
-		return 0, fmt.Errorf("fault: inject rate %v out of [0,1]", rate)
-	}
-	if m == nil || rng == nil {
-		return 0, fmt.Errorf("fault: inject model and rng must not be nil")
-	}
-	n := 0
-	for i, x := range data {
-		if rng.Float64() < rate {
-			data[i] = CorruptFloat(m, x, rng)
-			n++
-		}
-	}
-	return n, nil
-}
-
-// InjectExactly corrupts exactly n distinct elements of data chosen uniformly
-// at random, returning the chosen indices (sorted ascending is NOT
-// guaranteed). It is used by deterministic fault campaigns.
-func InjectExactly(data []float32, n int, m Model, rng *rand.Rand) ([]int, error) {
-	if m == nil || rng == nil {
-		return nil, fmt.Errorf("fault: inject model and rng must not be nil")
-	}
-	if n < 0 || n > len(data) {
-		return nil, fmt.Errorf("fault: cannot inject %d faults into %d elements", n, len(data))
-	}
-	idx := rng.Perm(len(data))[:n]
-	for _, i := range idx {
-		data[i] = CorruptFloat(m, data[i], rng)
-	}
-	return idx, nil
-}
-
 // ECCMemory simulates a memory protected by single-error-correct /
 // double-error-detect (SECDED) ECC, as deployed by GPU vendors on DRAM and
 // cache SRAM (Section II-C). Reads correct single-bit upsets transparently
 // and flag double-bit upsets.
 //
-// The simulation tracks, per word, how many bit flips have accumulated since
-// the last scrub; it does not model the check-bit layout itself, only the
-// correct/detect/escape semantics.
+// The simulation tracks, per word, how many bit flips have accumulated; it
+// does not model the check-bit layout itself, only the correct/detect/escape
+// semantics.
 type ECCMemory struct {
 	words []float32
 	flips []uint8 // accumulated upset count per word
@@ -90,8 +54,7 @@ func (m *ECCMemory) Upset(i int, rng *rand.Rand) error {
 
 // Read returns word i. Single accumulated upsets are corrected (the stored
 // value is NOT repaired — correction happens on the read path, as in real
-// ECC; call Scrub to write back). ok is false when an uncorrectable
-// (≥2-bit) upset is detected.
+// ECC). ok is false when an uncorrectable (≥2-bit) upset is detected.
 //
 // Reads of uncorrupted words return the stored value with ok = true.
 func (m *ECCMemory) Read(i int, original []float32) (v float32, ok bool, err error) {
@@ -108,21 +71,6 @@ func (m *ECCMemory) Read(i int, original []float32) (v float32, ok bool, err err
 		m.detected++
 		return m.words[i], false, nil
 	}
-}
-
-// Scrub repairs all correctable words from the original image and clears
-// their upset counters, returning how many words were repaired. Words with
-// uncorrectable upsets are left in place (and keep reporting !ok on read).
-func (m *ECCMemory) Scrub(original []float32) int {
-	n := 0
-	for i := range m.words {
-		if m.flips[i] == 1 {
-			m.words[i] = original[i]
-			m.flips[i] = 0
-			n++
-		}
-	}
-	return n
 }
 
 // Corrected returns the number of reads that were transparently corrected.

@@ -98,38 +98,6 @@ func (WordRandom) Corrupt(_ uint32, rng *rand.Rand) uint32 { return rng.Uint32()
 
 func (WordRandom) String() string { return "wordrandom" }
 
-// MultiBitFlip flips N distinct random bits, modelling multi-bit upsets from
-// a single particle strike.
-type MultiBitFlip struct {
-	N int
-}
-
-var _ Model = MultiBitFlip{}
-
-// Corrupt implements Model.
-func (m MultiBitFlip) Corrupt(bits uint32, rng *rand.Rand) uint32 {
-	n := m.N
-	if n < 1 {
-		n = 1
-	}
-	if n > 32 {
-		n = 32
-	}
-	// Sample n distinct positions by partial Fisher-Yates over 0..31.
-	var pos [32]int
-	for i := range pos {
-		pos[i] = i
-	}
-	for i := 0; i < n; i++ {
-		j := i + rng.Intn(32-i)
-		pos[i], pos[j] = pos[j], pos[i]
-		bits ^= 1 << uint(pos[i])
-	}
-	return bits
-}
-
-func (m MultiBitFlip) String() string { return fmt.Sprintf("multibitflip(n=%d)", m.N) }
-
 // CorruptFloat applies model to the IEEE-754 bit pattern of x.
 func CorruptFloat(m Model, x float32, rng *rand.Rand) float32 {
 	return math.Float32frombits(m.Corrupt(math.Float32bits(x), rng))

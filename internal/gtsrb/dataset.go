@@ -191,17 +191,6 @@ func (d *Dataset) Split(frac float64) (train, test *Dataset, err error) {
 	return train, test, nil
 }
 
-// CountByLabel returns a histogram of labels.
-func (d *Dataset) CountByLabel() []int {
-	counts := make([]int, len(d.Classes))
-	for _, ex := range d.Examples {
-		if ex.Label >= 0 && ex.Label < len(counts) {
-			counts[ex.Label]++
-		}
-	}
-	return counts
-}
-
 // AngledStopSign renders the Figure 3 subject: a slightly angled (rotated
 // and tilted) stop sign at the given image size with mild noise.
 func AngledStopSign(size int, rng *rand.Rand) (*tensor.Tensor, error) {

@@ -140,7 +140,10 @@ func TestGenerate(t *testing.T) {
 	if ds.NumClasses() != 6 {
 		t.Fatalf("classes = %d", ds.NumClasses())
 	}
-	counts := ds.CountByLabel()
+	counts := make([]int, ds.NumClasses())
+	for _, ex := range ds.Examples {
+		counts[ex.Label]++
+	}
 	for label, n := range counts {
 		if n != 5 {
 			t.Errorf("class %d has %d examples, want 5", label, n)

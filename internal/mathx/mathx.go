@@ -39,45 +39,6 @@ func Softmax(dst, src []float32) error {
 	return nil
 }
 
-// LogSumExp returns log(Σ exp(x_i)) computed stably.
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	if math.IsInf(m, -1) {
-		return m
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Exp(x - m)
-	}
-	return m + math.Log(s)
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// ApproxEqual reports |a-b| <= atol + rtol*max(|a|,|b|).
-func ApproxEqual(a, b, atol, rtol float64) bool {
-	d := math.Abs(a - b)
-	m := math.Max(math.Abs(a), math.Abs(b))
-	return d <= atol+rtol*m
-}
-
 // InvPow returns d^-β in float32, the local-response-normalisation scale
 // nn.LRN's forward and backward share so that they agree bit for bit (the
 // AVX2 inference kernel in internal/nn performs the same operations lane by
@@ -108,9 +69,6 @@ func (w *Welford) Add(x float64) {
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
 }
-
-// N returns the number of samples seen.
-func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean (0 before any sample).
 func (w *Welford) Mean() float64 { return w.mean }
@@ -158,21 +116,6 @@ func MeanStd(xs []float64) (mean, std float64) {
 		w.Add(x)
 	}
 	return w.Mean(), w.Std()
-}
-
-// Linspace returns n evenly spaced points from lo to hi inclusive.
-// n must be >= 2.
-func Linspace(lo, hi float64, n int) ([]float64, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("mathx: linspace needs n >= 2, got %d", n)
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	out[n-1] = hi // avoid accumulated rounding at the endpoint
-	return out, nil
 }
 
 // NormalQuantile returns the q-quantile of the standard normal distribution

@@ -57,42 +57,6 @@ func TestSoftmaxAliasAndErrors(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp([]float64{math.Log(1), math.Log(2), math.Log(3)})
-	if math.Abs(got-math.Log(6)) > 1e-12 {
-		t.Errorf("LogSumExp = %v, want log 6", got)
-	}
-	if !math.IsInf(LogSumExp(nil), -1) {
-		t.Error("LogSumExp(empty) should be -Inf")
-	}
-	if !math.IsInf(LogSumExp([]float64{math.Inf(-1)}), -1) {
-		t.Error("LogSumExp(-Inf) should be -Inf")
-	}
-	// Stability at large magnitudes.
-	got = LogSumExp([]float64{1e4, 1e4})
-	if math.Abs(got-(1e4+math.Log(2))) > 1e-9 {
-		t.Errorf("LogSumExp large = %v", got)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Error("Clamp misbehaves")
-	}
-}
-
-func TestApproxEqual(t *testing.T) {
-	if !ApproxEqual(1.0, 1.0+1e-12, 1e-9, 0) {
-		t.Error("tiny absolute difference should be equal")
-	}
-	if ApproxEqual(1.0, 1.1, 1e-9, 1e-6) {
-		t.Error("10% difference should not be equal")
-	}
-	if !ApproxEqual(1e9, 1e9+1, 0, 1e-6) {
-		t.Error("relative tolerance should absorb large-magnitude slack")
-	}
-}
-
 func TestInvPow(t *testing.T) {
 	// β = 0.75 takes the square-root form: a few float32 roundings away
 	// from the exact power over the range an LRN denominator covers.
@@ -115,14 +79,14 @@ func TestInvPow(t *testing.T) {
 
 func TestWelford(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.N() != 0 {
+	if w.Mean() != 0 || w.Var() != 0 || w.n != 0 {
 		t.Error("zero value should be ready to use")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		w.Add(x)
 	}
-	if w.N() != 8 {
-		t.Errorf("N = %d, want 8", w.N())
+	if w.n != 8 {
+		t.Errorf("n = %d, want 8", w.n)
 	}
 	if math.Abs(w.Mean()-5) > 1e-12 {
 		t.Errorf("Mean = %v, want 5", w.Mean())
@@ -171,22 +135,6 @@ func TestMeanStd(t *testing.T) {
 	m, s = MeanStd(nil)
 	if m != 0 || s != 0 {
 		t.Error("MeanStd(empty) should be 0,0")
-	}
-}
-
-func TestLinspace(t *testing.T) {
-	xs, err := Linspace(0, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i, w := range want {
-		if math.Abs(xs[i]-w) > 1e-12 {
-			t.Errorf("Linspace[%d] = %v, want %v", i, xs[i], w)
-		}
-	}
-	if _, err := Linspace(0, 1, 1); err == nil {
-		t.Error("Linspace(n=1) should fail")
 	}
 }
 

@@ -25,7 +25,6 @@ package nn
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/tensor"
 )
@@ -251,32 +250,9 @@ func (s *Sequential) Params() []*Param {
 	return out
 }
 
-// ParamCount returns the total number of learnable scalars.
-func (s *Sequential) ParamCount() int {
-	n := 0
-	for _, p := range s.Params() {
-		n += p.Value.Len()
-	}
-	return n
-}
-
 // ZeroGrads clears every parameter gradient.
 func (s *Sequential) ZeroGrads() {
 	for _, p := range s.Params() {
 		p.ZeroGrad()
 	}
-}
-
-// Summary renders a human-readable table of the network structure.
-func (s *Sequential) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (%d layers, %d params)\n", s.name, len(s.layers), s.ParamCount())
-	for i, l := range s.layers {
-		n := 0
-		for _, p := range l.Params() {
-			n += p.Value.Len()
-		}
-		fmt.Fprintf(&b, "  %2d  %-14s %8d params\n", i, l.Name(), n)
-	}
-	return b.String()
 }

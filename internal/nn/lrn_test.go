@@ -159,7 +159,7 @@ func TestLazyGradInference(t *testing.T) {
 		}
 	}
 	requireNoGrads("after construction")
-	if net.ParamCount() == 0 || net.Summary() == "" {
+	if len(net.Params()) == 0 {
 		t.Fatal("empty network")
 	}
 	net.ZeroGrads()

@@ -1,9 +1,9 @@
 package obs
 
 import (
+	"context"
+	"log/slog"
 	"sync/atomic"
-
-	"repro/internal/obs/logx"
 )
 
 // TraceSink is where a daemon's finished request traces go: each is filed
@@ -16,7 +16,7 @@ import (
 // recorder and drops the lines.
 type TraceSink struct {
 	rec   *Recorder
-	log   *logx.Logger
+	log   *slog.Logger
 	msg   string
 	every uint64 // promote 1-in-every outcome lines to info; 0 = never
 	n     atomic.Uint64
@@ -26,7 +26,10 @@ type TraceSink struct {
 // ("request" at the worker, "proxy" at the router), keeping depth recent
 // and depth slowest traces (≤ 0 = DefaultRecorderDepth) and promoting the
 // given fraction of outcome lines (0 = none, ≥ 1 = all).
-func NewTraceSink(log *logx.Logger, msg string, depth int, sample float64) *TraceSink {
+func NewTraceSink(log *slog.Logger, msg string, depth int, sample float64) *TraceSink {
+	if log == nil {
+		log = slog.New(slog.DiscardHandler)
+	}
 	t := &TraceSink{rec: NewRecorder(depth), log: log, msg: msg}
 	if sample > 0 {
 		if sample > 1 {
@@ -46,14 +49,15 @@ func (t *TraceSink) Finish(rec TraceRecord, errMsg string, kvs ...any) {
 	}
 	t.rec.Record(rec)
 	sampled := t.every > 0 && t.n.Add(1)%t.every == 0
-	level := logx.Debug
+	level := slog.LevelDebug
 	switch {
 	case rec.Status >= 400:
-		level = logx.Warn
+		level = slog.LevelWarn
 	case sampled:
-		level = logx.Info
+		level = slog.LevelInfo
 	}
-	if !t.log.Enabled(level) {
+	ctx := context.Background()
+	if !t.log.Enabled(ctx, level) {
 		return
 	}
 	line := append([]any{
@@ -66,14 +70,7 @@ func (t *TraceSink) Finish(rec TraceRecord, errMsg string, kvs ...any) {
 	if sampled && len(rec.Spans) > 0 {
 		line = append(line, "spans", FormatSpans(rec.Spans))
 	}
-	switch level {
-	case logx.Warn:
-		t.log.Warn(t.msg, line...)
-	case logx.Info:
-		t.log.Info(t.msg, line...)
-	default:
-		t.log.Debug(t.msg, line...)
-	}
+	t.log.Log(ctx, level, t.msg, line...)
 }
 
 // Snapshot dumps the sink's flight recorder (the GET /debug/requests body

@@ -2,11 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/obs/logx"
 )
 
 // TestTraceSinkLevelsAndSampling pins the outcome-line policy both daemons
@@ -15,7 +14,7 @@ import (
 // whatever the logger does.
 func TestTraceSinkLevelsAndSampling(t *testing.T) {
 	var out bytes.Buffer
-	sink := NewTraceSink(logx.New(&out, logx.Debug), "request", 8, 0.5)
+	sink := NewTraceSink(slog.New(slog.NewTextHandler(&out, &slog.HandlerOptions{Level: slog.LevelDebug})), "request", 8, 0.5)
 	spans := []Span{{Name: "queue", Dur: time.Millisecond}}
 	for i, status := range []int{200, 200, 503, 200} {
 		errMsg := ""
@@ -28,7 +27,7 @@ func TestTraceSinkLevelsAndSampling(t *testing.T) {
 	if len(lines) != 4 {
 		t.Fatalf("%d outcome lines, want 4:\n%s", len(lines), out.String())
 	}
-	for i, want := range []string{"level=debug", "level=info", "level=warn", "level=info"} {
+	for i, want := range []string{"level=DEBUG", "level=INFO", "level=WARN", "level=INFO"} {
 		if !strings.Contains(lines[i], want) || !strings.Contains(lines[i], "msg=request") {
 			t.Errorf("line %d = %q, want %s msg=request", i, lines[i], want)
 		}

@@ -1,7 +1,8 @@
 // Package obs is the serving plane's zero-dependency observability layer:
 // request tracing (trace IDs, per-stage spans, wire headers), Prometheus
-// text-format metrics emission, and a flight recorder holding the slowest
-// and most recent request traces per process.
+// text-format metrics emission, a flight recorder holding the slowest and
+// most recent request traces per process, and the per-request outcome lines
+// a TraceSink writes through the daemon's log/slog logger.
 //
 // The package sits above internal/serve (it renders serve.Stats into
 // metrics) and below the daemons; serve itself never imports obs, so the

@@ -34,9 +34,8 @@ const (
 )
 
 // NewLeakyBucket returns a bucket with the given parameters. Factor and
-// ceiling must be positive, and factor must be below the ceiling (otherwise
-// the very first error is fatal and the bucket degenerates to fail-fast —
-// allowed, but requested explicitly via NewFailFastBucket).
+// ceiling must be positive. A factor at or above the ceiling makes the very
+// first error fatal: the bucket degenerates to fail-fast, which is allowed.
 func NewLeakyBucket(factor, ceiling int) (*LeakyBucket, error) {
 	if factor < 1 {
 		return nil, fmt.Errorf("reliable: bucket factor %d must be >= 1", factor)
@@ -56,13 +55,6 @@ func NewDefaultBucket() *LeakyBucket {
 		panic(err)
 	}
 	return b
-}
-
-// NewFailFastBucket returns a bucket that trips on the first error
-// (factor = ceiling = 1), used as the strictest comparison point in the
-// ablation benchmarks.
-func NewFailFastBucket() *LeakyBucket {
-	return &LeakyBucket{Factor: 1, Ceiling: 1}
 }
 
 // Fail records an incorrect operation: the level rises by Factor and is

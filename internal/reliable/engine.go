@@ -161,7 +161,3 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // Bucket returns the engine's error counter (shared, live view).
 func (e *Engine) Bucket() *LeakyBucket { return e.bucket }
-
-// ResetStats clears the work counters (the bucket is left untouched; use
-// Bucket().Reset() to drain it).
-func (e *Engine) ResetStats() { e.stats = Stats{} }

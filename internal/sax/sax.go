@@ -185,9 +185,6 @@ func abs(x int) int {
 	return x
 }
 
-// WordLen returns the encoder's word length.
-func (e *Encoder) WordLen() int { return e.wordLen }
-
 // Alphabet returns the encoder's alphabet size.
 func (e *Encoder) Alphabet() int { return e.alphabet }
 
@@ -238,15 +235,10 @@ func (e *Encoder) Encode(series []float64) (Word, error) {
 	return Word{Symbols: syms, Alphabet: e.alphabet}, nil
 }
 
-// MinDist returns the MINDIST lower bound between two SAX words for original
-// series of length n. MINDIST(Q̂, Ĉ) = sqrt(n/w) · sqrt(Σ dist(q̂ᵢ, ĉᵢ)²),
-// which provably lower-bounds the Euclidean distance between the
-// z-normalised originals.
-func (e *Encoder) MinDist(a, b Word, n int) (float64, error) {
-	return e.minDist(a, b, 0, n)
-}
-
-// minDist is MinDist against b rotated left by r symbols, read in place.
+// minDist returns the MINDIST lower bound between a and b rotated left by r
+// symbols (read in place), for original series of length n.
+// MINDIST(Q̂, Ĉ) = sqrt(n/w) · sqrt(Σ dist(q̂ᵢ, ĉᵢ)²), which provably
+// lower-bounds the Euclidean distance between the z-normalised originals.
 func (e *Encoder) minDist(a, b Word, r, n int) (float64, error) {
 	if a.Alphabet != e.alphabet || b.Alphabet != e.alphabet {
 		return 0, fmt.Errorf("sax: word alphabets (%d,%d) do not match encoder alphabet %d",

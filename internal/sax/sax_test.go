@@ -128,7 +128,7 @@ func TestEncoderBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.WordLen() != 4 || e.Alphabet() != 4 {
+	if e.wordLen != 4 || e.Alphabet() != 4 {
 		t.Error("accessors wrong")
 	}
 	// A ramp must produce a non-decreasing word hitting both extremes.
@@ -215,7 +215,7 @@ func TestMinDistAdjacentSymbolsZero(t *testing.T) {
 	e, _ := NewEncoder(4, 4)
 	a := Word{Symbols: []int{0, 1, 2, 3}, Alphabet: 4}
 	b := Word{Symbols: []int{1, 2, 3, 3}, Alphabet: 4}
-	d, err := e.MinDist(a, b, 64)
+	d, err := e.minDist(a, b, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,17 +227,17 @@ func TestMinDistAdjacentSymbolsZero(t *testing.T) {
 func TestMinDistErrors(t *testing.T) {
 	e, _ := NewEncoder(4, 4)
 	a := Word{Symbols: []int{0, 1, 2, 3}, Alphabet: 4}
-	if _, err := e.MinDist(a, Word{Symbols: []int{0, 1, 2, 3}, Alphabet: 5}, 64); err == nil {
+	if _, err := e.minDist(a, Word{Symbols: []int{0, 1, 2, 3}, Alphabet: 5}, 0, 64); err == nil {
 		t.Error("alphabet mismatch should fail")
 	}
-	if _, err := e.MinDist(a, Word{Symbols: []int{0, 1}, Alphabet: 4}, 64); err == nil {
+	if _, err := e.minDist(a, Word{Symbols: []int{0, 1}, Alphabet: 4}, 0, 64); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, err := e.MinDist(a, a, 2); err == nil {
+	if _, err := e.minDist(a, a, 0, 2); err == nil {
 		t.Error("n below word length should fail")
 	}
 	bad := Word{Symbols: []int{0, 1, 2, 9}, Alphabet: 4}
-	if _, err := e.MinDist(a, bad, 64); err == nil {
+	if _, err := e.minDist(a, bad, 0, 64); err == nil {
 		t.Error("out-of-range symbol should fail")
 	}
 }
@@ -275,7 +275,7 @@ func TestMinDistLowerBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		md, err := e.MinDist(wa, wb, n)
+		md, err := e.minDist(wa, wb, 0, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,9 +323,9 @@ func TestQuickMinDistMetricProperties(t *testing.T) {
 			a.Symbols[i] = int(raw[i]) % 5
 			b.Symbols[i] = int(raw[i+6]) % 5
 		}
-		dab, err1 := e.MinDist(a, b, 60)
-		dba, err2 := e.MinDist(b, a, 60)
-		daa, err3 := e.MinDist(a, a, 60)
+		dab, err1 := e.minDist(a, b, 0, 60)
+		dba, err2 := e.minDist(b, a, 0, 60)
+		daa, err3 := e.minDist(a, a, 0, 60)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return false
 		}
@@ -372,7 +372,7 @@ func TestEncodeMatchesZNormalizePAA(t *testing.T) {
 }
 
 // TestMinRotationMinDistMatchesRotatedWords: the rotation-invariant MINDIST
-// is, bit for bit, the least MinDist against every rotation of b written out.
+// is, bit for bit, the least minDist against every rotation of b written out.
 func TestMinRotationMinDistMatchesRotatedWords(t *testing.T) {
 	enc, err := NewEncoder(16, 4)
 	if err != nil {
@@ -392,7 +392,7 @@ func TestMinRotationMinDistMatchesRotatedWords(t *testing.T) {
 		want := math.Inf(1)
 		for r := 0; r < 16; r++ {
 			rot := Word{Symbols: append(append([]int(nil), b.Symbols[r:]...), b.Symbols[:r]...), Alphabet: 4}
-			d, err := enc.MinDist(a, rot, 128)
+			d, err := enc.minDist(a, rot, 0, 128)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,13 +54,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs/logx"
 	"repro/internal/tensor"
 )
 
@@ -663,7 +663,7 @@ func (s *Scheduler) flush(batch []*request) {
 func (s *Scheduler) callBackend(imgs []*tensor.Tensor, pipes []core.Pipeline) (results []core.Result, stages core.StageTimes, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			logx.Default().Error("backend panic", "batch", len(imgs), "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+			slog.Default().Error("backend panic", "batch", len(imgs), "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
 			results, err = nil, fmt.Errorf("serve: backend panic: %v", p)
 		}
 	}()

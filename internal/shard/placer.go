@@ -9,8 +9,6 @@ import (
 // candidate is one routable shard's placement signals, snapshotted by
 // Router.pick from its probe state.
 type candidate struct {
-	// weight is the static capacity weight (> 0; 1 = neutral).
-	weight float64
 	// load is the class-effective backlog: requests the router has in
 	// flight to the shard plus the queue depth a request of the class being
 	// placed would wait behind.
@@ -20,26 +18,23 @@ type candidate struct {
 	service int64
 }
 
-// placer is weighted power-of-two-choices: sample two distinct candidates,
-// score each (load+1)/weight, multiply by the probed service time when
-// adaptive is set and both report one, and the lower score wins. Equal
-// scores fall to a round-robin cursor over the whole candidate slice.
-// Safe for concurrent use.
+// placer is power-of-two-choices scaled by service time: sample two
+// distinct candidates, score each load+1, multiply by the probed service
+// time when both report one, and the lower score wins. Equal scores fall to
+// a round-robin cursor over the whole candidate slice. Safe for concurrent
+// use.
 //
 // The service term compares measured shards only: a measured shard against
-// an unmeasured one would mix units. With every weight 1 and adaptive off,
-// the score is the load alone — plain power-of-two-choices.
+// an unmeasured one would mix units, so such a pair is compared on load.
 type placer struct {
-	adaptive bool
-
 	mu  sync.Mutex
 	rng *rand.Rand
 
 	rr atomic.Uint64 // tie-break cursor
 }
 
-func newPlacer(seed int64, adaptive bool) *placer {
-	return &placer{adaptive: adaptive, rng: rand.New(rand.NewSource(seed))}
+func newPlacer(seed int64) *placer {
+	return &placer{rng: rand.New(rand.NewSource(seed))}
 }
 
 // pick returns the index of the chosen candidate.
@@ -55,9 +50,9 @@ func (p *placer) pick(cands []candidate) int {
 		j++
 	}
 	a, b := cands[i], cands[j]
-	sa := float64(a.load+1) / a.weight
-	sb := float64(b.load+1) / b.weight
-	if p.adaptive && a.service > 0 && b.service > 0 {
+	sa := float64(a.load + 1)
+	sb := float64(b.load + 1)
+	if a.service > 0 && b.service > 0 {
 		sa *= float64(a.service)
 		sb *= float64(b.service)
 	}

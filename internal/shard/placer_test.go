@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math/rand"
 	"os"
-	"reflect"
 	"testing"
 )
 
@@ -22,47 +21,22 @@ func pickCounts(t *testing.T, p *placer, cands []candidate, n int) []int {
 	return counts
 }
 
-// TestP2CIgnoresCapacitySignals: with unit weights and adaptive off the
-// placer is plain power-of-two-choices — service times do not matter.
-func TestP2CIgnoresCapacitySignals(t *testing.T) {
-	p := newPlacer(1, false)
-	// Same load everywhere: picks spread roughly evenly (ties round-robin
-	// across all three).
-	cands := []candidate{
-		{weight: 1, load: 5, service: 100},
-		{weight: 1, load: 5, service: 900},
-		{weight: 1, load: 5, service: 900},
-	}
-	counts := pickCounts(t, p, cands, 900)
-	for i, c := range counts {
-		if c < 200 {
-			t.Fatalf("p2c skewed under equal load: counts=%v (shard %d)", counts, i)
-		}
-	}
-	// Unequal load: the lightest shard must dominate.
-	cands[0].load = 0
-	counts = pickCounts(t, p, cands, 900)
-	if counts[0] < counts[1] || counts[0] < counts[2] {
-		t.Fatalf("p2c did not prefer the lightest shard: %v", counts)
-	}
-}
-
 func TestWeightedP2CUsesServiceOnlyWhenBothReport(t *testing.T) {
-	p := newPlacer(1, true)
+	p := newPlacer(1)
 	// Shard 0 is 10× slower by service time but unmeasured shard 1 exists:
-	// a pair mixing measured and unmeasured compares on load/weight alone.
+	// a pair mixing measured and unmeasured compares on load alone.
 	mixed := []candidate{
-		{weight: 1, load: 1, service: 1000},
-		{weight: 1, load: 2, service: 0},
+		{load: 1, service: 1000},
+		{load: 2, service: 0},
 	}
 	counts := pickCounts(t, p, mixed, 200)
 	if counts[0] == 0 || counts[1] != 0 {
-		t.Fatalf("mixed pair should fall back to load/weight (0 wins): %v", counts)
+		t.Fatalf("mixed pair should fall back to load (0 wins): %v", counts)
 	}
 	// Both measured: the slow shard loses despite equal load.
 	both := []candidate{
-		{weight: 1, load: 1, service: 1000},
-		{weight: 1, load: 1, service: 10},
+		{load: 1, service: 1000},
+		{load: 1, service: 10},
 	}
 	counts = pickCounts(t, p, both, 200)
 	if counts[1] == 0 || counts[0] != 0 {
@@ -70,35 +44,28 @@ func TestWeightedP2CUsesServiceOnlyWhenBothReport(t *testing.T) {
 	}
 }
 
-// TestPlacerIdleFleet pins what an idle fleet does. With adaptive weights
-// on, an idle measured pair has equal load terms, so the service estimate
-// decides every pick and the shard with the lower (possibly stale)
-// estimate takes all the traffic — the fleet-streams max_shard_share near
-// 1. With adaptive off the scores tie and the cursor spreads the picks.
+// TestPlacerIdleFleet pins what an idle fleet does: an idle measured pair
+// has equal load terms, so the service estimate decides every pick and the
+// shard with the lower (possibly stale) estimate takes all the traffic —
+// the fleet-streams max_shard_share near 1.
 func TestPlacerIdleFleet(t *testing.T) {
 	idle := []candidate{
-		{weight: 1, load: 0, service: 700_000},
-		{weight: 1, load: 0, service: 690_000},
+		{load: 0, service: 700_000},
+		{load: 0, service: 690_000},
 	}
-	if counts := pickCounts(t, newPlacer(1, true), idle, 1000); counts[1] != 1000 {
-		t.Fatalf("adaptive: idle measured pair split %v, want every pick on the lower estimate", counts)
-	}
-	counts := pickCounts(t, newPlacer(1, false), idle, 1000)
-	for i, c := range counts {
-		if c < 400 {
-			t.Fatalf("adaptive off: idle pair split %v, shard %d below 40%%", counts, i)
-		}
+	if counts := pickCounts(t, newPlacer(1), idle, 1000); counts[1] != 1000 {
+		t.Fatalf("idle measured pair split %v, want every pick on the lower estimate", counts)
 	}
 }
 
 func TestPlacerDeterministic(t *testing.T) {
 	cands := []candidate{
-		{weight: 1, load: 1},
-		{weight: 1, load: 2},
-		{weight: 1, load: 3},
-		{weight: 1, load: 1},
+		{load: 1},
+		{load: 2},
+		{load: 3},
+		{load: 1},
 	}
-	a, b := newPlacer(42, false), newPlacer(42, false)
+	a, b := newPlacer(42), newPlacer(42)
 	for k := 0; k < 1000; k++ {
 		if ia, ib := a.pick(cands), b.pick(cands); ia != ib {
 			t.Fatalf("pick %d diverged under the same seed: %d vs %d", k, ia, ib)
@@ -106,36 +73,21 @@ func TestPlacerDeterministic(t *testing.T) {
 	}
 }
 
-// pickGolden is testdata/pick_golden.json: the pick indices recorded over
-// goldenCandidates when placement still had two named policies —
-// weighted-p2c with adaptive weights on (Adaptive) and off (Weighted), and
-// p2c on unit weights (Unit).
-type pickGolden struct {
-	Adaptive []int `json:"adaptive"`
-	Weighted []int `json:"weighted"`
-	Unit     []int `json:"unit"`
-}
-
 // goldenCandidates draws a seeded sequence of candidate slices: 2–5
-// shards, loads 0–9, weights from {0.5, 1, 2} (all 1 when unit), and a
-// service time that is unreported, one of three round values (so measured
-// pairs tie), or arbitrary.
-func goldenCandidates(unit bool) [][]candidate {
+// shards, loads 0–9, and a service time that is unreported, one of three
+// round values (so measured pairs tie), or arbitrary.
+func goldenCandidates() [][]candidate {
 	rng := rand.New(rand.NewSource(26))
-	weights := []float64{0.5, 1, 2}
 	seq := make([][]candidate, 1000)
 	for k := range seq {
 		cands := make([]candidate, 2+rng.Intn(4))
 		for i := range cands {
-			c := candidate{weight: weights[rng.Intn(len(weights))], load: int64(rng.Intn(10))}
+			c := candidate{load: int64(rng.Intn(10))}
 			switch rng.Intn(3) {
 			case 1:
 				c.service = int64(1+rng.Intn(3)) * 1e6
 			case 2:
 				c.service = 1 + rng.Int63n(1e7)
-			}
-			if unit {
-				c.weight = 1
 			}
 			cands[i] = c
 		}
@@ -144,42 +96,29 @@ func goldenCandidates(unit bool) [][]candidate {
 	return seq
 }
 
-func goldenPicks(adaptive, unit bool) []int {
-	p := newPlacer(1, adaptive)
-	seq := goldenCandidates(unit)
-	picks := make([]int, len(seq))
-	for k, cands := range seq {
-		picks[k] = p.pick(cands)
-	}
-	return picks
-}
-
-// TestPlacerGoldenPicks replays the recorded pick sequences: same RNG
-// draws, same scores, same tie-break cursor, so the same shard every time.
-// Plain p2c is reproduced with adaptive weights off on unit weights.
+// TestPlacerGoldenPicks replays testdata/pick_golden.json: the picks
+// recorded over goldenCandidates from the placer as the router binary ran
+// it before the capacity knobs went (adaptive weights on, every static
+// weight 1). Same RNG draws, same scores, same tie-break cursor, so the
+// same shard every time.
 func TestPlacerGoldenPicks(t *testing.T) {
 	raw, err := os.ReadFile("testdata/pick_golden.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want pickGolden
+	var want struct {
+		Picks []int `json:"picks"`
+	}
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name           string
-		adaptive, unit bool
-		want           []int
-	}{
-		{"adaptive", true, false, want.Adaptive},
-		{"weighted", false, false, want.Weighted},
-		{"unit", false, true, want.Unit},
-	} {
-		if len(c.want) != 1000 {
-			t.Fatalf("%s: recording holds %d picks, want 1000", c.name, len(c.want))
-		}
-		if got := goldenPicks(c.adaptive, c.unit); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s: pick sequence diverged from the recording", c.name)
+	if len(want.Picks) != 1000 {
+		t.Fatalf("recording holds %d picks, want 1000", len(want.Picks))
+	}
+	p := newPlacer(1)
+	for k, cands := range goldenCandidates() {
+		if got := p.pick(cands); got != want.Picks[k] {
+			t.Fatalf("pick %d = %d, recorded %d: the sequence diverged", k, got, want.Picks[k])
 		}
 	}
 }

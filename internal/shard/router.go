@@ -5,17 +5,16 @@
 //
 // # Placement
 //
-// Placement is weighted power-of-two-choices, the router's one policy: two
-// distinct routable shards are sampled and the one with the lower score
+// Placement is power-of-two-choices, the router's one policy and one rule:
+// two distinct routable shards are sampled and the one with the lower score
 // wins. A shard's load is what the router has in flight to it plus the
 // queue depth it last reported on /healthz for the request's class
-// (below). The score is (load+1) per static capacity weight
-// (Config.Weights), multiplied by the rolling per-image service time each
-// worker exports when Config.AdaptiveWeights is on and both sampled shards
-// report one, so on heterogeneous hardware the router equalises expected
-// completion time rather than raw queue depth. With no weights and
-// AdaptiveWeights off the score is the load alone: plain
-// power-of-two-choices. Equal scores fall back to the round-robin cursor.
+// (below). The score is (load+1) times the rolling per-image service time
+// each worker exports when both sampled shards report one, and load+1
+// otherwise, so on heterogeneous hardware the router equalises expected
+// completion time rather than raw queue depth. The probed service time is
+// the only capacity signal. Equal scores fall back to the round-robin
+// cursor.
 //
 // Placement is service-class aware: workers report per-class queue depths
 // on /healthz and a request's load signal counts only the backlog its
@@ -62,6 +61,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -72,7 +72,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/obs"
-	"repro/internal/obs/logx"
 	"repro/internal/serve"
 )
 
@@ -87,18 +86,6 @@ type Config struct {
 	// comfortably above a worker's own per-request deadline, so the worker's
 	// 504 wins over the router's.
 	RequestTimeout time.Duration
-	// Weights are static per-shard capacity weights for placement: a shard
-	// with weight 2 is expected to absorb twice the load of a weight-1
-	// shard. Nil means all 1; otherwise the length must equal the shard
-	// count and every weight must be > 0.
-	Weights []float64
-	// AdaptiveWeights scales placement by each worker's rolling per-image
-	// service-time estimate (the service_ns it reports on /healthz), so a
-	// shard on slower hardware is offered proportionally less work even
-	// with equal static weights. Shards that have not reported an estimate
-	// yet are compared on load/weight alone. With nil Weights and
-	// AdaptiveWeights off, placement is plain power-of-two-choices on load.
-	AdaptiveWeights bool
 	// RestartMax bounds consecutive restart attempts for a spawned worker
 	// before its shard is marked permanently down. A run longer than
 	// 10×RestartBackoff resets the budget. 0 selects the default (5);
@@ -114,9 +101,9 @@ type Config struct {
 	// Client overrides the HTTP client used for proxying and probing.
 	Client *http.Client
 	// Log is the router's one logger: router events (breaker transitions,
-	// failovers, worker exits, respawns) as info lines and one logfmt line
-	// per proxied request carrying the trace ID. Nil is silent.
-	Log *logx.Logger
+	// worker exits, respawns) as info events and one outcome line per
+	// proxied request carrying the trace ID. Nil is silent.
+	Log *slog.Logger
 	// TraceDepth is the flight recorder's K (slowest + most recent traces
 	// kept for GET /debug/requests). 0 selects obs.DefaultRecorderDepth.
 	TraceDepth int
@@ -161,29 +148,15 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
+	if c.Log == nil {
+		c.Log = slog.New(slog.DiscardHandler)
+	}
 	return c
-}
-
-// validateWeights checks a Config.Weights slice against the shard count.
-func validateWeights(weights []float64, n int) error {
-	if weights == nil {
-		return nil
-	}
-	if len(weights) != n {
-		return fmt.Errorf("shard: %d weights for %d shards", len(weights), n)
-	}
-	for i, w := range weights {
-		if w <= 0 {
-			return fmt.Errorf("shard: weight %d is %v, must be > 0", i, w)
-		}
-	}
-	return nil
 }
 
 // shardState is one worker replica as the router sees it.
 type shardState struct {
-	id     int
-	weight float64 // static capacity weight, immutable after construction
+	id int
 
 	inflight atomic.Int64  // router-side requests currently proxied to this shard
 	depth    atomic.Int64  // queue depth last reported by /healthz
@@ -334,9 +307,6 @@ func New(urls []string, cfg Config) (*Router, error) {
 	if len(urls) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one worker URL")
 	}
-	if err := validateWeights(cfg.Weights, len(urls)); err != nil {
-		return nil, err
-	}
 	shards := make([]*shardState, len(urls))
 	for i, u := range urls {
 		nu, err := normalizeURL(u)
@@ -354,17 +324,11 @@ func newRouter(shards []*shardState, cfg Config) *Router {
 	if client == nil {
 		client = &http.Client{Timeout: cfg.RequestTimeout}
 	}
-	for i, s := range shards {
-		s.weight = 1
-		if cfg.Weights != nil {
-			s.weight = cfg.Weights[i]
-		}
-	}
 	r := &Router{
 		cfg:    cfg,
 		client: client,
 		shards: shards,
-		placer: newPlacer(cfg.Seed, cfg.AdaptiveWeights),
+		placer: newPlacer(cfg.Seed),
 		trace:  obs.NewTraceSink(cfg.Log, "proxy", cfg.TraceDepth, cfg.TraceSample),
 		stop:   make(chan struct{}),
 		probed: make(chan struct{}),
@@ -414,7 +378,7 @@ func (r *Router) WaitReady(ctx context.Context) error {
 // queue depth), so a shard drowning in budget work still looks cheap to a
 // guaranteed request.
 func (s *shardState) candidate(c serve.Class) candidate {
-	return candidate{weight: s.weight, load: s.classLoad(c), service: s.service.Load()}
+	return candidate{load: s.classLoad(c), service: s.service.Load()}
 }
 
 // pick chooses a target shard for a request of class c, excluding `not`
@@ -613,13 +577,13 @@ func (r *Router) forward(parent context.Context, s *shardState, trace string, cl
 // breaker and logs the transition if it opened; noteSuccess is its inverse.
 func (r *Router) noteFailure(s *shardState, err error) {
 	if s.recordFailure(r.cfg.BreakerThreshold) {
-		r.cfg.Log.Logf("shard: circuit OPEN on shard %d (%s): %v", s.id, s.base(), err)
+		r.cfg.Log.Info("circuit open", "shard", s.id, "url", s.base(), "err", err)
 	}
 }
 
 func (r *Router) noteSuccess(s *shardState, what string) {
 	if s.recordSuccess() {
-		r.cfg.Log.Logf("shard: circuit CLOSED on shard %d (%s): %s succeeded", s.id, s.base(), what)
+		r.cfg.Log.Info("circuit closed", "shard", s.id, "url", s.base(), "after", what)
 	}
 }
 
@@ -717,12 +681,11 @@ func (r *Router) probe(s *shardState) {
 
 // ShardStatus is one shard's entry in the /stats report.
 type ShardStatus struct {
-	ID      int     `json:"id"`
-	URL     string  `json:"url"`
-	Healthy bool    `json:"healthy"` // breaker closed and not permanently down
-	Weight  float64 `json:"weight"`
+	ID      int    `json:"id"`
+	URL     string `json:"url"`
+	Healthy bool   `json:"healthy"` // breaker closed and not permanently down
 	// ServiceTime is the per-image service time the shard last reported,
-	// the adaptive-placement signal.
+	// the placement's capacity signal.
 	ServiceTime time.Duration `json:"service_ns"`
 	Inflight    int64         `json:"inflight"`
 	QueueDepth  int64         `json:"queue_depth"` // last /healthz report
@@ -772,7 +735,6 @@ func (r *Router) Report(ctx context.Context) StatsReport {
 			defer wg.Done()
 			st := ShardStatus{
 				ID: s.id, URL: s.base(), Healthy: s.healthy(),
-				Weight:      s.weight,
 				ServiceTime: time.Duration(s.service.Load()),
 				Inflight:    s.inflight.Load(), QueueDepth: s.depth.Load(),
 				Restarts:         s.restarts.Load(),
@@ -865,7 +827,6 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 			p.Gauge("hybridnet_shard_class_queue_depth", "Per-class queue depth the shard last reported on /healthz.",
 				float64(sh.ClassQueueDepths[c.String()]), l, obs.Label{Name: "class", Value: c.String()})
 		}
-		p.Gauge("hybridnet_shard_weight", "Static placement capacity weight.", sh.Weight, l)
 		p.Gauge("hybridnet_shard_service_time_seconds", "Per-image service time the shard last reported (adaptive-placement signal).", sh.ServiceTime.Seconds(), l)
 	}
 	if err := p.Err(); err != nil {

@@ -29,7 +29,7 @@ type testWorker struct {
 	addr  string
 	depth atomic.Int64 // queue depth reported by /healthz
 	delay atomic.Int64 // per-classify latency, ns
-	svc   atomic.Int64 // service_ns reported by /healthz (adaptive placement)
+	svc   atomic.Int64 // service_ns reported by /healthz (the placement's capacity signal)
 	bloat atomic.Bool  // answer /classify with a 2 MiB body
 
 	mu  sync.Mutex
@@ -499,44 +499,16 @@ func TestRouterAllShardsDown(t *testing.T) {
 	})
 }
 
-// TestRouterWeightedPlacement: with static capacity weights 1 vs 3 and no
-// other load signal, sequential requests must all land on the heavier
-// shard — (load+1)/weight is strictly lower there whenever both are idle.
-func TestRouterWeightedPlacement(t *testing.T) {
-	a := startTestWorker(t)
-	b := startTestWorker(t)
-	cfg := testConfig()
-	cfg.Weights = []float64{1, 3}
-	_, front := newTestRouter(t, cfg, a, b)
-
-	client := &http.Client{Timeout: 5 * time.Second}
-	const n = 30
-	for i := 0; i < n; i++ {
-		if err := classifyOK(client, front.URL); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := b.classified.Load(); got != n {
-		t.Fatalf("weight-3 shard served %d of %d", got, n)
-	}
-	if got := a.classified.Load(); got != 0 {
-		t.Fatalf("weight-1 shard served %d, want 0 while the heavy shard is idle", got)
-	}
-}
-
-// TestRouterAdaptivePlacement: with AdaptiveWeights on, a shard reporting
-// 4× the per-image service time must lose every idle-fleet pick to the
-// faster shard — the router equalises expected completion time, not queue
-// depth. A shard without an estimate is compared on load alone, so a
-// half-measured fleet keeps the old behaviour (pinned by the tie test).
+// TestRouterAdaptivePlacement: a shard reporting 4× the per-image service
+// time must lose every idle-fleet pick to the faster shard — the router
+// equalises expected completion time, not queue depth. A shard without an
+// estimate is compared on load alone (pinned by the placer tests).
 func TestRouterAdaptivePlacement(t *testing.T) {
 	slow := startTestWorker(t)
 	fast := startTestWorker(t)
 	slow.svc.Store(int64(4 * time.Millisecond))
 	fast.svc.Store(int64(time.Millisecond))
-	cfg := testConfig()
-	cfg.AdaptiveWeights = true
-	_, front := newTestRouter(t, cfg, slow, fast)
+	_, front := newTestRouter(t, testConfig(), slow, fast)
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	const n = 30
@@ -563,12 +535,6 @@ func TestRouterValidation(t *testing.T) {
 	}
 	if _, err := Spawn("/bin/true", 0, nil, Config{}); err == nil {
 		t.Error("zero workers accepted")
-	}
-	if _, err := New([]string{"127.0.0.1:1", "127.0.0.1:2"}, Config{Weights: []float64{1}}); err == nil {
-		t.Error("weight count mismatch accepted")
-	}
-	if _, err := New([]string{"127.0.0.1:1"}, Config{Weights: []float64{-1}}); err == nil {
-		t.Error("non-positive weight accepted")
 	}
 	// Scheme-less URLs are normalised.
 	r, err := New([]string{"127.0.0.1:9/"}, Config{})

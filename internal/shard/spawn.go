@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/exec"
 	"sync"
@@ -11,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/obs/logx"
 )
 
 // spawnReportTimeout bounds how long a freshly started worker may take to
@@ -39,9 +39,7 @@ func Spawn(bin string, n int, extraArgs []string, cfg Config) (*Router, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 worker, got %d", n)
 	}
-	if err := validateWeights(cfg.Weights, n); err != nil {
-		return nil, err
-	}
+	cfg = cfg.withDefaults()
 	shards := make([]*shardState, 0, n)
 	kill := func() {
 		for _, s := range shards {
@@ -60,7 +58,7 @@ func Spawn(bin string, n int, extraArgs []string, cfg Config) (*Router, error) {
 			proc.cmd.Process.Kill()
 			return nil, fmt.Errorf("shard: worker %d reported bad address %q: %w", i, addr, err)
 		}
-		cfg.Log.Logf("shard: worker %d up at %s (pid %d)", i, u, proc.cmd.Process.Pid)
+		cfg.Log.Info("worker up", "shard", i, "url", u, "pid", proc.cmd.Process.Pid)
 		shards = append(shards, &shardState{id: i, url: u, proc: proc})
 	}
 	r := newRouter(shards, cfg)
@@ -73,7 +71,7 @@ func Spawn(bin string, n int, extraArgs []string, cfg Config) (*Router, error) {
 // close of cancel (nil = never) abandons the wait and kills the fresh
 // process — the supervisor passes the router's stop channel so a shutdown
 // never blocks behind a slow-starting respawn.
-func startWorker(bin string, extraArgs []string, id int, log *logx.Logger, cancel <-chan struct{}) (*workerProc, string, error) {
+func startWorker(bin string, extraArgs []string, id int, log *slog.Logger, cancel <-chan struct{}) (*workerProc, string, error) {
 	args := append([]string{"-addr", "127.0.0.1:0"}, extraArgs...)
 	cmd := exec.Command(bin, args...)
 	cmd.Stderr = os.Stderr
@@ -104,7 +102,7 @@ func startWorker(bin string, extraArgs []string, id int, log *logx.Logger, cance
 		err := cmd.Wait()
 		// Log before releasing waiters: once waited closes, a test-scoped
 		// logger's writer may already be gone.
-		log.Logf("shard: worker %d (pid %d) exited: %v", id, cmd.Process.Pid, err)
+		log.Info("worker exited", "shard", id, "pid", cmd.Process.Pid, "err", err)
 		p.mu.Lock()
 		p.waitErr = err
 		p.mu.Unlock()
@@ -146,7 +144,7 @@ func (p *workerProc) exited() bool {
 // admission and drains its scheduler) and waits for the exit, escalating to
 // SIGKILL when ctx expires. A worker that already died (e.g. the failover
 // drill SIGKILLed it) drains trivially.
-func (p *workerProc) drain(ctx context.Context, log *logx.Logger) error {
+func (p *workerProc) drain(ctx context.Context, log *slog.Logger) error {
 	if p.exited() {
 		return nil
 	}
@@ -158,7 +156,7 @@ func (p *workerProc) drain(ctx context.Context, log *logx.Logger) error {
 	select {
 	case <-p.waited:
 	case <-ctx.Done():
-		log.Logf("shard: drain deadline passed, killing pid %d", p.cmd.Process.Pid)
+		log.Info("drain deadline passed, killing worker", "pid", p.cmd.Process.Pid)
 		p.cmd.Process.Kill()
 		<-p.waited
 		return fmt.Errorf("drain timed out, worker killed: %w", ctx.Err())

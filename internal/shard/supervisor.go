@@ -54,7 +54,7 @@ func (r *Router) supervise(s *shardState) {
 		if time.Since(started) >= healthyRunFactor*r.cfg.RestartBackoff {
 			attempts = 0
 		}
-		r.cfg.Log.Logf("shard: worker %d died (%v); supervisor taking over", s.id, proc.waitError())
+		r.cfg.Log.Info("worker died, supervisor taking over", "shard", s.id, "err", proc.waitError())
 		var ok bool
 		proc, ok = r.respawn(s, &attempts)
 		if !ok {
@@ -72,8 +72,7 @@ func (r *Router) respawn(s *shardState, attempts *int) (*workerProc, bool) {
 	for {
 		if *attempts >= r.cfg.RestartMax {
 			s.markDown()
-			r.cfg.Log.Logf("shard: worker %d permanently down after %d consecutive restart attempts",
-				s.id, *attempts)
+			r.cfg.Log.Info("worker permanently down", "shard", s.id, "attempt", *attempts)
 			return nil, false
 		}
 		backoff := r.cfg.RestartBackoff << *attempts
@@ -81,8 +80,8 @@ func (r *Router) respawn(s *shardState, attempts *int) (*workerProc, bool) {
 			backoff = r.cfg.RestartBackoffMax
 		}
 		*attempts++
-		r.cfg.Log.Logf("shard: respawning worker %d in %v (attempt %d/%d)",
-			s.id, backoff, *attempts, r.cfg.RestartMax)
+		r.cfg.Log.Info("respawning worker", "shard", s.id, "backoff", backoff,
+			"attempt", *attempts, "restart_max", r.cfg.RestartMax)
 		select {
 		case <-time.After(backoff):
 		case <-r.stop:
@@ -95,18 +94,18 @@ func (r *Router) respawn(s *shardState, attempts *int) (*workerProc, bool) {
 				return nil, false
 			default:
 			}
-			r.cfg.Log.Logf("shard: respawn of worker %d failed: %v", s.id, err)
+			r.cfg.Log.Info("respawn failed", "shard", s.id, "attempt", *attempts, "err", err)
 			continue
 		}
 		u, err := normalizeURL(addr)
 		if err != nil {
 			proc.cmd.Process.Kill()
-			r.cfg.Log.Logf("shard: respawned worker %d reported bad address %q: %v", s.id, addr, err)
+			r.cfg.Log.Info("respawned worker reported a bad address", "shard", s.id, "url", addr, "err", err)
 			continue
 		}
 		s.adopt(proc, u)
 		s.restarts.Add(1)
-		r.cfg.Log.Logf("shard: worker %d respawned at %s (pid %d)", s.id, u, proc.cmd.Process.Pid)
+		r.cfg.Log.Info("worker respawned", "shard", s.id, "url", u, "pid", proc.cmd.Process.Pid)
 		return proc, true
 	}
 }

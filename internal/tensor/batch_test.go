@@ -165,7 +165,7 @@ func TestStackAndSample(t *testing.T) {
 	}
 	// Stack copies: mutating the batch must not touch the inputs.
 	before := ts[0].At3(0, 0, 0)
-	b.Set4(before+1, 0, 0, 0, 0)
+	b.Set(before+1, 0, 0, 0, 0)
 	if ts[0].At3(0, 0, 0) != before {
 		t.Fatal("stack aliases its inputs")
 	}

@@ -29,17 +29,6 @@ func (t *Tensor) Map(f func(float32) float32) *Tensor {
 	return c
 }
 
-// AddInPlace adds o element-wise into t.
-func (t *Tensor) AddInPlace(o *Tensor) error {
-	if !t.SameShape(o) {
-		return fmt.Errorf("tensor: add shape mismatch %v != %v", t.shape, o.shape)
-	}
-	for i, x := range o.data {
-		t.data[i] += x
-	}
-	return nil
-}
-
 // SubInPlace subtracts o element-wise from t.
 func (t *Tensor) SubInPlace(o *Tensor) error {
 	if !t.SameShape(o) {

@@ -163,16 +163,6 @@ func (t *Tensor) Set3(v float32, c, h, w int) {
 	t.data[c*t.strides[0]+h*t.strides[1]+w] = v
 }
 
-// At4 is a fast-path accessor for rank-4 (NCHW / FCHW filter bank) tensors.
-func (t *Tensor) At4(n, c, h, w int) float32 {
-	return t.data[n*t.strides[0]+c*t.strides[1]+h*t.strides[2]+w]
-}
-
-// Set4 is a fast-path setter for rank-4 tensors.
-func (t *Tensor) Set4(v float32, n, c, h, w int) {
-	t.data[n*t.strides[0]+c*t.strides[1]+h*t.strides[2]+w] = v
-}
-
 // Clone returns a deep copy of t.
 func (t *Tensor) Clone() *Tensor {
 	c := &Tensor{

@@ -89,19 +89,6 @@ func NewFilterFreeze(conv *nn.Conv2D, mode FreezeMode, indices ...int) (*FilterF
 // Mode returns the freeze mode.
 func (f *FilterFreeze) Mode() FreezeMode { return f.mode }
 
-// Indices returns the frozen filter indices.
-func (f *FilterFreeze) Indices() []int { return append([]int(nil), f.indices...) }
-
-// Pinned returns a copy of the pinned values for filter idx (nil if the
-// filter is not managed by this freeze).
-func (f *FilterFreeze) Pinned(idx int) *tensor.Tensor {
-	p, ok := f.pinned[idx]
-	if !ok {
-		return nil
-	}
-	return p.Clone()
-}
-
 // eachGrad applies fn to the gradient sub-tensor of every managed filter. A
 // nil accumulator (no backward pass yet) is all zeros: there is nothing to
 // clear or attenuate.

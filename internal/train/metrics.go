@@ -61,22 +61,6 @@ func (m *ConfusionMatrix) Accuracy() float64 {
 	return float64(diag) / float64(total)
 }
 
-// Recall returns the per-class recall (diagonal / row sum), NaN-free:
-// classes with no observations report 0.
-func (m *ConfusionMatrix) Recall(class int) (float64, error) {
-	if class < 0 || class >= m.n {
-		return 0, fmt.Errorf("train: class %d out of range [0,%d)", class, m.n)
-	}
-	row := 0
-	for p := 0; p < m.n; p++ {
-		row += m.counts[class*m.n+p]
-	}
-	if row == 0 {
-		return 0, nil
-	}
-	return float64(m.At(class, class)) / float64(row), nil
-}
-
 // MaxAbsDiff returns the largest absolute per-cell difference between two
 // confusion matrices as a fraction of the larger total — the "no substantial
 // difference" comparison the paper makes between original and

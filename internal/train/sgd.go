@@ -41,15 +41,6 @@ func NewSGD(lr, momentum, decay float32) (*SGD, error) {
 	}, nil
 }
 
-// SetLR changes the learning rate (for schedules).
-func (o *SGD) SetLR(lr float32) error {
-	if lr <= 0 {
-		return fmt.Errorf("train: learning rate %v must be positive", lr)
-	}
-	o.lr = lr
-	return nil
-}
-
 // LR returns the current learning rate.
 func (o *SGD) LR() float32 { return o.lr }
 

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"image/png"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -30,7 +31,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/gtsrb"
 	"repro/internal/obs"
-	"repro/internal/obs/logx"
 	"repro/internal/serve"
 	"repro/internal/tensor"
 )
@@ -41,14 +41,17 @@ type Server struct {
 	timeout      time.Duration // per-request deadline
 	size         int           // input size: server-side render and PNG admission check
 	start        time.Time
-	defaultClass serve.Class    // class for requests without an X-Hybridnet-Class header
-	log          *logx.Logger   // nil-safe
+	defaultClass serve.Class // class for requests without an X-Hybridnet-Class header
+	log          *slog.Logger
 	trace        *obs.TraceSink // nil-safe: flight recorder + outcome lines
 }
 
 // New builds the worker API over sched. A nil log or trace disables the
 // corresponding output.
-func New(sched *serve.Scheduler, timeout time.Duration, size int, defaultClass serve.Class, log *logx.Logger, trace *obs.TraceSink) *Server {
+func New(sched *serve.Scheduler, timeout time.Duration, size int, defaultClass serve.Class, log *slog.Logger, trace *obs.TraceSink) *Server {
+	if log == nil {
+		log = slog.New(slog.DiscardHandler)
+	}
 	return &Server{
 		sched: sched, timeout: timeout, size: size, start: time.Now(),
 		defaultClass: defaultClass, log: log, trace: trace,
