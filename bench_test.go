@@ -190,7 +190,11 @@ func BenchmarkFigure4_FilterSweep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFigure4(cfg); err != nil {
+		m, err := experiments.TrainFigure4(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiments.RunFigure4(m); err != nil {
 			b.Fatal(err)
 		}
 	}

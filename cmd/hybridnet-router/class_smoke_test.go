@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
@@ -16,8 +17,12 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/onnxlite"
 	"repro/internal/serve"
+	"repro/internal/shard"
 )
 
 // TestServiceClassSmoke drives the service classes through the built
@@ -41,20 +46,34 @@ func TestServiceClassSmoke(t *testing.T) {
 	b, g := serve.ClassBudget, serve.ClassGuaranteed
 
 	t.Run("degradation", func(t *testing.T) {
-		// -size 96 makes one full-pipeline classification slow enough that
-		// a budget wave lands while the backend is busy: with budget=1 the
+		// A budget wave lands while the backend is busy: with budget=1 the
 		// first wave member queues as budget and the rest must degrade into
-		// the roomy fast queue — 200s marked degraded, not 503s.
-		base, _ := startDaemon(t, worker, "-demo", "-size", "96", "-max-batch", "2", "-max-delay", "0",
+		// the roomy fast queue — 200s marked degraded, not 503s. Busy by
+		// construction: three guaranteed requests go first, and the wave
+		// waits until one of them is queued behind a running batch. The
+		// per-operation TMR path at 96 px keeps that batch running for
+		// many times the few milliseconds the wave takes to arrive.
+		base, _ := startDaemon(t, worker, "-model", tmrModel(t, 96), "-size", "96", "-max-batch", "2", "-max-delay", "0",
 			"-timeout", "30s", "-class-queues", "budget=1,fast=512")
 		var wg sync.WaitGroup
-		var guaranteed answer
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			guaranteed = classify(base, g, 9)
-		}()
-		time.Sleep(100 * time.Millisecond)
+		guaranteed := make([]answer, 3)
+		for i := range guaranteed {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				guaranteed[i] = classify(base, g, int64(9+i))
+			}(i)
+		}
+		client := &http.Client{Timeout: time.Second}
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			var health api.Health
+			if _, err := getJSON(client, base+"/healthz", &health); err == nil && health.QueueDepth > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("no guaranteed request ever queued behind a running batch")
+			}
+		}
 		budget := make([]answer, 4)
 		for i := range budget {
 			wg.Add(1)
@@ -64,8 +83,10 @@ func TestServiceClassSmoke(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
-		if a := guaranteed; a.status != http.StatusOK || a.ServiceClass != "guaranteed" || a.Degraded {
-			t.Errorf("guaranteed: status %d %+v, want an undegraded guaranteed 200", a.status, a.ClassifyResponse)
+		for i, a := range guaranteed {
+			if a.status != http.StatusOK || a.ServiceClass != "guaranteed" || a.Degraded {
+				t.Errorf("guaranteed %d: status %d %+v, want an undegraded guaranteed 200", i+1, a.status, a.ClassifyResponse)
+			}
 		}
 		degraded := 0
 		for i, a := range budget {
@@ -91,11 +112,32 @@ func TestServiceClassSmoke(t *testing.T) {
 		// Offered load far exceeds fleet capacity; the budget tier absorbs
 		// the squeeze by degrading (zero budget 503s: its overflow lands in
 		// the 512-deep fast queue, which loadgen's 256 in flight can never
-		// fill) while guaranteed traffic keeps completing.
+		// fill) while guaranteed traffic keeps completing. The workers run
+		// the per-operation TMR path, and the offered rate is twice what
+		// the fleet could serve if every shard were as fast as the fastest
+		// one was during a warm-up, so the overload does not depend on the
+		// host's speed.
 		base, _ := startDaemon(t, router, "-shards", "2", "-worker-bin", worker,
-			"-worker-args", "-demo -size 96 -max-batch 8 -max-delay 10ms -timeout 60s -class-queues budget=2,fast=512",
+			"-worker-args", "-model "+tmrModel(t, 32)+" -size 32 -max-batch 8 -max-delay 10ms -timeout 60s -class-queues budget=2,fast=512",
 			"-health-interval", "100ms", "-timeout", "60s")
-		rep := runLoadgen(t, loadgen, base, 120, 6*time.Second, "guaranteed=0.1,fast=0.5,budget=0.4")
+		client := &http.Client{Timeout: 10 * time.Second}
+		runLoadgen(t, loadgen, base, 20, 2*time.Second, "guaranteed=1")
+		time.Sleep(300 * time.Millisecond) // a health probe reads the shards' service times
+		var stats shard.StatsReport
+		if _, err := getJSON(client, base+"/stats", &stats); err != nil {
+			t.Fatal(err)
+		}
+		var fastest time.Duration
+		for _, sh := range stats.Shards {
+			if sh.ServiceTime > 0 && (fastest == 0 || sh.ServiceTime < fastest) {
+				fastest = sh.ServiceTime
+			}
+		}
+		if fastest == 0 {
+			t.Fatalf("no shard reported a service time after the warm-up: %+v", stats.Shards)
+		}
+		capacity := float64(len(stats.Shards)) * float64(time.Second) / float64(fastest)
+		rep := runLoadgen(t, loadgen, base, 2*capacity, 6*time.Second, "guaranteed=0.1,fast=0.5,budget=0.4")
 		if r := rep[b]; r.ok == 0 || r.shed != 0 || r.degraded == 0 {
 			t.Errorf("budget: %d 200s, %d 503s, %d degraded; want 200s, no 503s, some degraded", r.ok, r.shed, r.degraded)
 		}
@@ -103,7 +145,6 @@ func TestServiceClassSmoke(t *testing.T) {
 			t.Error("no guaranteed request completed under overload")
 		}
 		// The fleet /metrics tells the same story, class-labeled.
-		client := &http.Client{Timeout: 10 * time.Second}
 		fams := scrape(t, client, base)
 		if v := sample(t, fams, "hybridnet_requests_completed_total", "class", "guaranteed"); v < 1 {
 			t.Errorf("fleet completed{guaranteed} %v, want ≥ 1", v)
@@ -124,16 +165,31 @@ func TestServiceClassSmoke(t *testing.T) {
 		// Uncontended guaranteed traffic pays the -max-delay batch-fill
 		// wait; under a budget flood batches fill at once, and the WRR
 		// weight (16:1) keeps the guaranteed tier inside the same latency
-		// envelope while budget absorbs the overload by degrading.
-		args := []string{"-demo", "-size", "32", "-max-batch", "4", "-max-delay", "150ms",
+		// envelope while budget absorbs the overload by degrading. The
+		// flood is an overload by construction: its budget share alone
+		// offers twice the capacity the worker reported after the quiet
+		// run (one image per service time; the backend runs one batch at a
+		// time). The worker runs the per-operation TMR path, so its backend
+		// costs many times what the HTTP edge spends rendering a request,
+		// and the flood saturates the backend rather than the host's CPU.
+		args := []string{"-model", tmrModel(t, 32), "-size", "32", "-max-batch", "4", "-max-delay", "150ms",
 			"-timeout", "60s", "-class-queues", "budget=4,fast=512"}
-		measure := func(rps float64, mix string) map[serve.Class]classReport {
+		measure := func(rps float64, mix string) (map[serve.Class]classReport, time.Duration) {
 			base, stop := startDaemon(t, worker, args...)
 			defer stop()
-			return runLoadgen(t, loadgen, base, rps, 15*time.Second, mix)
+			rep := runLoadgen(t, loadgen, base, rps, 15*time.Second, mix)
+			var health api.Health
+			if _, err := getJSON(&http.Client{Timeout: 10 * time.Second}, base+"/healthz", &health); err != nil {
+				t.Fatal(err)
+			}
+			return rep, time.Duration(health.ServiceNS)
 		}
-		quiet := measure(20, "guaranteed=1")
-		flood := measure(220, "guaranteed=1,budget=10")
+		quiet, service := measure(20, "guaranteed=1")
+		if service <= 0 {
+			t.Fatalf("worker reported service time %v after the quiet run", service)
+		}
+		capacity := float64(time.Second) / float64(service)
+		flood, _ := measure(2*capacity*11/10, "guaranteed=1,budget=10")
 		if flood[b].shed != 0 || flood[b].degraded == 0 || flood[g].shed != 0 {
 			t.Fatalf("flood: budget %d 503s, %d degraded; guaranteed %d 503s — want no 503s and some degraded",
 				flood[b].shed, flood[b].degraded, flood[g].shed)
@@ -154,6 +210,34 @@ func TestServiceClassSmoke(t *testing.T) {
 			t.Fatalf("guaranteed p99 moved %d buckets under the budget flood (%v -> %v)", bucket(f)-bucket(q), q, f)
 		}
 	})
+}
+
+// tmrModel writes the network hybridnetd -demo serves at size px as a model
+// document whose reliable stage runs TMR, and returns its path. TMR runs
+// every operation through the per-operation path three times, so the
+// backend costs many times the demo's DMR row pass.
+func tmrModel(t *testing.T, size int) string {
+	t.Helper()
+	h, net, err := cli.DemoHybrid(size, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := h.Config()
+	cfg.Mode = core.ModeTMR
+	model, err := onnxlite.Export(net, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tmr.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := onnxlite.Write(model, f); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // startDaemon starts one of the built daemons on a free address with args,

@@ -225,26 +225,45 @@ func cmdCampaign(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Trials run across the worker pool; all randomness (ALU seeds, the
-	// rendered sign) derives from the trial index so the tally is
-	// independent of scheduling. The outcome mapping mirrors the serial
-	// CLI of earlier revisions: a bucket trip is a detected unrecoverable
-	// error, retries mean the fault was corrected, otherwise masked.
-	trial := func(i int) (correct, signalled bool, err error) {
-		aluSeed := *seed + int64(i)*1_000_000
-		h, err := trialHybrid(loaded, mode, func() fault.ALU {
-			aluSeed++
-			alu, err := fault.NewTransient(*rate, fault.BitFlip{Bit: -1},
-				rand.New(rand.NewSource(aluSeed)))
-			if err != nil {
-				panic(err) // unreachable: parameters validated above
-			}
-			return alu
-		})
+	tally, err := campaign(loaded, mode, *rate, *trials, *workers, *seed)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("campaign (%s, rate %.1e): %s\n", *modeName, *rate, tally.String())
+	return nil
+}
+
+// campaign runs trials injection trials on loaded under mode, with every
+// processing element a transient fault source of the given per-operation
+// rate. Trials run across the worker pool; all randomness (ALU seeds, the
+// rendered sign) derives from the trial index so the tally is independent
+// of scheduling. A trial is correct when its class, decision and qualifier
+// verdict all match loaded's own answer on ideal ALUs; a bucket trip is a
+// detected unrecoverable error and a retry a signalled one, so a wrong
+// answer with neither is silent data corruption.
+func campaign(loaded *core.HybridNetwork, mode core.RedundancyMode, rate float64, trials, workers int, seed int64) (fault.Tally, error) {
+	if _, err := fault.NewTransient(rate, fault.BitFlip{Bit: -1}, rand.New(rand.NewSource(seed))); err != nil {
+		return fault.Tally{}, err
+	}
+	return fault.RunCampaign(trials, workers, func(i int) (correct, signalled bool, err error) {
+		img, err := gtsrb.AngledStopSign(32, rand.New(rand.NewSource(seed+int64(i)+100)))
 		if err != nil {
 			return false, false, err
 		}
-		img, err := gtsrb.AngledStopSign(32, rand.New(rand.NewSource(*seed+int64(i)+100)))
+		want, err := loaded.Classify(img)
+		if err != nil {
+			return false, false, err
+		}
+		aluSeed := seed + int64(i)*1_000_000
+		h, err := trialHybrid(loaded, mode, func() fault.ALU {
+			aluSeed++
+			alu, err := fault.NewTransient(rate, fault.BitFlip{Bit: -1},
+				rand.New(rand.NewSource(aluSeed)))
+			if err != nil {
+				panic(err) // unreachable: the rate was checked above
+			}
+			return alu
+		})
 		if err != nil {
 			return false, false, err
 		}
@@ -252,21 +271,12 @@ func cmdCampaign(args []string) error {
 		if err != nil {
 			return false, false, err
 		}
-		switch {
-		case res.Decision == core.DecisionExecutionFailed:
+		if res.Decision == core.DecisionExecutionFailed {
 			return false, true, nil // detected
-		case res.Stats.Retries > 0:
-			return true, true, nil // corrected
-		default:
-			return true, false, nil // masked
 		}
-	}
-	tally, err := fault.RunCampaignParallel(*trials, *workers, trial)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("campaign (%s, rate %.1e): %s\n", *modeName, *rate, tally.String())
-	return nil
+		correct = res.Class == want.Class && res.Decision == want.Decision && res.Qualifier.Class == want.Qualifier.Class
+		return correct, res.Stats.Retries > 0, nil
+	})
 }
 
 // trialHybrid is the network one campaign trial classifies with: the loaded

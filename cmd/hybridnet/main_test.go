@@ -127,3 +127,34 @@ func TestCampaignKeepsLoadedConfig(t *testing.T) {
 		t.Fatalf("campaign: %v", err)
 	}
 }
+
+// TestCampaignCountsSilentCorruption: a trial is judged against the
+// model's fault-free answer, so unprotected execution at a high fault rate
+// shows silent corruptions, while temporal DMR at the same rate shows none.
+// The tally does not depend on the worker count.
+func TestCampaignCountsSilentCorruption(t *testing.T) {
+	h, _, err := cli.DemoHybrid(32, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := campaign(h, core.ModePlain, 1e-3, 20, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.SDC == 0 {
+		t.Errorf("plain at 1e-3: %v, want silent corruptions", plain)
+	}
+	if again, err := campaign(h, core.ModePlain, 1e-3, 20, 4, 4); err != nil || again != plain {
+		t.Errorf("plain with 4 workers: %v (%v), want %v", again, err, plain)
+	}
+	dmr, err := campaign(h, core.ModeTemporalDMR, 1e-3, 20, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dmr.SDC != 0 || dmr.Total() != 20 {
+		t.Errorf("temporal-dmr at 1e-3: %v, want 20 trials and no silent corruption", dmr)
+	}
+	if _, err := campaign(h, core.ModePlain, 2, 1, 1, 4); err == nil {
+		t.Error("a fault rate above 1 should be refused")
+	}
+}

@@ -9,6 +9,7 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux, served only on a -debug-addr listener
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 )
@@ -26,9 +27,37 @@ const readHeaderTimeout = 10 * time.Second
 const readTimeout = 30 * time.Second
 
 // NewHTTPServer returns the http.Server both daemons serve from, so the
-// worker and the router cannot drift apart on connection hygiene.
+// worker and the router cannot drift apart on connection hygiene. Its
+// Shutdown closes connections that have not sent a byte yet: net/http
+// counts such a connection (StateNew) as active until it is 5 s old, so one
+// spare connection a client dialled and never used would otherwise hold
+// the drain that long.
 func NewHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
+	var mu sync.Mutex
+	draining := false
+	unused := map[net.Conn]struct{}{}
+	srv.ConnState = func(c net.Conn, state http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case state != http.StateNew:
+			delete(unused, c)
+		case draining:
+			c.Close()
+		default:
+			unused[c] = struct{}{}
+		}
+	}
+	srv.RegisterOnShutdown(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		draining = true
+		for c := range unused {
+			c.Close()
+		}
+	})
+	return srv
 }
 
 // ServeUntilSignal is the lifecycle both daemons share: bind addr (and, if

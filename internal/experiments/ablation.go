@@ -39,26 +39,51 @@ type CoverageRow struct {
 	Tally    fault.Tally
 }
 
-// coverageWorkload builds the small convolution used per trial.
-func coverageWorkload(seed int64) (in, filters, oracle *tensor.Tensor, spec reliable.ConvSpec, err error) {
+// convWorkload is the small convolution both ablations run per trial,
+// with its fault-free answer.
+type convWorkload struct {
+	in, filters, oracle *tensor.Tensor
+	spec                reliable.ConvSpec
+}
+
+func newConvWorkload(seed int64) (convWorkload, error) {
 	rng := rand.New(rand.NewSource(seed))
-	in = tensor.MustNew(3, 8, 8)
-	in.FillUniform(rng, 0, 1)
-	filters = tensor.MustNew(2, 3, 3, 3)
-	filters.FillUniform(rng, -0.5, 0.5)
-	spec = reliable.ConvSpec{Stride: 1}
-	oracle, err = reliable.NativeConv2D(in, filters, nil, spec)
-	return in, filters, oracle, spec, err
+	w := convWorkload{in: tensor.MustNew(3, 8, 8), filters: tensor.MustNew(2, 3, 3, 3), spec: reliable.ConvSpec{Stride: 1}}
+	w.in.FillUniform(rng, 0, 1)
+	w.filters.FillUniform(rng, -0.5, 0.5)
+	var err error
+	w.oracle, err = reliable.NativeConv2D(w.in, w.filters, nil, w.spec)
+	return w, err
+}
+
+// run executes the workload once on an engine over ops and compares it
+// with the oracle: a tripped bucket is a detected error, a retry a
+// signalled one. It also returns the operation attempts the engine made.
+func (w convWorkload) run(ops reliable.Ops) (correct, signalled bool, attempts uint64, err error) {
+	engine, err := reliable.NewEngine(ops, nil)
+	if err != nil {
+		return false, false, 0, err
+	}
+	out, err := reliable.Conv2D(engine, w.in, w.filters, nil, w.spec)
+	st := engine.Stats()
+	if errors.Is(err, reliable.ErrBucketTripped) {
+		return false, true, st.Ops, nil // detected unrecoverable
+	}
+	if err != nil {
+		return false, false, st.Ops, err
+	}
+	return out.Equal(w.oracle), st.Retries > 0, st.Ops, nil
 }
 
 // RunRedundancyCoverage measures the masked/corrected/detected/SDC split of
 // every redundancy mode under transient SEUs and under a permanent single-PE
 // defect — the quantitative version of Section II's qualitative argument
 // that temporal redundancy handles transients but is defeated by permanent
-// faults, which spatial redundancy detects and TMR masks.
+// faults, which spatial redundancy detects and TMR masks. Trial i of cell c
+// (modes × scenarios, in order) seeds its ALUs from Seed + 1 + c·Trials + i.
 func RunRedundancyCoverage(cfg CoverageConfig) ([]CoverageRow, error) {
 	cfg = cfg.normalize()
-	in, filters, oracle, spec, err := coverageWorkload(cfg.Seed)
+	w, err := newConvWorkload(cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -67,31 +92,16 @@ func RunRedundancyCoverage(cfg CoverageConfig) ([]CoverageRow, error) {
 	}
 	scenarios := []string{"transient", "permanent-1pe"}
 	var rows []CoverageRow
-	trialSeed := cfg.Seed
-
 	for _, mode := range modes {
 		for _, scenario := range scenarios {
-			tally, err := fault.RunCampaign(cfg.Trials, func() (bool, bool, error) {
-				trialSeed++
-				factory := coverageFactory(scenario, cfg.TransientRate, trialSeed)
-				ops, err := mode.NewOps(factory)
+			first := cfg.Seed + 1 + int64(len(rows)*cfg.Trials)
+			tally, err := fault.RunCampaign(cfg.Trials, 0, func(i int) (bool, bool, error) {
+				ops, err := mode.NewOps(coverageFactory(scenario, cfg.TransientRate, first+int64(i)))
 				if err != nil {
 					return false, false, err
 				}
-				engine, err := reliable.NewEngine(ops, nil)
-				if err != nil {
-					return false, false, err
-				}
-				out, err := reliable.Conv2D(engine, in, filters, nil, spec)
-				if err != nil {
-					if errors.Is(err, reliable.ErrBucketTripped) {
-						return false, true, nil // detected unrecoverable
-					}
-					return false, false, err
-				}
-				correct := out.Equal(oracle)
-				signalled := engine.Stats().Retries > 0
-				return correct, signalled, nil
+				correct, signalled, _, err := w.run(ops)
+				return correct, signalled, err
 			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: coverage %v/%s: %w", mode, scenario, err)
@@ -102,33 +112,29 @@ func RunRedundancyCoverage(cfg CoverageConfig) ([]CoverageRow, error) {
 	return rows, nil
 }
 
-// coverageFactory returns an ALU factory for the scenario. For the
-// permanent scenario only the FIRST PE drawn is defective, so spatial
-// redundancy pairs a broken PE with a healthy one.
+// coverageFactory returns an ALU factory for the scenario, "transient" or
+// "permanent-1pe". For the permanent scenario only the FIRST PE drawn is
+// defective, so spatial redundancy pairs a broken PE with a healthy one.
 func coverageFactory(scenario string, rate float64, seed int64) core.ALUFactory {
 	n := 0
 	return func() fault.ALU {
 		n++
-		switch scenario {
-		case "transient":
+		if scenario == "transient" {
 			alu, err := fault.NewTransient(rate, fault.BitFlip{Bit: -1},
 				rand.New(rand.NewSource(seed+int64(n)*101)))
 			if err != nil {
 				panic(err) // unreachable: parameters are valid
 			}
 			return alu
-		case "permanent-1pe":
-			if n == 1 {
-				alu, err := fault.NewPermanent(fault.StuckAt{Bit: 22, Value: true})
-				if err != nil {
-					panic(err)
-				}
-				return alu
-			}
-			return fault.Ideal{}
-		default:
+		}
+		if n > 1 {
 			return fault.Ideal{}
 		}
+		alu, err := fault.NewPermanent(fault.StuckAt{Bit: 22, Value: true})
+		if err != nil {
+			panic(err)
+		}
+		return alu
 	}
 }
 
@@ -195,123 +201,90 @@ type RollbackRow struct {
 // It quantifies Section II-E: with hard deadlines the rollback distance of
 // one operation bounds the worst-case recovery work, while unit-level
 // rollback multiplies it and eventually exhausts its attempt budget.
+// Trial i of cell c (rates × the three strategies, in order) seeds its ALU
+// from Seed + 7 000 001 + c·Trials + i.
 func RunRollbackAblation(cfg RollbackConfig) ([]RollbackRow, error) {
 	cfg = cfg.normalize()
-	in, filters, oracle, spec, err := coverageWorkload(cfg.Seed)
+	w, err := newConvWorkload(cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	macs, err := reliable.MACCount(in, filters, spec)
+	macs, err := reliable.MACCount(w.in, w.filters, w.spec)
 	if err != nil {
 		return nil, err
 	}
 	opsPerUnit := 2 * macs // one mul + one add per MAC
-	var rows []RollbackRow
-	trialSeed := cfg.Seed + 7_000_000
-
-	for _, rate := range cfg.Rates {
-		// Strategy 1: op-level rollback (temporal DMR engine).
-		var workSum float64
-		tally, err := fault.RunCampaign(cfg.Trials, func() (bool, bool, error) {
-			trialSeed++
-			alu, err := fault.NewTransient(rate, fault.BitFlip{Bit: -1},
-				rand.New(rand.NewSource(trialSeed)))
-			if err != nil {
-				return false, false, err
-			}
+	// strategies run one trial on a fault-injecting ALU and report its
+	// outcome and its work relative to one unprotected pass.
+	strategies := []struct {
+		name  string
+		trial func(alu fault.ALU) (correct, signalled bool, work float64, err error)
+	}{
+		{"op", func(alu fault.ALU) (bool, bool, float64, error) {
 			ops, err := reliable.NewTemporalDMR(alu)
 			if err != nil {
-				return false, false, err
+				return false, false, 0, err
 			}
-			engine, err := reliable.NewEngine(ops, nil)
-			if err != nil {
-				return false, false, err
-			}
-			out, err := reliable.Conv2D(engine, in, filters, nil, spec)
+			correct, signalled, attempts, err := w.run(ops)
 			// Each attempt executes the operation twice under DMR.
-			workSum += 2 * float64(engine.Stats().Ops) / float64(opsPerUnit)
-			if err != nil {
-				if errors.Is(err, reliable.ErrBucketTripped) {
-					return false, true, nil
-				}
-				return false, false, err
-			}
-			return out.Equal(oracle), engine.Stats().Retries > 0, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: rollback op-level: %w", err)
-		}
-		rows = append(rows, RollbackRow{
-			Strategy: "op", Rate: rate, Tally: tally,
-			WorkFactor: workSum / float64(cfg.Trials),
-		})
-
-		// Strategy 2: unit-level checkpoint/rollback.
-		workSum = 0
-		tally, err = fault.RunCampaign(cfg.Trials, func() (bool, bool, error) {
-			trialSeed++
-			alu, err := fault.NewTransient(rate, fault.BitFlip{Bit: -1},
-				rand.New(rand.NewSource(trialSeed)))
-			if err != nil {
-				return false, false, err
-			}
+			return correct, signalled, 2 * float64(attempts) / float64(opsPerUnit), err
+		}},
+		{"unit", func(alu fault.ALU) (bool, bool, float64, error) {
 			plain, err := reliable.NewPlain(alu)
 			if err != nil {
-				return false, false, err
+				return false, false, 0, err
 			}
 			unit := func() (*tensor.Tensor, error) {
-				engine, err := reliable.NewEngine(plain, reliable.NewDefaultBucket())
+				engine, err := reliable.NewEngine(plain, nil)
 				if err != nil {
 					return nil, err
 				}
-				return reliable.Conv2D(engine, in, filters, nil, spec)
+				return reliable.Conv2D(engine, w.in, w.filters, nil, w.spec)
 			}
 			res, err := reliable.CheckpointedRun(unit, cfg.MaxUnitAttempts, opsPerUnit)
-			workSum += float64(res.OpsExecuted) / float64(opsPerUnit)
-			if err != nil {
-				if errors.Is(err, reliable.ErrRollbackExhausted) {
-					return false, true, nil
-				}
-				return false, false, err
+			work := float64(res.OpsExecuted) / float64(opsPerUnit)
+			if errors.Is(err, reliable.ErrRollbackExhausted) {
+				return false, true, work, nil
 			}
-			return res.Output.Equal(oracle), res.Rollbacks > 0, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: rollback unit-level: %w", err)
-		}
-		rows = append(rows, RollbackRow{
-			Strategy: "unit", Rate: rate, Tally: tally,
-			WorkFactor: workSum / float64(cfg.Trials),
-		})
-
-		// Strategy 3: unprotected.
-		tally, err = fault.RunCampaign(cfg.Trials, func() (bool, bool, error) {
-			trialSeed++
-			alu, err := fault.NewTransient(rate, fault.BitFlip{Bit: -1},
-				rand.New(rand.NewSource(trialSeed)))
 			if err != nil {
-				return false, false, err
+				return false, false, work, err
 			}
+			return res.Output.Equal(w.oracle), res.Rollbacks > 0, work, nil
+		}},
+		{"none", func(alu fault.ALU) (bool, bool, float64, error) {
 			plain, err := reliable.NewPlain(alu)
 			if err != nil {
-				return false, false, err
+				return false, false, 0, err
 			}
-			engine, err := reliable.NewEngine(plain, nil)
+			correct, signalled, _, err := w.run(plain)
+			return correct, signalled, 1, err
+		}},
+	}
+	var rows []RollbackRow
+	for _, rate := range cfg.Rates {
+		for _, s := range strategies {
+			first := cfg.Seed + 7_000_001 + int64(len(rows)*cfg.Trials)
+			work := make([]float64, cfg.Trials)
+			tally, err := fault.RunCampaign(cfg.Trials, 0, func(i int) (bool, bool, error) {
+				alu, err := fault.NewTransient(rate, fault.BitFlip{Bit: -1}, rand.New(rand.NewSource(first+int64(i))))
+				if err != nil {
+					return false, false, err
+				}
+				correct, signalled, wf, err := s.trial(alu)
+				work[i] = wf
+				return correct, signalled, err
+			})
 			if err != nil {
-				return false, false, err
+				return nil, fmt.Errorf("experiments: rollback %s: %w", s.name, err)
 			}
-			out, err := reliable.Conv2D(engine, in, filters, nil, spec)
-			if err != nil {
-				return false, false, err
+			// Summed in trial order, so the mean does not depend on the
+			// schedule.
+			var sum float64
+			for _, wf := range work {
+				sum += wf
 			}
-			return out.Equal(oracle), false, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: rollback unprotected: %w", err)
+			rows = append(rows, RollbackRow{Strategy: s.name, Rate: rate, Tally: tally, WorkFactor: sum / float64(cfg.Trials)})
 		}
-		rows = append(rows, RollbackRow{
-			Strategy: "none", Rate: rate, Tally: tally, WorkFactor: 1,
-		})
 	}
 	return rows, nil
 }

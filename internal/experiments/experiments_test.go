@@ -13,9 +13,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// tinyFigure4Config keeps the training-based experiments fast in tests.
-func tinyFigure4Config() Figure4Config {
-	return Figure4Config{
+// tinyModel trains a Figure 4 model small enough to keep the
+// training-based experiments fast in tests.
+func tinyModel(t *testing.T) *Model {
+	t.Helper()
+	m, err := TrainFigure4(Figure4Config{
 		Micro: nn.MicroConfig{
 			InputSize: 16, Conv1Filters: 6, Conv1Kernel: 3,
 			Conv2Filters: 8, Hidden: 16, Classes: 6, UseLRN: false,
@@ -24,7 +26,11 @@ func tinyFigure4Config() Figure4Config {
 		Epochs:   6,
 		LR:       0.03,
 		Seed:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return m
 }
 
 func TestMarkdownTable(t *testing.T) {
@@ -188,7 +194,7 @@ func TestAngledStopSignQualifiesAsOctagon(t *testing.T) {
 }
 
 func TestRunFigure4(t *testing.T) {
-	res, err := RunFigure4(tinyFigure4Config())
+	res, err := RunFigure4(tinyModel(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,22 +216,13 @@ func TestRunFigure4(t *testing.T) {
 	if lo > hi {
 		t.Error("spread inverted")
 	}
-	// The sweep must not have mutated the model: re-evaluating baseline
-	// reproduces it exactly.
-	again, err := RunFigure4(tinyFigure4Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.BaselineAccuracy != res.BaselineAccuracy {
-		t.Error("experiment is not deterministic across runs")
-	}
 	if res.Markdown() == "" {
 		t.Error("empty markdown")
 	}
 }
 
 func TestRunConfusionCompare(t *testing.T) {
-	res, err := RunConfusionCompare(tinyFigure4Config())
+	res, err := RunConfusionCompare(tinyModel(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +238,7 @@ func TestRunConfusionCompare(t *testing.T) {
 }
 
 func TestRunFreezeStudy(t *testing.T) {
-	res, err := RunFreezeStudy(tinyFigure4Config())
+	res, err := RunFreezeStudy(tinyModel(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,8 +356,8 @@ func TestRunRollbackAblation(t *testing.T) {
 }
 
 func TestRunWeightFaultStudy(t *testing.T) {
-	res, err := RunWeightFaultStudy(WeightFaultConfig{
-		Train:       tinyFigure4Config(),
+	m := tinyModel(t)
+	res, err := RunWeightFaultStudy(m, WeightFaultConfig{
 		UpsetCounts: []int{2, 32},
 		Trials:      3,
 	})
@@ -392,13 +389,57 @@ func TestRunWeightFaultStudy(t *testing.T) {
 		t.Error("empty markdown")
 	}
 	// Excessive upsets are rejected.
-	if _, err := RunWeightFaultStudy(WeightFaultConfig{
-		Train:       tinyFigure4Config(),
+	if _, err := RunWeightFaultStudy(m, WeightFaultConfig{
 		UpsetCounts: []int{1 << 30},
 		Trials:      1,
 	}); err == nil {
 		t.Error("absurd upset count should fail")
 	}
+}
+
+// TestSharedModelMatchesOwnModel: every study that reads the Figure 4
+// model restores what it mutates, so on one shared model, run in either
+// order after the others, each prints the bytes it prints on a model
+// trained for it alone.
+func TestSharedModelMatchesOwnModel(t *testing.T) {
+	studies := []struct {
+		name string
+		run  func(*Model) (string, error)
+	}{
+		{"figure4", func(m *Model) (string, error) { return markdownOf(RunFigure4(m)) }},
+		{"intext", func(m *Model) (string, error) { return markdownOf(RunConfusionCompare(m)) }},
+		{"freeze", func(m *Model) (string, error) { return markdownOf(RunFreezeStudy(m)) }},
+		{"weights", func(m *Model) (string, error) {
+			return markdownOf(RunWeightFaultStudy(m, WeightFaultConfig{UpsetCounts: []int{2, 32}, Trials: 3}))
+		}},
+	}
+	alone := make([]string, len(studies))
+	for i, s := range studies {
+		md, err := s.run(tinyModel(t))
+		if err != nil {
+			t.Fatalf("%s alone: %v", s.name, err)
+		}
+		alone[i] = md
+	}
+	shared := tinyModel(t)
+	for pass, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}} {
+		for _, i := range order {
+			md, err := studies[i].run(shared)
+			if err != nil {
+				t.Fatalf("%s shared: %v", studies[i].name, err)
+			}
+			if md != alone[i] {
+				t.Errorf("pass %d: %s on the shared model differs from its own model:\n%s\nvs\n%s", pass, studies[i].name, md, alone[i])
+			}
+		}
+	}
+}
+
+func markdownOf[R interface{ Markdown() string }](res R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return res.Markdown(), nil
 }
 
 // TestRunQualifierTable: every (size, render) row, every sign counted once

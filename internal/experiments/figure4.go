@@ -10,8 +10,8 @@ import (
 	"repro/internal/train"
 )
 
-// Figure4Config sizes the Figure 4 reproduction (and the in-text
-// confusion-matrix and freeze studies, which share its trained model).
+// Figure4Config sizes the Figure 4 model, the one trained network every
+// study of the in-text results and the weight-memory study reads.
 type Figure4Config struct {
 	// Micro is the network architecture (default nn.DefaultMicroConfig:
 	// 16 first-layer filters standing in for AlexNet's 96).
@@ -42,6 +42,58 @@ func (c Figure4Config) normalize() Figure4Config {
 	return c
 }
 
+// Model is a trained Figure 4 network, the held-out test set it is judged
+// on and the configuration it was trained from. Every study that reads it
+// restores what it mutates, so one Model serves them all in any order.
+type Model struct {
+	Config Figure4Config
+	Net    *nn.Sequential
+	Test   *gtsrb.Dataset
+}
+
+// TrainFigure4 trains the Figure 4 model.
+func TrainFigure4(cfg Figure4Config) (*Model, error) { return trainModel(cfg.normalize(), nil) }
+
+// trainModel trains the Figure 4 architecture from cfg (already
+// normalised). prepare, when non-nil, runs on the initialised network
+// before training and returns the filter freeze the trainer enforces; it
+// draws no random numbers, so every model of one seed starts from the same
+// weights and sees the same batches.
+func trainModel(cfg Figure4Config, prepare func(*nn.Sequential) (*train.FilterFreeze, error)) (*Model, error) {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	net, err := nn.NewMicroAlexNet(cfg.Micro, rng)
+	if err != nil {
+		return nil, err
+	}
+	var freezes []*train.FilterFreeze
+	if prepare != nil {
+		fz, err := prepare(net)
+		if err != nil {
+			return nil, err
+		}
+		freezes = []*train.FilterFreeze{fz}
+	}
+	ds, err := gtsrb.Generate(gtsrb.Config{
+		Size: cfg.Micro.InputSize, PerClass: cfg.PerClass + cfg.PerClass/2,
+	}, rand.New(rand.NewSource(cfg.Seed+1)))
+	if err != nil {
+		return nil, err
+	}
+	trainSet, testSet, err := ds.Split(2.0 / 3.0)
+	if err != nil {
+		return nil, err
+	}
+	opt, err := train.NewSGD(cfg.LR, 0.9, 1e-4)
+	if err != nil {
+		return nil, err
+	}
+	tr := &train.Trainer{Net: net, Opt: opt, BatchSize: 8, Epochs: cfg.Epochs, Freezes: freezes, Rng: rng}
+	if _, err := tr.Fit(trainSet); err != nil {
+		return nil, err
+	}
+	return &Model{Config: cfg, Net: net, Test: testSet}, nil
+}
+
 // Figure4Row is one sweep point: the model with filter Index replaced by
 // the paper's Sobel-x/Sobel-y/Sobel-x filter.
 type Figure4Row struct {
@@ -57,59 +109,23 @@ type Figure4Result struct {
 	BaselineAccuracy       float64
 	BaselineStopConfidence float64
 	Rows                   []Figure4Row
-	// TrainedNet and the datasets are returned for reuse by the in-text
-	// studies.
-	TrainedNet *nn.Sequential
-	TestSet    *gtsrb.Dataset
 }
 
-// trainFigure4Model trains the shared model.
-func trainFigure4Model(cfg Figure4Config) (*nn.Sequential, *gtsrb.Dataset, *gtsrb.Dataset, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	net, err := nn.NewMicroAlexNet(cfg.Micro, rng)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ds, err := gtsrb.Generate(gtsrb.Config{
-		Size: cfg.Micro.InputSize, PerClass: cfg.PerClass + cfg.PerClass/2,
-	}, rand.New(rand.NewSource(cfg.Seed+1)))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	trainSet, testSet, err := ds.Split(2.0 / 3.0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	opt, err := train.NewSGD(cfg.LR, 0.9, 1e-4)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	tr := &train.Trainer{Net: net, Opt: opt, BatchSize: 8, Epochs: cfg.Epochs, Rng: rng}
-	if _, err := tr.Fit(trainSet); err != nil {
-		return nil, nil, nil, err
-	}
-	return net, trainSet, testSet, nil
-}
-
-// RunFigure4 regenerates Figure 4: "replacing all the N filters one at a
-// time with the Sobel filters results in the plot of class confidence
+// RunFigure4 regenerates Figure 4 on m: "replacing all the N filters one at
+// a time with the Sobel filters results in the plot of class confidence
 // values ... It is clearly visible that the accuracy varies substantially
 // depending on which filter has been replaced."
-func RunFigure4(cfg Figure4Config) (*Figure4Result, error) {
-	cfg = cfg.normalize()
-	net, _, testSet, err := trainFigure4Model(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: figure4 training: %w", err)
-	}
-	res := &Figure4Result{TrainedNet: net, TestSet: testSet}
-	res.BaselineAccuracy, err = train.Accuracy(net, testSet)
+func RunFigure4(m *Model) (*Figure4Result, error) {
+	net, testSet := m.Net, m.Test
+	acc, err := train.Accuracy(net, testSet)
 	if err != nil {
 		return nil, err
 	}
-	res.BaselineStopConfidence, err = train.MeanClassConfidence(net, testSet, gtsrb.StopClass)
+	conf, err := train.MeanClassConfidence(net, testSet, gtsrb.StopClass)
 	if err != nil {
 		return nil, err
 	}
+	res := &Figure4Result{BaselineAccuracy: acc, BaselineStopConfidence: conf}
 
 	conv1, err := nn.FirstConv(net)
 	if err != nil {
@@ -148,12 +164,7 @@ func (r *Figure4Result) Spread() (lo, hi float64) {
 	}
 	lo, hi = r.Rows[0].Accuracy, r.Rows[0].Accuracy
 	for _, row := range r.Rows {
-		if row.Accuracy < lo {
-			lo = row.Accuracy
-		}
-		if row.Accuracy > hi {
-			hi = row.Accuracy
-		}
+		lo, hi = min(lo, row.Accuracy), max(hi, row.Accuracy)
 	}
 	return lo, hi
 }

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/gtsrb"
 	"repro/internal/nn"
 	"repro/internal/train"
 )
@@ -24,14 +22,10 @@ type ConfusionCompareResult struct {
 	Replaced    *train.ConfusionMatrix
 }
 
-// RunConfusionCompare trains a model, replaces filter 0 with the paper's
-// Sobel filter and compares confusion matrices.
-func RunConfusionCompare(cfg Figure4Config) (*ConfusionCompareResult, error) {
-	cfg = cfg.normalize()
-	net, _, testSet, err := trainFigure4Model(cfg)
-	if err != nil {
-		return nil, err
-	}
+// RunConfusionCompare replaces filter 0 of m with the paper's Sobel filter
+// and compares confusion matrices.
+func RunConfusionCompare(m *Model) (*ConfusionCompareResult, error) {
+	net, testSet := m.Net, m.Test
 	orig, err := train.Evaluate(net, testSet)
 	if err != nil {
 		return nil, err
@@ -98,62 +92,35 @@ type FreezeStudyResult struct {
 	Rows         []FreezeStudyRow
 }
 
-// RunFreezeStudy trains one model per freeze regime from identical seeds.
-func RunFreezeStudy(cfg Figure4Config) (*FreezeStudyResult, error) {
-	cfg = cfg.normalize()
-	res := &FreezeStudyResult{}
-
-	// Reference: plain training without pre-initialisation.
-	net, _, testSet, err := trainFigure4Model(cfg)
+// RunFreezeStudy trains one model per freeze regime from m's configuration
+// and compares each with m, the free training.
+func RunFreezeStudy(m *Model) (*FreezeStudyResult, error) {
+	free, err := train.Accuracy(m.Net, m.Test)
 	if err != nil {
 		return nil, err
 	}
-	res.FreeAccuracy, err = train.Accuracy(net, testSet)
-	if err != nil {
-		return nil, err
-	}
-
+	res := &FreezeStudyResult{FreeAccuracy: free}
 	for _, mode := range []train.FreezeMode{train.FreezeHard, train.FreezeDrift, train.FreezeResetEpoch} {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		m, err := nn.NewMicroAlexNet(cfg.Micro, rng)
+		var fz *train.FilterFreeze
+		frozen, err := trainModel(m.Config, func(net *nn.Sequential) (*train.FilterFreeze, error) {
+			conv1, err := nn.FirstConv(net)
+			if err != nil {
+				return nil, err
+			}
+			sobel, err := core.PaperSobelFilter(conv1.Kernel())
+			if err != nil {
+				return nil, err
+			}
+			if _, _, err := core.ReplaceFilter(conv1, 0, sobel); err != nil {
+				return nil, err
+			}
+			fz, err = train.NewFilterFreeze(conv1, mode, 0)
+			return fz, err
+		})
 		if err != nil {
 			return nil, err
 		}
-		conv1, err := nn.FirstConv(m)
-		if err != nil {
-			return nil, err
-		}
-		sobel, err := core.PaperSobelFilter(conv1.Kernel())
-		if err != nil {
-			return nil, err
-		}
-		if _, _, err := core.ReplaceFilter(conv1, 0, sobel); err != nil {
-			return nil, err
-		}
-		fz, err := train.NewFilterFreeze(conv1, mode, 0)
-		if err != nil {
-			return nil, err
-		}
-		ds, err := gtsrb.Generate(gtsrb.Config{
-			Size: cfg.Micro.InputSize, PerClass: cfg.PerClass + cfg.PerClass/2,
-		}, rand.New(rand.NewSource(cfg.Seed+1)))
-		if err != nil {
-			return nil, err
-		}
-		trainSet, test, err := ds.Split(2.0 / 3.0)
-		if err != nil {
-			return nil, err
-		}
-		opt, err := train.NewSGD(cfg.LR, 0.9, 1e-4)
-		if err != nil {
-			return nil, err
-		}
-		tr := &train.Trainer{Net: m, Opt: opt, BatchSize: 8, Epochs: cfg.Epochs,
-			Freezes: []*train.FilterFreeze{fz}, Rng: rng}
-		if _, err := tr.Fit(trainSet); err != nil {
-			return nil, err
-		}
-		acc, err := train.Accuracy(m, test)
+		acc, err := train.Accuracy(frozen.Net, frozen.Test)
 		if err != nil {
 			return nil, err
 		}

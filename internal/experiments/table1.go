@@ -30,7 +30,6 @@ type Table1Row struct {
 	// RatioVsPlain is the row's time over the reliable-plain row's time
 	// (the paper's headline 648.87/301.91 ≈ 2.15).
 	RatioVsPlain float64
-	MACs         uint64
 }
 
 // Table1Result carries all rows plus the workload description.
@@ -39,85 +38,61 @@ type Table1Result struct {
 	Workload string
 }
 
-// workload builds the convolution operands.
-func (c Table1Config) workload() (in, filters *tensor.Tensor, spec reliable.ConvSpec, desc string, err error) {
-	rng := rand.New(rand.NewSource(c.Seed))
-	if c.Full {
-		in = tensor.MustNew(3, 227, 227)
-		filters = tensor.MustNew(96, 3, 11, 11)
-		spec = reliable.ConvSpec{Stride: 4}
-		desc = "AlexNet conv1: 96 × 11×11×3 over 227×227×3, stride 4"
-	} else {
-		in = tensor.MustNew(3, 64, 64)
-		filters = tensor.MustNew(16, 3, 11, 11)
-		spec = reliable.ConvSpec{Stride: 4}
-		desc = "scaled conv1: 16 × 11×11×3 over 64×64×3, stride 4"
-	}
-	in.FillUniform(rng, 0, 1)
-	filters.FillUniform(rng, -0.1, 0.1)
-	return in, filters, spec, desc, nil
-}
-
 // RunTable1 regenerates Table 1: native execution, the reliable convolution
 // kernel (Algorithm 3) with non-redundant multiplication (Algorithm 1) and
 // with redundant multiplication (Algorithm 2), plus the SAX qualifier
 // reference timing the paper quotes alongside (1.942 s naive Python).
 func RunTable1(cfg Table1Config) (*Table1Result, error) {
-	in, filters, spec, desc, err := cfg.workload()
-	if err != nil {
-		return nil, err
-	}
-	macs, err := reliable.MACCount(in, filters, spec)
-	if err != nil {
-		return nil, err
-	}
-	res := &Table1Result{Workload: desc}
+	res := &Table1Result{Workload: "scaled conv1: 16 × 11×11×3 over 64×64×3, stride 4"}
+	in, filters := tensor.MustNew(3, 64, 64), tensor.MustNew(16, 3, 11, 11)
 	// Each timed row runs reps times and reports its minimum (standard
 	// wall-clock de-noising).
 	reps := 3
 	if cfg.Full {
+		res.Workload = "AlexNet conv1: 96 × 11×11×3 over 227×227×3, stride 4"
+		in, filters = tensor.MustNew(3, 227, 227), tensor.MustNew(96, 3, 11, 11)
 		reps = 1
 	}
-	best := func(f func() (float64, error)) (float64, error) {
-		bestSec := 0.0
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	in.FillUniform(rng, 0, 1)
+	filters.FillUniform(rng, -0.1, 0.1)
+	spec := reliable.ConvSpec{Stride: 4}
+
+	// best runs f reps times and keeps the shortest duration it reports.
+	best := func(f func() (time.Duration, error)) (float64, error) {
+		var min time.Duration
 		for r := 0; r < reps; r++ {
-			sec, err := f()
+			d, err := f()
 			if err != nil {
 				return 0, err
 			}
-			if r == 0 || sec < bestSec {
-				bestSec = sec
+			if r == 0 || d < min {
+				min = d
 			}
 		}
-		return bestSec, nil
+		return min.Seconds(), nil
 	}
-	wall := func(f func() error) func() (float64, error) {
-		return func() (float64, error) {
+	// conv times one convolution: the reliable kernel over ops, or native
+	// (unprotected) execution — the paper's "native TensorFlow execution
+	// achieves this in 0.05 s" reference row — when ops is nil.
+	conv := func(ops reliable.Ops) func() (time.Duration, error) {
+		return func() (time.Duration, error) {
 			start := time.Now()
-			err := f()
-			return time.Since(start).Seconds(), err
-		}
-	}
-
-	// Native (unprotected) execution — the paper's "native TensorFlow
-	// execution achieves this in 0.05 s" reference row.
-	nativeSec, err := best(wall(func() error {
-		_, err := reliable.NativeConv2D(in, filters, nil, spec)
-		return err
-	}))
-	if err != nil {
-		return nil, err
-	}
-
-	timeReliable := func(ops reliable.Ops) (float64, error) {
-		return best(wall(func() error {
+			if ops == nil {
+				_, err := reliable.NativeConv2D(in, filters, nil, spec)
+				return time.Since(start), err
+			}
 			engine, err := reliable.NewEngine(ops, nil)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			_, err = reliable.Conv2D(engine, in, filters, nil, spec)
-			return err
-		}))
+			return time.Since(start), err
+		}
+	}
+	nativeSec, err := best(conv(nil))
+	if err != nil {
+		return nil, err
 	}
 	// The overloaded operators execute on the bit-level emulated IEEE-754
 	// circuits (fault.Soft), the software stand-in for the FPGA arithmetic
@@ -128,7 +103,7 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	plainSec, err := timeReliable(plainOps)
+	plainSec, err := best(conv(plainOps))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: table1 plain: %w", err)
 	}
@@ -136,7 +111,7 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dmrSec, err := timeReliable(dmrOps)
+	dmrSec, err := best(conv(dmrOps))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: table1 redundant: %w", err)
 	}
@@ -145,8 +120,7 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 	// magnitude from conv1's Sobel pair, closing, fill, radial series and
 	// SAX) on an angled stop sign, as booked in StageTimes.Qualifier by
 	// the demo hybrid's BatchClassifier.
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	img, err := gtsrb.AngledStopSign(figure3Size, rng)
+	img, err := gtsrb.AngledStopSign(figure3Size, rand.New(rand.NewSource(cfg.Seed+1)))
 	if err != nil {
 		return nil, err
 	}
@@ -158,18 +132,18 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	saxSec, err := best(func() (float64, error) {
+	saxSec, err := best(func() (time.Duration, error) {
 		_, st, err := bc.ClassifyBatchPipelined([]*tensor.Tensor{img}, nil)
-		return st.Qualifier.Seconds(), err
+		return st.Qualifier, err
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	res.Rows = []Table1Row{
-		{Name: "native execution (reference)", Seconds: nativeSec, RatioVsPlain: nativeSec / plainSec, MACs: macs},
-		{Name: "reliable conv, Multiplication (Algorithm 1)", Seconds: plainSec, RatioVsPlain: 1, MACs: macs},
-		{Name: "reliable conv, Redundant Multiplication (Algorithm 2)", Seconds: dmrSec, RatioVsPlain: dmrSec / plainSec, MACs: macs},
+		{Name: "native execution (reference)", Seconds: nativeSec, RatioVsPlain: nativeSec / plainSec},
+		{Name: "reliable conv, Multiplication (Algorithm 1)", Seconds: plainSec, RatioVsPlain: 1},
+		{Name: "reliable conv, Redundant Multiplication (Algorithm 2)", Seconds: dmrSec, RatioVsPlain: dmrSec / plainSec},
 		{Name: "SAX shape determination (reference)", Seconds: saxSec, RatioVsPlain: saxSec / plainSec},
 	}
 	return res, nil

@@ -13,8 +13,6 @@ import (
 
 // WeightFaultConfig sizes the weight-memory SEU study.
 type WeightFaultConfig struct {
-	// Training configuration (shares Figure4Config defaults).
-	Train Figure4Config
 	// UpsetCounts is the sweep of injected single-bit upsets into the
 	// first convolution layer's weight memory (default 1, 4, 16, 64).
 	UpsetCounts []int
@@ -26,7 +24,6 @@ type WeightFaultConfig struct {
 }
 
 func (c WeightFaultConfig) normalize() WeightFaultConfig {
-	c.Train = c.Train.normalize()
 	if len(c.UpsetCounts) == 0 {
 		c.UpsetCounts = []int{1, 4, 16, 64}
 	}
@@ -69,18 +66,16 @@ type WeightFaultResult struct {
 // corruption of the weights and input data may critically alter the result"
 // — and shows why the hybrid architecture pairs reliable execution with
 // independent protection for stored state (the ECC the GPU vendors of
-// Section II-C deploy).
-func RunWeightFaultStudy(cfg WeightFaultConfig) (*WeightFaultResult, error) {
+// Section II-C deploy). It runs on m's weights, which it restores, and
+// seeds its upsets from m's seed.
+func RunWeightFaultStudy(m *Model, cfg WeightFaultConfig) (*WeightFaultResult, error) {
 	cfg = cfg.normalize()
-	net, _, testSet, err := trainFigure4Model(cfg.Train)
+	net, testSet := m.Net, m.Test
+	baseline, err := train.Accuracy(net, testSet)
 	if err != nil {
 		return nil, err
 	}
-	res := &WeightFaultResult{}
-	res.BaselineAccuracy, err = train.Accuracy(net, testSet)
-	if err != nil {
-		return nil, err
-	}
+	res := &WeightFaultResult{BaselineAccuracy: baseline}
 	conv1, err := nn.FirstConv(net)
 	if err != nil {
 		return nil, err
@@ -90,7 +85,7 @@ func RunWeightFaultStudy(cfg WeightFaultConfig) (*WeightFaultResult, error) {
 	restore := func() { copy(weights, pristine) }
 	defer restore()
 
-	rng := rand.New(rand.NewSource(cfg.Train.Seed + 77))
+	rng := rand.New(rand.NewSource(m.Config.Seed + 77))
 	for _, upsets := range cfg.UpsetCounts {
 		if upsets > len(weights) {
 			return nil, fmt.Errorf("experiments: %d upsets exceed %d weight words", upsets, len(weights))
@@ -162,7 +157,7 @@ func RunWeightFaultStudy(cfg WeightFaultConfig) (*WeightFaultResult, error) {
 	// The Section II demonstration: corrupt ONE stored weight massively and
 	// run the reliable (temporal-DMR) convolution — the engine reports zero
 	// failures, yet the output differs from the pristine computation.
-	rngIn := rand.New(rand.NewSource(cfg.Train.Seed + 88))
+	rngIn := rand.New(rand.NewSource(m.Config.Seed + 88))
 	in := tensor.MustNew(conv1.InChannels(), 16, 16)
 	in.FillUniform(rngIn, 0, 1)
 	spec := reliable.ConvSpec{Stride: conv1.Stride(), Pad: conv1.Pad()}

@@ -3,7 +3,6 @@ package fault
 import (
 	"fmt"
 	"runtime"
-	"strings"
 
 	"repro/internal/pool"
 )
@@ -96,16 +95,9 @@ func (t Tally) Coverage() float64 { return 1 - t.SDCRate() }
 
 // String renders the tally as a single report line.
 func (t Tally) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "trials=%d masked=%d corrected=%d detected=%d sdc=%d coverage=%.4f",
+	return fmt.Sprintf("trials=%d masked=%d corrected=%d detected=%d sdc=%d coverage=%.4f",
 		t.Total(), t.Masked, t.Corrected, t.Detected, t.SDC, t.Coverage())
-	return b.String()
 }
-
-// Trial runs one injection experiment and reports its outcome. The run
-// function executes the workload under injection and reports whether the
-// output was correct and whether an error was signalled.
-type Trial func() (correct, signalled bool, err error)
 
 // Classify maps a trial's (correct, signalled) observation to an Outcome.
 // Note that a signalled-and-correct run counts as Corrected (the machinery
@@ -124,31 +116,19 @@ func Classify(correct, signalled bool) Outcome {
 	}
 }
 
-// RunCampaign executes n trials in order on one goroutine and tallies the
-// outcomes: the one-worker view of RunCampaignParallel, for trials that are
-// not indexed because their closures draw from one shared random stream.
-func RunCampaign(n int, trial Trial) (Tally, error) {
-	if trial == nil {
-		return Tally{}, fmt.Errorf("fault: campaign trial must not be nil")
-	}
-	return RunCampaignParallel(n, 1, func(int) (bool, bool, error) { return trial() })
-}
-
 // IndexedTrial runs injection trial i. The index is the trial's identity:
 // implementations must derive all randomness (fault times, bit positions,
 // workload) from it, so a campaign's outcome set is independent of worker
 // count and schedule.
 type IndexedTrial func(i int) (correct, signalled bool, err error)
 
-// RunCampaignParallel executes n independent trials across a worker pool
+// RunCampaign executes n independent trials across a worker pool
 // (workers <= 0 defaults to GOMAXPROCS) and tallies the outcomes. Trials
 // are claimed with work stealing — injection trials have wildly uneven
 // cost (retry storms, early bucket trips), so static sharding would stall
-// on the unlucky shard. The tally is the same multiset for every worker
-// count; with one worker the trials additionally run in index order on a
-// single goroutine, which RunCampaign relies on. The first trial error
-// aborts the campaign.
-func RunCampaignParallel(n, workers int, trial IndexedTrial) (Tally, error) {
+// on the unlucky shard. The tally is the same for every worker count. The
+// first trial error aborts the campaign.
+func RunCampaign(n, workers int, trial IndexedTrial) (Tally, error) {
 	var tally Tally
 	if n < 0 {
 		return tally, fmt.Errorf("fault: campaign size %d negative", n)

@@ -299,98 +299,64 @@ func TestTally(t *testing.T) {
 	}
 }
 
-// TestRunCampaign: RunCampaign is the ordered one-worker view of
-// RunCampaignParallel. Its trials take no index because their closures share
-// one random stream, so they must observe a strict 0..n-1 sequence on a
-// single goroutine — the unsynchronised counter below is the trial's only
-// notion of position, and -race fails the test if a second goroutine ever
-// touches it — and the tally must equal the indexed one-worker campaign.
+// TestRunCampaign: each trial's (correct, signalled) is tallied through
+// Classify, the first trial error aborts the campaign, and a negative size
+// or a nil trial is refused.
 func TestRunCampaign(t *testing.T) {
 	const n = 64
-	outcome := func(i int) (bool, bool, error) { return i%2 == 0, i%3 == 0, nil }
-	next := 0
-	tally, err := RunCampaign(n, func() (bool, bool, error) {
-		i := next
-		next++
-		return outcome(i)
-	})
+	tally, err := RunCampaign(n, 1, func(i int) (bool, bool, error) { return i%2 == 0, i%3 == 0, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	var order []int
-	want, err := RunCampaignParallel(n, 1, func(i int) (bool, bool, error) {
-		order = append(order, i)
-		return outcome(i)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("one-worker campaign visited index %d at position %d", got, i)
-		}
-	}
-	if len(order) != n || next != n {
-		t.Fatalf("ran %d indexed and %d plain trials, want %d each", len(order), next, n)
-	}
-	if tally != want {
-		t.Errorf("RunCampaign tally %+v != RunCampaignParallel(n, 1) %+v", tally, want)
+	// i%2 == 0 and i%3 == 0 over 0..63: 11 both, 21 correct only, 11
+	// signalled only, 21 neither.
+	if want := (Tally{Masked: 21, Corrected: 11, Detected: 11, SDC: 21}); tally != want {
+		t.Errorf("tally %+v, want %+v", tally, want)
 	}
 
 	boom := fmt.Errorf("boom")
-	if _, err := RunCampaign(n, func() (bool, bool, error) { return false, false, boom }); !errors.Is(err, boom) {
-		t.Errorf("trial error = %v, want boom", err)
-	}
-	if _, err := RunCampaign(-1, func() (bool, bool, error) { return true, false, nil }); err == nil {
-		t.Error("negative n should fail")
-	}
-	if _, err := RunCampaign(1, nil); err == nil {
-		t.Error("nil trial should fail")
-	}
-}
-
-func TestRunCampaignParallel(t *testing.T) {
-	// Outcome derived from the index only → worker-count invariant tally.
-	trial := func(i int) (bool, bool, error) {
-		return i%2 == 0, i%3 == 0, nil
-	}
-	want, err := RunCampaignParallel(60, 1, trial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Total() != 60 {
-		t.Fatalf("serial total = %d", want.Total())
-	}
-	for _, workers := range []int{0, 2, 4, 7} {
-		got, err := RunCampaignParallel(60, workers, trial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("workers=%d tally %+v != serial %+v", workers, got, want)
-		}
-	}
-
-	// Errors abort.
-	boom := fmt.Errorf("boom")
-	if _, err := RunCampaignParallel(50, 4, func(i int) (bool, bool, error) {
+	if _, err := RunCampaign(50, 4, func(i int) (bool, bool, error) {
 		if i == 10 {
 			return false, false, boom
 		}
 		return true, false, nil
-	}); err == nil {
-		t.Error("trial error should propagate")
+	}); !errors.Is(err, boom) {
+		t.Errorf("trial error = %v, want boom", err)
 	}
-	if _, err := RunCampaignParallel(-1, 2, trial); err == nil {
+	if _, err := RunCampaign(-1, 2, func(int) (bool, bool, error) { return true, false, nil }); err == nil {
 		t.Error("negative n should fail")
 	}
-	// Zero trials succeed with an empty tally, matching RunCampaign(0).
-	empty, err := RunCampaignParallel(0, 4, trial)
+	if _, err := RunCampaign(1, 2, nil); err == nil {
+		t.Error("nil trial should fail")
+	}
+	// Zero trials succeed with an empty tally.
+	empty, err := RunCampaign(0, 4, func(int) (bool, bool, error) { return true, false, nil })
 	if err != nil || empty.Total() != 0 {
 		t.Errorf("zero-trial campaign: tally %+v, err %v", empty, err)
 	}
-	if _, err := RunCampaignParallel(1, 2, nil); err == nil {
-		t.Error("nil trial should fail")
+}
+
+// TestRunCampaignParallel: trials that derive their outcome from their
+// index give the same tally for every worker count.
+func TestRunCampaignParallel(t *testing.T) {
+	trial := func(i int) (bool, bool, error) {
+		return i%2 == 0, i%3 == 0, nil
+	}
+	want, err := RunCampaign(60, 1, trial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Total() != 60 {
+		t.Fatalf("one-worker total = %d", want.Total())
+	}
+	for _, workers := range []int{0, 2, 4, 7} {
+		got, err := RunCampaign(60, workers, trial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("workers=%d tally %+v != one worker %+v", workers, got, want)
+		}
 	}
 
 	// Merge is plain component-wise addition.

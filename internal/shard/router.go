@@ -98,8 +98,6 @@ type Config struct {
 	RestartBackoff time.Duration
 	// RestartBackoffMax caps the exponential respawn backoff. Default 5s.
 	RestartBackoffMax time.Duration
-	// Client overrides the HTTP client used for proxying and probing.
-	Client *http.Client
 	// Log is the router's one logger: router events (breaker transitions,
 	// worker exits, respawns) as info events and one outcome line per
 	// proxied request carrying the trace ID. Nil is silent.
@@ -111,8 +109,6 @@ type Config struct {
 	// lines to info level with their full router span breakdown (0 = none,
 	// 1 = all). Error outcomes are logged regardless.
 	TraceSample float64
-	// Seed feeds the power-of-two-choices randomness. Default 1.
-	Seed int64
 	// DefaultClass is the service class assumed for requests that arrive
 	// without an X-Hybridnet-Class header. The zero value is
 	// serve.ClassGuaranteed, matching the pre-class behaviour. The router
@@ -144,9 +140,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RestartBackoffMax == 0 {
 		c.RestartBackoffMax = 5 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.Log == nil {
 		c.Log = slog.New(slog.DiscardHandler)
@@ -320,15 +313,11 @@ func New(urls []string, cfg Config) (*Router, error) {
 
 func newRouter(shards []*shardState, cfg Config) *Router {
 	cfg = cfg.withDefaults()
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: cfg.RequestTimeout}
-	}
 	r := &Router{
 		cfg:    cfg,
-		client: client,
+		client: &http.Client{Timeout: cfg.RequestTimeout},
 		shards: shards,
-		placer: newPlacer(cfg.Seed),
+		placer: newPlacer(1),
 		trace:  obs.NewTraceSink(cfg.Log, "proxy", cfg.TraceDepth, cfg.TraceSample),
 		stop:   make(chan struct{}),
 		probed: make(chan struct{}),
