@@ -282,8 +282,8 @@ func (h *HybridNetwork) classifyChunkPipelined(w *worker, imgs []*tensor.Tensor,
 	}
 	// Stage 2: the CNN portion, micro-batched. Fast images first run conv1
 	// non-reliably so they enter the continuation at the same layer as the
-	// reliably computed feature maps, same-shaped fast images sharing one
-	// batched pass; that conv1 is CNN work and is booked as such.
+	// reliably computed feature maps, all of them in one batched pass; that
+	// conv1 is CNN work and is booked as such.
 	cnnStart := time.Now()
 	fast, err := h.net.ForwardSamples(w.ctx, 0, cnnFrom, fastImgs)
 	if err != nil {
@@ -335,9 +335,9 @@ func (h *HybridNetwork) reliableStage(w *worker, out, img *tensor.Tensor, res *R
 
 // cnnStage runs the non-reliable CNN portion over the surviving images of a
 // chunk — idxs[j] is the position of cnnIns[j] in results — filling
-// class/confidence/probs and the Reliable Result decision. Images of one
-// common shape pack into a single NCHW micro-batch (one GEMM per layer);
-// ragged shapes run one batch per shape. The inference forward may rewrite
+// class/confidence/probs and the Reliable Result decision. The images pack
+// into a single NCHW micro-batch (one GEMM per layer), so a chunk whose
+// images differ in shape is an error. The inference forward may rewrite
 // cnnIns (layer 1 of the demo net is a ReLU, which clamps in place); the
 // qualifier has already read them and no Result refers to them.
 func (h *HybridNetwork) cnnStage(ctx *nn.Context, cnnIns []*tensor.Tensor, idxs []int, results []Result) error {

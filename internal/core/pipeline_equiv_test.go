@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/gtsrb"
@@ -139,23 +140,17 @@ func TestClassifyBatchPipelinedEquivalence(t *testing.T) {
 	}
 }
 
-// TestClassifyBatchRaggedShapes: a batch whose images disagree in shape
-// cannot share one GEMM, so each chunk runs one CNN batch per shape — and
-// every image, full or fast rider, must still get exactly the result it
-// gets alone as a chunk of one (Classify for full riders), for any worker
-// count and sub-batch size. The network is convolution-only so that every
-// size is a legal input.
-func TestClassifyBatchRaggedShapes(t *testing.T) {
+// TestClassifyBatchRefusesMixedShapes: a chunk's CNN stage runs its images
+// as one packed batch, so a chunk whose images disagree in shape is an
+// error, on the full pipeline and the fast one alike. The network is
+// convolution-only so that each size alone is a legal input.
+func TestClassifyBatchRefusesMixedShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	conv1, err := nn.NewConv2D("conv1", 3, 4, 3, 1, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := nn.NewMaxPool2D("pool", 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := nn.NewSequential("convnet", conv1, nn.NewReLU("relu"), pool, nn.NewFlatten("flatten"))
+	net, err := nn.NewSequential("convnet", conv1, nn.NewReLU("relu"), nn.NewFlatten("flatten"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,74 +162,23 @@ func TestClassifyBatchRaggedShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	sizes := []int{32, 24, 32, 16, 24, 32, 16}
-	imgs := make([]*tensor.Tensor, len(sizes))
-	pipes := make([]Pipeline, len(sizes))
-	for i, size := range sizes {
-		gcfg, err := gtsrb.Config{Size: size}.Normalize()
+	var imgs []*tensor.Tensor
+	for _, size := range []int{32, 24, 32, 24} {
+		img, err := gtsrb.AngledStopSign(size, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := gtsrb.StandardClasses()[i%len(gtsrb.StandardClasses())]
-		if imgs[i], err = gtsrb.Render(gtsrb.RandomParams(gcfg, spec, rng), rng); err != nil {
-			t.Fatal(err)
-		}
-		if i%3 == 2 {
-			pipes[i] = PipelineCNN
-		}
+		imgs = append(imgs, img)
 	}
-
-	// Reference: every image alone, a chunk of one.
-	one, err := h.NewBatchClassifier(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]Result, len(imgs))
-	for i, img := range imgs {
-		res, _, err := one.ClassifyBatchPipelined([]*tensor.Tensor{img}, pipes[i:i+1])
+	cnnOnly := []Pipeline{PipelineCNN, PipelineCNN, PipelineCNN, PipelineCNN}
+	for _, workers := range []int{1, 2} {
+		c, err := h.NewBatchClassifier(workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = res[0]
-		if pipes[i] == PipelineFull {
-			single, err := h.Classify(img)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if single.Class != res[0].Class || single.Confidence != res[0].Confidence ||
-				single.Decision != res[0].Decision || single.Stats != res[0].Stats {
-				t.Errorf("img %d: Classify (%d,%g,%v,%+v) != chunk of one (%d,%g,%v,%+v)", i,
-					single.Class, single.Confidence, single.Decision, single.Stats,
-					res[0].Class, res[0].Confidence, res[0].Decision, res[0].Stats)
-			}
-		}
-	}
-
-	for _, ccfg := range []struct{ workers, subBatch int }{{1, 0}, {2, 0}, {2, 3}, {3, 1}} {
-		c, err := NewBatchClassifier(h, ccfg.workers, ccfg.subBatch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.ClassifyBatchPipelined(imgs, pipes)
-		if err != nil {
-			t.Fatalf("cfg=%+v: ragged batch: %v", ccfg, err)
-		}
-		for i := range got {
-			if got[i].Class != want[i].Class || got[i].Decision != want[i].Decision ||
-				got[i].Confidence != want[i].Confidence ||
-				got[i].Qualifier.Class != want[i].Qualifier.Class ||
-				got[i].Stats != want[i].Stats || len(got[i].Probs) != len(want[i].Probs) {
-				t.Fatalf("cfg=%+v img %d (%v): (%d,%v,%g,%v,%+v) != alone (%d,%v,%g,%v,%+v)",
-					ccfg, i, pipes[i],
-					got[i].Class, got[i].Decision, got[i].Confidence, got[i].Qualifier.Class, got[i].Stats,
-					want[i].Class, want[i].Decision, want[i].Confidence, want[i].Qualifier.Class, want[i].Stats)
-			}
-			for k := range want[i].Probs {
-				if got[i].Probs[k] != want[i].Probs[k] {
-					t.Fatalf("cfg=%+v img %d: prob[%d] %g != alone %g",
-						ccfg, i, k, got[i].Probs[k], want[i].Probs[k])
-				}
+		for _, pipes := range [][]Pipeline{nil, cnnOnly} {
+			if _, _, err := c.ClassifyBatchPipelined(imgs, pipes); err == nil || !strings.Contains(err.Error(), "shape mismatch") {
+				t.Errorf("workers=%d pipes=%v: mixed-shape batch gave %v, want a shape mismatch", workers, pipes, err)
 			}
 		}
 	}

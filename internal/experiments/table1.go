@@ -96,9 +96,14 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 	}
 	// The overloaded operators execute on the bit-level emulated IEEE-754
 	// circuits (fault.Soft), the software stand-in for the FPGA arithmetic
-	// operators the paper targets. This reproduces the paper's cost
-	// structure: the arithmetic dominates, so redundant execution costs
-	// ≈ 2× non-redundant and both dwarf native execution.
+	// operators the paper targets, so both reliable rows dwarf native
+	// execution. Redundant multiplication doubles only that emulated
+	// arithmetic: the engine's per-operation bookkeeping (the retry loop,
+	// the work counters, the leaky bucket) and the kernel's loops run once
+	// per operation in both rows. The redundant/plain ratio is therefore
+	// (2·arithmetic + shared)/(arithmetic + shared), below 2: 1.30–1.46× in
+	// scaled runs on a 2-vCPU Xeon. The paper's Python implementation
+	// measured 2.15× (648.87 s against 301.91 s).
 	plainOps, err := reliable.NewPlain(fault.Soft{})
 	if err != nil {
 		return nil, err

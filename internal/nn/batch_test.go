@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -269,49 +270,32 @@ func TestForwardBatchFromMatchesForwardFrom(t *testing.T) {
 	}
 }
 
-// TestForwardSamplesRaggedShapes pins the shape grouping: samples of mixed
-// shapes run one batch per shape, outputs come back in input order, and each
-// equals its batch-of-one output bit for bit.
-func TestForwardSamplesRaggedShapes(t *testing.T) {
+// TestForwardSamplesRefusesMixedShapes: samples run as one packed batch, so
+// samples of different shapes (which no served or trained batch contains:
+// images are sized at admission and every model ends in a Dense layer) are
+// an error, as is a nil sample; no samples give no outputs.
+func TestForwardSamplesRefusesMixedShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	net, err := NewMicroAlexNet(DefaultMicroConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var xs []*tensor.Tensor
-	for _, size := range []int{32, 20, 32, 24, 20, 32} {
+	for _, size := range []int{32, 20, 32} {
 		x := tensor.MustNew(3, size, size)
 		x.FillUniform(rng, -1, 1)
 		xs = append(xs, x)
 	}
-	// Layers [0, 3) are convolutional, so every size fits.
+	// Layers [0, 3) are convolutional, so each size alone would fit.
 	const to = 3
-	outs, err := net.ForwardSamples(NewContext(), 0, to, xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range xs {
-		batch, err := tensor.Pack([]*tensor.Tensor{x})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := net.ForwardBatchRange(NewContext(), 0, to, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want0, err := want.Sample(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBitIdentical(t, fmt.Sprintf("ragged sample %d", i), outs[i], want0)
-	}
-	// The full chain ends in dense layers sized for 32×32: the odd shapes
-	// must surface the layer's error, not panic or be silently dropped.
-	if _, err := net.ForwardSamples(NewContext(), 0, net.Len(), xs); err == nil {
-		t.Fatal("dense layer accepted a mis-sized sample")
+	if _, err := net.ForwardSamples(NewContext(), 0, to, xs); err == nil || !strings.Contains(err.Error(), "shape mismatch") {
+		t.Fatalf("mixed-shape samples gave %v, want a shape mismatch", err)
 	}
 	if _, err := net.ForwardSamples(NewContext(), 0, to, []*tensor.Tensor{xs[0], nil}); err == nil {
 		t.Fatal("nil sample accepted")
+	}
+	if outs, err := net.ForwardSamples(NewContext(), 0, to, nil); err != nil || outs != nil {
+		t.Fatalf("no samples: outputs %v, err %v", outs, err)
 	}
 }
 

@@ -146,43 +146,30 @@ func (s *Sequential) ForwardFrom(ctx *Context, from int, x *tensor.Tensor) (*ten
 	return outs[0], nil
 }
 
-// ForwardSamples runs every sample of xs through layers [from, to) and
-// returns the per-sample outputs in input order. Same-shaped samples pack
-// into one batch (one GEMM per layer for the whole group; a group of one is
-// a reshape view, no copy, so in an inference context the pass may rewrite
-// that sample — see Context); ragged shapes cannot share a GEMM, so each
-// distinct shape forms its own batch, down to batches of one. The outputs
-// of one group are views over a single backing array: retaining one retains
-// the group's output memory (Clone a sample to keep it long-term).
+// ForwardSamples runs the samples of xs, which must share one shape, through
+// layers [from, to) as one packed batch (one GEMM per layer for all of them;
+// a batch of one is a reshape view, no copy, so in an inference context the
+// pass may rewrite that sample — see Context) and returns the per-sample
+// outputs in input order; no samples give nil. A nil sample or one whose
+// shape differs from the first is an error. The outputs are views over a
+// single backing array: retaining one retains the batch's output memory
+// (Clone a sample to keep it long-term).
 func (s *Sequential) ForwardSamples(ctx *Context, from, to int, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	for i, x := range xs {
-		if x == nil {
-			return nil, fmt.Errorf("nn: forward sample %d is nil", i)
-		}
+	if len(xs) == 0 {
+		return nil, nil
+	}
+	batch, err := tensor.Pack(xs)
+	if err != nil {
+		return nil, fmt.Errorf("nn: forward samples: %w", err)
+	}
+	out, err := s.ForwardBatchRange(ctx, from, to, batch)
+	if err != nil {
+		return nil, err
 	}
 	outs := make([]*tensor.Tensor, len(xs))
-	for i, x := range xs {
-		if outs[i] != nil {
-			continue // already ran with an earlier sample of its shape
-		}
-		group, idxs := []*tensor.Tensor{x}, []int{i}
-		for j := i + 1; j < len(xs); j++ {
-			if outs[j] == nil && xs[j].SameShape(x) {
-				group, idxs = append(group, xs[j]), append(idxs, j)
-			}
-		}
-		batch, err := tensor.Pack(group)
-		if err != nil {
+	for i := range outs {
+		if outs[i], err = out.Sample(i); err != nil {
 			return nil, err
-		}
-		out, err := s.ForwardBatchRange(ctx, from, to, batch)
-		if err != nil {
-			return nil, err
-		}
-		for j, idx := range idxs {
-			if outs[idx], err = out.Sample(j); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return outs, nil

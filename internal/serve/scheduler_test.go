@@ -24,9 +24,11 @@ import (
 // until the gate yields (one token per call, or a close for "open forever").
 type fakeBackend struct {
 	gate chan struct{}
-	ids  map[*tensor.Tensor]int
 
+	// mu guards ids as well: a test may mint images while the scheduler's
+	// goroutine is classifying earlier ones.
 	mu      sync.Mutex
+	ids     map[*tensor.Tensor]int
 	batches [][]*tensor.Tensor
 }
 
@@ -36,7 +38,9 @@ func newFakeBackend(gate chan struct{}) *fakeBackend {
 
 func (f *fakeBackend) img(id int) *tensor.Tensor {
 	t := tensor.MustNew(1, 1, 1)
+	f.mu.Lock()
 	f.ids[t] = id
+	f.mu.Unlock()
 	return t
 }
 
@@ -45,8 +49,8 @@ func (f *fakeBackend) ClassifyBatch(imgs []*tensor.Tensor) ([]core.Result, error
 		<-f.gate
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.batches = append(f.batches, append([]*tensor.Tensor(nil), imgs...))
-	f.mu.Unlock()
 	results := make([]core.Result, len(imgs))
 	for i, img := range imgs {
 		results[i] = core.Result{Class: f.ids[img]}

@@ -140,9 +140,9 @@ func EvaluateParallel(net *nn.Sequential, ds *gtsrb.Dataset, workers int) (*Conf
 // predict classifies every input through the batch-native forward path on
 // a pool of workers (0 = all cores), each owning one nn.Context: the inputs
 // split into one contiguous share per worker, ⌈len(xs)/workers⌉ each, and
-// a worker packs its share into NCHW micro-batches — one GEMM per layer
-// (Sequential.ForwardSamples). Softmax probabilities and argmax classes
-// come back in input order.
+// a worker packs its share into one NCHW micro-batch — one GEMM per layer
+// (Sequential.ForwardSamples), so the inputs must share one shape. Softmax
+// probabilities and argmax classes come back in input order.
 func predict(net *nn.Sequential, xs []*tensor.Tensor, workers int) ([][]float32, []int, error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
