@@ -4,9 +4,10 @@ import "math/rand"
 
 // Context carries all per-call mutable state of a forward/backward pass:
 // one activation cache per layer (what a training-mode ForwardBatch leaves
-// for BackwardBatch), the im2col and GEMM scratch buffers (they grow to the
-// largest micro-batch seen and are then reused call over call), the
-// training switch and the dropout RNG. Layers hold no per-call state, so
+// for BackwardBatch), the GEMM scratch buffers and, in training contexts,
+// the backward pass's im2col scratch (they grow to the largest micro-batch
+// seen and are then reused call over call), the training switch and the
+// dropout RNG. Layers hold no per-call state, so
 // any number of goroutines may run ForwardBatch on the SAME network
 // concurrently as long as each uses its own Context — the contract the
 // pooled classifier (internal/core) and pooled evaluation (internal/train)

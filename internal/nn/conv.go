@@ -8,14 +8,17 @@ import (
 )
 
 // Conv2D is a 2-D convolution layer over CHW inputs with an FCHW weight bank
-// and per-filter bias, the workhorse of AlexNet. The forward and backward
-// passes are lowered onto im2col + blocked GEMM (internal/tensor). The
-// direct loop nest is not kept here: the reference the GEMM path is
-// equivalence-tested against is reliable.NativeConv2D, the same textbook
-// transcription the fault campaigns and Table 1 use as their oracle.
+// and per-filter bias, the workhorse of AlexNet. The forward pass is one
+// blocked GEMM whose panels are read straight from the NCHW input
+// (tensor.ConvGemmAcc), so no im2col matrix is written; the backward pass
+// lowers the cached input with tensor.Im2colBatch for its dW GEMM and
+// scatters dX back with tensor.Col2imBatch. The direct loop nest is not
+// kept here: the reference the GEMM path is equivalence-tested against is
+// reliable.NativeConv2D, the same textbook transcription the fault
+// campaigns and Table 1 use as their oracle.
 //
 // The struct holds only parameters and hyper-parameters; activation caches
-// and the im2col scratch live in the Context, so one Conv2D may serve any
+// and GEMM scratch live in the Context, so one Conv2D may serve any
 // number of concurrent forward passes. It owns its two Params for its
 // lifetime, so optimiser state keyed by *Param persists across steps.
 type Conv2D struct {
@@ -29,18 +32,18 @@ type Conv2D struct {
 }
 
 // convState is the per-context mutable state of one Conv2D: the reusable
-// lowering and GEMM scratch and, in training contexts, the forward cache
-// BackwardBatch consumes (the input batch plus the im2col matrix already
-// sitting in cols). The buffers grow to the high-water mark of the batches
-// seen through this context and are then recycled call over call.
+// GEMM output and, in training contexts, the forward cache BackwardBatch
+// consumes (the input batch) plus the backward pass's scratch. The buffers
+// grow to the high-water mark of the batches seen through this context and
+// are then recycled call over call; an inference context never lowers its
+// input, so its cols stays nil.
 type convState struct {
-	cols []float32 // im2col matrix, (inC·k·k) × (N·outH·outW)
-	out  []float32 // GEMM output, F-major (outC, N, outH·outW)
+	out []float32 // GEMM output, F-major (outC, N, outH·outW)
 
 	lastIn     *tensor.Tensor // forward cache (training contexts only)
 	outH, outW int
 	grad       []float32 // NCHW→F-major gradient transpose scratch
-	dcols      []float32 // column-space gradient scratch
+	cols       []float32 // im2col matrix for dW, then the column-space gradient
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -105,14 +108,14 @@ func (c *Conv2D) Pad() int { return c.pad }
 // pointers on every call.
 func (c *Conv2D) Params() []*Param { return []*Param{&c.weight, &c.bias} }
 
-// ForwardBatch implements Layer for an NCHW micro-batch: ONE Im2colBatch
-// lowering and ONE blocked GEMM (bias-seeded, ascending-tap accumulation)
-// against the (outC) × (inC·k·k) weight view cover all N samples — the
-// weight bank is streamed once per batch instead of once per sample. The
-// GEMM output is F-major (outC, N, outH·outW); a contiguous
-// per-(filter,sample) copy transposes it into the NCHW output. In training
-// contexts the input and the im2col matrix are kept for BackwardBatch;
-// inference contexts cache no backward state.
+// ForwardBatch implements Layer for an NCHW micro-batch: ONE blocked GEMM
+// (bias-seeded, ascending-tap accumulation) of the (outC) × (inC·k·k)
+// weight view against the batch's receptive fields, packed straight from x
+// (tensor.ConvGemmAcc), covers all N samples — the weight bank is streamed
+// once per batch instead of once per sample. The GEMM output is F-major
+// (outC, N, outH·outW); a contiguous per-(filter,sample) copy transposes it
+// into the NCHW output. In training contexts the input is kept for
+// BackwardBatch; inference contexts cache no backward state.
 func (c *Conv2D) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("nn: conv %q forward needs a context", c.name)
@@ -129,12 +132,7 @@ func (c *Conv2D) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, e
 	st := ctx.state(c, func() any { return &convState{} }).(*convState)
 	hw := outH * outW
 	cols := n * hw
-	ckk := c.inC * c.k * c.k
 
-	st.cols = tensor.GrowSlice(st.cols, ckk*cols)
-	if err := tensor.Im2colBatch(st.cols, x.Data(), n, c.inC, inH, inW, c.k, c.stride, c.pad); err != nil {
-		return nil, fmt.Errorf("nn: conv %q: %w", c.name, err)
-	}
 	st.out = tensor.GrowSlice(st.out, c.outC*cols)
 	b := c.bias.Value.Data()
 	for f := 0; f < c.outC; f++ {
@@ -144,11 +142,14 @@ func (c *Conv2D) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, e
 			row[j] = bv
 		}
 	}
-	tensor.GemmAcc(st.out, c.weight.Value.Data(), st.cols, c.outC, ckk, cols)
+	if err := tensor.ConvGemmAcc(st.out, c.weight.Value.Data(), x.Data(),
+		n, c.inC, inH, inW, c.k, c.stride, c.pad, c.outC); err != nil {
+		return nil, fmt.Errorf("nn: conv %q: %w", c.name, err)
+	}
 	if ctx.Training() {
 		st.lastIn, st.outH, st.outW = x, outH, outW
 	} else {
-		st.lastIn = nil // st.cols is scratch again; invalidate the cache
+		st.lastIn = nil
 	}
 
 	out := tensor.MustNew(n, c.outC, outH, outW)
@@ -166,9 +167,10 @@ func (c *Conv2D) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, e
 // space: the gradient transposes into the F-major (outC) × (N·outH·outW)
 // layout of the forward GEMM, dB is one tensor.AddRowSums reduction (one
 // chain per (filter,sample), folded in sample order), dW += dY·colsᵀ is ONE
-// GemmTB against the forward's im2col matrix, and dX = Col2imBatch(Wᵀ·dY)
-// is ONE GemmTA plus one batch scatter — the weight bank is streamed twice
-// per mini-batch instead of twice per sample.
+// GemmTB against the im2col lowering of the cached input (the only step
+// that needs the matrix), and dX = Col2imBatch(Wᵀ·dY) is ONE GemmTA, into
+// the same buffer, plus one batch scatter — the weight bank is streamed
+// twice per mini-batch instead of twice per sample.
 func (c *Conv2D) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("nn: conv %q backward needs a context", c.name)
@@ -203,15 +205,16 @@ func (c *Conv2D) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tenso
 	if err := tensor.AddRowSums(db, st.grad, c.outC, n, hw); err != nil {
 		return nil, fmt.Errorf("nn: conv %q: %w", c.name, err)
 	}
+	st.cols = tensor.GrowSlice(st.cols, ckk*cols)
+	if err := tensor.Im2colBatch(st.cols, x.Data(), n, c.inC, inH, inW, c.k, c.stride, c.pad); err != nil {
+		return nil, fmt.Errorf("nn: conv %q: %w", c.name, err)
+	}
 	tensor.GemmTB(dw, st.grad, st.cols, c.outC, cols, ckk)
 
-	st.dcols = tensor.GrowSlice(st.dcols, ckk*cols)
-	for i := range st.dcols {
-		st.dcols[i] = 0
-	}
-	tensor.GemmTA(st.dcols, c.weight.Value.Data(), st.grad, ckk, c.outC, cols)
+	clear(st.cols)
+	tensor.GemmTA(st.cols, c.weight.Value.Data(), st.grad, ckk, c.outC, cols)
 	dx := tensor.MustNew(n, c.inC, inH, inW)
-	if err := tensor.Col2imBatch(dx.Data(), st.dcols, n, c.inC, inH, inW, c.k, c.stride, c.pad); err != nil {
+	if err := tensor.Col2imBatch(dx.Data(), st.cols, n, c.inC, inH, inW, c.k, c.stride, c.pad); err != nil {
 		return nil, fmt.Errorf("nn: conv %q: %w", c.name, err)
 	}
 	return dx, nil

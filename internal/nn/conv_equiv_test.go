@@ -137,3 +137,50 @@ var errDiverged = &divergedError{}
 type divergedError struct{}
 
 func (*divergedError) Error() string { return "concurrent forward diverged from reference" }
+
+// TestForwardBatchInferenceKeepsNoLowering: an inference forward convolves
+// straight from its input (tensor.ConvGemmAcc), so no convolution state of
+// an inference context holds an im2col matrix; only a training context's
+// backward pass lowers its cached input.
+func TestForwardBatchInferenceKeepsNoLowering(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	net, err := NewMicroAlexNet(DefaultMicroConfig(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, batch := randBatch(t, rng, 4, 3, 32, 32)
+	convCols := func(ctx *Context) (convs, lowered int) {
+		for _, s := range ctx.states {
+			if st, ok := s.(*convState); ok {
+				convs++
+				if st.cols != nil {
+					lowered++
+				}
+			}
+		}
+		return convs, lowered
+	}
+
+	ctx := NewContext()
+	if _, err := net.ForwardBatch(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	if convs, lowered := convCols(ctx); convs == 0 || lowered != 0 {
+		t.Errorf("inference context: %d of %d conv states hold an im2col matrix, want 0 of > 0", lowered, convs)
+	}
+
+	train := NewContext()
+	train.SetTraining(true)
+	logits, err := net.ForwardBatch(train, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grad := tensor.MustNew(logits.Shape()...)
+	grad.FillUniform(rng, -1, 1)
+	if _, err := net.BackwardBatch(train, grad); err != nil {
+		t.Fatal(err)
+	}
+	if convs, lowered := convCols(train); convs == 0 || lowered != convs {
+		t.Errorf("training context after backward: %d of %d conv states hold their lowering, want all", lowered, convs)
+	}
+}

@@ -6,13 +6,14 @@
 //
 // There is one execution path, and it is batch-native: ForwardBatch takes
 // an NCHW (or N×K flat) micro-batch and vectorises across it — convolution
-// lowers all N samples into ONE blocked GEMM per layer
-// (tensor.Im2colBatch), dense layers stream their weight matrix once per
-// batch instead of once per sample (tensor.Linear) — and, in training
-// contexts, caches the backward state that BackwardBatch consumes, so a
-// whole mini-batch trains with one GEMM per layer per direction
-// (dW = dY·Xᵀ, dX = Wᵀ·dY, tensor.Col2imBatch for the convolution
-// scatter). A single CHW sample is a batch of one: Sequential.Forward and
+// runs all N samples as ONE blocked GEMM per layer whose panels are read
+// straight from the input (tensor.ConvGemmAcc), dense layers stream their
+// weight matrix once per batch instead of once per sample (tensor.Linear)
+// — and, in training contexts, caches the backward state that
+// BackwardBatch consumes, so a whole mini-batch trains with one GEMM per
+// layer per direction (dW = dY·Xᵀ over the convolution's
+// tensor.Im2colBatch lowering, dX = Wᵀ·dY, tensor.Col2imBatch for the
+// convolution scatter). A single CHW sample is a batch of one: Sequential.Forward and
 // ForwardFrom reshape it to (1, …), run the same layers and return row 0,
 // and every kernel is batch-width independent, so a sample's output is
 // bit-identical whatever batch it rides in. Layers hold only immutable

@@ -55,7 +55,7 @@ func TestGemmFuzzAgainstReference(t *testing.T) {
 
 		if gemmAsmActive {
 			scalar := make([]float32, m*n)
-			gemmAccScalar(scalar, a, b, m, k, n)
+			gemmAccScalar(scalar, a, b, m, k, n, nil)
 			closeSlices(t, "gemm asm-vs-scalar", got, scalar, gemmFuzzTol(k))
 		}
 	}

@@ -9,7 +9,7 @@ package tensor
 
 // gemmAsmRows is never reached when gemmAsmActive is false; the stub keeps
 // the dispatch sites in matmul.go compiling on every platform.
-func gemmAsmRows(dst, a, b []float32, m, k, n int, aT, bT bool) {
+func gemmAsmRows(dst, a, b []float32, m, k, n int, aT, bT bool, conv *convGeom) {
 	panic("tensor: SIMD gemm kernel called in a noasm build")
 }
 

@@ -2,8 +2,6 @@
 
 package tensor
 
-import "sync"
-
 // Packed-panel loop nest for the SIMD GEMM path.
 //
 // Structure (BLIS-style, specialised to this package's shapes): the (j, l)
@@ -19,8 +17,10 @@ import "sync"
 // batched forwards bit-identical to each other on this path (see the
 // contract note in gemm_amd64.s).
 //
-// All four operand layouts (Gemm, GemmTA, GemmTB, and Linear's x·wᵀ) share
-// this nest; they differ only in how the A and B slivers are packed.
+// Gemm, GemmTA, GemmTB and ConvGemmAcc share this nest; they differ only
+// in how the A and B slivers are packed (ConvGemmAcc gathers its B slivers
+// straight from the NCHW input, gemmPackConv). Linear runs its own
+// pack-free driver, linearAsm.
 
 const (
 	// gemmBlockMC rows of packed A per inner block: 192×128 float32 =
@@ -31,22 +31,6 @@ const (
 	gemmMR = 6
 	gemmNR = 16
 )
-
-// gemmPackBuf holds one call's packing scratch: an A block of up to
-// gemmBlockMC (+ sliver padding) rows × gemmBlockK, and a B panel of up to
-// gemmBlockK × gemmBlockN (+ sliver padding). Recycled through a sync.Pool
-// so concurrent Gemm calls (one per pool worker) never share a buffer. Each
-// call grows the buffers to what its shape needs, not to the block maxima,
-// so a pool miss (sync.Pool drops items across garbage collections) costs a
-// small GEMM a few kilobytes instead of 600 kB.
-type gemmPackBuf struct {
-	a []float32
-	b []float32
-}
-
-var gemmPackBufs = sync.Pool{
-	New: func() any { return new(gemmPackBuf) },
-}
 
 // gemmMasks[w] selects the first w of 16 lanes; the edge kernel indexes it
 // by the tile's valid column count.
@@ -62,9 +46,10 @@ var gemmMasks = func() (m [gemmNR + 1][gemmNR]int32) {
 // gemmAsmRows updates every row of dst (m×n, row-major, stride n):
 // dst[r] += A[r]·B. A is (m×k) row-major when !aT, or (k×m) when aT (the
 // GemmTA layout). B is (k×n) when !bT, or (n×k) when bT (the GemmTB
-// layout). Concurrent calls are safe: each packs into its own pooled
-// scratch.
-func gemmAsmRows(dst, a, b []float32, m, k, n int, aT, bT bool) {
+// layout); when conv is non-nil, B is the im2col lowering of the NCHW
+// input b, gathered panel by panel and never materialised. Concurrent
+// calls are safe: each packs into its own pooled scratch.
+func gemmAsmRows(dst, a, b []float32, m, k, n int, aT, bT bool, conv *convGeom) {
 	lda, ldb := k, n
 	if aT {
 		lda = m
@@ -82,9 +67,12 @@ func gemmAsmRows(dst, a, b []float32, m, k, n int, aT, bT bool) {
 		nsJ := (jw + gemmNR - 1) / gemmNR
 		for l0 := 0; l0 < k; l0 += gemmBlockK {
 			kc := min(gemmBlockK, k-l0)
-			if bT {
+			switch {
+			case conv != nil:
+				gemmPackConv(bp, b, conv, buf, j0, jw, l0, kc)
+			case bT:
 				gemmPackBT(bp, b, j0, jw, l0, kc, ldb)
-			} else {
+			default:
 				gemmPackB(bp, b, j0, jw, l0, kc, ldb)
 			}
 			for i := 0; i < m; i += gemmBlockMC {
@@ -224,6 +212,27 @@ func gemmPackB(bp, b []float32, j0, jw, l0, kc, ldb int) {
 			copy(dst, src)
 			for c := cols; c < gemmNR; c++ {
 				dst[c] = 0
+			}
+		}
+	}
+}
+
+// gemmPackConv is gemmPackB for the im2col lowering of the NCHW input x,
+// read in place: bp[s][l][c] = im2col(x)[l0+l][j0+16s+c], with the last
+// sliver's missing columns zeroed. Each sliver's columns are split into
+// runs, and the rows of each tap group are gathered run by run
+// (convGeom.gather).
+func gemmPackConv(bp, x []float32, g *convGeom, buf *gemmPackBuf, j0, jw, l0, kc int) {
+	buf.taps = g.taps(buf.taps[:0], l0, kc)
+	ns := (jw + gemmNR - 1) / gemmNR
+	for s := 0; s < ns; s++ {
+		cols := min(gemmNR, jw-s*gemmNR)
+		sliver := bp[s*kc*gemmNR : (s+1)*kc*gemmNR]
+		buf.runs = g.runs(buf.runs[:0], j0+s*gemmNR, cols)
+		g.gather(sliver, gemmNR, x, buf.runs, buf.taps)
+		if cols < gemmNR {
+			for l := 0; l < kc; l++ {
+				clear(sliver[l*gemmNR+cols : (l+1)*gemmNR])
 			}
 		}
 	}

@@ -7,9 +7,14 @@ import "fmt"
 // (C·k·k) × (outH·outW) matrix, so the convolution with an (F, C, k, k)
 // filter bank is a single (F) × (C·k·k) · (C·k·k) × (outH·outW) matrix
 // product. The lowering runs across the batch dimension: all N samples of an
-// NCHW input land side by side in ONE (C·k·k) × (N·outH·outW) matrix, so a
-// whole micro-batch convolves in a single blocked GEMM per layer. One sample
-// is n = 1 of the same functions.
+// NCHW input land side by side in ONE (C·k·k) × (N·outH·outW) matrix. One
+// sample is n = 1 of the same functions.
+//
+// Only the convolution's backward pass materialises this matrix (dW = dY ·
+// colsᵀ needs it, and Col2imBatch scatters dX back out of its layout). The
+// forward pass multiplies the same matrix without writing it: ConvGemmAcc
+// gathers each GEMM panel straight from the input, and Im2colBatch + a GEMM
+// is the oracle it is tested against bit for bit.
 //
 // All functions are allocation-free over caller-provided slices and carry no
 // state, so they are safe for concurrent use with per-caller buffers.

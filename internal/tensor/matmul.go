@@ -6,10 +6,14 @@ import (
 )
 
 // GEMM kernels over row-major float32 slices. These are the compute
-// substrate of the im2col convolution path (internal/nn) and are written for
-// the shapes that path produces: from per-sample matrices a few hundred
-// elements per side up to batch-wide matrices whose n dimension spans a
-// whole NCHW micro-batch of output positions.
+// substrate of the convolution layers (internal/nn) and are written for the
+// shapes they produce: from per-sample matrices a few hundred elements per
+// side up to batch-wide matrices whose n dimension spans a whole NCHW
+// micro-batch of output positions. The forward convolution runs the same
+// kernels through ConvGemmAcc (convgemm.go), which packs its B panels
+// straight from the NCHW input; the backward pass multiplies the explicit
+// Im2colBatch lowering (GemmTB) and scatters GemmTA's output with
+// Col2imBatch.
 //
 // Two kernel generations coexist, selected once at init:
 //
@@ -72,20 +76,31 @@ func SIMDActive() bool { return gemmAsmActive }
 // architecture.
 func CPUFeatures() string { return cpuFeatures }
 
-// gemmPanels recycles the pure-Go kernels' packing buffers across GEMM
-// calls (and goroutines: each call Gets its own panel, so the kernels stay
-// concurrency-safe). A panel grows to what its call's shape needs, not to
-// the block maxima, so a pool miss costs a small GEMM a small panel.
-var gemmPanels = sync.Pool{
-	New: func() any { return new([]float32) },
+// gemmPackBuf holds one GEMM call's packing scratch: the SIMD path's packed
+// A block (a) and B panel (b), the pure-Go kernels' dense B panel (b), and,
+// for a convolution (ConvGemmAcc), the runs and taps that address its
+// panels in the input image. Recycled through gemmPackBufs so concurrent
+// calls (one per pool worker) never share a buffer. Each call grows the
+// buffers to what its shape needs, not to the block maxima, so a pool miss
+// (sync.Pool drops items across garbage collections) costs a small GEMM a
+// few kilobytes instead of 600 kB.
+type gemmPackBuf struct {
+	a, b []float32
+	runs []convRun
+	taps []convTaps
 }
 
-// gemmPanel takes a packing panel for a GEMM with inner dimension k and n
-// output columns from the pool. Put the pointer back when done.
-func gemmPanel(k, n int) (*[]float32, []float32) {
-	pp := gemmPanels.Get().(*[]float32)
-	*pp = GrowSlice(*pp, min(gemmBlockK, k)*min(gemmBlockN, n))
-	return pp, *pp
+var gemmPackBufs = sync.Pool{
+	New: func() any { return new(gemmPackBuf) },
+}
+
+// gemmPanel takes a packing buffer from the pool with its b grown to a
+// dense panel for a GEMM with inner dimension k and n output columns. Put
+// it back when done.
+func gemmPanel(k, n int) (*gemmPackBuf, []float32) {
+	buf := gemmPackBufs.Get().(*gemmPackBuf)
+	buf.b = GrowSlice(buf.b, min(gemmBlockK, k)*min(gemmBlockN, n))
+	return buf, buf.b
 }
 
 // Gemm computes dst = a·b for row-major a (m×k), b (k×n), dst (m×n),
@@ -99,20 +114,14 @@ func Gemm(dst, a, b []float32, m, k, n int) {
 	gemmAcc(dst, a, b, m, k, n)
 }
 
-// GemmAcc computes dst += a·b with the same layout contract as Gemm.
-func GemmAcc(dst, a, b []float32, m, k, n int) {
-	checkGemm(len(dst), len(a), len(b), m, k, n)
-	gemmAcc(dst, a, b, m, k, n)
-}
-
 func gemmAcc(dst, a, b []float32, m, k, n int) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
 	if gemmAsmActive {
-		gemmAsmRows(dst, a, b, m, k, n, false, false)
+		gemmAsmRows(dst, a, b, m, k, n, false, false, nil)
 	} else {
-		gemmAccScalar(dst, a, b, m, k, n)
+		gemmAccScalar(dst, a, b, m, k, n, nil)
 	}
 }
 
@@ -120,20 +129,29 @@ func gemmAcc(dst, a, b []float32, m, k, n int) {
 // from the pre-SIMD implementation: B panels are packed densely once per
 // (j, l) block and reused across every A row (axpy-style i–l–j sweeps the
 // compiler turns into bounds-check-free streaming code).
-// Packing is what makes batch-wide GEMMs fast: with all N samples' im2col
-// columns in one matrix, B's row stride spans megabytes, and walking 128
-// such rows per output row would thrash the TLB; the dense panel costs one
-// copy per (j, l) block and turns the hot loop into sequential 512 KiB-
-// resident streams.
-func gemmAccScalar(dst, a, b []float32, m, k, n int) {
-	pp, panel := gemmPanel(k, n)
+// Packing is what makes batch-wide GEMMs fast: B's row stride can span
+// megabytes, and walking 128 such rows per output row would thrash the
+// TLB; the dense panel costs one copy per (j, l) block and turns the hot
+// loop into sequential 512 KiB-resident streams. When conv is non-nil, b is
+// the convolution's NCHW input and each panel row is gathered from it
+// (ConvGemmAcc) instead of copied from a lowered matrix.
+func gemmAccScalar(dst, a, b []float32, m, k, n int, conv *convGeom) {
+	buf, panel := gemmPanel(k, n)
 	for j0 := 0; j0 < n; j0 += gemmBlockN {
 		jMax := min(j0+gemmBlockN, n)
 		jw := jMax - j0
+		if conv != nil {
+			buf.runs = conv.runs(buf.runs[:0], j0, jw)
+		}
 		for l0 := 0; l0 < k; l0 += gemmBlockK {
 			lMax := min(l0+gemmBlockK, k)
-			for l := l0; l < lMax; l++ {
-				copy(panel[(l-l0)*jw:(l-l0)*jw+jw], b[l*n+j0:l*n+jMax])
+			if conv != nil {
+				buf.taps = conv.taps(buf.taps[:0], l0, lMax-l0)
+				conv.gather(panel, jw, b, buf.runs, buf.taps)
+			} else {
+				for l := l0; l < lMax; l++ {
+					copy(panel[(l-l0)*jw:(l-l0)*jw+jw], b[l*n+j0:l*n+jMax])
+				}
 			}
 			for i := 0; i < m; i++ {
 				cr := dst[i*n+j0 : i*n+jMax]
@@ -150,7 +168,7 @@ func gemmAccScalar(dst, a, b []float32, m, k, n int) {
 			}
 		}
 	}
-	gemmPanels.Put(pp)
+	gemmPackBufs.Put(buf)
 }
 
 // GemmTA computes dst += aᵀ·b for row-major a (k×m), b (k×n), dst (m×n).
@@ -165,7 +183,7 @@ func GemmTA(dst, a, b []float32, m, k, n int) {
 		return
 	}
 	if gemmAsmActive {
-		gemmAsmRows(dst, a, b, m, k, n, true, false)
+		gemmAsmRows(dst, a, b, m, k, n, true, false, nil)
 	} else {
 		gemmTAScalar(dst, a, b, m, k, n)
 	}
@@ -179,7 +197,7 @@ func GemmTA(dst, a, b []float32, m, k, n int) {
 // (l ascends for every (i, j)), so results are bit-identical to the
 // pre-packing kernel.
 func gemmTAScalar(dst, a, b []float32, m, k, n int) {
-	pp, panel := gemmPanel(k, n)
+	buf, panel := gemmPanel(k, n)
 	for j0 := 0; j0 < n; j0 += gemmBlockN {
 		jMax := min(j0+gemmBlockN, n)
 		jw := jMax - j0
@@ -206,7 +224,7 @@ func gemmTAScalar(dst, a, b []float32, m, k, n int) {
 			}
 		}
 	}
-	gemmPanels.Put(pp)
+	gemmPackBufs.Put(buf)
 }
 
 // GemmTB computes dst += a·bᵀ for row-major a (m×k), b (n×k), dst (m×n).
@@ -221,7 +239,7 @@ func GemmTB(dst, a, b []float32, m, k, n int) {
 		return
 	}
 	if gemmAsmActive {
-		gemmAsmRows(dst, a, b, m, k, n, false, true)
+		gemmAsmRows(dst, a, b, m, k, n, false, true, nil)
 	} else {
 		gemmTBScalar(dst, a, b, m, k, n)
 	}
@@ -235,7 +253,7 @@ func GemmTB(dst, a, b []float32, m, k, n int) {
 // the old separate-accumulator dot product by at most rounding; the
 // backward-pass consumers are all tolerance-tested.
 func gemmTBScalar(dst, a, b []float32, m, k, n int) {
-	pp, panel := gemmPanel(k, n)
+	buf, panel := gemmPanel(k, n)
 	for j0 := 0; j0 < n; j0 += gemmBlockN {
 		jMax := min(j0+gemmBlockN, n)
 		jw := jMax - j0
@@ -262,7 +280,7 @@ func gemmTBScalar(dst, a, b []float32, m, k, n int) {
 			}
 		}
 	}
-	gemmPanels.Put(pp)
+	gemmPackBufs.Put(buf)
 }
 
 func checkGemm(ld, la, lb, m, k, n int) {

@@ -55,7 +55,7 @@ func TestGemmAgainstReference(t *testing.T) {
 		closeSlices(t, "gemm", got, want, 1e-4)
 
 		// Accumulating variant adds on top of existing contents.
-		GemmAcc(got, a, b, m, k, n)
+		gemmAcc(got, a, b, m, k, n)
 		gemmRef(want, a, b, m, k, n)
 		closeSlices(t, "gemmAcc", got, want, 1e-4)
 	}

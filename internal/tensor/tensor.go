@@ -6,9 +6,9 @@
 // Tensors are row-major ("C order"). Convolutional data uses CHW layout
 // (channels, height, width) per sample and NCHW for micro-batches (Stack
 // packs samples, Sample views them back out). The batched kernels —
-// Im2colBatch and Linear — lay a whole micro-batch into one matrix so a
-// convolution or dense layer runs as a single blocked GEMM per batch; the
-// per-sample entry points are their N=1 cases.
+// ConvGemmAcc and Linear — run a whole micro-batch as a single blocked GEMM
+// per convolution or dense layer; the per-sample entry points are their
+// N=1 cases.
 //
 // The package is deliberately free of global state: all random fills take an
 // explicit *rand.Rand so that every experiment in the repository is
